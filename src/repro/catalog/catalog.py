@@ -16,9 +16,13 @@ class Catalog:
     64-bit storage form.  Queries may only run against a finalized catalog.
     """
 
-    def __init__(self):
+    def __init__(self, dictionary: StringDictionary | None = None):
+        """``dictionary`` shares another catalog's already-frozen string
+        dictionary, so both assign every string the same id."""
         self.tables: dict[str, Table] = {}
-        self.dictionary = StringDictionary()
+        self.dictionary = (
+            StringDictionary() if dictionary is None else dictionary
+        )
         self.finalized = False
 
     def create_table(self, name: str, schema: Schema) -> Table:
@@ -43,9 +47,10 @@ class Catalog:
     def finalize(self) -> None:
         if self.finalized:
             raise CatalogError("catalog already finalized")
-        for table in self.tables.values():
-            table.collect_strings(self.dictionary)
-        self.dictionary.freeze()
+        if not self.dictionary.frozen:
+            for table in self.tables.values():
+                table.collect_strings(self.dictionary)
+            self.dictionary.freeze()
         for table in self.tables.values():
             table.encode(self.dictionary)
         self.finalized = True

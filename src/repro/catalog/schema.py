@@ -54,6 +54,29 @@ def decode_decimal(cents: int) -> float:
     return cents / DECIMAL_SCALE
 
 
+def decode_value(dictionary, value, dtype: DataType):
+    """One 64-bit storage value -> its Python-native output form.
+
+    ``dictionary`` is the database's frozen string dictionary; every
+    tier that hands rows to a client decodes through here."""
+    if dtype is DataType.DECIMAL:
+        return value / DECIMAL_SCALE
+    if dtype is DataType.DATE:
+        return decode_date(value)
+    if dtype is DataType.STRING:
+        return dictionary.value_of(value)
+    if dtype is DataType.BOOL:
+        return bool(value)
+    return value
+
+
+def decode_row(dictionary, raw: tuple, dtypes) -> tuple:
+    return tuple(
+        decode_value(dictionary, value, dtype)
+        for value, dtype in zip(raw, dtypes)
+    )
+
+
 @dataclass(frozen=True)
 class Column:
     """One named, typed column."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from repro.backend import BackendOptions, compile_module
 from repro.backend.feedback import BackendFeedback
 from repro.catalog import Catalog, Schema
-from repro.catalog.schema import DataType, decode_date
+from repro.catalog.schema import decode_row
 from repro.codegen import (
     build_runtime_module,
     build_syslib_module,
@@ -186,8 +186,9 @@ class Database:
         self,
         memory_bytes: int = 1 << 22,
         storage: StorageConfig | None = None,
+        dictionary=None,
     ):
-        self.catalog = Catalog()
+        self.catalog = Catalog(dictionary)  # shared by a fleet's shards
         self.memory = Memory(memory_bytes)
         self.storage_config = storage or StorageConfig()
         self.storage: StorageEngine | None = None
@@ -656,10 +657,7 @@ class Database:
                             slot.table_name, column_index, considered,
                             self.memory.read(state_addr + offset),
                         )
-            rows = [
-                self._decode_row(raw, compiled.physical.columns)
-                for raw in output
-            ]
+            rows = self.decode_rows(output, compiled.physical.columns)
             if tiering is not None:
                 for machine in machines:
                     # snapshot the tier this run actually executed at
@@ -782,22 +780,12 @@ class Database:
             return count if limit is None else min(count, limit)
         raise ReproError(f"unknown pipeline domain {domain!r}")
 
-    def _decode_row(self, raw: tuple, columns) -> tuple:
-        out = []
-        for value, (_, iu) in zip(raw, columns):
-            out.append(self._decode_value(value, iu.dtype))
-        return tuple(out)
-
-    def _decode_value(self, value, dtype: DataType):
-        if dtype is DataType.DECIMAL:
-            return value / 100
-        if dtype is DataType.DATE:
-            return decode_date(value)
-        if dtype is DataType.STRING:
-            return self.catalog.dictionary.value_of(value)
-        if dtype is DataType.BOOL:
-            return bool(value)
-        return value
+    def decode_rows(self, raw_rows, columns) -> list[tuple]:
+        """Raw result rows -> output values, typed by the plan's
+        ``(name, IU)`` output columns."""
+        dictionary = self.catalog.dictionary
+        dtypes = [iu.dtype for _, iu in columns]
+        return [decode_row(dictionary, raw, dtypes) for raw in raw_rows]
 
     # -- public API ----------------------------------------------------------
 
@@ -1053,7 +1041,7 @@ class Database:
         bound, physical = self._plan(sql, join_order_hint, planner_options)
         interpreter = Interpreter()
         raw_rows = interpreter.run(physical)
-        rows = [self._decode_row(raw, physical.columns) for raw in raw_rows]
+        rows = self.decode_rows(raw_rows, physical.columns)
         return QueryResult(
             columns=[name for name, _ in physical.columns],
             rows=rows,

@@ -24,10 +24,11 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 
-from repro.catalog.schema import DataType, decode_date
+from repro.catalog.schema import decode_value
+from repro.data.dataset import Dataset, TableData
 from repro.errors import ReproError
-from repro.fuzz.dataset import Dataset, TableData
 
 
 def _key_value(value):
@@ -138,7 +139,7 @@ class PartitionSpec:
         table: str | None = None,
         column: str | None = None,
     ) -> "PartitionSpec":
-        """Default spec over a fuzz dataset: split the largest table."""
+        """Default spec over a dataset: split the largest table."""
         if not dataset.tables:
             raise ReproError("cannot partition an empty dataset")
         if table is None:
@@ -189,7 +190,7 @@ class PartitionSpec:
             )
         column_index = meta.schema.index_of(column)
         dtype = meta.schema.columns[column_index].dtype
-        decode = _decoder(db, dtype)
+        decode = partial(decode_value, db.catalog.dictionary, dtype=dtype)
         if scheme == "range":
             bounds = _spine_bounds(db, table, column, shards, decode)
             if bounds is not None:
@@ -240,18 +241,6 @@ def _make_partitioner(scheme: str, shards: int, values):
     if scheme == "range":
         return RangePartitioner.from_values(values, shards)
     raise ReproError(f"unknown partition scheme {scheme!r}")
-
-
-def _decoder(db, dtype: DataType):
-    if dtype is DataType.DECIMAL:
-        return lambda v: v / 100
-    if dtype is DataType.DATE:
-        return decode_date
-    if dtype is DataType.STRING:
-        return db.catalog.dictionary.value_of
-    if dtype is DataType.BOOL:
-        return bool
-    return lambda v: v
 
 
 def _spine_bounds(db, table: str, column: str, shards: int, decode):

@@ -27,9 +27,9 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass, field
 
-from repro.catalog import DataType
+from repro.catalog import DataType, StringDictionary
+from repro.data.dataset import Dataset, build_database, extract_dataset
 from repro.errors import ReproError
-from repro.fuzz.dataset import Dataset, build_database, extract_dataset
 from repro.pgo.fingerprint import fingerprint
 from repro.serve import (
     CANCELLED,
@@ -45,14 +45,13 @@ from repro.serve import (
     ServiceResult,
 )
 from repro.fleet.partition import PartitionSpec
+from repro.fleet.profiling import merge_snapshots
 from repro.fleet.scatter import (
     FleetPlanError,
     RoutePlan,
-    ValueEncoder,
     gather_rows,
     plan_route,
 )
-from repro.sql import ast
 
 
 @dataclass(frozen=True)
@@ -160,22 +159,24 @@ class Fleet:
         self.config = config
         self.spec = spec
         self.pgo_store = pgo_store
+        # one string dictionary for the whole fleet, the unsplit
+        # dataset's: every shard and the gather give a string the id (and
+        # an absent literal the rank) it has on a single node
+        self.dictionary = StringDictionary()
+        for table in dataset.tables.values():
+            for name, dtype in table.columns:
+                if dtype is DataType.STRING:
+                    for value in table.values_of(name):
+                        self.dictionary.collect(value)
+        self.dictionary.freeze()
         service_config = config.service_config()
         self.services = [
-            QueryService(build_database(slice_), service_config,
-                         pgo_store=pgo_store)
+            QueryService(
+                build_database(slice_, dictionary=self.dictionary),
+                service_config, pgo_store=pgo_store,
+            )
             for slice_ in spec.split(dataset)
         ]
-        # gather-side HAVING/ORDER BY re-evaluation needs the engine's
-        # encoded domain; the full pre-split dataset reproduces exactly
-        # the string-dictionary ids the reference database assigns
-        self.encoder = ValueEncoder([
-            value
-            for table in dataset.tables.values()
-            for (name, dtype) in table.columns
-            if dtype is DataType.STRING
-            for value in table.values_of(name)
-        ])
         self.dead: set[int] = set()
         self._pending: dict[int, _FleetQuery] = {}
         self.results: dict[int, FleetResult] = {}
@@ -226,11 +227,11 @@ class Fleet:
         if plan.scatter:
             targets = list(range(self.shards))
         else:
-            # replicated-only query: complete on any one shard; spread
-            # load deterministically by statement fingerprint
-            targets = [
-                zlib.crc32(fingerprint(sql).encode()) % self.shards
-            ]
+            # replicated-only query: complete on any one live shard;
+            # spread load deterministically by statement fingerprint
+            live = self.live_shards()
+            pick = zlib.crc32(fingerprint(sql).encode())
+            targets = [live[pick % len(live)]] if live else []
 
         self._tickets += 1
         ticket = self._tickets
@@ -327,7 +328,13 @@ class Fleet:
             )
             return result
 
-        wanted = list(range(self.shards)) if plan.scatter else result.shards
+        # a replicated-only statement that found no live shard at submit
+        # wanted any of them
+        wanted = (
+            query.subtickets
+            if query.subtickets and not plan.scatter
+            else range(self.shards)
+        )
         lost = sorted(
             set(wanted) & self.dead
             | {
@@ -343,7 +350,7 @@ class Fleet:
         ]
         if lost:
             degradable = (
-                plan.scatter and self.config.allow_partial
+                plan.scatter and self.config.allow_partial and survivors
                 and all(sub.ok for sub in survivors)
             )
             if not degradable:
@@ -372,19 +379,22 @@ class Fleet:
             result.rows = list(sub.rows or [])
             return result
         try:
-            rows = gather_rows(
-                plan.gather, [list(sub.rows or []) for sub in survivors],
-                encoder=self.encoder,
+            result.rows = gather_rows(
+                plan, survivors[0].dtypes,
+                [sub.rows or [] for sub in survivors], self.dictionary,
             )
-        except (FleetPlanError, ZeroDivisionError, ArithmeticError,
-                TypeError, ValueError) as exc:
+        except ReproError as exc:
+            # the engine's binder rejects the statement: what a single
+            # node reports as a compile error, with the same message
+            result.status = "failed"
+            result.error = ServiceError(COMPILE_ERROR, str(exc))
+        except (ArithmeticError, ValueError) as exc:
             # mirrors a shard-side runtime failure: e.g. a division the
             # gather evaluates that the shards never executed
             result.status = "failed"
             result.error = ServiceError(EXEC_ERROR, f"gather failed: {exc}")
-            return result
-        result.rows = rows
-        result.columns = _output_columns(plan.gather.stmt)
+        else:
+            result.columns = list(plan.columns)
         return result
 
     def _account(self, result: FleetResult) -> None:
@@ -436,13 +446,9 @@ class Fleet:
 
         Merged sample totals are exactly the sum of per-shard totals —
         the ``fleet-sharded`` fuzz oracle asserts this equality."""
-        merged: ProfileSnapshot | None = None
-        for service in self.services:
-            snapshot = service.profile_snapshot()
-            if snapshot is None:
-                continue
-            merged = snapshot if merged is None else merged.merge(snapshot)
-        return merged
+        return merge_snapshots(
+            service.profile_snapshot() for service in self.services
+        )
 
 
 def run_fleet_workload(fleet: Fleet, items) -> list:
@@ -468,19 +474,3 @@ def run_fleet_workload(fleet: Fleet, items) -> list:
         fleet.result(value) if kind == "ticket" else value
         for kind, value in tickets
     ]
-
-
-def _output_columns(stmt: ast.SelectStmt) -> list[str]:
-    """The engine's output naming: alias, else identifier/function name,
-    else ``colN`` (mirrors the binder's ``_default_name``)."""
-    out = []
-    for i, item in enumerate(stmt.items):
-        if item.alias:
-            out.append(item.alias)
-        elif isinstance(item.expr, ast.Identifier):
-            out.append(item.expr.name)
-        elif isinstance(item.expr, ast.FuncCall):
-            out.append(item.expr.name)
-        else:
-            out.append(f"col{i}")
-    return out

@@ -1,23 +1,29 @@
 """Scatter/gather query planning for the fleet router.
 
 A query that references the partitioned table cannot run on one shard —
-each shard only holds a slice of its rows — so the router rewrites it
-into a *shard statement* (executed verbatim on every shard) plus a
-*gather plan* (executed router-side over the shard results):
+each shard only holds a slice of its rows — so the router rewrites it,
+at the AST level, into two statements: a *shard statement* executed
+verbatim on every shard, and a *gather statement* the router runs over
+the union of the shard results, loaded as the one table ``_partials``:
 
-* Aggregates decompose into partials: ``sum``/``count`` merge by
-  addition, ``min``/``max`` by min/max, and ``avg`` splits into a
+* Aggregates decompose into partials: ``sum``/``count`` merge as
+  ``sum(pN)``, ``min``/``max`` as themselves, and ``avg`` splits into a
   ``sum`` partial and a shared ``count(*)`` partial recombined as
-  ``total / count`` at gather (0.0 over zero rows, matching the
-  binder's guarded ungrouped avg).
-* GROUP BY keys ship as extra shard columns; the gather merges partial
-  groups by key tuple.  Ungrouped aggregates carry a hidden ``count(*)``
-  so the gather can drop the all-zero identity rows empty shards emit
-  (their ``min``/``max`` identities would otherwise corrupt the merge).
-* HAVING, ORDER BY, LIMIT, and DISTINCT move to the gather side, where
-  the original select items are re-evaluated over the merged partials.
-  ORDER BY + LIMIT push down to the shards only for plain projections
-  (no aggregates, grouping, or DISTINCT), where per-shard top-K is sound.
+  ``sum(p_sum) / sum(p_cnt)`` (guarded like the binder's ungrouped avg,
+  so zero rows yield 0.0).
+* GROUP BY keys ship as columns ``gN`` and the gather groups by them.
+  Ungrouped aggregates carry a hidden ``count(*)`` and the gather keeps
+  only ``WHERE pK > 0``: the all-zero identity rows empty shards emit
+  never reach the merge (their ``min``/``max`` identities would corrupt
+  it).
+* The select list, HAVING, ORDER BY, LIMIT and DISTINCT carry over to
+  the gather statement with every aggregate and group key replaced by
+  its merge expression.  ORDER BY + LIMIT also push down to the shards
+  for plain projections, where a per-shard top-K is sound.
+
+The gather statement takes the engine's own path — parser, binder,
+planner, reference interpreter (:func:`gather_rows`) — so it means what
+it means on a single node, including what the binder rejects and why.
 
 Queries that never touch the partitioned table are complete on any
 single shard and route unrewritten.
@@ -25,83 +31,26 @@ single shard and route unrewritten.
 
 from __future__ import annotations
 
-import math
-import re
-from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from repro.catalog.schema import decode_date, encode_date
+from repro.catalog import Catalog, Column, Schema
+from repro.catalog.schema import decode_row
 from repro.errors import ReproError
-from repro.sql import ast, parse, unparse
+from repro.plan.interpret import Interpreter
+from repro.plan.physical import plan_physical
+from repro.sql import Binder, ast, parse, unparse
+from repro.sql.ast import _rewrite_ast_children
+from repro.sql.binder import (
+    _ast_children,
+    _find_agg_calls,
+    default_column_name,
+)
 
-AGGREGATES = frozenset({"count", "sum", "avg", "min", "max"})
-
-_ISO_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
-
-
-class ValueEncoder:
-    """Maps decoded gather values back to the engine's 64-bit encoding.
-
-    The engine evaluates every expression over *encoded* values —
-    dictionary ids for strings, day ordinals for dates — and only
-    decodes at output.  Shard results arrive decoded, so re-evaluating
-    a HAVING like ``max(placed) >= 3`` at gather time must first encode
-    the merged value the way the engine would, or the comparison runs
-    on the wrong domain.  Built from the full pre-split dataset, the
-    sorted-rank ids here coincide with every ``StringDictionary`` id
-    the reference database would assign.
-    """
-
-    def __init__(self, strings=()):
-        self._values = sorted(set(strings))
-        self._id_of = {s: i for i, s in enumerate(self._values)}
-
-    def encode(self, value):
-        if isinstance(value, str):
-            string_id = self._id_of.get(value)
-            if string_id is not None:
-                return string_id
-            if _ISO_DATE.fullmatch(value):
-                return encode_date(value)
-            return self.literal(value)
-        return value
-
-    def literal(self, value: str):
-        """An absent string literal: the half-offset insertion rank.
-
-        ``id < rank - 0.5`` iff ``string < value`` (the dictionary's
-        range trick), and equality against it is never true — exactly
-        the engine's semantics for literals outside the data."""
-        string_id = self._id_of.get(value)
-        if string_id is not None:
-            return string_id
-        return bisect_left(self._values, value) - 0.5
+PARTIALS = "_partials"
 
 
 class FleetPlanError(ReproError):
-    """The router cannot (or refuses to) distribute this statement."""
-
-
-@dataclass(frozen=True)
-class Partial:
-    """One shard-side partial column and how to merge it."""
-
-    call: ast.FuncCall  # the shard-side partial aggregate
-    merge: str  # "sum" | "min" | "max"
-    column: int  # index into the shard result row
-
-
-@dataclass
-class GatherPlan:
-    """Everything the router needs to merge shard results."""
-
-    stmt: ast.SelectStmt  # the original statement
-    key_exprs: list[ast.Node]  # group keys, shard columns [0..len)
-    partials: dict[ast.FuncCall, tuple[Partial, ...]]  # agg -> its partials
-    hidden_count: int | None  # shard column of the hidden count(*)
-    grouped: bool
-    aggregated: bool
-    limit_pushed: bool
+    """The router cannot distribute this statement."""
 
 
 @dataclass
@@ -111,21 +60,26 @@ class RoutePlan:
     sql: str
     scatter: bool
     shard_sql: str  # what each shard actually runs
-    gather: GatherPlan | None = None
+    # scatter only: the statement run over the shard results, the names
+    # their columns take in ``_partials``, and the output column names
+    gather_sql: str | None = None
+    partial_columns: list[str] = field(default_factory=list)
+    columns: list[str] = field(default_factory=list)
 
 
 # -- statement analysis ------------------------------------------------------
 
 
-def _walk_tables(stmt: ast.SelectStmt, out: set, nested: set,
-                 depth: int = 0) -> None:
+def _tables(stmt: ast.SelectStmt, depth: int = 0):
+    """``(table, depth)`` for every base table ``stmt`` reads; depth 0 is
+    its own FROM list, deeper is a derived table or a subquery."""
     for ref in stmt.tables:
         if ref.subquery is not None:
-            _walk_tables(ref.subquery, out, nested, depth + 1)
+            yield from _tables(ref.subquery, depth + 1)
         else:
-            (nested if depth else out).add(ref.table)
+            yield ref.table, depth
     for node in _expressions(stmt):
-        _walk_subqueries(node, out, nested)
+        yield from _subquery_tables(node)
 
 
 def _expressions(stmt: ast.SelectStmt):
@@ -140,46 +94,12 @@ def _expressions(stmt: ast.SelectStmt):
         yield order.expr
 
 
-def _walk_subqueries(node, out: set, nested: set) -> None:
+def _subquery_tables(node):
     if isinstance(node, (ast.ScalarSubquery, ast.Exists, ast.InSubquery)):
-        _walk_tables(node.subquery, nested, nested, depth=1)
-        return
-    for child in _children(node):
-        _walk_subqueries(child, out, nested)
-
-
-def _children(node):
-    if isinstance(node, ast.UnaryOp):
-        return (node.operand,)
-    if isinstance(node, ast.BinaryOp):
-        return (node.left, node.right)
-    if isinstance(node, ast.FuncCall):
-        return node.args
-    if isinstance(node, ast.Between):
-        return (node.operand, node.low, node.high)
-    if isinstance(node, ast.InList):
-        return (node.operand, *node.values)
-    if isinstance(node, ast.Like):
-        return (node.operand,)
-    if isinstance(node, ast.InSubquery):
-        return (node.operand,)
-    if isinstance(node, ast.Case):
-        children = []
-        for cond, value in node.whens:
-            children.extend((cond, value))
-        if node.default is not None:
-            children.append(node.default)
-        return tuple(children)
-    return ()
-
-
-def _find_aggregates(node, out: list) -> None:
-    if isinstance(node, ast.FuncCall) and node.name.lower() in AGGREGATES:
-        if node not in out:
-            out.append(node)
-        return
-    for child in _children(node):
-        _find_aggregates(child, out)
+        yield from _tables(node.subquery, depth=1)
+    else:
+        for child in _ast_children(node):
+            yield from _subquery_tables(child)
 
 
 # -- planning ----------------------------------------------------------------
@@ -188,17 +108,15 @@ def _find_aggregates(node, out: list) -> None:
 def plan_route(sql: str, partition_table: str) -> RoutePlan:
     """Decide single-shard routing vs scatter/gather for one statement."""
     stmt = parse(sql)
-    top: set = set()
-    nested: set = set()
-    _walk_tables(stmt, top, nested)
-    if partition_table not in top and partition_table not in nested:
+    depths = [d for table, d in _tables(stmt) if table == partition_table]
+    if not depths:
         return RoutePlan(sql=sql, scatter=False, shard_sql=sql)
-    if partition_table in nested:
+    if any(depths):
         raise FleetPlanError(
             f"fleet: partitioned table {partition_table!r} inside a "
             "subquery cannot be scattered"
         )
-    if sum(1 for ref in stmt.tables if ref.table == partition_table) > 1:
+    if len(depths) > 1:
         raise FleetPlanError(
             f"fleet: self-join of partitioned table {partition_table!r} "
             "cannot be scattered"
@@ -206,20 +124,58 @@ def plan_route(sql: str, partition_table: str) -> RoutePlan:
 
     aggregates: list[ast.FuncCall] = []
     for node in _expressions(stmt):
-        _find_aggregates(node, aggregates)
-    grouped = bool(stmt.group_by)
-    aggregated = bool(aggregates) or grouped
-    if stmt.distinct and aggregated:
-        raise FleetPlanError(
-            "fleet: DISTINCT combined with aggregation cannot be scattered"
-        )
+        for call in _find_agg_calls(node):
+            if call not in aggregates:
+                aggregates.append(call)
+    if aggregates or stmt.group_by:
+        shard, gather = _plan_aggregation(stmt, aggregates)
+        partial_columns = [item.alias for item in shard.items]
+    else:
+        shard, gather = _plan_projection(stmt)
+        partial_columns = [f"g{i}" for i in range(len(shard.items))]
+    return RoutePlan(
+        sql=sql, scatter=True, shard_sql=unparse(shard),
+        gather_sql=unparse(gather), partial_columns=partial_columns,
+        columns=[
+            item.alias or default_column_name(item.expr, i)
+            for i, item in enumerate(stmt.items)
+        ],
+    )
 
-    if not aggregated:
-        return _plan_projection(sql, stmt)
-    return _plan_aggregation(sql, stmt, aggregates, grouped)
+
+def _column(name: str) -> ast.Identifier:
+    # always qualified: a bare name could resolve as a select-item alias
+    return ast.Identifier(PARTIALS, name)
 
 
-def _plan_projection(sql: str, stmt: ast.SelectStmt) -> RoutePlan:
+def _gather_stmt(stmt: ast.SelectStmt, items, substitute, **clauses):
+    """The gather statement: ``stmt``'s output clauses over ``_partials``.
+
+    The gather keeps the select-item aliases, and the binder resolves a
+    bare alias in ORDER BY before anything else — so those stay as they
+    are while every other sort key goes through ``substitute``."""
+    aliases = {item.alias for item in stmt.items if item.alias}
+    order_by = [
+        order
+        if isinstance(order.expr, ast.Identifier)
+        and order.expr.qualifier is None and order.expr.name in aliases
+        else ast.OrderItem(substitute(order.expr), order.ascending)
+        for order in stmt.order_by
+    ]
+    return ast.SelectStmt(
+        distinct=stmt.distinct,
+        items=[
+            ast.SelectItem(expr, item.alias)
+            for expr, item in zip(items, stmt.items)
+        ],
+        tables=[ast.TableRef(PARTIALS, PARTIALS)],
+        order_by=order_by,
+        limit=stmt.limit,
+        **clauses,
+    )
+
+
+def _plan_projection(stmt: ast.SelectStmt):
     """Row scatter: shard rows pass through; sort/limit re-done at gather."""
     shard = ast.SelectStmt(
         distinct=stmt.distinct,
@@ -230,353 +186,112 @@ def _plan_projection(sql: str, stmt: ast.SelectStmt) -> RoutePlan:
     # per-shard top-K is sound for plain projections: every output row
     # comes from exactly one shard, so the global top-K is a subset of
     # the union of per-shard top-Ks
-    limit_pushed = stmt.limit is not None and not stmt.distinct
-    if limit_pushed:
+    if stmt.limit is not None and not stmt.distinct:
         shard.order_by = list(stmt.order_by)
         shard.limit = stmt.limit
-    _resolve_order(stmt, aggregated=False)  # fail at plan time, not gather
-    gather = GatherPlan(
-        stmt=stmt, key_exprs=[], partials={}, hidden_count=None,
-        grouped=False, aggregated=False, limit_pushed=limit_pushed,
-    )
-    return RoutePlan(
-        sql=sql, scatter=True, shard_sql=unparse(shard), gather=gather,
-    )
+
+    def sort_key(expr: ast.Node) -> ast.Node:
+        for i, item in enumerate(stmt.items):
+            if item.expr == expr:
+                return _column(f"g{i}")
+        if stmt.distinct:
+            return expr  # not an output column: the binder refuses it
+        # a sort key outside the select list ships as a hidden column
+        shard.items.append(ast.SelectItem(expr, None))
+        return _column(f"g{len(shard.items) - 1}")
+
+    outputs = [_column(f"g{i}") for i in range(len(stmt.items))]
+    return shard, _gather_stmt(stmt, outputs, sort_key, having=stmt.having)
 
 
-def _plan_aggregation(
-    sql: str, stmt: ast.SelectStmt,
-    aggregates: list[ast.FuncCall], grouped: bool,
-) -> RoutePlan:
+def _plan_aggregation(stmt: ast.SelectStmt, aggregates: list[ast.FuncCall]):
+    grouped = bool(stmt.group_by)
     shard = ast.SelectStmt(
         tables=list(stmt.tables),
         where=stmt.where,
         group_by=list(stmt.group_by),
+        items=[
+            ast.SelectItem(key, f"g{i}")
+            for i, key in enumerate(stmt.group_by)
+        ],
     )
-    items: list[ast.SelectItem] = []
-    for i, key in enumerate(stmt.group_by):
-        items.append(ast.SelectItem(key, f"g{i}"))
+    # group key / aggregate call -> what stands for it in the gather
+    replace = {key: _column(f"g{i}") for i, key in enumerate(stmt.group_by)}
+    group_by = list(replace.values())
+    partial_of: dict[ast.FuncCall, ast.Identifier] = {}
 
-    partial_columns: dict[ast.FuncCall, int] = {}
-
-    def shard_column(call: ast.FuncCall) -> int:
-        column = partial_columns.get(call)
+    def partial(call: ast.FuncCall) -> ast.Identifier:
+        """The ``_partials`` column carrying shard-side ``call``."""
+        column = partial_of.get(call)
         if column is None:
-            column = len(items)
-            partial_columns[call] = column
-            items.append(ast.SelectItem(call, f"p{column}"))
+            name = f"p{len(shard.items)}"
+            shard.items.append(ast.SelectItem(call, name))
+            column = partial_of[call] = _column(name)
         return column
 
     count_star = ast.FuncCall("count", (ast.Star(),))
-    partials: dict[ast.FuncCall, tuple[Partial, ...]] = {}
     for call in aggregates:
-        name = call.name.lower()
-        if name == "avg":
-            partials[call] = (
-                Partial(
-                    ast.FuncCall("sum", call.args), "sum",
-                    shard_column(ast.FuncCall("sum", call.args)),
-                ),
-                Partial(count_star, "sum", shard_column(count_star)),
+        if call.name == "avg":
+            total = ast.FuncCall(
+                "sum", (partial(ast.FuncCall("sum", call.args)),)
             )
-        elif name in ("sum", "count"):
-            partials[call] = (Partial(call, "sum", shard_column(call)),)
-        else:  # min / max
-            partials[call] = (Partial(call, name, shard_column(call)),)
+            count = ast.FuncCall("sum", (partial(count_star),))
+            if grouped:
+                replace[call] = ast.BinaryOp("/", total, count)
+            else:
+                # the binder's _guarded_avg: 0.0 over zero rows, and a
+                # divisor that is safe even when both arms are evaluated
+                nonzero = ast.BinaryOp("<>", count, ast.NumberLit(0))
+                safe = ast.Case(((nonzero, count),), ast.NumberLit(1))
+                replace[call] = ast.Case(
+                    ((nonzero, ast.BinaryOp("/", total, safe)),),
+                    ast.NumberLit(0.0),
+                )
+        else:
+            merge = "sum" if call.name in ("sum", "count") else call.name
+            replace[call] = ast.FuncCall(merge, (partial(call),))
 
-    hidden_count = None
+    where = None
     if not grouped:
         # ungrouped aggregation emits exactly one row per shard even over
         # zero input rows; the hidden count lets the gather drop those
         # identity rows so min/max identities never leak into the merge
-        hidden_count = shard_column(count_star)
+        where = ast.BinaryOp(">", partial(count_star), ast.NumberLit(0))
 
-    shard.items = items
-    gather = GatherPlan(
-        stmt=stmt, key_exprs=list(stmt.group_by), partials=partials,
-        hidden_count=hidden_count, grouped=grouped, aggregated=True,
-        limit_pushed=False,
+    def substitute(node: ast.Node) -> ast.Node:
+        if node in replace:
+            return replace[node]
+        return _rewrite_ast_children(node, substitute)
+
+    gather = _gather_stmt(
+        stmt, [substitute(item.expr) for item in stmt.items], substitute,
+        where=where, group_by=group_by,
+        having=substitute(stmt.having) if stmt.having is not None else None,
     )
-    return RoutePlan(
-        sql=sql, scatter=True, shard_sql=unparse(shard), gather=gather,
-    )
+    return shard, gather
 
 
-# -- gather-side expression evaluation ---------------------------------------
+# -- gathering ---------------------------------------------------------------
 
 
-def _truncdiv(a, b):
-    """C-style truncation, matching the VM's SDIV/SREM semantics."""
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
+def gather_rows(plan: RoutePlan, dtypes, shard_rows, dictionary) -> list:
+    """Run ``plan.gather_sql`` over the shards' result rows.
 
-
-def _like_match(value: str, pattern: str) -> bool:
-    import re
-
-    parts = []
-    for ch in pattern:
-        if ch == "%":
-            parts.append(".*")
-        elif ch == "_":
-            parts.append(".")
-        else:
-            parts.append(re.escape(ch))
-    return re.fullmatch("".join(parts), value) is not None
-
-
-def _eval(node, env: dict, encoder: ValueEncoder | None = None):
-    """Evaluate an expression over merged aggregate/key values.
-
-    ``env`` maps AST nodes (group-key expressions and aggregate calls —
-    all frozen, hence hashable) to their merged values; anything else is
-    computed with the engine's value semantics.  With an ``encoder`` the
-    env holds *encoded* values (the HAVING / ORDER BY domain) and string
-    and date literals encode to match; without one the env is decoded
-    (the output-item domain).
-    """
-    if node in env:
-        return env[node]
-    if isinstance(node, ast.NumberLit):
-        return node.value
-    if isinstance(node, ast.StringLit):
-        if encoder is not None:
-            return encoder.literal(node.value)
-        return node.value
-    if isinstance(node, ast.DateLit):
-        if encoder is not None:
-            return encode_date(node.value)
-        return node.value
-    if isinstance(node, ast.UnaryOp):
-        if node.op == "not":
-            return not _eval(node.operand, env, encoder)
-        return -_eval(node.operand, env, encoder)
-    if isinstance(node, ast.BinaryOp):
-        op = node.op
-        if op == "and":
-            return (
-                bool(_eval(node.left, env, encoder))
-                and bool(_eval(node.right, env, encoder))
-            )
-        if op == "or":
-            return (
-                bool(_eval(node.left, env, encoder))
-                or bool(_eval(node.right, env, encoder))
-            )
-        left = _eval(node.left, env, encoder)
-        right = _eval(node.right, env, encoder)
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if isinstance(left, int) and isinstance(right, int):
-                return _truncdiv(left, right)
-            return left / right
-        if op == "%":
-            return left - right * _truncdiv(left, right)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
-        raise FleetPlanError(f"fleet: cannot evaluate operator {op!r}")
-    if isinstance(node, ast.Between):
-        value = _eval(node.operand, env, encoder)
-        low = _eval(node.low, env, encoder)
-        high = _eval(node.high, env, encoder)
-        return (low <= value <= high) != node.negated
-    if isinstance(node, ast.InList):
-        value = _eval(node.operand, env, encoder)
-        found = any(value == _eval(v, env, encoder) for v in node.values)
-        return found != node.negated
-    if isinstance(node, ast.Like):
-        matched = _like_match(_eval(node.operand, env), node.pattern)
-        return matched != node.negated
-    if isinstance(node, ast.Case):
-        for cond, value in node.whens:
-            if _eval(cond, env, encoder):
-                return _eval(value, env, encoder)
-        if node.default is not None:
-            return _eval(node.default, env, encoder)
-        return 0
-    raise FleetPlanError(
-        f"fleet: cannot evaluate {type(node).__name__} at gather time"
-    )
-
-
-# -- merging -----------------------------------------------------------------
-
-
-def _merge_values(kind: str, values: list):
-    if kind == "sum":
-        if any(isinstance(v, str) for v in values):
-            # a summed DATE column: the engine sums ordinals and decodes
-            # the result as a date again (usually out of range — that
-            # ValueError is the same failure the single node reports)
-            return decode_date(sum(encode_date(v) for v in values))
-        if any(isinstance(v, float) for v in values):
-            return math.fsum(values)
-        return sum(values)
-    if kind == "min":
-        return min(values)
-    return max(values)
-
-
-def _identity(call: ast.FuncCall):
-    """The engine's ungrouped empty-input identity: every aggregate is 0
-    (``avg`` 0.0 via the binder's guarded division)."""
-    return 0.0 if call.name.lower() == "avg" else 0
-
-
-def _merged_env(
-    gather: GatherPlan, key: tuple, rows: list[tuple]
-) -> dict:
-    env: dict = dict(zip(gather.key_exprs, key))
-    for call, parts in gather.partials.items():
-        if not rows:
-            env[call] = _identity(call)
-            continue
-        if call.name.lower() == "avg":
-            total = _merge_values(
-                "sum", [float(row[parts[0].column]) for row in rows]
-            )
-            count = sum(row[parts[1].column] for row in rows)
-            env[call] = total / count if count else 0.0
-        else:
-            part = parts[0]
-            env[call] = _merge_values(
-                part.merge, [row[part.column] for row in rows]
-            )
-    return env
-
-
-@dataclass
-class _SortKey:
-    """One resolvable ORDER BY key: output column or gather expression."""
-
-    ascending: bool
-    column: int | None = None
-    expr: ast.Node | None = None
-
-
-def _resolve_order(stmt: ast.SelectStmt, aggregated: bool) -> list[_SortKey]:
-    alias_index = {
-        item.alias: i for i, item in enumerate(stmt.items) if item.alias
-    }
-    expr_index: dict = {}
-    for i, item in enumerate(stmt.items):
-        expr_index.setdefault(item.expr, i)
-    keys = []
-    for order in stmt.order_by:
-        expr = order.expr
-        if (
-            isinstance(expr, ast.Identifier)
-            and expr.qualifier is None
-            and expr.name in alias_index
-        ):
-            keys.append(_SortKey(order.ascending, column=alias_index[expr.name]))
-        elif expr in expr_index:
-            keys.append(_SortKey(order.ascending, column=expr_index[expr]))
-        elif aggregated:
-            keys.append(_SortKey(order.ascending, expr=expr))
-        else:
-            raise FleetPlanError(
-                "fleet: ORDER BY key not derivable from the output row"
-            )
-    return keys
-
-
-def _sort_rows(entries: list[tuple], keys: list[_SortKey]) -> None:
-    """entries are (output_row, sort_values); repeated stable sorts."""
-    for index in range(len(keys) - 1, -1, -1):
-        key = keys[index]
-        entries.sort(
-            key=lambda entry, i=index: _orderable(entry[1][i]),
-            reverse=not key.ascending,
-        )
-
-
-def _orderable(value):
-    return int(value) if isinstance(value, bool) else value
-
-
-def gather_rows(
-    gather: GatherPlan, shard_rows: list[list[tuple]],
-    encoder: ValueEncoder | None = None,
-) -> list:
-    """Merge per-shard result rows into the final result rows."""
-    stmt = gather.stmt
-    order_keys = _resolve_order(stmt, gather.aggregated)
-    encoder = encoder or ValueEncoder()
-
-    entries: list[tuple] = []  # (output_row, sort_values)
-    if not gather.aggregated:
-        seen = set()
-        for rows in shard_rows:
-            for row in rows:
-                if stmt.distinct:
-                    if row in seen:
-                        continue
-                    seen.add(row)
-                entries.append((row, None))
-        if order_keys:
-            entries = [
-                (row, tuple(row[key.column] for key in order_keys))
-                for row, _ in entries
-            ]
-    else:
-        n_keys = len(gather.key_exprs)
-        groups: dict[tuple, list[tuple]] = {}
-        if gather.grouped:
-            for rows in shard_rows:
-                for row in rows:
-                    groups.setdefault(tuple(row[:n_keys]), []).append(row)
-        else:
-            live = [
-                row for rows in shard_rows for row in rows
-                if row[gather.hidden_count] > 0
-            ]
-            groups[()] = live  # possibly empty: the identity case
-        needs_encoded = stmt.having is not None or any(
-            k.expr is not None for k in order_keys
-        )
-        for key, rows in groups.items():
-            env = _merged_env(gather, key, rows)
-            encoded_env = (
-                {k: encoder.encode(v) for k, v in env.items()}
-                if needs_encoded else None
-            )
-            # HAVING runs in the engine's *encoded* domain: a date
-            # aggregate compares as its day ordinal, a string as its
-            # dictionary id — never as the decoded output value
-            if stmt.having is not None and not _eval(
-                stmt.having, encoded_env, encoder
-            ):
-                continue
-            output = tuple(_eval(item.expr, env) for item in stmt.items)
-            sort_values = (
-                tuple(
-                    output[k.column] if k.column is not None
-                    else _eval(k.expr, encoded_env, encoder)
-                    for k in order_keys
-                )
-                if order_keys else None
-            )
-            entries.append((output, sort_values))
-
-    if order_keys:
-        _sort_rows(entries, order_keys)
-    rows = [row for row, _ in entries]
-    if stmt.limit is not None:
-        rows = rows[: stmt.limit]
-    return rows
+    The rows load into a throw-away one-table catalog typed by the shard
+    result ``dtypes`` and sharing the fleet-wide string ``dictionary``;
+    from there on: parse, bind, plan, reference interpreter."""
+    catalog = Catalog(dictionary)
+    table = catalog.create_table(PARTIALS, Schema([
+        Column(name, dtype)
+        for name, dtype in zip(plan.partial_columns, dtypes)
+    ]))
+    for rows in shard_rows:
+        table.extend(rows)
+    catalog.finalize()
+    bound = Binder(catalog).bind(parse(plan.gather_sql))
+    physical = plan_physical(bound.plan, bound.model)
+    out_dtypes = [iu.dtype for _, iu in physical.columns]
+    return [
+        decode_row(dictionary, raw, out_dtypes)
+        for raw in Interpreter().run(physical)
+    ]

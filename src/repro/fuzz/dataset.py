@@ -1,10 +1,4 @@
-"""Fuzzing datasets: portable table specs the shrinker can rebuild.
-
-A :class:`Dataset` is the value-level description of a database — schemas
-plus decoded rows plus foreign-key metadata.  Unlike a live
-:class:`~repro.engine.Database` it survives JSON round-trips, so minimized
-failures check into ``tests/corpus/`` as self-contained repros, and the
-delta-debugging shrinker can rebuild a smaller database per candidate.
+"""Fuzzing datasets: seeded random instances of :mod:`repro.data.dataset`.
 
 ``random_dataset`` grows the kind of data differential testing wants:
 skewed join keys (one hot parent), dangling and zero-sentinel foreign keys
@@ -15,151 +9,21 @@ boundary dates.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
 from random import Random
 
-from repro.catalog import Column, DataType, Schema
-from repro.catalog.schema import decode_date
-from repro.engine import Database
-from repro.errors import ReproError
+from repro.catalog import DataType
+from repro.data.dataset import (  # noqa: F401 - re-exported
+    Dataset,
+    ForeignKey,
+    TableData,
+    build_database,
+    extract_dataset,
+)
 
 _STRING_POOL = [
     "alpha", "beta", "gamma", "delta", "epsilon", "zeta",
     "red", "green", "blue", "amber", "none", "n/a",
 ]
-
-
-@dataclass
-class TableData:
-    """One table: column definitions plus decoded (Python-native) rows."""
-
-    name: str
-    columns: list[tuple[str, DataType]]
-    rows: list[tuple]
-
-    def column_index(self, name: str) -> int:
-        for i, (col, _) in enumerate(self.columns):
-            if col == name:
-                return i
-        raise ReproError(f"no column {name!r} in fuzz table {self.name!r}")
-
-    def values_of(self, name: str) -> list:
-        index = self.column_index(name)
-        return [row[index] for row in self.rows]
-
-
-@dataclass
-class ForeignKey:
-    """``child.column`` references ``parent.column`` (join edge metadata)."""
-
-    child: str
-    child_column: str
-    parent: str
-    parent_column: str
-
-
-@dataclass
-class Dataset:
-    """A rebuildable database description."""
-
-    tables: dict[str, TableData] = field(default_factory=dict)
-    foreign_keys: list[ForeignKey] = field(default_factory=list)
-
-    def copy(self) -> "Dataset":
-        return Dataset(
-            tables={
-                name: TableData(t.name, list(t.columns), list(t.rows))
-                for name, t in self.tables.items()
-            },
-            foreign_keys=list(self.foreign_keys),
-        )
-
-    def row_total(self) -> int:
-        return sum(len(t.rows) for t in self.tables.values())
-
-    # -- JSON round trip -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "tables": {
-                name: {
-                    "columns": [[c, d.value] for c, d in t.columns],
-                    "rows": [list(row) for row in t.rows],
-                }
-                for name, t in self.tables.items()
-            },
-            "foreign_keys": [
-                [fk.child, fk.child_column, fk.parent, fk.parent_column]
-                for fk in self.foreign_keys
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, document: dict) -> "Dataset":
-        tables = {}
-        for name, spec in document["tables"].items():
-            columns = [(c, DataType(d)) for c, d in spec["columns"]]
-            rows = [tuple(row) for row in spec["rows"]]
-            tables[name] = TableData(name, columns, rows)
-        fks = [
-            ForeignKey(*entry) for entry in document.get("foreign_keys", [])
-        ]
-        return cls(tables=tables, foreign_keys=fks)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json(), indent=1)
-
-
-def build_database(
-    dataset: Dataset, memory_bytes: int = 1 << 22, storage=None
-) -> Database:
-    """Materialize a dataset as a ready-to-query database.
-
-    ``storage`` is an optional :class:`repro.storage.StorageConfig`; the
-    oracle uses it to build twin databases over the same rows with
-    different physical layouts (plain / zone-mapped / compressed)."""
-    db = Database(memory_bytes=memory_bytes, storage=storage)
-    for table in dataset.tables.values():
-        created = db.catalog.create_table(
-            table.name,
-            Schema([Column(name, dtype) for name, dtype in table.columns]),
-        )
-        created.extend(table.rows)
-    db.finalize()
-    return db
-
-
-def extract_dataset(db: Database) -> Dataset:
-    """Read a live database back into a portable dataset.
-
-    This is how a disagreement found against *any* database (TPC-H, the
-    paper example, a fuzz dataset) becomes shrinkable: decode every column
-    to Python values and rebuild from there.
-    """
-    dataset = Dataset()
-    for table in db.catalog.tables.values():
-        columns = [(c.name, c.dtype) for c in table.schema]
-        decoded_columns = []
-        for column_def, column in zip(table.schema, table.columns):
-            decoded_columns.append(
-                [_decode(db, value, column_def.dtype) for value in column]
-            )
-        rows = list(zip(*decoded_columns)) if decoded_columns else []
-        if table.row_count == 0:
-            rows = []
-        dataset.tables[table.name] = TableData(table.name, columns, rows)
-    return dataset
-
-
-def _decode(db: Database, value, dtype: DataType):
-    if dtype is DataType.DECIMAL:
-        return value / 100
-    if dtype is DataType.DATE:
-        return decode_date(value)
-    if dtype is DataType.STRING:
-        return db.catalog.dictionary.value_of(value)
-    return value
 
 
 def random_dataset(seed: int) -> Dataset:

@@ -293,6 +293,32 @@ class QueryGenerator:
             rng.choice(["min", "max"]), (ast.Identifier(alias, column),)
         )
 
+    def _post_agg(self, tables, agg: ast.FuncCall, features) -> ast.Node:
+        """Sometimes (p ~ 0.3) arithmetic *over* a numeric aggregate —
+        ``agg ∘ agg`` or ``agg ∘ literal`` — so every executor, and the
+        fleet's gather, is compared on DECIMAL x DECIMAL rescaling, ``%``
+        on cents and float division after aggregation."""
+        rng = self.rng
+        arg = agg.args[0]
+        if isinstance(arg, ast.Identifier):
+            columns = dict(self._table_of(tables, arg.qualifier).columns)
+            if columns[arg.name] not in _NUMERIC:
+                return agg
+        elif not isinstance(arg, ast.Star):
+            return agg  # over an expression: its type is the binder's call
+        if rng.random() >= 0.3:
+            return agg
+        features.add("post_agg_expr")
+        op = rng.choice(["+", "-", "*", "/", "%"])
+        if op == "%" and agg.name == "avg":
+            op = "*"  # % needs a non-float left operand
+        if op in ("/", "%"):  # by a non-zero integer literal
+            return ast.BinaryOp(op, agg, ast.NumberLit(rng.randint(2, 9)))
+        right: ast.Node = self._aggregate(tables)
+        if right.name in ("min", "max") or rng.random() < 0.5:
+            right = ast.NumberLit(rng.randint(1, 4))
+        return ast.BinaryOp(op, agg, right)
+
     # -- whole statements ----------------------------------------------------
 
     def generate(self) -> GeneratedQuery:
@@ -353,12 +379,12 @@ class QueryGenerator:
         ]
         n_aggs = rng.choice([1, 1, 2])
         for i in range(n_aggs):
-            agg = self._aggregate(tables)
+            agg = self._post_agg(tables, self._aggregate(tables), features)
             features.add("aggregate")
             stmt.items.append(ast.SelectItem(agg, f"c{len(keys) + i}"))
         if rng.random() < 0.30:
             features.add("having")
-            agg = self._aggregate(tables)
+            agg = self._post_agg(tables, self._aggregate(tables), features)
             stmt.having = ast.BinaryOp(
                 rng.choice(_COMPARE_OPS), agg, ast.NumberLit(rng.randint(-5, 40))
             )
@@ -368,7 +394,10 @@ class QueryGenerator:
         features.add("aggregate")
         n_aggs = rng.choice([1, 2, 2, 3])
         stmt.items = [
-            ast.SelectItem(self._aggregate(tables), f"c{i}")
+            ast.SelectItem(
+                self._post_agg(tables, self._aggregate(tables), features),
+                f"c{i}",
+            )
             for i in range(n_aggs)
         ]
 
@@ -437,7 +466,11 @@ def _contains_avg(node: ast.Node) -> bool:
     if isinstance(node, ast.UnaryOp):
         return _contains_avg(node.operand)
     if isinstance(node, ast.BinaryOp):
-        return _contains_avg(node.left) or _contains_avg(node.right)
+        # any division is float-valued, like avg
+        return (
+            node.op == "/"
+            or _contains_avg(node.left) or _contains_avg(node.right)
+        )
     if isinstance(node, ast.Case):
         return any(
             _contains_avg(c) or _contains_avg(v) for c, v in node.whens

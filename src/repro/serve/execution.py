@@ -190,13 +190,11 @@ class QueryExecution:
             task_id: database.memory.read(self.state_addr + offset)
             for task_id, offset in meta.task_counter_of.items()
         }
-        columns = self.compiled.physical.columns
         ordered = sorted(self.raw_morsels, key=lambda m: (m[0], m[1]))
-        self.rows = [
-            database._decode_row(raw, columns)
-            for _, _, raws in ordered
-            for raw in raws
-        ]
+        self.rows = database.decode_rows(
+            (raw for _, _, raws in ordered for raw in raws),
+            self.compiled.physical.columns,
+        )
         self.pending = []
         self.status = DONE
         self.completed_tsc = self.ready_tsc

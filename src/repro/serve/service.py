@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.catalog import DataType
 from repro.engine import ProfilerConfig, ProfilingMode
 from repro.errors import ReproError, VMError
 from repro.serve.admission import AdmissionController, QueryRequest
@@ -85,6 +86,7 @@ class ServiceResult:
     sql: str
     status: str  # "ok" | "failed" | "cancelled"
     columns: list[str] = field(default_factory=list)
+    dtypes: list[DataType] = field(default_factory=list)  # of ``columns``
     rows: list[tuple] | None = None
     error: ServiceError | None = None
     # interleaving-invariant per-query counters
@@ -465,15 +467,15 @@ class QueryService:
         status = {
             DONE: "ok", FAILED: "failed", EXEC_CANCELLED: "cancelled",
         }[execution.status]
+        output = execution.compiled.physical.columns
         result = ServiceResult(
             ticket=request.ticket,
             query_id=execution.query_id,
             session=request.session,
             sql=request.sql,
             status=status,
-            columns=[
-                name for name, _ in execution.compiled.physical.columns
-            ],
+            columns=[name for name, _ in output],
+            dtypes=[iu.dtype for _, iu in output],
             rows=execution.rows,
             error=execution.error,
             instructions=execution.instructions,

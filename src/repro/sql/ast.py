@@ -154,8 +154,6 @@ class OrderItem(Node):
 
 def _rewrite_ast_children(node: Node, rewrite) -> Node:
     """Rebuild ``node`` with ``rewrite`` applied to each child expression."""
-    import dataclasses
-
     if isinstance(node, UnaryOp):
         return UnaryOp(node.op, rewrite(node.operand))
     if isinstance(node, BinaryOp):
@@ -175,7 +173,6 @@ def _rewrite_ast_children(node: Node, rewrite) -> Node:
             tuple((rewrite(c), rewrite(v)) for c, v in node.whens),
             rewrite(node.default) if node.default is not None else None,
         )
-    _ = dataclasses
     return node
 
 

@@ -46,6 +46,7 @@ from repro.plan.optimizer import JoinEdge, QueryGraph, Residual, optimize_join_o
 from repro.sql import ast
 
 _AGG_FUNCS = {"sum", "avg", "min", "max", "count"}
+_COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
 
 TRUE = ConstExpr(1, DataType.BOOL)
 FALSE = ConstExpr(0, DataType.BOOL)
@@ -367,7 +368,7 @@ class Binder:
 
         for i, item in enumerate(stmt.items):
             bound = self._bind_in_scope(item.expr, scope)
-            name = item.alias or _default_name(item.expr, i)
+            name = item.alias or default_column_name(item.expr, i)
             iu = as_iu(bound, name)
             columns.append((name, iu))
             if item.alias:
@@ -403,33 +404,20 @@ class Binder:
             raise SqlError(f"column {node} is not in GROUP BY")
         if isinstance(node, (ast.NumberLit, ast.StringLit, ast.DateLit)):
             return self.bind_scalar(node)
-        if isinstance(node, ast.BinaryOp):
-            if node.op in ("and", "or"):
-                left = self._bind_in_scope(node.left, scope)
-                right = self._bind_in_scope(node.right, scope)
-                for side in (left, right):
-                    if side.dtype is not DataType.BOOL:
-                        raise SqlError(f"{node.op.upper()} applied to non-boolean")
-                return LogicalExpr(node.op, (left, right))
-            if node.op in ("=", "<>", "<", "<=", ">", ">="):
-                left = self._bind_in_scope(node.left, scope)
-                right = self._bind_in_scope(node.right, scope)
-                return self._coerced_compare(node.op, left, right)
-            left = self._bind_in_scope(node.left, scope)
-            right = self._bind_in_scope(node.right, scope)
-            return self._combine_binary(node.op, left, right)
-        if isinstance(node, ast.UnaryOp) and node.op == "not":
-            operand = self._bind_in_scope(node.operand, scope)
-            if operand.dtype is not DataType.BOOL:
-                raise SqlError("NOT applied to non-boolean")
-            return NotExpr(operand)
+
+        def bind(child: ast.Node) -> Expr:
+            return self._bind_in_scope(child, scope)
+
+        if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
+            return self._coerced_compare(
+                node.op, bind(node.left), bind(node.right)
+            )
         if isinstance(node, ast.UnaryOp) and node.op == "-":
-            operand = self._bind_in_scope(node.operand, scope)
+            operand = bind(node.operand)
             return BinaryExpr("-", ConstExpr(0, operand.dtype), operand)
-        if isinstance(node, ast.FuncCall) and node.name not in _AGG_FUNCS:
-            if len(node.args) != 1:
-                raise SqlError(f"{node.name} takes one argument")
-            return FuncExpr(node.name, self._bind_in_scope(node.args[0], scope))
+        bound = self._bind_compound(node, bind)
+        if bound is not None:
+            return bound
         raise SqlError(f"cannot bind {type(node).__name__} after aggregation")
 
     # ------------------------------------------------------------------
@@ -640,29 +628,16 @@ class Binder:
             raise SqlError(
                 f"string literal {node.value!r} outside a comparison context"
             )
-        if isinstance(node, ast.UnaryOp):
-            if node.op == "not":
-                operand = self.bind_scalar(node.operand)
-                if operand.dtype is not DataType.BOOL:
-                    raise SqlError("NOT applied to non-boolean")
-                return NotExpr(operand)
+        if isinstance(node, ast.UnaryOp) and node.op == "-":
             operand = self.bind_scalar(node.operand)
             if isinstance(operand, ConstExpr):
                 return ConstExpr(-operand.value, operand.dtype)
             return BinaryExpr("-", ConstExpr(0, operand.dtype), operand)
-        if isinstance(node, ast.BinaryOp):
-            if node.op in ("and", "or"):
-                left = self.bind_scalar(node.left)
-                right = self.bind_scalar(node.right)
-                for side in (left, right):
-                    if side.dtype is not DataType.BOOL:
-                        raise SqlError(f"{node.op.upper()} applied to non-boolean")
-                return LogicalExpr(node.op, (left, right))
-            if node.op in ("=", "<>", "<", "<=", ">", ">="):
-                return self._bind_comparison(node)
-            left = self.bind_scalar(node.left)
-            right = self.bind_scalar(node.right)
-            return self._combine_binary(node.op, left, right)
+        if isinstance(node, ast.BinaryOp) and node.op in _COMPARISONS:
+            return self._bind_comparison(node)
+        bound = self._bind_compound(node, self.bind_scalar)
+        if bound is not None:
+            return bound
         if isinstance(node, ast.Between):
             operand = self.bind_scalar(node.operand)
             low = self._bind_against(node.low, operand.dtype)
@@ -691,25 +666,6 @@ class Binder:
             ids = frozenset(self.dictionary.matching_ids(node.pattern))
             membership = InSetExpr(operand, ids) if ids else FALSE
             return NotExpr(membership) if node.negated else membership
-        if isinstance(node, ast.Case):
-            whens = []
-            default: Expr | None = (
-                self.bind_scalar(node.default) if node.default is not None else None
-            )
-            target_dtype = None
-            for cond_node, value_node in node.whens:
-                cond = self.bind_scalar(cond_node)
-                if cond.dtype is not DataType.BOOL:
-                    raise SqlError("CASE condition is not boolean")
-                value = self.bind_scalar(value_node)
-                if target_dtype is None:
-                    target_dtype = value.dtype
-                whens.append((cond, self._coerce(value, target_dtype)))
-            if default is None:
-                default = ConstExpr(0, target_dtype)
-            else:
-                default = self._coerce(default, target_dtype)
-            return CaseExpr(tuple(whens), default)
         if isinstance(node, ast.ScalarSubquery):
             raise SqlError(
                 "internal: scalar subquery should have been inlined by the "
@@ -719,13 +675,54 @@ class Binder:
             raise SqlError(
                 "subqueries are only supported as top-level WHERE conjuncts"
             )
-        if isinstance(node, ast.FuncCall):
-            if node.name in _AGG_FUNCS:
-                raise SqlError(f"aggregate {node.name} in scalar context")
+        if isinstance(node, ast.FuncCall):  # the others bound above
+            raise SqlError(f"aggregate {node.name} in scalar context")
+        raise SqlError(f"cannot bind {type(node).__name__}")
+
+    def _bind_compound(self, node: ast.Node, bind) -> Expr | None:
+        """The constructs that bind alike in every scope, or None.
+
+        ``bind`` resolves the operands: :meth:`bind_scalar` in relation
+        scope, :meth:`_bind_in_scope` after aggregation."""
+        if isinstance(node, ast.BinaryOp) and node.op in ("and", "or"):
+            left, right = bind(node.left), bind(node.right)
+            for side in (left, right):
+                if side.dtype is not DataType.BOOL:
+                    raise SqlError(f"{node.op.upper()} applied to non-boolean")
+            return LogicalExpr(node.op, (left, right))
+        if isinstance(node, ast.BinaryOp) and node.op not in _COMPARISONS:
+            return self._combine_binary(
+                node.op, bind(node.left), bind(node.right)
+            )
+        if isinstance(node, ast.UnaryOp) and node.op == "not":
+            operand = bind(node.operand)
+            if operand.dtype is not DataType.BOOL:
+                raise SqlError("NOT applied to non-boolean")
+            return NotExpr(operand)
+        if isinstance(node, ast.FuncCall) and node.name not in _AGG_FUNCS:
             if len(node.args) != 1:
                 raise SqlError(f"{node.name} takes one argument")
-            return FuncExpr(node.name, self.bind_scalar(node.args[0]))
-        raise SqlError(f"cannot bind {type(node).__name__}")
+            return FuncExpr(node.name, bind(node.args[0]))
+        if not isinstance(node, ast.Case):
+            return None
+        whens = []
+        default: Expr | None = (
+            bind(node.default) if node.default is not None else None
+        )
+        target_dtype = None
+        for cond_node, value_node in node.whens:
+            cond = bind(cond_node)
+            if cond.dtype is not DataType.BOOL:
+                raise SqlError("CASE condition is not boolean")
+            value = bind(value_node)
+            if target_dtype is None:
+                target_dtype = value.dtype
+            whens.append((cond, self._coerce(value, target_dtype)))
+        if default is None:
+            default = ConstExpr(0, target_dtype)
+        else:
+            default = self._coerce(default, target_dtype)
+        return CaseExpr(tuple(whens), default)
 
     # -- coercion helpers ---------------------------------------------------
 
@@ -905,7 +902,8 @@ def _find_agg_calls(node: ast.Node) -> list[ast.FuncCall]:
     return out
 
 
-def _default_name(node: ast.Node, index: int) -> str:
+def default_column_name(node: ast.Node, index: int) -> str:
+    """Output name of an unaliased select item at position ``index``."""
     if isinstance(node, ast.Identifier):
         return node.name
     if isinstance(node, ast.FuncCall):

@@ -330,8 +330,7 @@ class EventFlow:
 
         _, physical = self._lower()
         raw = Interpreter().run(physical)
-        rows = [self._db._decode_row(r, physical.columns) for r in raw]
-        return rows
+        return self._db.decode_rows(raw, physical.columns)
 
     def profile(self, config=None, workers: int = 1, repeats: int = 1):
         bound, physical = self._lower()

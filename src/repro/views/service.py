@@ -26,7 +26,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.catalog.schema import DataType, encode_date, encode_decimal
+from repro.catalog.schema import (
+    DataType,
+    decode_value,
+    encode_date,
+    encode_decimal,
+)
 from repro.errors import CatalogError, ReproError, ViewError
 from repro.plan.interpret import evaluate
 from repro.profiling.tagging import TaggingDictionary
@@ -103,11 +108,11 @@ class MaterializedView:
     # -- read side -----------------------------------------------------------
 
     def _project_decode(self, row: tuple) -> tuple:
-        db = self._owner.db
+        dictionary = self._owner.db.catalog.dictionary
         projection = self.circuit.projection
         columns = self.circuit.output_columns
         return tuple(
-            db._decode_value(row[index], iu.dtype)
+            decode_value(dictionary, row[index], iu.dtype)
             for index, (_, iu) in zip(projection, columns)
         )
 

@@ -17,6 +17,7 @@ from random import Random
 import pytest
 
 from repro.engine import Database
+from repro.errors import SqlError
 from repro.fleet import (
     Fleet,
     FleetConfig,
@@ -33,6 +34,7 @@ from repro.fuzz.dataset import extract_dataset, random_dataset
 from repro.fuzz.oracle import bags_equal
 from repro.serve import (
     CANCELLED,
+    COMPILE_ERROR,
     SHARD_FAILED,
     TENANT_QUOTA,
     QueryService,
@@ -65,17 +67,41 @@ def baseline_rows(db, sql):
     return result.rows
 
 
-def assert_fleet_matches(db, sql, shard_counts=(1, 2, 4), **config):
+def fleet_result(db, sql, shards=2, **config):
+    fleet = make_fleet(db, shards=shards, **config)
+    ticket = fleet.submit(sql)
+    fleet.drain()
+    return fleet.result(ticket)
+
+
+def assert_fleet_matches(db, sql, shard_counts=(1, 2, 4), exact=False,
+                         **config):
+    """``exact`` compares without float tolerance: DECIMAL arithmetic is
+    integer arithmetic, so those answers must agree to the last digit."""
     want = baseline_rows(db, sql)
     for shards in shard_counts:
-        fleet = make_fleet(db, shards=shards, **config)
-        ticket = fleet.submit(sql)
-        fleet.drain()
-        result = fleet.result(ticket)
+        result = fleet_result(db, sql, shards, **config)
         assert result.ok, (shards, result.error)
+        if exact:
+            assert sorted(result.rows) == sorted(want), shards
         assert bags_equal(result.rows, want), (
             f"{shards} shards: {result.rows} != {want}"
         )
+
+
+def assert_fleet_parity(db, sql, shard_counts=(1, 2)):
+    """The fleet answers what a single node answers — or, where the
+    engine's binder rejects the statement, fails with its message."""
+    try:
+        db.execute_interpreted(sql)
+    except SqlError as exc:
+        for shards in shard_counts:
+            result = fleet_result(db, sql, shards)
+            assert result.status == "failed", (shards, result.rows)
+            assert result.error_code == COMPILE_ERROR
+            assert str(exc) in str(result.error)
+    else:
+        assert_fleet_matches(db, sql, shard_counts, exact=True)
 
 
 # -- partitioners ------------------------------------------------------------
@@ -221,6 +247,67 @@ def test_gather_merges_order_by_limit(db):
     )
 
 
+JOINED = "from sales, products where sales.id = products.id"
+
+
+def test_expressions_over_aggregates_use_engine_arithmetic(db):
+    # DECIMAL x DECIMAL truncates to cents and DECIMAL % INT runs on
+    # cents: only the engine's own evaluator gets both right
+    assert_fleet_matches(
+        db, "select sum(price) * max(vat_factor) as v, max(price) % 7 as m "
+            "from sales", exact=True,
+    )
+    assert_fleet_matches(
+        db, "select category as g, sum(price) * max(vat_factor) as v, "
+            f"max(price) % 7 as m {JOINED} group by category", exact=True,
+    )
+
+
+@pytest.mark.parametrize("sql", [
+    f"select category as g, count(*) as n {JOINED} group by category "
+    "having category in ('Chip', 'zzz')",
+    f"select category as g, count(*) as n {JOINED} group by category "
+    "having category like 'C%'",
+    "select case when sum(price) > 10 then max(price) else 0 end as c "
+    "from sales",
+    "select distinct count(*) as c from sales",
+    f"select distinct category as g {JOINED} group by category",
+    "select id as i from sales having id > 3",
+    f"select category as g, count(*) {JOINED} group by category "
+    "order by count",
+    # the post-aggregation scope has no string-literal comparisons at all
+    f"select max(category) as m {JOINED} having max(category) >= 'zzz'",
+])
+def test_fleet_parity_with_the_binder(db, sql):
+    assert_fleet_parity(db, sql)
+
+
+def test_ungrouped_avg_over_empty_fleet_is_zero(db):
+    result = fleet_result(
+        db, "select avg(price) as a from sales where price > 100000"
+    )
+    assert result.rows == [(0.0,)]
+
+
+def test_sort_key_outside_the_select_list(db):
+    assert_fleet_matches(
+        db, "select price * 2 as x from sales order by id desc limit 7",
+        exact=True,
+    )
+
+
+def test_fleet_columns_match_single_node(db):
+    sql = (
+        "select category, count(*), sum(price) as s, sum(price) * 2 "
+        f"{JOINED} group by category"
+    )
+    want = db.execute_interpreted(sql).columns
+    assert want == ["category", "count", "s", "col3"]
+    assert fleet_result(db, sql).columns == want
+    sql = "select id, price * 2, price as p from sales"
+    assert fleet_result(db, sql).columns == ["id", "col1", "p"]
+
+
 def test_replicated_only_query_routes_to_one_shard(db):
     sql = "select count(*) as c from products"
     plan = plan_route(sql, "sales")
@@ -256,6 +343,9 @@ def test_fleet_matches_on_fuzz_dataset():
         "select t1.id as c0, min(t1.mid_id) as c1 from fact as t1 "
         "group by t1.id having min(t1.mid_id) >= 3 order by c0 limit 5",
         "select max(label) as m from fact having max(label) >= 3",
+        # PR 8 regression: a date aggregate compares as its day ordinal
+        "select max(t1.placed) as m from fact as t0, mid as t1 "
+        "where t0.mid_id = t1.id having max(t1.placed) >= 3",
     ]
     for sql in queries:
         want = baseline_rows(db, sql)
@@ -269,6 +359,34 @@ def test_fleet_matches_on_fuzz_dataset():
             result = fleet.result(ticket)
             assert result.ok, (sql, shards, result.error)
             assert bags_equal(result.rows, want), (sql, shards)
+
+
+def test_shards_share_the_fleet_dictionary():
+    # a string compared with a number compares as its dictionary id, so
+    # a shard must number strings as the unsplit database does — even
+    # for a replicated-only statement, which never reaches the gather
+    from repro.catalog import DataType
+    from repro.fuzz import Dataset, TableData, build_database
+
+    dataset = Dataset(tables={
+        "big": TableData(
+            "big", [("id", DataType.INT), ("label", DataType.STRING)],
+            [(i, label) for i, label in enumerate("abcdefgh", 1)],
+        ),
+        "small": TableData(
+            "small", [("id", DataType.INT), ("tag", DataType.STRING)],
+            [(1, "m"), (2, "z")],
+        ),
+    })
+    db = build_database(dataset)
+    fleet = Fleet.from_dataset(dataset, FleetConfig(shards=2, workers=2))
+    for sql in (
+        "select min(tag) as m from small having min(tag) >= 8",
+        "select max(label) as m from big having max(label) >= 7",
+    ):
+        ticket = fleet.submit(sql)
+        fleet.drain()
+        assert fleet.result(ticket).rows == baseline_rows(db, sql) != []
 
 
 # -- tenant quotas -----------------------------------------------------------
@@ -407,6 +525,35 @@ def test_single_shard_query_on_dead_shard_fails(db):
     assert result.status == "failed"
     assert result.error_code == SHARD_FAILED
     _ = target
+
+
+def test_replicated_query_avoids_dead_shards(db):
+    import zlib
+
+    from repro.pgo.fingerprint import fingerprint
+
+    sql = "select count(*) as c from products"
+    fleet = make_fleet(db, shards=3)
+    fleet.kill_shard(zlib.crc32(fingerprint(sql).encode()) % 3)
+    ticket = fleet.submit(sql)
+    fleet.drain()
+    result = fleet.result(ticket)
+    assert result.ok and result.rows == baseline_rows(db, sql)
+    assert not set(result.shards) & fleet.dead
+
+
+def test_no_live_shard_fails_with_stable_code(db):
+    fleet = make_fleet(db, shards=2, allow_partial=True)
+    scattered = fleet.submit("select count(*) as c from sales")
+    for shard in range(2):
+        fleet.kill_shard(shard)
+    replicated = fleet.submit("select count(*) as c from products")
+    results = fleet.drain()  # must gather every pending query
+    assert [r.ticket for r in results] == [scattered, replicated]
+    for result in results:
+        assert result.status == "failed"
+        assert result.error_code == SHARD_FAILED
+        assert result.lost_shards == [0, 1]
 
 
 def test_cancel_propagates_to_all_shards(db):
