@@ -645,7 +645,7 @@ def _serve_main(argv: list[str], out) -> int:
             )
     if args.report and service.profiler is not None:
         print(file=out)
-        print(service.workload_profile().render(), file=out)
+        print(service.profile_snapshot().render(), file=out)
     if store is not None:
         print(f"PGO feedback recorded under {args.pgo_store}", file=out)
     if args.strict and not summary.clean:

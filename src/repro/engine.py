@@ -835,12 +835,16 @@ class Database:
         ``self.tiering``, i.e. whatever :meth:`enable_tiering` set up)."""
         if tiering is None:
             tiering = self.tiering
+        feedback, feedback_version, flavor = None, 0, "plain"
         if pgo:
             if inject_fault is not None:
                 raise ReproError("inject_fault is not supported with pgo=True")
-            return self._execute_pgo(
-                sql, join_order_hint, planner_options, workers,
-                optimize_backend, morsel_size=morsel_size, fast_vm=fast_vm,
+            store = self._require_pgo()
+            # the "pgo" flavor keys separately from plain compiles: a stale
+            # feedback version must recompile without ping-ponging against
+            # the feedback-free plain entry for the same fingerprint
+            feedback, feedback_version, flavor = (
+                store.feedback(sql), store.version(sql), "pgo"
             )
         if inject_fault is not None:
             # deliberately damaged compiles never enter the plan cache
@@ -862,7 +866,8 @@ class Database:
         compiled = self.compiled_for(
             sql, join_order_hint=join_order_hint,
             planner_options=planner_options,
-            optimize_backend=optimize_backend,
+            optimize_backend=optimize_backend, feedback=feedback,
+            feedback_version=feedback_version, flavor=flavor,
         )
         machines, rows, _ = self._run_compiled(
             compiled, None, workers=workers, morsel_size=morsel_size,
@@ -899,41 +904,26 @@ class Database:
             )
         return self.pgo_store
 
-    def _execute_pgo(
-        self, sql, join_order_hint, planner_options, workers,
-        optimize_backend, morsel_size: int = 1024, fast_vm: bool = True,
-    ) -> QueryResult:
-        store = self._require_pgo()
-        # the "pgo" flavor keys separately from plain compiles: a stale
-        # feedback version must recompile without ping-ponging against the
-        # feedback-free plain entry for the same fingerprint
-        compiled = self.compiled_for(
-            sql, join_order_hint=join_order_hint,
-            planner_options=planner_options,
-            optimize_backend=optimize_backend,
-            feedback=store.feedback(sql),
-            feedback_version=store.version(sql),
-            flavor="pgo",
-        )
-        machines, rows, _ = self._run_compiled(
-            compiled, None, workers=workers, morsel_size=morsel_size,
-            fast_vm=fast_vm,
-        )
-        return self._result(compiled.physical, machines, rows)
-
-    def _build_profile(
-        self, config, compiled: CompiledQuery, machines, rows, task_counts
+    def build_profile(
+        self, config, compiled: CompiledQuery, worker_samples, machines,
+        result: QueryResult, task_counts,
     ) -> Profile:
+        """Attribute a run's samples and assemble its :class:`Profile`.
+
+        The one path from PMU samples to a profile: ``profile`` and
+        ``profile_plan`` feed it a finished run, the serve tier's
+        continuous profiler feeds it every completed query.
+        ``worker_samples`` is a stream of ``(worker index, Sample)`` pairs;
+        ``machines`` are the simulated cores the query ran on."""
         processor = SampleProcessor(compiled.program, compiled.tagging)
         attributions = []
-        for worker_index, machine in enumerate(machines):
-            for sample in machine.samples.samples:
-                attribution = processor.attribute(sample)
-                if worker_index:
-                    attribution = dataclasses.replace(
-                        attribution, worker=worker_index
-                    )
-                attributions.append(attribution)
+        for worker_index, sample in worker_samples:
+            attribution = processor.attribute(sample)
+            if worker_index:
+                attribution = dataclasses.replace(
+                    attribution, worker=worker_index
+                )
+            attributions.append(attribution)
         attributions.sort(key=lambda a: a.sample.tsc)
         return Profile(
             database=self,
@@ -947,10 +937,26 @@ class Database:
             tagging=compiled.tagging,
             processor=processor,
             attributions=attributions,
-            result=self._result(compiled.physical, machines, rows),
+            result=result,
             sql=compiled.sql,
             task_counts=task_counts,
             estimates=compiled.estimates,
+        )
+
+    def _profiled_run(self, sql, config: ProfilerConfig, **run) -> Profile:
+        """Compile and run with the PMU armed, then build the Profile."""
+        compiled, machines, rows, task_counts = self._compile_and_run(
+            sql, config, count_tuples=config.count_tuples, **run
+        )
+        return self.build_profile(
+            config, compiled,
+            (
+                (worker_index, sample)
+                for worker_index, machine in enumerate(machines)
+                for sample in machine.samples.samples
+            ),
+            machines, self._result(compiled.physical, machines, rows),
+            task_counts,
         )
 
     def profile(
@@ -983,14 +989,11 @@ class Database:
             feedback = store.feedback(sql)
             if not config.count_tuples:
                 config = dataclasses.replace(config, count_tuples=True)
-        compiled, machines, rows, task_counts = self._compile_and_run(
-            sql, config, join_order_hint, planner_options, workers=workers,
-            repeats=repeats, feedback=feedback,
-            count_tuples=config.count_tuples, fast_vm=fast_vm,
+        profile = self._profiled_run(
+            sql, config, join_order_hint=join_order_hint,
+            planner_options=planner_options, workers=workers,
+            repeats=repeats, feedback=feedback, fast_vm=fast_vm,
             tiering=tiering if tiering is not None else self.tiering,
-        )
-        profile = self._build_profile(
-            config, compiled, machines, rows, task_counts
         )
         if pgo:
             self.pgo_store.record(profile)
@@ -1021,14 +1024,9 @@ class Database:
         fast_vm: bool = True,
     ) -> Profile:
         """Profile a plan built by a non-SQL frontend."""
-        config = config or ProfilerConfig()
-        compiled, machines, rows, task_counts = self._compile_and_run(
-            "", config, prebuilt=(bound, physical), workers=workers,
-            repeats=repeats, count_tuples=config.count_tuples,
-            fast_vm=fast_vm,
-        )
-        return self._build_profile(
-            config, compiled, machines, rows, task_counts
+        return self._profiled_run(
+            "", config or ProfilerConfig(), prebuilt=(bound, physical),
+            workers=workers, repeats=repeats, fast_vm=fast_vm,
         )
 
     def execute_interpreted(

@@ -98,7 +98,7 @@ class FleetProfile:
                 )
         if self.merged is not None:
             lines.append("")
-            lines.append(self.merged.workload_profile(top_k).render())
+            lines.append(self.merged.render(top_k))
         return "\n".join(lines)
 
 

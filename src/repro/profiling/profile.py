@@ -7,6 +7,7 @@ from typing import TYPE_CHECKING
 
 from repro.pipeline.tasks import Pipeline, Task
 from repro.plan.physical import PhysicalOperator, PhysicalOutput
+from repro.profiling import reports
 from repro.profiling.postprocess import (
     Attribution,
     AttributionSummary,
@@ -88,64 +89,17 @@ class Profile:
             return {}
         return {task: w / total for task, w in weights.items()}
 
-    # -- tailored reports ------------------------------------------------------
+    # -- tailored reports: repro.profiling.reports, bound as methods ----------
 
-    def annotated_plan(self) -> str:
-        from repro.profiling import reports
-
-        return reports.annotated_plan(self)
-
-    def plan_dot(self) -> str:
-        from repro.profiling import reports
-
-        return reports.plan_dot(self)
-
-    def hot_instructions(self, n: int = 10):
-        from repro.profiling import reports
-
-        return reports.hot_instructions(self, n)
-
-    def annotated_ir(self, pipeline_index: int | None = None) -> str:
-        from repro.profiling import reports
-
-        return reports.annotated_ir(self, pipeline_index)
-
-    def activity_timeline(self, bins: int = 25):
-        from repro.profiling import reports
-
-        return reports.activity_timeline(self, bins)
-
-    def render_timeline(self, bins: int = 25, width: int = 60) -> str:
-        from repro.profiling import reports
-
-        return reports.render_timeline(self, bins=bins, width=width)
-
-    def memory_profile(self):
-        from repro.profiling import reports
-
-        return reports.memory_profile(self)
-
-    def annotated_pipelines(self) -> str:
-        from repro.profiling import reports
-
-        return reports.annotated_pipelines(self)
-
-    def query_breakdown(self) -> dict:
-        from repro.profiling import reports
-
-        return reports.query_breakdown(self)
-
-    def render_query_breakdown(self) -> str:
-        from repro.profiling import reports
-
-        return reports.render_query_breakdown(self)
-
-    def iterations(self):
-        from repro.profiling import reports
-
-        return reports.detect_iterations(self)
-
-    def iteration_report(self) -> str:
-        from repro.profiling import reports
-
-        return reports.iteration_report(self)
+    annotated_plan = reports.annotated_plan
+    plan_dot = reports.plan_dot
+    hot_instructions = reports.hot_instructions
+    annotated_ir = reports.annotated_ir
+    activity_timeline = reports.activity_timeline
+    render_timeline = reports.render_timeline
+    memory_profile = reports.memory_profile
+    annotated_pipelines = reports.annotated_pipelines
+    query_breakdown = reports.query_breakdown
+    render_query_breakdown = reports.render_query_breakdown
+    iterations = reports.detect_iterations
+    iteration_report = reports.iteration_report

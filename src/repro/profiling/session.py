@@ -6,16 +6,29 @@ This module reproduces that decoupling: :func:`save_session` persists the
 compile-time metadata (Tagging Dictionary logs, debug info, code-region
 map) and the raw samples; :func:`load_session` re-attributes the samples
 with *no* live engine objects — everything the post-processor needs is in
-the files.
+the files, and the post-processor is the live one
+(:class:`~repro.profiling.postprocess.SampleProcessor`).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
+from dataclasses import dataclass
 
 from repro.errors import ProfilingError
-from repro.vm.isa import REG_TAG, TAG_QUERY_SHIFT, TAG_TASK_MASK
+from repro.pipeline.tasks import Task
+from repro.profiling.postprocess import Attribution, SampleProcessor
+from repro.profiling.tagging import TaggingDictionary
+from repro.vm.isa import (
+    REG_TAG,
+    TAG_QUERY_SHIFT,
+    CodeRegion,
+    FunctionInfo,
+    Program,
+)
+from repro.vm.pmu import Sample
 
 _TAGGING_FILE = "tagging.json"
 _PROGRAM_FILE = "program.json"
@@ -97,99 +110,92 @@ def save_session(profile, directory) -> pathlib.Path:
     return directory
 
 
+@dataclass(frozen=True)
+class SessionOperator:
+    """What the metadata file keeps of a task's dataflow-graph operator."""
+
+    label: str
+    kind: str
+    pipeline: int | None
+
+
 class OfflineSession:
-    """Post-processing over persisted metadata — no engine required."""
+    """Post-processing over persisted metadata — no engine required.
+
+    The metadata files are rehydrated into the compile-time structures
+    the live :class:`SampleProcessor` walks — a code-less ``Program``
+    (function extents + debug info) and a ``TaggingDictionary`` (Log B,
+    runtime IR, tasks over :class:`SessionOperator` records) — so offline
+    and live attribution are the same code."""
 
     def __init__(self, tagging_doc: dict, program_doc: dict,
                  samples: list[dict], meta: dict):
         self.meta = meta
-        self._tasks = {
-            int(task_id): info for task_id, info in tagging_doc["tasks"].items()
-        }
-        self._log_b = {
-            int(ir): [int(t) for t in task_ids]
-            for ir, task_ids in tagging_doc["log_b"].items()
-        }
-        self._runtime_ir = {
-            int(ir): name for ir, name in tagging_doc["runtime_ir"].items()
-        }
-        self._functions = program_doc["functions"]
-        self._debug = {int(ip): ir for ip, ir in program_doc["debug"].items()}
         self.samples = samples
+        program = Program(
+            functions=[
+                FunctionInfo(
+                    info["name"], info["start"], info["end"],
+                    CodeRegion(info["region"]),
+                )
+                for info in program_doc["functions"]
+            ],
+            debug={int(ip): ir for ip, ir in program_doc["debug"].items()},
+        )
+        tagging = TaggingDictionary(
+            log_b={
+                int(ir): tuple(task_ids)
+                for ir, task_ids in tagging_doc["log_b"].items()
+            },
+            runtime_ir={
+                int(ir): name
+                for ir, name in tagging_doc["runtime_ir"].items()
+            },
+        )
+        for task_id, info in tagging_doc["tasks"].items():
+            operator = SessionOperator(
+                info["operator"], info["kind"], info["pipeline"]
+            )
+            tagging.register_task(Task(operator, info["role"], int(task_id)))
+        self.processor = SampleProcessor(program, tagging)
+        self.attributions = [self.attribute(record) for record in samples]
 
-    # -- lookups ------------------------------------------------------------
-
-    def _region_at(self, ip: int) -> str | None:
-        for info in self._functions:
-            if info["start"] <= ip < info["end"]:
-                return info["region"]
-        return None
-
-    def attribute(self, record: dict) -> tuple[str, list[dict]]:
-        """(category, task infos) for one persisted sample record."""
-        region = self._region_at(record["ip"])
-        if region == "kernel":
-            return "kernel", []
-        if region == "query":
-            ir = self._debug.get(record["ip"])
-            tasks = self._log_b.get(ir, []) if ir is not None else []
-            if tasks:
-                return "operator", [self._tasks[t] for t in tasks]
-            return "unattributed", []
-        if region == "runtime":
-            tag = record.get("tag")
-            if isinstance(tag, int):
-                # the low half is the task id (the high half, when
-                # present, is the serve query id — see record["query"])
-                tag &= TAG_TASK_MASK
-            if tag in self._tasks:
-                return "operator", [self._tasks[tag]]
-            for call_site in reversed(record.get("callstack", [])):
-                if self._region_at(call_site) != "query":
-                    continue
-                ir = self._debug.get(call_site)
-                tasks = self._log_b.get(ir, []) if ir is not None else []
-                if tasks:
-                    return "operator", [self._tasks[t] for t in tasks]
-            return "unattributed", []
-        return "unattributed", []
+    def attribute(self, record: dict) -> Attribution:
+        """The live processor's attribution of one persisted record."""
+        registers = None
+        if "tag" in record:
+            # only the tag register was persisted
+            registers = (None,) * REG_TAG + (record["tag"],)
+        callstack = record.get("callstack")
+        sample = Sample(
+            ip=record["ip"],
+            tsc=record["tsc"],
+            registers=registers,
+            callstack=tuple(callstack) if callstack is not None else None,
+            memaddr=record.get("memaddr"),
+            branch_taken=record.get("taken"),
+        )
+        return dataclasses.replace(
+            self.processor.attribute(sample), worker=record["worker"]
+        )
 
     # -- aggregates -----------------------------------------------------------
 
     def summary(self) -> dict:
-        counts = {"operator": 0, "kernel": 0, "unattributed": 0}
-        for record in self.samples:
-            category, _ = self.attribute(record)
-            counts[category] += 1
-        total = max(1, len(self.samples))
-        return {
-            "total_samples": len(self.samples),
-            "operator_share": counts["operator"] / total,
-            "kernel_share": counts["kernel"] / total,
-            "unattributed_share": counts["unattributed"] / total,
-        }
+        return dataclasses.asdict(self.processor.summarize(self.attributions))
 
-    def query_weights(self) -> dict[int, int]:
-        """Sample counts per serve query id (0 = unqualified samples)."""
-        weights: dict[int, int] = {}
-        for record in self.samples:
-            query = record.get("query")
-            if query is None:
-                tag = record.get("tag")
-                query = tag >> TAG_QUERY_SHIFT if isinstance(tag, int) else 0
-            weights[query] = weights.get(query, 0) + 1
-        return weights
+    def query_weights(self) -> dict[int | None, int]:
+        """Sample counts per serve query id (None = unqualified samples)."""
+        return self.processor.query_weights(self.attributions)
 
     def operator_weights(self) -> dict[str, float]:
+        """Sample weight per operator label (an operator's tasks in
+        different pipelines are distinct records; the label joins them)."""
         weights: dict[str, float] = {}
-        for record in self.samples:
-            category, tasks = self.attribute(record)
-            if category != "operator" or not tasks:
-                continue
-            share = 1.0 / len(tasks)
-            for task in tasks:
-                label = task["operator"]
-                weights[label] = weights.get(label, 0.0) + share
+        for operator, weight in self.processor.operator_weights(
+            self.attributions
+        ).items():
+            weights[operator.label] = weights.get(operator.label, 0.0) + weight
         return weights
 
 

@@ -18,11 +18,7 @@ from repro.serve.errors import (
     TIMEOUT,
     ServiceError,
 )
-from repro.serve.profiler import (
-    ContinuousProfiler,
-    ProfileSnapshot,
-    WorkloadProfile,
-)
+from repro.serve.profiler import ContinuousProfiler, ProfileSnapshot
 from repro.serve.service import (
     SERVE_PERIOD_CYCLES,
     QueryService,
@@ -60,7 +56,6 @@ __all__ = [
     "Session",
     "SessionManager",
     "WorkloadItem",
-    "WorkloadProfile",
     "WorkloadSummary",
     "load_workload",
     "run_workload",

@@ -8,7 +8,7 @@ module turns that continuous sample stream into:
   completion — fed straight into the PGO feedback store when one is
   attached, closing the profile-guided-optimization loop for *every*
   production query instead of dedicated profiling runs;
-* a rolling :class:`WorkloadProfile`: per-template operator cost shares,
+* a rolling :class:`ProfileSnapshot`: per-template operator cost shares,
   top-K hot code regions, and latency percentiles across the workload;
 * an attribution-accuracy metric: the scheduler knows ground truth (it
   observed which query each sample interrupted), the tag register's
@@ -18,10 +18,12 @@ module turns that continuous sample stream into:
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.profiling.postprocess import SampleProcessor
+from repro.engine import QueryResult
+from repro.pgo.fingerprint import fingerprint
 from repro.profiling.profile import Profile
 
 
@@ -30,15 +32,14 @@ def percentile(values: list[int], fraction: float) -> int:
     if not values:
         return 0
     ordered = sorted(values)
-    rank = max(1, int(round(fraction * len(ordered) + 0.5)))
-    return ordered[min(rank, len(ordered)) - 1]
+    return ordered[max(1, math.ceil(fraction * len(ordered))) - 1]
 
 
 @dataclass
 class TemplateStats:
     """Rolling aggregate for one query template (by SQL fingerprint)."""
 
-    sql: str
+    sql: str = ""
     queries: int = 0
     samples: int = 0
     instructions: int = 0
@@ -59,8 +60,7 @@ class TemplateStats:
 class ViewMaintenanceStats:
     """Rolling maintenance cost of one materialized view (repro.views)."""
 
-    name: str
-    view_id: int
+    name: str = ""
     batches: int = 0
     samples: int = 0
     instructions: int = 0
@@ -70,183 +70,64 @@ class ViewMaintenanceStats:
     operator_instructions: Counter = field(default_factory=Counter)
 
 
-def _copy_view_stats(stats: ViewMaintenanceStats) -> ViewMaintenanceStats:
-    return ViewMaintenanceStats(
-        name=stats.name,
-        view_id=stats.view_id,
-        batches=stats.batches,
-        samples=stats.samples,
-        instructions=stats.instructions,
-        cycles=stats.cycles,
-        loads=stats.loads,
-        operator_samples=Counter(stats.operator_samples),
-        operator_instructions=Counter(stats.operator_instructions),
-    )
+def _merged(mine, other):
+    """Fold two aggregates of one dataclass type into a fresh one.
 
-
-def _counter_add(mine: Counter, other: Counter) -> Counter:
-    """Key-preserving counter addition.
-
-    ``Counter.__add__`` drops non-positive entries, which breaks merge's
-    identity (``empty.merge(s) == s``) and associativity whenever a
-    zero-count key is present on one side only — so merge never uses it.
+    The one merge rule, applied field by field: counts add, lists
+    concatenate, labels keep the first non-empty one, counters add
+    key-preserving, and keyed sub-aggregates fold per key.  Nothing
+    mutable is shared with either operand.
     """
-    out = Counter(mine)
-    for key, count in other.items():
-        out[key] = out.get(key, 0) + count
-    return out
+    values = {}
+    for f in dataclasses.fields(mine):
+        a, b = getattr(mine, f.name), getattr(other, f.name)
+        if isinstance(a, Counter):
+            # not ``a + b``: that drops non-positive entries, which breaks
+            # merge's identity and associativity whenever a zero-count key
+            # is present on one side only
+            value = Counter(a)
+            value.update(b)
+        elif isinstance(a, dict):
+            value = {}
+            for key, stats in (*a.items(), *b.items()):
+                seen = value[key] if key in value else type(stats)()
+                value[key] = _merged(seen, stats)
+        elif isinstance(a, str):
+            value = a or b
+        else:
+            value = a + b
+        values[f.name] = value
+    return type(mine)(**values)
 
 
 @dataclass
 class ProfileSnapshot:
-    """A detached, mergeable copy of a profiler's rolling aggregate.
+    """The rolling workload aggregate — the one type that carries it.
 
-    This is the public exchange format between a :class:`ContinuousProfiler`
-    and anything that wants its numbers without reaching into the live
-    object: tests, reports, and the fleet tier's cross-shard merger.  All
-    containers are copies, so a snapshot is immutable-in-practice and two
-    snapshots can be merged without touching either source.
+    A :class:`ContinuousProfiler` owns a live one and mutates it in place;
+    everything outside the profiler (tests, reports, the fleet tier's
+    cross-shard merger) sees detached copies from ``profile_snapshot()``,
+    which share no container with the live object.
 
     ``merge`` is associative and commutative up to list order (sample and
     latency totals are sums, region counts are counter sums, per-template
-    stats combine field-wise), which is what lets a fleet fold N shard
-    snapshots in any tree shape and always report the same totals.
+    and per-view stats combine field-wise), which is what lets a fleet
+    fold N shard snapshots in any tree shape and always report the same
+    totals; ``ProfileSnapshot()`` is its identity, exactly.
     """
 
-    queries: int
-    samples: int
-    attributed_samples: int
-    matched_samples: int
-    templates: dict[str, TemplateStats]
-    regions: Counter
-    latencies: list[int]
-    # materialized-view maintenance (repro.views); defaulted so shards
-    # without a view tier keep constructing snapshots unchanged
+    queries: int = 0
+    samples: int = 0
+    # accuracy bookkeeping: scheduler ground truth vs register tag
+    attributed_samples: int = 0
+    matched_samples: int = 0
+    templates: dict[str, TemplateStats] = field(default_factory=dict)
+    regions: Counter = field(default_factory=Counter)
+    latencies: list[int] = field(default_factory=list)
+    # materialized-view maintenance (repro.views): per-view rolling cost,
+    # attributed through the tag register's view-id half
     maintenance_samples: int = 0
     maintenance_instructions: int = 0
-    views: dict[int, ViewMaintenanceStats] = field(default_factory=dict)
-
-    @property
-    def accuracy(self) -> float:
-        if self.attributed_samples == 0:
-            return 1.0
-        return self.matched_samples / self.attributed_samples
-
-    @classmethod
-    def empty(cls) -> "ProfileSnapshot":
-        """The merge identity: ``empty().merge(s) == s`` exactly."""
-        return cls(
-            queries=0,
-            samples=0,
-            attributed_samples=0,
-            matched_samples=0,
-            templates={},
-            regions=Counter(),
-            latencies=[],
-        )
-
-    def merge(self, other: "ProfileSnapshot") -> "ProfileSnapshot":
-        """Combine two snapshots into a new one (sources untouched)."""
-        templates = {
-            key: _copy_template(stats) for key, stats in self.templates.items()
-        }
-        for key, stats in other.templates.items():
-            mine = templates.get(key)
-            if mine is None:
-                templates[key] = _copy_template(stats)
-                continue
-            mine.queries += stats.queries
-            mine.samples += stats.samples
-            mine.instructions += stats.instructions
-            mine.latencies.extend(stats.latencies)
-            mine.operator_samples = _counter_add(
-                mine.operator_samples, stats.operator_samples
-            )
-            if not mine.sql:
-                mine.sql = stats.sql
-        views = {
-            view_id: _copy_view_stats(stats)
-            for view_id, stats in self.views.items()
-        }
-        for view_id, stats in other.views.items():
-            mine_view = views.get(view_id)
-            if mine_view is None:
-                views[view_id] = _copy_view_stats(stats)
-                continue
-            mine_view.batches += stats.batches
-            mine_view.samples += stats.samples
-            mine_view.instructions += stats.instructions
-            mine_view.cycles += stats.cycles
-            mine_view.loads += stats.loads
-            mine_view.operator_samples = _counter_add(
-                mine_view.operator_samples, stats.operator_samples
-            )
-            mine_view.operator_instructions = _counter_add(
-                mine_view.operator_instructions, stats.operator_instructions
-            )
-            if not mine_view.name:
-                mine_view.name = stats.name
-        return ProfileSnapshot(
-            queries=self.queries + other.queries,
-            samples=self.samples + other.samples,
-            attributed_samples=(
-                self.attributed_samples + other.attributed_samples
-            ),
-            matched_samples=self.matched_samples + other.matched_samples,
-            templates=templates,
-            regions=_counter_add(self.regions, other.regions),
-            latencies=self.latencies + other.latencies,
-            maintenance_samples=(
-                self.maintenance_samples + other.maintenance_samples
-            ),
-            maintenance_instructions=(
-                self.maintenance_instructions + other.maintenance_instructions
-            ),
-            views=views,
-        )
-
-    def workload_profile(self, top_k: int = 10) -> "WorkloadProfile":
-        """Render-ready view of the snapshot (same shape as the live one)."""
-        return WorkloadProfile(
-            queries=self.queries,
-            samples=self.samples,
-            attributed_samples=self.attributed_samples,
-            matched_samples=self.matched_samples,
-            templates=dict(self.templates),
-            hot_regions=self.regions.most_common(top_k),
-            latency_p50=percentile(self.latencies, 0.50),
-            latency_p95=percentile(self.latencies, 0.95),
-            latency_p99=percentile(self.latencies, 0.99),
-            maintenance_samples=self.maintenance_samples,
-            views=dict(self.views),
-        )
-
-
-def _copy_template(stats: TemplateStats) -> TemplateStats:
-    return TemplateStats(
-        sql=stats.sql,
-        queries=stats.queries,
-        samples=stats.samples,
-        instructions=stats.instructions,
-        latencies=list(stats.latencies),
-        operator_samples=Counter(stats.operator_samples),
-    )
-
-
-@dataclass
-class WorkloadProfile:
-    """A point-in-time snapshot of the rolling workload aggregate."""
-
-    queries: int
-    samples: int
-    attributed_samples: int
-    matched_samples: int
-    templates: dict[str, TemplateStats]
-    hot_regions: list[tuple[str, int]]
-    latency_p50: int
-    latency_p95: int
-    latency_p99: int
-    maintenance_samples: int = 0
     views: dict[int, ViewMaintenanceStats] = field(default_factory=dict)
 
     @property
@@ -257,19 +138,24 @@ class WorkloadProfile:
             return 1.0
         return self.matched_samples / self.attributed_samples
 
-    def render(self) -> str:
+    def merge(self, other: "ProfileSnapshot") -> "ProfileSnapshot":
+        """Combine two snapshots into a new one (sources untouched)."""
+        return _merged(self, other)
+
+    def render(self, top_k: int = 10) -> str:
         lines = [
             "workload profile",
             f"  queries profiled    {self.queries}",
             f"  samples             {self.samples}",
             f"  tag accuracy        {self.accuracy:.4f}",
             "  latency cycles      "
-            f"p50={self.latency_p50} p95={self.latency_p95} "
-            f"p99={self.latency_p99}",
+            f"p50={percentile(self.latencies, 0.50)} "
+            f"p95={percentile(self.latencies, 0.95)} "
+            f"p99={percentile(self.latencies, 0.99)}",
         ]
-        if self.hot_regions:
+        if self.regions:
             lines.append("  hot regions")
-            for name, count in self.hot_regions:
+            for name, count in self.regions.most_common(top_k):
                 lines.append(f"    {count:6d}  {name}")
         for key, stats in sorted(
             self.templates.items(), key=lambda kv: -kv[1].samples
@@ -303,192 +189,100 @@ class WorkloadProfile:
 class ContinuousProfiler:
     """Aggregates the always-on sample stream across queries."""
 
-    def __init__(self, database, config, pgo_store=None, top_k: int = 10):
+    def __init__(self, database, config, pgo_store=None):
         self.database = database
         self.config = config
         self.pgo_store = pgo_store
-        self.top_k = top_k
-        self.queries = 0
-        self.samples_total = 0
-        # accuracy bookkeeping: scheduler ground truth vs register tag
-        self.attributed_samples = 0
-        self.matched_samples = 0
-        self.templates: dict[str, TemplateStats] = {}
-        self.region_counter: Counter = Counter()
-        self.latencies: list[int] = []
-        # materialized-view maintenance (repro.views): per-view rolling
-        # cost, attributed through the tag register's view-id half
-        self.maintenance_samples_total = 0
-        self.maintenance_instructions_total = 0
-        self.view_stats: dict[int, ViewMaintenanceStats] = {}
+        # the live rolling aggregate; only profile_snapshot() leaves here
+        self.total = ProfileSnapshot()
 
-    # -- per-unit (called by the scheduler after every dispatched unit) ----
+    # -- per-unit (called after every dispatched unit of work) --------------
 
-    def observe_unit(self, execution, new_samples) -> None:
-        """Score each fresh sample against scheduler ground truth.
+    def observe_unit(self, truth: int, new_samples) -> None:
+        """Count fresh samples and score each against ground truth.
 
-        The scheduler knows exactly which query's unit the worker was
-        running when the PMU fired; the register-decoded query id is the
-        mechanism being validated (§6.3-style accuracy, per query)."""
-        self.samples_total += len(new_samples)
-        truth = execution.query_id
+        Whoever dispatched the work — the scheduler for a query's unit,
+        the view tier for a maintenance charge — knows which query (or
+        view) id it installed in the tag register's high half before the
+        PMU fired; the register-decoded id is the mechanism being
+        validated (§6.3-style accuracy, per query)."""
+        total = self.total
+        total.samples += len(new_samples)
         for sample in new_samples:
             if sample.registers is None:
                 continue
-            self.attributed_samples += 1
+            total.attributed_samples += 1
             if sample.query_id == truth:
-                self.matched_samples += 1
+                total.matched_samples += 1
 
     # -- per-view maintenance (called by repro.views after each charge) ----
+
+    def _view_stats(self, view_id: int, name: str) -> ViewMaintenanceStats:
+        stats = self.total.views.get(view_id)
+        if stats is None:
+            stats = self.total.views[view_id] = ViewMaintenanceStats(name=name)
+        return stats
 
     def observe_view_unit(self, view_id: int, name: str, label: str,
                           new_samples, instructions: int, cycles: int,
                           loads: int = 0) -> None:
         """Fold one delta operator's metered maintenance work, plus any
-        PMU samples it produced, into the view's rolling stats.
-
-        The same accuracy bookkeeping as :meth:`observe_unit` applies: the
-        view tier is the scheduler here, so ground truth is the view id it
-        installed in the tag register before charging."""
-        stats = self.view_stats.get(view_id)
-        if stats is None:
-            stats = self.view_stats[view_id] = ViewMaintenanceStats(
-                name=name, view_id=view_id
-            )
+        PMU samples it produced, into the view's rolling stats."""
+        stats = self._view_stats(view_id, name)
         stats.samples += len(new_samples)
         stats.instructions += instructions
         stats.cycles += cycles
         stats.loads += loads
         stats.operator_samples[label] += len(new_samples)
         stats.operator_instructions[label] += instructions
-        self.maintenance_samples_total += len(new_samples)
-        self.maintenance_instructions_total += instructions
-        self.samples_total += len(new_samples)
-        for sample in new_samples:
-            if sample.registers is None:
-                continue
-            self.attributed_samples += 1
-            if sample.query_id == view_id:
-                self.matched_samples += 1
+        self.total.maintenance_samples += len(new_samples)
+        self.total.maintenance_instructions += instructions
+        self.observe_unit(view_id, new_samples)
 
     def note_view_batch(self, view_id: int, name: str) -> None:
-        stats = self.view_stats.get(view_id)
-        if stats is None:
-            stats = self.view_stats[view_id] = ViewMaintenanceStats(
-                name=name, view_id=view_id
-            )
-        stats.batches += 1
+        self._view_stats(view_id, name).batches += 1
 
     # -- per-query (called at completion) ----------------------------------
 
-    def complete_query(self, execution) -> Profile | None:
+    def complete_query(self, execution) -> Profile:
         """Build the query's Profile, aggregate it, feed the PGO store."""
-        from repro.pgo.fingerprint import fingerprint
-
         compiled = execution.compiled
-        processor = SampleProcessor(compiled.program, compiled.tagging)
-        attributions = []
-        for worker_index, sample in execution.samples:
-            attribution = processor.attribute(sample)
-            if worker_index:
-                attribution = dataclasses.replace(
-                    attribution, worker=worker_index
-                )
-            attributions.append(attribution)
-        attributions.sort(key=lambda a: a.sample.tsc)
-
-        machines = [
-            execution.machines[idx] for idx in sorted(execution.machines)
-        ]
-        from repro.engine import QueryResult
-
-        result = QueryResult(
-            columns=[name for name, _ in compiled.physical.columns],
-            rows=execution.rows or [],
-            cycles=execution.latency_cycles,
-            instructions=execution.instructions,
-        )
-        profile = Profile(
-            database=self.database,
-            config=self.config,
-            physical=compiled.physical,
-            pipelines=compiled.pipelines,
-            ir_module=compiled.query_ir.module,
-            program=compiled.program,
-            machine=machines[0] if machines else None,
-            machines=machines,
-            tagging=compiled.tagging,
-            processor=processor,
-            attributions=attributions,
-            result=result,
-            sql=compiled.sql,
-            task_counts=execution.task_counts,
-            estimates=compiled.estimates,
+        profile = self.database.build_profile(
+            self.config, compiled, execution.samples,
+            [execution.machines[idx] for idx in sorted(execution.machines)],
+            QueryResult(
+                columns=[name for name, _ in compiled.physical.columns],
+                rows=execution.rows,
+                cycles=execution.latency_cycles,
+                instructions=execution.instructions,
+            ),
+            execution.task_counts,
         )
 
-        self.queries += 1
-        self.latencies.append(execution.latency_cycles)
+        total = self.total
+        total.queries += 1
+        total.latencies.append(execution.latency_cycles)
         key = fingerprint(compiled.sql)
-        stats = self.templates.get(key)
+        stats = total.templates.get(key)
         if stats is None:
-            stats = self.templates[key] = TemplateStats(sql=compiled.sql)
+            stats = total.templates[key] = TemplateStats(sql=compiled.sql)
         stats.queries += 1
-        stats.samples += len(attributions)
+        stats.samples += len(profile.attributions)
         stats.instructions += execution.instructions
         stats.latencies.append(execution.latency_cycles)
-        for attribution in attributions:
+        for attribution in profile.attributions:
             weight = attribution.weight_per_task
             for task in attribution.tasks:
                 stats.operator_samples[task.operator.label] += weight
         for _, sample in execution.samples:
             info = compiled.program.function_at(sample.ip)
             name = info.name if info else f"ip:{sample.ip:#x}"
-            self.region_counter[name] += 1
+            total.regions[name] += 1
 
         if self.pgo_store is not None:
             self.pgo_store.record(profile)
         return profile
 
-    # -- snapshots ---------------------------------------------------------
-
     def profile_snapshot(self) -> ProfileSnapshot:
         """The public point-in-time copy of the rolling aggregate."""
-        return ProfileSnapshot(
-            queries=self.queries,
-            samples=self.samples_total,
-            attributed_samples=self.attributed_samples,
-            matched_samples=self.matched_samples,
-            templates={
-                key: _copy_template(stats)
-                for key, stats in self.templates.items()
-            },
-            regions=Counter(self.region_counter),
-            latencies=list(self.latencies),
-            maintenance_samples=self.maintenance_samples_total,
-            maintenance_instructions=self.maintenance_instructions_total,
-            views={
-                view_id: _copy_view_stats(stats)
-                for view_id, stats in self.view_stats.items()
-            },
-        )
-
-    def workload_profile(self) -> WorkloadProfile:
-        return WorkloadProfile(
-            queries=self.queries,
-            samples=self.samples_total,
-            attributed_samples=self.attributed_samples,
-            matched_samples=self.matched_samples,
-            templates=dict(self.templates),
-            hot_regions=self.region_counter.most_common(self.top_k),
-            latency_p50=percentile(self.latencies, 0.50),
-            latency_p95=percentile(self.latencies, 0.95),
-            latency_p99=percentile(self.latencies, 0.99),
-            maintenance_samples=self.maintenance_samples_total,
-            views=dict(self.view_stats),
-        )
-
-    @property
-    def accuracy(self) -> float:
-        if self.attributed_samples == 0:
-            return 1.0
-        return self.matched_samples / self.attributed_samples
+        return ProfileSnapshot().merge(self.total)

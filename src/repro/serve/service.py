@@ -63,7 +63,6 @@ class ServiceConfig:
     period: int = SERVE_PERIOD_CYCLES
     event: Event = Event.CYCLES
     fast_vm: bool = True
-    plan_cache_flavor: str = "serve"
     seed: int = 0
     # adaptive tiered execution (repro.vm.tiering): hot programs are
     # recompiled as profile-specialized tier-2 traces; re-tiering commits
@@ -275,16 +274,11 @@ class QueryService:
             "plan_cache": self.db.plan_cache.stats(),
         }
         if self.profiler is not None:
-            out["samples"] = self.profiler.samples_total
-            out["tag_accuracy"] = self.profiler.accuracy
+            out["samples"] = self.profiler.total.samples
+            out["tag_accuracy"] = self.profiler.total.accuracy
         if self.tiering is not None:
             out["tiering"] = self.tiering.stats()
         return out
-
-    def workload_profile(self):
-        if self.profiler is None:
-            return None
-        return self.profiler.workload_profile()
 
     def profile_snapshot(self):
         """Detached copy of the continuous profiler's rolling aggregate
@@ -308,7 +302,7 @@ class QueryService:
                 if self._profiler_config is not None
                 else False
             ),
-            flavor=self.config.plan_cache_flavor,
+            flavor="serve",
         )
 
     def _ensure_epoch(self) -> None:
@@ -436,7 +430,7 @@ class QueryService:
         for sample in new_samples:
             execution.samples.append((worker.index, sample))
         if self.profiler is not None and new_samples:
-            self.profiler.observe_unit(execution, new_samples)
+            self.profiler.observe_unit(execution.query_id, new_samples)
 
         if error is not None:
             execution.fail(error)

@@ -481,7 +481,7 @@ class ViewService:
             operators = self.tags.view_operators.get(view.query_id, {})
             profiler = self.service.profiler
             stats = (
-                profiler.view_stats.get(view.query_id)
+                profiler.total.views.get(view.query_id)
                 if profiler is not None else None
             )
             if stats is not None:

@@ -414,6 +414,33 @@ def test_pgo_requires_enable():
         bare.profile("select 1", pgo=True)
 
 
+def test_pgo_execute_applies_the_instruction_budget():
+    """Regression: the pgo branch of ``execute`` ran its own tail, which
+    forwarded no ``instruction_limit`` — the budget was silently ignored."""
+    from repro.errors import VMError
+
+    small = Database.example(n_sales=400, n_products=20)
+    small.enable_pgo()
+    sql = "select count(*) from sales where price > 100.0"
+    with pytest.raises(VMError, match="instruction budget"):
+        small.execute(sql, instruction_limit=100)
+    with pytest.raises(VMError, match="instruction budget"):
+        small.execute(sql, pgo=True, instruction_limit=100)
+    assert small.execute(sql, pgo=True).rows == small.execute(sql).rows
+
+
+def test_pgo_execute_consults_the_tiering_controller():
+    """Regression: same tail, same omission — pgo runs never fed the
+    hotness profile, so a hot pgo plan stayed at tier 1 forever."""
+    small = Database.example(n_sales=400, n_products=20)
+    small.enable_pgo()
+    small.enable_tiering(hot_instructions=1)
+    sql = "select count(*) from sales where price > 100.0"
+    plain = [small.execute(sql).tier for _ in range(2)]
+    pgo = [small.execute(sql, pgo=True).tier for _ in range(2)]
+    assert plain == pgo == [1, 2]
+
+
 # -- tuple counters ------------------------------------------------------
 
 

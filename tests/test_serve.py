@@ -1,8 +1,12 @@
 """Tests for the concurrent query service (repro.serve)."""
 
+import copy
+import dataclasses
 import io
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import Database
 from repro.__main__ import main
@@ -21,6 +25,12 @@ from repro.serve import (
     load_workload,
     run_workload,
     synthetic_workload,
+)
+from repro.serve.profiler import (
+    ProfileSnapshot,
+    TemplateStats,
+    ViewMaintenanceStats,
+    percentile,
 )
 
 SQL_AGG = (
@@ -235,8 +245,43 @@ def test_tag_accuracy_under_concurrency(db):
     assert snapshot.queries == 8
     assert snapshot.samples == stats["samples"]
     assert snapshot.templates  # per-template operator costs aggregated
-    profile = snapshot.workload_profile()
-    assert profile.latency_p95 >= profile.latency_p50 > 0
+    p50, p95 = (percentile(snapshot.latencies, f) for f in (0.50, 0.95))
+    assert p95 >= p50 > 0
+    assert f"p50={p50} p95={p95}" in snapshot.render()
+
+
+@pytest.mark.parametrize("fraction, n, rank", [
+    # f·n an odd integer: round-half-even used to land one rank too high
+    (0.50, 2, 1), (0.50, 6, 3), (0.50, 10, 5), (0.90, 10, 9), (0.95, 20, 19),
+    # f·n an even integer, fractional, and the clamped ends
+    (0.50, 4, 2), (0.50, 5, 3), (0.95, 10, 10), (0.99, 3, 3),
+    (0.0, 4, 1), (1.0, 4, 4), (0.50, 1, 1),
+])
+def test_percentile_is_nearest_rank(fraction, n, rank):
+    assert percentile(list(range(n, 0, -1)), fraction) == rank
+
+
+def test_percentile_of_nothing_is_zero():
+    assert percentile([], 0.5) == 0
+
+
+def test_snapshot_is_isolated_from_later_queries(db):
+    """A snapshot is detached: a later query of the same template changes
+    neither its totals nor the per-template stats inside it."""
+    service = make_service(db, workers=2)
+    service.submit(SQL_AGG)
+    service.drain()
+    snapshot = service.profile_snapshot()
+    frozen = copy.deepcopy(snapshot)
+    service.submit(SQL_AGG)
+    service.drain()
+    assert snapshot == frozen
+    assert snapshot.queries == 1
+    assert sum(t.queries for t in snapshot.templates.values()) == 1
+    later = service.profile_snapshot()
+    assert later.queries == 2
+    assert sum(t.queries for t in later.templates.values()) == 2
+    assert len(later.latencies) == 2 and len(snapshot.latencies) == 1
 
 
 def test_profiler_feeds_pgo_store(db):
@@ -262,7 +307,6 @@ def test_profiling_off_runs_clean(db):
     assert result.ok
     assert result.samples == 0
     assert result.rows == db.execute(SQL_AGG).rows
-    assert service.workload_profile() is None
     assert service.profile_snapshot() is None
 
 
@@ -291,29 +335,23 @@ def _small_snapshot(db, queries=4, clients=2):
 def test_snapshot_merge_identity(db):
     """Regression: merge used ``Counter + Counter``, which silently drops
     zero-count keys, so merging with an empty snapshot was not a no-op."""
-    from collections import Counter
-
-    from repro.serve.profiler import ProfileSnapshot
-
     snapshot = _small_snapshot(db)
     # plant a zero-count region key: the old implementation lost it
     snapshot.regions["phantom-region"] = 0
     for stats in snapshot.templates.values():
         stats.operator_samples["phantom-op"] = 0
         break
-    assert ProfileSnapshot.empty().merge(snapshot) == snapshot
-    assert snapshot.merge(ProfileSnapshot.empty()) == snapshot
-    identity = ProfileSnapshot.empty().merge(ProfileSnapshot.empty())
-    assert identity == ProfileSnapshot.empty()
+    assert ProfileSnapshot().merge(snapshot) == snapshot
+    assert snapshot.merge(ProfileSnapshot()) == snapshot
+    identity = ProfileSnapshot().merge(ProfileSnapshot())
+    assert identity == ProfileSnapshot()
     assert identity.regions == Counter()
 
 
 def test_snapshot_merge_associative_with_disjoint_templates(db):
-    from repro.serve.profiler import ProfileSnapshot
-
     a = _small_snapshot(db, queries=4, clients=2)
     b = _small_snapshot(db, queries=3, clients=1)
-    c = ProfileSnapshot.empty()
+    c = ProfileSnapshot()
     left = a.merge(b).merge(c)
     right = a.merge(b.merge(c))
     assert left == right
@@ -322,7 +360,6 @@ def test_snapshot_merge_associative_with_disjoint_templates(db):
 
 
 def test_snapshot_merge_combines_view_maintenance(db):
-    from repro.serve.profiler import ProfileSnapshot
     from repro.views import ViewService
 
     service = make_service(db, workers=2)
@@ -342,8 +379,84 @@ def test_snapshot_merge_combines_view_maintenance(db):
         assert doubled.views[view_id].samples == 2 * stats.samples
         assert doubled.views[view_id].batches == 2 * stats.batches
     # a shard with no view tier merges in without disturbing view stats
-    merged = snapshot.merge(ProfileSnapshot.empty())
+    merged = snapshot.merge(ProfileSnapshot())
     assert merged == snapshot
+
+
+_counts = st.integers(0, 50)
+# counters may carry zero-count keys: the ones ``Counter.__add__`` drops
+_counters = st.dictionaries(st.sampled_from("abcd"), _counts, max_size=4).map(
+    Counter
+)
+_lists = st.lists(st.integers(1, 999), max_size=3)
+
+
+def _keyed(keys, stats, label):
+    """Keyed sub-aggregates over a small key alphabet, so two operands
+    overlap on some keys and not on others.  A label is empty or a
+    function of its key, as in a fleet: shards agree on what a key names."""
+    return st.dictionaries(keys, stats, max_size=3).map(lambda drawn: {
+        key: dataclasses.replace(
+            value, **{label: getattr(value, label) and f"{label} {key}"}
+        )
+        for key, value in drawn.items()
+    })
+
+
+_labels = st.sampled_from(["", "set"])
+_snapshots = st.builds(
+    ProfileSnapshot, queries=_counts, samples=_counts,
+    attributed_samples=_counts, matched_samples=_counts,
+    templates=_keyed(st.sampled_from("tuv"), st.builds(
+        TemplateStats, sql=_labels, queries=_counts, samples=_counts,
+        instructions=_counts, latencies=_lists, operator_samples=_counters,
+    ), "sql"),
+    regions=_counters, latencies=_lists,
+    maintenance_samples=_counts, maintenance_instructions=_counts,
+    views=_keyed(st.integers(1, 3), st.builds(
+        ViewMaintenanceStats, name=_labels, batches=_counts, samples=_counts,
+        instructions=_counts, cycles=_counts, loads=_counts,
+        operator_samples=_counters, operator_instructions=_counters,
+    ), "name"),
+)
+
+
+def _exact(value, sort_lists=False):
+    """A detached comparable form that keeps zero-count keys:
+    ``Counter.__eq__`` treats a missing key as a zero count, so ``==`` on
+    snapshots cannot see one lost."""
+    if isinstance(value, dict):
+        return sorted(
+            (key, _exact(item, sort_lists)) for key, item in value.items()
+        )
+    if dataclasses.is_dataclass(value):
+        return [
+            _exact(getattr(value, f.name), sort_lists)
+            for f in dataclasses.fields(value)
+        ]
+    if isinstance(value, list):
+        return sorted(value) if sort_lists else list(value)
+    return value
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_snapshots, b=_snapshots, c=_snapshots)
+def test_snapshot_merge_laws(a, b, c):
+    before = [_exact(operand) for operand in (a, b, c)]
+    assert _exact(ProfileSnapshot().merge(a)) == _exact(a)
+    assert _exact(a.merge(ProfileSnapshot())) == _exact(a)
+    assert _exact(a.merge(b).merge(c)) == _exact(a.merge(b.merge(c)))
+    # commutative up to list order
+    assert _exact(a.merge(b), True) == _exact(b.merge(a), True)
+    # operands are untouched by merging, and by mutating the result
+    merged = a.merge(b)
+    merged.latencies.append(0)
+    merged.regions["fresh"] += 1
+    for stats in merged.templates.values():
+        stats.latencies.append(0)
+    for stats in (*merged.templates.values(), *merged.views.values()):
+        stats.operator_samples["fresh"] += 1
+    assert [_exact(operand) for operand in (a, b, c)] == before
 
 
 # -- workload files and CLI --------------------------------------------------

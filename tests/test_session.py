@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro import ProfilerConfig, ProfilingMode
 from repro.data.queries import FIG9_QUERY
 from repro.errors import ProfilingError
 from repro.profiling.session import load_session, save_session
+from repro.vm import CodeRegion
 
 
 @pytest.fixture(scope="module")
@@ -52,19 +54,87 @@ def test_offline_operator_weights_match_live(saved):
 def test_offline_register_tag_disambiguation(saved):
     profile, directory = saved
     session = load_session(directory)
-    runtime_records = [
-        r for r in session.samples if session._region_at(r["ip"]) == "runtime"
+    program = session.processor.program
+    runtime = [
+        a for a in session.attributions
+        if program.region_at(a.sample.ip) is CodeRegion.RUNTIME
     ]
-    assert runtime_records, "some samples should be in shared runtime code"
+    assert runtime, "some samples should be in shared runtime code"
+    assert all(a.runtime_function for a in runtime)
     resolved = [
-        r for r in runtime_records if session.attribute(r)[0] == "operator"
+        a for a in runtime
+        if a.category == "operator" and a.via == "register-tag"
     ]
-    assert len(resolved) / len(runtime_records) > 0.9
+    assert len(resolved) / len(runtime) > 0.9
+
+
+def _walk(attribution):
+    """Everything the §4.2.6 walk decides about one sample."""
+    return (
+        attribution.sample.ip, attribution.sample.tsc, attribution.category,
+        tuple(task.id for task in attribution.tasks),
+        tuple(task.operator.label for task in attribution.tasks),
+        attribution.ir_id, attribution.via, attribution.runtime_function,
+        attribution.kernel_function, attribution.query_id, attribution.worker,
+    )
+
+
+@pytest.mark.parametrize("config", [
+    ProfilerConfig(),
+    ProfilerConfig(mode=ProfilingMode.CALLSTACK),
+    ProfilerConfig(crosscheck=True),
+    ProfilerConfig(mode=ProfilingMode.NONE),
+], ids=["register-tagging", "callstack", "crosscheck", "plain"])
+def test_offline_attributions_equal_live_per_sample(tpch_db, tmp_path, config):
+    profile = tpch_db.profile(FIG9_QUERY.sql, config, workers=2)
+    save_session(profile, tmp_path)
+    session = load_session(tmp_path)
+    assert len(session.attributions) == len(profile.attributions) > 0
+    assert {a.worker for a in session.attributions} == {0, 1}
+    for offline, live in zip(session.attributions, profile.attributions):
+        assert _walk(offline) == _walk(live)
+    # each record re-attributes to the same thing on its own
+    assert _walk(session.attribute(session.samples[0])) == _walk(
+        profile.attributions[0]
+    )
+
+
+def test_offline_serve_session_keeps_the_query_dimension(
+    tmp_path, monkeypatch
+):
+    """Sessions the serve tier recorded into a persistent PGO store: the
+    query-id half of the tag survives the metadata-file round trip."""
+    from repro import Database
+    from repro.pgo import ProfileStore
+    from repro.serve import QueryService, ServiceConfig
+
+    db = Database.example(n_sales=400, n_products=20)
+    service = QueryService(
+        db, ServiceConfig(workers=2, period=2_000),
+        pgo_store=ProfileStore(directory=tmp_path),
+    )
+    live = []
+    complete = service.profiler.complete_query
+    monkeypatch.setattr(
+        service.profiler, "complete_query",
+        lambda execution: live.append(complete(execution)),
+    )
+    sql = "select count(*) from sales where price > 100.0"
+    tickets = [service.submit(sql), service.submit(sql)]
+    service.drain()
+    results = {r.query_id: r for r in map(service.result, tickets)}
+    (query_dir,) = tmp_path.iterdir()
+    for run, profile in enumerate(live, start=1):
+        session = load_session(query_dir / "runs" / f"run_{run}")
+        assert [_walk(a) for a in session.attributions] == [
+            _walk(a) for a in profile.attributions
+        ]
+        ((query_id, samples),) = session.query_weights().items()
+        assert results.pop(query_id).samples == samples > 0
+    assert not results, "both in-flight queries were recorded"
 
 
 def test_offline_callstack_session(tpch_db, tmp_path):
-    from repro import ProfilerConfig, ProfilingMode
-
     profile = tpch_db.profile(
         FIG9_QUERY.sql, ProfilerConfig(mode=ProfilingMode.CALLSTACK)
     )

@@ -450,7 +450,7 @@ def test_per_view_samples_sum_to_maintenance_total(db):
     tag = TaggingDictionary.encode_tag(view.query_id, 1)
     assert views.tags.view_of_tag(tag) == "g"
     assert views.tags.view_operator_of_tag(tag) is not None
-    rendered = snapshot.workload_profile().render()
+    rendered = snapshot.render()
     assert "view maintenance" in rendered
 
 
