@@ -7,7 +7,9 @@ of that, tier-2 profile-specialized traces must beat tier 1 on the
 profile-stable queries whose hot loops the rolling profile marks for
 deferred sync.  Both CI gates use deliberately lower floors so scheduler
 noise on shared runners cannot flake the build; the measured trajectory
-is what ``BENCH_vm.json`` tracks run over run.
+is what ``BENCH_vm.json`` tracks run over run.  Those speedups are warm;
+a third, wide gate bounds what the *first* run of a query costs against
+interpreting it (``cold_vs_interp``).
 """
 
 from pathlib import Path
@@ -26,6 +28,13 @@ SPEEDUP_FLOOR = 2.0
 # not multiples — even the drift-cancelled median-of-ratios estimator
 # keeps a few percent of residual noise.
 TIERED_STABLE_FLOOR = 1.10
+# Time to first answer: q6's first fast-VM run on a fresh program, blocks
+# translating as the run enters them, as a multiple of its interpreted
+# run.  Whole-program eager translation read ~12x here; per-block
+# translation on first entry reads ~2-4x.  A wide tripwire, not a
+# measurement: it catches translation cost creeping back in front of
+# the first block.
+COLD_Q6_CEILING = 6.0
 TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_vm.json"
 
 
@@ -56,6 +65,15 @@ def test_vm_speedup_floor(benchmark):
     assert record["geomean_speedup"] >= SPEEDUP_FLOOR, (
         f"fast VM geomean {record['geomean_speedup']:.2f}x is below the "
         f"{SPEEDUP_FLOOR:.1f}x floor"
+    )
+
+
+def test_cold_q6_ceiling(benchmark):
+    record = _measured_record(benchmark)
+    cold = record["queries"]["q6"]["cold_vs_interp"]
+    assert cold <= COLD_Q6_CEILING, (
+        f"cold fast-VM q6 took {cold:.1f}x its interpreted time "
+        f"(ceiling {COLD_Q6_CEILING:.0f}x)"
     )
 
 

@@ -170,7 +170,16 @@ def _run(args, sql: str, out) -> int:
         )
         _print_result(result, args.max_rows, out)
         if tiering is not None:
-            print(f"executed at tier {result.tier}", file=out)
+            cost = result.translation
+            print(
+                f"executed at tier {result.tier}" + (
+                    f" (translated {cost['compiled']} of {cost['leaders']} "
+                    f"blocks, {cost['source_lines']} lines, "
+                    f"{cost['compile_s']:.3f} s)"
+                    if cost else ""
+                ),
+                file=out,
+            )
         return 0
 
     config = ProfilerConfig(mode=ProfilingMode(args.mode), period=args.period)

@@ -99,13 +99,18 @@ class QueryResult:
     pure interpreter (fast VM off or auto-disabled), 1 the template-
     translated fast VM, 2 a profile-specialized tier-2 trace ran for at
     least one worker.  Benchmarks check it so an auto-disable can never
-    silently measure the wrong engine."""
+    silently measure the wrong engine.  ``translation`` is what that
+    tier's block map had cost by the end of the run
+    (:meth:`repro.vm.translate.Translation.stats`: leaders, blocks
+    compiled, generated lines, host seconds — cumulative over every run
+    that shared the cached plan); ``None`` at tier 0."""
 
     columns: list[str]
     rows: list[tuple]
     cycles: int
     instructions: int
     tier: int = 1
+    translation: dict | None = None
     # retired memory operations, summed over workers: loads * 8 is the
     # "simulated bytes touched" metric storage benchmarks compare
     loads: int = 0
@@ -658,11 +663,12 @@ class Database:
                             self.memory.read(state_addr + offset),
                         )
             rows = self.decode_rows(output, compiled.physical.columns)
-            if tiering is not None:
-                for machine in machines:
-                    # snapshot the tier this run actually executed at
-                    # before observation possibly promotes the machine
-                    machine.ran_tier = machine.tier
+            for machine in machines:
+                # snapshot the tier (and translation) this run actually
+                # executed on before observation possibly promotes the
+                # machine
+                machine.ran = machine.tier, machine.translation
+                if tiering is not None:
                     tiering.observe(machine, machine.state.instructions)
             return machines, rows, task_counts
         finally:
@@ -790,12 +796,16 @@ class Database:
     # -- public API ----------------------------------------------------------
 
     def _result(self, physical, machines, rows) -> QueryResult:
+        tier, translation = max(
+            (m.ran for m in machines), key=lambda ran: ran[0]
+        )
         return QueryResult(
             columns=[name for name, _ in physical.columns],
             rows=rows,
             cycles=max(m.state.cycles for m in machines),
             instructions=sum(m.state.instructions for m in machines),
-            tier=max(getattr(m, "ran_tier", m.tier) for m in machines),
+            tier=tier,
+            translation=translation.stats() if translation else None,
             loads=sum(m.state.loads for m in machines),
             stores=sum(m.state.stores for m in machines),
         )

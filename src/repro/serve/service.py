@@ -97,8 +97,11 @@ class ServiceResult:
     latency_cycles: int = 0
     busy_cycles: int = 0
     samples: int = 0
-    # highest execution tier any of the query's machines ran at
+    # highest execution tier any of the query's machines ran at, and
+    # what that machine's block map had cost by then (Translation.stats;
+    # None at tier 0)
     tier: int = 0
+    translation: dict | None = None
 
     @property
     def ok(self) -> bool:
@@ -462,6 +465,12 @@ class QueryService:
             DONE: "ok", FAILED: "failed", EXEC_CANCELLED: "cancelled",
         }[execution.status]
         output = execution.compiled.physical.columns
+        # the machine that reached the highest tier speaks for the query
+        # (none at all when the query was refused before it ran)
+        top = max(
+            execution.machines.values(), key=lambda m: m.tier, default=None
+        )
+        translation = top.translation if top is not None else None
         result = ServiceResult(
             ticket=request.ticket,
             query_id=execution.query_id,
@@ -479,9 +488,8 @@ class QueryService:
             latency_cycles=execution.latency_cycles,
             busy_cycles=execution.busy_cycles,
             samples=len(execution.samples),
-            tier=max(
-                (m.tier for m in execution.machines.values()), default=0
-            ),
+            tier=top.tier if top is not None else 0,
+            translation=translation.stats() if translation else None,
         )
         self.results[request.ticket] = result
         self._order.append(result)

@@ -111,6 +111,7 @@ class Machine:
         # step could cross a sample boundary.  Below FAST_VM_MIN_PERIOD the
         # fallback would dominate, so the fast engine disarms itself and
         # every instruction runs interpreted.
+        self.translation = None
         self._fast_blocks = None
         # Tiered execution bookkeeping (repro.vm.tiering): ``tier`` is the
         # machine's *effective* tier — 0 pure interpreter, 1 template
@@ -118,13 +119,16 @@ class Machine:
         # the test-only forced-deopt trip read by guard-hook translations.
         self.tier = 0
         self._tiering = tiering
-        self._tier1_blocks = None
+        self._tier1 = None
         self._tier_epoch = -1
         self._tier_guard = False
         self._tier2_guarded = False
         self.deopt_events: list[int] = []
-        # per-block dispatch counts, filled by the tiered driver only
+        # per-block dispatch counts, filled by the tiered driver only;
+        # translation stubs read ``_counting_entries`` to take their own
+        # dispatch back out (a stub entry is not a block entry)
         self.block_entries: dict[int, int] = {}
+        self._counting_entries = False
         if fast_vm and (
             pmu_config is None or pmu_config.period >= costs.FAST_VM_MIN_PERIOD
         ):
@@ -139,9 +143,9 @@ class Machine:
             bound_cap = (
                 pmu_config.period >> 3 if pmu_config is not None else 0
             )
-            self._fast_blocks = translation_for(
-                program, event, bound_cap
-            ).blocks
+            # nothing compiles here: blocks translate on first entry
+            self.translation = translation_for(program, event, bound_cap)
+            self._fast_blocks = self.translation.blocks
             self.tier = 1
         elif fast_vm:
             # auto-disable used to be silent: benchmarks could think they
@@ -188,8 +192,8 @@ class Machine:
     # ------------------------------------------------------------------
     # tiered execution (repro.vm.tiering)
 
-    def install_tier2(self, blocks, guarded: bool = False) -> None:
-        """Switch to a tier-2 block map, keeping tier 1 for deopt.
+    def install_tier2(self, translation, guarded: bool = False) -> None:
+        """Switch to a tier-2 translation, keeping tier 1 for deopt.
 
         Called by the tiering controller at commit points only — machine
         construction and morsel/unit boundaries — never mid-run, so the
@@ -201,8 +205,9 @@ class Machine:
         if self._fast_blocks is None or self.tier >= 2:
             return
         self._tier2_guarded = guarded
-        self._tier1_blocks = self._fast_blocks
-        self._fast_blocks = blocks
+        self._tier1 = self.translation
+        self.translation = translation
+        self._fast_blocks = translation.blocks
         self.tier = 2
 
     def _tier_deopt(self, ip: int) -> None:
@@ -213,8 +218,9 @@ class Machine:
         unspecialized."""
         self._tier_guard = False
         self.deopt_events.append(ip)
-        if self._tier1_blocks is not None:
-            self._fast_blocks = self._tier1_blocks
+        if self._tier1 is not None:
+            self.translation = self._tier1
+            self._fast_blocks = self._tier1.blocks
             self.tier = 1
         if self._tiering is not None:
             self._tiering.note_deopt(self.program, ip)
@@ -314,7 +320,7 @@ class Machine:
                 # promotion, so the hoisted-map driver is exact and the
                 # per-dispatch re-read would be pure overhead.
                 self._run_fast(entry_ip)
-            elif self._tiering is not None or self._tier1_blocks is not None:
+            elif self._tiering is not None or self._tier1 is not None:
                 self._run_fast_tiered(entry_ip)
             else:
                 self._run_fast(entry_ip)
@@ -338,8 +344,15 @@ class Machine:
         the rest of the sampling window and suspends at the next block
         leader that passes the same check — so sample streams, counters,
         and VMError behavior are bit-identical to pure interpretation.
+
+        A block not yet compiled is a *stub* entry that always passes
+        this check (zero instructions, bound below any countdown);
+        calling it compiles the block, swaps the map entry and returns
+        the same ip, so the next turn of this loop dispatches the real
+        block under the real check (see ``repro.vm.translate``).
         """
         blocks = self._fast_blocks
+        self._counting_entries = False
         self.call_stack.append(-1)
         regs = self.regs
         words = self.memory.words
@@ -410,6 +423,7 @@ class Machine:
         config = self.pmu_config
         interp = self._interp
         counting = self._tiering is not None and self.tier < 2
+        self._counting_entries = counting
         entries = self.block_entries
         ip = entry_ip
         if config is None:

@@ -29,7 +29,7 @@ import weakref
 
 from repro.vm import costs
 from repro.vm.isa import Program
-from repro.vm.translate import translate_program, translation_key
+from repro.vm.translate import translation_for, translation_key
 
 # Worst-case event bound allowed for a tier-2 armed superblock tree, as
 # a right-shift of the sampling period.  Tier 1 uses 1/8 of the period
@@ -127,29 +127,23 @@ class TieringController:
         program = machine.program
         config = machine.pmu_config
         event = config.event if config is not None else None
-        bound_cap = _tier2_bound_cap(config)
-        key = translation_key(event, bound_cap, 2, self.guard_hook)
-        cache = getattr(program, "_vm_translations", None)
-        if cache is None:
-            cache = {}
-            program._vm_translations = cache
-        entry = cache.get(key)
-        if entry is None or entry.stale_for(program):
-            pid = self._key(program)
-            entry = translate_program(
-                program, event, bound_cap, tier=2,
-                bias=dict(machine.predictor.counters),
-                entries=dict(self._entries[pid]),
-                hot_weight=self._counts[pid],
-                guard_hook=self.guard_hook,
-            )
-            cache[key] = entry
+        pid = self._key(program)
+        # frozen copies: the translation compiles each block on first
+        # entry, and a block compiled later must specialize against the
+        # profile as it stood at promotion
+        entry = translation_for(
+            program, event, _tier2_bound_cap(config), tier=2,
+            bias=dict(machine.predictor.counters),
+            entries=dict(self._entries[pid]),
+            hot_weight=self._counts[pid],
+            guard_hook=self.guard_hook,
+        )
         self.promotions += 1
         self.version += 1
         # the observing machine re-tiers immediately (it sits at a call
         # boundary); everyone else picks it up at their next apply()
         machine._tier_epoch = self.version
-        machine.install_tier2(entry.blocks, guarded=self.guard_hook)
+        machine.install_tier2(entry, guarded=self.guard_hook)
         if self.trip_guard:
             machine._tier_guard = True
 
@@ -179,7 +173,7 @@ class TieringController:
             translation_key(event, bound_cap, 2, self.guard_hook)
         )
         if entry is not None and not entry.stale_for(machine.program):
-            machine.install_tier2(entry.blocks, guarded=self.guard_hook)
+            machine.install_tier2(entry, guarded=self.guard_hook)
             if self.trip_guard:
                 machine._tier_guard = True
 

@@ -4,8 +4,13 @@ This is the fast half of the machine's dual-mode engine, shaped like the
 basic-block translators of fast cycle-accounting simulators (QEMU's TCG,
 gem5 fast-forward): decode the guest :class:`~repro.vm.isa.Program` into
 superblocks (single-entry multi-exit traces that follow conditional
-fall-through and fold forward jumps), then ``exec``-compile every block
-into one specialized Python function.  Inside a block
+fall-through and fold forward jumps), and ``exec``-compile a block into
+one specialized Python function *the first time the driver enters it*:
+every leader starts as a stub map entry that always passes admission,
+compiles its block when called, replaces itself, and hands the same ip
+back (see :class:`Translation`).  A query therefore pays translation
+only for the blocks it runs — typically a third of the program, the
+runtime library included.  Inside a block
 
 - opcode dispatch is gone (each instruction became a dedicated statement),
 - register/array accesses are inlined with constant indices,
@@ -16,7 +21,10 @@ while everything *dynamic* keeps exact per-access accounting: loads and
 stores still walk the cache hierarchy, conditional branches still train
 the 2-bit predictor, and error paths re-materialize the precise
 ``MachineState`` the interpreter would have produced (same message, same
-ip, same counter values).
+ip, same counter values, same PMU countdown).  An error site is one
+``raise _Fault(...)`` of its path-static totals; the write-back and
+counter sync are emitted once per function, as the epilogue behind a
+``try`` that costs nothing until it catches.
 
 Sampling exactness is preserved by a conservative *event bound* computed
 per block and per PMU event: the worst-case number of countdown events
@@ -44,11 +52,12 @@ speed.
 Translations are cached on the Program object, keyed by the sampled event
 and the armed bound cap (the countdown bookkeeping is specialized per
 event), so the up-to-four morsel workers of one query share a single
-translation.
+translation — and a block one of them compiled is compiled for all.
 
-Tier 2 (``tier=2``, driven by :mod:`repro.vm.tiering`) recompiles hot
-programs with *deferred sync*: inside a loop-head superblock the counters
-(instructions, cycles, loads, stores, cache accesses), the branch
+Tier 2 (``tier=2``, driven by :mod:`repro.vm.tiering`) gives hot
+programs a second, equally lazy translation with *deferred sync*:
+inside a loop-head superblock the counters (instructions, cycles,
+loads, stores, cache accesses), the branch
 predictor's per-ip 2-bit counters, and the PMU countdown all live in
 Python locals, and the loop back edge only folds the path's static totals
 into those locals — the full flush to machine state happens exclusively at
@@ -85,7 +94,8 @@ Three more tier-2 specializations ride on the same exactness argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
+from time import perf_counter
 
 from repro.errors import VMError
 from repro.vm import costs
@@ -172,9 +182,21 @@ _KNOWN_OPS = (
 )
 
 
-@dataclass
+class _Fault(Exception):
+    """Raised at a compiled block's error site with the path-static totals
+    ``(instructions, cycles, loads, stores, branches, message, ip)`` and
+    caught by the same function's fault epilogue — it never leaves a
+    block function."""
+
+
+# A stub admits unconditionally: it retires zero instructions, and its
+# event bound sits below any live countdown (the countdown is >= 1 at
+# every instruction boundary — a sample re-arms it the moment it hits 0).
+_STUB_BOUND = -1
+
+
 class Translation:
-    """All compiled blocks of one program for one PMU event mode.
+    """The block map of one program for one PMU event mode.
 
     ``blocks`` maps a leader ip to ``(fn, n_instructions, event_bound,
     fallback)``; ``fn(machine, regs, words, state, caches, predictor)``
@@ -185,20 +207,115 @@ class Translation:
     armed superblock tree, the driver runs the linear variant instead of
     dropping all the way to the interpreter, so only the last few hundred
     events before each sample interpret.
+
+    Blocks compile on first entry.  Every leader starts as a *stub*
+    entry whose ``fn`` compiles that one block, replaces its own map
+    entry with the result (or deletes it when nothing at the leader is
+    translatable), and hands the same ip back, so the driver
+    re-dispatches under the real block's admission check.  A stub
+    touches no simulated state, which is why it may always be admitted.
     """
 
-    blocks: dict[int, tuple]
-    event: Event | None
-    code_len: int
-    code_id: int
-    source: str  # kept for debugging / tests
-    tier: int = 1
+    def __init__(self, program: Program, emit: dict):
+        self.code = program.code
+        self.code_len = len(self.code)
+        self.compiled: set[int] = set()  # leaders compiled so far
+        self.source_lines = 0
+        self.compile_s = 0.0
+        self._emit = emit
+        # machine.py imports this module lazily, so the reverse import
+        # here cannot form a cycle at module-load time
+        from repro.vm.machine import crc32_mix
+
+        self._namespace = {
+            "VMError": VMError, "crc32_mix": crc32_mix, "_Fault": _Fault,
+        }
+        self.blocks = {ip: self._stub(ip) for ip in block_leaders(program)}
+        self.leaders = len(self.blocks)
 
     def stale_for(self, program: Program) -> bool:
         return (
-            self.code_len != len(program.code)
-            or self.code_id != id(program.code)
+            self.code is not program.code
+            or self.code_len != len(program.code)
         )
+
+    def block(self, ip: int) -> tuple | None:
+        """The compiled entry of leader ``ip`` (compiling it now if it is
+        still a stub), or ``None`` when nothing there translates."""
+        entry = self.blocks.get(ip)
+        if entry is not None and entry[2] == _STUB_BOUND:
+            started = perf_counter()
+            entry = self._compile(ip)
+            self.compile_s += perf_counter() - started
+        return entry
+
+    def stats(self) -> dict:
+        """What translation cost so far: static leaders, blocks actually
+        compiled, generated source lines, and host seconds spent."""
+        return {
+            "leaders": self.leaders,
+            "compiled": len(self.compiled),
+            "source_lines": self.source_lines,
+            "compile_s": round(self.compile_s, 6),
+        }
+
+    def _stub(self, ip: int) -> tuple:
+        return (partial(self._enter, ip), 0, _STUB_BOUND, None)
+
+    def _enter(self, ip, machine, *_):
+        if machine._counting_entries:
+            # the tiered driver counted this dispatch as a block entry,
+            # and it will count the re-dispatch of the real block again
+            entries = machine.block_entries
+            if entries[ip] > 1:
+                entries[ip] -= 1
+            else:
+                del entries[ip]
+        self.block(ip)
+        return ip
+
+    def _compile(self, ip: int) -> tuple | None:
+        emit = self._emit
+        mode, bound_cap = emit["mode"], emit["bound_cap"]
+        emitted = _emit_block(self.code, ip, **emit)
+        if emitted is None:
+            del self.blocks[ip]
+            return None
+        source, n_instr, bound, fallthroughs = emitted
+        linear = None
+        if mode and bound_cap:
+            # the armed tree's bound keeps it out of the last stretch of
+            # every sampling window; give the driver a linear variant
+            # with a tight bound to run there instead of interpreting
+            # (always at the short tier-1 cap — the fallback's whole job
+            # is a small bound)
+            linear = _emit_block(
+                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, suffix="f"
+            )
+            if linear is not None and linear[2] < bound:
+                source += linear[0]
+                fallthroughs = fallthroughs + linear[3]
+            else:
+                linear = None
+        namespace = self._namespace
+        exec(compile(source, f"<fastvm:{mode or 'plain'}>", "exec"), namespace)
+        entry = (
+            namespace.pop(f"_b{ip}"), n_instr, bound,
+            (namespace.pop(f"_b{ip}f"), linear[1], linear[2])
+            if linear is not None
+            else None,
+        )
+        self.blocks[ip] = entry
+        for fall in fallthroughs:
+            # a path that hands control back mid-straight-line-code (size
+            # cap, untranslatable instruction) continues in a block of
+            # its own, so long arithmetic runs never drop to the
+            # interpreter
+            if fall not in self.blocks:
+                self.blocks[fall] = self._stub(fall)
+        self.compiled.add(ip)
+        self.source_lines += source.count("\n")
+        return entry
 
 
 def translation_key(
@@ -215,15 +332,19 @@ def translation_key(
 def translation_for(
     program: Program, event: Event | None, bound_cap: int = 0,
     tier: int = 1, bias: dict | None = None, guard_hook: bool = False,
+    entries: dict | None = None, hot_weight: int = 0,
 ) -> Translation:
     """Return the (cached) translation of ``program`` for ``event``.
 
     ``bound_cap`` is the armed tree-growth allowance in worst-case
     countdown events (0 disables armed trees); unarmed translations
-    ignore it.  ``tier=2`` compiles the profile-specialized variant
-    (``bias`` is the promotion-time predictor-counter snapshot;
-    ``guard_hook`` additionally compiles the test-only forced-deopt
-    guard into every loop edge)."""
+    ignore it.  ``tier=2`` is the profile-specialized variant (``bias``
+    is the promotion-time predictor-counter snapshot, ``entries`` and
+    ``hot_weight`` the rolling profile's per-block entry counts and
+    retired instructions; ``guard_hook`` additionally compiles the
+    test-only forced-deopt guard into every loop edge).  The profile
+    arguments are frozen into the translation when it is created, so a
+    block compiled later specializes against the same snapshot."""
     cache = getattr(program, "_vm_translations", None)
     if cache is None:
         cache = {}
@@ -233,7 +354,7 @@ def translation_for(
     if entry is None or entry.stale_for(program):
         entry = translate_program(
             program, event, bound_cap, tier=tier, bias=bias,
-            guard_hook=guard_hook,
+            guard_hook=guard_hook, entries=entries, hot_weight=hot_weight,
         )
         cache[key] = entry
     return entry
@@ -244,14 +365,12 @@ def translate_program(
     tier: int = 1, bias: dict | None = None, guard_hook: bool = False,
     entries: dict | None = None, hot_weight: int = 0,
 ) -> Translation:
-    """Decode ``program`` into basic blocks and compile each one.
+    """Decode ``program`` into block leaders; compile none of them yet.
 
-    Beyond the classic leaders, the worklist also chains *continuation*
-    blocks: when a block hits the size cap (or stops before an
-    untranslatable instruction) mid-straight-line-code, its fall-through
-    address gets a block of its own, so long arithmetic runs never drop
-    into the interpreter.
-    """
+    The returned :class:`Translation` holds a stub for every leader from
+    :func:`~repro.vm.isa.block_leaders` and compiles a block the first
+    time the driver enters it — a query only ever pays for the blocks it
+    runs."""
     mode = _MODES[event]
     # armed translations cap trace length so worst-case event bounds stay
     # well under the countdown; unarmed ones have no countdown to protect
@@ -269,78 +388,13 @@ def translate_program(
         # dispatch per iteration.
         cap = costs.FAST_VM_MAX_BLOCK_PLAIN
     # tier-2 trees may grow much larger: their compile time is only paid
-    # for programs the profile already proved hot
-    tree_budget = costs.TIER2_TREE_BUDGET if tier >= 2 else _TREE_BUDGET
-    tree_depth = costs.TIER2_TREE_DEPTH if tier >= 2 else _TREE_DEPTH
-    code = program.code
-    leaders = block_leaders(program)
-    chunks: list[str] = []
-    metas: list[tuple[int, int, int, tuple | None]] = []
-    done: set[int] = set()
-    queue = sorted(leaders)
-    while queue:
-        start = queue.pop()
-        if start in done or not 0 <= start < len(code):
-            continue
-        done.add(start)
-        emitted = _emit_block(
-            code, start, cap, mode, bound_cap, tier=tier, bias=bias,
-            guard_hook=guard_hook, tree_budget=tree_budget,
-            tree_depth=tree_depth, entries=entries, hot_weight=hot_weight,
-        )
-        if emitted is None:
-            continue
-        src, n_instr, bound, fallthroughs = emitted
-        chunks.append(src)
-        fb_meta = None
-        if mode and bound_cap:
-            # the armed tree's bound keeps it out of the last stretch of
-            # every sampling window; give the driver a linear variant
-            # with a tight bound to run there instead of interpreting
-            # (always at the short tier-1 cap — the fallback's whole job
-            # is a small bound)
-            linear = _emit_block(
-                code, start, costs.FAST_VM_MAX_BLOCK, mode, 0, suffix="f"
-            )
-            if linear is not None and linear[2] < bound:
-                lin_src, lin_n, lin_bound, lin_falls = linear
-                chunks.append(lin_src)
-                fb_meta = (lin_n, lin_bound)
-                fallthroughs = list(fallthroughs) + list(lin_falls)
-        metas.append((start, n_instr, bound, fb_meta))
-        for ft in fallthroughs:
-            if ft not in done:
-                queue.append(ft)
-    source = "\n".join(chunks)
-    namespace: dict = {"VMError": VMError, "crc32_mix": _crc32_mix()}
-    exec(compile(source, f"<fastvm:{mode or 'plain'}>", "exec"), namespace)
-    blocks = {
-        start: (
-            namespace[f"_b{start}"], n_instr, bound,
-            (
-                (namespace[f"_b{start}f"], fb_meta[0], fb_meta[1])
-                if fb_meta is not None
-                else None
-            ),
-        )
-        for start, n_instr, bound, fb_meta in metas
-    }
-    return Translation(
-        blocks=blocks,
-        event=event,
-        code_len=len(code),
-        code_id=id(code),
-        source=source,
-        tier=tier,
-    )
-
-
-def _crc32_mix():
-    # machine.py imports this module lazily, so the reverse import here
-    # cannot form a cycle at module-load time
-    from repro.vm.machine import crc32_mix
-
-    return crc32_mix
+    # for blocks the profile already proved hot *and* the run re-enters
+    return Translation(program, dict(
+        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier, bias=bias,
+        guard_hook=guard_hook, entries=entries, hot_weight=hot_weight,
+        tree_budget=costs.TIER2_TREE_BUDGET if tier >= 2 else _TREE_BUDGET,
+        tree_depth=costs.TIER2_TREE_DEPTH if tier >= 2 else _TREE_DEPTH,
+    ))
 
 
 def _translatable(ins: tuple) -> bool:
@@ -418,8 +472,8 @@ def _emit_block(
     Returns ``(source, max_path_instructions, event_bound,
     fallthrough_ips)``; the fallthrough ips are continuation addresses
     where some path of the block hands control back without a terminator
-    (size cap or untranslatable instruction), so :func:`translate_program`
-    can chain continuation blocks there.
+    (size cap or untranslatable instruction), so the :class:`Translation`
+    can register continuation blocks there.
 
     Blocks rooted at loop heads may grow *superblock trees*: the
     continuation of a side exit is decoded and inlined into the taken arm
@@ -549,7 +603,7 @@ def _emit_block(
     # edges, expanded once the worst-case path length is known.
     used_regs: set[int] = set()
     written_regs: set[int] = set()
-    flags = {"mem": False, "loop": False}
+    flags = {"mem": False, "loop": False, "fault": False}
     fallthroughs: list[int] = []
     max_k = 0  # worst-case instructions retired on any path
     emitted = 0  # total instructions emitted (tree growth budget)
@@ -562,6 +616,15 @@ def _emit_block(
         used_regs.add(i)
         written_regs.add(i)
         return f"r{i}"
+
+    def countdown_events(instr, cycles, loads) -> str:
+        """What a path costs the countdown in this block's mode, as
+        source text ("0": nothing); the arguments are the path's
+        instruction, cycle and load totals."""
+        return str({
+            "instr": instr, "cycles": cycles, "loads": loads,
+            "l1": "_mi" if track_l1 else 0,
+        }.get(mode, 0))
 
     def try_inline(t, k, pend0, loads0, stores0, branches0, path, depth):
         """Inline the continuation at ``t`` into the current arm.
@@ -615,44 +678,19 @@ def _emit_block(
                 return f"cy + {const}" if const else "cy"
             return str(const)
 
-        def emit_error_sync(k: int, extra: int = 0) -> None:
+        def emit_fault(k: int, message: str, ip: int) -> None:
+            """Error site (one line, inside the guarding ``if``/``except``):
+            raise the path-static totals — ``k`` instructions including
+            the faulting one, the cycles before it — to the function's
+            one fault epilogue, which writes back and syncs exactly as
+            the interpreter would have before raising the VMError."""
             nonlocal max_k
             max_k = max(max_k, k)
-            lines.append(f"\x00WB        \x00{branches_done}")
-            expr = cy_expr(pend + extra)
-            if deferred:
-                # fold the deferred accumulators back in so the raised
-                # error leaves the exact interpreter-visible state
-                lines.append(
-                    f"        state.cycles += _cyt + {expr}"
-                    if expr != "0"
-                    else "        state.cycles += _cyt"
-                )
-                lines.append(f"        state.instructions += _ins + {k}")
-                ld = f"_ld + {loads_done}" if loads_done else "_ld"
-                st = f"_st + {stores_done}" if stores_done else "_st"
-                lines.append(f"        state.loads += {ld}")
-                lines.append(f"        state.stores += {st}")
-                total = loads_done + stores_done
-                lines.append(
-                    f"        caches.accesses += _ld + _st + {total}"
-                    if total
-                    else "        caches.accesses += _ld + _st"
-                )
-                if mode:
-                    lines.append("        m._countdown = _cd")
-                return
-            if expr != "0":
-                lines.append(f"        state.cycles += {expr}")
-            lines.append(f"        state.instructions += {k}")
-            if loads_done:
-                lines.append(f"        state.loads += {loads_done}")
-            if stores_done:
-                lines.append(f"        state.stores += {stores_done}")
-            if loads_done + stores_done:
-                lines.append(
-                    f"        caches.accesses += {loads_done + stores_done}"
-                )
+            flags["fault"] = True
+            lines.append(
+                f"        raise _Fault({k}, {cy_expr(pend)}, {loads_done},"
+                f" {stores_done}, {branches_done}, {message}, {ip})"
+            )
 
         def emit_sync(
             k: int, extra, instr_events: int, indent: str = "    "
@@ -668,73 +706,37 @@ def _emit_block(
                 expr = cy_expr(pend + extra)
             else:
                 expr = f"{cy_expr(pend)} + {extra}"
-            if deferred:
-                ld = f"_ld + {loads_done}" if loads_done else "_ld"
-                st = f"_st + {stores_done}" if stores_done else "_st"
-                lines.append(f"{indent}state.loads += {ld}")
-                lines.append(f"{indent}state.stores += {st}")
-                total = loads_done + stores_done
-                lines.append(
-                    f"{indent}caches.accesses += _ld + _st + {total}"
-                    if total
-                    else f"{indent}caches.accesses += _ld + _st"
-                )
-                if mode == "cycles":
-                    lines.append(f"{indent}_t = {expr}")
-                    lines.append(f"{indent}state.cycles += _cyt + _t")
-                    lines.append(f"{indent}state.instructions += _ins + {k}")
-                    lines.append(f"{indent}m._countdown = _cd - _t")
-                else:
-                    lines.append(
-                        f"{indent}state.cycles += _cyt + {expr}"
-                        if expr != "0"
-                        else f"{indent}state.cycles += _cyt"
-                    )
-                    lines.append(f"{indent}state.instructions += _ins + {k}")
-                    if mode == "instr":
-                        lines.append(
-                            f"{indent}m._countdown = _cd - {instr_events}"
-                            if instr_events
-                            else f"{indent}m._countdown = _cd"
-                        )
-                    elif mode == "loads":
-                        lines.append(
-                            f"{indent}m._countdown = _cd - {loads_done}"
-                            if loads_done
-                            else f"{indent}m._countdown = _cd"
-                        )
-                    elif track_l1:
-                        lines.append(f"{indent}m._countdown = _cd - _mi")
-                    elif mode:
-                        lines.append(f"{indent}m._countdown = _cd")
-                return
-            if loads_done:
-                lines.append(f"{indent}state.loads += {loads_done}")
-            if stores_done:
-                lines.append(f"{indent}state.stores += {stores_done}")
-            if loads_done + stores_done:
-                lines.append(
-                    f"{indent}caches.accesses += {loads_done + stores_done}"
-                )
+
+            def add(target: str, accumulator: str, amount) -> None:
+                # a deferred loop folds its accumulator in with the
+                # path's constant; a zero amount adds nothing
+                terms = [
+                    term
+                    for term in (accumulator if deferred else "", str(amount))
+                    if term and term != "0"
+                ]
+                if terms:
+                    lines.append(f"{indent}{target} += {' + '.join(terms)}")
+
+            add("state.loads", "_ld", loads_done)
+            add("state.stores", "_st", stores_done)
+            add("caches.accesses", "_ld + _st", loads_done + stores_done)
             if mode == "cycles":
                 lines.append(f"{indent}_t = {expr}")
-                lines.append(f"{indent}state.cycles += _t")
-                lines.append(f"{indent}state.instructions += {k}")
-                lines.append(f"{indent}m._countdown -= _t")
-            else:
-                if expr != "0":
-                    lines.append(f"{indent}state.cycles += {expr}")
-                lines.append(f"{indent}state.instructions += {k}")
-                if mode == "instr" and instr_events:
-                    lines.append(f"{indent}m._countdown -= {instr_events}")
-                elif mode == "loads" and loads_done:
-                    lines.append(f"{indent}m._countdown -= {loads_done}")
-                elif track_l1:
-                    lines.append(f"{indent}m._countdown -= _mi")
+                expr = "_t"
+            add("state.cycles", "_cyt", expr)
+            add("state.instructions", "_ins", k)
+            paid = countdown_events(instr_events, "_t", loads_done)
+            if deferred and mode:
+                # the countdown lives in ``_cd`` while the loop runs
+                lines.append(
+                    f"{indent}m._countdown = _cd"
+                    + (f" - {paid}" if paid != "0" else "")
+                )
+            elif paid != "0":
+                lines.append(f"{indent}m._countdown -= {paid}")
 
-        def emit_edge_acc(
-            k: int, extra, instr_events: int, indent: str = "    "
-        ) -> int:
+        def emit_edge_acc(k: int, extra: int, indent: str = "    ") -> int:
             """Deferred loop edge: fold the path's static totals into the
             function-local accumulators instead of flushing — the flush
             happens only if the admission re-check fails (see the \\x00LE
@@ -744,14 +746,12 @@ def _emit_block(
             -1."""
             nonlocal max_k
             max_k = max(max_k, k)
+            static = pend + extra
             if slim:
                 idx = len(edges)
                 edges.append({
-                    "k": k,
-                    "ld": loads_done,
-                    "st": stores_done,
-                    "cy": pend + (extra if isinstance(extra, int) else 0),
-                    "pb": branches_done,
+                    "k": k, "ld": loads_done, "st": stores_done,
+                    "cy": static, "pb": branches_done,
                 })
                 lines.append(f"{indent}_e{idx} += 1")
                 return idx
@@ -762,28 +762,19 @@ def _emit_block(
                 lines.append(f"{indent}_st += {stores_done}")
             if branches_done:
                 lines.append(f"{indent}_pb += {branches_done}")
-            if isinstance(extra, int):
-                expr = cy_expr(pend + extra)
-            else:
-                expr = f"{cy_expr(pend)} + {extra}"
             if mode == "cycles":
-                lines.append(f"{indent}_t = {expr}")
+                lines.append(f"{indent}_t = {cy_expr(static)}")
                 lines.append(f"{indent}_cyt += _t")
-                lines.append(f"{indent}_cd -= _t")
-            else:
-                if defer_cy and isinstance(extra, int):
-                    # ``cy`` rides across iterations; only the path's
-                    # static cycles fold into the accumulator here
-                    if pend + extra:
-                        lines.append(f"{indent}_cyt += {pend + extra}")
-                elif expr != "0":
-                    lines.append(f"{indent}_cyt += {expr}")
-                if mode == "instr" and instr_events:
-                    lines.append(f"{indent}_cd -= {instr_events}")
-                elif mode == "loads" and loads_done:
-                    lines.append(f"{indent}_cd -= {loads_done}")
-                elif track_l1:
-                    lines.append(f"{indent}_cd -= _mi")
+            elif defer_cy:
+                # ``cy`` rides across iterations; only the path's
+                # static cycles fold into the accumulator here
+                if static:
+                    lines.append(f"{indent}_cyt += {static}")
+            elif cy_expr(static) != "0":
+                lines.append(f"{indent}_cyt += {cy_expr(static)}")
+            paid = countdown_events(k, "_t", loads_done)
+            if paid != "0":
+                lines.append(f"{indent}_cd -= {paid}")
             return -1
 
         def emit_loop_edge(indent: str, edge_idx: int = -1) -> None:
@@ -908,8 +899,7 @@ def _emit_block(
                     f"    _b = {rg(b)}",
                     "    if _b == 0:",
                 ]
-                emit_error_sync(k)
-                lines.append(f"        raise VMError('division by zero', {ip})")
+                emit_fault(k, "'division by zero'", ip)
                 if tier >= 2:
                     # specialized trace: for non-negative operands (the
                     # overwhelmingly common case: quantities, prices,
@@ -934,11 +924,8 @@ def _emit_block(
                     f"    _b = {rg(b)}",
                     "    if _b == 0:",
                 ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('remainder by zero', {ip})",
-                    f"    _a = {rg(a)}",
-                ]
+                emit_fault(k, "'remainder by zero'", ip)
+                lines.append(f"    _a = {rg(a)}")
                 if tier >= 2:
                     # same non-negative fast path; the remainder is built
                     # from the same quotient expression as the cold arm so
@@ -965,11 +952,8 @@ def _emit_block(
                     f"    _b = {rg(b)}",
                     "    if _b == 0:",
                 ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('fdiv by zero', {ip})",
-                    f"    {wr(d)} = {rg(a)} / _b",
-                ]
+                emit_fault(k, "'fdiv by zero'", ip)
+                lines.append(f"    {wr(d)} = {rg(a)} / _b")
                 pend += costs.CYCLES_DIV
             elif op == Opcode.CVTIF:
                 lines.append(f"    {wr(d)} = float({rg(a)})")
@@ -1009,140 +993,69 @@ def _emit_block(
                     f"    {wr(d)} = _a if _a {sym} _b else _b",
                 ]
                 pend += 1
-            elif op == Opcode.LOAD and tier >= 2:
-                # tier-2 load: assignment expressions fuse the address,
-                # line, and set lookups into the guards, and the L1-hit
-                # latency is folded into the path-static cycles (``pend``)
-                # — the all-hits fast path retires in three statements.
-                # ``_mln`` memoizes the line of the *previous* memory op:
-                # that line is by construction the MRU entry of its set
-                # (every arm below ends with the accessed line at MRU
-                # position), so a repeat access to it is a guaranteed
-                # L1 MRU hit and skips the whole set lookup — one shift
-                # and one compare.  The hit-not-MRU arm inlines
-                # CacheLevel.access's LRU move-to-front; only true L1
-                # misses call out, charging the latency *difference*
-                # against the folded constant.
+            elif op == Opcode.LOAD or op == Opcode.STORE:
+                # LOAD is (op, dst, base, imm), STORE (op, base, src, imm).
+                # The address check and the access fuse into two guards;
+                # the L1-hit latency (a store's cost was always static)
+                # is folded into the path-static cycles (``pend``), so a
+                # hit retires without touching ``cy`` and only a true L1
+                # miss calls out — a load then charges the latency
+                # *difference* against the folded constant.
+                load = op == Opcode.LOAD
+                kind = "load" if load else "store"
+                base = rg(a if load else d)
+                access = (
+                    f"{wr(d)} = words[_x >> 3]" if load
+                    else f"words[_x >> 3] = {rg(a)}"
+                )
                 flags["mem"] = True
-                addr = f"{rg(a)} + {b}" if b else rg(a)
-                lines.append(f"    if (_x := {addr}) & 7 or _x < 8:")
-                emit_error_sync(k)
+                lines.append(
+                    f"    if (_x := {f'{base} + {b}' if b else base})"
+                    " & 7 or _x < 8:"
+                )
+                emit_fault(k, f"'unaligned or null {kind} at %#x' % _x", ip)
                 lines += [
-                    f"        raise VMError('unaligned or null load"
-                    f" at %#x' % _x, {ip})",
-                    "    try:",
-                    f"        {wr(d)} = words[_x >> 3]",
-                    "    except IndexError:",
+                    "    try:", f"        {access}", "    except IndexError:",
                 ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('load out of bounds"
-                    f" at %#x' % _x, {ip}) from None",
-                    "    if (_ln := _x >> _lb) != _mln:",
-                    "        _mln = _ln",
-                    "        if not (_tg := _l1s[_ln & _l1m])"
-                    " or _tg[0] != _ln:",
-                    "            if _ln in _tg:",
-                    "                _tg.remove(_ln)",
-                    "                _tg.insert(0, _ln)",
-                    "            else:",
-                    "                _c = _acc(_x)",
-                    f"                cy += _c - {costs.LAT_L1}",
-                ]
-                if mode == "l1":
-                    lines.append(f"                if _c > {costs.LAT_L1}:")
-                    lines.append("                    _mi += 1")
-                pend += costs.LAT_L1
-                loads_done += 1
-            elif op == Opcode.LOAD:
-                flags["mem"] = True
-                addr = f"{rg(a)} + {b}" if b else rg(a)
-                lines += [
-                    f"    _x = {addr}",
-                    "    if _x & 7 or _x < 8:",
-                ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('unaligned or null load"
-                    f" at %#x' % _x, {ip})",
-                    "    try:",
-                    f"        {wr(d)} = words[_x >> 3]",
-                    "    except IndexError:",
-                ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('load out of bounds"
-                    f" at %#x' % _x, {ip}) from None",
-                    "    _ln = _x >> _lb",
-                    "    _tg = _l1s[_ln & _l1m]",
-                    "    if _tg and _tg[0] == _ln:",
-                    f"        cy += {costs.LAT_L1}",
-                    "    else:",
-                    "        _c = _acc(_x)",
-                    "        cy += _c",
-                ]
-                if mode == "l1":
-                    lines.append(f"        if _c > {costs.LAT_L1}:")
-                    lines.append("            _mi += 1")
-                loads_done += 1
-            elif op == Opcode.STORE and tier >= 2:
-                # tier-2 store: same fusion and same-line memoization as
-                # the tier-2 load (store latency was always path-static),
-                # same inline LRU move-to-front on the hit-not-MRU arm
-                flags["mem"] = True
-                addr = f"{rg(d)} + {b}" if b else rg(d)
-                lines.append(f"    if (_x := {addr}) & 7 or _x < 8:")
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('unaligned or null store"
-                    f" at %#x' % _x, {ip})",
-                    "    try:",
-                    f"        words[_x >> 3] = {rg(a)}",
-                    "    except IndexError:",
-                ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('store out of bounds"
-                    f" at %#x' % _x, {ip}) from None",
-                    "    if (_ln := _x >> _lb) != _mln:",
-                    "        _mln = _ln",
-                    "        if not (_tg := _l1s[_ln & _l1m])"
-                    " or _tg[0] != _ln:",
-                    "            if _ln in _tg:",
-                    "                _tg.remove(_ln)",
-                    "                _tg.insert(0, _ln)",
-                    "            else:",
-                    "                _acc(_x)",
-                ]
-                pend += costs.CYCLES_STORE
-                stores_done += 1
-            elif op == Opcode.STORE:
-                # STORE encodes (op, base_reg, src_reg, imm)
-                flags["mem"] = True
-                addr = f"{rg(d)} + {b}" if b else rg(d)
-                lines += [
-                    f"    _x = {addr}",
-                    "    if _x & 7 or _x < 8:",
-                ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('unaligned or null store"
-                    f" at %#x' % _x, {ip})",
-                    "    try:",
-                    f"        words[_x >> 3] = {rg(a)}",
-                    "    except IndexError:",
-                ]
-                emit_error_sync(k)
-                lines += [
-                    f"        raise VMError('store out of bounds"
-                    f" at %#x' % _x, {ip}) from None",
-                    "    _ln = _x >> _lb",
-                    "    _tg = _l1s[_ln & _l1m]",
-                    "    if not _tg or _tg[0] != _ln:",
-                    "        _acc(_x)",
-                ]
-                pend += costs.CYCLES_STORE
-                stores_done += 1
+                emit_fault(k, f"'{kind} out of bounds at %#x' % _x", ip)
+                miss = ["_acc(_x)"]
+                if load:
+                    miss = ["_c = _acc(_x)", f"cy += _c - {costs.LAT_L1}"]
+                    if mode == "l1":
+                        miss += [f"if _c > {costs.LAT_L1}:", "    _mi += 1"]
+                if tier >= 2:
+                    # ``_mln`` memoizes the line of the *previous* memory
+                    # op: that line is by construction the MRU entry of
+                    # its set (every arm below ends with the accessed
+                    # line at MRU position), so a repeat access to it is
+                    # a guaranteed L1 MRU hit and skips the whole set
+                    # lookup — one shift and one compare.  The
+                    # hit-not-MRU arm inlines CacheLevel.access's LRU
+                    # move-to-front.
+                    lines += [
+                        "    if (_ln := _x >> _lb) != _mln:",
+                        "        _mln = _ln",
+                        "        if not (_tg := _l1s[_ln & _l1m])"
+                        " or _tg[0] != _ln:",
+                        "            if _ln in _tg:",
+                        "                _tg.remove(_ln)",
+                        "                _tg.insert(0, _ln)",
+                        "            else:",
+                        *(f"                {ln}" for ln in miss),
+                    ]
+                else:
+                    lines += [
+                        "    _ln = _x >> _lb",
+                        "    _tg = _l1s[_ln & _l1m]",
+                        "    if not _tg or _tg[0] != _ln:",
+                        *(f"        {ln}" for ln in miss),
+                    ]
+                if load:
+                    pend += costs.LAT_L1
+                    loads_done += 1
+                else:
+                    pend += costs.CYCLES_STORE
+                    stores_done += 1
 
             # -- control flow ----------------------------------------------
             elif op == Opcode.JMP:
@@ -1152,7 +1065,7 @@ def _emit_block(
                     pend += costs.CYCLES_BRANCH
                 elif d == start:
                     if deferred:
-                        eidx = emit_edge_acc(k, costs.CYCLES_BRANCH, k)
+                        eidx = emit_edge_acc(k, costs.CYCLES_BRANCH)
                     else:
                         emit_sync(k, costs.CYCLES_BRANCH, k)
                         eidx = -1
@@ -1213,7 +1126,7 @@ def _emit_block(
                     ]
                 arm = "        "
                 if a == start:
-                    eidx = emit_edge_acc(k, costs.CYCLES_BRANCH, k, arm)
+                    eidx = emit_edge_acc(k, costs.CYCLES_BRANCH, arm)
                     emit_loop_edge(arm, eidx)
                 else:
                     sub = try_inline(
@@ -1294,10 +1207,10 @@ def _emit_block(
                     f"    m.call_stack.append({ip + 1})",
                     "    if len(m.call_stack) > 256:",
                 ]
-                emit_error_sync(k, extra=costs.CYCLES_CALL)
-                lines.append(
-                    f"        raise VMError('call stack overflow', {ip})"
-                )
+                # the interpreter charges the call's cycles before it
+                # checks the depth, but ticks the countdown only after
+                lines.append(f"        state.cycles += {costs.CYCLES_CALL}")
+                emit_fault(k, "'call stack overflow'", ip)
                 emit_sync(k, costs.CYCLES_CALL, k)
                 lines.append(f"    return {d}")
             elif op == Opcode.RET:
@@ -1371,27 +1284,39 @@ def _emit_block(
             f"_cyt = {_recon_expr('cy')}",
             f"_pb = {_recon_expr('pb')}",
         ]
+
+    def write_back(branches: str = "0") -> list[str]:
+        """What every way out of the function — exit, deopt flush, fault
+        epilogue — starts with: the cached registers, and in a deferred
+        loop the slim-edge reconstruction and the predictor state
+        (``branches`` is the path's static count on top of ``_pb``)."""
+        out = [f"regs[{i}] = r{i}" for i in written]
+        if deferred:
+            out += recon
+            out.append(
+                "predictor.branches += _pb"
+                + (f" + {branches}" if branches != "0" else "")
+            )
+            out.append("predictor.mispredicts += _pm")
+            out.extend(
+                f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
+                for bip in sorted(branch_ips)
+            )
+        return out
+
     if deferred:
         budget_cond = f"_ib + _ins + {max_k} > _maxi"
         le_cond = f"_cd <= {bound} or {budget_cond}" if mode else budget_cond
         # the uniform deopt flush: everything the accumulators deferred
         # goes back to machine state before the driver regains control
-        flush = list(recon)
-        flush += [f"regs[{i}] = r{i}" for i in written]
-        flush += [
+        flush = write_back() + [
             "state.instructions += _ins",
             "state.cycles += _cyt + cy" if defer_cy and has_dyn
             else "state.cycles += _cyt",
             "state.loads += _ld",
             "state.stores += _st",
             "caches.accesses += _ld + _st",
-            "predictor.branches += _pb",
-            "predictor.mispredicts += _pm",
         ]
-        flush.extend(
-            f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
-            for bip in sorted(branch_ips)
-        )
         if mode:
             flush.append("m._countdown = _cd")
     elif mode:
@@ -1409,16 +1334,7 @@ def _emit_block(
         # (LE) carried behind a second NUL
         if "\x00WB" in ln:
             indent, _, bd = ln.replace("\x00WB", "").partition("\x00")
-            expanded.extend(f"{indent}regs[{i}] = r{i}" for i in written)
-            if deferred:
-                expanded.extend(f"{indent}{r}" for r in recon)
-                pb = f"_pb + {bd}" if bd not in ("", "0") else "_pb"
-                expanded.append(f"{indent}predictor.branches += {pb}")
-                expanded.append(f"{indent}predictor.mispredicts += _pm")
-                expanded.extend(
-                    f"{indent}if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
-                    for bip in sorted(branch_ips)
-                )
+            expanded.extend(indent + out for out in write_back(bd))
         elif "\x00LE" in ln:
             indent, _, eidx = ln.replace("\x00LE", "").partition("\x00")
             if deferred:
@@ -1505,6 +1421,39 @@ def _emit_block(
         body = ["    while True:"] + ["    " + ln for ln in expanded]
     else:
         body = expanded
+    if flags["fault"]:
+        # The one fault epilogue: every error site raises _Fault with its
+        # path-static totals, and the write-back plus counter sync the
+        # interpreter would have performed by then is emitted once, here
+        # (a ``try`` costs nothing until it catches).  Every path
+        # through the body returns, so the code after the handler is
+        # reached only by a fault.  The countdown pays for what retired
+        # *before* the faulting instruction, as the interpreter does.
+        paid = countdown_events("_fk - 1", "_fc", "_fl")
+        acc = (lambda name: f"{name} + ") if deferred else (lambda name: "")
+        epilogue = write_back("_fb") + [
+            f"state.cycles += {acc('_cyt')}_fc",
+            f"state.instructions += {acc('_ins')}_fk",
+            f"state.loads += {acc('_ld')}_fl",
+            f"state.stores += {acc('_st')}_fs",
+            f"caches.accesses += {acc('_ld + _st')}_fl + _fs",
+        ]
+        if deferred and mode:
+            epilogue.append(
+                "m._countdown = _cd" + (f" - ({paid})" if paid != "0" else "")
+            )
+        elif paid != "0":
+            epilogue.append(f"m._countdown -= {paid}")
+        body = (
+            ["    try:"]
+            + ["    " + ln for ln in body]
+            + [
+                "    except _Fault as _f:",
+                "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _f.args",
+            ]
+            + ["    " + ln for ln in epilogue]
+            + ["    raise VMError(_fm, _fi)"]
+        )
     return "\n".join(head + body) + "\n", max_k, bound, fallthroughs
 
 

@@ -7,7 +7,13 @@ template-translated fast VM, and the tier-2 profile-specialized traces
 the timed region) — so the measured deltas are purely the execution
 engine, never the planner or backend.  Compilation happens once per
 query outside the timed region; each engine takes the best of
-``repeats`` runs to shed scheduler noise.
+``repeats`` runs to shed scheduler noise.  Those are *warm* times: the
+fast VM translates a block the first time a run enters it, so each
+query's record also carries ``cold_s`` — the first fast-VM run of the
+freshly compiled program, translation inside the stopwatch — and
+``cold_vs_interp``, that run as a multiple of the interpreter's time.
+A warm ``speedup`` says what a cached plan gains per run, the cold
+ratio what the first answer costs.
 
 Every run also asserts parity: all engines must produce identical result
 rows and identical (cycles, instructions) counters, so a speedup obtained
@@ -106,11 +112,16 @@ def run_vm_bench(
         compiled = db._compile(sql, None)
         compile_s = time.perf_counter() - started
 
+        # first run of a fresh Program: every block it enters translates
+        # inside the stopwatch
+        cold_s, _, _, _ = _timed_run(db, compiled, True)
+
         # promote to tier 2 before the timed region: the first observed
-        # run crosses the (floor-level) hotness threshold and recompiles
-        # against its rolling profile
+        # run crosses the (floor-level) hotness threshold, the second
+        # translates the tier-2 blocks it enters against that profile
         tiering = TieringController(hot_instructions=1)
-        db._run_compiled(compiled, fast_vm=True, tiering=tiering)
+        for _ in range(2):
+            db._run_compiled(compiled, fast_vm=True, tiering=tiering)
 
         # Tier 1 and tier 2 are close (tens of percent, not multiples),
         # so their comparison interleaves the sides within every round
@@ -156,17 +167,21 @@ def run_vm_bench(
         tiered_speedup = _median(ratios)
         per_query[name] = {
             "compile_s": round(compile_s, 4),
+            "cold_s": round(cold_s, 4),
             "fast_s": round(fast_s, 4),
             "tiered_s": round(tiered_s, 4),
             "interp_s": round(slow_s, 4),
             "speedup": round(speedup, 3),
+            "cold_vs_interp": round(cold_s / slow_s, 3),
             "tiered_speedup": round(tiered_speedup, 3),
         }
         emit(
             f"{name}: interp {slow_s * 1000:7.1f} ms   "
+            f"cold {cold_s * 1000:7.1f} ms   "
             f"fast {fast_s * 1000:7.1f} ms   "
             f"tiered {tiered_s * 1000:7.1f} ms   "
-            f"{speedup:5.2f}x   t2 {tiered_speedup:5.2f}x"
+            f"{speedup:5.2f}x   cold {cold_s / slow_s:5.2f}x interp   "
+            f"t2 {tiered_speedup:5.2f}x"
         )
     geomean = math.exp(
         sum(math.log(q["speedup"]) for q in per_query.values())
@@ -205,26 +220,25 @@ def run_vm_bench(
 def format_table(record: dict) -> str:
     """Render one run record as the benchmark-suite report table."""
     lines = [
-        f"{'query':<6} {'interp (ms)':>12} {'fast (ms)':>12} "
-        f"{'tiered (ms)':>12} {'speedup':>9} {'t2/t1':>8}"
+        f"{'query':<6} {'interp (ms)':>12} {'cold (ms)':>12} "
+        f"{'fast (ms)':>12} {'tiered (ms)':>12} {'speedup':>9} "
+        f"{'cold/interp':>12} {'t2/t1':>8}"
     ]
+
+    def ms(seconds):
+        return "-" if seconds is None else f"{seconds * 1000:.1f}"
+
+    def ratio(value):
+        return "-" if value is None else f"{value:.2f}x"
+
     for name, q in record["queries"].items():
-        tiered_s = q.get("tiered_s")
-        tiered_speedup = q.get("tiered_speedup")
+        # a row recorded before a column existed prints a dash there
         lines.append(
-            f"{name:<6} {q['interp_s'] * 1000:>12.1f} "
-            f"{q['fast_s'] * 1000:>12.1f} "
-            + (
-                f"{tiered_s * 1000:>12.1f} "
-                if tiered_s is not None
-                else f"{'-':>12} "
-            )
-            + f"{q['speedup']:>8.2f}x"
-            + (
-                f" {tiered_speedup:>7.2f}x"
-                if tiered_speedup is not None
-                else f" {'-':>8}"
-            )
+            f"{name:<6} {ms(q['interp_s']):>12} {ms(q.get('cold_s')):>12} "
+            f"{ms(q['fast_s']):>12} {ms(q.get('tiered_s')):>12} "
+            f"{ratio(q['speedup']):>9} "
+            f"{ratio(q.get('cold_vs_interp')):>12} "
+            f"{ratio(q.get('tiered_speedup')):>8}"
         )
     lines.append(f"geomean speedup: {record['geomean_speedup']:.3f}x")
     if "tiered_geomean_speedup" in record:

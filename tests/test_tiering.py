@@ -162,6 +162,26 @@ def test_entry_counting_stops_after_promotion():
     assert not machine.block_entries
 
 
+@pytest.mark.parametrize(
+    "pmu", [None, PmuConfig(event=Event.CYCLES, period=2048)],
+    ids=["unarmed", "armed"],
+)
+def test_stub_dispatches_are_not_block_entries(pmu):
+    # blocks compile on first entry: the first machine reaches every
+    # block through a stub that hands the same ip back, and that extra
+    # dispatch must not show up in the entry profile tier 2 is gated on
+    program = build_program()
+    controller = TieringController(hot_instructions=10**12)
+    first, _ = run_machine(program, pmu=pmu, tiering=controller)
+    assert first.translation.compiled
+    # same program, same translation, now fully materialised
+    second, _ = run_machine(program, pmu=pmu, tiering=controller)
+    assert second.translation is first.translation
+    assert first.block_entries
+    assert first.block_entries == second.block_entries
+    assert set(first.block_entries) <= first.translation.compiled
+
+
 # -- exactness: tier 2 and deoptimization vs the interpreter -----------------
 
 ARMED = PmuConfig(event=Event.CYCLES, period=2048, record_memaddr=True)
@@ -255,6 +275,13 @@ def test_query_results_carry_the_effective_tier(db):
     assert (second.cycles, second.instructions) == (
         baseline.cycles, baseline.instructions
     )
+    # ... and next to the tier, what that tier's translation cost: only
+    # the blocks the runs entered compiled, at either tier
+    for result in (baseline, second):
+        cost = result.translation
+        assert 0 < cost["compiled"] < cost["leaders"]
+        assert cost["source_lines"] > 0 and cost["compile_s"] > 0
+    assert db.execute(SQL, fast_vm=False).translation is None
 
 
 def test_enable_tiering_and_plan_cache_supersession(db):
@@ -324,6 +351,7 @@ def test_service_promotes_and_reports_tiers():
     assert all(r.status == "ok" for r in results)
     tiers = [r.tier for r in results]
     assert max(tiers) == 2, f"no query re-tiered: {tiers}"
+    assert all(r.translation["compiled"] > 0 for r in results)
     for r in results:
         assert sorted(r.rows) == sorted(baseline.rows)
     stats = service.stats()

@@ -25,6 +25,7 @@ from repro.vm.kernel import Kernel, install_kernel_stubs
 from repro.vm.machine import Machine
 from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig
+from repro.vm.tiering import TieringController
 from repro.vm.translate import translate_program
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
@@ -228,15 +229,229 @@ def test_translation_covers_loop_and_caches():
     program = build_program(LOOP_SUM)
     translation = translate_program(program, None)
     assert 0 in translation.blocks
+    assert translation.stats()["compiled"] == 0  # nothing compiles up front
     # per-block metadata: worst-case instruction count, event bound, and
     # the (armed-only) linear fallback variant
-    fn, max_k, bound, fallback = translation.blocks[0]
+    fn, max_k, bound, fallback = translation.block(0)
+    assert translation.blocks[0] == (fn, max_k, bound, fallback)
     assert callable(fn) and max_k >= 1 and bound >= 0
     assert fallback is None  # unarmed translations have no fallback
     # translations are cached per (program, event)
     m1 = Machine(program, Memory(1 << 20))
     m2 = Machine(program, Memory(1 << 20))
     assert m1._fast_blocks is m2._fast_blocks
+
+
+# -- translation on first entry ----------------------------------------------
+
+
+def fresh_machine(program, pmu=None, **kwargs):
+    machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
+    return machine, loop_setup(machine)
+
+
+def test_only_entered_blocks_compile():
+    # LOOP_SUM plus a leader no run reaches: the target of a branch
+    # that is never taken
+    items = LOOP_SUM[:-2] + [
+        (Op.MOVI, 7, 0, 0),
+        (Op.BRNZ, 7, "dead", 0),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+        Label("dead"),
+        (Op.MOVI, 2, -1, 0),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    program = build_program(items)
+    dead = next(
+        ip for ip, ins in enumerate(program.code)
+        if ins[0] == Op.MOVI and ins[2] == -1
+    )
+    # the tiered driver counts every block it enters (never promotes)
+    controller = TieringController(hot_instructions=10**12)
+    machine, args = fresh_machine(program, tiering=controller)
+    translation = machine.translation
+    assert dead in translation.blocks  # a leader, so it has a stub ...
+    assert not translation.compiled
+    machine.call(0, args)
+    assert translation.compiled == set(machine.block_entries)
+    assert dead not in translation.compiled  # ... that never compiled
+    stats = translation.stats()
+    assert 0 < stats["compiled"] < stats["leaders"]
+    assert stats["source_lines"] > 0 and stats["compile_s"] > 0
+
+
+def test_budget_exhausted_on_a_stub_leader():
+    # the first iteration of LOOP_SUM reaches "even" after 11 retired
+    # instructions: with the budget at exactly 11 the machine stands on a
+    # leader that is still a stub with instructions == max_instructions.
+    # The stub admits (it retires nothing), compiles the block and hands
+    # the ip back; the real block then fails admission and the
+    # interpreter raises the fault.
+    even = 12
+    outcomes = []
+    for fast_vm in (True, False):
+        program = build_program(LOOP_SUM)
+        machine, args = fresh_machine(program, fast_vm=fast_vm)
+        machine.state.max_instructions = 11
+        with pytest.raises(VMError, match="instruction budget") as info:
+            machine.call(0, args)
+        assert info.value.ip == even
+        outcomes.append((str(info.value), machine_observables(machine)))
+        if fast_vm:
+            # compiled during this call, i.e. entered through its stub
+            assert even in machine.translation.compiled
+    assert outcomes[0] == outcomes[1]
+    # and on every other boundary of the first iterations, stub or not
+    for limit in range(0, 40):
+        fast, slow = run_pair(
+            LOOP_SUM, max_instructions=limit, setup=loop_setup
+        )
+        assert fast == slow
+
+
+@pytest.mark.parametrize(
+    "event", [None] + ALL_EVENTS,
+    ids=["unarmed"] + [e.name for e in ALL_EVENTS],
+)
+def test_first_run_matches_materialised_run(event):
+    # one Program, two machines: the first run enters every block through
+    # its stub, the second finds the map fully materialised — counters
+    # and sample streams must not be able to tell
+    pmu = (
+        PmuConfig(event=event, period=150, record_memaddr=True)
+        if event is not None else None
+    )
+    program = build_program(LOOP_SUM)
+    first, args = fresh_machine(program, pmu)
+    translation = first.translation
+    first_result = first.call(0, args)
+    compiled = set(translation.compiled)
+    assert compiled
+    second, args = fresh_machine(program, pmu)
+    assert second.translation is translation
+    assert second.call(0, args) == first_result
+    assert translation.compiled == compiled  # nothing new to compile
+    assert machine_observables(first) == machine_observables(second)
+    assert first._countdown == second._countdown
+
+
+# -- the fault epilogue ------------------------------------------------------
+
+
+def faulting_loop(kind):
+    """r0 = base, r1 = count, r8 = the iteration whose access goes to the
+    bad address in r9 (every other iteration touches a[i])."""
+    good, picked = 10, 5
+    access = (
+        [(Op.STORE, good, 3, 0), (Op.LOAD, 6, picked, 0)]
+        if kind == "load"
+        else [(Op.LOAD, 6, good, 0), (Op.STORE, picked, 3, 0)]
+    )
+    return [
+        (Op.MOVI, 2, 0, 0),
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.SHLI, good, 3, 3),
+        (Op.ADD, good, 0, good),           # &a[i]
+        (Op.CMPEQ, 7, 3, 8),
+        (Op.SELECT, picked, 7, (9, good)),
+        *access,
+        (Op.ADD, 2, 2, 6),
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("done"),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+
+
+FAULT_N = 2000
+FAULT_AT = 1500
+BAD_ADDRESSES = {
+    "unaligned": lambda base: base + 4,
+    "null": lambda base: 0,
+    "out-of-bounds": lambda base: 1 << 40,
+}
+
+
+def run_faulting(program, bad, *, fault_at, pmu=None, **kwargs):
+    machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
+    base = machine.memory.alloc(FAULT_N * 8)
+    machine.regs[8] = fault_at
+    machine.regs[9] = BAD_ADDRESSES[bad](base)
+    try:
+        outcome = ("ok", machine.call(0, (base, FAULT_N)))
+    except VMError as exc:
+        outcome = ("error", str(exc), exc.ip)
+    return machine, outcome
+
+
+def full_state(machine):
+    from dataclasses import asdict
+
+    return {
+        **machine_observables(machine),
+        "regs": list(machine.regs),
+        "state": asdict(machine.state),
+        "countdown": machine._countdown,
+        "call_stack": list(machine.call_stack),
+    }
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize("bad", list(BAD_ADDRESSES))
+@pytest.mark.parametrize("kind", ["load", "store"])
+@pytest.mark.parametrize(
+    "event", [None] + ALL_EVENTS,
+    ids=["unarmed"] + [e.name for e in ALL_EVENTS],
+)
+def test_memory_fault_parity(event, kind, bad, tier):
+    # every load/store error site funnels into the block function's one
+    # fault epilogue; whatever the tier (tier-2 loops are deferred when
+    # armed, slim when not) and the sampled event, the machine it leaves
+    # behind is the interpreter's — registers, counters, the countdown
+    pmu = (
+        PmuConfig(event=event, period=2048, record_memaddr=True)
+        if event is not None else None
+    )
+    program = build_program(faulting_loop(kind))
+    controller = None
+    if tier == 2:
+        controller = TieringController(hot_instructions=100)
+        warm, outcome = run_faulting(
+            program, bad, fault_at=-1, pmu=pmu, tiering=controller
+        )
+        assert outcome[0] == "ok"
+        assert controller.observe(warm, warm.state.instructions)
+    fast, fast_outcome = run_faulting(
+        program, bad, fault_at=FAULT_AT, pmu=pmu, tiering=controller
+    )
+    assert fast.tier == tier
+    slow, slow_outcome = run_faulting(
+        program, bad, fault_at=FAULT_AT, pmu=pmu, fast_vm=False
+    )
+    assert fast_outcome == slow_outcome
+    assert fast_outcome[0] == "error" and kind in fast_outcome[1]
+    assert full_state(fast) == full_state(slow)
+
+
+def test_tier1_source_shrank():
+    # the acceptance bar of the fault epilogue: q6's tier-1 source, every
+    # block force-materialised, was 52,362 lines with the write-back
+    # repeated at every error site
+    db = Database.tpch(scale=0.001, seed=42)
+    compiled = db._compile(ALL_QUERIES["q6"].sql, None)
+    translation = translate_program(compiled.program, None)
+    pending = set(translation.blocks)
+    while pending:
+        for ip in pending:
+            translation.block(ip)
+        pending = set(translation.blocks) - translation.compiled - pending
+    assert translation.stats()["source_lines"] <= 52_362 * 0.6
 
 
 # -- engine-level parity (TPC-H) -------------------------------------------
