@@ -3,13 +3,12 @@
 The tentpole claim is a >=3x geometric-mean speedup on TPC-H with
 profiling off while staying bit-identical to the interpreter (parity is
 asserted inside ``run_vm_bench`` — rows and simulated counters).  On top
-of that, tier-2 profile-specialized traces must beat tier 1 on the
-profile-stable queries whose hot loops the rolling profile marks for
-deferred sync.  Both CI gates use deliberately lower floors so scheduler
-noise on shared runners cannot flake the build; the measured trajectory
-is what ``BENCH_vm.json`` tracks run over run.  Those speedups are warm;
-a third, wide gate bounds what the *first* run of a query costs against
-interpreting it (``cold_vs_interp``).
+of that, tier-2 profile-specialized traces must beat tier 1 across the
+benchmarked queries.  Both CI gates use deliberately lower floors so
+scheduler noise on shared runners cannot flake the build; the measured
+trajectory is what ``BENCH_vm.json`` tracks run over run.  Those
+speedups are warm; a third, wide gate bounds what the *first* run of a
+query costs against interpreting it (``cold_vs_interp``).
 """
 
 from pathlib import Path
@@ -22,12 +21,13 @@ from repro.vmbench import append_trajectory, format_table, run_vm_bench
 # floor leaves headroom for noisy CI runners while still catching any
 # real regression of the translated engine
 SPEEDUP_FLOOR = 2.0
-# tier 2 over tier 1 on the profile-stable subset: locally 1.15-1.19x
-# (1.4-1.6x on q6, every stable query >= 1.05x).  The gate floor sits
-# below the local readings because the t2/t1 delta is tens of percent,
-# not multiples — even the drift-cancelled median-of-ratios estimator
-# keeps a few percent of residual noise.
-TIERED_STABLE_FLOOR = 1.10
+# tier 2 over tier 1, geomean over all benchmarked queries: locally
+# 1.13-1.15x across four runs (1.02-1.05x on q1, 1.27-1.32x on q6, every
+# query above 1.0x), each query the median of >= 7 interleaved rounds.
+# The floor sits well below those readings: the t2/t1 delta is tens of
+# percent, not multiples, and the geomean still moves by ~0.02 run to
+# run.
+TIERED_FLOOR = 1.05
 # Time to first answer: q6's first fast-VM run on a fresh program, blocks
 # translating as the run enters them, as a multiple of its interpreted
 # run.  Whole-program eager translation read ~12x here; per-block
@@ -79,8 +79,8 @@ def test_cold_q6_ceiling(benchmark):
 
 def test_tiered_speedup_floor(benchmark):
     record = _measured_record(benchmark)
-    tiered = record["tiered_stable_geomean_speedup"]
-    assert tiered >= TIERED_STABLE_FLOOR, (
-        f"tier-2 geomean {tiered:.3f}x on the profile-stable subset is "
-        f"below the {TIERED_STABLE_FLOOR:.2f}x floor"
+    tiered = record["tiered_geomean_speedup"]
+    assert tiered >= TIERED_FLOOR, (
+        f"tier-2 geomean {tiered:.3f}x over tier 1 is below the "
+        f"{TIERED_FLOOR:.2f}x floor"
     )

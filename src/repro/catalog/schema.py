@@ -50,10 +50,6 @@ def encode_decimal(value: float | int) -> int:
     return round(value * DECIMAL_SCALE)
 
 
-def decode_decimal(cents: int) -> float:
-    return cents / DECIMAL_SCALE
-
-
 def decode_value(dictionary, value, dtype: DataType):
     """One 64-bit storage value -> its Python-native output form.
 

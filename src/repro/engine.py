@@ -636,32 +636,7 @@ class Database:
                     machines, compiled.query, query_ir, compiled.pipelines,
                     state_addr, morsel_size,
                 )
-            # read the PGO tuple counters before the state is released
-            task_counts = {
-                task_id: self.memory.read(state_addr + offset)
-                for task_id, offset in query_ir.meta.task_counter_of.items()
-            }
-            # rows the spine index excluded at compile time never entered
-            # a morsel: add them back so observed cardinalities are
-            # independent of the physical layout
-            for slot in query_ir.meta.zone_slots.values():
-                if not slot.static_excluded:
-                    continue
-                for task_id in slot.compensate_task_ids:
-                    if task_id in task_counts:
-                        task_counts[task_id] += slot.static_excluded
-            # likewise the zone-map counters: observed pruning flows back
-            # into the storage engine's statistics (loader feedback)
-            if self.storage is not None:
-                for slot in query_ir.meta.zone_slots.values():
-                    considered = self.memory.read(
-                        state_addr + slot.considered_offset
-                    )
-                    for column_index, offset in slot.skip_offsets:
-                        self.storage.note_pruning(
-                            slot.table_name, column_index, considered,
-                            self.memory.read(state_addr + offset),
-                        )
+            task_counts = self.read_task_counts(query_ir.meta, state_addr)
             rows = self.decode_rows(output, compiled.physical.columns)
             for machine in machines:
                 # snapshot the tier (and translation) this run actually
@@ -673,6 +648,37 @@ class Database:
             return machines, rows, task_counts
         finally:
             self.memory.release(mark)
+
+    def read_task_counts(self, meta, state_addr: int) -> dict[int, int]:
+        """Read a finished run's PGO tuple counters out of its query state
+        (call before that state is released); also feeds the run's
+        zone-map counters to the storage engine's pruning statistics."""
+        task_counts = {
+            task_id: self.memory.read(state_addr + offset)
+            for task_id, offset in meta.task_counter_of.items()
+        }
+        # rows the spine index excluded at compile time never entered
+        # a morsel: add them back so observed cardinalities are
+        # independent of the physical layout
+        for slot in meta.zone_slots.values():
+            if not slot.static_excluded:
+                continue
+            for task_id in slot.compensate_task_ids:
+                if task_id in task_counts:
+                    task_counts[task_id] += slot.static_excluded
+        # likewise the zone-map counters: observed pruning flows back
+        # into the storage engine's statistics (loader feedback)
+        if self.storage is not None:
+            for slot in meta.zone_slots.values():
+                considered = self.memory.read(
+                    state_addr + slot.considered_offset
+                )
+                for column_index, offset in slot.skip_offsets:
+                    self.storage.note_pruning(
+                        slot.table_name, column_index, considered,
+                        self.memory.read(state_addr + offset),
+                    )
+        return task_counts
 
     def _compile_and_run(
         self,
@@ -884,8 +890,6 @@ class Database:
             instruction_limit=instruction_limit, fast_vm=fast_vm,
             tiering=tiering,
         )
-        if tiering is not None and tiering.tier_for(compiled.program) >= 2:
-            self.plan_cache.supersede_compiled(compiled, tier=2)
         return self._result(compiled.physical, machines, rows)
 
     # -- profile-guided optimization (repro.pgo) -----------------------------

@@ -179,12 +179,6 @@ class Function:
             raise IRError(f"function {self.name} has no blocks")
         return self.blocks[0]
 
-    def block_named(self, name: str) -> Block:
-        for block in self.blocks:
-            if block.name == name:
-                return block
-        raise IRError(f"no block named {name!r} in {self.name}")
-
     def all_instructions(self):
         for block in self.blocks:
             yield from block.instructions

@@ -13,7 +13,6 @@ rules are documented in :mod:`repro.plan.expr`.
 from __future__ import annotations
 
 import datetime
-from dataclasses import dataclass, field
 
 from repro.catalog.schema import DataType
 from repro.errors import PlanError
@@ -127,14 +126,6 @@ def evaluate(expr: Expr, env: dict[int, object]):
             return value * 100
         raise PlanError(f"unknown function {expr.func}")
     raise PlanError(f"cannot evaluate {type(expr).__name__}")
-
-
-@dataclass
-class _AggState:
-    """Running aggregate values for one group."""
-
-    values: list = field(default_factory=list)
-    count_matched: int = 0
 
 
 def _init_agg(aggregates: list[AggCall]) -> list:

@@ -14,11 +14,9 @@ compile-time memory lives inside an execution epoch about to be released
 (the bump allocator frees LIFO arenas, so mid-epoch compiles cannot outlive
 the epoch).
 
-Entries are tier-aware: when the tiering controller promotes a plan's
-program to a specialized tier-2 trace, :meth:`PlanCache.supersede`
-replaces the tier-1 ancestor in place — same key, same serial, same LRU
-slot, hit/miss stats untouched — so unrelated plans are never
-invalidated by a promotion (see docs/TIERING.md).
+The cache knows nothing about execution tiers: a tier-2 translation
+lives on the cached plan's ``Program``, so a promotion touches no entry
+(see docs/TIERING.md).
 
 Eviction drops the entry but not its compile-time allocations — the bump
 allocator has no free list — so capacity bounds *recompilation*, not
@@ -37,7 +35,6 @@ class _Entry:
     compiled: object
     feedback_version: int
     serial: int
-    tier: int = 1
 
 
 class PlanCache:
@@ -82,42 +79,6 @@ class PlanCache:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def forget(self, key: tuple) -> None:
-        self._entries.pop(key, None)
-
-    def tier_of(self, key: tuple) -> int | None:
-        """Execution tier recorded for ``key`` (None when absent)."""
-        entry = self._entries.get(key)
-        return entry.tier if entry is not None else None
-
-    def supersede(self, key: tuple, compiled=None, tier: int = 2) -> bool:
-        """Replace ``key``'s entry with its tier-``tier`` recompilation.
-
-        The specialized plan takes the ancestor's slot in place: the
-        insertion serial, feedback version, and LRU position survive, and
-        the hit/miss/eviction counters are untouched — supersession is a
-        promotion, not a cache event, and unrelated entries never move.
-        Returns False when ``key`` is not cached (nothing to supersede)."""
-        entry = self._entries.get(key)
-        if entry is None:
-            return False
-        if compiled is not None:
-            entry.compiled = compiled
-        if tier > entry.tier:
-            entry.tier = tier
-        return True
-
-    def supersede_compiled(self, compiled, tier: int = 2) -> bool:
-        """:meth:`supersede` addressed by the compiled object itself.
-
-        Promotion sites (the tiering controller's callers) hold the
-        CompiledQuery, not the cache key; the cache is small and bounded,
-        so an identity scan is fine."""
-        for key, entry in self._entries.items():
-            if entry.compiled is compiled:
-                return self.supersede(key, tier=tier)
-        return False
-
     def evict_since(self, watermark: int) -> int:
         """Drop every entry inserted at or after ``watermark``.
 
@@ -144,7 +105,4 @@ class PlanCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "tier2_entries": sum(
-                1 for e in self._entries.values() if e.tier >= 2
-            ),
         }

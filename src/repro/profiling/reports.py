@@ -201,12 +201,6 @@ class Timeline:
     bins: list[TimelineBin]
     operators: list[PhysicalOperator]
 
-    def dominant_operator(self, bin_index: int) -> PhysicalOperator | None:
-        bucket = self.bins[bin_index]
-        if not bucket.by_operator:
-            return None
-        return max(bucket.by_operator, key=bucket.by_operator.get)
-
 
 def activity_timeline(profile, bins: int = 25) -> Timeline:
     """Bucket operator-attributed samples by timestamp (§4.3: "determine

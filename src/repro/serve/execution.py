@@ -185,11 +185,9 @@ class QueryExecution:
 
     def _finish(self, database) -> None:
         """Read tuple counters, decode rows, mark done."""
-        meta = self.compiled.query_ir.meta
-        self.task_counts = {
-            task_id: database.memory.read(self.state_addr + offset)
-            for task_id, offset in meta.task_counter_of.items()
-        }
+        self.task_counts = database.read_task_counts(
+            self.compiled.query_ir.meta, self.state_addr
+        )
         ordered = sorted(self.raw_morsels, key=lambda m: (m[0], m[1]))
         self.rows = database.decode_rows(
             (raw for _, _, raws in ordered for raw in raws),

@@ -419,10 +419,7 @@ class QueryService:
 
         used = state.instructions - start_instructions
         if self.tiering is not None and machine.tier >= 1:
-            if self.tiering.observe(machine, used):
-                self.db.plan_cache.supersede_compiled(
-                    execution.compiled, tier=2
-                )
+            self.tiering.observe(machine, used)
         execution.instructions += used
         execution.loads += state.loads - start_loads
         execution.stores += state.stores - start_stores

@@ -84,14 +84,6 @@ class CostMeter:
         if loads:
             self.loads[node.node_id] = self.loads.get(node.node_id, 0) + loads
 
-    @property
-    def total_instructions(self) -> int:
-        return sum(self.instructions.values())
-
-    @property
-    def total_loads(self) -> int:
-        return sum(self.loads.values())
-
 
 def _env(layout_ids: list[int], row: tuple) -> dict[int, object]:
     return dict(zip(layout_ids, row))

@@ -407,10 +407,9 @@ class Machine:
         While the machine is still at tier 1 under a controller, every
         dispatch also bumps ``block_entries[ip]`` — the per-block
         execution counts the tiering controller aggregates into its
-        rolling profile.  A loop head entered once per row (a join-probe
-        chain) and one entered once per morsel (a scan loop) look the
-        same statically; the entry counts tell them apart, and tier-2
-        deferred sync is only worth compiling into the latter.  Once the
+        rolling profile.  A non-loop block entered once per row (a link
+        of a join-probe chain) looks like any cold leader statically;
+        the entry counts mark it for a tier-2 hot-block tree.  Once the
         program is promoted the profile is consumed, so tier-2 machines
         skip the counting entirely.
         """

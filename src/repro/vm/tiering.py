@@ -4,11 +4,10 @@ The controller closes the loop the paper's multi-level profiles open:
 tier 0 is the exact interpreter, tier 1 the template-translated
 superblocks (:mod:`repro.vm.translate`), and tier 2 a *recompilation* of
 the same program specialized against the rolling profile — per-program
-retired-instruction counts decide hotness, and a snapshot of the live
-branch predictor's 2-bit counters (the observed branch truth-rates)
-drives the specialized trace layout: deferred counter/register sync in
-loop superblocks, saturated-counter fast paths on strongly-biased
-branches, cold arms outlined behind guards, and larger superblock trees.
+retired-instruction counts decide hotness, and per-block entry counts
+decide where the specialized layout grows superblock trees beyond loop
+heads; loop superblocks additionally defer their counter/register sync
+and every block memoizes the cache line of its previous memory access.
 
 Promotion is a pure wall-clock optimization: tier choice never changes
 simulated counters, sample streams, or results (the fuzz oracle's
@@ -48,10 +47,10 @@ class TieringController:
     """Decides when a program graduates from tier 1 to tier 2.
 
     One controller serves one execution context (a ``Database`` or a
-    ``QueryService``); it accumulates retired instructions per program,
-    and once a program crosses ``hot_instructions`` it recompiles the
-    program's translation at tier 2, seeded with a snapshot of the
-    observing machine's predictor counters as the branch-bias profile.
+    ``QueryService``); it accumulates retired instructions and block
+    entries per program, and once a program crosses ``hot_instructions``
+    it recompiles the program's translation at tier 2, seeded with a
+    snapshot of the entry counts as the hot-block profile.
 
     ``guard_hook=True`` compiles the test-only forced-deopt guard
     (``machine._tier_guard``) into every specialized loop edge; the
@@ -105,11 +104,7 @@ class TieringController:
     def observe(self, machine, instructions: int) -> bool:
         """Feed ``instructions`` retired by ``machine`` into the profile.
 
-        Returns True when this observation promoted the program.  The
-        observing machine's private branch predictor is the rolling
-        truth-rate source: its 2-bit counters at observation time are the
-        bias snapshot the tier-2 recompile specializes against.
-        """
+        Returns True when this observation promoted the program."""
         pid = self._key(machine.program)
         count = self._counts[pid] + instructions
         self._counts[pid] = count
@@ -128,14 +123,12 @@ class TieringController:
         config = machine.pmu_config
         event = config.event if config is not None else None
         pid = self._key(program)
-        # frozen copies: the translation compiles each block on first
+        # a frozen copy: the translation compiles each block on first
         # entry, and a block compiled later must specialize against the
         # profile as it stood at promotion
         entry = translation_for(
             program, event, _tier2_bound_cap(config), tier=2,
-            bias=dict(machine.predictor.counters),
             entries=dict(self._entries[pid]),
-            hot_weight=self._counts[pid],
             guard_hook=self.guard_hook,
         )
         self.promotions += 1

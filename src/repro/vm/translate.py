@@ -66,26 +66,16 @@ test-only ``m._tier_guard`` trip).  That flush *is* the deoptimization
 path: it reconstructs the exact interpreter-visible state (registers,
 counters, countdown, predictor) before handing the resume ip back to the
 driver, so a guard miss mid-superblock is invisible to sample streams and
-counter parity.  A ``bias`` snapshot of the rolling predictor counters
-additionally specializes biased branches: the 2-bit update is split per
-arm so the condition is tested once, and a branch that goes its
-predicted way on a saturated counter does no work at all (the counter
-stays put and the predicted cycle is path-static); the fast-path guard
-re-checks the live counter so a drifted snapshot costs speed, never
-exactness.  Retired-branch counts are path-static and fold into the
+counter parity.  The 2-bit update is split per arm so the condition is
+tested once, and retired-branch counts are path-static and fold into the
 sync/edge constants like instruction counts do.
 
-Three more tier-2 specializations ride on the same exactness argument:
+Two more tier-2 specializations ride on the same exactness argument:
 
 - *Same-line memoization*: after any load/store, the accessed cache line
   is by construction the MRU entry of its L1 set, so a repeat access to
   the line recorded in the ``_mln`` local is a guaranteed MRU hit — one
   shift and one compare replace the whole set lookup.
-- *Slim loop edges* (unarmed deferred loops): every back-edge path
-  retires a static mix of instructions/loads/stores/branches, so the
-  edge bumps one per-path iteration counter plus a fused
-  decrement-and-test instruction-budget countdown, and flush sites
-  rebuild the absolute totals as linear combinations of the counters.
 - *Hot-block trees*: the rolling profile's per-block entry counts mark
   blocks entered hundreds of times per run without a closed loop — the
   links of per-row probe chains — and tier 2 grows superblock trees at
@@ -121,14 +111,6 @@ _MODES = {
 # ``bound_cap`` so it stays small against the sampling countdown.
 _TREE_BUDGET = 1536
 _TREE_DEPTH = 8
-
-# Deferred-sync gate: a loop head qualifies when the profile shows at
-# least this many retired instructions per recorded block entry — the
-# entry/exit accumulator setup is ~20 statements, so a loop must run
-# long enough per entry to amortize it.  Scan loops (one entry per
-# morsel, thousands of iterations) clear this easily; join-probe chains
-# (one entry per row, 1-2 iterations) never do.
-_DEFER_MIN_WORK = 512
 
 # Segment length of the armed cycles-mode linear fallback: the driver
 # admits the block on the *first* segment's worst-case bound only, and
@@ -331,20 +313,18 @@ def translation_key(
 
 def translation_for(
     program: Program, event: Event | None, bound_cap: int = 0,
-    tier: int = 1, bias: dict | None = None, guard_hook: bool = False,
-    entries: dict | None = None, hot_weight: int = 0,
+    tier: int = 1, guard_hook: bool = False, entries: dict | None = None,
 ) -> Translation:
     """Return the (cached) translation of ``program`` for ``event``.
 
     ``bound_cap`` is the armed tree-growth allowance in worst-case
     countdown events (0 disables armed trees); unarmed translations
-    ignore it.  ``tier=2`` is the profile-specialized variant (``bias``
-    is the promotion-time predictor-counter snapshot, ``entries`` and
-    ``hot_weight`` the rolling profile's per-block entry counts and
-    retired instructions; ``guard_hook`` additionally compiles the
-    test-only forced-deopt guard into every loop edge).  The profile
-    arguments are frozen into the translation when it is created, so a
-    block compiled later specializes against the same snapshot."""
+    ignore it.  ``tier=2`` is the profile-specialized variant
+    (``entries`` is the rolling profile's per-block entry counts;
+    ``guard_hook`` additionally compiles the test-only forced-deopt
+    guard into every loop edge).  ``entries`` is frozen into the
+    translation when it is created, so a block compiled later
+    specializes against the same snapshot."""
     cache = getattr(program, "_vm_translations", None)
     if cache is None:
         cache = {}
@@ -353,8 +333,8 @@ def translation_for(
     entry = cache.get(key)
     if entry is None or entry.stale_for(program):
         entry = translate_program(
-            program, event, bound_cap, tier=tier, bias=bias,
-            guard_hook=guard_hook, entries=entries, hot_weight=hot_weight,
+            program, event, bound_cap, tier=tier, guard_hook=guard_hook,
+            entries=entries,
         )
         cache[key] = entry
     return entry
@@ -362,8 +342,7 @@ def translation_for(
 
 def translate_program(
     program: Program, event: Event | None, bound_cap: int = 0,
-    tier: int = 1, bias: dict | None = None, guard_hook: bool = False,
-    entries: dict | None = None, hot_weight: int = 0,
+    tier: int = 1, guard_hook: bool = False, entries: dict | None = None,
 ) -> Translation:
     """Decode ``program`` into block leaders; compile none of them yet.
 
@@ -390,8 +369,8 @@ def translate_program(
     # tier-2 trees may grow much larger: their compile time is only paid
     # for blocks the profile already proved hot *and* the run re-enters
     return Translation(program, dict(
-        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier, bias=bias,
-        guard_hook=guard_hook, entries=entries, hot_weight=hot_weight,
+        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier,
+        guard_hook=guard_hook, entries=entries,
         tree_budget=costs.TIER2_TREE_BUDGET if tier >= 2 else _TREE_BUDGET,
         tree_depth=costs.TIER2_TREE_DEPTH if tier >= 2 else _TREE_DEPTH,
     ))
@@ -463,9 +442,9 @@ def _decode_trace(code: list[tuple], start: int, cap: int):
 
 
 def _emit_block(
-    code, start, cap, mode, bound_cap=0, suffix="", tier=1, bias=None,
+    code, start, cap, mode, bound_cap=0, suffix="", tier=1,
     guard_hook=False, tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH,
-    entries=None, hot_weight=0,
+    entries=None,
 ):
     """Emit the source of one block function; None if nothing translatable.
 
@@ -531,26 +510,9 @@ def _emit_block(
         and entries.get(start, 0) >= costs.TIER2_HOT_BLOCK_ENTRIES
     )
     tree = (is_loop_head or hot_block) and (mode == "" or bound < bound_cap)
-    # Tier-2 deferred sync only pays off where a loop amortizes the bigger
-    # entry/exit sequences: the accumulator setup costs ~20 statements per
-    # block *entry*, so a short-trip loop (a join-probe chain averaging one
-    # or two iterations) loses.  The rolling profile's per-block execution
-    # counts separate the two — a scan loop is entered once per morsel, a
-    # probe chain once per row.  Deferral needs the block's share of the
-    # observed work per entry to dwarf the setup cost; blocks the profile
-    # never saw stay deferred (they are cold, the entry cost is unpaid).
-    # Gated-off loop heads keep the tier-1 sync shape but still get the
-    # tier-2 load/store fusion, which has no entry cost.
+    # Tier-2 deferred sync: a loop head keeps its counters, predictor
+    # state and countdown in locals until a real exit or a guard miss.
     deferred = tier >= 2 and is_loop_head
-    if deferred and entries is not None:
-        # An armed tier-1 map could not close this loop when its body is
-        # longer than the tier-1 cap, so its profile counted one entry
-        # per *iteration* — the per-entry work gate would misread a scan
-        # loop as a probe chain there and is skipped (closing the loop is
-        # what tier 2 just fixed).
-        if not (mode and len(root_items) > costs.FAST_VM_MAX_BLOCK):
-            n_entries = entries.get(start, 0)
-            deferred = n_entries * _DEFER_MIN_WORK <= hot_weight
     branch_ips: set[int] = set()
     if tree:
         # inlined continuations can bring loads/branches anywhere, so the
@@ -570,15 +532,6 @@ def _emit_block(
     # per-iteration delta: ``cycles`` decrements the countdown by each
     # iteration's cost, ``l1`` by the per-iteration miss count ``_mi``.
     defer_cy = deferred and mode in ("", "instr", "loads", "brmiss")
-    # Slim edges (unarmed deferred loops only): every back-edge path
-    # retires a *static* mix of instructions/loads/stores/branches, so
-    # instead of bumping four accumulators per iteration the edge bumps
-    # one per-path iteration counter and a fused budget countdown; the
-    # absolute totals are reconstructed as linear combinations of the
-    # path counters at the (cold) flush sites.  Armed loops keep the
-    # accumulators — their edges must also pay the live countdown.
-    slim = deferred and mode == ""
-    edges: list[dict] = []
     # segmented admission for the cycles-mode linear fallback ("f"
     # variant): see _FALLBACK_SEG
     seg = _FALLBACK_SEG if (suffix == "f" and mode == "cycles") else 0
@@ -736,25 +689,14 @@ def _emit_block(
             elif paid != "0":
                 lines.append(f"{indent}m._countdown -= {paid}")
 
-        def emit_edge_acc(k: int, extra: int, indent: str = "    ") -> int:
+        def emit_edge_acc(k: int, extra: int, indent: str = "    ") -> None:
             """Deferred loop edge: fold the path's static totals into the
             function-local accumulators instead of flushing — the flush
             happens only if the admission re-check fails (see the \\x00LE
-            expansion).  Slim (unarmed) edges bump a single per-path
-            iteration counter instead; the totals are rebuilt from the
-            counters at flush sites.  Returns the edge index (slim) or
-            -1."""
+            expansion)."""
             nonlocal max_k
             max_k = max(max_k, k)
             static = pend + extra
-            if slim:
-                idx = len(edges)
-                edges.append({
-                    "k": k, "ld": loads_done, "st": stores_done,
-                    "cy": static, "pb": branches_done,
-                })
-                lines.append(f"{indent}_e{idx} += 1")
-                return idx
             lines.append(f"{indent}_ins += {k}")
             if loads_done:
                 lines.append(f"{indent}_ld += {loads_done}")
@@ -775,15 +717,14 @@ def _emit_block(
             paid = countdown_events(k, "_t", loads_done)
             if paid != "0":
                 lines.append(f"{indent}_cd -= {paid}")
-            return -1
 
-        def emit_loop_edge(indent: str, edge_idx: int = -1) -> None:
+        def emit_loop_edge(indent: str) -> None:
             """Re-run the driver's admission check, then take the back
             edge of the function-level loop (a ``continue`` jumps to the
             block start: counters were just synced, ``cy`` resets at the
             loop top)."""
             flags["loop"] = True
-            lines.append(f"\x00LE{indent}\x00{edge_idx}")
+            lines.append(f"\x00LE{indent}")
 
         for index, (ip, ins) in enumerate(items):
             if seg and depth == 0 and index and index % seg == 0:
@@ -866,32 +807,14 @@ def _emit_block(
                 pend += 1
             elif op == Opcode.MUL or op == Opcode.MULI:
                 rhs = rg(b) if op == Opcode.MUL else repr(b)
-                if tier >= 2:
-                    # specialized trace: an in-range product (int or
-                    # float) is its own wrapped value, so the mask dance
-                    # only runs on actual 64-bit overflow (or inf/NaN,
-                    # which fail both comparisons and fall through the
-                    # isinstance test unchanged, exactly like tier 1)
-                    lines += [
-                        f"    _r = {rg(a)} * {rhs}",
-                        f"    if {-_SIGN64} <= _r < {_SIGN64}:",
-                        f"        {wr(d)} = _r",
-                        "    else:",
-                        "        if isinstance(_r, int):",
-                        f"            _r &= {_MASK64}",
-                        f"            if _r & {_SIGN64}:",
-                        f"                _r -= {1 << 64}",
-                        f"        {wr(d)} = _r",
-                    ]
-                else:
-                    lines += [
-                        f"    _r = {rg(a)} * {rhs}",
-                        "    if isinstance(_r, int):",
-                        f"        _r &= {_MASK64}",
-                        f"        if _r & {_SIGN64}:",
-                        f"            _r -= {1 << 64}",
-                        f"    {wr(d)} = _r",
-                    ]
+                lines += [
+                    f"    _r = {rg(a)} * {rhs}",
+                    "    if isinstance(_r, int):",
+                    f"        _r &= {_MASK64}",
+                    f"        if _r & {_SIGN64}:",
+                    f"            _r -= {1 << 64}",
+                    f"    {wr(d)} = _r",
+                ]
                 pend += costs.CYCLES_MUL
             elif op == Opcode.SDIV:
                 lines += [
@@ -900,24 +823,10 @@ def _emit_block(
                     "    if _b == 0:",
                 ]
                 emit_fault(k, "'division by zero'", ip)
-                if tier >= 2:
-                    # specialized trace: for non-negative operands (the
-                    # overwhelmingly common case: quantities, prices,
-                    # scaled decimals) floor division IS truncation, so
-                    # the abs/sign dance is outlined to the cold arm
-                    lines += [
-                        "    if _a >= 0 and _b > 0:",
-                        f"        {wr(d)} = _a // _b",
-                        "    else:",
-                        "        _q = abs(_a) // abs(_b)",
-                        f"        {wr(d)} = -_q if (_a < 0) != (_b < 0)"
-                        " else _q",
-                    ]
-                else:
-                    lines += [
-                        "    _q = abs(_a) // abs(_b)",
-                        f"    {wr(d)} = -_q if (_a < 0) != (_b < 0) else _q",
-                    ]
+                lines += [
+                    "    _q = abs(_a) // abs(_b)",
+                    f"    {wr(d)} = -_q if (_a < 0) != (_b < 0) else _q",
+                ]
                 pend += costs.CYCLES_DIV
             elif op == Opcode.SREM:
                 lines += [
@@ -925,27 +834,13 @@ def _emit_block(
                     "    if _b == 0:",
                 ]
                 emit_fault(k, "'remainder by zero'", ip)
-                lines.append(f"    _a = {rg(a)}")
-                if tier >= 2:
-                    # same non-negative fast path; the remainder is built
-                    # from the same quotient expression as the cold arm so
-                    # float operands stay bit-identical
-                    lines += [
-                        "    if _a >= 0 and _b > 0:",
-                        f"        {wr(d)} = _a - _b * (_a // _b)",
-                        "    else:",
-                        "        _q = abs(_a) // abs(_b)",
-                        "        if (_a < 0) != (_b < 0):",
-                        "            _q = -_q",
-                        f"        {wr(d)} = _a - _b * _q",
-                    ]
-                else:
-                    lines += [
-                        "    _q = abs(_a) // abs(_b)",
-                        "    if (_a < 0) != (_b < 0):",
-                        "        _q = -_q",
-                        f"    {wr(d)} = _a - _b * _q",
-                    ]
+                lines += [
+                    f"    _a = {rg(a)}",
+                    "    _q = abs(_a) // abs(_b)",
+                    "    if (_a < 0) != (_b < 0):",
+                    "        _q = -_q",
+                    f"    {wr(d)} = _a - _b * _q",
+                ]
                 pend += costs.CYCLES_DIV
             elif op == Opcode.FDIV:
                 lines += [
@@ -1065,11 +960,10 @@ def _emit_block(
                     pend += costs.CYCLES_BRANCH
                 elif d == start:
                     if deferred:
-                        eidx = emit_edge_acc(k, costs.CYCLES_BRANCH)
+                        emit_edge_acc(k, costs.CYCLES_BRANCH)
                     else:
                         emit_sync(k, costs.CYCLES_BRANCH, k)
-                        eidx = -1
-                    emit_loop_edge("    ", eidx)
+                    emit_loop_edge("    ")
                 else:
                     sub = try_inline(
                         d, k, pend + costs.CYCLES_BRANCH,
@@ -1087,47 +981,28 @@ def _emit_block(
                 # branch *count* is path-static — it folds into sync/edge
                 # constants instead of a per-branch increment.  The
                 # predictor update is split per arm so the condition is
-                # tested exactly once, and the profile's ``bias`` snapshot
-                # puts a zero-work fast path on the predicted arm: a
-                # branch that goes its predicted way on a saturated
-                # counter needs no update at all (the counter stays put
-                # and the predicted cycle is already folded into
-                # ``pend``).  The guard re-checks the live counter, so a
-                # drifted snapshot costs speed, never exactness.  The
-                # threshold is the prediction boundary (>= 2 means
-                # predicted taken), not an exact saturation value.
+                # tested exactly once.
                 cond = "==" if op == Opcode.BRZ else "!="
                 branch_ips.add(ip)
                 h = f"_h{ip}"
                 branches_done += 1
-                b_bias = bias.get(ip) if bias else None
                 miss_cd = ["_cd -= 1"] if mode == "brmiss" else []
                 lines.append(f"    if {rg(d)} {cond} 0:")
                 # taken arm: mispredict iff the pre-update counter < 2;
                 # update saturates upward at 3
-                if b_bias is not None and b_bias >= 2:
-                    lines += [
-                        f"        if {h} != 3:",
-                        f"            if {h} < 2:",
-                        "                _pm += 1",
-                        f"                cy += {costs.CYCLES_BRANCH_MISS}",
-                        *(f"                {s}" for s in miss_cd),
-                        f"            {h} += 1",
-                    ]
-                else:
-                    lines += [
-                        f"        _c = {h}",
-                        "        if _c < 3:",
-                        f"            {h} = _c + 1",
-                        "        if _c < 2:",
-                        "            _pm += 1",
-                        f"            cy += {costs.CYCLES_BRANCH_MISS}",
-                        *(f"            {s}" for s in miss_cd),
-                    ]
+                lines += [
+                    f"        _c = {h}",
+                    "        if _c < 3:",
+                    f"            {h} = _c + 1",
+                    "        if _c < 2:",
+                    "            _pm += 1",
+                    f"            cy += {costs.CYCLES_BRANCH_MISS}",
+                    *(f"            {s}" for s in miss_cd),
+                ]
                 arm = "        "
                 if a == start:
-                    eidx = emit_edge_acc(k, costs.CYCLES_BRANCH, arm)
-                    emit_loop_edge(arm, eidx)
+                    emit_edge_acc(k, costs.CYCLES_BRANCH, arm)
+                    emit_loop_edge(arm)
                 else:
                     sub = try_inline(
                         a, k, pend + costs.CYCLES_BRANCH, loads_done,
@@ -1141,25 +1016,15 @@ def _emit_block(
                 # not-taken arm: mispredict iff the pre-update counter
                 # >= 2; update saturates downward at 0
                 lines.append("    else:")
-                if b_bias is not None and b_bias < 2:
-                    lines += [
-                        f"        if {h} != 0:",
-                        f"            if {h} >= 2:",
-                        "                _pm += 1",
-                        f"                cy += {costs.CYCLES_BRANCH_MISS}",
-                        *(f"                {s}" for s in miss_cd),
-                        f"            {h} -= 1",
-                    ]
-                else:
-                    lines += [
-                        f"        _c = {h}",
-                        "        if _c > 0:",
-                        f"            {h} = _c - 1",
-                        "        if _c >= 2:",
-                        "            _pm += 1",
-                        f"            cy += {costs.CYCLES_BRANCH_MISS}",
-                        *(f"            {s}" for s in miss_cd),
-                    ]
+                lines += [
+                    f"        _c = {h}",
+                    "        if _c > 0:",
+                    f"            {h} = _c - 1",
+                    "        if _c >= 2:",
+                    "            _pm += 1",
+                    f"            cy += {costs.CYCLES_BRANCH_MISS}",
+                    *(f"            {s}" for s in miss_cd),
+                ]
                 pend += costs.CYCLES_BRANCH
             elif op == Opcode.BRZ or op == Opcode.BRNZ:
                 # side exit: the taken arm leaves the trace (or inlines
@@ -1262,37 +1127,17 @@ def _emit_block(
         lines.append("    _mi = 0")
     lines += root_lines
 
-    # expand placeholders now that the written set, worst-case path
-    # length, and (slim) edge-path table are final
+    # expand placeholders now that the written set and worst-case path
+    # length are final
     written = sorted(written_regs)
-    recon: list[str] = []
-    if slim:
-        # flush-site reconstruction: every deferred total is a linear
-        # combination of the per-path iteration counters
-        def _recon_expr(field: str) -> str:
-            terms = [
-                f"{e[field]} * _e{i}" if e[field] != 1 else f"_e{i}"
-                for i, e in enumerate(edges)
-                if e[field]
-            ]
-            return " + ".join(terms) if terms else "0"
-
-        recon = [
-            f"_ins = {_recon_expr('k')}",
-            f"_ld = {_recon_expr('ld')}",
-            f"_st = {_recon_expr('st')}",
-            f"_cyt = {_recon_expr('cy')}",
-            f"_pb = {_recon_expr('pb')}",
-        ]
 
     def write_back(branches: str = "0") -> list[str]:
         """What every way out of the function — exit, deopt flush, fault
         epilogue — starts with: the cached registers, and in a deferred
-        loop the slim-edge reconstruction and the predictor state
-        (``branches`` is the path's static count on top of ``_pb``)."""
+        loop the predictor state (``branches`` is the path's static
+        count on top of ``_pb``)."""
         out = [f"regs[{i}] = r{i}" for i in written]
         if deferred:
-            out += recon
             out.append(
                 "predictor.branches += _pb"
                 + (f" + {branches}" if branches != "0" else "")
@@ -1330,28 +1175,19 @@ def _emit_block(
     for ln in lines:
         # inlined sub-traces get re-indented wholesale, so a placeholder
         # line is (outer indent) + marker + (frame-local indent), with
-        # the site's path-static branch count (WB) or edge-path index
-        # (LE) carried behind a second NUL
+        # a WB site's path-static branch count carried behind a second NUL
         if "\x00WB" in ln:
             indent, _, bd = ln.replace("\x00WB", "").partition("\x00")
             expanded.extend(indent + out for out in write_back(bd))
         elif "\x00LE" in ln:
-            indent, _, eidx = ln.replace("\x00LE", "").partition("\x00")
+            indent = ln.replace("\x00LE", "")
             if deferred:
                 if guard_hook:
                     expanded.append(f"{indent}if m._tier_guard:")
                     expanded.extend(f"{indent}    {f}" for f in flush)
                     expanded.append(f"{indent}    m._tier_deopt({start})")
                     expanded.append(f"{indent}    return {start}")
-                if slim:
-                    # fused decrement-and-test of the instruction budget:
-                    # _bl holds the iterations' worth of headroom left
-                    ek = edges[int(eidx)]["k"]
-                    expanded.append(
-                        f"{indent}if (_bl := _bl - {ek}) < 0:"
-                    )
-                else:
-                    expanded.append(f"{indent}if {le_cond}:")
+                expanded.append(f"{indent}if {le_cond}:")
                 expanded.extend(f"{indent}    {f}" for f in flush)
                 expanded.append(f"{indent}    return {start}")
                 expanded.append(f"{indent}continue")
@@ -1394,25 +1230,15 @@ def _emit_block(
             for bip in sorted(branch_ips):
                 head.append(f"    _h{bip} = _pg({bip}, 1)")
                 head.append(f"    _hs{bip} = _h{bip}")
-        head.append("    _pm = 0")
-        if slim:
-            # the deferred totals live in the per-path iteration
-            # counters; _bl is the instruction budget's headroom,
-            # pre-shifted by the worst-case path so the edge test is a
-            # single fused decrement-and-compare
-            head.extend(f"    _e{i} = 0" for i in range(len(edges)))
-            head.append(
-                f"    _bl = _maxi - state.instructions - {max_k}"
-            )
-        else:
-            head += [
-                "    _pb = 0",
-                "    _ins = 0",
-                "    _cyt = 0",
-                "    _ld = 0",
-                "    _st = 0",
-                "    _ib = state.instructions",
-            ]
+        head += [
+            "    _pm = 0",
+            "    _pb = 0",
+            "    _ins = 0",
+            "    _cyt = 0",
+            "    _ld = 0",
+            "    _st = 0",
+            "    _ib = state.instructions",
+        ]
         if defer_cy and has_dyn:
             head.append("    cy = 0")
         if mode:

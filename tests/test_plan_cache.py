@@ -104,52 +104,3 @@ def test_knob_changes_are_cache_misses(db):
     assert db.plan_cache.misses == misses + 1
     db.execute(SQL, optimize_backend=False)
     assert db.plan_cache.misses == misses + 1  # second unoptimized run hits
-
-
-# -- tier-aware supersession (repro.vm.tiering promotions) -------------------
-
-
-def test_supersede_replaces_in_place():
-    cache = PlanCache(capacity=2)
-    cache.put(("a",), "plan-a")
-    serial = cache.serial
-    cache.put(("b",), "plan-b")
-    hits, misses, evictions = cache.hits, cache.misses, cache.evictions
-    assert cache.tier_of(("a",)) == 1
-    assert cache.supersede(("a",), compiled="plan-a-t2")
-    # same slot: serial counter, stats, and LRU order are all untouched
-    assert cache.tier_of(("a",)) == 2
-    assert cache.serial == serial + 1
-    assert (cache.hits, cache.misses, cache.evictions) == (
-        hits, misses, evictions
-    )
-    # "a" was never refreshed, so it is still the LRU victim
-    cache.put(("c",), "plan-c")
-    assert ("a",) not in cache
-    assert ("b",) in cache
-
-
-def test_supersede_missing_key_is_a_noop():
-    cache = PlanCache()
-    assert not cache.supersede(("missing",))
-    assert cache.tier_of(("missing",)) is None
-
-
-def test_supersede_never_demotes():
-    cache = PlanCache()
-    cache.put(("k",), "plan")
-    assert cache.supersede(("k",), tier=2)
-    assert cache.supersede(("k",), tier=1)  # late tier-1 report
-    assert cache.tier_of(("k",)) == 2
-
-
-def test_supersede_compiled_by_identity():
-    cache = PlanCache()
-    plan = object()
-    cache.put(("k",), plan)
-    cache.put(("other",), object())
-    assert cache.supersede_compiled(plan)
-    assert cache.tier_of(("k",)) == 2
-    assert cache.tier_of(("other",)) == 1
-    assert not cache.supersede_compiled(object())
-    assert cache.stats()["tier2_entries"] == 1

@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Database
+from repro import Database, ProfilerConfig
 from repro.__main__ import main
 from repro.pgo import ProfileStore
 from repro.serve import (
@@ -32,6 +32,7 @@ from repro.serve.profiler import (
     ViewMaintenanceStats,
     percentile,
 )
+from repro.storage import StorageConfig
 
 SQL_AGG = (
     "SELECT category, SUM(price) FROM sales, products "
@@ -297,6 +298,33 @@ def test_profiler_feeds_pgo_store(db):
     fingerprints = store.fingerprints()
     assert len(fingerprints) == 1
     assert store.feedback(fingerprints[0]).runs == 1
+
+
+def test_served_cardinalities_match_profile_under_spine_pruning():
+    # a layout whose spine index excludes whole shards at compile time:
+    # those rows never enter a morsel, so the raw task counters depend on
+    # the layout until the static exclusion is added back
+    tpch = Database.tpch(
+        0.001, 42, storage=StorageConfig(segment_rows=64, shard_segments=2)
+    )
+    sql = "select count(*) from lineitem where l_orderkey < 200"
+    expected = tpch.profile(
+        sql, ProfilerConfig(count_tuples=True)
+    ).task_counts
+    tpch.storage.prune_stats.clear()
+    service = QueryService(
+        tpch, ServiceConfig(workers=2, max_inflight=2),
+        pgo_store=ProfileStore(),
+    )
+    ticket = service.submit(sql)
+    service.drain()
+    result = service.result(ticket)
+    assert result.ok
+    # task ids are per-compilation; the cardinalities are what must agree
+    assert sorted(result.task_counts.values()) == sorted(expected.values())
+    assert max(expected.values()) == tpch.catalog.table("lineitem").row_count
+    # ... and the serve tier feeds the loader's pruning statistics too
+    assert tpch.storage.prune_stats
 
 
 def test_profiling_off_runs_clean(db):

@@ -52,10 +52,8 @@ LOOP_SUM = [
     (Op.MOV, 0, 2, 0),
     (Op.RET, 0, 0, 0),
 ]
-# enough iterations that the rolling profile marks the loop head for
-# tier-2 deferred sync even under an armed PMU: each sampling window
-# re-enters the head, and the entry-count gate only defers when the
-# per-entry work clears _DEFER_MIN_WORK (repro.vm.translate)
+# enough iterations to cross several sampling windows when armed, so
+# the deferred loop is re-entered with a live countdown
 N = 2000
 
 
@@ -151,7 +149,7 @@ def test_entry_counting_stops_after_promotion():
     controller = TieringController(hot_instructions=100)
     machine, _ = run_machine(program, tiering=controller)
     # tier-1 dispatches under a controller fill the per-block entry
-    # counts — the profile dimension that gates deferred-sync loops
+    # counts — the profile dimension that places hot-block trees
     assert machine.block_entries
     assert controller.observe(machine, machine.state.instructions)
     # observation consumed the counts, and the promoted machine's
@@ -169,7 +167,7 @@ def test_entry_counting_stops_after_promotion():
 def test_stub_dispatches_are_not_block_entries(pmu):
     # blocks compile on first entry: the first machine reaches every
     # block through a stub that hands the same ip back, and that extra
-    # dispatch must not show up in the entry profile tier 2 is gated on
+    # dispatch must not show up in the entry profile tier 2 reads
     program = build_program()
     controller = TieringController(hot_instructions=10**12)
     first, _ = run_machine(program, pmu=pmu, tiering=controller)
@@ -180,6 +178,101 @@ def test_stub_dispatches_are_not_block_entries(pmu):
     assert first.block_entries
     assert first.block_entries == second.block_entries
     assert set(first.block_entries) <= first.translation.compiled
+
+
+# -- the specializations tier 2 keeps are in effect ---------------------------
+
+LOOP_HEAD = 2  # ip of LOOP_SUM's "loop" label
+
+# a per-row probe chain: ``f`` calls ``probe`` once per iteration, and
+# ``probe`` — a leader without a loop of its own — side-exits to a
+# continuation on odd rows
+PROBE = 9  # ip of the "probe" label (CALL takes an absolute target)
+PROBE_CHAIN = [
+    (Op.MOVI, 2, 0, 0),
+    (Op.MOVI, 3, 0, 0),
+    Label("loop"),
+    (Op.CMPGE, 4, 3, 1),
+    (Op.BRNZ, 4, "done", 0),
+    (Op.CALL, PROBE, 0, 0),
+    (Op.ADDI, 3, 3, 1),
+    (Op.JMP, "loop", 0, 0),
+    Label("done"),
+    (Op.MOV, 0, 2, 0),
+    (Op.RET, 0, 0, 0),
+    Label("probe"),
+    (Op.ANDI, 7, 3, 1),
+    (Op.BRNZ, 7, "odd", 0),
+    (Op.ADDI, 2, 2, 2),
+    (Op.RET, 0, 0, 0),
+    Label("odd"),
+    (Op.ADDI, 2, 2, 1),
+    (Op.ADDI, 2, 2, 1),
+    (Op.ADDI, 2, 2, 1),
+    (Op.RET, 0, 0, 0),
+]
+
+
+def probe_chain_blocks(rows: int):
+    """The tier-1 and tier-2 entries of ``probe`` after a profiled run
+    that entered it ``rows`` times."""
+    code, offsets = assemble(PROBE_CHAIN)
+    assert offsets["probe"] == PROBE
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    controller = TieringController(hot_instructions=100)
+    results = []
+    for _ in range(2):  # the first run profiles and promotes
+        machine = Machine(program, Memory(1 << 20), tiering=controller)
+        results.append(machine.call(0, (0, rows)))
+        controller.observe(machine, machine.state.instructions)
+    assert machine.tier == 2 and results[0] == results[1]
+    return machine._tier1.block(PROBE), machine.translation.block(PROBE)
+
+
+def test_hot_non_loop_block_grows_a_tree_at_tier2():
+    tier1, tier2 = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES)
+    # entry[1] is the most instructions one dispatch of the block can
+    # retire: tier 1 hands the odd-row continuation back to the driver,
+    # the hot-block tree inlines it
+    assert tier2[1] > tier1[1]
+    # one entry short of hot, the tier-2 block is the tier-1 trace
+    tier1, tier2 = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES - 1)
+    assert tier2[1] == tier1[1]
+
+
+def tier2_loop_machine(pmu=None) -> Machine:
+    """A machine that ran LOOP_SUM at tier 2 (armed like ``pmu``)."""
+    program = build_program()
+    controller = TieringController(hot_instructions=100)
+    promote(program, controller, pmu=pmu)
+    tiered, _ = run_machine(program, pmu=pmu, tiering=controller)
+    assert tiered.tier == 2
+    return tiered
+
+
+def test_same_line_memo_is_tier2_only():
+    tiered = tier2_loop_machine()
+    tier1 = tiered._tier1.block(LOOP_HEAD)[0].__code__
+    tier2 = tiered.translation.block(LOOP_HEAD)[0].__code__
+    # the loop body has a STORE and a LOAD of the same line
+    assert "_acc" in tier1.co_varnames and "_acc" in tier2.co_varnames
+    assert "_mln" in tier2.co_varnames
+    assert "_mln" not in tier1.co_varnames
+
+
+def test_loop_head_defers_with_one_edge_shape_armed_or_not():
+    def loop_head_code(pmu):
+        return tier2_loop_machine(pmu).translation.block(LOOP_HEAD)[0].__code__
+
+    unarmed = loop_head_code(None)
+    armed = loop_head_code(PmuConfig(event=Event.INSTRUCTIONS, period=2048))
+    # deferred sync: counters and predictor state live in locals
+    deferred = {"_ins", "_cyt", "_ld", "_st", "_pb", "_pm", "_ib"}
+    assert deferred <= set(unarmed.co_varnames)
+    # the armed loop is the same function plus the countdown
+    assert set(armed.co_varnames) == set(unarmed.co_varnames) | {"_cd"}
+    assert set(armed.co_names) == set(unarmed.co_names) | {"_countdown"}
 
 
 # -- exactness: tier 2 and deoptimization vs the interpreter -----------------
@@ -290,11 +383,17 @@ def test_enable_tiering_and_plan_cache_supersession(db):
     try:
         assert db.enable_tiering() is controller  # idempotent
         db.execute(SQL)
+        hits = db.plan_cache.hits
         result = db.execute(SQL)
         assert result.tier == 2
-        assert controller.stats()["promotions"] == 1
-        # the promoted plan superseded its tier-1 cache entry in place
-        assert db.plan_cache.stats()["tier2_entries"] == 1
+        # the tier-2 translation lives on the cached plan's Program: the
+        # promotion is the controller's to report, the cache entry is
+        # the same one, hit on the second run
+        assert controller.stats() == {
+            "promotions": 1, "deopts": 0, "hot_programs": 1,
+        }
+        assert db.plan_cache.stats()["entries"] == 1
+        assert db.plan_cache.hits == hits + 1
     finally:
         db.tiering = None
         db.plan_cache.clear()

@@ -411,9 +411,9 @@ def full_state(machine):
 )
 def test_memory_fault_parity(event, kind, bad, tier):
     # every load/store error site funnels into the block function's one
-    # fault epilogue; whatever the tier (tier-2 loops are deferred when
-    # armed, slim when not) and the sampled event, the machine it leaves
-    # behind is the interpreter's — registers, counters, the countdown
+    # fault epilogue; whatever the tier (tier-2 loops are deferred) and
+    # the sampled event, the machine it leaves behind is the
+    # interpreter's — registers, counters, the countdown
     pmu = (
         PmuConfig(event=event, period=2048, record_memaddr=True)
         if event is not None else None
