@@ -53,7 +53,7 @@ def _build(profiling: bool):
     # Two untimed warm-up rounds reach steady state before measurement:
     # the first runs of each plan compile its fast-VM translation and
     # cross the tiering controller's hotness threshold, and the tier-2
-    # recompile lands one commit point later.  Armed translations cost
+    # blocks translate as the next runs enter them.  Armed translations cost
     # roughly twice the unarmed ones to compile (tree + linear-fallback
     # variants per block), so timing the warm-up would charge a one-time
     # compile asymmetry to the steady-state overhead gate.

@@ -22,8 +22,9 @@ from repro.vmbench import append_trajectory, format_table, run_vm_bench
 # real regression of the translated engine
 SPEEDUP_FLOOR = 2.0
 # tier 2 over tier 1, geomean over all benchmarked queries: locally
-# 1.13-1.15x across four runs (1.02-1.05x on q1, 1.27-1.32x on q6, every
-# query above 1.0x), each query the median of >= 7 interleaved rounds.
+# 1.14-1.16x across four runs (1.00-1.05x on q1, 1.30-1.35x on q6, every
+# query at or above 1.0x), each query the median of >= 7 interleaved
+# rounds between two compiled copies of it (a tier is the program's).
 # The floor sits well below those readings: the t2/t1 delta is tens of
 # percent, not multiples, and the geomean still moves by ~0.02 run to
 # run.

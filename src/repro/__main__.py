@@ -88,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--tiering", action=argparse.BooleanOptionalAction, default=False,
         help="warm the query past the tier-2 promotion threshold and "
              "execute it on profile-specialized traces (docs/TIERING.md); "
-             "results and counters are identical to every other tier",
+             "results and counters are identical to every other tier.  "
+             "Not with --profile, which compiles its own program for "
+             "every run and so has no warm plan to promote",
     )
     return parser
 
@@ -131,7 +133,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _storage_main(argv[1:], out)
     if argv and argv[0] == "views":
         return _views_main(argv[1:], out)
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.tiering and args.profile:
+        parser.error("--tiering needs a cached plan; --profile has none")
     sql = resolve_sql(args)
     try:
         return _run(args, sql, out)
@@ -152,16 +157,15 @@ def _run(args, sql: str, out) -> int:
         return 0
 
     fast_vm = args.fast_vm
-    tiering = None
-    if args.tiering:
-        from repro.vm.tiering import TieringController
-
-        # a one-shot run would finish before the default threshold ever
-        # trips, so the CLI warms with a floor-level controller: the
-        # warm run promotes, the reported run executes specialized
-        tiering = TieringController(hot_instructions=1)
     if not args.profile:
-        if tiering is not None:
+        tiering = None
+        if args.tiering:
+            from repro.vm.tiering import TieringController
+
+            # a one-shot run would finish before the default threshold
+            # ever trips, so the CLI warms with a floor-level controller:
+            # the warm run promotes, the reported run executes specialized
+            tiering = TieringController(hot_instructions=1)
             database.execute(
                 sql, workers=args.workers, fast_vm=fast_vm, tiering=tiering
             )
@@ -183,13 +187,8 @@ def _run(args, sql: str, out) -> int:
         return 0
 
     config = ProfilerConfig(mode=ProfilingMode(args.mode), period=args.period)
-    if tiering is not None:
-        database.profile(
-            sql, config, workers=args.workers, fast_vm=fast_vm,
-            tiering=tiering,
-        )
     profile = database.profile(
-        sql, config, workers=args.workers, fast_vm=fast_vm, tiering=tiering
+        sql, config, workers=args.workers, fast_vm=fast_vm
     )
     _print_result(profile.result, args.max_rows, out)
     print(file=out)
@@ -404,7 +403,8 @@ def _fuzz_main(argv: list[str], out) -> int:
     print(
         f"fuzz seed={report.seed}: ran {report.queries} queries "
         f"({report.executions} executor runs, {report.datasets} datasets, "
-        f"{report.rejected} rejected) in {report.elapsed:.1f}s — "
+        f"{report.rejected} rejected, {report.tier2_signed} signed at "
+        f"tier 2) in {report.elapsed:.1f}s — "
         f"{len(report.failures)} disagreement(s)",
         file=out,
     )
@@ -635,8 +635,7 @@ def _serve_main(argv: list[str], out) -> int:
         tiering = stats["tiering"]
         print(
             f"tiering: {tiering['promotions']} promotion(s), "
-            f"{tiering['hot_programs']} hot program(s), "
-            f"{tiering['deopts']} deopt(s)",
+            f"{tiering['hot_programs']} hot program(s)",
             file=out,
         )
     if service.profiler is not None:

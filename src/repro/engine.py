@@ -95,15 +95,16 @@ class ProfilerConfig:
 class QueryResult:
     """Decoded rows plus execution statistics.
 
-    ``tier`` is the *effective* execution tier the run reached: 0 the
-    pure interpreter (fast VM off or auto-disabled), 1 the template-
-    translated fast VM, 2 a profile-specialized tier-2 trace ran for at
-    least one worker.  Benchmarks check it so an auto-disable can never
-    silently measure the wrong engine.  ``translation`` is what that
-    tier's block map had cost by the end of the run
-    (:meth:`repro.vm.translate.Translation.stats`: leaders, blocks
-    compiled, generated lines, host seconds — cumulative over every run
-    that shared the cached plan); ``None`` at tier 0."""
+    ``tier`` is the execution tier the run executed at: 0 the pure
+    interpreter (fast VM off or auto-disabled), 1 the template-
+    translated fast VM, 2 its profile-specialized re-emission.
+    Benchmarks check it so an auto-disable can never silently measure
+    the wrong engine.  ``translation`` is the record ``tier`` is read
+    from: the plan's :meth:`repro.vm.translate.Translation.stats` as the
+    run left them, before the run's own instructions could promote it
+    (tier, instructions observed toward promotion, hot blocks; leaders,
+    blocks compiled, generated lines, host seconds — shared by every run
+    of the cached plan); ``None`` at tier 0."""
 
     columns: list[str]
     rows: list[tuple]
@@ -208,20 +209,19 @@ class Database:
         # the tier-2 promotion controller (see enable_tiering)
         self.tiering = None
 
-    def enable_tiering(self, hot_instructions: int | None = None,
-                       guard_hook: bool = False):
+    def enable_tiering(self, hot_instructions: int | None = None):
         """Turn on tiered adaptive execution for this database.
 
         Repeated executions of the same (cached) plan accumulate a
-        hotness profile; hot programs are recompiled as tier-2
-        specialized traces (see :mod:`repro.vm.tiering` and
-        docs/TIERING.md).  Returns the controller."""
+        hotness profile on the plan's translation; past
+        ``hot_instructions`` the translation promotes itself to tier-2
+        specialized traces for every caller of that plan (see
+        :mod:`repro.vm.tiering` and docs/TIERING.md).  Returns the
+        controller."""
         from repro.vm.tiering import TieringController
 
         if self.tiering is None:
-            self.tiering = TieringController(
-                hot_instructions=hot_instructions, guard_hook=guard_hook
-            )
+            self.tiering = TieringController(hot_instructions)
         return self.tiering
 
     @property
@@ -599,9 +599,10 @@ class Database:
         allocations) is released afterwards, so a cached plan can run any
         number of times without growing the bump allocator.  ``tiering``
         is an optional :class:`~repro.vm.tiering.TieringController`: the
-        machines start at the tier it has already decided for this
-        program, and the run's retired instructions feed back into its
-        hotness profile afterwards."""
+        run's retired instructions feed the program's hotness profile
+        afterwards and may promote it for the next run.  (The machines
+        start at whatever tier the program already has, controller or
+        not.)"""
         if workers < 1:
             raise ReproError("workers must be >= 1")
         if repeats < 1:
@@ -638,11 +639,13 @@ class Database:
                 )
             task_counts = self.read_task_counts(query_ir.meta, state_addr)
             rows = self.decode_rows(output, compiled.physical.columns)
+            # the machines share one translation: snapshot the tier this
+            # run executed at (and what translating cost) before
+            # observation possibly promotes it
+            translation = machines[0].translation
+            ran = translation.stats() if translation is not None else None
             for machine in machines:
-                # snapshot the tier (and translation) this run actually
-                # executed on before observation possibly promotes the
-                # machine
-                machine.ran = machine.tier, machine.translation
+                machine.ran = ran
                 if tiering is not None:
                     tiering.observe(machine, machine.state.instructions)
             return machines, rows, task_counts
@@ -697,10 +700,11 @@ class Database:
         inject_fault: str | None = None,
         instruction_limit: int | None = None,
         fast_vm: bool = True,
-        tiering=None,
     ):
         """One-shot compile + run + full memory release (the non-cached
-        path); returns ``(compiled, machines, rows, task_counts)``."""
+        path); returns ``(compiled, machines, rows, task_counts)``.  The
+        program lives for this one run, so there is nothing for a tiering
+        controller to promote."""
         mark = self.memory.mark()
         try:
             compiled = self._compile(
@@ -712,7 +716,6 @@ class Database:
             machines, rows, task_counts = self._run_compiled(
                 compiled, profiler, workers, morsel_size, repeats,
                 instruction_limit=instruction_limit, fast_vm=fast_vm,
-                tiering=tiering,
             )
             return compiled, machines, rows, task_counts
         finally:
@@ -802,16 +805,14 @@ class Database:
     # -- public API ----------------------------------------------------------
 
     def _result(self, physical, machines, rows) -> QueryResult:
-        tier, translation = max(
-            (m.ran for m in machines), key=lambda ran: ran[0]
-        )
+        ran = machines[0].ran
         return QueryResult(
             columns=[name for name, _ in physical.columns],
             rows=rows,
             cycles=max(m.state.cycles for m in machines),
             instructions=sum(m.state.instructions for m in machines),
-            tier=tier,
-            translation=translation.stats() if translation else None,
+            tier=ran["tier"] if ran else 0,
+            translation=ran,
             loads=sum(m.state.loads for m in machines),
             stores=sum(m.state.stores for m in machines),
         )
@@ -983,7 +984,6 @@ class Database:
         repeats: int = 1,
         pgo: bool = False,
         fast_vm: bool = True,
-        tiering=None,
     ) -> Profile:
         """Run a query with the PMU armed; returns a Profile for reports.
 
@@ -1007,7 +1007,6 @@ class Database:
             sql, config, join_order_hint=join_order_hint,
             planner_options=planner_options, workers=workers,
             repeats=repeats, feedback=feedback, fast_vm=fast_vm,
-            tiering=tiering if tiering is not None else self.tiering,
         )
         if pgo:
             self.pgo_store.record(profile)

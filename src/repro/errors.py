@@ -66,6 +66,13 @@ class VMError(ReproError):
         self.ip = ip
 
 
+class InstructionBudgetExceeded(VMError):
+    """A run retired more instructions than ``max_instructions`` allows.
+
+    Its own type so callers that map it to a status (the serve tier's
+    ``INSTRUCTION_LIMIT``) match on the class, not the message."""
+
+
 class ProfilingError(ReproError):
     """Raised by the Tailored Profiling post-processing stage."""
 

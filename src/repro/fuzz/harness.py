@@ -62,6 +62,8 @@ class FuzzReport:
     executions: int = 0
     rejected: int = 0
     datasets: int = 0
+    # queries whose vm-parity[tiered] signature is of a run at tier 2
+    tier2_signed: int = 0
     elapsed: float = 0.0
     failures: list[FuzzFailure] = field(default_factory=list)
 
@@ -191,6 +193,7 @@ def run_fuzz(
             continue
 
         report.queries += 1
+        report.tier2_signed += result.tier2_signed
         report.executions += sum(
             1 for o in result.outcomes if o.kind != "skipped"
         )

@@ -25,10 +25,11 @@ with the PMU armed, the translated engine must reproduce the interpreter's
 machine state bit-for-bit — instruction/cycle/load/store counters, cache
 and branch-predictor statistics, and the full PMU sample stream (ip, tsc,
 branch_taken, memaddr per sample).  Tier-2 traces are held to the same
-bit-exact contract twice: once running specialized to completion, and
-once with the forced-deopt guard tripped so the very first specialized
-loop edge flushes its deferred state and demotes back to tier 1
-mid-query.  Any divergence is a disagreement.
+bit-exact contract, on a run that provably executed them: a tier
+belongs to the compiled program, so the parity configs compile once,
+warm that program past the promotion threshold and sign a second run of
+it — and a signed run that did not report tier 2 is itself a
+disagreement.  Any divergence is a disagreement.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ class CheckResult:
     reject_reason: str | None = None
     outcomes: list[Outcome] = field(default_factory=list)
     disagreements: list[Disagreement] = field(default_factory=list)
+    # vm-parity[tiered] signed a run that executed at tier 2
+    tier2_signed: bool = False
 
     @property
     def agreed(self) -> bool:
@@ -378,14 +381,19 @@ class DifferentialOracle:
         return outcomes
 
     def _tiered_execute(self, sql: str):
-        """Execute on tier-2 traces: warm past the promotion threshold,
-        then run again so the measured execution starts specialized."""
+        """Execute on tier-2 traces: warm the cached plan past the
+        promotion threshold, then run it again specialized."""
         from repro.vm.tiering import TieringController
 
         tiering = TieringController(hot_instructions=1)
         limit = self.instruction_limit
         self.db.execute(sql, instruction_limit=limit, tiering=tiering)
-        return self.db.execute(sql, instruction_limit=limit, tiering=tiering)
+        result = self.db.execute(
+            sql, instruction_limit=limit, tiering=tiering
+        )
+        if result.tier != 2:
+            raise ReproError(f"warmed plan ran at tier {result.tier}, not 2")
+        return result
 
     def _pgo_outcomes(self, sql: str) -> list[Outcome]:
         """Profile-feedback compiles: sampled run, cold plan, warm cache."""
@@ -500,32 +508,41 @@ class DifferentialOracle:
     def _vm_signature(
         self, sql: str, fast_vm: bool, config: str, tiering=None,
     ) -> Outcome:
-        """Profile once and fold the complete machine state into rows.
+        """Run once armed and fold the complete machine state into rows.
 
         The "rows" of this outcome are the counter tuple followed by every
         PMU sample, so the generic bag comparison would be useless — the
-        caller compares signatures for exact equality instead.  With a
-        ``tiering`` controller an extra warm run first drives the program
-        past the promotion threshold, so the signed run executes tier-2
-        traces (or trips their deopt guard, if the controller is armed)."""
+        caller compares signatures for exact equality instead.  A tier is
+        a property of the compiled program, so with a ``tiering``
+        controller the *same* program runs twice: the first run drives it
+        past the promotion threshold, the second — the signed one — must
+        then execute tier-2 traces, and not doing so is an error outcome
+        (which the interpreter's rows turn into a disagreement)."""
         from repro.engine import ProfilerConfig
 
-        profiler_config = ProfilerConfig(record_memaddr=True)
+        db = self.db
+        profiler = ProfilerConfig(record_memaddr=True)
+        mark = db.memory.mark()
         try:
-            if tiering is not None:
-                self.db.profile(
-                    sql, config=profiler_config, fast_vm=fast_vm,
-                    tiering=tiering,
+            compiled = db._compile(sql, profiler)
+            for _ in range(1 if tiering is None else 2):
+                machines, _, _ = db._run_compiled(
+                    compiled, profiler, fast_vm=fast_vm, tiering=tiering
                 )
-            profile = self.db.profile(
-                sql, config=profiler_config, fast_vm=fast_vm,
-                tiering=tiering,
-            )
         except PlanError as exc:
             return Outcome(config, "error", error=f"PlanError: {exc}")
         except Exception as exc:  # noqa: BLE001 - compared against twin
             return Outcome(config, "error", error=f"{type(exc).__name__}: {exc}")
-        machine = profile.machine
+        finally:
+            db.memory.release(mark)
+        machine = machines[0]
+        # ``ran`` is the pre-observation snapshot: the tier the signed run
+        # executed at, not one its own instructions promoted it to
+        if tiering is not None and machine.ran["tier"] != 2:
+            return Outcome(
+                config, "error",
+                error=f"signed run executed at tier {machine.ran['tier']}",
+            )
         state = machine.state
         signature = [(
             "counters", state.instructions, state.cycles,
@@ -539,36 +556,28 @@ class DifferentialOracle:
         )
         return Outcome(config, "rows", rows=signature)
 
-    def _vm_parity(self, sql: str) -> list[Disagreement]:
+    def _vm_parity(self, sql: str) -> tuple[list[Disagreement], bool]:
         """Every execution tier must be bit-identical to the interpreter
         under an armed PMU: counters, cache/predictor state, and sample
-        streams.  Tier 2 is checked twice — running specialized to
-        completion, and with the forced-deopt guard tripped so the first
-        specialized loop edge flushes and demotes mid-query."""
+        streams.  Also returns whether the tier-2 signature is one of a
+        run that executed at tier 2."""
         from repro.vm.tiering import TieringController
 
         slow = self._vm_signature(sql, False, "vm-parity[interp]")
-        candidates = [
-            self._vm_signature(sql, True, "vm-parity[fast]"),
-            self._vm_signature(
-                sql, True, "vm-parity[tiered]",
-                tiering=TieringController(hot_instructions=1),
-            ),
-            self._vm_signature(
-                sql, True, "vm-parity[deopt]",
-                tiering=TieringController(
-                    hot_instructions=1, guard_hook=True, trip_guard=True,
-                ),
-            ),
-        ]
+        plain = self._vm_signature(sql, True, "vm-parity[fast]")
+        tiered = self._vm_signature(
+            sql, True, "vm-parity[tiered]",
+            tiering=TieringController(hot_instructions=1),
+        )
         disagreements = []
-        for fast in candidates:
+        for fast in (plain, tiered):
             if fast.kind != slow.kind:
                 disagreements.append(Disagreement(
                     fast.config, slow, fast,
                     reason=(
                         f"interpreter {slow.kind} vs "
                         f"{fast.config} {fast.kind}"
+                        + (f": {fast.error}" if fast.error else "")
                     ),
                 ))
             elif fast.kind == "error" and fast.error != slow.error:
@@ -580,7 +589,7 @@ class DifferentialOracle:
                     fast.config, slow, fast,
                     reason="machine counters or PMU sample stream differ",
                 ))
-        return disagreements
+        return disagreements, tiered.kind == "rows"
 
     # -- comparison ----------------------------------------------------------
 
@@ -636,7 +645,8 @@ class DifferentialOracle:
                     ))
 
         if self.check_vm_parity and self.inject_fault is None:
-            result.disagreements.extend(self._vm_parity(sql))
+            disagreements, result.tier2_signed = self._vm_parity(sql)
+            result.disagreements.extend(disagreements)
         return result
 
 

@@ -85,6 +85,9 @@ class QueryExecution:
         self.budget_left = request.max_instructions
         # worker index -> this query's Machine on that worker
         self.machines: dict[int, object] = {}
+        # the plan's Translation.stats() as the latest unit ran (tier,
+        # translation cost); None until a unit ran, or at tier 0
+        self.ran: dict | None = None
         self.pending: list[Unit] = [Unit(SETUP)]
         self._phase = SETUP
         self._pipeline_pos = -1

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.catalog import DataType
 from repro.engine import ProfilerConfig, ProfilingMode
-from repro.errors import ReproError, VMError
+from repro.errors import InstructionBudgetExceeded, ReproError, VMError
 from repro.serve.admission import AdmissionController, QueryRequest
 from repro.serve.errors import (
     CANCELLED,
@@ -64,10 +64,11 @@ class ServiceConfig:
     event: Event = Event.CYCLES
     fast_vm: bool = True
     seed: int = 0
-    # adaptive tiered execution (repro.vm.tiering): hot programs are
-    # recompiled as profile-specialized tier-2 traces; re-tiering commits
-    # at unit dispatch, i.e. morsel boundaries.  Pure wall-clock: tier
-    # choice never changes rows, counters, or sample streams.
+    # adaptive tiered execution (repro.vm.tiering): a hot plan's
+    # translation promotes itself to profile-specialized tier-2 traces
+    # between units, i.e. at morsel boundaries, for every query sharing
+    # the plan.  Pure wall-clock: tier choice never changes rows,
+    # counters, or sample streams.
     tiering: bool = True
     # hotness threshold override for the controller; None keeps the
     # default (costs.TIER2_HOT_INSTRUCTIONS).  Tests and the fuzz oracle
@@ -97,9 +98,9 @@ class ServiceResult:
     latency_cycles: int = 0
     busy_cycles: int = 0
     samples: int = 0
-    # highest execution tier any of the query's machines ran at, and
-    # what that machine's block map had cost by then (Translation.stats;
-    # None at tier 0)
+    # the tier the query's last unit ran at (its highest: tiers only
+    # rise) and the record it is read from, the plan's Translation.stats
+    # as that unit left them (None at tier 0)
     tier: int = 0
     translation: dict | None = None
 
@@ -376,11 +377,6 @@ class QueryService:
                 tiering=self.tiering,
             )
             execution.machines[worker.index] = machine
-        elif self.tiering is not None:
-            # unit dispatch = morsel boundary: the commit point where an
-            # in-flight query picks up a promotion that landed since its
-            # machine last ran (never mid-block)
-            self.tiering.apply(machine)
         worker.bind(machine)
         if self._profiler_config is not None:
             # install the query-id half of the tag pair; compiled code
@@ -402,7 +398,7 @@ class QueryService:
         try:
             machine.call(entry, args)
         except VMError as exc:
-            if "instruction budget" in str(exc):
+            if isinstance(exc, InstructionBudgetExceeded):
                 error = ServiceError(
                     INSTRUCTION_LIMIT,
                     f"query {execution.request.ticket} exceeded its "
@@ -418,7 +414,12 @@ class QueryService:
         worker.units_run += 1
 
         used = state.instructions - start_instructions
-        if self.tiering is not None and machine.tier >= 1:
+        # the tier this unit ran at, before its own instructions can
+        # promote the plan; tiers only rise, so the last unit's snapshot
+        # is the query's highest
+        translation = machine.translation
+        execution.ran = translation.stats() if translation else None
+        if self.tiering is not None:
             self.tiering.observe(machine, used)
         execution.instructions += used
         execution.loads += state.loads - start_loads
@@ -462,12 +463,7 @@ class QueryService:
             DONE: "ok", FAILED: "failed", EXEC_CANCELLED: "cancelled",
         }[execution.status]
         output = execution.compiled.physical.columns
-        # the machine that reached the highest tier speaks for the query
-        # (none at all when the query was refused before it ran)
-        top = max(
-            execution.machines.values(), key=lambda m: m.tier, default=None
-        )
-        translation = top.translation if top is not None else None
+        ran = execution.ran  # None when refused before it ran, or tier 0
         result = ServiceResult(
             ticket=request.ticket,
             query_id=execution.query_id,
@@ -485,8 +481,8 @@ class QueryService:
             latency_cycles=execution.latency_cycles,
             busy_cycles=execution.busy_cycles,
             samples=len(execution.samples),
-            tier=top.tier if top is not None else 0,
-            translation=translation.stats() if translation else None,
+            tier=ran["tier"] if ran else 0,
+            translation=ran,
         )
         self.results[request.ticket] = result
         self._order.append(result)

@@ -9,7 +9,7 @@ profiles on.  It provides:
 - :mod:`repro.vm.branch` — a 2-bit branch predictor,
 - :mod:`repro.vm.machine` — the interpreter with cycle accounting,
 - :mod:`repro.vm.translate` — basic-block translation for the fast engine,
-- :mod:`repro.vm.tiering` — profile-driven tier-2 trace specialization,
+- :mod:`repro.vm.tiering` — the tier-2 promotion policy,
 - :mod:`repro.vm.pmu` — the PEBS-like sampling unit,
 - :mod:`repro.vm.kernel` — "syscalls" executing in a kernel code region,
 - :mod:`repro.vm.costs` — every calibration constant in one place.
@@ -21,7 +21,7 @@ from repro.vm.machine import Machine, MachineState
 from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig, Sample, SampleBuffer
 from repro.vm.tiering import TieringController
-from repro.vm.translate import Translation, translate_program, translation_for
+from repro.vm.translate import Translation, translation_for
 
 __all__ = [
     "TieringController",
@@ -38,6 +38,5 @@ __all__ = [
     "Sample",
     "SampleBuffer",
     "Translation",
-    "translate_program",
     "translation_for",
 ]

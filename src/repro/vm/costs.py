@@ -82,13 +82,14 @@ FAST_VM_MAX_BLOCK_PLAIN = 512
 
 # --- tiered adaptive execution (repro.vm.tiering) ------------------------
 #
-# Tier 2 recompiles hot programs with profile-specialized traces: deferred
-# counter/register sync (flushed only at real exits and guard misses),
-# branch-direction fast paths from the rolling predictor snapshot, and
-# larger superblock trees.  Promotion triggers once a program has retired
-# this many simulated instructions under observation; the larger tree
-# limits apply only to tier-2 translations, whose compile time is paid
-# exclusively for regions the profile already proved hot.
+# Tier 2 re-emits a hot program's blocks as profile-specialized traces:
+# deferred counter/register sync in loop heads (flushed at real exits
+# and whenever a sampling window or the instruction budget is about to
+# end), hot-block trees and larger superblock trees.  Promotion triggers
+# once a program has retired this many simulated instructions under
+# observation; the larger tree limits apply only at tier 2, where
+# compile time is paid exclusively for regions the profile already
+# proved hot.
 
 TIER2_HOT_INSTRUCTIONS = 200_000
 TIER2_TREE_BUDGET = 6144

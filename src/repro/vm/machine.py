@@ -18,7 +18,7 @@ import warnings
 
 from dataclasses import dataclass
 
-from repro.errors import VMError
+from repro.errors import InstructionBudgetExceeded, VMError
 from repro.vm import costs
 from repro.vm.branch import BranchPredictor
 from repro.vm.cache import CacheHierarchy
@@ -112,22 +112,12 @@ class Machine:
         # fallback would dominate, so the fast engine disarms itself and
         # every instruction runs interpreted.
         self.translation = None
-        self._fast_blocks = None
-        # Tiered execution bookkeeping (repro.vm.tiering): ``tier`` is the
-        # machine's *effective* tier — 0 pure interpreter, 1 template
-        # superblocks, 2 profile-specialized traces.  ``_tier_guard`` is
-        # the test-only forced-deopt trip read by guard-hook translations.
-        self.tier = 0
+        # the promotion policy watching this machine's program, if any
+        # (repro.vm.tiering); while it watches a tier-1 translation the
+        # driver counts block entries, and translation stubs read
+        # ``_counting_entries`` to take their own dispatch back out (a
+        # stub entry is not a block entry)
         self._tiering = tiering
-        self._tier1 = None
-        self._tier_epoch = -1
-        self._tier_guard = False
-        self._tier2_guarded = False
-        self.deopt_events: list[int] = []
-        # per-block dispatch counts, filled by the tiered driver only;
-        # translation stubs read ``_counting_entries`` to take their own
-        # dispatch back out (a stub entry is not a block entry)
-        self.block_entries: dict[int, int] = {}
         self._counting_entries = False
         if fast_vm and (
             pmu_config is None or pmu_config.period >= costs.FAST_VM_MIN_PERIOD
@@ -145,8 +135,6 @@ class Machine:
             )
             # nothing compiles here: blocks translate on first entry
             self.translation = translation_for(program, event, bound_cap)
-            self._fast_blocks = self.translation.blocks
-            self.tier = 1
         elif fast_vm:
             # auto-disable used to be silent: benchmarks could think they
             # measured the fast VM while every instruction interpreted
@@ -157,12 +145,19 @@ class Machine:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        if tiering is not None and self._fast_blocks is not None:
-            tiering.apply(self)
         stack_base = memory.alloc(STACK_BYTES, "stack")
         self.stack_base = stack_base
         self.stack_end = stack_base + STACK_BYTES
         self.regs[15] = self.stack_end  # stack grows downward
+
+    @property
+    def tier(self) -> int:
+        """The tier this machine's next dispatch runs at: 0 the pure
+        interpreter, else its program's translation's (1 template
+        superblocks, 2 profile-specialized traces) — shared with every
+        machine on that translation."""
+        translation = self.translation
+        return translation.tier if translation is not None else 0
 
     # ------------------------------------------------------------------
     # concurrent serving (repro.serve)
@@ -188,42 +183,6 @@ class Machine:
 
     def restore_pmu_cursor(self, cursor: tuple[int, int, int]) -> None:
         self._countdown, self._jitter, self._external_ip_rotor = cursor
-
-    # ------------------------------------------------------------------
-    # tiered execution (repro.vm.tiering)
-
-    def install_tier2(self, translation, guarded: bool = False) -> None:
-        """Switch to a tier-2 translation, keeping tier 1 for deopt.
-
-        Called by the tiering controller at commit points only — machine
-        construction and morsel/unit boundaries — never mid-run, so the
-        simulated state is always at a block boundary when the map swaps.
-        ``guarded`` marks maps compiled with the forced-deopt guard hook;
-        only those can demote mid-call, so only those need the
-        re-reading tiered driver after promotion.
-        """
-        if self._fast_blocks is None or self.tier >= 2:
-            return
-        self._tier2_guarded = guarded
-        self._tier1 = self.translation
-        self.translation = translation
-        self._fast_blocks = translation.blocks
-        self.tier = 2
-
-    def _tier_deopt(self, ip: int) -> None:
-        """Guard-miss landing pad, called from tier-2 code *after* the
-        full deferred flush: by the time we get here registers, counters,
-        predictor state and the PMU countdown are already exact.  Demotes
-        the machine to its tier-1 map so the driver re-dispatches ``ip``
-        unspecialized."""
-        self._tier_guard = False
-        self.deopt_events.append(ip)
-        if self._tier1 is not None:
-            self.translation = self._tier1
-            self._fast_blocks = self._tier1.blocks
-            self.tier = 1
-        if self._tiering is not None:
-            self._tiering.note_deopt(self.program, ip)
 
     # ------------------------------------------------------------------
     # sampling
@@ -313,17 +272,8 @@ class Machine:
         regs = self.regs
         for i, value in enumerate(args):
             regs[i] = value
-        if self._fast_blocks is not None:
-            if self.tier >= 2 and not self._tier2_guarded:
-                # Promoted and guard-free: the map cannot change mid-call
-                # (deopt needs the guard hook) and counting stopped at
-                # promotion, so the hoisted-map driver is exact and the
-                # per-dispatch re-read would be pure overhead.
-                self._run_fast(entry_ip)
-            elif self._tiering is not None or self._tier1 is not None:
-                self._run_fast_tiered(entry_ip)
-            else:
-                self._run_fast(entry_ip)
+        if self.translation is not None:
+            self._run_fast(entry_ip)
         else:
             self._run(entry_ip)
         return regs[0]
@@ -350,9 +300,22 @@ class Machine:
         calling it compiles the block, swaps the map entry and returns
         the same ip, so the next turn of this loop dispatches the real
         block under the real check (see ``repro.vm.translate``).
+
+        While a tiering controller watches a translation still at tier 1,
+        every admitted dispatch also bumps the translation's
+        ``entries[ip]`` — the per-block execution counts tier 2 reads to
+        place hot-block trees.  A non-loop block entered once per row (a
+        link of a join-probe chain) looks like any cold leader
+        statically; the entry counts mark it.  Promotion consumes the
+        profile, so tier-2 runs count nothing.  The map itself changes
+        only between calls (promotion re-stubs it in place), which is
+        what lets this loop hoist it.
         """
-        blocks = self._fast_blocks
-        self._counting_entries = False
+        translation = self.translation
+        blocks = translation.blocks
+        counting = self._tiering is not None and translation.tier < 2
+        self._counting_entries = counting
+        entries = translation.entries
         self.call_stack.append(-1)
         regs = self.regs
         words = self.memory.words
@@ -368,69 +331,6 @@ class Machine:
             while ip >= 0:
                 b = get(ip)
                 if b is not None and state.instructions + b[1] <= max_instructions:
-                    ip = b[0](self, regs, words, state, caches, predictor)
-                else:
-                    ip = interp(ip, blocks)
-        else:
-            while ip >= 0:
-                b = get(ip)
-                if b is not None:
-                    if (
-                        self._countdown > b[2]
-                        and state.instructions + b[1]
-                        <= state.max_instructions
-                    ):
-                        ip = b[0](self, regs, words, state, caches, predictor)
-                        continue
-                    fb = b[3]
-                    if (
-                        fb is not None
-                        and self._countdown > fb[2]
-                        and state.instructions + fb[1]
-                        <= state.max_instructions
-                    ):
-                        ip = fb[0](
-                            self, regs, words, state, caches, predictor
-                        )
-                        continue
-                ip = interp(ip, blocks)
-
-    def _run_fast_tiered(self, entry_ip: int) -> None:
-        """The dual-mode driver for tiered machines.
-
-        Identical admission logic to :meth:`_run_fast`, but the block map
-        is re-read from ``self._fast_blocks`` on every dispatch so a
-        guard-miss demotion (``_tier_deopt``) or a controller promotion
-        takes effect at the very next block boundary.  Tier-1 machines
-        keep the hoisted-map driver and pay nothing for this.
-
-        While the machine is still at tier 1 under a controller, every
-        dispatch also bumps ``block_entries[ip]`` — the per-block
-        execution counts the tiering controller aggregates into its
-        rolling profile.  A non-loop block entered once per row (a link
-        of a join-probe chain) looks like any cold leader statically;
-        the entry counts mark it for a tier-2 hot-block tree.  Once the
-        program is promoted the profile is consumed, so tier-2 machines
-        skip the counting entirely.
-        """
-        self.call_stack.append(-1)
-        regs = self.regs
-        words = self.memory.words
-        state = self.state
-        caches = self.caches
-        predictor = self.predictor
-        config = self.pmu_config
-        interp = self._interp
-        counting = self._tiering is not None and self.tier < 2
-        self._counting_entries = counting
-        entries = self.block_entries
-        ip = entry_ip
-        if config is None:
-            max_instructions = state.max_instructions
-            while ip >= 0:
-                blocks = self._fast_blocks
-                b = blocks.get(ip)
-                if b is not None and state.instructions + b[1] <= max_instructions:
                     if counting:
                         entries[ip] = entries.get(ip, 0) + 1
                     ip = b[0](self, regs, words, state, caches, predictor)
@@ -438,8 +338,7 @@ class Machine:
                     ip = interp(ip, blocks)
         else:
             while ip >= 0:
-                blocks = self._fast_blocks
-                b = blocks.get(ip)
+                b = get(ip)
                 if b is not None:
                     if (
                         self._countdown > b[2]
@@ -551,7 +450,9 @@ class Machine:
             instructions += 1
             if instructions > max_instructions:
                 state.cycles, state.instructions = cycles, instructions
-                raise VMError(f"instruction budget exceeded ({max_instructions})", ip)
+                raise InstructionBudgetExceeded(
+                    f"instruction budget exceeded ({max_instructions})", ip
+                )
             cost = 1
             memaddr = None
 

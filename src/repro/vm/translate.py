@@ -54,21 +54,27 @@ and the armed bound cap (the countdown bookkeeping is specialized per
 event), so the up-to-four morsel workers of one query share a single
 translation — and a block one of them compiled is compiled for all.
 
-Tier 2 (``tier=2``, driven by :mod:`repro.vm.tiering`) gives hot
-programs a second, equally lazy translation with *deferred sync*:
-inside a loop-head superblock the counters (instructions, cycles,
-loads, stores, cache accesses), the branch
-predictor's per-ip 2-bit counters, and the PMU countdown all live in
-Python locals, and the loop back edge only folds the path's static totals
-into those locals — the full flush to machine state happens exclusively at
-real exits and at guard misses (countdown low, budget low, or the
-test-only ``m._tier_guard`` trip).  That flush *is* the deoptimization
-path: it reconstructs the exact interpreter-visible state (registers,
-counters, countdown, predictor) before handing the resume ip back to the
-driver, so a guard miss mid-superblock is invisible to sample streams and
-counter parity.  The 2-bit update is split per arm so the condition is
-tested once, and retired-branch counts are path-static and fold into the
-sync/edge constants like instruction counts do.
+Tier 2 is a state of that same translation, not a second map.  While a
+translation is at tier 1 and a :class:`~repro.vm.tiering.TieringController`
+watches it, the driver counts admitted dispatches per block into
+``entries`` and the controller adds each call's retired instructions to
+``retired``; past the threshold :meth:`Translation.promote` re-stubs
+``blocks`` *in place* with the tier-2 emit settings, and every machine
+holding that dict runs tier 2 from its next dispatch.  Tier-2 loop heads
+use *deferred sync*: the counters (instructions, cycles, loads, stores,
+cache accesses), the branch predictor's per-ip 2-bit counters, and the
+PMU countdown all live in Python locals, and the loop back edge only
+folds the path's static totals into those locals — the full flush to
+machine state happens exclusively at real exits and when the edge check
+fails (countdown low: a sampling window is about to end; budget low: an
+instruction limit is about to stop the run).  The flush reconstructs the
+exact interpreter-visible state (registers, counters, countdown,
+predictor) before handing the resume ip back to the driver, so a window
+end mid-superblock is invisible to sample streams and counter parity.
+The 2-bit update is split per arm so the condition is tested once, and
+retired-branch counts are path-static and fold into the sync/edge
+constants like instruction counts do.  Nothing at tier 2 speculates, so
+nothing ever demotes.
 
 Two more tier-2 specializations ride on the same exactness argument:
 
@@ -76,7 +82,7 @@ Two more tier-2 specializations ride on the same exactness argument:
   is by construction the MRU entry of its L1 set, so a repeat access to
   the line recorded in the ``_mln`` local is a guaranteed MRU hit — one
   shift and one compare replace the whole set lookup.
-- *Hot-block trees*: the rolling profile's per-block entry counts mark
+- *Hot-block trees*: the tier-1 profile's per-block entry counts mark
   blocks entered hundreds of times per run without a closed loop — the
   links of per-row probe chains — and tier 2 grows superblock trees at
   them too, so one driver dispatch covers the whole per-row path.
@@ -196,15 +202,29 @@ class Translation:
     translatable), and hands the same ip back, so the driver
     re-dispatches under the real block's admission check.  A stub
     touches no simulated state, which is why it may always be admitted.
+
+    The translation also owns the program's tier: ``retired`` and
+    ``entries`` are the tier-1 profile a tiering controller feeds, and
+    :meth:`promote` turns every entry of ``blocks`` back into a stub that
+    compiles with the tier-2 settings.  The dict object never changes,
+    so every machine built on this translation follows.
     """
 
-    def __init__(self, program: Program, emit: dict):
+    def __init__(
+        self, program: Program, event: Event | None, bound_cap: int = 0
+    ):
         self.code = program.code
         self.code_len = len(self.code)
-        self.compiled: set[int] = set()  # leaders compiled so far
+        self.tier = 1
+        self.retired = 0  # instructions observed while at tier 1
+        # admitted tier-1 dispatches per block; nothing counts once the
+        # tier is 2, so promotion freezes it as the hot-block profile
+        self.entries: dict[int, int] = {}
+        self.hot_blocks = 0  # entries at or over the hot mark, at promotion
+        self.compiled: set[int] = set()  # leaders compiled in the current map
         self.source_lines = 0
         self.compile_s = 0.0
-        self._emit = emit
+        self._emit = _emit_settings(_MODES[event], bound_cap, 1, self.entries)
         # machine.py imports this module lazily, so the reverse import
         # here cannot form a cycle at module-load time
         from repro.vm.machine import crc32_mix
@@ -212,7 +232,8 @@ class Translation:
         self._namespace = {
             "VMError": VMError, "crc32_mix": crc32_mix, "_Fault": _Fault,
         }
-        self.blocks = {ip: self._stub(ip) for ip in block_leaders(program)}
+        self._leaders = block_leaders(program)
+        self.blocks = {ip: self._stub(ip) for ip in self._leaders}
         self.leaders = len(self.blocks)
 
     def stale_for(self, program: Program) -> bool:
@@ -220,6 +241,22 @@ class Translation:
             self.code is not program.code
             or self.code_len != len(program.code)
         )
+
+    def promote(self) -> None:
+        """Tier 1 -> tier 2, in place.  Only between machine calls: no
+        block function is on the host stack, so no caller can be left
+        holding an entry of the old map."""
+        self.tier = 2
+        self.hot_blocks = sum(
+            1 for n in self.entries.values()
+            if n >= costs.TIER2_HOT_BLOCK_ENTRIES
+        )
+        self._emit = _emit_settings(
+            self._emit["mode"], self._emit["bound_cap"], 2, self.entries
+        )
+        self.compiled.clear()
+        self.blocks.clear()
+        self.blocks.update((ip, self._stub(ip)) for ip in self._leaders)
 
     def block(self, ip: int) -> tuple | None:
         """The compiled entry of leader ``ip`` (compiling it now if it is
@@ -232,9 +269,15 @@ class Translation:
         return entry
 
     def stats(self) -> dict:
-        """What translation cost so far: static leaders, blocks actually
-        compiled, generated source lines, and host seconds spent."""
+        """The tier decision and what translation cost so far: the tier,
+        the instructions observed toward it and the hot blocks its
+        profile marked; static leaders, blocks compiled in the current
+        map, and generated source lines and host seconds over both
+        tiers."""
         return {
+            "tier": self.tier,
+            "retired": self.retired,
+            "hot_blocks": self.hot_blocks,
             "leaders": self.leaders,
             "compiled": len(self.compiled),
             "source_lines": self.source_lines,
@@ -246,9 +289,9 @@ class Translation:
 
     def _enter(self, ip, machine, *_):
         if machine._counting_entries:
-            # the tiered driver counted this dispatch as a block entry,
-            # and it will count the re-dispatch of the real block again
-            entries = machine.block_entries
+            # the driver counted this dispatch as a block entry, and it
+            # will count the re-dispatch of the real block again
+            entries = self.entries
             if entries[ip] > 1:
                 entries[ip] -= 1
             else:
@@ -300,65 +343,12 @@ class Translation:
         return entry
 
 
-def translation_key(
-    event: Event | None, bound_cap: int, tier: int = 1,
-    guard_hook: bool = False,
-) -> tuple:
-    """Cache key of one translation variant on a Program object."""
-    return (
-        event.name if event is not None else None,
-        bound_cap, tier, guard_hook,
-    )
-
-
-def translation_for(
-    program: Program, event: Event | None, bound_cap: int = 0,
-    tier: int = 1, guard_hook: bool = False, entries: dict | None = None,
-) -> Translation:
-    """Return the (cached) translation of ``program`` for ``event``.
-
-    ``bound_cap`` is the armed tree-growth allowance in worst-case
-    countdown events (0 disables armed trees); unarmed translations
-    ignore it.  ``tier=2`` is the profile-specialized variant
-    (``entries`` is the rolling profile's per-block entry counts;
-    ``guard_hook`` additionally compiles the test-only forced-deopt
-    guard into every loop edge).  ``entries`` is frozen into the
-    translation when it is created, so a block compiled later
-    specializes against the same snapshot."""
-    cache = getattr(program, "_vm_translations", None)
-    if cache is None:
-        cache = {}
-        program._vm_translations = cache
-    key = translation_key(event, bound_cap, tier, guard_hook)
-    entry = cache.get(key)
-    if entry is None or entry.stale_for(program):
-        entry = translate_program(
-            program, event, bound_cap, tier=tier, guard_hook=guard_hook,
-            entries=entries,
-        )
-        cache[key] = entry
-    return entry
-
-
-def translate_program(
-    program: Program, event: Event | None, bound_cap: int = 0,
-    tier: int = 1, guard_hook: bool = False, entries: dict | None = None,
-) -> Translation:
-    """Decode ``program`` into block leaders; compile none of them yet.
-
-    The returned :class:`Translation` holds a stub for every leader from
-    :func:`~repro.vm.isa.block_leaders` and compiles a block the first
-    time the driver enters it — a query only ever pays for the blocks it
-    runs."""
-    mode = _MODES[event]
+def _emit_settings(mode: str, bound_cap: int, tier: int, entries: dict) -> dict:
+    """The :func:`_emit_block` arguments of one translation at ``tier``."""
     # armed translations cap trace length so worst-case event bounds stay
     # well under the countdown; unarmed ones have no countdown to protect
-    cap = (
-        costs.FAST_VM_MAX_BLOCK
-        if event is not None
-        else costs.FAST_VM_MAX_BLOCK_PLAIN
-    )
-    if tier >= 2 and event is not None and bound_cap:
+    cap = costs.FAST_VM_MAX_BLOCK if mode else costs.FAST_VM_MAX_BLOCK_PLAIN
+    if tier >= 2 and mode and bound_cap:
         # What admission actually protects is the worst-case *event*
         # bound, not the instruction count — tier-2 armed roots therefore
         # decode at the plain cap and _emit_block trims them back by
@@ -368,12 +358,33 @@ def translate_program(
         cap = costs.FAST_VM_MAX_BLOCK_PLAIN
     # tier-2 trees may grow much larger: their compile time is only paid
     # for blocks the profile already proved hot *and* the run re-enters
-    return Translation(program, dict(
-        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier,
-        guard_hook=guard_hook, entries=entries,
+    return dict(
+        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier, entries=entries,
         tree_budget=costs.TIER2_TREE_BUDGET if tier >= 2 else _TREE_BUDGET,
         tree_depth=costs.TIER2_TREE_DEPTH if tier >= 2 else _TREE_DEPTH,
-    ))
+    )
+
+
+def translation_for(
+    program: Program, event: Event | None, bound_cap: int = 0
+) -> Translation:
+    """Return the one (cached) translation of ``program`` for ``event``.
+
+    ``bound_cap`` is the armed tree-growth allowance in worst-case
+    countdown events (0 disables armed trees); unarmed translations
+    ignore it.  Nothing compiles here: the :class:`Translation` holds a
+    stub for every leader and compiles a block the first time the driver
+    enters it — a query only ever pays for the blocks it runs."""
+    cache = getattr(program, "_vm_translations", None)
+    if cache is None:
+        cache = {}
+        program._vm_translations = cache
+    key = (event, bound_cap)
+    entry = cache.get(key)
+    if entry is None or entry.stale_for(program):
+        entry = Translation(program, event, bound_cap)
+        cache[key] = entry
+    return entry
 
 
 def _translatable(ins: tuple) -> bool:
@@ -443,8 +454,7 @@ def _decode_trace(code: list[tuple], start: int, cap: int):
 
 def _emit_block(
     code, start, cap, mode, bound_cap=0, suffix="", tier=1,
-    guard_hook=False, tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH,
-    entries=None,
+    tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH, entries=None,
 ):
     """Emit the source of one block function; None if nothing translatable.
 
@@ -469,7 +479,7 @@ def _emit_block(
         return None
     if mode and bound_cap and len(root_items) > costs.FAST_VM_MAX_BLOCK:
         # Tier-2 armed roots decode past the tier-1 instruction cap (see
-        # translate_program); keep the longest prefix whose worst-case
+        # _emit_settings); keep the longest prefix whose worst-case
         # event bound still leaves tree headroom under ``bound_cap``, but
         # never trim below the tier-1 cap.  The cut point's ip is where
         # control would continue, so it becomes the fall-through leader.
@@ -506,12 +516,12 @@ def _emit_block(
     # whole chain.
     hot_block = (
         tier >= 2
-        and entries is not None
         and entries.get(start, 0) >= costs.TIER2_HOT_BLOCK_ENTRIES
     )
     tree = (is_loop_head or hot_block) and (mode == "" or bound < bound_cap)
     # Tier-2 deferred sync: a loop head keeps its counters, predictor
-    # state and countdown in locals until a real exit or a guard miss.
+    # state and countdown in locals until a real exit or a failed edge
+    # check.
     deferred = tier >= 2 and is_loop_head
     branch_ips: set[int] = set()
     if tree:
@@ -1132,7 +1142,7 @@ def _emit_block(
     written = sorted(written_regs)
 
     def write_back(branches: str = "0") -> list[str]:
-        """What every way out of the function — exit, deopt flush, fault
+        """What every way out of the function — exit, edge flush, fault
         epilogue — starts with: the cached registers, and in a deferred
         loop the predictor state (``branches`` is the path's static
         count on top of ``_pb``)."""
@@ -1152,7 +1162,7 @@ def _emit_block(
     if deferred:
         budget_cond = f"_ib + _ins + {max_k} > _maxi"
         le_cond = f"_cd <= {bound} or {budget_cond}" if mode else budget_cond
-        # the uniform deopt flush: everything the accumulators deferred
+        # the uniform edge flush: everything the accumulators deferred
         # goes back to machine state before the driver regains control
         flush = write_back() + [
             "state.instructions += _ins",
@@ -1182,11 +1192,6 @@ def _emit_block(
         elif "\x00LE" in ln:
             indent = ln.replace("\x00LE", "")
             if deferred:
-                if guard_hook:
-                    expanded.append(f"{indent}if m._tier_guard:")
-                    expanded.extend(f"{indent}    {f}" for f in flush)
-                    expanded.append(f"{indent}    m._tier_deopt({start})")
-                    expanded.append(f"{indent}    return {start}")
                 expanded.append(f"{indent}if {le_cond}:")
                 expanded.extend(f"{indent}    {f}" for f in flush)
                 expanded.append(f"{indent}    return {start}")

@@ -267,6 +267,9 @@ def test_run_fuzz_small_budget_is_clean():
     assert report.datasets == 2
     # reference, parallel, interpreted, unoptimized, groupjoin at minimum
     assert report.executions >= 6 * 5
+    # vm-parity[tiered] means what it says: every signature is of a run
+    # that executed at tier 2
+    assert report.tier2_signed == report.queries
 
 
 def test_run_fuzz_persists_minimized_failures(tmp_path):

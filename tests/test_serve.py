@@ -165,6 +165,30 @@ def test_instruction_budget_fails_query(db):
     assert service.result(other).ok
 
 
+def test_budget_stop_is_classified_by_type_not_message(db, monkeypatch):
+    # regression: the service matched "instruction budget" in str(exc),
+    # so rewording the machine's message would have turned
+    # INSTRUCTION_LIMIT into EXEC_ERROR (and any other fault quoting
+    # those words into INSTRUCTION_LIMIT)
+    from repro.errors import InstructionBudgetExceeded, VMError
+    from repro.serve import EXEC_ERROR
+    from repro.vm.machine import Machine
+
+    def failing_with(error):
+        def call(self, entry_ip, args=()):
+            raise error
+        monkeypatch.setattr(Machine, "call", call)
+        service = make_service(db)
+        ticket = service.submit(SQL_COUNT)
+        service.drain()
+        return service.result(ticket).error_code
+
+    reworded = InstructionBudgetExceeded("out of fuel", 7)
+    assert failing_with(reworded) == INSTRUCTION_LIMIT
+    lookalike = VMError("load out of bounds past the instruction budget", 7)
+    assert failing_with(lookalike) == EXEC_ERROR
+
+
 def test_compile_error_becomes_failed_result(db):
     service = make_service(db)
     ticket = service.submit("SELECT nonsense FROM nowhere")

@@ -1,19 +1,22 @@
 """Tiered adaptive execution (repro.vm.tiering).
 
-Covers the full promotion lifecycle — rolling profile, hotness
-threshold, tier-2 installation at commit points — and the two exactness
-contracts that make tier choice a pure wall-clock decision: tier-2
-traces reproduce the interpreter's machine state bit-for-bit, and a
-guard-miss deoptimization flushes the deferred state (registers,
-counters, PMU countdown, sample stream) exactly before demoting to
-tier 1.
+Covers the full promotion lifecycle — tier-1 profile, hotness
+threshold, promotion in place of the program's one translation — and
+the exactness contract that makes tier choice a pure wall-clock
+decision: tier-2 traces reproduce the interpreter's machine state
+bit-for-bit, including when a deferred loop's edge check fails (a
+sampling window or an instruction budget about to end) and the loop
+flushes its deferred state — registers, counters, predictor, PMU
+countdown — back to the machine mid-run.
 """
 
 import warnings
+from dataclasses import asdict
 
 import pytest
 
 from repro import Database
+from repro.errors import VMError
 from repro.vm import costs
 from repro.vm.isa import (
     CodeRegion,
@@ -64,27 +67,26 @@ def build_program() -> Program:
     return program
 
 
-def run_machine(program, *, pmu=None, fast_vm=True, tiering=None):
+def run_machine(program, *, pmu=None, fast_vm=True, tiering=None, n=N):
     machine = Machine(
         program, Memory(1 << 20), pmu_config=pmu,
         fast_vm=fast_vm, tiering=tiering,
     )
-    base = machine.memory.alloc(N * 8)
-    result = machine.call(0, (base, N))
+    base = machine.memory.alloc(n * 8)
+    result = machine.call(0, (base, n))
     return machine, result
 
 
 def observed_state(machine) -> dict:
     """Every machine-state dimension the exactness contract covers."""
     return {
-        "instructions": machine.state.instructions,
-        "cycles": machine.state.cycles,
-        "loads": machine.state.loads,
-        "stores": machine.state.stores,
+        "state": asdict(machine.state),
+        "regs": list(machine.regs),
         "cache_accesses": machine.caches.accesses,
         "l1_misses": machine.caches.l1_misses,
         "branches": machine.predictor.branches,
         "mispredicts": machine.predictor.mispredicts,
+        "predictor_counters": dict(machine.predictor.counters),
         "samples": [
             (s.ip, s.tsc, s.branch_taken, s.memaddr)
             for s in machine.samples.samples
@@ -96,9 +98,8 @@ def observed_state(machine) -> dict:
 def promote(program, controller, pmu=None) -> Machine:
     """One tier-1 run under ``controller``, observed past the threshold.
 
-    Promotion compiles the tier-2 translation variant for the observing
-    machine's PMU configuration, so the warm run must be armed the same
-    way as the runs that should execute specialized.
+    A translation is per PMU event mode, so the warm run must be armed
+    the same way as the runs that should execute specialized.
     """
     machine, _ = run_machine(program, pmu=pmu, tiering=controller)
     assert machine.tier == 1
@@ -116,48 +117,60 @@ def test_promotion_crosses_the_hotness_threshold():
     machine, _ = run_machine(program, tiering=controller)
     # far below threshold: observation accumulates, never promotes
     assert not controller.observe(machine, machine.state.instructions)
-    assert controller.tier_for(program) == 1
     assert machine.tier == 1
+    assert machine.translation.retired == machine.state.instructions
 
     hot = TieringController(hot_instructions=100)
-    machine = promote(program, hot)
-    # the observing machine re-tiers immediately (it is at a call
-    # boundary); a second observation never re-promotes
+    blocks = machine.translation.blocks
+    assert hot.observe(machine, machine.state.instructions)
+    # promotion is a state change of the one translation: same object,
+    # same block map, every entry a stub again
     assert machine.tier == 2
-    assert hot.tier_for(program) == 2
+    assert machine.translation.blocks is blocks
+    assert not machine.translation.compiled
+    assert len(program._vm_translations) == 1
+    # a second observation never re-promotes
     assert not hot.observe(machine, 10**6)
-    assert hot.stats()["promotions"] == 1
-    assert hot.stats()["hot_programs"] == 1
+    assert hot.stats() == {"promotions": 1, "hot_programs": 1}
+    stats = machine.translation.stats()
+    assert stats["tier"] == 2 and stats["retired"] >= 100
 
 
-def test_apply_installs_the_pending_map_on_other_machines():
+def test_a_machine_on_a_promoted_program_starts_at_tier2():
     program = build_program()
-    controller = TieringController(hot_instructions=100)
-    promote(program, controller)
-    # a machine that missed the promotion picks it up at a commit point
+    early = Machine(program, Memory(1 << 20))
+    promote(program, TieringController(hot_instructions=100))
+    # the tier is the program's: a machine built before the promotion
+    # follows it, and one built afterwards starts promoted — with or
+    # without a controller of its own
+    assert early.tier == 2
     late = Machine(program, Memory(1 << 20))
-    assert late.tier == 1
-    controller.apply(late)
     assert late.tier == 2
-    # fresh machines constructed under the controller start promoted
-    fresh, _ = run_machine(program, tiering=controller)
-    assert fresh.tier == 2
+    assert late.translation is early.translation
+    # ... per PMU event mode: an armed machine has its own translation
+    armed = Machine(
+        program, Memory(1 << 20),
+        pmu_config=PmuConfig(event=Event.CYCLES, period=2048),
+    )
+    assert armed.tier == 1
 
 
 def test_entry_counting_stops_after_promotion():
     program = build_program()
     controller = TieringController(hot_instructions=100)
     machine, _ = run_machine(program, tiering=controller)
-    # tier-1 dispatches under a controller fill the per-block entry
-    # counts — the profile dimension that places hot-block trees
-    assert machine.block_entries
+    # tier-1 dispatches under a controller fill the translation's
+    # per-block entry counts — the profile that places hot-block trees
+    entries = machine.translation.entries
+    assert entries
+    # without a controller nothing counts
+    frozen = dict(entries)
+    run_machine(program)
+    assert entries == frozen
     assert controller.observe(machine, machine.state.instructions)
-    # observation consumed the counts, and the promoted machine's
-    # driver no longer pays for counting
-    assert not machine.block_entries
-    base = machine.memory.alloc(N * 8)
-    machine.call(0, (base, N))
-    assert not machine.block_entries
+    # promotion froze the counts: tier-2 runs no longer pay for counting
+    run_machine(program, tiering=controller)
+    assert entries == frozen
 
 
 @pytest.mark.parametrize(
@@ -171,13 +184,18 @@ def test_stub_dispatches_are_not_block_entries(pmu):
     program = build_program()
     controller = TieringController(hot_instructions=10**12)
     first, _ = run_machine(program, pmu=pmu, tiering=controller)
-    assert first.translation.compiled
-    # same program, same translation, now fully materialised
+    translation = first.translation
+    assert translation.compiled
+    through_stubs = dict(translation.entries)
+    assert through_stubs
+    assert set(through_stubs) <= translation.compiled
+    # same program, same translation, now fully materialised: the second
+    # run adds exactly what the first counted
     second, _ = run_machine(program, pmu=pmu, tiering=controller)
-    assert second.translation is first.translation
-    assert first.block_entries
-    assert first.block_entries == second.block_entries
-    assert set(first.block_entries) <= first.translation.compiled
+    assert second.translation is translation
+    assert translation.entries == {
+        ip: 2 * n for ip, n in through_stubs.items()
+    }
 
 
 # -- the specializations tier 2 keeps are in effect ---------------------------
@@ -221,40 +239,51 @@ def probe_chain_blocks(rows: int):
     program = Program()
     program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
     controller = TieringController(hot_instructions=100)
-    results = []
-    for _ in range(2):  # the first run profiles and promotes
-        machine = Machine(program, Memory(1 << 20), tiering=controller)
-        results.append(machine.call(0, (0, rows)))
-        controller.observe(machine, machine.state.instructions)
-    assert machine.tier == 2 and results[0] == results[1]
-    return machine._tier1.block(PROBE), machine.translation.block(PROBE)
+    machine = Machine(program, Memory(1 << 20), tiering=controller)
+    profiled = machine.call(0, (0, rows))
+    tier1 = machine.translation.block(PROBE)
+    assert controller.observe(machine, machine.state.instructions)
+    machine = Machine(program, Memory(1 << 20), tiering=controller)
+    assert machine.tier == 2 and machine.call(0, (0, rows)) == profiled
+    hot = machine.translation.stats()["hot_blocks"]
+    assert hot == sum(
+        n >= costs.TIER2_HOT_BLOCK_ENTRIES
+        for n in machine.translation.entries.values()
+    )
+    return tier1, machine.translation.block(PROBE), hot
 
 
 def test_hot_non_loop_block_grows_a_tree_at_tier2():
-    tier1, tier2 = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES)
+    tier1, tier2, hot = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES)
+    assert hot >= 1
     # entry[1] is the most instructions one dispatch of the block can
     # retire: tier 1 hands the odd-row continuation back to the driver,
     # the hot-block tree inlines it
     assert tier2[1] > tier1[1]
     # one entry short of hot, the tier-2 block is the tier-1 trace
-    tier1, tier2 = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES - 1)
+    tier1, tier2, _ = probe_chain_blocks(costs.TIER2_HOT_BLOCK_ENTRIES - 1)
     assert tier2[1] == tier1[1]
 
 
-def tier2_loop_machine(pmu=None) -> Machine:
-    """A machine that ran LOOP_SUM at tier 2 (armed like ``pmu``)."""
+def loop_head_code(pmu=None):
+    """LOOP_SUM's loop-head function at tier 1 and at tier 2 (armed like
+    ``pmu``), each after a run that entered it."""
     program = build_program()
     controller = TieringController(hot_instructions=100)
     promote(program, controller, pmu=pmu)
+    # a promoted translation has no tier-1 blocks left: read tier 1
+    # from a twin program
+    twin, _ = run_machine(build_program(), pmu=pmu)
     tiered, _ = run_machine(program, pmu=pmu, tiering=controller)
-    assert tiered.tier == 2
-    return tiered
+    assert (twin.tier, tiered.tier) == (1, 2)
+    return (
+        twin.translation.block(LOOP_HEAD)[0].__code__,
+        tiered.translation.block(LOOP_HEAD)[0].__code__,
+    )
 
 
 def test_same_line_memo_is_tier2_only():
-    tiered = tier2_loop_machine()
-    tier1 = tiered._tier1.block(LOOP_HEAD)[0].__code__
-    tier2 = tiered.translation.block(LOOP_HEAD)[0].__code__
+    tier1, tier2 = loop_head_code()
     # the loop body has a STORE and a LOAD of the same line
     assert "_acc" in tier1.co_varnames and "_acc" in tier2.co_varnames
     assert "_mln" in tier2.co_varnames
@@ -262,11 +291,8 @@ def test_same_line_memo_is_tier2_only():
 
 
 def test_loop_head_defers_with_one_edge_shape_armed_or_not():
-    def loop_head_code(pmu):
-        return tier2_loop_machine(pmu).translation.block(LOOP_HEAD)[0].__code__
-
-    unarmed = loop_head_code(None)
-    armed = loop_head_code(PmuConfig(event=Event.INSTRUCTIONS, period=2048))
+    _, unarmed = loop_head_code(None)
+    _, armed = loop_head_code(PmuConfig(event=Event.INSTRUCTIONS, period=2048))
     # deferred sync: counters and predictor state live in locals
     deferred = {"_ins", "_cyt", "_ld", "_st", "_pb", "_pm", "_ib"}
     assert deferred <= set(unarmed.co_varnames)
@@ -275,7 +301,7 @@ def test_loop_head_defers_with_one_edge_shape_armed_or_not():
     assert set(armed.co_names) == set(unarmed.co_names) | {"_countdown"}
 
 
-# -- exactness: tier 2 and deoptimization vs the interpreter -----------------
+# -- exactness: tier 2 and its mid-run flush vs the interpreter --------------
 
 ARMED = PmuConfig(event=Event.CYCLES, period=2048, record_memaddr=True)
 
@@ -294,51 +320,52 @@ def test_tier2_matches_interpreter_bit_for_bit():
     assert tiered.samples.samples, "the armed run must have sampled"
 
 
-def test_forced_deopt_restores_exact_state():
+# periods small enough that the deferred loop's edge check also fails for
+# the countdown, many times per run, on top of the budget stops below
+SWEEP_N = 160
+SWEEP_PMUS = {
+    "unarmed": None,
+    "cycles": PmuConfig(event=Event.CYCLES, period=512, record_memaddr=True),
+    "instructions": PmuConfig(event=Event.INSTRUCTIONS, period=128),
+}
+
+
+@pytest.mark.parametrize("mode", list(SWEEP_PMUS))
+def test_budget_stop_flushes_the_deferred_loop_exactly(mode):
+    # An instruction limit that runs out inside the deferred loop fails
+    # its edge check at some iteration: the loop flushes registers,
+    # counters, predictor and countdown and hands the head back to the
+    # driver, which interprets up to the fault.  Sweep the limit across
+    # every iteration (stride 5 against a body of 11-12 instructions
+    # lands in each at least twice): wherever the stop falls, the machine
+    # left behind is the interpreter's.
+    pmu = SWEEP_PMUS[mode]
     program = build_program()
-    controller = TieringController(
-        hot_instructions=100, guard_hook=True, trip_guard=True,
-    )
-    promote(program, controller, pmu=ARMED)
-    tripped, tripped_result = run_machine(
-        program, pmu=ARMED, tiering=controller
-    )
-    # the guard tripped on the first specialized loop edge: deferred
-    # registers, counters, predictor and PMU countdown were flushed and
-    # the machine demoted mid-query
-    assert tripped.deopt_events
-    assert tripped.tier == 1
-    assert controller.stats()["deopts"] >= 1
-    interp, interp_result = run_machine(program, pmu=ARMED, fast_vm=False)
-    assert tripped_result == interp_result
-    assert observed_state(tripped) == observed_state(interp)
+    promote(program, TieringController(hot_instructions=100), pmu=pmu)
 
-
-def test_deopt_under_instruction_budget():
-    program = build_program()
-    controller = TieringController(
-        hot_instructions=100, guard_hook=True, trip_guard=True,
-    )
-    promote(program, controller)
-
-    def budgeted(machine_kwargs, limit):
-        machine = Machine(program, Memory(1 << 20), **machine_kwargs)
+    def stopped(limit, **kwargs):
+        machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
         machine.state.max_instructions = limit
-        base = machine.memory.alloc(N * 8)
+        base = machine.memory.alloc(SWEEP_N * 8)
         try:
-            machine.call(0, (base, N))
-            outcome = "ok"
-        except Exception as exc:  # noqa: BLE001 - compared against twin
-            outcome = f"{type(exc).__name__}"
+            outcome = ("ok", machine.call(0, (base, SWEEP_N)))
+        except VMError as exc:
+            outcome = (type(exc).__name__, str(exc), exc.ip)
         return outcome, machine
 
-    for limit in (37, 333):
-        out_t, tiered = budgeted({"tiering": controller}, limit)
-        out_i, interp = budgeted({"fast_vm": False}, limit)
-        assert out_t == out_i
-        state_t, state_i = observed_state(tiered), observed_state(interp)
-        state_t.pop("countdown"), state_i.pop("countdown")
-        assert state_t == state_i
+    _, whole = stopped(10**9)
+    assert whole.tier == 2
+    total = whole.state.instructions
+    if pmu is not None:
+        assert len(whole.samples.samples) >= 8
+    outcomes = set()
+    for limit in range(1, total + 5, 5):
+        out_t, tiered = stopped(limit)
+        out_i, interp = stopped(limit, fast_vm=False)
+        assert out_t == out_i, limit
+        assert observed_state(tiered) == observed_state(interp), limit
+        outcomes.add(out_t[0])
+    assert outcomes == {"ok", "InstructionBudgetExceeded"}
 
 
 # -- engine integration ------------------------------------------------------
@@ -389,9 +416,7 @@ def test_enable_tiering_and_plan_cache_supersession(db):
         # the tier-2 translation lives on the cached plan's Program: the
         # promotion is the controller's to report, the cache entry is
         # the same one, hit on the second run
-        assert controller.stats() == {
-            "promotions": 1, "deopts": 0, "hot_programs": 1,
-        }
+        assert controller.stats() == {"promotions": 1, "hot_programs": 1}
         assert db.plan_cache.stats()["entries"] == 1
         assert db.plan_cache.hits == hits + 1
     finally:
@@ -399,20 +424,21 @@ def test_enable_tiering_and_plan_cache_supersession(db):
         db.plan_cache.clear()
 
 
-def test_forced_deopt_through_the_engine(db):
+def test_callers_sharing_a_cached_plan_share_its_tier(db):
     db.plan_cache.clear()
-    baseline = db.execute(SQL)
-    controller = TieringController(
-        hot_instructions=1, guard_hook=True, trip_guard=True,
-    )
-    db.execute(SQL, tiering=controller)
-    tripped = db.execute(SQL, tiering=controller)
-    assert controller.stats()["deopts"] >= 1
-    assert tripped.tier == 1  # demoted mid-query
-    assert sorted(tripped.rows) == sorted(baseline.rows)
-    assert (tripped.cycles, tripped.instructions) == (
-        baseline.cycles, baseline.instructions
-    )
+    try:
+        assert db.execute(SQL).tier == 1
+        controller = TieringController(hot_instructions=1)
+        promoting = db.execute(SQL, tiering=controller)
+        # the run that crossed the threshold itself executed at tier 1,
+        # and its record shows what it had observed by then
+        assert promoting.tier == promoting.translation["tier"] == 1
+        # the next caller of the plan has no controller and runs tier 2
+        follower = db.execute(SQL)
+        assert follower.tier == follower.translation["tier"] == 2
+        assert follower.translation["retired"] >= promoting.instructions
+    finally:
+        db.plan_cache.clear()
 
 
 def test_fast_vm_auto_disable_warns():
@@ -455,6 +481,44 @@ def test_service_promotes_and_reports_tiers():
         assert sorted(r.rows) == sorted(baseline.rows)
     stats = service.stats()
     assert stats["tiering"]["promotions"] >= 1
+
+
+def test_inflight_query_follows_a_concurrent_promotion():
+    from repro.serve import QueryService, ServiceConfig
+
+    database = Database.example(n_sales=1500, n_products=50)
+    baseline = database.execute(SQL)
+    # two copies of one plan in flight, a threshold neither reaches alone
+    # before the other has run: one of them promotes the shared
+    # translation, the other finds tier 2 at its next unit
+    service = QueryService(database, ServiceConfig(
+        workers=2, max_inflight=2, morsel_size=64,
+        tiering_hot_instructions=baseline.instructions // 2,
+    ))
+    unit_tiers: dict[int, list[int]] = {}
+    dispatch = service._dispatch
+
+    def traced(execution, unit):
+        dispatch(execution, unit)
+        unit_tiers.setdefault(execution.query_id, []).append(
+            execution.ran["tier"]
+        )
+
+    service._dispatch = traced
+    session = service.session("inflight")
+    tickets = [session.submit(SQL) for _ in range(2)]
+    service.drain()
+    assert service.stats()["tiering"] == {"promotions": 1, "hot_programs": 1}
+    assert len(unit_tiers) == 2
+    for tiers in unit_tiers.values():
+        assert len(tiers) > 4  # multi-morsel
+        assert tiers == sorted(tiers) and {tiers[0], tiers[-1]} == {1, 2}
+    results = [service.result(ticket) for ticket in tickets]
+    for result in results:
+        assert result.status == "ok" and result.tier == 2
+        assert sorted(result.rows) == sorted(baseline.rows)
+    # the copies switched tiers at different units; the counters agree
+    assert results[0].instructions == results[1].instructions
 
 
 def test_service_tiering_off_never_promotes():

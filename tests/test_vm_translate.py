@@ -26,7 +26,7 @@ from repro.vm.machine import Machine
 from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig
 from repro.vm.tiering import TieringController
-from repro.vm.translate import translate_program
+from repro.vm.translate import Translation
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -163,20 +163,20 @@ def test_fast_vm_disarms_below_minimum_period():
     )
     program = build_program(LOOP_SUM)
     machine = Machine(program, Memory(1 << 20), pmu_config=pmu)
-    assert machine._fast_blocks is None
+    assert machine.translation is None
     armed = Machine(
         program, Memory(1 << 20),
         pmu_config=PmuConfig(
             event=Event.INSTRUCTIONS, period=costs.FAST_VM_MIN_PERIOD
         ),
     )
-    assert armed._fast_blocks is not None
+    assert armed.translation is not None
 
 
 def test_fast_vm_off_flag_disables_translation():
     program = build_program(LOOP_SUM)
     machine = Machine(program, Memory(1 << 20), fast_vm=False)
-    assert machine._fast_blocks is None
+    assert machine.translation is None
 
 
 def test_budget_error_parity():
@@ -227,7 +227,7 @@ def test_kernel_call_parity():
 
 def test_translation_covers_loop_and_caches():
     program = build_program(LOOP_SUM)
-    translation = translate_program(program, None)
+    translation = Translation(program, None)
     assert 0 in translation.blocks
     assert translation.stats()["compiled"] == 0  # nothing compiles up front
     # per-block metadata: worst-case instruction count, event bound, and
@@ -239,7 +239,7 @@ def test_translation_covers_loop_and_caches():
     # translations are cached per (program, event)
     m1 = Machine(program, Memory(1 << 20))
     m2 = Machine(program, Memory(1 << 20))
-    assert m1._fast_blocks is m2._fast_blocks
+    assert m1.translation is m2.translation
 
 
 # -- translation on first entry ----------------------------------------------
@@ -268,14 +268,15 @@ def test_only_entered_blocks_compile():
         ip for ip, ins in enumerate(program.code)
         if ins[0] == Op.MOVI and ins[2] == -1
     )
-    # the tiered driver counts every block it enters (never promotes)
+    # under a controller the driver counts every block it enters into
+    # the translation's entry profile (this one never promotes)
     controller = TieringController(hot_instructions=10**12)
     machine, args = fresh_machine(program, tiering=controller)
     translation = machine.translation
     assert dead in translation.blocks  # a leader, so it has a stub ...
     assert not translation.compiled
     machine.call(0, args)
-    assert translation.compiled == set(machine.block_entries)
+    assert translation.compiled == set(translation.entries)
     assert dead not in translation.compiled  # ... that never compiled
     stats = translation.stats()
     assert 0 < stats["compiled"] < stats["leaders"]
@@ -445,7 +446,7 @@ def test_tier1_source_shrank():
     # repeated at every error site
     db = Database.tpch(scale=0.001, seed=42)
     compiled = db._compile(ALL_QUERIES["q6"].sql, None)
-    translation = translate_program(compiled.program, None)
+    translation = Translation(compiled.program, None)
     pending = set(translation.blocks)
     while pending:
         for ip in pending:
