@@ -72,36 +72,8 @@ def test_tab1_optimizations_keep_attribution(tpch, benchmark):
 
 def profile_opt_stats(db, sql):
     """Compile once more to collect optimizer delta counters."""
-    bound, physical = db._plan(sql)
-    mark = db.memory.mark()
-    try:
-        from repro.backend import compile_module
-        from repro.codegen import (
-            build_runtime_module,
-            build_syslib_module,
-            generate_query_ir,
-        )
-        from repro.pipeline import decompose
-        from repro.profiling.tagging import TaggingDictionary
-        from repro.vm import CodeRegion, Program
-        from repro.vm.kernel import Kernel, install_kernel_stubs
-        from repro.engine import _QueryEnvironment
-
-        tagging = TaggingDictionary()
-        pipelines = decompose(physical, on_task=tagging.register_task)
-        program = Program()
-        kernel = Kernel(db.memory, install_kernel_stubs(program))
-        env = _QueryEnvironment(db, kernel)
-        query_ir = generate_query_ir(
-            physical, pipelines, env, tagging,
-            db._physical_estimates(bound, physical),
-        )
-        compile_module(build_syslib_module(), program, CodeRegion.SYSLIB)
-        compile_module(build_runtime_module(), program, CodeRegion.RUNTIME)
-        compiled = compile_module(query_ir.module, program, CodeRegion.QUERY)
-        folded = sum(c.opt_result.folded for c in compiled.values())
-        removed = sum(len(c.opt_result.removed) for c in compiled.values())
-        merged = sum(len(c.opt_result.merged) for c in compiled.values())
-        return {"folded": folded, "eliminated": removed, "cse_merges": merged}
-    finally:
-        db.memory.release(mark)
+    compiled = db._compile(sql, None).query
+    folded = sum(c.opt_result.folded for c in compiled.values())
+    removed = sum(len(c.opt_result.removed) for c in compiled.values())
+    merged = sum(len(c.opt_result.merged) for c in compiled.values())
+    return {"folded": folded, "eliminated": removed, "cse_merges": merged}

@@ -2,9 +2,8 @@
 
 The :class:`CodegenContext` carries everything shared across one query's
 pipelines: the IR module, the state-block layout, the Abstraction Tracker
-for tasks, the Tagging Dictionary, and the data environment (column
-addresses, compile-time bitmaps, the year lookup table) provided by the
-engine.
+for tasks, the Tagging Dictionary, and the data environment (table
+storage, the year lookup table) provided by the engine.
 """
 
 from __future__ import annotations
@@ -24,14 +23,6 @@ from repro.profiling.trackers import AbstractionTracker
 class DataEnvironment(Protocol):
     """What the engine must provide for codegen to embed constant addresses."""
 
-    def column_address(self, table_name: str, column_name: str) -> int: ...
-
-    def row_count(self, table_name: str) -> int: ...
-
-    def bitmap(self, values: frozenset[int]) -> tuple[int, int]:
-        """Materialize a membership bitmap; returns (address, bit_limit)."""
-        ...
-
     def year_table(self) -> tuple[int, int]:
         """Returns (address, base_ordinal) of the day->year lookup table."""
         ...
@@ -41,9 +32,7 @@ class DataEnvironment(Protocol):
         ...
 
     def table_storage(self, table_name: str):
-        """The table's :class:`repro.storage.TableStorage`, or None for a
-        flat (storage-less) environment.  Codegen probes this with
-        ``getattr`` so minimal environments need not implement it."""
+        """The table's :class:`repro.storage.TableStorage`."""
         ...
 
 
@@ -77,11 +66,17 @@ class BufferSpec:
 
 
 class StateLayout:
-    """Byte-offset registry for the per-query state block."""
+    """Byte-offset registry for the per-query state block.
+
+    ``constants`` are the plan's read-only data (membership bitmaps):
+    word sequences the engine writes at their offset every time it
+    initialises a state block, so compiled code owns no memory of its
+    own and addresses its constants through the state pointer."""
 
     def __init__(self):
         self._offset = 0
         self.slots: dict[str, int] = {}
+        self.constants: dict[tuple[int, ...], int] = {}  # words -> offset
 
     def reserve(self, name: str, words: int) -> int:
         if name in self.slots:
@@ -89,6 +84,15 @@ class StateLayout:
         offset = self._offset
         self.slots[name] = offset
         self._offset += words * 8
+        return offset
+
+    def constant(self, words: tuple[int, ...]) -> int:
+        """The offset of a constant slot holding ``words`` (equal
+        sequences share one slot)."""
+        offset = self.constants.get(words)
+        if offset is None:
+            offset = self.reserve(f"constant_{len(self.constants)}", len(words))
+            self.constants[words] = offset
         return offset
 
     @property

@@ -136,14 +136,26 @@ class ExprCodegen:
             for candidate in values[1:]:
                 acc = b.or_(acc, b.cmp("cmpeq", value, b.const(candidate)))
             return acc
-        addr, limit = self.ctx.env.bitmap(frozenset(expr.values))
-        base = b.const(addr, Type.PTR)
+        # a bitmap over [lo, hi], in a constant slot of the query state
+        # (argument 0 of every query function); lo is 0 unless the set
+        # holds negative values
+        lo = min(values[0], 0)
+        if lo:
+            value = b.sub(value, b.const(lo))
+        limit = values[-1] - lo + 1
+        words = [0] * ((limit + 63) // 64)
+        for candidate in values:
+            words[(candidate - lo) >> 6] |= 1 << ((candidate - lo) & 63)
+        slot = self.ctx.state.constant(tuple(words))
         non_negative = b.cmp("cmpge", value, b.const(0))
         below = b.cmp("cmplt", value, b.const(limit))
         in_range = b.and_(non_negative, below)
         safe = b.select(in_range, value, b.const(0))
-        word = b.load(b.gep(base, b.shr(safe, b.const(6)), scale=8),
-                      comment="membership bitmap")
+        word = b.load(
+            b.gep(b.function.params[0], b.shr(safe, b.const(6)), scale=8,
+                  offset=slot),
+            comment="membership bitmap",
+        )
         bit = b.and_(b.shr(word, b.and_(safe, b.const(63))), b.const(1))
         hit = b.cmp("cmpne", bit, b.const(0))
         return b.and_(in_range, hit)

@@ -119,7 +119,7 @@ class PipelineCodegen:
         op = task.operator
         role = task.role
         if role == "scan":
-            self._emit_scan(task, op, index)
+            self._emit_storage_scan(task, op, index)
         elif role == "filter":
             self._emit_filter(task, op.condition, index)
         elif role == "map":
@@ -155,23 +155,6 @@ class PipelineCodegen:
 
     # ------------------------------------------------------------------
     # drivers
-
-    def _emit_scan(self, task: Task, op: PhysicalScan, index: int) -> None:
-        storage = None
-        env_storage = getattr(self.ctx.env, "table_storage", None)
-        if env_storage is not None:
-            storage = env_storage(op.table.name)
-        if storage is None:
-            row_count = self.ctx.env.row_count(op.table.name)
-            self.meta.pipeline_domains[self.pipeline.index] = (
-                "rows", row_count,
-            )
-            self._emit_flat_scan(task, op, index, {
-                column: self.ctx.env.column_address(op.table.name, column)
-                for column in op.column_ius
-            })
-            return
-        self._emit_storage_scan(task, op, index, storage)
 
     def _emit_flat_scan(
         self, task: Task, op: PhysicalScan, index: int,
@@ -297,7 +280,7 @@ class PipelineCodegen:
         )
 
     def _emit_storage_scan(
-        self, task: Task, op: PhysicalScan, index: int, storage
+        self, task: Task, op: PhysicalScan, index: int
     ) -> None:
         """Segment-at-a-time scan over the columnar layout.
 
@@ -313,6 +296,7 @@ class PipelineCodegen:
         )
 
         b = self.b
+        storage = self.ctx.env.table_storage(op.table.name)
         config = storage.config
         seg_rows = config.segment_rows
         log2_seg = seg_rows.bit_length() - 1

@@ -152,31 +152,9 @@ class _QueryEnvironment:
     def __init__(self, database: "Database", kernel: Kernel):
         self._db = database
         self._kernel = kernel
-        self._bitmaps: dict[frozenset, tuple[int, int]] = {}
-
-    def column_address(self, table_name: str, column_name: str) -> int:
-        return self._db._column_addresses[(table_name, column_name)]
-
-    def row_count(self, table_name: str) -> int:
-        return self._db.catalog.table(table_name).row_count
 
     def table_storage(self, table_name: str):
-        if self._db.storage is None:
-            return None
         return self._db.storage.table(table_name)
-
-    def bitmap(self, values: frozenset) -> tuple[int, int]:
-        cached = self._bitmaps.get(values)
-        if cached is not None:
-            return cached
-        limit = max(values) + 1
-        words = (limit + 63) // 64
-        addr = self._db.memory.alloc(words * 8, "bitmap")
-        base = addr // 8
-        for value in values:
-            self._db.memory.words[base + (value >> 6)] |= 1 << (value & 63)
-        self._bitmaps[values] = (addr, limit)
-        return addr, limit
 
     def year_table(self) -> tuple[int, int]:
         return self._db._year_table_addr, _YEAR_TABLE_LO
@@ -197,10 +175,8 @@ class Database:
         self.catalog = Catalog(dictionary)  # shared by a fleet's shards
         self.memory = Memory(memory_bytes)
         self.storage_config = storage or StorageConfig()
-        self.storage: StorageEngine | None = None
-        self._column_addresses: dict[tuple[str, str], int] = {}
+        self.storage: StorageEngine | None = None  # built by finalize()
         self._year_table_addr = 0
-        self._ready = False
         # the profile-guided-optimization feedback store (see enable_pgo)
         # and the engine-level LRU plan cache shared by plain execute, the
         # PGO path, and every serve session (repro.plancache)
@@ -267,20 +243,13 @@ class Database:
         The storage engine owns the layout of every table: sharded,
         segment-encoded columns behind per-column directories (see
         repro.storage).  Columns whose encoding stayed plain remain one
-        contiguous array, so their flat address survives for codegen's
-        single-loop fast path and for the memory-profile report."""
+        contiguous array (``plain_addr``), which codegen's single-loop
+        fast path scans directly."""
         self.catalog.finalize()
         self.storage = StorageEngine.build(
             self.catalog, self.memory, self.storage_config
         )
-        for table_name, table_storage in self.storage.tables.items():
-            for column in table_storage.columns:
-                if column.plain_addr is not None:
-                    self._column_addresses[(table_name, column.name)] = (
-                        column.plain_addr
-                    )
         self._build_year_table()
-        self._ready = True
 
     def _build_year_table(self) -> None:
         entries = _YEAR_TABLE_HI - _YEAR_TABLE_LO
@@ -305,8 +274,6 @@ class Database:
         planner_options: PlannerOptions | None = None,
         model=None,
     ):
-        if not self._ready:
-            raise ReproError("database not finalized; call finalize() first")
         stmt = parse(sql)
         self._inline_scalar_subqueries(stmt)
         bound = Binder(self.catalog).bind(stmt, join_order_hint, model=model)
@@ -410,12 +377,14 @@ class Database:
         cardinalities build such a model automatically and whose branch /
         hotness statistics reach the backend when the planned shape matches
         the profiled one.  ``inject_fault`` deliberately miscompiles the
-        query region (fuzzer ground truth; see repro.fuzz).  Compile-time
-        memory (bitmaps) is *not* released here — cached plans keep it for
-        their lifetime.
+        query region (fuzzer ground truth; see repro.fuzz).  The result is
+        pure code: compiling allocates no simulated memory (the plan's
+        constants are part of its state layout, see :meth:`_zero_state`).
         """
         from repro.pgo.fingerprint import plan_signature
 
+        if self.storage is None:
+            raise ReproError("database not finalized; call finalize() first")
         cardinality_feedback = False
         if prebuilt is not None:
             # a frontend other than SQL (e.g. the streaming DSL) built the
@@ -434,10 +403,9 @@ class Database:
             )
 
         tagging = TaggingDictionary()
-        if self.storage is not None:
-            # the storage dimension: sampled memory addresses resolve to
-            # (table, column, shard, segment, encoding)
-            tagging.storage_resolver = self.storage.resolve
+        # the storage dimension: sampled memory addresses resolve to
+        # (table, column, shard, segment, encoding)
+        tagging.storage_resolver = self.storage.resolve
         pipelines = decompose(physical, on_task=tagging.register_task)
 
         program = Program()
@@ -545,26 +513,29 @@ class Database:
         optimize_backend: bool = True,
         count_tuples: bool = False,
         qualify_tags: bool = False,
-        feedback=None,
-        feedback_version: int = 0,
-        flavor: str = "plain",
+        pgo: bool = False,
     ) -> CompiledQuery:
         """A compiled plan for ``sql``, via the shared LRU plan cache.
 
-        The key covers everything that changes the generated code: the
-        normalized SQL fingerprint, planner knobs, and the compile flavor
-        (tag-register reservation, query-qualified tags, tuple counters).
-        Compilation happens *outside* any memory mark — a cached plan's
-        compile-time allocations (bitmaps) must outlive this call."""
+        The key is exactly what changes the generated code: the
+        normalized SQL fingerprint, planner knobs, tag-register
+        reservation, query-qualified tags, tuple counters, and whether
+        the compile is steered by the PGO store — a ``pgo`` plan keys
+        beside the plain one, so a stale feedback version recompiles
+        without ping-ponging against the feedback-free entry."""
         from repro.pgo.fingerprint import fingerprint
 
+        feedback, feedback_version = None, 0
+        if pgo:
+            store = self._require_pgo()
+            feedback, feedback_version = store.feedback(sql), store.version(sql)
         reserve = (
             profiler is not None
             and profiler.mode is ProfilingMode.REGISTER_TAGGING
         )
         key = (
             fingerprint(sql),
-            flavor,
+            pgo,
             tuple(join_order_hint) if join_order_hint else None,
             planner_options,
             optimize_backend,
@@ -632,7 +603,7 @@ class Database:
             for _iteration in range(repeats):
                 # iterative dataflow (§4.2.6): the same compiled pipelines
                 # run again; per-iteration state is rebuilt by query_setup
-                self._zero_state(state_addr, query_ir.state.size_bytes)
+                self._zero_state(state_addr, query_ir.state)
                 output = self._run_pipelines(
                     machines, compiled.query, query_ir, compiled.pipelines,
                     state_addr, morsel_size,
@@ -671,55 +642,35 @@ class Database:
                     task_counts[task_id] += slot.static_excluded
         # likewise the zone-map counters: observed pruning flows back
         # into the storage engine's statistics (loader feedback)
-        if self.storage is not None:
-            for slot in meta.zone_slots.values():
-                considered = self.memory.read(
-                    state_addr + slot.considered_offset
+        for slot in meta.zone_slots.values():
+            considered = self.memory.read(state_addr + slot.considered_offset)
+            for column_index, offset in slot.skip_offsets:
+                self.storage.note_pruning(
+                    slot.table_name, column_index, considered,
+                    self.memory.read(state_addr + offset),
                 )
-                for column_index, offset in slot.skip_offsets:
-                    self.storage.note_pruning(
-                        slot.table_name, column_index, considered,
-                        self.memory.read(state_addr + offset),
-                    )
         return task_counts
 
     def _compile_and_run(
         self,
         sql: str,
         profiler: ProfilerConfig | None,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
         workers: int = 1,
         morsel_size: int = 1024,
-        optimize_backend: bool = True,
         repeats: int = 1,
-        prebuilt=None,
-        model=None,
-        feedback=None,
-        count_tuples: bool = False,
-        inject_fault: str | None = None,
         instruction_limit: int | None = None,
         fast_vm: bool = True,
+        **compile_options,
     ):
-        """One-shot compile + run + full memory release (the non-cached
-        path); returns ``(compiled, machines, rows, task_counts)``.  The
-        program lives for this one run, so there is nothing for a tiering
-        controller to promote."""
-        mark = self.memory.mark()
-        try:
-            compiled = self._compile(
-                sql, profiler, join_order_hint, planner_options,
-                optimize_backend=optimize_backend, prebuilt=prebuilt,
-                model=model, feedback=feedback, count_tuples=count_tuples,
-                inject_fault=inject_fault,
-            )
-            machines, rows, task_counts = self._run_compiled(
-                compiled, profiler, workers, morsel_size, repeats,
-                instruction_limit=instruction_limit, fast_vm=fast_vm,
-            )
-            return compiled, machines, rows, task_counts
-        finally:
-            self.memory.release(mark)
+        """Compile past the plan cache (``compile_options`` are
+        :meth:`_compile`'s) and run once; returns ``(compiled, machines,
+        rows, task_counts)``.  The program is this call's alone, so there
+        is nothing for a tiering controller to promote."""
+        compiled = self._compile(sql, profiler, **compile_options)
+        return (compiled, *self._run_compiled(
+            compiled, profiler, workers, morsel_size, repeats,
+            instruction_limit=instruction_limit, fast_vm=fast_vm,
+        ))
 
     def _run_pipelines(
         self, machines, query, query_ir, pipelines, state_addr, morsel_size
@@ -769,10 +720,16 @@ class Database:
                 collected.extend(rows)
         return collected
 
-    def _zero_state(self, state_addr: int, size_bytes: int) -> None:
-        first = state_addr // 8
-        for i in range(first, first + size_bytes // 8):
-            self.memory.words[i] = 0
+    def _zero_state(self, state_addr: int, state) -> None:
+        """Initialise a query state block laid out by ``state`` (a
+        :class:`~repro.codegen.context.StateLayout`): zero it, then write
+        the plan's constants.  Host-side, off the simulated clock."""
+        words = self.memory.words
+        first, count = state_addr // 8, state.size_bytes // 8
+        words[first:first + count] = [0] * count
+        for constant, offset in state.constants.items():
+            at = first + offset // 8
+            words[at:at + len(constant)] = constant
 
     @staticmethod
     def _barrier(machines) -> None:
@@ -852,18 +809,9 @@ class Database:
         ``self.tiering``, i.e. whatever :meth:`enable_tiering` set up)."""
         if tiering is None:
             tiering = self.tiering
-        feedback, feedback_version, flavor = None, 0, "plain"
-        if pgo:
-            if inject_fault is not None:
-                raise ReproError("inject_fault is not supported with pgo=True")
-            store = self._require_pgo()
-            # the "pgo" flavor keys separately from plain compiles: a stale
-            # feedback version must recompile without ping-ponging against
-            # the feedback-free plain entry for the same fingerprint
-            feedback, feedback_version, flavor = (
-                store.feedback(sql), store.version(sql), "pgo"
-            )
         if inject_fault is not None:
+            if pgo:
+                raise ReproError("inject_fault is not supported with pgo=True")
             # deliberately damaged compiles never enter the plan cache
             if fast_vm:
                 warnings.warn(
@@ -874,17 +822,17 @@ class Database:
                 )
             fast_vm = False
             compiled, machines, rows, _ = self._compile_and_run(
-                sql, None, join_order_hint, planner_options, workers=workers,
-                morsel_size=morsel_size, optimize_backend=optimize_backend,
-                inject_fault=inject_fault, instruction_limit=instruction_limit,
-                fast_vm=fast_vm,
+                sql, None, workers=workers, morsel_size=morsel_size,
+                instruction_limit=instruction_limit, fast_vm=fast_vm,
+                join_order_hint=join_order_hint,
+                planner_options=planner_options,
+                optimize_backend=optimize_backend, inject_fault=inject_fault,
             )
             return self._result(compiled.physical, machines, rows)
         compiled = self.compiled_for(
             sql, join_order_hint=join_order_hint,
             planner_options=planner_options,
-            optimize_backend=optimize_backend, feedback=feedback,
-            feedback_version=feedback_version, flavor=flavor,
+            optimize_backend=optimize_backend, pgo=pgo,
         )
         machines, rows, _ = self._run_compiled(
             compiled, None, workers=workers, morsel_size=morsel_size,

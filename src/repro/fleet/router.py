@@ -81,6 +81,14 @@ class FleetConfig:
             profiling=self.profiling,
             fast_vm=self.fast_vm,
             seed=self.seed,
+            # Shard plans stay at tier 1.  They live across drains now, so
+            # with tiering on every repeated statement is promoted on
+            # every shard: 0.3-0.9 s of re-translation and ~13 MB of peak
+            # compile memory per plan, for ~1.1x on a 1/N slice of the
+            # data (fleet_scatter: wall 0.28 -> 0.31 s without it, peak
+            # RSS 64 -> 54 MB).  Revisit when one translation serves all
+            # shards (ROADMAP item 3).
+            tiering=False,
         )
 
 

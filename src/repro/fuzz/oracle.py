@@ -522,7 +522,6 @@ class DifferentialOracle:
 
         db = self.db
         profiler = ProfilerConfig(record_memaddr=True)
-        mark = db.memory.mark()
         try:
             compiled = db._compile(sql, profiler)
             for _ in range(1 if tiering is None else 2):
@@ -533,8 +532,6 @@ class DifferentialOracle:
             return Outcome(config, "error", error=f"PlanError: {exc}")
         except Exception as exc:  # noqa: BLE001 - compared against twin
             return Outcome(config, "error", error=f"{type(exc).__name__}: {exc}")
-        finally:
-            db.memory.release(mark)
         machine = machines[0]
         # ``ran`` is the pre-observation snapshot: the tier the signed run
         # executed at, not one its own instructions promoted it to

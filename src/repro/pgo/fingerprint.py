@@ -19,6 +19,7 @@ keys only:
 from __future__ import annotations
 
 import hashlib
+import re
 
 from repro.plan.logical import LogicalOperator, LogicalScan
 from repro.plan.physical import PhysicalOperator, PhysicalScan
@@ -37,8 +38,12 @@ _PHYSICAL_TO_LOGICAL_KIND = {
 
 
 def fingerprint(sql: str) -> str:
-    """Hash of the whitespace/case-normalized SQL text."""
-    normalized = " ".join(sql.lower().split())
+    """Hash of the SQL text, whitespace- and case-normalized outside
+    string literals (the odd pieces of a split on the quote character)."""
+    normalized = "'".join(
+        piece if index % 2 else re.sub(r"\s+", " ", piece.lower())
+        for index, piece in enumerate(sql.split("'"))
+    ).strip()
     return hashlib.sha256(normalized.encode()).hexdigest()[:16]
 
 

@@ -1,27 +1,20 @@
 """The engine-level compiled-plan cache: a bounded LRU shared by every
 execution path.
 
-PGO introduced a fingerprint-keyed plan cache private to the feedback
-loop; this generalizes it into one service-level structure: plain
-``execute`` calls, the PGO path, and every session of the concurrent query
-service (repro.serve) share it, so identical SQL never recompiles.
+Plain ``execute`` calls, the PGO path, and every session of the concurrent
+query service (repro.serve) share it, so identical SQL never recompiles.
 
 Entries carry the feedback version they were compiled against (0 for
-non-PGO flavors); a lookup with a newer version misses, which is how fresh
-profile feedback forces a recompile.  Each entry also records a monotonic
-insertion serial: the serve loop uses ``evict_since`` to drop entries whose
-compile-time memory lives inside an execution epoch about to be released
-(the bump allocator frees LIFO arenas, so mid-epoch compiles cannot outlive
-the epoch).
+plans not steered by PGO); a lookup with a newer version misses, which is
+how fresh profile feedback forces a recompile.
 
-The cache knows nothing about execution tiers: a tier-2 translation
-lives on the cached plan's ``Program``, so a promotion touches no entry
-(see docs/TIERING.md).
-
-Eviction drops the entry but not its compile-time allocations — the bump
-allocator has no free list — so capacity bounds *recompilation*, not
-memory; DESIGN note: long-running processes should size the capacity to
-their working set of templates.
+A cached plan is pure code — generated instructions, the Tagging
+Dictionary that explains them, and a state layout — and owns no simulated
+memory, so an entry lives until the LRU evicts it whatever memory epoch it
+was compiled in, and eviction gives back everything the plan held.  The
+cache knows nothing about execution tiers: a tier-2 translation lives on
+the cached plan's ``Program``, so a promotion touches no entry (see
+docs/TIERING.md).
 """
 
 from __future__ import annotations
@@ -34,7 +27,6 @@ from dataclasses import dataclass
 class _Entry:
     compiled: object
     feedback_version: int
-    serial: int
 
 
 class PlanCache:
@@ -45,7 +37,6 @@ class PlanCache:
             raise ValueError("plan cache capacity must be >= 1")
         self.capacity = capacity
         self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
-        self._serial = 0
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -55,11 +46,6 @@ class PlanCache:
 
     def __contains__(self, key: tuple) -> bool:
         return key in self._entries
-
-    @property
-    def serial(self) -> int:
-        """Monotonic insertion counter (epoch watermarks, repro.serve)."""
-        return self._serial
 
     def get(self, key: tuple, feedback_version: int = 0):
         """The cached plan, or None on miss / stale feedback version."""
@@ -72,28 +58,11 @@ class PlanCache:
         return entry.compiled
 
     def put(self, key: tuple, compiled, feedback_version: int = 0) -> None:
-        self._entries[key] = _Entry(compiled, feedback_version, self._serial)
-        self._serial += 1
+        self._entries[key] = _Entry(compiled, feedback_version)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
             self.evictions += 1
-
-    def evict_since(self, watermark: int) -> int:
-        """Drop every entry inserted at or after ``watermark``.
-
-        The serve loop compiles cache misses inside its execution epoch;
-        when the epoch's memory is released those plans' compile-time
-        allocations go with it, so the entries must not survive either.
-        Returns the number of entries dropped."""
-        stale = [
-            key
-            for key, entry in self._entries.items()
-            if entry.serial >= watermark
-        ]
-        for key in stale:
-            del self._entries[key]
-        return len(stale)
 
     def clear(self) -> None:
         self._entries.clear()

@@ -380,10 +380,9 @@ class MemoryAccessProfile:
     """Per-operator load addresses over time (Fig. 12)."""
 
     accesses: dict[PhysicalOperator, list[tuple[int, int]]]
-    # maps an address to the physical structure it belongs to (set when a
-    # storage engine backs the database); bands are then the named
-    # structures themselves rather than address-gap clusters
-    band_of: "object" = None
+    # maps an address to the physical structure it belongs to (a storage
+    # part, or a 32 KiB page of non-storage memory): the bands
+    band_of: "object"
 
     def address_range(self, op: PhysicalOperator) -> int:
         points = self.accesses.get(op, [])
@@ -399,7 +398,7 @@ class MemoryAccessProfile:
         points = self.accesses.get(op, [])
         return _pearson(points)
 
-    def band_linearity(self, op: PhysicalOperator, gap: int = 32 * 1024) -> float:
+    def band_linearity(self, op: PhysicalOperator) -> float:
         """Linearity computed per address *band* and averaged by weight.
 
         A table scan touches several column arrays in lock-step; globally
@@ -410,24 +409,14 @@ class MemoryAccessProfile:
         points = self.accesses.get(op, [])
         if len(points) < 3:
             return 0.0
-        ordered = sorted(points, key=lambda p: p[1])
-        if self.band_of is not None:
-            # compressed layouts pack several small columns within one
-            # gap-sized window; group by the resolved structure instead
-            grouped: dict[object, list[tuple[int, int]]] = {}
-            for point in ordered:
-                grouped.setdefault(self.band_of(point[1]), []).append(point)
-            bands = list(grouped.values())
-        else:
-            bands = [[ordered[0]]]
-            for point in ordered[1:]:
-                if point[1] - bands[-1][-1][1] > gap:
-                    bands.append([point])
-                else:
-                    bands[-1].append(point)
+        # compressed layouts pack several small columns within one
+        # address window, so bands are the resolved structures
+        grouped: dict[object, list[tuple[int, int]]] = {}
+        for point in sorted(points, key=lambda p: p[1]):
+            grouped.setdefault(self.band_of(point[1]), []).append(point)
         weighted = 0.0
         counted = 0
-        for band in bands:
+        for band in grouped.values():
             if len(band) < 3:
                 continue
             band.sort(key=lambda p: p[0])
@@ -539,33 +528,13 @@ def memory_profile(profile) -> MemoryAccessProfile:
     for op in profile.physical.walk():
         if isinstance(op, PhysicalScan) and op.table.name not in scans_by_table:
             scans_by_table[op.table.name] = op
-    extents: list[tuple[int, int, PhysicalOperator]] = []
-    db = profile.database
-    storage = getattr(db, "storage", None)
-    if storage is None:
-        # flat layout: one contiguous extent per column
-        for (table_name, _column), addr in db._column_addresses.items():
-            scan = scans_by_table.get(table_name)
-            if scan is None:
-                continue
-            size = max(8, db.catalog.table(table_name).row_count * 8)
-            extents.append((addr, addr + size, scan))
-        extents.sort()
+    storage = profile.database.storage
 
     def owner_by_address(addr: int) -> PhysicalOperator | None:
-        if storage is not None:
-            # the storage engine knows every segment's extent (including
-            # packed/dictionary/run data that has no flat column address)
-            ref = storage.resolve(addr)
-            return scans_by_table.get(ref.table) if ref is not None else None
-        import bisect
-
-        index = bisect.bisect_right(extents, (addr, float("inf"), None)) - 1
-        if index >= 0:
-            lo, hi, scan = extents[index]
-            if lo <= addr < hi:
-                return scan
-        return None
+        # the storage engine knows every segment's extent (including
+        # packed/dictionary/run data that has no flat column address)
+        ref = storage.resolve(addr)
+        return scans_by_table.get(ref.table) if ref is not None else None
 
     accesses: dict[PhysicalOperator, list[tuple[int, int]]] = {}
     stacks = [(m.stack_base, m.stack_end) for m in profile.machines]
@@ -584,13 +553,12 @@ def memory_profile(profile) -> MemoryAccessProfile:
                 (attribution.sample.tsc, addr)
             )
 
-    band_of = None
-    if storage is not None:
-        def band_of(addr, _storage=storage):
-            ref = _storage.resolve(addr)
-            if ref is not None:
-                return (ref.table, ref.column, ref.part)
-            return addr >> 15  # non-storage memory: 32 KiB pages
+    def band_of(addr):
+        ref = storage.resolve(addr)
+        if ref is not None:
+            return (ref.table, ref.column, ref.part)
+        return addr >> 15  # non-storage memory: 32 KiB pages
+
     return MemoryAccessProfile(accesses, band_of)
 
 

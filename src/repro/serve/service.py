@@ -154,10 +154,9 @@ class QueryService:
         self._tickets = 0
         self._query_ids = 0
         self._step = 0
-        # execution epoch: bump-allocator mark + plan-cache watermark,
+        # execution epoch: a bump-allocator mark over run-time memory,
         # taken at the idle->busy transition, released at quiesce
         self._epoch_mark: int | None = None
-        self._cache_watermark = 0
         self.epochs = 0
         self.completed = 0
         self.failed = 0
@@ -224,13 +223,10 @@ class QueryService:
         return self.results.get(ticket)
 
     def warm(self, sqls) -> int:
-        """Pre-compile templates *outside* any execution epoch.
-
-        Warmed plans survive epoch teardown (their compile-time memory
-        sits below every epoch mark); plans compiled mid-epoch are
-        transient.  Returns the number of plans compiled."""
-        if self._epoch_mark is not None:
-            raise ReproError("warm() must be called while the service is idle")
+        """Pre-compile templates into the plan cache, so their first
+        submission does not pay for lowering at admission.  It only moves
+        compile time — a plan lives in the cache the same whether warmed
+        or compiled at admission.  Returns the number of plans compiled."""
         before = self.db.plan_cache.misses
         for sql in sqls:
             self._compile(sql)
@@ -306,13 +302,11 @@ class QueryService:
                 if self._profiler_config is not None
                 else False
             ),
-            flavor="serve",
         )
 
     def _ensure_epoch(self) -> None:
         if self._epoch_mark is None:
             self._epoch_mark = self.db.memory.mark()
-            self._cache_watermark = self.db.plan_cache.serial
             self.epochs += 1
 
     def _admit(self) -> None:
@@ -329,9 +323,9 @@ class QueryService:
                 error = ServiceError(COMPILE_ERROR, str(exc))
                 self._record_failed_request(request, error)
                 continue
-            state_bytes = compiled.query_ir.state.size_bytes
-            state_addr = self.db.memory.alloc(state_bytes, "serve_state")
-            self.db._zero_state(state_addr, state_bytes)
+            state = compiled.query_ir.state
+            state_addr = self.db.memory.alloc(state.size_bytes, "serve_state")
+            self.db._zero_state(state_addr, state)
             self._query_ids += 1
             admit_tsc = min(w.state.cycles for w in self.workers)
             execution = QueryExecution(
@@ -532,15 +526,13 @@ class QueryService:
         """Tear down the execution epoch once fully drained.
 
         Worker machines hold stacks inside epoch memory, so they are
-        dropped (the PMU cursor survives in the worker); plans compiled
-        mid-epoch are evicted — their compile-time allocations die with
-        the epoch — while warmed plans persist."""
+        dropped (the PMU cursor survives in the worker).  An epoch is
+        run-time memory only: every plan stays cached."""
         if self._epoch_mark is None:
             return
         if self.inflight or not self.admission.empty():
             return
         for worker in self.workers:
             worker.unbind()
-        self.db.plan_cache.evict_since(self._cache_watermark)
         self.db.memory.release(self._epoch_mark)
         self._epoch_mark = None

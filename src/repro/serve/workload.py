@@ -107,7 +107,7 @@ def run_workload(service, items, warm: bool = True) -> WorkloadSummary:
     When the admission queue sheds a submission, the runner drains the
     service once (emptying the queue) and retries; a second shed counts
     the item as lost.  ``warm=True`` pre-compiles the distinct templates
-    outside any epoch so plans survive across drains."""
+    so no admission pays for lowering."""
     summary = WorkloadSummary()
     if warm:
         for sql in dict.fromkeys(item.sql for item in items):

@@ -606,6 +606,27 @@ def test_run_fleet_workload_retries_on_backpressure(db):
     assert all(r.ok for r in results)
 
 
+def test_shards_compile_a_statement_once(db):
+    """Shard plans survive the drain between rounds — membership bitmaps
+    included: they are rewritten into every run's state block."""
+    sql = (
+        "select category, count(*) as c, sum(price) as s "
+        "from sales, products where sales.id = products.id "
+        "and sales.id in (3, 5, 8, 13, 21, 34, 55, 59) "
+        "and category like '_%' group by category order by category"
+    )
+    fleet = make_fleet(db, shards=2)
+    expected = baseline_rows(db, sql)
+    before = [s["plan_cache"] for s in fleet.stats()["per_shard"]]
+    for _ in range(3):
+        (result,) = run_fleet_workload(fleet, [("t", sql)])
+        assert result.ok and result.rows == expected
+    for old, new in zip(before, fleet.stats()["per_shard"]):
+        new = new["plan_cache"]
+        assert new["misses"] - old["misses"] == 1
+        assert new["hits"] - old["hits"] == 2
+
+
 def test_fleet_cli_smoke(capsys):
     from repro.__main__ import main
 

@@ -3,13 +3,25 @@
 import pytest
 
 from repro import ProfilerConfig
-from repro.data.queries import FIG9_QUERY
+from repro.data.queries import ALL_QUERIES, FIG9_QUERY
+
+from tests.conftest import rows_match
 
 
 def test_repeats_produce_same_rows(tpch_db):
     once = tpch_db.execute(FIG9_QUERY.sql)
     profile = tpch_db.profile(FIG9_QUERY.sql, repeats=3)
     assert profile.result.rows == once.rows
+
+
+def test_repeats_rewrite_the_membership_bitmap(tpch_db):
+    """Every iteration zeroes the state block, q13's LIKE bitmap with it:
+    the state initialiser must write the plan's constants back."""
+    sql = ALL_QUERIES["q13"].sql
+    profile = tpch_db.profile(sql, repeats=3)
+    assert rows_match(
+        profile.result.rows, tpch_db.execute_interpreted(sql).rows
+    )
 
 
 def test_iteration_detection_finds_all_repeats(tpch_db):

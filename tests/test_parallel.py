@@ -22,6 +22,13 @@ def test_parallel_results_match_serial(tpch_db, workers):
         assert rows_match(parallel.rows, serial.rows), name
 
 
+def test_tiny_morsels_share_one_membership_bitmap(tpch_db):
+    """q14's LIKE bitmap sits in the state block all workers share."""
+    sql = ALL_QUERIES["q14"].sql
+    parallel = tpch_db.execute(sql, workers=4, morsel_size=7)
+    assert rows_match(parallel.rows, tpch_db.execute_interpreted(sql).rows)
+
+
 def test_parallel_join_query_matches(tpch_db):
     serial = tpch_db.execute(FIG9_QUERY.sql)
     parallel = tpch_db.execute(FIG9_QUERY.sql, workers=3)

@@ -1,8 +1,14 @@
 """Tests for the engine-level compiled-plan cache (repro.plancache)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro import Database
+from repro.data.queries import ALL_QUERIES
+from repro.errors import ReproError
+from repro.fuzz import load_directory
+from repro.fuzz.dataset import build_database
 from repro.plancache import PlanCache
 
 SQL = "SELECT COUNT(*) FROM sales WHERE price > 100.0"
@@ -44,18 +50,6 @@ def test_stale_feedback_version_misses():
     assert cache.get(("k",), feedback_version=1) == "v1-plan"
 
 
-def test_evict_since_watermark():
-    cache = PlanCache()
-    cache.put(("before",), "old")
-    watermark = cache.serial
-    cache.put(("during-1",), "new")
-    cache.put(("during-2",), "new")
-    assert cache.evict_since(watermark) == 2
-    assert ("before",) in cache
-    assert ("during-1",) not in cache
-    assert ("during-2",) not in cache
-
-
 def test_capacity_must_be_positive():
     with pytest.raises(ValueError):
         PlanCache(capacity=0)
@@ -88,7 +82,7 @@ def test_flavors_key_separately(db):
     try:
         db.execute(OTHER, pgo=True)
         db.execute(OTHER)
-        # the pgo flavor compiles its own entry next to the plain one
+        # the pgo compile sits in its own entry next to the plain one
         assert len(db.plan_cache) == plain_entries + 1
     finally:
         db.pgo_store = None
@@ -104,3 +98,63 @@ def test_knob_changes_are_cache_misses(db):
     assert db.plan_cache.misses == misses + 1
     db.execute(SQL, optimize_backend=False)
     assert db.plan_cache.misses == misses + 1  # second unoptimized run hits
+
+
+def test_string_literal_case_is_part_of_the_key(db):
+    """Regression: the fingerprint lower-cased string literals, so a
+    statement differing only in a literal's case ran the other's plan."""
+    chip = "SELECT COUNT(*) FROM products WHERE category = 'Chip'"
+    assert db.execute(chip).rows != [(0,)]
+    assert db.execute(chip.replace("Chip", "chip")).rows == [(0,)]
+    hits = db.plan_cache.hits
+    assert db.execute(chip.lower().replace("chip", "Chip")).rows != [(0,)]
+    assert db.plan_cache.hits == hits + 1  # keywords still fold
+
+
+# -- a compiled plan owns no simulated memory ---------------------------------
+
+
+def test_evicted_plans_leave_no_memory_behind():
+    """Regression: every statement with a membership bitmap grew the bump
+    allocator by its bitmap at compile time, evicted or not."""
+    db = Database.example(n_sales=300, n_products=40)
+    db.plan_cache = PlanCache(capacity=2)
+    before = db.memory.used_bytes()
+    for first in range(1, 9):
+        ids = ", ".join(str(first + k) for k in range(8))
+        sql = f"SELECT COUNT(*) FROM sales WHERE id IN ({ids})"
+        assert db.execute(sql).rows == db.execute_interpreted(sql).rows
+        assert db.memory.used_bytes() == before
+    assert db.plan_cache.evictions == 6
+
+
+def _assert_compile_allocates_nothing(db, sql):
+    before = db.memory.used_bytes()
+    compiled = db._compile(sql, None)
+    assert db.memory.used_bytes() == before, sql
+    return compiled
+
+
+def test_compile_allocates_nothing_tpch(tpch_db):
+    constants = 0
+    for query in ALL_QUERIES.values():
+        compiled = _assert_compile_allocates_nothing(tpch_db, query.sql)
+        constants += len(compiled.query_ir.state.constants)
+    assert constants  # some of the 22 do carry bitmaps (q13's LIKE, ...)
+
+
+def test_compile_allocates_nothing_corpus():
+    for case in load_directory(Path(__file__).parent / "corpus"):
+        _assert_compile_allocates_nothing(
+            build_database(case.dataset), case.sql
+        )
+
+
+def test_code_is_generated_only_over_built_storage():
+    """``finalize()`` builds the storage every scan compiles against; SQL
+    and prebuilt plans meet the same check."""
+    db = Database()
+    with pytest.raises(ReproError, match="not finalized"):
+        db.execute("SELECT 1")
+    with pytest.raises(ReproError, match="not finalized"):
+        db.execute_plan(None, None)

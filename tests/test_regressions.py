@@ -161,3 +161,17 @@ def test_flow_absent_string_filter_drops_everything(events_db):
             .aggregate(by=["user"], totals={"n": "count(*)"}))
     assert flow.run().rows == []
     assert rows_match(flow.run().rows, flow.run_interpreted())
+
+
+# -- membership bitmaps -------------------------------------------------------
+
+def test_in_list_bitmap_with_negative_values(edge_db):
+    """Regression: a bitmap (more than four values) indexed its words by
+    the raw value, so negative members never matched and their bits were
+    written below the bitmap."""
+    sql = (
+        "select count(*) as c from t as t "
+        "where t.v - 10 in (-8, -7, -1, 0, 30, 31)"
+    )
+    assert edge_db.execute(sql).rows == [(5,)]
+    assert edge_db.execute_interpreted(sql).rows == [(5,)]

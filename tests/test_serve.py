@@ -42,6 +42,13 @@ SQL_COUNT = "SELECT COUNT(*) FROM sales WHERE price > 100.0"
 SQL_TOPK = (
     "SELECT id, price FROM sales WHERE price > 450.0 ORDER BY price DESC"
 )
+# two membership bitmaps: eight ids, and a LIKE matching five categories
+SQL_BITMAPS = (
+    "SELECT category, COUNT(*), SUM(price) FROM sales, products "
+    "WHERE sales.id = products.id "
+    "AND sales.id IN (3, 5, 8, 13, 21, 34, 55, 89) AND category LIKE '_%' "
+    "GROUP BY category ORDER BY category"
+)
 
 
 @pytest.fixture(scope="module")
@@ -371,6 +378,42 @@ def test_warmed_plans_survive_epochs(db):
         service.drain()  # each drain tears down one epoch
     assert service.stats()["epochs"] >= 3
     assert db.plan_cache.hits >= hits_before + 3
+
+
+def test_unwarmed_plans_survive_epochs(db):
+    """A plan compiled at admission, inside an epoch, is cached like a
+    warmed one: its membership bitmaps are written into every run's
+    state block, so releasing the epoch takes nothing the code reads."""
+    service = make_service(db)
+    expected = db.execute_interpreted(SQL_BITMAPS).rows
+    assert expected
+    hits, misses = db.plan_cache.hits, db.plan_cache.misses
+    source_lines = []
+    for _ in range(3):
+        ticket = service.submit(SQL_BITMAPS)
+        service.drain()
+        result = service.result(ticket)
+        assert result.ok and result.rows == expected
+        source_lines.append(result.translation["source_lines"])
+    assert db.plan_cache.misses == misses + 1
+    assert db.plan_cache.hits == hits + 2
+    # one Translation across the epochs: its line counter is cumulative
+    assert source_lines[2] >= source_lines[0] > 0
+
+
+def test_warm_works_mid_epoch_and_its_plan_outlives_the_drain(db):
+    service = make_service(db)
+    sql = SQL_BITMAPS.replace("89", "90")
+    service.submit(SQL_COUNT)
+    service._admit()  # an epoch is open and a query is in flight
+    assert service._epoch_mark is not None
+    assert service.warm([sql]) == 1
+    service.drain()
+    misses = db.plan_cache.misses
+    ticket = service.submit(sql)
+    service.drain()
+    assert db.plan_cache.misses == misses
+    assert service.result(ticket).rows == db.execute_interpreted(sql).rows
 
 
 # -- snapshot merge algebra ---------------------------------------------------
