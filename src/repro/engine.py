@@ -27,7 +27,7 @@ from repro.codegen import (
 from repro.data import generate_example, generate_tpch
 from repro.errors import ReproError
 from repro.pipeline import decompose
-from repro.pipeline.tasks import Pipeline
+from repro.pipeline.run import MORSEL, WHOLE_DOMAIN, PlanRun
 from repro.plan.cardinality import CardinalityModel
 from repro.plancache import PlanCache
 from repro.plan.interpret import Interpreter
@@ -333,9 +333,9 @@ class Database:
         self._inline_scalar_subqueries(substmt, depth + 1)
         bound = Binder(self.catalog).bind(substmt)
         physical = plan_physical(bound.plan, bound.model)
-        _, _, rows, _ = self._compile_and_run(
-            "", None, prebuilt=(bound, physical)
-        )
+        rows = self._run_compiled(
+            self._compile("", None, prebuilt=(bound, physical))
+        ).rows
         if len(rows) != 1 or len(rows[0]) != 1:
             raise ReproError(
                 "a scalar subquery must return exactly one value "
@@ -563,8 +563,15 @@ class Database:
         instruction_limit: int | None = None,
         fast_vm: bool = True,
         tiering=None,
-    ):
-        """Run a compiled query; returns ``(machines, rows, task_counts)``.
+    ) -> PlanRun:
+        """Run a compiled query on ``workers`` private cores; returns the
+        finished :class:`~repro.pipeline.run.PlanRun`.
+
+        Every morsel goes to the core with the smallest simulated clock
+        (greedy least-loaded scheduling), and the cores are this query's
+        alone, so each phase ends with a barrier: all clocks advance to
+        the slowest, as real workers would wait.  One worker takes each
+        pipeline as a single morsel, whatever ``morsel_size`` says.
 
         All run-time memory (worker stacks, query state, kernel
         allocations) is released afterwards, so a cached plan can run any
@@ -580,7 +587,6 @@ class Database:
             raise ReproError("repeats must be >= 1")
         if morsel_size < 1:
             raise ReproError("morsel_size must be >= 1")
-        query_ir = compiled.query_ir
         mark = self.memory.mark()
         try:
             pmu = profiler.pmu_config() if profiler is not None else None
@@ -595,31 +601,32 @@ class Database:
             if instruction_limit is not None:
                 for machine in machines:
                     machine.state.max_instructions = instruction_limit
-            state_addr = self.memory.alloc(
-                query_ir.state.size_bytes, "query_state"
+            run = PlanRun(
+                self, compiled,
+                self.memory.alloc(
+                    compiled.query_ir.state.size_bytes, "query_state"
+                ),
+                morsel_size if workers > 1 else WHOLE_DOMAIN,
+                repeats=repeats,
             )
-
-            output: list[tuple] = []
-            for _iteration in range(repeats):
-                # iterative dataflow (§4.2.6): the same compiled pipelines
-                # run again; per-iteration state is rebuilt by query_setup
-                self._zero_state(state_addr, query_ir.state)
-                output = self._run_pipelines(
-                    machines, compiled.query, query_ir, compiled.pipelines,
-                    state_addr, morsel_size,
-                )
-            task_counts = self.read_task_counts(query_ir.meta, state_addr)
-            rows = self.decode_rows(output, compiled.physical.columns)
-            # the machines share one translation: snapshot the tier this
-            # run executed at (and what translating cost) before
-            # observation possibly promotes it
-            translation = machines[0].translation
-            ran = translation.stats() if translation is not None else None
-            for machine in machines:
-                machine.ran = ran
-                if tiering is not None:
+            run.machines.update(enumerate(machines))
+            while run.pending:
+                unit = run.pending.pop(0)
+                core = 0
+                if unit.kind == MORSEL:
+                    core = min(
+                        range(workers),
+                        key=lambda i: machines[i].state.cycles,
+                    )
+                run.step(unit, core, machines[core])
+                if run.unit_finished(machines[core].state.cycles):
+                    self._barrier(machines)
+            if tiering is not None:
+                # after ``run.ran`` was last written: the result reports
+                # the tier the run executed at, not one it earned
+                for machine in machines:
                     tiering.observe(machine, machine.state.instructions)
-            return machines, rows, task_counts
+            return run
         finally:
             self.memory.release(mark)
 
@@ -651,75 +658,6 @@ class Database:
                 )
         return task_counts
 
-    def _compile_and_run(
-        self,
-        sql: str,
-        profiler: ProfilerConfig | None,
-        workers: int = 1,
-        morsel_size: int = 1024,
-        repeats: int = 1,
-        instruction_limit: int | None = None,
-        fast_vm: bool = True,
-        **compile_options,
-    ):
-        """Compile past the plan cache (``compile_options`` are
-        :meth:`_compile`'s) and run once; returns ``(compiled, machines,
-        rows, task_counts)``.  The program is this call's alone, so there
-        is nothing for a tiering controller to promote."""
-        compiled = self._compile(sql, profiler, **compile_options)
-        return (compiled, *self._run_compiled(
-            compiled, profiler, workers, morsel_size, repeats,
-            instruction_limit=instruction_limit, fast_vm=fast_vm,
-        ))
-
-    def _run_pipelines(
-        self, machines, query, query_ir, pipelines, state_addr, morsel_size
-    ) -> list[tuple]:
-        """Morsel-driven execution (§5: Umbra's multicore execution model).
-
-        Each pipeline's tuple domain is split into morsels; every morsel is
-        dispatched to the worker with the smallest simulated clock (greedy
-        least-loaded scheduling).  Pipelines end with a barrier: all worker
-        clocks advance to the pipeline's maximum, as real workers would wait.
-        Workers execute serially in the host process, so shared hash tables
-        need no synchronization; contention is not modeled (see DESIGN.md).
-        """
-        from repro.codegen.runtime import BUF_COUNT
-
-        machines[0].call(query["query_setup"].info.start, (state_addr,))
-        self._barrier(machines)
-
-        collected: list[tuple] = []
-        for pipeline in pipelines:
-            prepare_name = f"pipeline_{pipeline.index}_prepare"
-            if prepare_name in query:
-                machines[0].call(query[prepare_name].info.start, (state_addr,))
-                self._barrier(machines)
-
-            entry = query[f"pipeline_{pipeline.index}"].info.start
-            domain = query_ir.meta.pipeline_domains.get(pipeline.index)
-            total = self._domain_total(domain, state_addr)
-
-            if len(machines) == 1:
-                machine = machines[0]
-                before = len(machine.output)
-                machine.call(entry, (state_addr, 0, total))
-                collected.extend(machine.output[before:])
-                continue
-
-            morsel_outputs: list[tuple[int, list[tuple]]] = []
-            for morsel_index, lo, hi in Pipeline.morsels(total, morsel_size):
-                machine = min(machines, key=lambda m: m.state.cycles)
-                before = len(machine.output)
-                machine.call(entry, (state_addr, lo, hi))
-                morsel_outputs.append(
-                    (morsel_index, machine.output[before:])
-                )
-            self._barrier(machines)
-            for _, rows in sorted(morsel_outputs, key=lambda mo: mo[0]):
-                collected.extend(rows)
-        return collected
-
     def _zero_state(self, state_addr: int, state) -> None:
         """Initialise a query state block laid out by ``state`` (a
         :class:`~repro.codegen.context.StateLayout`): zero it, then write
@@ -738,20 +676,6 @@ class Database:
         for machine in machines:
             machine.state.cycles = latest
 
-    def _domain_total(self, domain, state_addr: int) -> int:
-        from repro.codegen.runtime import BUF_COUNT
-
-        if domain is None:
-            raise ReproError("pipeline without a morsel domain")
-        kind = domain[0]
-        if kind in ("rows", "slots"):
-            return domain[1]
-        if kind == "buffer":
-            _, state_offset, limit = domain
-            count = self.memory.read(state_addr + state_offset + BUF_COUNT)
-            return count if limit is None else min(count, limit)
-        raise ReproError(f"unknown pipeline domain {domain!r}")
-
     def decode_rows(self, raw_rows, columns) -> list[tuple]:
         """Raw result rows -> output values, typed by the plan's
         ``(name, IU)`` output columns."""
@@ -760,19 +684,6 @@ class Database:
         return [decode_row(dictionary, raw, dtypes) for raw in raw_rows]
 
     # -- public API ----------------------------------------------------------
-
-    def _result(self, physical, machines, rows) -> QueryResult:
-        ran = machines[0].ran
-        return QueryResult(
-            columns=[name for name, _ in physical.columns],
-            rows=rows,
-            cycles=max(m.state.cycles for m in machines),
-            instructions=sum(m.state.instructions for m in machines),
-            tier=ran["tier"] if ran else 0,
-            translation=ran,
-            loads=sum(m.state.loads for m in machines),
-            stores=sum(m.state.stores for m in machines),
-        )
 
     def execute(
         self,
@@ -821,25 +732,21 @@ class Database:
                     stacklevel=2,
                 )
             fast_vm = False
-            compiled, machines, rows, _ = self._compile_and_run(
-                sql, None, workers=workers, morsel_size=morsel_size,
-                instruction_limit=instruction_limit, fast_vm=fast_vm,
-                join_order_hint=join_order_hint,
-                planner_options=planner_options,
+            compiled = self._compile(
+                sql, None, join_order_hint, planner_options,
                 optimize_backend=optimize_backend, inject_fault=inject_fault,
             )
-            return self._result(compiled.physical, machines, rows)
-        compiled = self.compiled_for(
-            sql, join_order_hint=join_order_hint,
-            planner_options=planner_options,
-            optimize_backend=optimize_backend, pgo=pgo,
-        )
-        machines, rows, _ = self._run_compiled(
+        else:
+            compiled = self.compiled_for(
+                sql, join_order_hint=join_order_hint,
+                planner_options=planner_options,
+                optimize_backend=optimize_backend, pgo=pgo,
+            )
+        return self._run_compiled(
             compiled, None, workers=workers, morsel_size=morsel_size,
             instruction_limit=instruction_limit, fast_vm=fast_vm,
             tiering=tiering,
-        )
-        return self._result(compiled.physical, machines, rows)
+        ).result()
 
     # -- profile-guided optimization (repro.pgo) -----------------------------
 
@@ -867,27 +774,26 @@ class Database:
             )
         return self.pgo_store
 
-    def build_profile(
-        self, config, compiled: CompiledQuery, worker_samples, machines,
-        result: QueryResult, task_counts,
-    ) -> Profile:
+    def build_profile(self, config, run: PlanRun) -> Profile:
         """Attribute a run's samples and assemble its :class:`Profile`.
 
         The one path from PMU samples to a profile: ``profile`` and
         ``profile_plan`` feed it a finished run, the serve tier's
-        continuous profiler feeds it every completed query.
-        ``worker_samples`` is a stream of ``(worker index, Sample)`` pairs;
-        ``machines`` are the simulated cores the query ran on."""
+        continuous profiler feeds it every completed query.  The run's
+        ``(core, Sample)`` stream arrives in dispatch order and is merged
+        by timestamp, equal timestamps by core."""
+        compiled = run.compiled
         processor = SampleProcessor(compiled.program, compiled.tagging)
         attributions = []
-        for worker_index, sample in worker_samples:
+        for worker_index, sample in run.samples:
             attribution = processor.attribute(sample)
             if worker_index:
                 attribution = dataclasses.replace(
                     attribution, worker=worker_index
                 )
             attributions.append(attribution)
-        attributions.sort(key=lambda a: a.sample.tsc)
+        attributions.sort(key=lambda a: (a.sample.tsc, a.worker))
+        machines = [run.machines[core] for core in sorted(run.machines)]
         return Profile(
             database=self,
             config=config,
@@ -900,27 +806,26 @@ class Database:
             tagging=compiled.tagging,
             processor=processor,
             attributions=attributions,
-            result=result,
+            result=run.result(),
             sql=compiled.sql,
-            task_counts=task_counts,
+            task_counts=run.task_counts,
             estimates=compiled.estimates,
         )
 
-    def _profiled_run(self, sql, config: ProfilerConfig, **run) -> Profile:
-        """Compile and run with the PMU armed, then build the Profile."""
-        compiled, machines, rows, task_counts = self._compile_and_run(
-            sql, config, count_tuples=config.count_tuples, **run
+    def _profiled_run(
+        self, sql, config: ProfilerConfig, workers, repeats, fast_vm,
+        **compile_options,
+    ) -> Profile:
+        """Compile past the plan cache (``compile_options`` are
+        :meth:`_compile`'s) with the PMU armed, run, build the Profile.
+        The program is this call's alone, so there is nothing for a
+        tiering controller to promote."""
+        compiled = self._compile(
+            sql, config, count_tuples=config.count_tuples, **compile_options
         )
-        return self.build_profile(
-            config, compiled,
-            (
-                (worker_index, sample)
-                for worker_index, machine in enumerate(machines)
-                for sample in machine.samples.samples
-            ),
-            machines, self._result(compiled.physical, machines, rows),
-            task_counts,
-        )
+        return self.build_profile(config, self._run_compiled(
+            compiled, config, workers, repeats=repeats, fast_vm=fast_vm,
+        ))
 
     def profile(
         self,
@@ -969,11 +874,10 @@ class Database:
 
         ``bound`` must expose ``.plan`` (the logical root) and ``.model``
         (a CardinalityModel); ``physical`` is the physical root."""
-        _, machines, rows, _ = self._compile_and_run(
-            "", None, prebuilt=(bound, physical), workers=workers,
-            fast_vm=fast_vm,
-        )
-        return self._result(physical, machines, rows)
+        return self._run_compiled(
+            self._compile("", None, prebuilt=(bound, physical)),
+            workers=workers, fast_vm=fast_vm,
+        ).result()
 
     def profile_plan(
         self,

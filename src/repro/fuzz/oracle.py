@@ -525,31 +525,30 @@ class DifferentialOracle:
         try:
             compiled = db._compile(sql, profiler)
             for _ in range(1 if tiering is None else 2):
-                machines, _, _ = db._run_compiled(
+                run = db._run_compiled(
                     compiled, profiler, fast_vm=fast_vm, tiering=tiering
                 )
         except PlanError as exc:
             return Outcome(config, "error", error=f"PlanError: {exc}")
         except Exception as exc:  # noqa: BLE001 - compared against twin
             return Outcome(config, "error", error=f"{type(exc).__name__}: {exc}")
-        machine = machines[0]
-        # ``ran`` is the pre-observation snapshot: the tier the signed run
-        # executed at, not one its own instructions promoted it to
-        if tiering is not None and machine.ran["tier"] != 2:
+        # the pre-observation tier: the one the signed run executed at,
+        # not one its own instructions promoted it to
+        result = run.result()
+        if tiering is not None and result.tier != 2:
             return Outcome(
                 config, "error",
-                error=f"signed run executed at tier {machine.ran['tier']}",
+                error=f"signed run executed at tier {result.tier}",
             )
-        state = machine.state
+        machine = run.machines[0]
         signature = [(
-            "counters", state.instructions, state.cycles,
-            state.loads, state.stores,
+            "counters", result.instructions, result.cycles,
+            result.loads, result.stores,
             machine.caches.accesses, machine.caches.l1_misses,
             machine.predictor.branches, machine.predictor.mispredicts,
         )]
         signature.extend(
-            (s.ip, s.tsc, s.branch_taken, s.memaddr)
-            for s in machine.samples.samples
+            (s.ip, s.tsc, s.branch_taken, s.memaddr) for _, s in run.samples
         )
         return Outcome(config, "rows", rows=signature)
 

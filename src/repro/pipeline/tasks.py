@@ -47,10 +47,8 @@ class Pipeline:
 
     @staticmethod
     def morsels(total: int, morsel_size: int):
-        """Split a tuple domain into ``(index, lo, hi)`` morsel ranges.
-
-        Shared by the engine's morsel loop and the serve scheduler so both
-        produce identical work units for the same domain."""
+        """Split a tuple domain into ``(index, lo, hi)`` morsel ranges
+        (the morsel units of :class:`repro.pipeline.run.PlanRun`)."""
         for index, lo in enumerate(range(0, total, morsel_size)):
             yield index, lo, min(total, lo + morsel_size)
 

@@ -73,13 +73,13 @@ class AdmissionController:
             return request
         return None
 
-    def cancel(self, ticket: int) -> bool:
-        """Mark a queued ticket cancelled; True if it was waiting here."""
-        if any(
-            r.ticket == ticket
-            for _, r in self._heap
-            if r.ticket not in self._cancelled
-        ):
-            self._cancelled.add(ticket)
-            return True
-        return False
+    def cancel(self, ticket: int) -> QueryRequest | None:
+        """Mark a queued ticket cancelled; returns its request, or None if
+        it was not waiting here."""
+        if ticket in self._cancelled:
+            return None
+        for _, request in self._heap:
+            if request.ticket == ticket:
+                self._cancelled.add(ticket)
+                return request
+        return None

@@ -22,7 +22,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
-from repro.engine import QueryResult
 from repro.pgo.fingerprint import fingerprint
 from repro.profiling.profile import Profile
 
@@ -247,21 +246,11 @@ class ContinuousProfiler:
     def complete_query(self, execution) -> Profile:
         """Build the query's Profile, aggregate it, feed the PGO store."""
         compiled = execution.compiled
-        profile = self.database.build_profile(
-            self.config, compiled, execution.samples,
-            [execution.machines[idx] for idx in sorted(execution.machines)],
-            QueryResult(
-                columns=[name for name, _ in compiled.physical.columns],
-                rows=execution.rows,
-                cycles=execution.latency_cycles,
-                instructions=execution.instructions,
-            ),
-            execution.task_counts,
-        )
+        profile = self.database.build_profile(self.config, execution)
 
         total = self.total
         total.queries += 1
-        total.latencies.append(execution.latency_cycles)
+        total.latencies.append(execution.cycles)
         key = fingerprint(compiled.sql)
         stats = total.templates.get(key)
         if stats is None:
@@ -269,7 +258,7 @@ class ContinuousProfiler:
         stats.queries += 1
         stats.samples += len(profile.attributions)
         stats.instructions += execution.instructions
-        stats.latencies.append(execution.latency_cycles)
+        stats.latencies.append(execution.cycles)
         for attribution in profile.attributions:
             weight = attribution.weight_per_task
             for task in attribution.tasks:

@@ -10,7 +10,7 @@ Determinism: given the same database, config, and submission sequence,
 every scheduling decision is a pure function of simulated clocks and
 submission order, so two runs produce bit-identical per-query counters,
 rows, and sample streams.  Per-query counters are additionally
-*interleaving-invariant* (see :mod:`repro.serve.execution`), which is
+*interleaving-invariant* (see :mod:`repro.pipeline.run`), which is
 what the differential fuzzer's ``serve-concurrent`` oracle checks.
 """
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from repro.catalog import DataType
 from repro.engine import ProfilerConfig, ProfilingMode
 from repro.errors import InstructionBudgetExceeded, ReproError, VMError
+from repro.pipeline.run import Unit
 from repro.serve.admission import AdmissionController, QueryRequest
 from repro.serve.errors import (
     CANCELLED,
@@ -35,9 +36,7 @@ from repro.serve.execution import (
     CANCELLED as EXEC_CANCELLED,
     DONE,
     FAILED,
-    MORSEL,
     QueryExecution,
-    Unit,
 )
 from repro.serve.profiler import ContinuousProfiler
 from repro.serve.session import Session, SessionManager
@@ -150,7 +149,6 @@ class QueryService:
         self.inflight: dict[int, QueryExecution] = {}
         self.results: dict[int, ServiceResult] = {}
         self._order: list[ServiceResult] = []
-        self._requests: dict[int, QueryRequest] = {}
         self._tickets = 0
         self._query_ids = 0
         self._step = 0
@@ -197,7 +195,6 @@ class QueryService:
             max_instructions=max_instructions,
         )
         self.admission.offer(request)  # may shed with QUEUE_FULL
-        self._requests[request.ticket] = request
         session.tickets.append(request.ticket)
         return request.ticket
 
@@ -205,9 +202,11 @@ class QueryService:
         """Cancel a queued or in-flight query; False if already finished."""
         if ticket in self.results:
             return False
-        if self.admission.cancel(ticket):
-            request = self._requests.get(ticket)
-            self._record_cancelled(request)
+        request = self.admission.cancel(ticket)
+        if request is not None:
+            self._record_refused(request, "cancelled", ServiceError(
+                CANCELLED, f"query {ticket} cancelled while queued"
+            ))
             return True
         for execution in self.inflight.values():
             if execution.request.ticket == ticket and not execution.done:
@@ -250,7 +249,7 @@ class QueryService:
             execution = min(
                 runnable,
                 key=lambda e: (
-                    -e.priority, e.last_dispatch_step, e.query_id
+                    -e.request.priority, e.last_dispatch_step, e.query_id
                 ),
             )
             unit = execution.pending.pop(0)
@@ -320,20 +319,20 @@ class QueryService:
             except ServiceError:
                 raise
             except ReproError as exc:
-                error = ServiceError(COMPILE_ERROR, str(exc))
-                self._record_failed_request(request, error)
+                self._record_refused(
+                    request, "failed", ServiceError(COMPILE_ERROR, str(exc))
+                )
                 continue
-            state = compiled.query_ir.state
-            state_addr = self.db.memory.alloc(state.size_bytes, "serve_state")
-            self.db._zero_state(state_addr, state)
             self._query_ids += 1
-            admit_tsc = min(w.state.cycles for w in self.workers)
             execution = QueryExecution(
                 query_id=self._query_ids,
                 request=request,
+                database=self.db,
                 compiled=compiled,
-                state_addr=state_addr,
-                admit_tsc=admit_tsc,
+                state_addr=self.db.memory.alloc(
+                    compiled.query_ir.state.size_bytes, "serve_state"
+                ),
+                admit_tsc=min(w.state.cycles for w in self.workers),
                 morsel_size=self.config.morsel_size,
             )
             self.inflight[execution.query_id] = execution
@@ -370,7 +369,6 @@ class QueryService:
                 fast_vm=self.config.fast_vm,
                 tiering=self.tiering,
             )
-            execution.machines[worker.index] = machine
         worker.bind(machine)
         if self._profiler_config is not None:
             # install the query-id half of the tag pair; compiled code
@@ -378,19 +376,13 @@ class QueryService:
             machine.set_query_tag(execution.query_id)
 
         state = worker.state
-        start_cycles = state.cycles
         start_instructions = state.instructions
-        start_loads = state.loads
-        start_stores = state.stores
-        sample_start = len(worker.samples.samples)
-        output_start = len(machine.output)
         saved_budget = state.max_instructions
         if execution.budget_left is not None:
             state.max_instructions = state.instructions + execution.budget_left
-        entry, args = execution.unit_entry(unit)
         error: ServiceError | None = None
         try:
-            machine.call(entry, args)
+            execution.step(unit, worker.index, machine)
         except VMError as exc:
             if isinstance(exc, InstructionBudgetExceeded):
                 error = ServiceError(
@@ -408,37 +400,24 @@ class QueryService:
         worker.units_run += 1
 
         used = state.instructions - start_instructions
-        # the tier this unit ran at, before its own instructions can
-        # promote the plan; tiers only rise, so the last unit's snapshot
-        # is the query's highest
-        translation = machine.translation
-        execution.ran = translation.stats() if translation else None
         if self.tiering is not None:
             self.tiering.observe(machine, used)
-        execution.instructions += used
-        execution.loads += state.loads - start_loads
-        execution.stores += state.stores - start_stores
-        execution.busy_cycles += state.cycles - start_cycles
         if execution.budget_left is not None:
             execution.budget_left = max(0, execution.budget_left - used)
-        new_samples = worker.samples.samples[sample_start:]
-        for sample in new_samples:
-            execution.samples.append((worker.index, sample))
+        # the run took its copy: what the shared buffer holds is exactly
+        # this unit's samples, and nothing reads them from it afterwards
+        new_samples = worker.samples.samples
         if self.profiler is not None and new_samples:
             self.profiler.observe_unit(execution.query_id, new_samples)
+        new_samples.clear()
 
         if error is not None:
             execution.fail(error)
             self._finalize(execution)
             return
-        if unit.kind == MORSEL:
-            execution.raw_morsels.append(
-                (unit.pipeline, unit.morsel, machine.output[output_start:])
-            )
-        end_tsc = state.cycles
         if (
             execution.deadline_tsc is not None
-            and end_tsc > execution.deadline_tsc
+            and state.cycles > execution.deadline_tsc
         ):
             execution.fail(ServiceError(
                 TIMEOUT,
@@ -447,7 +426,7 @@ class QueryService:
             ))
             self._finalize(execution)
             return
-        execution.unit_finished(unit, end_tsc, self.db)
+        execution.unit_finished(state.cycles)
         if execution.status == DONE:
             self._finalize(execution)
 
@@ -472,55 +451,39 @@ class QueryService:
             loads=execution.loads,
             stores=execution.stores,
             task_counts=dict(execution.task_counts),
-            latency_cycles=execution.latency_cycles,
+            latency_cycles=execution.cycles,
             busy_cycles=execution.busy_cycles,
             samples=len(execution.samples),
             tier=ran["tier"] if ran else 0,
             translation=ran,
         )
-        self.results[request.ticket] = result
-        self._order.append(result)
         self.inflight.pop(execution.query_id, None)
-        if status == "ok":
+        self._deliver(result)
+        if result.ok and self.profiler is not None:
+            self.profiler.complete_query(execution)
+
+    def _record_refused(
+        self, request: QueryRequest, status: str, error: ServiceError
+    ) -> None:
+        """The result of a request that never became an execution."""
+        self._deliver(ServiceResult(
+            ticket=request.ticket,
+            query_id=0,
+            session=request.session,
+            sql=request.sql,
+            status=status,
+            error=error,
+        ))
+
+    def _deliver(self, result: ServiceResult) -> None:
+        self.results[result.ticket] = result
+        self._order.append(result)
+        if result.ok:
             self.completed += 1
-            if self.profiler is not None:
-                self.profiler.complete_query(execution)
-        elif status == "cancelled":
+        elif result.status == "cancelled":
             self.cancelled += 1
         else:
             self.failed += 1
-
-    def _record_failed_request(
-        self, request: QueryRequest, error: ServiceError
-    ) -> None:
-        result = ServiceResult(
-            ticket=request.ticket,
-            query_id=0,
-            session=request.session,
-            sql=request.sql,
-            status="failed",
-            error=error,
-        )
-        self.results[request.ticket] = result
-        self._order.append(result)
-        self.failed += 1
-
-    def _record_cancelled(self, request: QueryRequest | None) -> None:
-        if request is None:
-            return
-        result = ServiceResult(
-            ticket=request.ticket,
-            query_id=0,
-            session=request.session,
-            sql=request.sql,
-            status="cancelled",
-            error=ServiceError(
-                CANCELLED, f"query {request.ticket} cancelled while queued"
-            ),
-        )
-        self.results[request.ticket] = result
-        self._order.append(result)
-        self.cancelled += 1
 
     def _quiesce(self) -> None:
         """Tear down the execution epoch once fully drained.

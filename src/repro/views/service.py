@@ -390,11 +390,12 @@ class ViewService:
             machine.regs[REG_TAG] = TaggingDictionary.encode_tag(
                 view.query_id, node.node_id
             )
-            sample_start = len(worker.samples.samples)
             machine.advance_external(
                 self._function(node.kind), cycles, instructions, loads=loads
             )
-            new_samples = worker.samples.samples[sample_start:]
+            # the shared buffer holds this charge's samples only: every
+            # unit of work takes its own out (see QueryService._dispatch)
+            new_samples = worker.samples.samples
             view.instructions += instructions
             view.cycles += cycles
             view.loads += loads
@@ -405,6 +406,7 @@ class ViewService:
                     view.query_id, view.name, node.label,
                     new_samples, instructions, cycles, loads=loads,
                 )
+            new_samples.clear()
         if profiler is not None:
             profiler.note_view_batch(view.query_id, view.name)
 

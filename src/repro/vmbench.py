@@ -66,15 +66,13 @@ def _median(values):
 def _timed_run(db, compiled, fast_vm: bool, tiering=None):
     """One run: ``(seconds, rows, counters, tier)``."""
     started = time.perf_counter()
-    machines, rows, _ = db._run_compiled(
-        compiled, fast_vm=fast_vm, tiering=tiering
-    )
+    run = db._run_compiled(compiled, fast_vm=fast_vm, tiering=tiering)
     elapsed = time.perf_counter() - started
-    counters = (
-        sum(m.state.instructions for m in machines),
-        max(m.state.cycles for m in machines),
+    result = run.result()
+    return (
+        elapsed, result.rows, (result.instructions, result.cycles),
+        result.tier,
     )
-    return elapsed, rows, counters, machines[0].tier
 
 
 def run_vm_bench(

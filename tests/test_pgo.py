@@ -297,8 +297,8 @@ def test_branch_feedback_preserves_results(db):
     )
     informed = db._compile(sql, None, feedback=feedback)
     assert informed.feedback_applied
-    _, rows_base, _ = db._run_compiled(baseline)
-    _, rows_informed, _ = db._run_compiled(informed)
+    rows_base = db._run_compiled(baseline).rows
+    rows_informed = db._run_compiled(informed).rows
     # layout changed, semantics did not
     assert rows_informed == rows_base
 
@@ -328,8 +328,8 @@ def test_hotness_weights_and_spill_equivalence(db):
     )
     informed = db._compile(sql, None, feedback=feedback)
     assert informed.feedback_applied
-    _, rows_base, _ = db._run_compiled(baseline)
-    _, rows_informed, _ = db._run_compiled(informed)
+    rows_base = db._run_compiled(baseline).rows
+    rows_informed = db._run_compiled(informed).rows
     assert rows_informed == rows_base
 
 

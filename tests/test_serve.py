@@ -416,6 +416,71 @@ def test_warm_works_mid_epoch_and_its_plan_outlives_the_drain(db):
     assert service.result(ticket).rows == db.execute_interpreted(sql).rows
 
 
+# -- one run record behind every served number ------------------------------
+
+
+def test_served_profile_reports_what_the_service_result_reports():
+    database = Database.example(n_sales=1500, n_products=50)
+
+    class Recorder:  # the PGO store's one method the profiler calls
+        def __init__(self):
+            self.profiles = []
+
+        def record(self, profile):
+            self.profiles.append(profile)
+
+    recorder = Recorder()
+    service = QueryService(database, ServiceConfig(
+        workers=2, morsel_size=256, tiering_hot_instructions=1,
+    ), pgo_store=recorder)
+    tickets = []
+    for _ in range(2):  # the first run promotes the plan for the second
+        tickets.append(service.submit(SQL_AGG))
+        service.drain()
+    result, profile = service.result(tickets[-1]), recorder.profiles[-1]
+    assert result.tier == 2 and result.loads and result.stores
+    assert (
+        profile.result.tier, profile.result.translation,
+        profile.result.instructions, profile.result.loads,
+        profile.result.stores, profile.result.rows,
+    ) == (
+        result.tier, result.translation, result.instructions, result.loads,
+        result.stores, result.rows,
+    )
+
+
+def test_long_lived_service_retains_results_only():
+    database = Database.example(n_sales=1200, n_products=60)
+    service = QueryService(database, ServiceConfig(
+        workers=4, max_inflight=8, morsel_size=97, seed=7, period=5000,
+    ))
+
+    def containers():
+        # everything on the service whose size could follow the number of
+        # requests, except the two result indexes it keeps on purpose
+        return {
+            name: len(value) for name, value in vars(service).items()
+            if isinstance(value, (dict, list, set))
+            and name not in ("results", "_order")
+        }
+
+    sizes = []
+    for _ in range(3):
+        items = synthetic_workload(service, queries=9, clients=3)
+        assert run_workload(service, items).clean
+        sizes.append(containers())
+        assert all(not w.samples.samples for w in service.workers)
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert len(service.results) == 27
+    # no sample was lost on the way out of the shared buffers: the totals
+    # are the ones the service reported while its buffers kept everything
+    taken = sum(w.state.samples_taken for w in service.workers)
+    assert taken == 1221  # measured at the parent commit
+    assert service.stats()["samples"] == taken
+    assert service.profile_snapshot().samples == taken
+    assert sum(r.samples for r in service.results.values()) == taken
+
+
 # -- snapshot merge algebra ---------------------------------------------------
 
 
