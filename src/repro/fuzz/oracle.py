@@ -29,7 +29,10 @@ bit-exact contract, on a run that provably executed them: a tier
 belongs to the compiled program, so the parity configs compile once,
 warm that program past the promotion threshold and sign a second run of
 it — and a signed run that did not report tier 2 is itself a
-disagreement.  Any divergence is a disagreement.
+disagreement.  Each tier signs twice: heat threshold 1 (``[fast]``,
+``[tiered]``: every template the run reaches compiles) and the default
+(``[mixed]``, ``[tiered-mixed]``: loops hand over mid-run, trees
+regrow).  Any divergence is a disagreement.
 """
 
 from __future__ import annotations
@@ -507,6 +510,7 @@ class DifferentialOracle:
 
     def _vm_signature(
         self, sql: str, fast_vm: bool, config: str, tiering=None,
+        hot_entries: int | None = None,
     ) -> Outcome:
         """Run once armed and fold the complete machine state into rows.
 
@@ -517,13 +521,19 @@ class DifferentialOracle:
         controller the *same* program runs twice: the first run drives it
         past the promotion threshold, the second — the signed one — must
         then execute tier-2 traces, and not doing so is an error outcome
-        (which the interpreter's rows turn into a disagreement)."""
+        (which the interpreter's rows turn into a disagreement).
+        ``hot_entries`` replaces the translation's heat threshold."""
         from repro.engine import ProfilerConfig
+        from repro.vm.translate import translation_for
 
         db = self.db
         profiler = ProfilerConfig(record_memaddr=True)
         try:
             compiled = db._compile(sql, profiler)
+            if hot_entries is not None:
+                translation_for(
+                    compiled.program, profiler.pmu_config()
+                ).hot_entries = hot_entries
             for _ in range(1 if tiering is None else 2):
                 run = db._run_compiled(
                     compiled, profiler, fast_vm=fast_vm, tiering=tiering
@@ -555,18 +565,25 @@ class DifferentialOracle:
     def _vm_parity(self, sql: str) -> tuple[list[Disagreement], bool]:
         """Every execution tier must be bit-identical to the interpreter
         under an armed PMU: counters, cache/predictor state, and sample
-        streams.  Also returns whether the tier-2 signature is one of a
-        run that executed at tier 2."""
+        streams, with every entered block compiled (heat threshold 1)
+        and handing over mid-loop (the default).  Also returns whether
+        the tier-2 signatures are of runs that executed at tier 2."""
         from repro.vm.tiering import TieringController
 
         slow = self._vm_signature(sql, False, "vm-parity[interp]")
-        plain = self._vm_signature(sql, True, "vm-parity[fast]")
-        tiered = self._vm_signature(
-            sql, True, "vm-parity[tiered]",
-            tiering=TieringController(hot_instructions=1),
-        )
+        signed = [
+            self._vm_signature(
+                sql, True, f"vm-parity[{name}]", hot_entries=hot_entries,
+                tiering=TieringController(hot_instructions=1) if tiered
+                else None,
+            )
+            for name, hot_entries, tiered in (
+                ("fast", 1, False), ("mixed", None, False),
+                ("tiered", 1, True), ("tiered-mixed", None, True),
+            )
+        ]
         disagreements = []
-        for fast in (plain, tiered):
+        for fast in signed:
             if fast.kind != slow.kind:
                 disagreements.append(Disagreement(
                     fast.config, slow, fast,
@@ -585,7 +602,7 @@ class DifferentialOracle:
                     fast.config, slow, fast,
                     reason="machine counters or PMU sample stream differ",
                 ))
-        return disagreements, tiered.kind == "rows"
+        return disagreements, all(fast.kind == "rows" for fast in signed[2:])
 
     # -- comparison ----------------------------------------------------------
 

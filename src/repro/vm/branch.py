@@ -17,6 +17,11 @@ class BranchPredictor:
         self.branches = 0
         self.mispredicts = 0
 
+    def state(self) -> dict[int, int]:
+        """The counters by value: an absent key *is* the initial 1 (a
+        deferred write-back leaves none where 1 -> 2 -> 1 leaves one)."""
+        return {ip: n for ip, n in self.counters.items() if n != 1}
+
     def record(self, ip: int, taken: bool) -> bool:
         """Record the outcome of the branch at ``ip``; return True on miss."""
         self.branches += 1

@@ -79,6 +79,12 @@ FAST_VM_MAX_BLOCK = 48  # cap so worst-case block bounds stay << period
 # translations may grow much longer traces — fewer driver transitions on
 # hot loops (the instruction-budget check stays conservative either way)
 FAST_VM_MAX_BLOCK_PLAIN = 512
+# A leader runs interpreted until it has been entered FAST_VM_HOT_ENTRIES
+# times (compiling a guest instruction costs ~160 interpreted executions).
+# Trees leave out continuations never entered; a pruned exit turning hot
+# recompiles its root, at most FAST_VM_REGROW_LIMIT times, last unpruned.
+FAST_VM_HOT_ENTRIES = 16
+FAST_VM_REGROW_LIMIT = 3
 
 # --- tiered adaptive execution (repro.vm.tiering) ------------------------
 #

@@ -114,9 +114,9 @@ class Machine:
         self.translation = None
         # the promotion policy watching this machine's program, if any
         # (repro.vm.tiering); while it watches a tier-1 translation the
-        # driver counts block entries, and translation stubs read
-        # ``_counting_entries`` to take their own dispatch back out (a
-        # stub entry is not a block entry)
+        # driver counts block entries, and the translation reads
+        # ``_counting_entries`` to keep that to one per entry (a stub
+        # takes its own dispatch back out, an interpreted entry counts)
         self._tiering = tiering
         self._counting_entries = False
         if fast_vm and (
@@ -124,17 +124,8 @@ class Machine:
         ):
             from repro.vm.translate import translation_for
 
-            event = pmu_config.event if pmu_config is not None else None
-            # armed translations may grow superblock trees up to this
-            # worst-case event bound: 1/8 of the period keeps the driver's
-            # admission check passing for ~7/8 of every sampling window
-            # (larger caps inflate the per-pass bound that gates loop
-            # re-entry and measure slower, not faster)
-            bound_cap = (
-                pmu_config.period >> 3 if pmu_config is not None else 0
-            )
-            # nothing compiles here: blocks translate on first entry
-            self.translation = translation_for(program, event, bound_cap)
+            # nothing compiles here: blocks translate once they are hot
+            self.translation = translation_for(program, pmu_config)
         elif fast_vm:
             # auto-disable used to be silent: benchmarks could think they
             # measured the fast VM while every instruction interpreted
@@ -296,10 +287,11 @@ class Machine:
         and VMError behavior are bit-identical to pure interpretation.
 
         A block not yet compiled is a *stub* entry that always passes
-        this check (zero instructions, bound below any countdown);
-        calling it compiles the block, swaps the map entry and returns
-        the same ip, so the next turn of this loop dispatches the real
-        block under the real check (see ``repro.vm.translate``).
+        this check (zero instructions, bound below any countdown).
+        Cold, it runs ``_interp`` from there; the call that makes it hot
+        compiles the block, swaps the map entry and returns the same ip,
+        so the next turn of this loop dispatches the real block under
+        the real check (see ``repro.vm.translate``).
 
         While a tiering controller watches a translation still at tier 1,
         every admitted dispatch also bumps the translation's
@@ -390,6 +382,7 @@ class Machine:
         sample_on_brmiss = config is not None and config.event is Event.BRANCH_MISS
         has_blocks = blocks is not None
         blocks_get = blocks.get if has_blocks else None
+        translation = self.translation
 
         ip = entry_ip
         cycles = state.cycles
@@ -423,7 +416,11 @@ class Machine:
         while True:
             if has_blocks:
                 blk = blocks_get(ip)
-                if blk is not None:
+                # a cold stub counts the entry and is no block yet; the
+                # entry that makes it hot suspends for the driver's dispatch
+                if blk is not None and not (
+                    blk[2] < 0 and translation.cold_entry(ip, self)
+                ):
                     if (
                         instructions + blk[1] <= max_instructions
                         and (config is None or self._countdown > blk[2])

@@ -5,12 +5,13 @@ basic-block translators of fast cycle-accounting simulators (QEMU's TCG,
 gem5 fast-forward): decode the guest :class:`~repro.vm.isa.Program` into
 superblocks (single-entry multi-exit traces that follow conditional
 fall-through and fold forward jumps), and ``exec``-compile a block into
-one specialized Python function *the first time the driver enters it*:
-every leader starts as a stub map entry that always passes admission,
-compiles its block when called, replaces itself, and hands the same ip
-back (see :class:`Translation`).  A query therefore pays translation
-only for the blocks it runs — typically a third of the program, the
-runtime library included.  Inside a block
+one specialized Python function *once entries have made it hot*: every
+leader starts as a stub map entry that always passes admission, runs the
+interpreter while its leader is cold, and compiles its block, replaces
+itself and hands the same ip back on the entry that makes it hot (see
+:class:`Translation`).  Source is paid for in proportion to what
+executes: blocks a query barely runs never compile, and traces and trees
+leave out continuations no entry has reached.  Inside a block
 
 - opcode dispatch is gone (each instruction became a dedicated statement),
 - register/array accesses are inlined with constant indices,
@@ -21,19 +22,17 @@ while everything *dynamic* keeps exact per-access accounting: loads and
 stores still walk the cache hierarchy, conditional branches still train
 the 2-bit predictor, and error paths re-materialize the precise
 ``MachineState`` the interpreter would have produced (same message, same
-ip, same counter values, same PMU countdown).  An error site is one
-``raise _Fault(...)`` of its path-static totals; the write-back and
-counter sync are emitted once per function, as the epilogue behind a
-``try`` that costs nothing until it catches.
+ip, same counter values, same PMU countdown).  An error site is a bare
+guard or a bare access; what had retired there is data — a table keyed
+by source line, read by the function's one fault epilogue.
 
 Sampling exactness is preserved by a conservative *event bound* computed
 per block and per PMU event: the worst-case number of countdown events
 the block can generate.  The driver only enters a block when the live
 countdown strictly exceeds that bound, so a sample can never fall due
-mid-block; the countdown is then paid in one block-sized chunk.  When the
-bound check fails, the machine falls back to the interpreter for the rest
-of the sampling window (see ``Machine._run_fast``), which keeps sample
-streams bit-identical to pure interpretation.
+mid-block; when the check fails, the interpreter finishes the sampling
+window (see ``Machine._run_fast``), which keeps sample streams
+bit-identical to pure interpretation.
 
 Translation gets more aggressive where the countdown allows it: traces
 rooted at loop heads inline their side-exit continuations into superblock
@@ -41,51 +40,28 @@ rooted at loop heads inline their side-exit continuations into superblock
 back to the trace's own head closes the loop inside the compiled function
 — after re-checking the instruction budget (and, armed, the countdown)
 exactly as the driver would — so hot loops run without returning to the
-dispatch loop at all.  With the PMU unarmed there is no countdown to
-protect and trees grow to the instruction budget; armed, tree growth is
-additionally capped by ``bound_cap`` — a worst-case-event allowance
-derived from the sampling period (``period // 8``) — so the admission
-check still passes for almost the whole sampling window and coarse
-periods (like the serve path's always-on profiling) keep near-unarmed
-speed.
+dispatch loop at all.  Armed, tree growth is additionally capped by
+``bound_cap`` — a worst-case-event allowance of ``period // 8`` — so the
+admission check still passes for almost the whole sampling window.
 
 Translations are cached on the Program object, keyed by the sampled event
 and the armed bound cap (the countdown bookkeeping is specialized per
-event), so the up-to-four morsel workers of one query share a single
-translation — and a block one of them compiled is compiled for all.
+event), so the morsel workers of one query share one translation — its
+heat, and a block one of them compiled is compiled for all.
 
-Tier 2 is a state of that same translation, not a second map.  While a
-translation is at tier 1 and a :class:`~repro.vm.tiering.TieringController`
-watches it, the driver counts admitted dispatches per block into
-``entries`` and the controller adds each call's retired instructions to
-``retired``; past the threshold :meth:`Translation.promote` re-stubs
-``blocks`` *in place* with the tier-2 emit settings, and every machine
-holding that dict runs tier 2 from its next dispatch.  Tier-2 loop heads
-use *deferred sync*: the counters (instructions, cycles, loads, stores,
-cache accesses), the branch predictor's per-ip 2-bit counters, and the
-PMU countdown all live in Python locals, and the loop back edge only
-folds the path's static totals into those locals — the full flush to
-machine state happens exclusively at real exits and when the edge check
-fails (countdown low: a sampling window is about to end; budget low: an
-instruction limit is about to stop the run).  The flush reconstructs the
-exact interpreter-visible state (registers, counters, countdown,
-predictor) before handing the resume ip back to the driver, so a window
-end mid-superblock is invisible to sample streams and counter parity.
-The 2-bit update is split per arm so the condition is tested once, and
-retired-branch counts are path-static and fold into the sync/edge
-constants like instruction counts do.  Nothing at tier 2 speculates, so
-nothing ever demotes.
-
-Two more tier-2 specializations ride on the same exactness argument:
-
-- *Same-line memoization*: after any load/store, the accessed cache line
-  is by construction the MRU entry of its L1 set, so a repeat access to
-  the line recorded in the ``_mln`` local is a guaranteed MRU hit — one
-  shift and one compare replace the whole set lookup.
-- *Hot-block trees*: the tier-1 profile's per-block entry counts mark
-  blocks entered hundreds of times per run without a closed loop — the
-  links of per-row probe chains — and tier 2 grows superblock trees at
-  them too, so one driver dispatch covers the whole per-row path.
+Tier 2 is a state of that same translation, not a second map
+(``docs/TIERING.md``).  While a :class:`~repro.vm.tiering.TieringController`
+watches a tier-1 translation, block entries are counted into ``entries``
+and retired instructions into ``retired``; past the threshold
+:meth:`Translation.promote` re-stubs ``blocks`` *in place* with the
+tier-2 emit settings.  Tier-2 loop heads use *deferred sync*: counters,
+predictor state and the PMU countdown live in Python locals across
+iterations, and the exact interpreter-visible state is flushed at real
+exits and when the edge check fails (a sampling window or the budget
+about to end).  *Same-line memoization* skips the L1 set lookup for a
+repeat access to the previous memory op's line, and *hot-block trees*
+grow where ``entries`` marks a block entered hundreds of times per run
+without a closed loop.  Nothing speculates, so nothing ever demotes.
 """
 
 from __future__ import annotations
@@ -171,10 +147,9 @@ _KNOWN_OPS = (
 
 
 class _Fault(Exception):
-    """Raised at a compiled block's error site with the path-static totals
-    ``(instructions, cycles, loads, stores, branches, message, ip)`` and
-    caught by the same function's fault epilogue — it never leaves a
-    block function."""
+    """Raised bare by a compiled block's guard; the raising line says
+    which error site it was to the same function's fault epilogue — it
+    never leaves a block function."""
 
 
 # A stub admits unconditionally: it retires zero instructions, and its
@@ -191,17 +166,26 @@ class Translation:
     executes the block and returns the next ip (negative = the run is
     complete).  ``fallback`` is ``None``, or a linear
     ``(fn, n_instructions, event_bound)`` variant of the same leader with
-    a much smaller bound: when the live countdown is too low to admit an
-    armed superblock tree, the driver runs the linear variant instead of
-    dropping all the way to the interpreter, so only the last few hundred
-    events before each sample interpret.
+    a much smaller bound, which the driver runs when the live countdown
+    is too low to admit an armed superblock tree — so only the last few
+    hundred events before each sample interpret.
 
-    Blocks compile on first entry.  Every leader starts as a *stub*
-    entry whose ``fn`` compiles that one block, replaces its own map
-    entry with the result (or deletes it when nothing at the leader is
+    Blocks compile by heat.  Every leader starts as a *stub* entry, and
+    ``heat`` counts its entries while it is one — dispatched by the
+    driver or walked over by the interpreter.  Below ``hot_entries`` the
+    stub hands the entry to ``Machine._interp``; the entry that reaches
+    the threshold compiles that one block, replaces the stub's map entry
+    with the result (or deletes it when nothing at the leader is
     translatable), and hands the same ip back, so the driver
     re-dispatches under the real block's admission check.  A stub
-    touches no simulated state, which is why it may always be admitted.
+    touches no simulated state of its own, so it may always be admitted.
+
+    Heat also shapes what compiles: a continuation no entry has reached
+    stays an exit to the driver, remembered in ``pruned`` (root ip -> the
+    exits its current code leaves out).  When such an exit turns hot,
+    the root goes back to a stub and its next entry compiles it with the
+    arm in place; ``regrown`` counts that per root, and at
+    ``costs.FAST_VM_REGROW_LIMIT`` a root compiles unpruned.
 
     The translation also owns the program's tier: ``retired`` and
     ``entries`` are the tier-1 profile a tiering controller feeds, and
@@ -217,10 +201,15 @@ class Translation:
         self.code_len = len(self.code)
         self.tier = 1
         self.retired = 0  # instructions observed while at tier 1
-        # admitted tier-1 dispatches per block; nothing counts once the
-        # tier is 2, so promotion freezes it as the hot-block profile
+        # block entries at tier 1 under a controller; nothing counts once
+        # the tier is 2, so promotion freezes it as the hot-block profile
         self.entries: dict[int, int] = {}
         self.hot_blocks = 0  # entries at or over the hot mark, at promotion
+        self.hot_entries = costs.FAST_VM_HOT_ENTRIES  # tests, oracle: 1
+        self.heat: dict[int, int] = {}
+        self.interpreted = 0  # cold entries the interpreter ran
+        self.pruned: dict[int, set[int]] = {}
+        self.regrown: dict[int, int] = {}
         self.compiled: set[int] = set()  # leaders compiled in the current map
         self.source_lines = 0
         self.compile_s = 0.0
@@ -245,7 +234,9 @@ class Translation:
     def promote(self) -> None:
         """Tier 1 -> tier 2, in place.  Only between machine calls: no
         block function is on the host stack, so no caller can be left
-        holding an entry of the old map."""
+        holding an entry of the old map.  Heat stays; what the tier-1
+        trees left out goes with them (a stale pruned exit would re-stub
+        a tier-2 root for an arm it never pruned)."""
         self.tier = 2
         self.hot_blocks = sum(
             1 for n in self.entries.values()
@@ -254,13 +245,14 @@ class Translation:
         self._emit = _emit_settings(
             self._emit["mode"], self._emit["bound_cap"], 2, self.entries
         )
-        self.compiled.clear()
-        self.blocks.clear()
+        for book in (self.compiled, self.pruned, self.regrown, self.blocks):
+            book.clear()
         self.blocks.update((ip, self._stub(ip)) for ip in self._leaders)
 
     def block(self, ip: int) -> tuple | None:
-        """The compiled entry of leader ``ip`` (compiling it now if it is
-        still a stub), or ``None`` when nothing there translates."""
+        """The compiled entry of leader ``ip`` (compiling it now, hot or
+        not, if it is still a stub), or ``None`` when nothing there
+        translates."""
         entry = self.blocks.get(ip)
         if entry is not None and entry[2] == _STUB_BOUND:
             started = perf_counter()
@@ -270,59 +262,89 @@ class Translation:
 
     def stats(self) -> dict:
         """The tier decision and what translation cost so far: the tier,
-        the instructions observed toward it and the hot blocks its
-        profile marked; static leaders, blocks compiled in the current
-        map, and generated source lines and host seconds over both
-        tiers."""
+        instructions observed toward it, hot blocks its profile marked;
+        static leaders, blocks compiled in the current map, cold entries
+        run interpreted, exits its trees leave out and times a root was
+        compiled again; source lines and host seconds over both tiers."""
         return {
             "tier": self.tier,
             "retired": self.retired,
             "hot_blocks": self.hot_blocks,
             "leaders": self.leaders,
             "compiled": len(self.compiled),
+            "interpreted": self.interpreted,
+            "pruned_exits": sum(map(len, self.pruned.values())),
+            "regrown": sum(self.regrown.values()),
             "source_lines": self.source_lines,
             "compile_s": round(self.compile_s, 6),
         }
+
+    def cold_entry(self, ip: int, machine) -> bool:
+        """Count one interpreted entry of the stub at ``ip``; False, and
+        nothing counted, for the entry that makes it hot (the stub's)."""
+        heat = self.heat.get(ip, 0) + 1
+        if heat >= self.hot_entries:
+            return False
+        self.heat[ip] = heat
+        self.interpreted += 1
+        if machine._counting_entries:
+            self.entries[ip] = self.entries.get(ip, 0) + 1
+        return True
 
     def _stub(self, ip: int) -> tuple:
         return (partial(self._enter, ip), 0, _STUB_BOUND, None)
 
     def _enter(self, ip, machine, *_):
         if machine._counting_entries:
-            # the driver counted this dispatch as a block entry, and it
-            # will count the re-dispatch of the real block again
-            entries = self.entries
-            if entries[ip] > 1:
-                entries[ip] -= 1
-            else:
-                del entries[ip]
+            # the driver counted this dispatch; whoever runs the block —
+            # the interpreter, or the driver's re-dispatch — counts again
+            self.entries[ip] -= 1
+        heat = self.heat.get(ip, 0) + 1
+        if heat < self.hot_entries:
+            return machine._interp(ip, self.blocks)
+        self.heat[ip] = heat
         self.block(ip)
+        for root, exits in self.pruned.items():
+            # a tree compiled while this exit was cold: its next entry
+            # compiles it again, this arm inlined
+            if ip in exits and root in self.compiled:
+                self.regrown[root] = self.regrown.get(root, 0) + 1
+                self.compiled.discard(root)
+                self.blocks[root] = self._stub(root)
         return ip
 
     def _compile(self, ip: int) -> tuple | None:
         emit = self._emit
         mode, bound_cap = emit["mode"], emit["bound_cap"]
-        emitted = _emit_block(self.code, ip, **emit)
+        heat = self.heat
+        if self.regrown.get(ip, 0) >= costs.FAST_VM_REGROW_LIMIT:
+            heat = None  # regrown to the limit: compile whole
+        emitted = _emit_block(self.code, ip, heat=heat, **emit)
         if emitted is None:
             del self.blocks[ip]
             return None
-        source, n_instr, bound, fallthroughs = emitted
+        source, n_instr, bound, fallthroughs, pruned, sites = emitted
         linear = None
         if mode and bound_cap:
             # the armed tree's bound keeps it out of the last stretch of
             # every sampling window; give the driver a linear variant
             # with a tight bound to run there instead of interpreting
-            # (always at the short tier-1 cap — the fallback's whole job
-            # is a small bound)
+            # (always at the short tier-1 cap); both compile as one
+            # source, so its fault lines number on from the tree's
             linear = _emit_block(
-                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, suffix="f"
+                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, suffix="f",
+                heat=heat, line0=source.count("\n"),
             )
             if linear is not None and linear[2] < bound:
                 source += linear[0]
                 fallthroughs = fallthroughs + linear[3]
+                pruned = pruned + linear[4]
+                sites.update(linear[5])
             else:
                 linear = None
+        # the functions bind ``_T``, their fault sites, as they are defined
         namespace = self._namespace
+        namespace["_T"] = sites
         exec(compile(source, f"<fastvm:{mode or 'plain'}>", "exec"), namespace)
         entry = (
             namespace.pop(f"_b{ip}"), n_instr, bound,
@@ -338,6 +360,7 @@ class Translation:
             # interpreter
             if fall not in self.blocks:
                 self.blocks[fall] = self._stub(fall)
+        self.pruned[ip] = set(pruned)
         self.compiled.add(ip)
         self.source_lines += source.count("\n")
         return entry
@@ -365,24 +388,25 @@ def _emit_settings(mode: str, bound_cap: int, tier: int, entries: dict) -> dict:
     )
 
 
-def translation_for(
-    program: Program, event: Event | None, bound_cap: int = 0
-) -> Translation:
-    """Return the one (cached) translation of ``program`` for ``event``.
+def translation_for(program: Program, pmu_config=None) -> Translation:
+    """Return the one (cached) translation of ``program`` for machines
+    armed with ``pmu_config`` (None: unarmed).  Nothing compiles here.
 
-    ``bound_cap`` is the armed tree-growth allowance in worst-case
-    countdown events (0 disables armed trees); unarmed translations
-    ignore it.  Nothing compiles here: the :class:`Translation` holds a
-    stub for every leader and compiles a block the first time the driver
-    enters it — a query only ever pays for the blocks it runs."""
+    Armed translations may grow superblock trees up to a worst-case
+    event bound of 1/8 of the period: that keeps the driver's admission
+    check passing for ~7/8 of every sampling window (larger caps inflate
+    the per-pass bound that gates loop re-entry and measure slower)."""
     cache = getattr(program, "_vm_translations", None)
     if cache is None:
         cache = {}
         program._vm_translations = cache
-    key = (event, bound_cap)
+    key = (
+        (pmu_config.event, pmu_config.period >> 3)
+        if pmu_config is not None else (None, 0)
+    )
     entry = cache.get(key)
     if entry is None or entry.stale_for(program):
-        entry = Translation(program, event, bound_cap)
+        entry = Translation(program, *key)
         cache[key] = entry
     return entry
 
@@ -414,10 +438,10 @@ def _translatable(ins: tuple) -> bool:
     return True
 
 
-def _decode_trace(code: list[tuple], start: int, cap: int):
+def _decode_trace(code: list[tuple], start: int, cap: int, heat=None):
     """Follow the expected-hot path from ``start`` (superblock decoding).
 
-    Returns ``(items, fallthrough)`` with items in retire order.  A
+    Returns ``(items, fallthrough, cut)`` with items in retire order.  A
     conditional branch does not end the trace: decoding continues on the
     not-taken (fall-through) arm and the taken arm becomes a *side exit*
     in the emitted code — loop bodies laid out with backward taken edges
@@ -426,6 +450,8 @@ def _decode_trace(code: list[tuple], start: int, cap: int):
     trace ends at CALL/RET/KCALL/HALT, a backward jump, an untranslatable
     instruction, or the size cap; for the latter three, ``fallthrough``
     is the next ip to execute (the caller chains a continuation there).
+    Given ``heat``, the trace is also ``cut`` where a branch's
+    fall-through or a folded jump leads into a leader never entered.
     """
     items: list[tuple[int, tuple]] = []
     ip = start
@@ -438,45 +464,48 @@ def _decode_trace(code: list[tuple], start: int, cap: int):
             # the exact "illegal opcode" error if it must
             break
         items.append((ip, ins))
-        if op == Opcode.JMP:
-            if ins[1] > ip:
-                ip = ins[1]
-                continue
-            return items, None
-        if op == Opcode.BRZ or op == Opcode.BRNZ:
+        if op not in TERMINATOR_OPS:
             ip += 1
             continue
-        if op in TERMINATOR_OPS:  # CALL, RET, KCALL, HALT
-            return items, None
-        ip += 1
-    return items, ip
+        if op == Opcode.JMP and ins[1] > ip:
+            ip = ins[1]
+        elif op == Opcode.BRZ or op == Opcode.BRNZ:
+            ip += 1
+        else:  # CALL, RET, KCALL, HALT, a backward JMP
+            return items, None, False
+        if heat is not None and not heat.get(ip):
+            return items, ip, True
+    return items, ip, False
 
 
 def _emit_block(
     code, start, cap, mode, bound_cap=0, suffix="", tier=1,
     tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH, entries=None,
+    heat=None, line0=0,
 ):
     """Emit the source of one block function; None if nothing translatable.
 
     Returns ``(source, max_path_instructions, event_bound,
-    fallthrough_ips)``; the fallthrough ips are continuation addresses
-    where some path of the block hands control back without a terminator
-    (size cap or untranslatable instruction), so the :class:`Translation`
-    can register continuation blocks there.
+    fallthrough_ips, pruned_ips, fault_sites)``; the fallthrough ips are
+    continuation addresses where some path of the block hands control
+    back without a terminator (size cap, untranslatable instruction, a
+    cold cut), so the :class:`Translation` can register continuation
+    blocks there.  The pruned ips are the exits left out only because
+    ``heat`` (None prunes nothing) has not seen them entered.  The fault
+    sites map a source line — numbered from ``line0``, the lines ahead
+    of this function in the same source — to the error raised there.
 
-    Blocks rooted at loop heads may grow *superblock trees*: the
-    continuation of a side exit is decoded and inlined into the taken arm
-    (up to a total budget), so hot paths that zig-zag through taken
-    branches — and loop cycles that cross several trace heads before
-    branching back to this block's start — run inside one Python function
-    instead of bouncing through the driver.  Unarmed blocks grow to the
-    instruction budget; armed ones stop once the tree's worst-case event
-    bound would exceed ``bound_cap``, which keeps the driver's admission
-    check passing for almost the whole sampling window.
+    Blocks rooted at loop heads may grow *superblock trees* (module
+    docstring): the continuation of a side exit is decoded and inlined
+    into the taken arm, so hot paths that zig-zag through taken branches
+    — and loop cycles that cross several trace heads before branching
+    back to this block's start — run inside one Python function.
     """
-    root_items, root_fall = _decode_trace(code, start, cap)
+    root_items, root_fall, cut = _decode_trace(code, start, cap, heat)
     if not root_items:
         return None
+    # what the root is does not depend on how much of it is warm yet
+    whole_root = _decode_trace(code, start, cap)[0] if cut else root_items
     if mode and bound_cap and len(root_items) > costs.FAST_VM_MAX_BLOCK:
         # Tier-2 armed roots decode past the tier-1 instruction cap (see
         # _emit_settings); keep the longest prefix whose worst-case
@@ -495,6 +524,7 @@ def _emit_block(
         if kept < len(root_items):
             root_fall = root_items[kept][0]
             root_items = root_items[:kept]
+            cut = False
 
     # Trees are grown only at *loop heads* — roots whose own trace
     # branches back to start.  Hot cycles always contain a loop head, so
@@ -506,7 +536,7 @@ def _emit_block(
             (ins[0] == Opcode.BRZ or ins[0] == Opcode.BRNZ)
             and ins[2] == start
         )
-        for _, ins in root_items
+        for _, ins in whole_root
     )
     bound = _event_bound(root_items, mode)
     # Tier 2 additionally grows trees at profile-hot non-loop blocks: a
@@ -566,8 +596,10 @@ def _emit_block(
     # edges, expanded once the worst-case path length is known.
     used_regs: set[int] = set()
     written_regs: set[int] = set()
-    flags = {"mem": False, "loop": False, "fault": False}
+    flags = {"mem": False, "loop": False}
     fallthroughs: list[int] = []
+    pruned: list[int] = [root_fall] if cut else []
+    sites: list[tuple] = []  # see ``fault``
     max_k = 0  # worst-case instructions retired on any path
     emitted = 0  # total instructions emitted (tree growth budget)
 
@@ -595,7 +627,8 @@ def _emit_block(
         Returns its emitted lines (at base indent), or None when trees
         are disabled, the target closes a non-root cycle, the growth
         budget/depth is exhausted, or (armed) the continuation would push
-        the tree's worst-case event bound past ``bound_cap``."""
+        the tree's worst-case event bound past ``bound_cap``, or (last:
+        the exit is pruned) no entry has reached ``t`` yet."""
         nonlocal bound
         if (
             not tree
@@ -604,16 +637,20 @@ def _emit_block(
             or emitted >= tree_budget
         ):
             return None
-        sub_items, sub_fall = _decode_trace(
-            code, t, min(cap, tree_budget - emitted)
+        sub_items, sub_fall, sub_cut = _decode_trace(
+            code, t, min(cap, tree_budget - emitted), heat
         )
         if not sub_items:
             return None
-        if mode:
-            sub_bound = _event_bound(sub_items, mode)
-            if bound + sub_bound > bound_cap:
-                return None
-            bound += sub_bound
+        sub_bound = _event_bound(sub_items, mode)
+        if mode and bound + sub_bound > bound_cap:
+            return None
+        if heat is not None and not heat.get(t):
+            pruned.append(t)
+            return None
+        bound += sub_bound
+        if sub_cut:
+            pruned.append(sub_fall)
         return emit_seq(
             sub_items, sub_fall, k, pend0, loads0, stores0, branches0,
             path | {t}, depth + 1,
@@ -641,19 +678,19 @@ def _emit_block(
                 return f"cy + {const}" if const else "cy"
             return str(const)
 
-        def emit_fault(k: int, message: str, ip: int) -> None:
-            """Error site (one line, inside the guarding ``if``/``except``):
-            raise the path-static totals — ``k`` instructions including
-            the faulting one, the cycles before it — to the function's
-            one fault epilogue, which writes back and syncs exactly as
-            the interpreter would have before raising the VMError."""
+        def fault(k: int, message: str, ip: int) -> str:
+            """Mark the line this is appended to as an error site (a
+            guard's ``raise _Fault``, or an access whose ``IndexError``
+            is the error): the path-static totals — ``k`` instructions
+            including the faulting one, the cycles before it — go into
+            the site table the fault epilogue reads; the \x00F marker
+            becomes the key once the line's number is known."""
             nonlocal max_k
             max_k = max(max_k, k)
-            flags["fault"] = True
-            lines.append(
-                f"        raise _Fault({k}, {cy_expr(pend)}, {loads_done},"
-                f" {stores_done}, {branches_done}, {message}, {ip})"
-            )
+            sites.append((
+                k, pend, loads_done, stores_done, branches_done, message, ip
+            ))
+            return f"\x00F{len(sites) - 1}"
 
         def emit_sync(
             k: int, extra, instr_events: int, indent: str = "    "
@@ -830,10 +867,8 @@ def _emit_block(
                 lines += [
                     f"    _a = {rg(a)}",
                     f"    _b = {rg(b)}",
-                    "    if _b == 0:",
-                ]
-                emit_fault(k, "'division by zero'", ip)
-                lines += [
+                    "    if _b == 0: raise _Fault"
+                    + fault(k, "division by zero", ip),
                     "    _q = abs(_a) // abs(_b)",
                     f"    {wr(d)} = -_q if (_a < 0) != (_b < 0) else _q",
                 ]
@@ -841,10 +876,8 @@ def _emit_block(
             elif op == Opcode.SREM:
                 lines += [
                     f"    _b = {rg(b)}",
-                    "    if _b == 0:",
-                ]
-                emit_fault(k, "'remainder by zero'", ip)
-                lines += [
+                    "    if _b == 0: raise _Fault"
+                    + fault(k, "remainder by zero", ip),
                     f"    _a = {rg(a)}",
                     "    _q = abs(_a) // abs(_b)",
                     "    if (_a < 0) != (_b < 0):",
@@ -855,10 +888,10 @@ def _emit_block(
             elif op == Opcode.FDIV:
                 lines += [
                     f"    _b = {rg(b)}",
-                    "    if _b == 0:",
+                    "    if _b == 0: raise _Fault"
+                    + fault(k, "fdiv by zero", ip),
+                    f"    {wr(d)} = {rg(a)} / _b",
                 ]
-                emit_fault(k, "'fdiv by zero'", ip)
-                lines.append(f"    {wr(d)} = {rg(a)} / _b")
                 pend += costs.CYCLES_DIV
             elif op == Opcode.CVTIF:
                 lines.append(f"    {wr(d)} = float({rg(a)})")
@@ -900,12 +933,14 @@ def _emit_block(
                 pend += 1
             elif op == Opcode.LOAD or op == Opcode.STORE:
                 # LOAD is (op, dst, base, imm), STORE (op, base, src, imm).
-                # The address check and the access fuse into two guards;
-                # the L1-hit latency (a store's cost was always static)
-                # is folded into the path-static cycles (``pend``), so a
-                # hit retires without touching ``cy`` and only a true L1
-                # miss calls out — a load then charges the latency
-                # *difference* against the folded constant.
+                # The address check is one guard and the access runs bare
+                # — its IndexError is the out-of-bounds fault, told apart
+                # from the guard's by the line it came from.  The L1-hit
+                # latency (a store's cost was always static) is folded
+                # into the path-static cycles (``pend``), so a hit retires
+                # without touching ``cy`` and only a true L1 miss calls
+                # out — a load then charges the latency *difference*
+                # against the folded constant.
                 load = op == Opcode.LOAD
                 kind = "load" if load else "store"
                 base = rg(a if load else d)
@@ -914,15 +949,13 @@ def _emit_block(
                     else f"words[_x >> 3] = {rg(a)}"
                 )
                 flags["mem"] = True
-                lines.append(
-                    f"    if (_x := {f'{base} + {b}' if b else base})"
-                    " & 7 or _x < 8:"
-                )
-                emit_fault(k, f"'unaligned or null {kind} at %#x' % _x", ip)
                 lines += [
-                    "    try:", f"        {access}", "    except IndexError:",
+                    f"    if (_x := {f'{base} + {b}' if b else base})"
+                    " & 7 or _x < 8: raise _Fault"
+                    + fault(k, f"unaligned or null {kind} at %#x", ip),
+                    f"    {access}"
+                    + fault(k, f"{kind} out of bounds at %#x", ip),
                 ]
-                emit_fault(k, f"'{kind} out of bounds at %#x' % _x", ip)
                 miss = ["_acc(_x)"]
                 if load:
                     miss = ["_c = _acc(_x)", f"cy += _c - {costs.LAT_L1}"]
@@ -1084,8 +1117,11 @@ def _emit_block(
                 ]
                 # the interpreter charges the call's cycles before it
                 # checks the depth, but ticks the countdown only after
-                lines.append(f"        state.cycles += {costs.CYCLES_CALL}")
-                emit_fault(k, "'call stack overflow'", ip)
+                lines += [
+                    f"        state.cycles += {costs.CYCLES_CALL}",
+                    "        raise _Fault"
+                    + fault(k, "call stack overflow", ip),
+                ]
                 emit_sync(k, costs.CYCLES_CALL, k)
                 lines.append(f"    return {d}")
             elif op == Opcode.RET:
@@ -1206,7 +1242,8 @@ def _emit_block(
             expanded.append(ln)
 
     head: list[str] = [
-        f"def _b{start}{suffix}(m, regs, words, state, caches, predictor):"
+        f"def _b{start}{suffix}"
+        "(m, regs, words, state, caches, predictor, _T=_T):"
     ]
     if flags["mem"]:
         # The L1 MRU-hit test is inlined at every memory op; anything else
@@ -1252,14 +1289,17 @@ def _emit_block(
         body = ["    while True:"] + ["    " + ln for ln in expanded]
     else:
         body = expanded
-    if flags["fault"]:
-        # The one fault epilogue: every error site raises _Fault with its
-        # path-static totals, and the write-back plus counter sync the
-        # interpreter would have performed by then is emitted once, here
-        # (a ``try`` costs nothing until it catches).  Every path
-        # through the body returns, so the code after the handler is
-        # reached only by a fault.  The countdown pays for what retired
-        # *before* the faulting instruction, as the interpreter does.
+    if sites:
+        # The one fault epilogue: ``_T`` — a default the Translation
+        # supplies, never parsed — says by source line what had retired
+        # at an error site, and the write-back plus counter sync
+        # the interpreter would have performed by then is emitted once,
+        # here (a ``try`` costs nothing until it catches).  An exception
+        # from any other line (an empty call stack's ``pop``, a kernel
+        # call) goes on untouched.  Every path through the body returns,
+        # so the code after the handler is reached only by a fault.  The
+        # countdown pays for what retired *before* the faulting
+        # instruction, as the interpreter does.
         paid = countdown_events("_fk - 1", "_fc", "_fl")
         acc = (lambda name: f"{name} + ") if deferred else (lambda name: "")
         epilogue = write_back("_fb") + [
@@ -1279,13 +1319,26 @@ def _emit_block(
             ["    try:"]
             + ["    " + ln for ln in body]
             + [
-                "    except _Fault as _f:",
-                "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _f.args",
+                "    except (_Fault, IndexError) as _f:",
+                "        if (_ft := _T.get(_f.__traceback__.tb_lineno)) is None:",
+                "            raise",
+                "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _ft",
             ]
+            + (["        _fc += cy"] if has_dyn else [])
+            + (
+                ['        if "%" in _fm:', "            _fm %= _x"]
+                if flags["mem"] else []
+            )
             + ["    " + ln for ln in epilogue]
             + ["    raise VMError(_fm, _fi)"]
         )
-    return "\n".join(head + body) + "\n", max_k, bound, fallthroughs
+    out = head + body
+    table = {}
+    for index, ln in enumerate(out):
+        if "\x00F" in ln:
+            out[index], _, site = ln.partition("\x00F")
+            table[line0 + index + 1] = sites[int(site)]
+    return "\n".join(out) + "\n", max_k, bound, fallthroughs, pruned, table
 
 
 def _event_bound(instrs, mode) -> int:

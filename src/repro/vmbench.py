@@ -11,12 +11,12 @@ region.  Compilation is outside the timed region; each engine takes the best of
 ``repeats`` runs to shed scheduler noise; the tier-1/tier-2 pair, tens
 of percent apart, instead reports the median ratio of at least
 ``TIERED_ROUNDS`` interleaved rounds.  Those are *warm* times: the fast
-VM translates a block the first time a run enters it, so each query's
+VM translates a block once entries have made it hot, so each query's
 record also carries ``cold_s`` — the first fast-VM run of the freshly
-compiled program, translation inside the stopwatch — and
-``cold_vs_interp``, that run as a multiple of the interpreter's time.
-A warm ``speedup`` says what a cached plan gains per run, the cold
-ratio what the first answer costs.
+compiled program, translation inside the stopwatch — ``cold_vs_interp``,
+that run as a multiple of the interpreter's time, and ``source_lines``,
+the source that run generated.  A warm ``speedup`` says what a cached
+plan gains per run, the cold ratio what the first answer costs.
 
 Every run also asserts parity: a compiled plan owns no simulated memory,
 so the two copies run at identical addresses, and both must produce the
@@ -64,14 +64,14 @@ def _median(values):
 
 
 def _timed_run(db, compiled, fast_vm: bool, tiering=None):
-    """One run: ``(seconds, rows, counters, tier)``."""
+    """One run: ``(seconds, rows, counters, translation stats)``."""
     started = time.perf_counter()
     run = db._run_compiled(compiled, fast_vm=fast_vm, tiering=tiering)
     elapsed = time.perf_counter() - started
     result = run.result()
     return (
         elapsed, result.rows, (result.instructions, result.cycles),
-        result.tier,
+        result.translation,
     )
 
 
@@ -101,9 +101,9 @@ def run_vm_bench(
         compiled = db._compile(sql, None)
         compile_s = time.perf_counter() - started
 
-        # first run of a fresh Program: every block it enters translates
-        # inside the stopwatch
-        cold_s, _, _, _ = _timed_run(db, compiled, True)
+        # first run of a fresh Program: what it translates, it
+        # translates inside the stopwatch
+        cold_s, _, _, cold = _timed_run(db, compiled, True)
 
         # a second copy of the query, promoted to tier 2 before the timed
         # region: the first observed run crosses the (floor-level)
@@ -124,16 +124,16 @@ def run_vm_bench(
         fast_rows = fast_counters = None
         tiered_rows = tiered_counters = None
         for _ in range(max(repeats, TIERED_ROUNDS)):
-            f_s, fast_rows, fast_counters, fast_tier = _timed_run(
+            f_s, fast_rows, fast_counters, fast = _timed_run(
                 db, compiled, True
             )
-            t_s, tiered_rows, tiered_counters, tier = _timed_run(
+            t_s, tiered_rows, tiered_counters, tiered = _timed_run(
                 db, hot, True, tiering=tiering
             )
-            if (fast_tier, tier) != (1, 2):
+            if (fast["tier"], tiered["tier"]) != (1, 2):
                 raise AssertionError(
-                    f"{name}: tier-1 copy ran at tier {fast_tier}, "
-                    f"promoted copy at tier {tier}"
+                    f"{name}: tier-1 copy ran at tier {fast['tier']}, "
+                    f"promoted copy at tier {tiered['tier']}"
                 )
             ratios.append(f_s / t_s)
             fast_s = min(fast_s, f_s)
@@ -161,6 +161,7 @@ def run_vm_bench(
             "interp_s": round(slow_s, 4),
             "speedup": round(speedup, 3),
             "cold_vs_interp": round(cold_s / slow_s, 3),
+            "source_lines": cold["source_lines"],
             "tiered_speedup": round(tiered_speedup, 3),
         }
         emit(
@@ -168,8 +169,8 @@ def run_vm_bench(
             f"cold {cold_s * 1000:7.1f} ms   "
             f"fast {fast_s * 1000:7.1f} ms   "
             f"tiered {tiered_s * 1000:7.1f} ms   "
-            f"{speedup:5.2f}x   cold {cold_s / slow_s:5.2f}x interp   "
-            f"t2 {tiered_speedup:5.2f}x"
+            f"{speedup:5.2f}x   cold {cold_s / slow_s:5.2f}x interp "
+            f"({cold['source_lines']} lines)   t2 {tiered_speedup:5.2f}x"
         )
     geomean = math.exp(
         sum(math.log(q["speedup"]) for q in per_query.values())
@@ -196,7 +197,7 @@ def format_table(record: dict) -> str:
     lines = [
         f"{'query':<6} {'interp (ms)':>12} {'cold (ms)':>12} "
         f"{'fast (ms)':>12} {'tiered (ms)':>12} {'speedup':>9} "
-        f"{'cold/interp':>12} {'t2/t1':>8}"
+        f"{'cold/interp':>12} {'cold lines':>11} {'t2/t1':>8}"
     ]
 
     def ms(seconds):
@@ -212,6 +213,7 @@ def format_table(record: dict) -> str:
             f"{ms(q['fast_s']):>12} {ms(q.get('tiered_s')):>12} "
             f"{ratio(q['speedup']):>9} "
             f"{ratio(q.get('cold_vs_interp')):>12} "
+            f"{q.get('source_lines', '-'):>11} "
             f"{ratio(q.get('tiered_speedup')):>8}"
         )
     lines.append(f"geomean speedup: {record['geomean_speedup']:.3f}x")

@@ -86,7 +86,7 @@ def observed_state(machine) -> dict:
         "l1_misses": machine.caches.l1_misses,
         "branches": machine.predictor.branches,
         "mispredicts": machine.predictor.mispredicts,
-        "predictor_counters": dict(machine.predictor.counters),
+        "predictor_counters": machine.predictor.state(),
         "samples": [
             (s.ip, s.tsc, s.branch_taken, s.memaddr)
             for s in machine.samples.samples
@@ -173,29 +173,130 @@ def test_entry_counting_stops_after_promotion():
     assert entries == frozen
 
 
+# every block of this program is one leader-to-leader stretch (calls and
+# returns end a trace, and no side arm is ever inlined), so a run enters
+# each leader the same number of times whichever engine runs the block
+CALL_CHAIN = [
+    (Op.MOVI, 3, 0, 0),
+    Label("loop"),
+    (Op.CALL, 6, 0, 0),        # a
+    (Op.ADDI, 3, 3, 1),
+    (Op.CMPLT, 4, 3, 1),
+    (Op.BRNZ, 4, "loop", 0),
+    (Op.RET, 0, 0, 0),
+    Label("a"),
+    (Op.CALL, 8, 0, 0),        # b
+    (Op.RET, 0, 0, 0),
+    Label("b"),
+    (Op.ADDI, 2, 2, 1),
+    (Op.RET, 0, 0, 0),
+]
+
+
 @pytest.mark.parametrize(
     "pmu", [None, PmuConfig(event=Event.CYCLES, period=2048)],
     ids=["unarmed", "armed"],
 )
 def test_stub_dispatches_are_not_block_entries(pmu):
-    # blocks compile on first entry: the first machine reaches every
-    # block through a stub that hands the same ip back, and that extra
-    # dispatch must not show up in the entry profile tier 2 reads
-    program = build_program()
+    # The entry profile tier 2 reads counts one per block entry, however
+    # the entry ran: interpreted while the leader is cold, through the
+    # stub dispatch that compiles it (which hands the same ip back — the
+    # extra dispatch is taken out again), or compiled.
+    rows = 200
+    code, offsets = assemble(CALL_CHAIN)
+    assert (offsets["a"], offsets["b"]) == (6, 8)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
     controller = TieringController(hot_instructions=10**12)
-    first, _ = run_machine(program, pmu=pmu, tiering=controller)
-    translation = first.translation
-    assert translation.compiled
-    through_stubs = dict(translation.entries)
-    assert through_stubs
-    assert set(through_stubs) <= translation.compiled
-    # same program, same translation, now fully materialised: the second
-    # run adds exactly what the first counted
-    second, _ = run_machine(program, pmu=pmu, tiering=controller)
-    assert second.translation is translation
-    assert translation.entries == {
-        ip: 2 * n for ip, n in through_stubs.items()
+
+    def run():
+        machine = Machine(
+            program, Memory(1 << 20), pmu_config=pmu, tiering=controller
+        )
+        assert machine.call(0, (0, rows)) == 0
+        return machine.translation
+
+    # the first run interprets 15 entries of every per-row leader, then
+    # compiles it; the entry and exit blocks stay cold
+    translation = run()
+    hot = translation.hot_entries
+    per_row = {offsets["loop"] + 1, offsets["a"], offsets["a"] + 1,
+               offsets["b"]}
+    assert per_row <= translation.compiled
+    assert translation.compiled <= {
+        ip for ip, n in translation.heat.items() if n >= hot
     }
+    first = dict(translation.entries)
+    for ip in per_row:
+        # armed, the tail of a sampling window interprets compiled
+        # blocks, and those hand-overs were never entries
+        assert first[ip] == rows or pmu and rows * 0.8 < first[ip] < rows
+    assert first[0] == 1 and 0 not in translation.compiled
+    # same program, same translation, the per-row blocks now compiled
+    # from the start: the second run adds exactly what the first counted
+    assert run() is translation
+    assert translation.entries == {ip: 2 * n for ip, n in first.items()}
+
+
+def test_promotion_drops_what_the_tier1_trees_pruned():
+    # a tier-1 tree compiled while an arm was cold remembers the exit,
+    # and is compiled again when the arm turns hot; that bookkeeping
+    # belongs to the tier-1 map.  Left behind, a tier-1 exit turning hot
+    # would send a tier-2 root — the expensive kind — back to a stub.
+    items = [
+        (Op.MOVI, 2, 0, 0),
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.CMPGE, 7, 3, 8),
+        (Op.BRNZ, 7, "late", 0),   # taken from iteration r8 on
+        Label("back"),
+        (Op.CMPLTI, 7, 3, 0),
+        (Op.BRNZ, 7, "never", 0),
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("late"),
+        (Op.ADDI, 2, 2, 3),
+        (Op.JMP, "back", 0, 0),
+        Label("never"),
+        (Op.MOVI, 2, -1, 0),
+        Label("done"),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    loop, late, never = (offsets[name] for name in ("loop", "late", "never"))
+    controller = TieringController(hot_instructions=10**9)
+
+    def run(count, phase, **kwargs):
+        machine = Machine(program, Memory(1 << 20), **kwargs)
+        machine.regs[8] = phase
+        return machine, machine.call(0, (0, count))
+
+    # tier 1: one arm stays cold in the first run (pruned) and turns hot
+    # in the second (regrown), the other is never taken
+    warm, _ = run(400, 10**6, tiering=controller)
+    translation = warm.translation
+    assert {late, never} <= translation.pruned[loop]
+    run(400, 100, tiering=controller)
+    assert translation.regrown == {loop: 1}
+    assert never in translation.pruned[loop]
+    translation.promote()
+    assert translation.tier == 2
+    assert not translation.pruned and not translation.regrown
+    stats = translation.stats()
+    assert (stats["pruned_exits"], stats["regrown"]) == (0, 0)
+    # tier 2 keeps the heat: the loop compiles on its first entry, with
+    # the arm that is hot by now inlined, and nothing sends it back
+    tiered, result = run(400, 100, tiering=controller)
+    interp, expected = run(400, 100, fast_vm=False)
+    assert result == expected
+    assert observed_state(tiered) == observed_state(interp)
+    assert loop in translation.compiled and not translation.regrown
+    assert late not in translation.pruned[loop]
 
 
 # -- the specializations tier 2 keeps are in effect ---------------------------

@@ -64,10 +64,13 @@ def machine_observables(machine):
 
 
 def run_pair(
-    items, pmu=None, with_kernel=False, max_instructions=None, setup=None
+    items, pmu=None, with_kernel=False, max_instructions=None, setup=None,
+    hot_entries=None,
 ):
     """Run the same program on both engines; returns (fast, slow) where
-    each side is ``(result_or_error, observables)``."""
+    each side is ``(result_or_error, observables)``.  ``hot_entries``
+    replaces the translation's heat threshold (1: every block compiles
+    on its first entry)."""
     sides = []
     for fast_vm in (True, False):
         program = build_program(items)
@@ -81,6 +84,8 @@ def run_pair(
         )
         if max_instructions is not None:
             machine.state.max_instructions = max_instructions
+        if fast_vm and hot_entries is not None:
+            machine.translation.hot_entries = hot_entries
         args = setup(machine) if setup else ()
         try:
             outcome = ("ok", machine.call(0, args))
@@ -242,7 +247,7 @@ def test_translation_covers_loop_and_caches():
     assert m1.translation is m2.translation
 
 
-# -- translation on first entry ----------------------------------------------
+# -- translation by heat -----------------------------------------------------
 
 
 def fresh_machine(program, pmu=None, **kwargs):
@@ -268,48 +273,90 @@ def test_only_entered_blocks_compile():
         ip for ip, ins in enumerate(program.code)
         if ins[0] == Op.MOVI and ins[2] == -1
     )
-    # under a controller the driver counts every block it enters into
-    # the translation's entry profile (this one never promotes)
+    # under a controller every block entry lands in the translation's
+    # entry profile (this one never promotes)
     controller = TieringController(hot_instructions=10**12)
     machine, args = fresh_machine(program, tiering=controller)
     translation = machine.translation
+    hot = translation.hot_entries
+    assert hot == costs.FAST_VM_HOT_ENTRIES
     assert dead in translation.blocks  # a leader, so it has a stub ...
     assert not translation.compiled
     machine.call(0, args)
-    assert translation.compiled == set(translation.entries)
-    assert dead not in translation.compiled  # ... that never compiled
+    # a block compiles once entries made it hot: the loop's blocks did,
+    # the function entry and the exit path (entered once) ran interpreted
+    assert translation.compiled
+    assert translation.compiled <= {
+        ip for ip, n in translation.heat.items() if n >= hot
+    }
+    assert translation.heat[0] == 1 and 0 not in translation.compiled
+    assert set(translation.entries) == set(translation.heat)
+    # ... and the dead one was never entered at all
+    assert dead not in translation.heat and dead not in translation.compiled
     stats = translation.stats()
     assert 0 < stats["compiled"] < stats["leaders"]
+    assert stats["interpreted"] == sum(
+        min(n, hot - 1) for n in translation.heat.values()
+    )
     assert stats["source_lines"] > 0 and stats["compile_s"] > 0
+
+    # a run that enters no leader ``hot`` times compiles nothing
+    cold = Machine(build_program(items), Memory(1 << 20))
+    base = cold.memory.alloc(LOOP_COUNT * 8)
+    cold.call(0, (base, hot - 2))  # the loop head sees one entry more
+    stats = cold.translation.stats()
+    assert max(cold.translation.heat.values()) == hot - 1
+    assert stats["compiled"] == stats["source_lines"] == 0
+    assert stats["interpreted"] == sum(cold.translation.heat.values())
+
+    # compile-on-first-entry is the same rule at threshold 1: every
+    # entered block compiles (and is a stub again only where a pruned
+    # exit turning hot sent its root back), nothing interprets
+    eager, args = fresh_machine(build_program(items), tiering=controller)
+    eager.translation.hot_entries = 1
+    eager.call(0, args)
+    assert set(eager.translation.entries) == (
+        eager.translation.compiled | set(eager.translation.regrown)
+    )
+    assert eager.translation.stats()["interpreted"] == 0
+    assert dead not in eager.translation.compiled
+    assert machine_observables(eager) == machine_observables(machine)
 
 
 def test_budget_exhausted_on_a_stub_leader():
     # the first iteration of LOOP_SUM reaches "even" after 11 retired
     # instructions: with the budget at exactly 11 the machine stands on a
     # leader that is still a stub with instructions == max_instructions.
-    # The stub admits (it retires nothing), compiles the block and hands
-    # the ip back; the real block then fails admission and the
-    # interpreter raises the fault.
+    # The stub admits (it retires nothing).  Below the heat threshold it
+    # hands the entry to the interpreter, which raises the fault; at
+    # threshold 1 it compiles the block and hands the ip back, the real
+    # block fails admission and the interpreter raises the fault.
     even = 12
-    outcomes = []
-    for fast_vm in (True, False):
-        program = build_program(LOOP_SUM)
-        machine, args = fresh_machine(program, fast_vm=fast_vm)
-        machine.state.max_instructions = 11
-        with pytest.raises(VMError, match="instruction budget") as info:
-            machine.call(0, args)
-        assert info.value.ip == even
-        outcomes.append((str(info.value), machine_observables(machine)))
-        if fast_vm:
-            # compiled during this call, i.e. entered through its stub
-            assert even in machine.translation.compiled
-    assert outcomes[0] == outcomes[1]
-    # and on every other boundary of the first iterations, stub or not
-    for limit in range(0, 40):
-        fast, slow = run_pair(
-            LOOP_SUM, max_instructions=limit, setup=loop_setup
-        )
-        assert fast == slow
+    for hot_entries in (1, costs.FAST_VM_HOT_ENTRIES):
+        outcomes = []
+        for fast_vm in (True, False):
+            program = build_program(LOOP_SUM)
+            machine, args = fresh_machine(program, fast_vm=fast_vm)
+            machine.state.max_instructions = 11
+            if fast_vm:
+                machine.translation.hot_entries = hot_entries
+            with pytest.raises(VMError, match="instruction budget") as info:
+                machine.call(0, args)
+            assert info.value.ip == even
+            outcomes.append((str(info.value), machine_observables(machine)))
+            if fast_vm:
+                # compiled in this call exactly when one entry is enough
+                assert (even in machine.translation.compiled) == (
+                    hot_entries == 1
+                )
+        assert outcomes[0] == outcomes[1]
+        # and on every other boundary of the first iterations
+        for limit in range(0, 40):
+            fast, slow = run_pair(
+                LOOP_SUM, max_instructions=limit, setup=loop_setup,
+                hot_entries=hot_entries,
+            )
+            assert fast == slow
 
 
 @pytest.mark.parametrize(
@@ -317,9 +364,10 @@ def test_budget_exhausted_on_a_stub_leader():
     ids=["unarmed"] + [e.name for e in ALL_EVENTS],
 )
 def test_first_run_matches_materialised_run(event):
-    # one Program, two machines: the first run enters every block through
-    # its stub, the second finds the map fully materialised — counters
-    # and sample streams must not be able to tell
+    # one Program, two machines: the first run interprets every block
+    # while it is cold and compiles the loop mid-run, the second finds
+    # the hot blocks compiled — counters and sample streams must not be
+    # able to tell
     pmu = (
         PmuConfig(event=event, period=150, record_memaddr=True)
         if event is not None else None
@@ -400,6 +448,7 @@ def full_state(machine):
         "state": asdict(machine.state),
         "countdown": machine._countdown,
         "call_stack": list(machine.call_stack),
+        "predictor": machine.predictor.state(),
     }
 
 
@@ -440,19 +489,383 @@ def test_memory_fault_parity(event, kind, bad, tier):
     assert full_state(fast) == full_state(slow)
 
 
+# -- exactness of the heat gate, the line table and regrowth ------------------
+
+HANDOVER_N = 24  # the default threshold hands the loop over in iteration 16
+
+
+def handover_run(limit, pmu, hot_entries):
+    """LOOP_SUM under an instruction limit; ``hot_entries`` None is the
+    interpreter, else the fast VM compiling at that heat."""
+    machine = Machine(
+        build_program(LOOP_SUM), Memory(1 << 20), pmu_config=pmu,
+        fast_vm=hot_entries is not None,
+    )
+    if hot_entries is not None:
+        machine.translation.hot_entries = hot_entries
+    machine.state.max_instructions = limit
+    base = machine.memory.alloc(HANDOVER_N * 8)
+    try:
+        outcome = ("ok", machine.call(0, (base, HANDOVER_N)))
+    except VMError as exc:
+        outcome = (type(exc).__name__, str(exc), exc.ip)
+    return machine, (outcome, full_state(machine))
+
+
+@pytest.mark.parametrize(
+    "event", [None] + ALL_EVENTS,
+    ids=["unarmed"] + [e.name for e in ALL_EVENTS],
+)
+def test_handover_from_interpreted_to_compiled_is_exact(event):
+    # Wherever a block's heat reaches the threshold — first entry, a few
+    # iterations in, iteration 16, never — and wherever an instruction
+    # limit then stops the run (stride 7 against a body of 11-12 lands
+    # in every iteration), the machine left behind is the interpreter's.
+    pmu = (
+        PmuConfig(
+            event=event, period=costs.FAST_VM_MIN_PERIOD, record_memaddr=True
+        )
+        if event is not None else None
+    )
+    whole, _ = handover_run(10**9, pmu, None)
+    limits = range(1, whole.state.instructions + 7, 7)
+    reference = {limit: handover_run(limit, pmu, None)[1] for limit in limits}
+    assert {out[0] for out, _ in reference.values()} == {
+        "ok", "InstructionBudgetExceeded"
+    }
+    for hot_entries in (1, 2, 3, costs.FAST_VM_HOT_ENTRIES, 10**9):
+        for limit in limits:
+            machine, observed = handover_run(limit, pmu, hot_entries)
+            assert observed == reference[limit], (hot_entries, limit)
+        # ``machine`` ran to completion: it mixed the engines as intended
+        stats = machine.translation.stats()
+        assert (stats["compiled"] > 0) == (hot_entries < 10**9)
+        assert (stats["interpreted"] > 0) == (hot_entries > 1)
+
+
+SITE_HELPER = 0  # ip of the callee of the "call" kind
+SITE_ENTRY = 2
+SITE_LOOP = 4
+SITE_N = 64
+SITE_FAULT_AT = 43  # an iteration that takes both side arms (i % 4 == 3)
+SITE_KINDS = {
+    # kind: the bad operand (given the array base), the error text
+    "unaligned-load": (lambda base: base + 4, "unaligned or null load at"),
+    "null-load": (lambda base: 0, "unaligned or null load at 0x0"),
+    "oob-load": (lambda base: 1 << 40, "load out of bounds at"),
+    "unaligned-store": (lambda base: base + 4, "unaligned or null store at"),
+    "null-store": (lambda base: 0, "unaligned or null store at 0x0"),
+    "oob-store": (lambda base: 1 << 40, "store out of bounds at"),
+    "sdiv": (lambda base: 0, "division by zero"),
+    "srem": (lambda base: 0, "remainder by zero"),
+    "fdiv": (lambda base: 0, "fdiv by zero"),
+    "call": (lambda base: 0, "call stack overflow"),
+}
+# where the fault is raised from: (site position, function it leaves)
+SITE_CONTEXTS = {
+    "cold": ("root", "_interp"),
+    "root": ("root", f"_b{SITE_LOOP}"),
+    "inlined": ("deep", f"_b{SITE_LOOP}"),
+    "tier2": ("root", f"_b{SITE_LOOP}"),
+    "linear": ("root", f"_b{SITE_LOOP}f"),
+}
+
+
+def site_program(kind, where):
+    """r0 = base, r1 = count, r8 = the faulting iteration, r9 = the bad
+    operand.  The site runs on a good operand (&a[i]: a valid address, a
+    non-zero divisor) except in iteration r8.  ``where`` puts it in the
+    loop's root trace, or ("deep") in an arm two taken branches away
+    from it that iterations with i % 4 == 3 run.  The "call" kind calls
+    a helper, and overflows when the test deepened the call stack."""
+    good, picked = 10, 5
+    site = {
+        "load": [(Op.STORE, good, 3, 0), (Op.LOAD, 6, picked, 0)],
+        "store": [(Op.LOAD, 6, good, 0), (Op.STORE, picked, 3, 0)],
+        "sdiv": [(Op.SDIV, 6, 3, picked)],
+        "srem": [(Op.SREM, 6, 3, picked)],
+        "fdiv": [(Op.CVTIF, 11, 3, 0), (Op.FDIV, 6, 11, picked)],
+        "call": [(Op.CALL, SITE_HELPER, 0, 0)],
+    }[kind.split("-")[-1]]
+    items = [
+        (Op.MOV, 6, 3, 0),                 # helper
+        (Op.RET, 0, 0, 0),
+        (Op.MOVI, 2, 0, 0),                # entry
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.SHLI, good, 3, 3),
+        (Op.ADD, good, 0, good),           # &a[i]
+        (Op.CMPEQ, 7, 3, 8),
+        (Op.SELECT, picked, 7, (9, good)),
+        *(site if where == "root" else []),
+        (Op.ANDI, 7, 3, 1),
+        (Op.BRNZ, 7, "odd", 0),
+        Label("back"),
+        (Op.ADD, 2, 2, 6),
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("odd"),
+        (Op.ANDI, 7, 3, 2),
+        (Op.BRNZ, 7, "deep", 0),
+        (Op.JMP, "back", 0, 0),
+        Label("deep"),
+        *(site if where == "deep" else []),
+        (Op.JMP, "back", 0, 0),
+        Label("done"),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    assert offsets["loop"] == SITE_LOOP
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets["deep"]
+
+
+def run_site(program, kind, fault_at, prepare=None, **kwargs):
+    machine = Machine(program, Memory(1 << 20), **kwargs)
+    base = machine.memory.alloc(SITE_N * 8)
+    machine.regs[8] = fault_at
+    machine.regs[9] = SITE_KINDS[kind][0](base)
+    if kind == "call" and fault_at >= 0:
+        # 255 frames and the run's own sentinel: the next CALL overflows
+        machine.call_stack.extend([0] * 255)
+    if prepare is not None:
+        prepare(machine)
+    raised_in = None
+    try:
+        outcome = ("ok", machine.call(SITE_ENTRY, (base, SITE_N)))
+    except VMError as exc:
+        outcome = ("error", str(exc), exc.ip)
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        raised_in = tb.tb_frame.f_code.co_name
+    return machine, outcome, raised_in
+
+
+@pytest.mark.parametrize("context", list(SITE_CONTEXTS))
+@pytest.mark.parametrize("kind", list(SITE_KINDS))
+def test_every_fault_kind_from_every_kind_of_site(kind, context):
+    # A fault site is a bare guard or a bare access; the function's one
+    # handler finds out which by the raising line.  Whatever raised it —
+    # the interpreter on a cold block, a compiled root, a sub-trace
+    # inlined two arms deep, a tier-2 deferred loop, the armed linear
+    # variant whose table starts below the tree's lines — message, ip,
+    # registers, counters, predictor and countdown are the interpreter's.
+    if (kind, context) == ("call", "linear"):
+        pytest.skip("a CALL ends the root trace: no tree, so no variant")
+    where, function = SITE_CONTEXTS[context]
+    if (kind, context) == ("call", "tier2"):
+        where = "deep"  # keep the root a loop head, so tier 2 defers it
+    pmu = PmuConfig(event=Event.CYCLES, period=8192, record_memaddr=True)
+    program, deep = site_program(kind, where)
+    controller = (
+        TieringController(hot_instructions=100) if context == "tier2"
+        else None
+    )
+    fault_at, countdown = SITE_FAULT_AT, pmu.period
+    if context != "cold":
+        # compile what the faulting run will execute, on a clean input
+        warm, outcome, _ = run_site(
+            program, kind, -1, pmu_config=pmu, tiering=controller
+        )
+        assert outcome[0] == "ok"
+        translation = warm.translation
+        if context == "tier2":
+            assert controller.observe(warm, warm.state.instructions)
+            run_site(program, kind, -1, pmu_config=pmu, tiering=controller)
+            code = translation.blocks[SITE_LOOP][0].__code__
+            assert "_ins" in code.co_varnames  # a deferred loop
+        if context == "linear":
+            # start on a countdown the tree's bound rejects and the
+            # variant's admits: the variant runs iteration 0
+            countdown, fallback = translation.blocks[SITE_LOOP][2:]
+            assert fallback[2] < countdown
+            fault_at = 0
+
+    def prepare(machine):
+        machine._countdown = countdown
+        if context == "cold" and machine.translation is not None:
+            machine.translation.hot_entries = 10**9
+
+    fast, fast_outcome, raised_in = run_site(
+        program, kind, fault_at, prepare, pmu_config=pmu, tiering=controller
+    )
+    slow, slow_outcome, _ = run_site(
+        program, kind, fault_at, prepare, pmu_config=pmu, fast_vm=False
+    )
+    assert fast_outcome == slow_outcome
+    assert fast_outcome[0] == "error" and SITE_KINDS[kind][1] in fast_outcome[1]
+    assert full_state(fast) == full_state(slow)
+    assert raised_in == function
+    assert fast.tier == (2 if controller is not None else 1)
+    if where == "deep":
+        assert fast_outcome[2] >= deep  # the site sits in the inlined arm
+
+
+def test_an_index_error_from_a_non_site_line_propagates_unchanged():
+    # the block function has a site table (the LOAD) and catches
+    # IndexError; one that comes out of the kernel call is not a site's
+    # and leaves the function as it came
+    class BrokenKernel:
+        def call(self, machine, kid):
+            raise IndexError("not a fault site")
+
+    items = [
+        (Op.LOAD, 2, 0, 0),
+        (Op.KCALL, 0, 0, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    states = []
+    for fast_vm in (True, False):
+        machine = Machine(
+            build_program(items), Memory(1 << 20), kernel=BrokenKernel(),
+            fast_vm=fast_vm,
+        )
+        if fast_vm:
+            machine.translation.hot_entries = 1
+        base = machine.memory.alloc(8)
+        with pytest.raises(IndexError, match="not a fault site") as info:
+            machine.call(0, (base,))
+        states.append(full_state(machine))
+        if fast_vm:
+            assert 0 in machine.translation.compiled
+            names = []
+            tb = info.value.__traceback__
+            while tb is not None:
+                names.append(tb.tb_frame.f_code.co_name)
+                tb = tb.tb_next
+            assert "_b0" in names and names[-1] == "call"
+    assert states[0] == states[1]
+
+
+def phase_program(arms):
+    """A counting loop with ``arms`` side arms; arm j first runs in
+    iteration r8 * (j + 1) and in every one after it."""
+    items = [
+        (Op.MOVI, 2, 0, 0),
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.MOVI, 9, 0, 0),
+    ]
+    for j in range(arms):
+        items += [
+            (Op.ADD, 9, 9, 8),
+            (Op.CMPGE, 7, 3, 9),
+            (Op.BRNZ, 7, f"arm{j}", 0),
+            Label(f"back{j}"),
+        ]
+    items += [(Op.ADDI, 3, 3, 1), (Op.JMP, "loop", 0, 0)]
+    for j in range(arms):
+        items += [
+            Label(f"arm{j}"),
+            (Op.ADDI, 2, 2, j + 1),
+            (Op.JMP, f"back{j}", 0, 0),
+        ]
+    items += [Label("done"), (Op.MOV, 0, 2, 0), (Op.RET, 0, 0, 0)]
+    code, offsets = assemble(items)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets
+
+
+def run_phases(program, count, phase, **kwargs):
+    machine = Machine(program, Memory(1 << 20), **kwargs)
+    machine.regs[8] = phase
+    result = machine.call(0, (0, count))
+    return machine, (result, full_state(machine))
+
+
+def test_a_phase_change_regrows_the_tree():
+    # an arm that first runs after iteration 1,000 and is hot from then
+    # on: the loop compiled without it, so at first every iteration
+    # leaves through the driver; once the arm is hot itself the root is
+    # compiled again with it inlined, and the loop stays inside
+    program, offsets = phase_program(1)
+    loop, arm = offsets["loop"], offsets["arm0"]
+    controller = TieringController(hot_instructions=10**12)
+    machine, observed = run_phases(program, 1200, 1000, tiering=controller)
+    translation = machine.translation
+    assert translation.regrown == {loop: 1}
+    assert arm not in translation.pruned.get(loop, ())
+    assert 1 <= translation.stats()["regrown"] <= costs.FAST_VM_REGROW_LIMIT
+    assert loop in translation.compiled
+    _, expected = run_phases(program, 1200, 1000, fast_vm=False)
+    assert observed == expected
+    # the same input again: the loop head is dispatched once, where the
+    # pruned tree came back through the driver for every late iteration
+    entries = translation.entries[loop]
+    assert entries > translation.hot_entries
+    _, observed = run_phases(program, 1200, 1000, tiering=controller)
+    assert observed == expected
+    assert translation.entries[loop] == entries + 1
+    assert translation.regrown == {loop: 1}
+
+
+def test_regrowth_stops_at_the_limit_with_the_unpruned_tree():
+    # LIMIT + 1 arms turn hot one after the other: the first LIMIT each
+    # send the root back, and the LIMIT-th time it compiles whole — the
+    # last arm is inlined before it ever ran, nothing of the root is left
+    # pruned, and nothing regrows again
+    limit = costs.FAST_VM_REGROW_LIMIT
+    program, offsets = phase_program(limit + 1)
+    loop = offsets["loop"]
+    machine, observed = run_phases(program, 100 * (limit + 3), 100)
+    translation = machine.translation
+    assert translation.regrown == {loop: limit}
+    assert not translation.pruned[loop]
+    for j in range(limit + 1):
+        # an arm the tree had pruned was entered through its stub; the
+        # one inlined while still cold never was
+        assert (offsets[f"arm{j}"] in translation.heat) == (j < limit)
+    _, expected = run_phases(program, 100 * (limit + 3), 100, fast_vm=False)
+    assert observed == expected
+
+
 def test_tier1_source_shrank():
-    # the acceptance bar of the fault epilogue: q6's tier-1 source, every
-    # block force-materialised, was 52,362 lines with the write-back
-    # repeated at every error site
+    # q6's tier-1 source, every block force-materialised with every
+    # leader hot (nothing pruned): 52,362 lines with the write-back
+    # repeated at every error site, 24,283 with one ``raise _Fault(...)``
+    # per site and a ``try`` per access, 17,310 with the sites in a table
     db = Database.tpch(scale=0.001, seed=42)
     compiled = db._compile(ALL_QUERIES["q6"].sql, None)
     translation = Translation(compiled.program, None)
+    translation.heat.update(
+        dict.fromkeys(translation.blocks, translation.hot_entries)
+    )
     pending = set(translation.blocks)
     while pending:
         for ip in pending:
             translation.block(ip)
         pending = set(translation.blocks) - translation.compiled - pending
-    assert translation.stats()["source_lines"] <= 52_362 * 0.6
+    stats = translation.stats()
+    assert stats["pruned_exits"] == 0
+    assert stats["source_lines"] <= 18_000
+
+
+def test_translation_volume_of_a_first_pass():
+    # what a never-seen query pays for is gated on counts, not clocks
+    # (deterministic per seed): the first execution of six TPC-H queries
+    # generated 87,306 source lines when every entered block compiled
+    # whole on its first entry, ~38,000 with compilation earned by heat
+    # and trees grown along executed paths; the blocks and arms that
+    # turn hot on a second execution add little
+    db = Database.tpch(scale=0.001, seed=42)
+    names = ("q1", "q4", "q6", "q13", "q14", "q19")
+    first, second = (
+        sum(
+            db.execute(ALL_QUERIES[name].sql).translation["source_lines"]
+            for name in names
+        )
+        for _ in range(2)
+    )
+    assert 0 < first <= 45_000
+    assert first <= second < first * 1.15
 
 
 # -- engine-level parity (TPC-H) -------------------------------------------
