@@ -426,8 +426,13 @@ class QueryService:
             ))
             self._finalize(execution)
             return
-        execution.unit_finished(state.cycles)
-        if execution.status == DONE:
+        try:
+            execution.unit_finished(state.cycles)
+        except (ValueError, ArithmeticError) as exc:
+            # finishing the run failed on the host side (a max(date) over
+            # no rows decodes ordinal 0): this ticket fails, not the drain
+            execution.fail(ServiceError(EXEC_ERROR, str(exc)))
+        if execution.done:
             self._finalize(execution)
 
     def _finalize(self, execution: QueryExecution) -> None:

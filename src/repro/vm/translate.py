@@ -62,16 +62,23 @@ about to end).  *Same-line memoization* skips the L1 set lookup for a
 repeat access to the previous memory op's line, and *hot-block trees*
 grow where ``entries`` marks a block entered hundreds of times per run
 without a closed loop.  Nothing speculates, so nothing ever demotes.
+
+A block's source is made in three steps over one trace tree — grow,
+measure, emit (:func:`_grow`, :func:`_measure`, :func:`_emit`) — and
+everything known about an opcode is one row of one table, ``_OPS``.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from time import perf_counter
+from typing import NamedTuple
 
 from repro.errors import VMError
 from repro.vm import costs
-from repro.vm.isa import Opcode, Program, TERMINATOR_OPS, block_leaders
+from repro.vm.isa import (
+    COND_BRANCH_OPS, Opcode, Program, TERMINATOR_OPS, block_leaders,
+)
 from repro.vm.pmu import Event
 
 _MASK64 = (1 << 64) - 1
@@ -103,47 +110,166 @@ _TREE_DEPTH = 8
 # the interpreter; segmentation shrinks that tail to one segment.
 _FALLBACK_SEG = 8
 
-# worst-case cycle cost per opcode, for the CYCLES event bound
-_WORST_CYCLES = {
-    Opcode.LOAD: costs.LAT_MEM,
-    Opcode.STORE: costs.CYCLES_STORE,
-    Opcode.MUL: costs.CYCLES_MUL,
-    Opcode.MULI: costs.CYCLES_MUL,
-    Opcode.SDIV: costs.CYCLES_DIV,
-    Opcode.SREM: costs.CYCLES_DIV,
-    Opcode.FDIV: costs.CYCLES_DIV,
-    Opcode.CRC32: costs.CYCLES_CRC32,
-    Opcode.JMP: costs.CYCLES_BRANCH,
-    Opcode.BRZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
-    Opcode.BRNZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
-    Opcode.CALL: costs.CYCLES_CALL,
-    Opcode.RET: costs.CYCLES_RET,
-    Opcode.KCALL: 0,  # the kernel accounts for itself via advance_external
-    Opcode.HALT: 0,   # returns before any cost is charged
+# what may stand in an immediate slot, by slot kind (see ``_Op``)
+_VALID = {
+    "i": lambda x: isinstance(x, (int, float)),
+    "s": lambda x: isinstance(x, int),
+    "n": lambda x: isinstance(x, int),
+    "t": lambda x: isinstance(x, int) and x >= 0,
+    "p": lambda x: isinstance(x, tuple) and len(x) == 2,
 }
 
-_SIMPLE_BINOPS = {
-    Opcode.ADD: "+", Opcode.SUB: "-", Opcode.AND: "&",
-    Opcode.OR: "|", Opcode.XOR: "^",
-}
-_CMP_OPS = {
-    Opcode.CMPEQ: "==", Opcode.CMPNE: "!=", Opcode.CMPLT: "<",
-    Opcode.CMPLE: "<=", Opcode.CMPGT: ">", Opcode.CMPGE: ">=",
-}
-_CMP_IMM_OPS = {
-    Opcode.CMPEQI: "==", Opcode.CMPNEI: "!=", Opcode.CMPLTI: "<",
-    Opcode.CMPLEI: "<=", Opcode.CMPGTI: ">", Opcode.CMPGEI: ">=",
-}
 
-_KNOWN_OPS = (
-    set(_SIMPLE_BINOPS) | set(_CMP_OPS) | set(_CMP_IMM_OPS) | set(_WORST_CYCLES)
-    | {
-        Opcode.NOP, Opcode.MOV, Opcode.MOVI, Opcode.ADDI, Opcode.ANDI,
-        Opcode.SHLI, Opcode.SHRI, Opcode.XORI, Opcode.SHL, Opcode.SHR,
-        Opcode.ROTR, Opcode.CVTIF, Opcode.CVTFI, Opcode.SELECT,
-        Opcode.MIN, Opcode.MAX,
+class _Op:
+    """One row of the opcode table: what translation knows about a guest
+    opcode, stated once.  ``kinds`` types the three operand slots — ``w``
+    a written register, ``r`` a read one, ``p`` a pair of read ones,
+    ``i`` a numeric immediate, ``s`` a shift count (an int, rendered
+    ``& 63``), ``n`` an int displacement, ``t`` a target (an int >= 0),
+    ``-`` unused — and is the operand-validity rule: anything odd in an
+    immediate slot (an unresolved label, a negative target, a
+    non-numeric immediate) leaves the instruction to the interpreter,
+    which either handles it or produces the canonical error for it.
+    ``lines`` is the source of a straight-line opcode, slots numbered as
+    in the instruction tuple (``r{1}``: the register slot 1 names,
+    ``{3!r}``: slot 3 as a literal); memory ops and the ways out of a
+    trace are written by ``_Writer``.  ``cycles`` is the static cost,
+    ``worst`` what the CYCLES event bound assumes instead; ``loads``,
+    ``stores``, ``branches`` count dynamic events; ``faults`` are the
+    error sites among the instruction's lines, ``(offset, message)``."""
+
+    def __init__(
+        self, kinds, *lines, cycles=1, worst=None, loads=0, stores=0,
+        branches=0, faults=(),
+    ):
+        self.lines, self.cycles, self.faults = lines, cycles, faults
+        self.loads, self.stores, self.branches = loads, stores, branches
+        slots = list(enumerate(kinds, 1))
+        self.reads = tuple(slot for slot, kind in slots if kind == "r")
+        self.writes = tuple(slot for slot, kind in slots if kind == "w")
+        self.pair, self.shift = "p" in kinds, "s" in kinds
+        self.checks = tuple(
+            (slot, _VALID[kind]) for slot, kind in slots if kind in _VALID
+        )
+        # worst-case countdown events, by countdown mode
+        self.events = {
+            "": 0, "instr": 1, "loads": loads, "l1": loads,
+            "brmiss": branches, "cycles": cycles if worst is None else worst,
+        }
+
+
+def _family(kinds, symbols, *lines, **costed):
+    return {
+        op: _Op(kinds, *(ln.replace("%s", sym) for ln in lines), **costed)
+        for op, sym in symbols.items()
     }
+
+
+_MUL = (
+    "_r = r{2} * %s",
+    "if isinstance(_r, int):",
+    f"    _r &= {_MASK64}",
+    f"    if _r & {_SIGN64}:",
+    f"        _r -= {1 << 64}",
+    "r{1} = _r",
 )
+_OPS = {
+    Opcode.NOP: _Op("---"),
+    Opcode.MOV: _Op("wr-", "r{1} = r{2}"),
+    Opcode.MOVI: _Op("wi-", "r{1} = {2!r}"),
+    **_family("wrr", {
+        Opcode.ADD: "+", Opcode.SUB: "-", Opcode.AND: "&",
+        Opcode.OR: "|", Opcode.XOR: "^",
+    }, "r{1} = r{2} %s r{3}"),
+    **_family("wri", {
+        Opcode.ADDI: "+", Opcode.ANDI: "&", Opcode.XORI: "^",
+    }, "r{1} = r{2} %s {3!r}"),
+    **_family("wrr", {
+        Opcode.CMPEQ: "==", Opcode.CMPNE: "!=", Opcode.CMPLT: "<",
+        Opcode.CMPLE: "<=", Opcode.CMPGT: ">", Opcode.CMPGE: ">=",
+    }, "r{1} = 1 if r{2} %s r{3} else 0"),
+    **_family("wri", {
+        Opcode.CMPEQI: "==", Opcode.CMPNEI: "!=", Opcode.CMPLTI: "<",
+        Opcode.CMPLEI: "<=", Opcode.CMPGTI: ">", Opcode.CMPGEI: ">=",
+    }, "r{1} = 1 if r{2} %s {3!r} else 0"),
+    Opcode.SHLI: _Op("wrs", f"r{{1}} = (r{{2}} << {{3}}) & {_MASK64}"),
+    Opcode.SHRI: _Op("wrs", f"r{{1}} = (r{{2}} & {_MASK64}) >> {{3}}"),
+    Opcode.SHL: _Op("wrr", f"r{{1}} = (r{{2}} << (r{{3}} & 63)) & {_MASK64}"),
+    Opcode.SHR: _Op("wrr", f"r{{1}} = (r{{2}} & {_MASK64}) >> (r{{3}} & 63)"),
+    Opcode.ROTR: _Op(
+        "wrr", f"_v = r{{2}} & {_MASK64}", "_s = r{3} & 63",
+        f"r{{1}} = ((_v >> _s) | (_v << (64 - _s))) & {_MASK64}",
+    ),
+    **_family("wrr", {Opcode.MUL: "r{3}"}, *_MUL, cycles=costs.CYCLES_MUL),
+    **_family("wri", {Opcode.MULI: "{3!r}"}, *_MUL, cycles=costs.CYCLES_MUL),
+    Opcode.SDIV: _Op(
+        "wrr", "_a = r{2}", "_b = r{3}", "if _b == 0: raise _Fault",
+        "_q = abs(_a) // abs(_b)",
+        "r{1} = -_q if (_a < 0) != (_b < 0) else _q",
+        cycles=costs.CYCLES_DIV, faults=((2, "division by zero"),),
+    ),
+    Opcode.SREM: _Op(
+        "wrr", "_b = r{3}", "if _b == 0: raise _Fault", "_a = r{2}",
+        "_q = abs(_a) // abs(_b)",
+        "if (_a < 0) != (_b < 0):",
+        "    _q = -_q",
+        "r{1} = _a - _b * _q",
+        cycles=costs.CYCLES_DIV, faults=((1, "remainder by zero"),),
+    ),
+    Opcode.FDIV: _Op(
+        "wrr", "_b = r{3}", "if _b == 0: raise _Fault", "r{1} = r{2} / _b",
+        cycles=costs.CYCLES_DIV, faults=((1, "fdiv by zero"),),
+    ),
+    Opcode.CVTIF: _Op("wr-", "r{1} = float(r{2})"),
+    Opcode.CVTFI: _Op("wr-", "r{1} = int(r{2})"),
+    # int operands (the overwhelmingly common case: hash keys) run the
+    # 64-bit mix inline; anything else falls back to crc32_mix, which
+    # hashes floats by IEEE-754 bit pattern
+    Opcode.CRC32: _Op(
+        "wrr", "_a = r{2}", "_b = r{3}",
+        "if _a.__class__ is int and _b.__class__ is int:",
+        f"    _z = ((_a & {_MASK64}) ^ ((_b & {_MASK64})"
+        f" * {0x9E3779B97F4A7C15})) & {_MASK64}",
+        "    _z ^= _z >> 29",
+        f"    _z = (_z * {0xBF58476D1CE4E5B9}) & {_MASK64}",
+        "    r{1} = _z ^ (_z >> 32)",
+        "else:",
+        "    r{1} = crc32_mix(_a, _b)",
+        cycles=costs.CYCLES_CRC32,
+    ),
+    Opcode.SELECT: _Op("wrp", "r{1} = r{3[0]} if r{2} else r{3[1]}"),
+    **_family(
+        "wrr", {Opcode.MIN: "<=", Opcode.MAX: ">="},
+        "_a = r{2}", "_b = r{3}", "r{1} = _a if _a %s _b else _b",
+    ),
+    # LOAD is (op, dst, base, imm), STORE (op, base, src, imm); the L1-hit
+    # latency is the static cost; the sites are the guard and the access
+    Opcode.LOAD: _Op(
+        "wrn", cycles=costs.LAT_L1, worst=costs.LAT_MEM, loads=1, faults=(
+            (0, "unaligned or null load at %#x"),
+            (1, "load out of bounds at %#x"),
+        ),
+    ),
+    Opcode.STORE: _Op(
+        "rrn", cycles=costs.CYCLES_STORE, stores=1, faults=(
+            (0, "unaligned or null store at %#x"),
+            (1, "store out of bounds at %#x"),
+        ),
+    ),
+    Opcode.JMP: _Op("t--", cycles=costs.CYCLES_BRANCH),
+    **_family(
+        "rt-", {Opcode.BRZ: "==", Opcode.BRNZ: "!="}, branches=1,
+        cycles=costs.CYCLES_BRANCH,
+        worst=costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
+    ),
+    Opcode.CALL: _Op(
+        "t--", cycles=costs.CYCLES_CALL, faults=((3, "call stack overflow"),),
+    ),
+    Opcode.RET: _Op("---", cycles=costs.CYCLES_RET),
+    # the kernel accounts for itself via advance_external
+    Opcode.KCALL: _Op("---", cycles=0),
+    Opcode.HALT: _Op("---", cycles=0),  # returns before any cost is charged
+}
 
 
 class _Fault(Exception):
@@ -315,66 +441,65 @@ class Translation:
 
     def _compile(self, ip: int) -> tuple | None:
         emit = self._emit
-        mode, bound_cap = emit["mode"], emit["bound_cap"]
+        mode = emit["mode"]
         heat = self.heat
         if self.regrown.get(ip, 0) >= costs.FAST_VM_REGROW_LIMIT:
             heat = None  # regrown to the limit: compile whole
-        emitted = _emit_block(self.code, ip, heat=heat, **emit)
-        if emitted is None:
+        tree = _grow(self.code, ip, heat=heat, **emit)
+        if tree is None:
             del self.blocks[ip]
             return None
-        source, n_instr, bound, fallthroughs, pruned, sites = emitted
-        linear = None
-        if mode and bound_cap:
+        trees = [tree]
+        if mode and emit["bound_cap"]:
             # the armed tree's bound keeps it out of the last stretch of
             # every sampling window; give the driver a linear variant
             # with a tight bound to run there instead of interpreting
             # (always at the short tier-1 cap); both compile as one
             # source, so its fault lines number on from the tree's
-            linear = _emit_block(
-                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, suffix="f",
-                heat=heat, line0=source.count("\n"),
+            linear = _grow(
+                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, linear=True,
+                heat=heat,
             )
-            if linear is not None and linear[2] < bound:
-                source += linear[0]
-                fallthroughs = fallthroughs + linear[3]
-                pruned = pruned + linear[4]
-                sites.update(linear[5])
-            else:
-                linear = None
+            if linear is not None and linear.bound < tree.bound:
+                trees.append(linear)
+        source, sites = "", {}
+        for grown in trees:
+            text, table = _emit(_measure(grown), line0=source.count("\n"))
+            source += text
+            sites.update(table)
         # the functions bind ``_T``, their fault sites, as they are defined
         namespace = self._namespace
         namespace["_T"] = sites
         exec(compile(source, f"<fastvm:{mode or 'plain'}>", "exec"), namespace)
         entry = (
-            namespace.pop(f"_b{ip}"), n_instr, bound,
-            (namespace.pop(f"_b{ip}f"), linear[1], linear[2])
-            if linear is not None
-            else None,
+            namespace.pop(f"_b{ip}"), tree.max_k, tree.bound,
+            (namespace.pop(f"_b{ip}f"), linear.max_k, linear.bound)
+            if len(trees) > 1 else None,
         )
         self.blocks[ip] = entry
-        for fall in fallthroughs:
+        for grown in trees:
             # a path that hands control back mid-straight-line-code (size
-            # cap, untranslatable instruction) continues in a block of
-            # its own, so long arithmetic runs never drop to the
+            # cap, untranslatable instruction, a cold cut) continues in a
+            # block of its own, so long arithmetic runs never drop to the
             # interpreter
-            if fall not in self.blocks:
-                self.blocks[fall] = self._stub(fall)
-        self.pruned[ip] = set(pruned)
+            for fall in grown.fallthroughs:
+                if fall not in self.blocks:
+                    self.blocks[fall] = self._stub(fall)
+        self.pruned[ip] = {t for grown in trees for t in grown.pruned}
         self.compiled.add(ip)
         self.source_lines += source.count("\n")
         return entry
 
 
-def _emit_settings(mode: str, bound_cap: int, tier: int, entries: dict) -> dict:
-    """The :func:`_emit_block` arguments of one translation at ``tier``."""
+def _emit_settings(mode: str, bound_cap: int, tier: int, entries) -> dict:
+    """The :func:`_grow` arguments of one translation at ``tier``."""
     # armed translations cap trace length so worst-case event bounds stay
     # well under the countdown; unarmed ones have no countdown to protect
     cap = costs.FAST_VM_MAX_BLOCK if mode else costs.FAST_VM_MAX_BLOCK_PLAIN
     if tier >= 2 and mode and bound_cap:
         # What admission actually protects is the worst-case *event*
         # bound, not the instruction count — tier-2 armed roots therefore
-        # decode at the plain cap and _emit_block trims them back by
+        # decode at the plain cap and _grow trims them back by
         # event bound.  A loop body longer than the tier-1 cap can then
         # still close into an in-function loop instead of paying a driver
         # dispatch per iteration.
@@ -412,29 +537,13 @@ def translation_for(program: Program, pmu_config=None) -> Translation:
 
 
 def _translatable(ins: tuple) -> bool:
-    """True when the instruction's operands fit the templates below.
-
-    Anything odd — an unresolved label in a branch slot, a negative
-    target, a non-numeric immediate — is left to the interpreter, which
-    either handles it or produces the canonical error for it.
-    """
-    op = ins[0]
-    if op not in _KNOWN_OPS:
+    """True when the opcode has a row in ``_OPS`` and the operands fit it."""
+    row = _OPS.get(ins[0])
+    if row is None:
         return False
-    if op == Opcode.JMP or op == Opcode.CALL:
-        return isinstance(ins[1], int) and ins[1] >= 0
-    if op == Opcode.BRZ or op == Opcode.BRNZ:
-        return isinstance(ins[2], int) and ins[2] >= 0
-    if op in (Opcode.LOAD, Opcode.STORE, Opcode.SHLI, Opcode.SHRI):
-        return isinstance(ins[3], int)
-    if op == Opcode.MOVI:
-        return isinstance(ins[2], (int, float))
-    if op == Opcode.SELECT:
-        return isinstance(ins[3], tuple) and len(ins[3]) == 2
-    if op in _CMP_IMM_OPS or op in (
-        Opcode.ADDI, Opcode.MULI, Opcode.ANDI, Opcode.XORI
-    ):
-        return isinstance(ins[3], (int, float))
+    for slot, valid in row.checks:
+        if not valid(ins[slot]):
+            return False
     return True
 
 
@@ -478,28 +587,76 @@ def _decode_trace(code: list[tuple], start: int, cap: int, heat=None):
     return items, ip, False
 
 
-def _emit_block(
-    code, start, cap, mode, bound_cap=0, suffix="", tier=1,
-    tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH, entries=None,
-    heat=None, line0=0,
-):
-    """Emit the source of one block function; None if nothing translatable.
+class _Treatment(NamedTuple):
+    """How one root is translated: decided once, where :func:`_grow`
+    starts.  A plain value: ``_replace`` builds the variant a test wants."""
 
-    Returns ``(source, max_path_instructions, event_bound,
-    fallthrough_ips, pruned_ips, fault_sites)``; the fallthrough ips are
-    continuation addresses where some path of the block hands control
-    back without a terminator (size cap, untranslatable instruction, a
-    cold cut), so the :class:`Translation` can register continuation
-    blocks there.  The pruned ips are the exits left out only because
-    ``heat`` (None prunes nothing) has not seen them entered.  The fault
-    sites map a source line — numbered from ``line0``, the lines ahead
-    of this function in the same source — to the error raised there.
+    mode: str  # countdown bookkeeping, one of ``_MODES``' values
+    tree: bool  # side exits may inline their continuations
+    deferred: bool  # tier-2 deferred sync: state in locals across iterations
+    defer_cy: bool  # ... and ``cy`` accumulating across them too
+    memo: bool  # tier-2 same-line memoization at memory ops
+    seg: int  # segment length of segmented admission (0: whole block)
+    track_l1: bool  # an L1-miss accumulator ``_mi`` exists
+    has_dyn: bool  # a dynamic-cycles accumulator ``cy`` exists
+
+
+# what a side exit became, when not a child ``_Trace``: the back edge of
+# the function-level loop, an exit to the driver, or one only heat pruned
+_LOOP, _EXIT, _PRUNED = "loop", "exit", "pruned"
+
+
+class _Trace:
+    """One decoded trace of a tree.  ``exits`` says by item index what
+    each side exit (a branch's taken arm, a jump that is not folded)
+    became; ``at``, filled in by :func:`_measure`, holds the path-static
+    totals ``(instructions, cycles, loads, stores, branches)`` retired
+    *before* an item (so ``at[i + 1]``: with item ``i``) — around fault
+    sites and ways out, at segment boundaries and under ``len(items)``."""
+
+    def __init__(self, items, fall):
+        self.items, self.fall = items, fall
+        self.exits: dict[int, object] = {}
+        self.at: dict[int, tuple] = {}
+
+
+def _side_target(ip: int, ins: tuple):
+    """Where the side exit of a trace item leads; None when it has none
+    (no branch, or a forward jump :func:`_decode_trace` folded in)."""
+    if ins[0] == Opcode.JMP:
+        return ins[1] if ins[1] <= ip else None
+    return ins[2] if ins[0] in COND_BRANCH_OPS else None
+
+
+class _Tree:
+    """The trace tree of one root: :func:`_grow` decides ``treatment``,
+    ``root`` and what hangs off it, the worst-case event ``bound`` of a
+    pass, the exits ``pruned`` by heat and the ``fallthroughs`` (either
+    may repeat an ip); :func:`_measure` adds what its docstring lists."""
+
+    def __init__(self, start, suffix, treatment, bound, pruned):
+        self.start, self.suffix, self.treatment = start, suffix, treatment
+        self.bound, self.pruned = bound, pruned
+        self.fallthroughs: list[int] = []
+        self.size = 0  # instructions in the tree (the growth budget)
+        self.root: _Trace | None = None
+
+
+def _grow(
+    code, start, cap, mode, bound_cap=0, linear=False, tier=1,
+    tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH, entries=None,
+    heat=None,
+):
+    """Decode the root at ``start``, decide its treatment, and grow its
+    trace tree; None if nothing there is translatable.  No text.
 
     Blocks rooted at loop heads may grow *superblock trees* (module
     docstring): the continuation of a side exit is decoded and inlined
     into the taken arm, so hot paths that zig-zag through taken branches
     — and loop cycles that cross several trace heads before branching
     back to this block's start — run inside one Python function.
+    ``heat`` (None prunes nothing) keeps out what no entry has reached;
+    ``linear`` asks for the armed linear variant (the ``f`` function).
     """
     root_items, root_fall, cut = _decode_trace(code, start, cap, heat)
     if not root_items:
@@ -531,12 +688,7 @@ def _emit_block(
     # the closed loop forms there, while cold leaders stay linear and the
     # generated source stays compact enough to compile quickly.
     is_loop_head = any(
-        (ins[0] == Opcode.JMP and ins[1] == start)
-        or (
-            (ins[0] == Opcode.BRZ or ins[0] == Opcode.BRNZ)
-            and ins[2] == start
-        )
-        for _, ins in whole_root
+        _side_target(ip, ins) == start for ip, ins in whole_root
     )
     bound = _event_bound(root_items, mode)
     # Tier 2 additionally grows trees at profile-hot non-loop blocks: a
@@ -553,805 +705,586 @@ def _emit_block(
     # state and countdown in locals until a real exit or a failed edge
     # check.
     deferred = tier >= 2 and is_loop_head
-    branch_ips: set[int] = set()
-    if tree:
-        # inlined continuations can bring loads/branches anywhere, so the
-        # dynamic-cycles accumulator is unconditional
-        has_dyn = True
-    else:
-        has_dyn = any(
-            ins[0] == Opcode.LOAD
-            or ins[0] == Opcode.BRZ
-            or ins[0] == Opcode.BRNZ
-            for _, ins in root_items
-        )
-    # Deferred loops let ``cy`` (dynamic cycles: cache misses,
-    # mispredicts) accumulate *across* iterations instead of folding it
-    # into ``_cyt`` and resetting at every back edge — exits and flushes
-    # add ``cy`` once.  Not for the two modes whose loop edges consume a
-    # per-iteration delta: ``cycles`` decrements the countdown by each
-    # iteration's cost, ``l1`` by the per-iteration miss count ``_mi``.
-    defer_cy = deferred and mode in ("", "instr", "loads", "brmiss")
     # segmented admission for the cycles-mode linear fallback ("f"
     # variant): see _FALLBACK_SEG
-    seg = _FALLBACK_SEG if (suffix == "f" and mode == "cycles") else 0
+    seg = _FALLBACK_SEG if (linear and mode == "cycles") else 0
     if seg and len(root_items) > seg:
         # the driver (and the loop edge, when the fallback closes a
         # short loop) only needs to cover the first segment — the block
         # re-checks before every later one
         bound = _event_bound(root_items[:seg], mode)
-    # armed trees can inline loads into a load-free root, so the L1-miss
-    # accumulator must exist whenever an arm *could* bring one
-    track_l1 = mode == "l1" and (
-        tree or any(ins[0] == Opcode.LOAD for _, ins in root_items)
+    root_rows = [_OPS[ins[0]] for _, ins in root_items]
+    treatment = _Treatment(
+        mode=mode, tree=tree, deferred=deferred,
+        # Deferred loops let ``cy`` (dynamic cycles: cache misses,
+        # mispredicts) accumulate *across* iterations instead of folding
+        # it into ``_cyt`` and resetting at every back edge — exits and
+        # flushes add ``cy`` once.  Not for the two modes whose loop
+        # edges consume a per-iteration delta: ``cycles`` decrements the
+        # countdown by each iteration's cost, ``l1`` by the per-iteration
+        # miss count ``_mi``.
+        defer_cy=deferred and mode in ("", "instr", "loads", "brmiss"),
+        memo=tier >= 2, seg=seg,
+        # armed trees can inline loads into a load-free root, so the
+        # L1-miss accumulator must exist whenever an arm *could* bring one
+        track_l1=mode == "l1" and (tree or any(r.loads for r in root_rows)),
+        # likewise loads/branches and the dynamic-cycles accumulator
+        has_dyn=tree or any(r.loads or r.branches for r in root_rows),
+    )
+    grown = _Tree(
+        start, "f" if linear else "", treatment, bound,
+        [root_fall] if cut else [],
     )
 
-    # Registers are cached in Python locals (``r5`` for ``regs[5]``) for
-    # the whole block: nothing outside the block can observe ``regs``
-    # while it runs, so reads/writes stay private until an exit.  Every
-    # used register is loaded up front (so early error exits can write
-    # back unconditionally) and every *written* register is flushed at
-    # each exit — the \x00WB placeholder marks those flush points and is
-    # expanded once the full written set is known.  \x00LE marks loop
-    # edges, expanded once the worst-case path length is known.
-    used_regs: set[int] = set()
-    written_regs: set[int] = set()
-    flags = {"mem": False, "loop": False}
-    fallthroughs: list[int] = []
-    pruned: list[int] = [root_fall] if cut else []
-    sites: list[tuple] = []  # see ``fault``
-    max_k = 0  # worst-case instructions retired on any path
-    emitted = 0  # total instructions emitted (tree growth budget)
+    def side_exit(target, path, depth):
+        """What the side exit to ``target`` becomes: the loop edge, the
+        inlined continuation, or an exit when trees are disabled, the
+        target closes a non-root cycle, the growth budget/depth is
+        exhausted, or (armed) the continuation would push the tree's
+        worst-case event bound past ``bound_cap``, or (last: the exit is
+        pruned) no entry has reached ``target`` yet."""
+        if target == start:
+            return _LOOP
+        if (
+            not tree
+            or depth >= tree_depth
+            or target in path
+            or grown.size >= tree_budget
+        ):
+            return _EXIT
+        items, fall, sub_cut = _decode_trace(
+            code, target, min(cap, tree_budget - grown.size), heat
+        )
+        if not items:
+            return _EXIT
+        sub_bound = _event_bound(items, mode)
+        if mode and grown.bound + sub_bound > bound_cap:
+            return _EXIT
+        if heat is not None and not heat.get(target):
+            grown.pruned.append(target)
+            return _PRUNED
+        grown.bound += sub_bound
+        if sub_cut:
+            grown.pruned.append(fall)
+        return trace(items, fall, path | {target}, depth + 1)
 
-    def rg(i: int) -> str:
-        used_regs.add(i)
-        return f"r{i}"
+    def trace(items, fall, path, depth):
+        # depth-first, in emission order: an arm is grown whole, and
+        # charged to the budget, before this trace's next side exit is seen
+        grown.size += len(items)
+        node = _Trace(items, fall)
+        for index, (ip, ins) in enumerate(items):
+            target = _side_target(ip, ins)
+            if target is not None:
+                node.exits[index] = side_exit(target, path, depth)
+        if fall is not None:
+            grown.fallthroughs.append(fall)
+        return node
 
-    def wr(i: int) -> str:
-        used_regs.add(i)
-        written_regs.add(i)
-        return f"r{i}"
+    grown.root = trace(root_items, root_fall, {start}, 0)
+    return grown
 
-    def countdown_events(instr, cycles, loads) -> str:
+
+def _measure(tree: _Tree) -> _Tree:
+    """One walk of a grown tree for what emit must know before it writes
+    line 1 — registers ``used`` (read or written) and ``written``, the
+    worst-case instructions ``max_k`` retired on any path, whether a path
+    touches memory (``mem``), closes the ``loop``, has fault sites
+    (``faults``), the ``branch_ips`` whose 2-bit counters a deferred loop
+    keeps in locals — and for the path-static totals (``_Trace.at``).
+
+    Registers are cached in Python locals (``r5`` for ``regs[5]``) for
+    the whole block: nothing outside the block can observe ``regs``
+    while it runs, so reads/writes stay private until an exit.  Every
+    used register is loaded up front (so early error exits can write
+    back unconditionally) and every *written* register is flushed at
+    each exit.
+    """
+    deferred, seg = tree.treatment.deferred, tree.treatment.seg
+    used, written, branch_ips = set(), set(), set()
+    tree.max_k = 0
+    tree.mem = tree.loop = tree.faults = False
+
+    def walk(trace, k0, cycles, loads, stores, branches):
+        """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
+        retired-count, statically-known cycles, memory-op and
+        conditional-branch counts accumulated on the path into this
+        trace, so sync points flush absolute totals."""
+        at, exits = trace.at, trace.exits
+        for index, (ip, ins) in enumerate(trace.items):
+            op = ins[0]
+            row = _OPS[op]
+            for slot in row.reads:
+                used.add(ins[slot])
+            for slot in row.writes:
+                written.add(ins[slot])
+            if row.pair:
+                used.update(ins[3])
+            if row.faults:
+                tree.faults = True
+            elif op not in TERMINATOR_OPS and not (seg and index % seg == 0):
+                cycles += row.cycles
+                continue
+            at[index] = (k0 + index, cycles, loads, stores, branches)
+            if deferred or not row.branches:
+                # (a tier-1 branch pays its cycles dynamically, ``_bc``,
+                # and counts itself into the predictor as it retires)
+                cycles += row.cycles
+                loads += row.loads
+                stores += row.stores
+                if row.branches:
+                    branches += 1
+                    branch_ips.add(ip)
+            # what a way out taken here has retired
+            at[index + 1] = (k0 + index + 1, cycles, loads, stores, branches)
+            child = exits.get(index)
+            if child is _LOOP:
+                tree.loop = True
+            elif child.__class__ is _Trace:
+                walk(child, *at[index + 1])
+        k_end = k0 + len(trace.items)
+        at[len(trace.items)] = (k_end, cycles, loads, stores, branches)
+        # every trace ends in a way out, so its last ``k`` is its largest
+        tree.max_k = max(tree.max_k, k_end)
+        tree.mem = tree.mem or loads + stores > 0
+
+    walk(tree.root, 0, 0, 0, 0, 0)
+    tree.used, tree.written = used | written, written
+    tree.branch_ips = branch_ips
+    return tree
+
+
+class _Writer:
+    """The pen of :func:`_emit`: final lines, written front to back at a
+    known indent — a line's number is the length of ``out`` as it is
+    written, so a fault site goes straight into ``table``."""
+
+    def __init__(self, tree: _Tree, line0: int):
+        t = tree.treatment
+        self.tree, self.t, self.line0 = tree, t, line0
+        self.out: list[str] = []
+        self.table: dict[int, tuple] = {}
+        self.wb_regs = [f"regs[{i}] = r{i}" for i in sorted(tree.written)]
+        self.wb_predictor = ["predictor.mispredicts += _pm"] + [
+            f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
+            for bip in sorted(tree.branch_ips)
+        ]
+        # the loop edge's admission check, as the driver would make it
+        retired = "_ib + _ins" if t.deferred else "state.instructions"
+        check = f"{retired} + {tree.max_k} > _maxi"
+        if t.mode:
+            countdown = "_cd" if t.deferred else "m._countdown"
+            check = f"{countdown} <= {tree.bound} or {check}"
+        self.edge_check = check
+        # the uniform edge flush: everything the accumulators deferred
+        # goes back to machine state before the driver regains control
+        self.flush = [
+            "state.instructions += _ins",
+            "state.cycles += _cyt + cy" if t.defer_cy and t.has_dyn
+            else "state.cycles += _cyt",
+            "state.loads += _ld",
+            "state.stores += _st",
+            "caches.accesses += _ld + _st",
+        ] + (["m._countdown = _cd"] if t.mode else [])
+        self.l1_check = [self._l1_check(load) for load in (False, True)]
+
+    def _l1_check(self, load: bool) -> list[str]:
+        """What follows a memory access: the L1 lookup.  The L1-hit
+        latency is folded into the path-static cycles, so a hit retires
+        without touching ``cy`` and only a true L1 miss calls out — a
+        load then charges the latency *difference* against the folded
+        constant."""
+        miss = ["_acc(_x)"]
+        if load:
+            miss = ["_c = _acc(_x)", f"cy += _c - {costs.LAT_L1}"]
+            if self.t.mode == "l1":
+                miss += [f"if _c > {costs.LAT_L1}:", "    _mi += 1"]
+        if self.t.memo:
+            # ``_mln`` memoizes the line of the *previous* memory op:
+            # that line is by construction the MRU entry of its set
+            # (every arm below ends with the accessed line at MRU
+            # position), so a repeat access to it is a guaranteed L1 MRU
+            # hit and skips the whole set lookup — one shift and one
+            # compare.  The hit-not-MRU arm inlines CacheLevel.access's
+            # LRU move-to-front.
+            return [
+                "if (_ln := _x >> _lb) != _mln:",
+                "    _mln = _ln",
+                "    if not (_tg := _l1s[_ln & _l1m]) or _tg[0] != _ln:",
+                "        if _ln in _tg:",
+                "            _tg.remove(_ln)",
+                "            _tg.insert(0, _ln)",
+                "        else:",
+                *(f"            {ln}" for ln in miss),
+            ]
+        return [
+            "_ln = _x >> _lb",
+            "_tg = _l1s[_ln & _l1m]",
+            "if not _tg or _tg[0] != _ln:",
+            *(f"    {ln}" for ln in miss),
+        ]
+
+    def cy(self, const: int) -> str:
+        if self.t.has_dyn:
+            return f"cy + {const}" if const else "cy"
+        return str(const)
+
+    def paid(self, instr, cycles, loads) -> str:
         """What a path costs the countdown in this block's mode, as
         source text ("0": nothing); the arguments are the path's
         instruction, cycle and load totals."""
         return str({
             "instr": instr, "cycles": cycles, "loads": loads,
-            "l1": "_mi" if track_l1 else 0,
-        }.get(mode, 0))
+            "l1": "_mi" if self.t.track_l1 else 0,
+        }.get(self.t.mode, 0))
 
-    def try_inline(t, k, pend0, loads0, stores0, branches0, path, depth):
-        """Inline the continuation at ``t`` into the current arm.
+    def write_back(self, ind: str, branches=0) -> None:
+        """What every way out of the function — exit, edge flush, fault
+        epilogue — starts with: the cached registers, and in a deferred
+        loop the predictor state (``branches`` is the path's static
+        count on top of ``_pb``)."""
+        out = self.out
+        out.extend([ind + ln for ln in self.wb_regs])
+        if self.t.deferred:
+            static = f" + {branches}" if branches else ""
+            out.append(f"{ind}predictor.branches += _pb{static}")
+            out.extend([ind + ln for ln in self.wb_predictor])
 
-        Returns its emitted lines (at base indent), or None when trees
-        are disabled, the target closes a non-root cycle, the growth
-        budget/depth is exhausted, or (armed) the continuation would push
-        the tree's worst-case event bound past ``bound_cap``, or (last:
-        the exit is pruned) no entry has reached ``t`` yet."""
-        nonlocal bound
-        if (
-            not tree
-            or depth >= tree_depth
-            or t in path
-            or emitted >= tree_budget
-        ):
-            return None
-        sub_items, sub_fall, sub_cut = _decode_trace(
-            code, t, min(cap, tree_budget - emitted), heat
-        )
-        if not sub_items:
-            return None
-        sub_bound = _event_bound(sub_items, mode)
-        if mode and bound + sub_bound > bound_cap:
-            return None
-        if heat is not None and not heat.get(t):
-            pruned.append(t)
-            return None
-        bound += sub_bound
-        if sub_cut:
-            pruned.append(sub_fall)
-        return emit_seq(
-            sub_items, sub_fall, k, pend0, loads0, stores0, branches0,
-            path | {t}, depth + 1,
-        )
+    def add(self, ind: str, target: str, accumulator: str, amount) -> None:
+        # a deferred loop folds its accumulator in with the path's
+        # constant; a zero amount adds nothing
+        terms = [accumulator] if self.t.deferred else []
+        if str(amount) != "0":
+            terms.append(str(amount))
+        if terms:
+            self.out.append(f"{ind}{target} += {' + '.join(terms)}")
 
-    def emit_seq(
-        items, fall, k0, pend0, loads0, stores0, branches0, path, depth
-    ):
-        """Emit one decoded trace; recursion happens at inlined exits.
+    def sync(self, ind: str, path, dyn=None, events=None) -> None:
+        """Sync counters and pay the countdown at an exit; ``path`` is
+        what has retired there, ``dyn`` the name of a local holding the
+        exit's dynamic cost, ``events`` what ticks when not all of ``k``."""
+        k, cycles, loads, stores, branches = path
+        t, out = self.t, self.out
+        self.write_back(ind, branches)
+        expr = self.cy(cycles) if dyn is None else f"{self.cy(cycles)} + {dyn}"
+        self.add(ind, "state.loads", "_ld", loads)
+        self.add(ind, "state.stores", "_st", stores)
+        self.add(ind, "caches.accesses", "_ld + _st", loads + stores)
+        if t.mode == "cycles":
+            out.append(f"{ind}_t = {expr}")
+            expr = "_t"
+        self.add(ind, "state.cycles", "_cyt", expr)
+        self.add(ind, "state.instructions", "_ins", k)
+        self.pay(ind, self.paid(k if events is None else events, "_t", loads))
 
-        ``k0``/``pend0``/``loads0``/``stores0``/``branches0`` carry the
-        retired-count, statically-known cycles, memory-op and
-        conditional-branch counts accumulated on the path into this
-        trace, so sync points flush absolute totals."""
-        nonlocal max_k, emitted
-        emitted += len(items)
-        lines: list[str] = []
-        pend = pend0
-        loads_done = loads0
-        stores_done = stores0
-        branches_done = branches0
+    def pay(self, ind: str, paid: str, minus=None) -> None:
+        if self.t.deferred and self.t.mode:
+            # the countdown lives in ``_cd`` while the loop runs
+            tail = f" - {minus or paid}" if paid != "0" else ""
+            self.out.append(f"{ind}m._countdown = _cd{tail}")
+        elif paid != "0":
+            self.out.append(f"{ind}m._countdown -= {paid}")
 
-        def cy_expr(const: int) -> str:
-            if has_dyn:
-                return f"cy + {const}" if const else "cy"
-            return str(const)
+    def edge_acc(self, ind: str, path) -> None:
+        """Deferred loop edge: fold the path's static totals into the
+        function-local accumulators instead of flushing — the flush
+        happens only if the admission re-check fails."""
+        k, static, loads, stores, branches = path
+        t, out = self.t, self.out
+        out.append(f"{ind}_ins += {k}")
+        for acc, amount in ("_ld", loads), ("_st", stores), ("_pb", branches):
+            if amount:
+                out.append(f"{ind}{acc} += {amount}")
+        if t.mode == "cycles":
+            out += [f"{ind}_t = {self.cy(static)}", f"{ind}_cyt += _t"]
+        elif t.defer_cy:
+            # ``cy`` rides across iterations; only the path's static
+            # cycles fold into the accumulator here
+            if static:
+                out.append(f"{ind}_cyt += {static}")
+        elif self.cy(static) != "0":
+            out.append(f"{ind}_cyt += {self.cy(static)}")
+        paid = self.paid(k, "_t", loads)
+        if paid != "0":
+            out.append(f"{ind}_cd -= {paid}")
 
-        def fault(k: int, message: str, ip: int) -> str:
-            """Mark the line this is appended to as an error site (a
-            guard's ``raise _Fault``, or an access whose ``IndexError``
-            is the error): the path-static totals — ``k`` instructions
-            including the faulting one, the cycles before it — go into
-            the site table the fault epilogue reads; the \x00F marker
-            becomes the key once the line's number is known."""
-            nonlocal max_k
-            max_k = max(max_k, k)
-            sites.append((
-                k, pend, loads_done, stores_done, branches_done, message, ip
-            ))
-            return f"\x00F{len(sites) - 1}"
-
-        def emit_sync(
-            k: int, extra, instr_events: int, indent: str = "    "
-        ) -> None:
-            """Sync counters and pay the countdown at an exit retiring
-            ``k`` instructions; ``extra`` is the exiting instruction's
-            cost — an int, or the name of a local holding a dynamic
-            cost."""
-            nonlocal max_k
-            max_k = max(max_k, k)
-            lines.append(f"\x00WB{indent}\x00{branches_done}")
-            if isinstance(extra, int):
-                expr = cy_expr(pend + extra)
+    def side_exit(self, what, target: int, ind: str, path, dyn=None) -> None:
+        """Write what grow made of a side exit: the back edge — re-run
+        the driver's admission check, then ``continue`` to the block
+        start (counters were just synced or folded, ``cy`` resets at the
+        loop top) — the continuation, inlined, or a synced ``return``."""
+        t, out = self.t, self.out
+        if what is _LOOP:
+            if t.deferred:
+                self.edge_acc(ind, path)
             else:
-                expr = f"{cy_expr(pend)} + {extra}"
+                self.sync(ind, path, dyn)
+            out.append(f"{ind}if {self.edge_check}:")
+            if t.deferred:
+                self.write_back(ind + "    ")
+                out.extend([f"{ind}    {ln}" for ln in self.flush])
+            out += [f"{ind}    return {self.tree.start}", f"{ind}continue"]
+        elif what.__class__ is _Trace:
+            if dyn:
+                out.append(f"{ind}cy += {dyn}")
+            self.trace(what, ind)
+        else:
+            self.sync(ind, path, dyn)
+            out.append(f"{ind}return {target}")
 
-            def add(target: str, accumulator: str, amount) -> None:
-                # a deferred loop folds its accumulator in with the
-                # path's constant; a zero amount adds nothing
-                terms = [
-                    term
-                    for term in (accumulator if deferred else "", str(amount))
-                    if term and term != "0"
+    def branch(self, what, ip: int, ins: tuple, ind: str, path) -> None:
+        """A conditional branch is a side exit: the taken arm leaves the
+        trace (or inlines its continuation), the fall-through arm keeps
+        executing."""
+        op, d, a, _ = ins
+        t, out, arm = self.t, self.out, ind + "    "
+        cond = "==" if op == Opcode.BRZ else "!="
+        if t.deferred:
+            # Tier-2: the 2-bit counter lives in a local (_h{ip}, loaded
+            # once at entry, written back only on change at exits),
+            # mispredicts accumulate in _pm, and the retired branch
+            # *count* is path-static — it folds into sync/edge constants
+            # instead of a per-branch increment.  The predictor update
+            # is split per arm so the condition is tested exactly once.
+            def counter(step, unsaturated, mispredicted):
+                return [
+                    f"{arm}_c = _h{ip}",
+                    f"{arm}if _c {unsaturated}:",
+                    f"{arm}    _h{ip} = _c {step}",
+                    f"{arm}if _c {mispredicted}:",
+                    f"{arm}    _pm += 1",
+                    f"{arm}    cy += {costs.CYCLES_BRANCH_MISS}",
+                    *([f"{arm}    _cd -= 1"] if t.mode == "brmiss" else []),
                 ]
-                if terms:
-                    lines.append(f"{indent}{target} += {' + '.join(terms)}")
 
-            add("state.loads", "_ld", loads_done)
-            add("state.stores", "_st", stores_done)
-            add("caches.accesses", "_ld + _st", loads_done + stores_done)
-            if mode == "cycles":
-                lines.append(f"{indent}_t = {expr}")
-                expr = "_t"
-            add("state.cycles", "_cyt", expr)
-            add("state.instructions", "_ins", k)
-            paid = countdown_events(instr_events, "_t", loads_done)
-            if deferred and mode:
-                # the countdown lives in ``_cd`` while the loop runs
-                lines.append(
-                    f"{indent}m._countdown = _cd"
-                    + (f" - {paid}" if paid != "0" else "")
-                )
-            elif paid != "0":
-                lines.append(f"{indent}m._countdown -= {paid}")
+            # taken arm: mispredict iff the pre-update counter < 2;
+            # update saturates upward at 3
+            out += [f"{ind}if r{d} {cond} 0:", *counter("+ 1", "< 3", "< 2")]
+            self.side_exit(what, a, arm, path)
+            # not-taken arm: mispredict iff the pre-update counter
+            # >= 2; update saturates downward at 0
+            out += [f"{ind}else:", *counter("- 1", "> 0", ">= 2")]
+            return
+        out += [
+            f"{ind}_tk = r{d} {cond} 0",
+            f"{ind}predictor.branches += 1",
+            f"{ind}_cnt = predictor.counters.get({ip}, 1)",
+            f"{ind}if _tk:",
+            f"{ind}    if _cnt < 3:",
+            f"{ind}        predictor.counters[{ip}] = _cnt + 1",
+            f"{ind}else:",
+            f"{ind}    if _cnt > 0:",
+            f"{ind}        predictor.counters[{ip}] = _cnt - 1",
+            f"{ind}if (_cnt >= 2) != _tk:",
+            f"{ind}    predictor.mispredicts += 1",
+            f"{ind}    _bc = {costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS}",
+            *([f"{ind}    m._countdown -= 1"] if t.mode == "brmiss" else []),
+            f"{ind}else:",
+            f"{ind}    _bc = {costs.CYCLES_BRANCH}",
+            f"{ind}if _tk:",
+        ]
+        self.side_exit(what, a, arm, path, "_bc")
+        out.append(f"{ind}cy += _bc")
 
-        def emit_edge_acc(k: int, extra: int, indent: str = "    ") -> None:
-            """Deferred loop edge: fold the path's static totals into the
-            function-local accumulators instead of flushing — the flush
-            happens only if the admission re-check fails (see the \\x00LE
-            expansion)."""
-            nonlocal max_k
-            max_k = max(max_k, k)
-            static = pend + extra
-            lines.append(f"{indent}_ins += {k}")
-            if loads_done:
-                lines.append(f"{indent}_ld += {loads_done}")
-            if stores_done:
-                lines.append(f"{indent}_st += {stores_done}")
-            if branches_done:
-                lines.append(f"{indent}_pb += {branches_done}")
-            if mode == "cycles":
-                lines.append(f"{indent}_t = {cy_expr(static)}")
-                lines.append(f"{indent}_cyt += _t")
-            elif defer_cy:
-                # ``cy`` rides across iterations; only the path's
-                # static cycles fold into the accumulator here
-                if static:
-                    lines.append(f"{indent}_cyt += {static}")
-            elif cy_expr(static) != "0":
-                lines.append(f"{indent}_cyt += {cy_expr(static)}")
-            paid = countdown_events(k, "_t", loads_done)
-            if paid != "0":
-                lines.append(f"{indent}_cd -= {paid}")
-
-        def emit_loop_edge(indent: str) -> None:
-            """Re-run the driver's admission check, then take the back
-            edge of the function-level loop (a ``continue`` jumps to the
-            block start: counters were just synced, ``cy`` resets at the
-            loop top)."""
-            flags["loop"] = True
-            lines.append(f"\x00LE{indent}")
-
-        for index, (ip, ins) in enumerate(items):
-            if seg and depth == 0 and index and index % seg == 0:
+    def trace(self, trace: _Trace, ind: str) -> None:
+        """Write one trace of the tree at indent ``ind``; recursion
+        happens at inlined exits, at the indent of their arm."""
+        t, out, at = self.t, self.out, trace.at
+        seg = t.seg if trace is self.tree.root else 0
+        for index, (ip, ins) in enumerate(trace.items):
+            if seg and index and index % seg == 0:
                 # segmented admission re-check: the driver only covered
                 # the first segment's worst-case bound, so before each
                 # further segment compare the live countdown against the
                 # next segment; on failure sync exactly and hand the
                 # mid-trace ip back (the interpreter finishes the short
                 # remaining stretch of the sampling window)
-                nxt = _event_bound(items[index:index + seg], mode)
-                lines.append(
-                    f"    if m._countdown - {cy_expr(pend)} <= {nxt}:"
+                nxt = _event_bound(trace.items[index:index + seg], t.mode)
+                out.append(
+                    f"{ind}if m._countdown - {self.cy(at[index][1])} <= {nxt}:"
                 )
-                emit_sync(k0 + index, 0, k0 + index, indent="        ")
-                lines.append(f"        return {ip}")
+                self.sync(ind + "    ", at[index])
+                out.append(f"{ind}    return {ip}")
             op = ins[0]
-            k = k0 + index + 1  # instructions retired including this one
-            d, a, b = ins[1], ins[2], ins[3]
-
-            if op == Opcode.NOP:
-                pend += 1
-            elif op == Opcode.MOV:
-                lines.append(f"    {wr(d)} = {rg(a)}")
-                pend += 1
-            elif op == Opcode.MOVI:
-                lines.append(f"    {wr(d)} = {a!r}")
-                pend += 1
-            elif op in _SIMPLE_BINOPS:
-                sym = _SIMPLE_BINOPS[op]
-                lines.append(f"    {wr(d)} = {rg(a)} {sym} {rg(b)}")
-                pend += 1
-            elif op in _CMP_OPS:
-                sym = _CMP_OPS[op]
-                lines.append(
-                    f"    {wr(d)} = 1 if {rg(a)} {sym} {rg(b)} else 0"
+            row = _OPS[op]
+            if not (row.faults or op in TERMINATOR_OPS):
+                if row.shift:
+                    ins = ins[:3] + (ins[3] & 63,)
+                for line in row.lines:
+                    out.append(ind + line.format(*ins))
+                continue
+            # An error site (a guard's ``raise _Fault``, or an access
+            # whose ``IndexError`` is the error): the path-static totals
+            # — ``k`` instructions including the faulting one, the cycles
+            # before it — go into the site table the fault epilogue
+            # reads, keyed by the line about to be written.
+            k, *before = at[index]
+            for offset, message in row.faults:
+                self.table[self.line0 + len(out) + 1 + offset] = (
+                    k + 1, *before, message, ip
                 )
-                pend += 1
-            elif op in _CMP_IMM_OPS:
-                sym = _CMP_IMM_OPS[op]
-                lines.append(
-                    f"    {wr(d)} = 1 if {rg(a)} {sym} {b!r} else 0"
-                )
-                pend += 1
-            elif op == Opcode.ADDI:
-                lines.append(f"    {wr(d)} = {rg(a)} + {b!r}")
-                pend += 1
-            elif op == Opcode.ANDI:
-                lines.append(f"    {wr(d)} = {rg(a)} & {b!r}")
-                pend += 1
-            elif op == Opcode.XORI:
-                lines.append(f"    {wr(d)} = {rg(a)} ^ {b!r}")
-                pend += 1
-            elif op == Opcode.SHLI:
-                lines.append(
-                    f"    {wr(d)} = ({rg(a)} << {b & 63}) & {_MASK64}"
-                )
-                pend += 1
-            elif op == Opcode.SHRI:
-                lines.append(
-                    f"    {wr(d)} = ({rg(a)} & {_MASK64}) >> {b & 63}"
-                )
-                pend += 1
-            elif op == Opcode.SHL:
-                lines.append(
-                    f"    {wr(d)} = ({rg(a)} << ({rg(b)} & 63)) & {_MASK64}"
-                )
-                pend += 1
-            elif op == Opcode.SHR:
-                lines.append(
-                    f"    {wr(d)} = ({rg(a)} & {_MASK64}) >> ({rg(b)} & 63)"
-                )
-                pend += 1
-            elif op == Opcode.ROTR:
-                lines += [
-                    f"    _v = {rg(a)} & {_MASK64}",
-                    f"    _s = {rg(b)} & 63",
-                    f"    {wr(d)} = ((_v >> _s) | (_v << (64 - _s)))"
-                    f" & {_MASK64}",
-                ]
-                pend += 1
-            elif op == Opcode.MUL or op == Opcode.MULI:
-                rhs = rg(b) if op == Opcode.MUL else repr(b)
-                lines += [
-                    f"    _r = {rg(a)} * {rhs}",
-                    "    if isinstance(_r, int):",
-                    f"        _r &= {_MASK64}",
-                    f"        if _r & {_SIGN64}:",
-                    f"            _r -= {1 << 64}",
-                    f"    {wr(d)} = _r",
-                ]
-                pend += costs.CYCLES_MUL
-            elif op == Opcode.SDIV:
-                lines += [
-                    f"    _a = {rg(a)}",
-                    f"    _b = {rg(b)}",
-                    "    if _b == 0: raise _Fault"
-                    + fault(k, "division by zero", ip),
-                    "    _q = abs(_a) // abs(_b)",
-                    f"    {wr(d)} = -_q if (_a < 0) != (_b < 0) else _q",
-                ]
-                pend += costs.CYCLES_DIV
-            elif op == Opcode.SREM:
-                lines += [
-                    f"    _b = {rg(b)}",
-                    "    if _b == 0: raise _Fault"
-                    + fault(k, "remainder by zero", ip),
-                    f"    _a = {rg(a)}",
-                    "    _q = abs(_a) // abs(_b)",
-                    "    if (_a < 0) != (_b < 0):",
-                    "        _q = -_q",
-                    f"    {wr(d)} = _a - _b * _q",
-                ]
-                pend += costs.CYCLES_DIV
-            elif op == Opcode.FDIV:
-                lines += [
-                    f"    _b = {rg(b)}",
-                    "    if _b == 0: raise _Fault"
-                    + fault(k, "fdiv by zero", ip),
-                    f"    {wr(d)} = {rg(a)} / _b",
-                ]
-                pend += costs.CYCLES_DIV
-            elif op == Opcode.CVTIF:
-                lines.append(f"    {wr(d)} = float({rg(a)})")
-                pend += 1
-            elif op == Opcode.CVTFI:
-                lines.append(f"    {wr(d)} = int({rg(a)})")
-                pend += 1
-            elif op == Opcode.CRC32:
-                # int operands (the overwhelmingly common case: hash keys)
-                # run the 64-bit mix inline; anything else falls back to
-                # crc32_mix, which hashes floats by IEEE-754 bit pattern
-                lines += [
-                    f"    _a = {rg(a)}",
-                    f"    _b = {rg(b)}",
-                    "    if _a.__class__ is int and _b.__class__ is int:",
-                    f"        _z = ((_a & {_MASK64})"
-                    f" ^ ((_b & {_MASK64}) * {0x9E3779B97F4A7C15}))"
-                    f" & {_MASK64}",
-                    "        _z ^= _z >> 29",
-                    f"        _z = (_z * {0xBF58476D1CE4E5B9}) & {_MASK64}",
-                    f"        {wr(d)} = _z ^ (_z >> 32)",
-                    "    else:",
-                    f"        {wr(d)} = crc32_mix(_a, _b)",
-                ]
-                pend += costs.CYCLES_CRC32
-            elif op == Opcode.SELECT:
-                rt, rf = b
-                lines.append(
-                    f"    {wr(d)} = {rg(rt)} if {rg(a)} else {rg(rf)}"
-                )
-                pend += 1
-            elif op == Opcode.MIN or op == Opcode.MAX:
-                sym = "<=" if op == Opcode.MIN else ">="
-                lines += [
-                    f"    _a = {rg(a)}",
-                    f"    _b = {rg(b)}",
-                    f"    {wr(d)} = _a if _a {sym} _b else _b",
-                ]
-                pend += 1
-            elif op == Opcode.LOAD or op == Opcode.STORE:
-                # LOAD is (op, dst, base, imm), STORE (op, base, src, imm).
+            d, path = ins[1], at[index + 1]
+            if row.lines:
+                out.extend([ind + line.format(*ins) for line in row.lines])
+            elif row.loads or row.stores:
                 # The address check is one guard and the access runs bare
                 # — its IndexError is the out-of-bounds fault, told apart
-                # from the guard's by the line it came from.  The L1-hit
-                # latency (a store's cost was always static) is folded
-                # into the path-static cycles (``pend``), so a hit retires
-                # without touching ``cy`` and only a true L1 miss calls
-                # out — a load then charges the latency *difference*
-                # against the folded constant.
-                load = op == Opcode.LOAD
-                kind = "load" if load else "store"
-                base = rg(a if load else d)
-                access = (
-                    f"{wr(d)} = words[_x >> 3]" if load
-                    else f"words[_x >> 3] = {rg(a)}"
-                )
-                flags["mem"] = True
-                lines += [
-                    f"    if (_x := {f'{base} + {b}' if b else base})"
-                    " & 7 or _x < 8: raise _Fault"
-                    + fault(k, f"unaligned or null {kind} at %#x", ip),
-                    f"    {access}"
-                    + fault(k, f"{kind} out of bounds at %#x", ip),
+                # from the guard's by the line it came from.
+                a, b = ins[2], ins[3]
+                base = f"r{a if row.loads else d}"
+                out += [
+                    f"{ind}if (_x := {f'{base} + {b}' if b else base})"
+                    " & 7 or _x < 8: raise _Fault",
+                    f"{ind}r{d} = words[_x >> 3]" if row.loads
+                    else f"{ind}words[_x >> 3] = r{a}",
+                    *[ind + ln for ln in self.l1_check[row.loads]],
                 ]
-                miss = ["_acc(_x)"]
-                if load:
-                    miss = ["_c = _acc(_x)", f"cy += _c - {costs.LAT_L1}"]
-                    if mode == "l1":
-                        miss += [f"if _c > {costs.LAT_L1}:", "    _mi += 1"]
-                if tier >= 2:
-                    # ``_mln`` memoizes the line of the *previous* memory
-                    # op: that line is by construction the MRU entry of
-                    # its set (every arm below ends with the accessed
-                    # line at MRU position), so a repeat access to it is
-                    # a guaranteed L1 MRU hit and skips the whole set
-                    # lookup — one shift and one compare.  The
-                    # hit-not-MRU arm inlines CacheLevel.access's LRU
-                    # move-to-front.
-                    lines += [
-                        "    if (_ln := _x >> _lb) != _mln:",
-                        "        _mln = _ln",
-                        "        if not (_tg := _l1s[_ln & _l1m])"
-                        " or _tg[0] != _ln:",
-                        "            if _ln in _tg:",
-                        "                _tg.remove(_ln)",
-                        "                _tg.insert(0, _ln)",
-                        "            else:",
-                        *(f"                {ln}" for ln in miss),
-                    ]
-                else:
-                    lines += [
-                        "    _ln = _x >> _lb",
-                        "    _tg = _l1s[_ln & _l1m]",
-                        "    if not _tg or _tg[0] != _ln:",
-                        *(f"        {ln}" for ln in miss),
-                    ]
-                if load:
-                    pend += costs.LAT_L1
-                    loads_done += 1
-                else:
-                    pend += costs.CYCLES_STORE
-                    stores_done += 1
-
-            # -- control flow ----------------------------------------------
             elif op == Opcode.JMP:
-                if d > ip:
-                    # folded forward jump: control stays inside the trace,
-                    # only the branch cycle is charged
-                    pend += costs.CYCLES_BRANCH
-                elif d == start:
-                    if deferred:
-                        emit_edge_acc(k, costs.CYCLES_BRANCH)
-                    else:
-                        emit_sync(k, costs.CYCLES_BRANCH, k)
-                    emit_loop_edge("    ")
-                else:
-                    sub = try_inline(
-                        d, k, pend + costs.CYCLES_BRANCH,
-                        loads_done, stores_done, branches_done, path, depth,
-                    )
-                    if sub is not None:
-                        lines.extend(sub)
-                    else:
-                        emit_sync(k, costs.CYCLES_BRANCH, k)
-                        lines.append(f"    return {d}")
-            elif (op == Opcode.BRZ or op == Opcode.BRNZ) and deferred:
-                # Tier-2: the 2-bit counter lives in a local (_h{ip},
-                # loaded once at entry, written back only on change at
-                # exits), mispredicts accumulate in _pm, and the retired
-                # branch *count* is path-static — it folds into sync/edge
-                # constants instead of a per-branch increment.  The
-                # predictor update is split per arm so the condition is
-                # tested exactly once.
-                cond = "==" if op == Opcode.BRZ else "!="
-                branch_ips.add(ip)
-                h = f"_h{ip}"
-                branches_done += 1
-                miss_cd = ["_cd -= 1"] if mode == "brmiss" else []
-                lines.append(f"    if {rg(d)} {cond} 0:")
-                # taken arm: mispredict iff the pre-update counter < 2;
-                # update saturates upward at 3
-                lines += [
-                    f"        _c = {h}",
-                    "        if _c < 3:",
-                    f"            {h} = _c + 1",
-                    "        if _c < 2:",
-                    "            _pm += 1",
-                    f"            cy += {costs.CYCLES_BRANCH_MISS}",
-                    *(f"            {s}" for s in miss_cd),
-                ]
-                arm = "        "
-                if a == start:
-                    emit_edge_acc(k, costs.CYCLES_BRANCH, arm)
-                    emit_loop_edge(arm)
-                else:
-                    sub = try_inline(
-                        a, k, pend + costs.CYCLES_BRANCH, loads_done,
-                        stores_done, branches_done, path, depth,
-                    )
-                    if sub is not None:
-                        lines.extend("    " + ln for ln in sub)
-                    else:
-                        emit_sync(k, costs.CYCLES_BRANCH, k, indent=arm)
-                        lines.append(f"{arm}return {a}")
-                # not-taken arm: mispredict iff the pre-update counter
-                # >= 2; update saturates downward at 0
-                lines.append("    else:")
-                lines += [
-                    f"        _c = {h}",
-                    "        if _c > 0:",
-                    f"            {h} = _c - 1",
-                    "        if _c >= 2:",
-                    "            _pm += 1",
-                    f"            cy += {costs.CYCLES_BRANCH_MISS}",
-                    *(f"            {s}" for s in miss_cd),
-                ]
-                pend += costs.CYCLES_BRANCH
+                # a folded forward jump stays inside the trace: only the
+                # branch cycle is charged
+                if d <= ip:
+                    self.side_exit(trace.exits[index], d, ind, path)
             elif op == Opcode.BRZ or op == Opcode.BRNZ:
-                # side exit: the taken arm leaves the trace (or inlines
-                # its continuation), the fall-through arm keeps executing
-                cond = "==" if op == Opcode.BRZ else "!="
-                lines += [
-                    f"    _tk = {rg(d)} {cond} 0",
-                    "    predictor.branches += 1",
-                    f"    _cnt = predictor.counters.get({ip}, 1)",
-                    "    if _tk:",
-                    "        if _cnt < 3:",
-                    f"            predictor.counters[{ip}] = _cnt + 1",
-                    "    else:",
-                    "        if _cnt > 0:",
-                    f"            predictor.counters[{ip}] = _cnt - 1",
-                    "    if (_cnt >= 2) != _tk:",
-                    "        predictor.mispredicts += 1",
-                    f"        _bc = "
-                    f"{costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS}",
-                ]
-                if mode == "brmiss":
-                    lines.append("        m._countdown -= 1")
-                lines += [
-                    "    else:",
-                    f"        _bc = {costs.CYCLES_BRANCH}",
-                    "    if _tk:",
-                ]
-                if a == start:
-                    emit_sync(k, "_bc", k, indent="        ")
-                    emit_loop_edge("        ")
-                else:
-                    sub = try_inline(
-                        a, k, pend, loads_done, stores_done, branches_done,
-                        path, depth,
-                    )
-                    if sub is not None:
-                        lines.append("        cy += _bc")
-                        lines.extend("    " + ln for ln in sub)
-                    else:
-                        emit_sync(k, "_bc", k, indent="        ")
-                        lines.append(f"        return {a}")
-                lines.append("    cy += _bc")
+                self.branch(trace.exits[index], ip, ins, ind, path)
             elif op == Opcode.CALL:
-                lines += [
-                    f"    m.call_stack.append({ip + 1})",
-                    "    if len(m.call_stack) > 256:",
-                ]
                 # the interpreter charges the call's cycles before it
                 # checks the depth, but ticks the countdown only after
-                lines += [
-                    f"        state.cycles += {costs.CYCLES_CALL}",
-                    "        raise _Fault"
-                    + fault(k, "call stack overflow", ip),
+                out += [
+                    f"{ind}m.call_stack.append({ip + 1})",
+                    f"{ind}if len(m.call_stack) > 256:",
+                    f"{ind}    state.cycles += {costs.CYCLES_CALL}",
+                    f"{ind}    raise _Fault",
                 ]
-                emit_sync(k, costs.CYCLES_CALL, k)
-                lines.append(f"    return {d}")
+                self.sync(ind, path)
+                out.append(f"{ind}return {d}")
             elif op == Opcode.RET:
-                lines.append("    _rt = m.call_stack.pop()")
-                emit_sync(k, costs.CYCLES_RET, k)
-                lines.append("    return _rt")
+                out.append(f"{ind}_rt = m.call_stack.pop()")
+                self.sync(ind, path)
+                out.append(f"{ind}return _rt")
             elif op == Opcode.KCALL:
                 # the kernel instruction itself is free and does not tick
                 # the instruction-event countdown (it `continue`s past
                 # that code in the interpreter); the kernel accounts for
                 # its own work
-                emit_sync(k, 0, k - 1)
-                lines += [
-                    "    if m.kernel is None:",
-                    f"        raise VMError('kernel call"
+                self.sync(ind, path, events=k)
+                out += [
+                    f"{ind}if m.kernel is None:",
+                    f"{ind}    raise VMError('kernel call"
                     f" without a kernel', {ip})",
-                    f"    m.kernel.call(m, {d})",
-                    f"    return {ip + 1}",
+                    f"{ind}m.kernel.call(m, {d})",
+                    f"{ind}return {ip + 1}",
                 ]
             elif op == Opcode.HALT:
                 # like KCALL, HALT retires without charging cycles or
                 # ticking the countdown
-                emit_sync(k, 0, k - 1)
-                lines += [
-                    "    m.call_stack.pop()",
-                    "    return -1",
-                ]
-
-        if fall is not None:
+                self.sync(ind, path, events=k)
+                out += [f"{ind}m.call_stack.pop()", f"{ind}return -1"]
+        if trace.fall is not None:
             # trace ended at the size cap, an untranslatable instruction,
-            # or the end of the code image: hand the continuation ip back
-            # to the driver (a chained continuation block, or the
-            # interpreter)
-            k_end = k0 + len(items)
-            emit_sync(k_end, 0, k_end)
-            lines.append(f"    return {fall}")
-            fallthroughs.append(fall)
-        return lines
+            # a cold cut or the end of the code image: hand the
+            # continuation ip back to the driver (a chained continuation
+            # block, or the interpreter)
+            self.sync(ind, at[len(trace.items)])
+            out.append(f"{ind}return {trace.fall}")
 
-    root_lines = emit_seq(root_items, root_fall, 0, 0, 0, 0, 0, {start}, 0)
-    lines: list[str] = []
-    if has_dyn and not defer_cy:
-        # inside the function-level loop when one exists, so a back edge
-        # resets the dynamic accumulators for the next iteration
-        # (``defer_cy`` loops instead initialize ``cy`` once in the head
-        # and let it accumulate across iterations)
-        lines.append("    cy = 0")
-    if track_l1:
-        lines.append("    _mi = 0")
-    lines += root_lines
-
-    # expand placeholders now that the written set and worst-case path
-    # length are final
-    written = sorted(written_regs)
-
-    def write_back(branches: str = "0") -> list[str]:
-        """What every way out of the function — exit, edge flush, fault
-        epilogue — starts with: the cached registers, and in a deferred
-        loop the predictor state (``branches`` is the path's static
-        count on top of ``_pb``)."""
-        out = [f"regs[{i}] = r{i}" for i in written]
-        if deferred:
-            out.append(
-                "predictor.branches += _pb"
-                + (f" + {branches}" if branches != "0" else "")
-            )
-            out.append("predictor.mispredicts += _pm")
-            out.extend(
-                f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
-                for bip in sorted(branch_ips)
-            )
-        return out
-
-    if deferred:
-        budget_cond = f"_ib + _ins + {max_k} > _maxi"
-        le_cond = f"_cd <= {bound} or {budget_cond}" if mode else budget_cond
-        # the uniform edge flush: everything the accumulators deferred
-        # goes back to machine state before the driver regains control
-        flush = write_back() + [
-            "state.instructions += _ins",
-            "state.cycles += _cyt + cy" if defer_cy and has_dyn
-            else "state.cycles += _cyt",
-            "state.loads += _ld",
-            "state.stores += _st",
-            "caches.accesses += _ld + _st",
+    def epilogue(self) -> None:
+        """The one fault epilogue: ``_T`` — a default the Translation
+        supplies, never parsed — says by source line what had retired
+        at an error site, and the write-back plus counter sync the
+        interpreter would have performed by then is emitted once, here
+        (a ``try`` costs nothing until it catches).  An exception from
+        any other line (an empty call stack's ``pop``, a kernel call)
+        goes on untouched.  Every path through the body returns, so the
+        code after the handler is reached only by a fault.  The
+        countdown pays for what retired *before* the faulting
+        instruction, as the interpreter does."""
+        t, out = self.t, self.out
+        out += [
+            "    except (_Fault, IndexError) as _f:",
+            "        if (_ft := _T.get(_f.__traceback__.tb_lineno)) is None:",
+            "            raise",
+            "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _ft",
         ]
-        if mode:
-            flush.append("m._countdown = _cd")
-    elif mode:
-        le_cond = (
-            f"m._countdown <= {bound}"
-            f" or state.instructions + {max_k} > _maxi"
-        )
-    else:
-        le_cond = f"state.instructions + {max_k} > _maxi"
-    expanded: list[str] = []
-    for ln in lines:
-        # inlined sub-traces get re-indented wholesale, so a placeholder
-        # line is (outer indent) + marker + (frame-local indent), with
-        # a WB site's path-static branch count carried behind a second NUL
-        if "\x00WB" in ln:
-            indent, _, bd = ln.replace("\x00WB", "").partition("\x00")
-            expanded.extend(indent + out for out in write_back(bd))
-        elif "\x00LE" in ln:
-            indent = ln.replace("\x00LE", "")
-            if deferred:
-                expanded.append(f"{indent}if {le_cond}:")
-                expanded.extend(f"{indent}    {f}" for f in flush)
-                expanded.append(f"{indent}    return {start}")
-                expanded.append(f"{indent}continue")
-            else:
-                expanded.extend([
-                    f"{indent}if {le_cond}:",
-                    f"{indent}    return {start}",
-                    f"{indent}continue",
-                ])
-        else:
-            expanded.append(ln)
+        if t.has_dyn:
+            out.append("        _fc += cy")
+        if self.tree.mem:
+            out += ['        if "%" in _fm:', "            _fm %= _x"]
+        self.write_back("    ", "_fb")
+        self.add("    ", "state.cycles", "_cyt", "_fc")
+        self.add("    ", "state.instructions", "_ins", "_fk")
+        self.add("    ", "state.loads", "_ld", "_fl")
+        self.add("    ", "state.stores", "_st", "_fs")
+        self.add("    ", "caches.accesses", "_ld + _st", "_fl + _fs")
+        paid = self.paid("_fk - 1", "_fc", "_fl")
+        self.pay("    ", paid, f"({paid})")
+        out.append("    raise VMError(_fm, _fi)")
 
-    head: list[str] = [
-        f"def _b{start}{suffix}"
+
+def _emit(tree: _Tree, line0: int = 0) -> tuple[str, dict]:
+    """Write a measured tree as one block function, in one forward pass;
+    returns the source and its fault sites: a source line — numbered from
+    ``line0``, the lines ahead in the same source — to the error there."""
+    t = tree.treatment
+    writer = _Writer(tree, line0)
+    out = writer.out
+    out.append(
+        f"def _b{tree.start}{tree.suffix}"
         "(m, regs, words, state, caches, predictor, _T=_T):"
-    ]
-    if flags["mem"]:
+    )
+    if tree.mem:
         # The L1 MRU-hit test is inlined at every memory op; anything else
         # (LRU move, miss, allocation) calls back into the hierarchy so
         # cache state stays bit-identical to the interpreter's.
-        head += [
+        out += [
             "    _l1 = caches.l1",
             "    _l1s = _l1.sets",
             "    _l1m = _l1.set_mask",
             "    _lb = _l1.line_bits",
             "    _acc = caches.access_uncounted",
         ]
-    if flags["loop"]:
-        head.append("    _maxi = state.max_instructions")
-    if tier >= 2 and flags["mem"]:
+    if tree.loop:
+        out.append("    _maxi = state.max_instructions")
+    if t.memo and tree.mem:
         # same-line memo: no real line index is negative, so -1 forces
         # the first memory op down the full check
-        head.append("    _mln = -1")
+        out.append("    _mln = -1")
     # load every used register up front: exits flush the full written set
     # unconditionally, so all the locals must be bound from the start
-    head.extend(f"    r{i} = regs[{i}]" for i in sorted(used_regs))
-    if deferred:
-        if branch_ips:
-            head.append("    _pc = predictor.counters")
-            head.append("    _pg = _pc.get")
-            for bip in sorted(branch_ips):
-                head.append(f"    _h{bip} = _pg({bip}, 1)")
-                head.append(f"    _hs{bip} = _h{bip}")
-        head += [
-            "    _pm = 0",
-            "    _pb = 0",
-            "    _ins = 0",
-            "    _cyt = 0",
-            "    _ld = 0",
-            "    _st = 0",
+    out.extend(f"    r{i} = regs[{i}]" for i in sorted(tree.used))
+    if t.deferred:
+        if tree.branch_ips:
+            out += ["    _pc = predictor.counters", "    _pg = _pc.get"]
+            for ip in sorted(tree.branch_ips):
+                out += [f"    _h{ip} = _pg({ip}, 1)", f"    _hs{ip} = _h{ip}"]
+        out += [
+            *(f"    {acc} = 0" for acc in "_pm _pb _ins _cyt _ld _st".split()),
             "    _ib = state.instructions",
         ]
-        if defer_cy and has_dyn:
-            head.append("    cy = 0")
-        if mode:
-            head.append("    _cd = m._countdown")
-    if flags["loop"]:
-        body = ["    while True:"] + ["    " + ln for ln in expanded]
-    else:
-        body = expanded
-    if sites:
-        # The one fault epilogue: ``_T`` — a default the Translation
-        # supplies, never parsed — says by source line what had retired
-        # at an error site, and the write-back plus counter sync
-        # the interpreter would have performed by then is emitted once,
-        # here (a ``try`` costs nothing until it catches).  An exception
-        # from any other line (an empty call stack's ``pop``, a kernel
-        # call) goes on untouched.  Every path through the body returns,
-        # so the code after the handler is reached only by a fault.  The
-        # countdown pays for what retired *before* the faulting
-        # instruction, as the interpreter does.
-        paid = countdown_events("_fk - 1", "_fc", "_fl")
-        acc = (lambda name: f"{name} + ") if deferred else (lambda name: "")
-        epilogue = write_back("_fb") + [
-            f"state.cycles += {acc('_cyt')}_fc",
-            f"state.instructions += {acc('_ins')}_fk",
-            f"state.loads += {acc('_ld')}_fl",
-            f"state.stores += {acc('_st')}_fs",
-            f"caches.accesses += {acc('_ld + _st')}_fl + _fs",
-        ]
-        if deferred and mode:
-            epilogue.append(
-                "m._countdown = _cd" + (f" - ({paid})" if paid != "0" else "")
-            )
-        elif paid != "0":
-            epilogue.append(f"m._countdown -= {paid}")
-        body = (
-            ["    try:"]
-            + ["    " + ln for ln in body]
-            + [
-                "    except (_Fault, IndexError) as _f:",
-                "        if (_ft := _T.get(_f.__traceback__.tb_lineno)) is None:",
-                "            raise",
-                "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _ft",
-            ]
-            + (["        _fc += cy"] if has_dyn else [])
-            + (
-                ['        if "%" in _fm:', "            _fm %= _x"]
-                if flags["mem"] else []
-            )
-            + ["    " + ln for ln in epilogue]
-            + ["    raise VMError(_fm, _fi)"]
-        )
-    out = head + body
-    table = {}
-    for index, ln in enumerate(out):
-        if "\x00F" in ln:
-            out[index], _, site = ln.partition("\x00F")
-            table[line0 + index + 1] = sites[int(site)]
-    return "\n".join(out) + "\n", max_k, bound, fallthroughs, pruned, table
+        if t.defer_cy and t.has_dyn:
+            out.append("    cy = 0")
+        if t.mode:
+            out.append("    _cd = m._countdown")
+    ind = "    "
+    if tree.faults:
+        out.append(f"{ind}try:")
+        ind += "    "
+    if tree.loop:
+        out.append(f"{ind}while True:")
+        ind += "    "
+    if t.has_dyn and not t.defer_cy:
+        # inside the function-level loop when one exists, so a back edge
+        # resets the dynamic accumulators for the next iteration
+        # (``defer_cy`` loops instead initialize ``cy`` once in the head
+        # and let it accumulate across iterations)
+        out.append(f"{ind}cy = 0")
+    if t.track_l1:
+        out.append(f"{ind}_mi = 0")
+    writer.trace(tree.root, ind)
+    if tree.faults:
+        writer.epilogue()
+    return "\n".join(out) + "\n", writer.table
 
 
 def _event_bound(instrs, mode) -> int:
     """Worst-case countdown events one execution of the block can cost."""
-    if mode == "instr":
-        return len(instrs)
-    if mode == "cycles":
-        return sum(_WORST_CYCLES.get(ins[0], 1) for _, ins in instrs)
-    if mode == "loads" or mode == "l1":
-        return sum(1 for _, ins in instrs if ins[0] == Opcode.LOAD)
-    if mode == "brmiss":
-        return sum(
-            1 for _, ins in instrs
-            if ins[0] == Opcode.BRZ or ins[0] == Opcode.BRNZ
-        )
-    return 0
+    return sum(_OPS[ins[0]].events[mode] for _, ins in instrs)

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import builtins
+from contextlib import contextmanager
+
+import repro.vm.translate as translate
 from repro.catalog import Catalog, Column, DataType, Schema
 from repro.plan.interpret import Interpreter
 from repro.plan.physical import PlannerOptions, plan_physical
@@ -47,3 +51,26 @@ def run_interpreted(catalog: Catalog, sql: str, hint=None, options=None):
     interp = Interpreter()
     rows = interp.run(physical)
     return rows, physical, interp
+
+
+@contextmanager
+def compiled_sources():
+    """Record every source string ``repro.vm.translate`` hands to
+    ``compile``, in call order; yields the list they land in.
+
+    The generated text is a function of program, heat and emit settings
+    only, so a digest over this list is an exact oracle for "translation
+    emits the same code" (one process per side: task ids, which profiled
+    programs load into the tag register, come from process-wide
+    counters)."""
+    sources: list[str] = []
+
+    def recording(source, *args, **kwargs):
+        sources.append(source)
+        return builtins.compile(source, *args, **kwargs)
+
+    translate.compile = recording  # shadows the builtin in that module
+    try:
+        yield sources
+    finally:
+        del translate.compile

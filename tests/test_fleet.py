@@ -30,11 +30,14 @@ from repro.fleet import (
     plan_route,
     run_fleet_workload,
 )
-from repro.fuzz.dataset import extract_dataset, random_dataset
+from repro.fuzz.dataset import (
+    build_database, extract_dataset, random_dataset,
+)
 from repro.fuzz.oracle import bags_equal
 from repro.serve import (
     CANCELLED,
     COMPILE_ERROR,
+    EXEC_ERROR,
     SHARD_FAILED,
     TENANT_QUOTA,
     QueryService,
@@ -332,9 +335,6 @@ def test_router_refuses_partitioned_subquery():
 
 def test_fleet_matches_on_fuzz_dataset():
     dataset = random_dataset(7)
-    db = None
-    from repro.fuzz.dataset import build_database
-
     db = build_database(dataset)
     queries = [
         "select count(*) as c from fact",
@@ -359,6 +359,37 @@ def test_fleet_matches_on_fuzz_dataset():
             result = fleet.result(ticket)
             assert result.ok, (sql, shards, result.error)
             assert bags_equal(result.rows, want), (sql, shards)
+
+
+def test_a_shard_failing_to_finish_fails_one_ticket_not_the_drain():
+    # the join matches rows on the single node, but one range shard's
+    # slice matches none: its partial max(date) decodes day ordinal 0 on
+    # the host (ROADMAP item 1).  That is the statement's EXEC_ERROR, not
+    # an exception out of drain() that leaves the shard's execution in
+    # flight to fail the following drains too
+    dataset = random_dataset(7)
+    sql = (
+        "select max(t1.placed) as m from fact as t0, mid as t1 "
+        "where t0.mid_id = t1.id and t0.id < 2"
+    )
+    count = "select count(*) as c from fact"
+    db = build_database(dataset)
+    assert baseline_rows(db, sql) == [("2021-07-04",)]
+    fleet = Fleet.from_dataset(
+        dataset, FleetConfig(shards=4, workers=2, scheme="range")
+    )
+    settled = [s.db.memory.used_bytes() for s in fleet.services]
+    ticket = fleet.submit(sql)
+    (result,) = fleet.drain()
+    assert result is fleet.result(ticket)
+    assert result.status == "failed" and result.error_code == EXEC_ERROR
+    assert all(not service.inflight for service in fleet.services)
+    assert [s.db.memory.used_bytes() for s in fleet.services] == settled
+    ticket = fleet.submit(count)
+    fleet.drain()
+    result = fleet.result(ticket)
+    assert result.ok and result.rows == baseline_rows(db, count)
+    assert (fleet.completed, fleet.failed) == (1, 1)
 
 
 def test_shards_share_the_fleet_dictionary():

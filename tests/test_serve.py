@@ -14,6 +14,7 @@ from repro.pgo import ProfileStore
 from repro.serve import (
     CANCELLED,
     COMPILE_ERROR,
+    EXEC_ERROR,
     INSTRUCTION_LIMIT,
     QUEUE_FULL,
     SESSION_CLOSED,
@@ -194,6 +195,37 @@ def test_budget_stop_is_classified_by_type_not_message(db, monkeypatch):
     assert failing_with(reworded) == INSTRUCTION_LIMIT
     lookalike = VMError("load out of bounds past the instruction budget", 7)
     assert failing_with(lookalike) == EXEC_ERROR
+
+
+def test_host_side_failure_while_finishing_fails_one_ticket():
+    # max(date) over no rows decodes day ordinal 0 (what it should answer
+    # is ROADMAP item 1): the ValueError out of the run's last step is
+    # that ticket's EXEC_ERROR, exactly as a VMError out of a unit is —
+    # the drain returns, nothing stays in flight, the epoch quiesces and
+    # the next statement runs first time
+    empty_max = "select max(o_orderdate) from orders where o_orderkey < 0"
+    count = "select count(*) from orders"
+    tpch = Database.tpch(0.001, 42)
+    service = QueryService(tpch, ServiceConfig(workers=2))
+    settled = tpch.memory.used_bytes()
+    bad, good = service.submit(empty_max), service.submit(count)
+    finished = service.drain()
+    assert {r.ticket for r in finished} == {bad, good}
+    failed = service.result(bad)
+    assert failed.status == "failed" and failed.error_code == EXEC_ERROR
+    assert failed.rows is None
+    assert service.result(good).ok
+    assert not service.inflight
+    assert all(not w.samples.samples for w in service.workers)
+    # the epoch closed as after a clean drain: run-time memory is back
+    assert tpch.memory.used_bytes() == settled
+    again = service.submit(count)
+    service.drain()
+    assert service.result(again).ok
+    assert service.result(again).rows == tpch.execute(count).rows
+    assert service.epochs == 2 and tpch.memory.used_bytes() == settled
+    stats = service.stats()
+    assert (stats["completed"], stats["failed"]) == (2, 1)
 
 
 def test_compile_error_becomes_failed_result(db):

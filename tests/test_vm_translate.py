@@ -9,6 +9,9 @@ the block interpreter's.  These tests run the same program through both
 engines and compare everything observable.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,8 +28,12 @@ from repro.vm.kernel import Kernel, install_kernel_stubs
 from repro.vm.machine import Machine
 from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig
+from repro.vm import translate
 from repro.vm.tiering import TieringController
-from repro.vm.translate import Translation
+from repro.vm.translate import (
+    Translation, _OPS, _Trace, _emit_settings, _event_bound, _grow, _measure,
+    _side_target, _translatable,
+)
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -781,17 +788,31 @@ def run_phases(program, count, phase, **kwargs):
     return machine, (result, full_state(machine))
 
 
-def test_a_phase_change_regrows_the_tree():
+def test_a_phase_change_regrows_the_tree(monkeypatch):
     # an arm that first runs after iteration 1,000 and is hot from then
     # on: the loop compiled without it, so at first every iteration
     # leaves through the driver; once the arm is hot itself the root is
     # compiled again with it inlined, and the loop stays inside
     program, offsets = phase_program(1)
     loop, arm = offsets["loop"], offsets["arm0"]
+    back, done = offsets["back0"], offsets["done"]
+    trees = grown_roots(monkeypatch)
     controller = TieringController(hot_instructions=10**12)
     machine, observed = run_phases(program, 1200, 1000, tiering=controller)
     translation = machine.translation
     assert translation.regrown == {loop: 1}
+    # the tree itself, before and after: the arm goes from pruned exit to
+    # inlined trace whose jump back into the loop body is inlined in turn
+    # and closes the loop; the way out of the loop stays cold throughout
+    before, after = trees[loop]
+    assert side_exits(before.root) == {
+        done: "pruned", arm: "pruned", loop: "loop",
+    }
+    assert side_exits(after.root) == {
+        done: "pruned", arm: {back: {loop: "loop"}}, loop: "loop",
+    }
+    assert (before.pruned, after.pruned) == ([done, arm], [done])
+    assert after.size == before.size + 4 and not after.treatment.deferred
     assert arm not in translation.pruned.get(loop, ())
     assert 1 <= translation.stats()["regrown"] <= costs.FAST_VM_REGROW_LIMIT
     assert loop in translation.compiled
@@ -807,7 +828,7 @@ def test_a_phase_change_regrows_the_tree():
     assert translation.regrown == {loop: 1}
 
 
-def test_regrowth_stops_at_the_limit_with_the_unpruned_tree():
+def test_regrowth_stops_at_the_limit_with_the_unpruned_tree(monkeypatch):
     # LIMIT + 1 arms turn hot one after the other: the first LIMIT each
     # send the root back, and the LIMIT-th time it compiles whole — the
     # last arm is inlined before it ever ran, nothing of the root is left
@@ -815,16 +836,248 @@ def test_regrowth_stops_at_the_limit_with_the_unpruned_tree():
     limit = costs.FAST_VM_REGROW_LIMIT
     program, offsets = phase_program(limit + 1)
     loop = offsets["loop"]
+    trees = grown_roots(monkeypatch)
     machine, observed = run_phases(program, 100 * (limit + 3), 100)
     translation = machine.translation
     assert translation.regrown == {loop: limit}
     assert not translation.pruned[loop]
+    # the trees it went through: each regrowth inlines the arm that had
+    # turned hot (wherever the tree reaches it — the pruned list repeats
+    # an ip per site), the last tree every arm and the loop's exit
+    assert len(trees[loop]) == limit + 1
+    arms = [offsets[f"arm{j}"] for j in range(limit + 1)]
+    for grown, tree in enumerate(trees[loop][:-1]):
+        exits = side_exits(tree.root)
+        assert [exits[arm] != "pruned" for arm in arms] == (
+            [True] * grown + [False] * (limit + 1 - grown)
+        )
+        assert set(tree.pruned) == {offsets["done"], *arms[grown:]}
+        assert len(tree.pruned) >= len(set(tree.pruned))
+    whole = trees[loop][-1]
+    assert not whole.pruned and "pruned" not in str(side_exits(whole.root))
+    assert side_exits(whole.root)[offsets["done"]] == {}
+    assert [t.size for t in trees[loop]] == sorted(t.size for t in trees[loop])
     for j in range(limit + 1):
         # an arm the tree had pruned was entered through its stub; the
         # one inlined while still cold never was
         assert (offsets[f"arm{j}"] in translation.heat) == (j < limit)
     _, expected = run_phases(program, 100 * (limit + 3), 100, fast_vm=False)
     assert observed == expected
+
+
+# -- the trace tree, the treatment record, the opcode table ------------------
+
+
+def side_exits(trace):
+    """{target ip: what grow made of that side exit}; an inlined
+    continuation shows as the same map of its own trace."""
+    out = {}
+    for index, what in trace.exits.items():
+        target = _side_target(*trace.items[index])
+        out[target] = side_exits(what) if isinstance(what, _Trace) else what
+    return out
+
+
+def depth_of(trace):
+    children = [w for w in trace.exits.values() if isinstance(w, _Trace)]
+    return 1 + max(map(depth_of, children), default=0)
+
+
+def traces_of(trace):
+    yield trace
+    for what in trace.exits.values():
+        if isinstance(what, _Trace):
+            yield from traces_of(what)
+
+
+def grown_roots(monkeypatch):
+    """Record every tree the translator grows from here on, by root."""
+    trees = {}
+    real = translate._grow
+
+    def recording(code, start, *args, **kwargs):
+        tree = real(code, start, *args, **kwargs)
+        if tree is not None:
+            trees.setdefault(start, []).append(tree)
+        return tree
+
+    monkeypatch.setattr(translate, "_grow", recording)
+    return trees
+
+
+def test_the_loop_grows_into_a_tree_along_heat():
+    code = build_program(LOOP_SUM).code
+    loop, even, done = 2, 12, 14
+    tier1 = _emit_settings("", 0, 1, {})
+    # unpruned: the exit arm and the skip arm are inlined, and every way
+    # round — the root's own jump, the skip arm's — is the loop edge
+    tree = _grow(code, loop, **tier1)
+    assert side_exits(tree.root) == {
+        done: {}, even: {loop: "loop"}, loop: "loop",
+    }
+    assert (tree.pruned, tree.fallthroughs) == ([], [])
+    assert tree.size == sum(len(t.items) for t in traces_of(tree.root)) == 16
+    _measure(tree)
+    assert tree.loop and tree.mem and tree.faults
+    assert tree.max_k == len(tree.root.items) == 12
+    assert tree.written <= tree.used == set(range(8))
+    # while the loop runs nothing has reached the way out of it
+    warm = dict.fromkeys((loop, 4, 11, even), 16)
+    tree = _grow(code, loop, heat=warm, **tier1)
+    assert side_exits(tree.root) == {
+        done: "pruned", even: {loop: "loop"}, loop: "loop",
+    }
+    assert tree.pruned == [done]
+    # a root that is no loop head grows nothing: exits to the driver,
+    # its jump back to the loop included
+    tree = _grow(code, 0, **tier1)
+    assert set(side_exits(tree.root).values()) == {"exit"}
+    assert not _measure(tree).loop
+
+
+def test_the_treatment_of_a_root_is_decided_by_tier_and_shape():
+    code = build_program(LOOP_SUM).code
+    entries = {0: costs.TIER2_HOT_BLOCK_ENTRIES}
+
+    def treatment(ip, tier, mode=""):
+        settings = _emit_settings(mode, 512 if mode else 0, tier, entries)
+        return _grow(code, ip, **settings).treatment
+
+    def tier2_fields(t):
+        return (t.tree, t.deferred, t.defer_cy, t.memo)
+
+    # a loop head is deferred and memoized at tier 2, neither at tier 1
+    assert tier2_fields(treatment(2, 1)) == (True, False, False, False)
+    assert tier2_fields(treatment(2, 2)) == (True, True, True, True)
+    # ... its ``cy`` rides across iterations unless the edge consumes a
+    # per-iteration delta
+    assert treatment(2, 2, "instr").defer_cy
+    assert not treatment(2, 2, "cycles").defer_cy
+    assert not treatment(2, 2, "l1").defer_cy
+    # a hot block that is no loop head grows a tree at tier 2, undeferred
+    assert not treatment(0, 1).tree
+    assert tier2_fields(treatment(0, 2)) == (True, False, False, True)
+    assert not treatment(14, 2).tree  # neither hot nor a loop head
+    # the accumulators follow the tree flag, not what got inlined
+    cold_exit, armed_loop = treatment(14, 1), treatment(2, 1, "l1")
+    assert not cold_exit.has_dyn and not cold_exit.track_l1
+    assert armed_loop.has_dyn and armed_loop.track_l1
+    # the armed linear variant: no tree, admitted a segment at a time
+    linear = _grow(code, 2, costs.FAST_VM_MAX_BLOCK, "cycles", linear=True)
+    seg = linear.treatment.seg
+    assert linear.suffix == "f" and not linear.treatment.tree
+    assert seg == translate._FALLBACK_SEG < len(linear.root.items)
+    assert linear.bound == _event_bound(linear.root.items[:seg], "cycles")
+
+
+def test_growth_respects_bound_cap_budget_and_depth():
+    program, offsets = phase_program(4)
+    code, loop = program.code, offsets["loop"]
+    whole = _grow(code, loop, **_emit_settings("", 0, 1, {}))
+    assert depth_of(whole.root) > 4  # arm0 > back0 > arm1 > back1 > ...
+    root_bound = len(whole.root.items)
+    for bound_cap in (root_bound, root_bound + 1, 30, 60, 10_000):
+        tree = _grow(code, loop, **_emit_settings("instr", bound_cap, 1, {}))
+        assert tree.treatment.tree == (root_bound < bound_cap)
+        # armed, the tree's worst-case events stay within the allowance
+        # (a root alone may exceed it: it then stays linear)
+        assert tree.bound <= max(bound_cap, root_bound)
+        assert tree.bound == tree.size  # instr: one event an instruction
+    assert tree.size == whole.size
+    assert side_exits(tree.root) == side_exits(whole.root)
+    settings = _emit_settings("instr", root_bound + 1, 1, {})
+    cramped = _grow(code, loop, **settings)
+    assert set(side_exits(cramped.root).values()) <= {"exit", "loop"}
+    for budget in (root_bound, root_bound + 3, 40):
+        settings = dict(_emit_settings("", 0, 1, {}), tree_budget=budget)
+        tree = _grow(code, loop, **settings)
+        assert tree.size <= budget
+        assert "exit" in str(side_exits(tree.root))
+    for depth in range(4):
+        settings = dict(_emit_settings("", 0, 1, {}), tree_depth=depth)
+        tree = _grow(code, loop, **settings)
+        assert depth_of(tree.root) == depth + 1
+
+
+def test_every_opcode_is_one_row_of_the_table():
+    opcodes = {v for k, v in vars(Op).items() if not k.startswith("_")}
+    untranslatable = set()  # today every opcode has a row
+    assert set(_OPS) | untranslatable == opcodes
+    assert not set(_OPS) & untranslatable
+    branches = {Op.BRZ, Op.BRNZ}
+    for op, row in _OPS.items():
+        worst = {
+            "instr": 1,
+            "cycles": {
+                Op.LOAD: costs.LAT_MEM,
+                Op.BRZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
+                Op.BRNZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
+            }.get(op, row.cycles),
+            "loads": int(op == Op.LOAD), "l1": int(op == Op.LOAD),
+            "brmiss": int(op in branches),
+        }
+        assert set(worst) | {""} == set(row.events)
+        assert set(row.events) == set(translate._MODES.values())
+        for mode, events in worst.items():
+            assert _event_bound([(0, (op, 1, 2, 3))], mode) == events
+            assert row.events[mode] == events
+        assert _event_bound([(0, (op, 1, 2, 3))], "") == 0
+        # a fault site is a line of the instruction; straight-line rows
+        # mark theirs in the template
+        for offset, _ in row.faults:
+            assert not row.lines or "raise _Fault" in row.lines[offset]
+    # operands that do not fit a row stay with the interpreter
+    assert _translatable((Op.MOVI, 0, 1.5, 0))
+    for odd in [
+        (99, 0, 0, 0), (Op.MOVI, 0, "label", 0), (Op.JMP, -1, 0, 0),
+        (Op.BRZ, 0, "label", 0), (Op.LOAD, 0, 1, 0.5), (Op.SHLI, 0, 1, 2.0),
+        (Op.SELECT, 0, 1, (2,)), (Op.ADDI, 0, 1, None), (Op.CALL, "f", 0, 0),
+    ]:
+        assert not _translatable(odd), odd
+
+
+_Q6_SOURCES = """
+import hashlib
+from repro.data.queries import ALL_QUERIES
+from repro.engine import Database, ProfilerConfig
+from repro.vm.pmu import Event
+from tests.helpers import compiled_sources
+
+db = Database.tpch(0.001, 42)
+with compiled_sources() as sources:
+    db.execute(ALL_QUERIES["q6"].sql)
+    db.profile(ALL_QUERIES["q6"].sql, ProfilerConfig(event=Event.CYCLES))
+lines = sum(source.count("\\n") for source in sources)
+digest = hashlib.sha256("\\0".join(sources).encode()).hexdigest()
+print(len(sources), lines, digest)
+"""
+
+
+def test_generated_source_is_deterministic():
+    # the generated text is a function of program, heat and settings — not
+    # of hash order or anything else a process picks up — so a digest over
+    # what translation hands to ``compile`` is an exact oracle for "emits
+    # the same code" (how ISSUE 21's restructuring was held byte-identical).
+    # Two fresh databases run q6 cold and CYCLES-armed, each in a process
+    # of its own (profiled programs carry process-wide task ids) under a
+    # different hash seed.
+    root = Path(__file__).parent.parent
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _Q6_SOURCES], cwd=root, text=True,
+            stdout=subprocess.PIPE,
+            env={
+                **os.environ, "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+            },
+        )
+        for seed in ("1", "77")
+    ]
+    outputs = [run.communicate(timeout=300)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    compiles, lines, digest = outputs[0].split()
+    assert int(compiles) > 10 and int(lines) > 1000 and len(digest) == 64
+    assert outputs[0] == outputs[1]
 
 
 def test_tier1_source_shrank():
