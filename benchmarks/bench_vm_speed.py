@@ -17,7 +17,7 @@ from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, report
 
 from repro.vmbench import append_trajectory, format_table, run_vm_bench
 
-# locally measured geomean is ~3.6x on the benchmarked queries; the gate
+# locally measured geomean is ~5x on the benchmarked queries; the gate
 # floor leaves headroom for noisy CI runners while still catching any
 # real regression of the translated engine
 SPEEDUP_FLOOR = 2.0

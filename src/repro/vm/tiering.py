@@ -3,8 +3,8 @@
 Tier 0 is the exact interpreter, tier 1 the template-translated
 superblocks and tier 2 the same translation re-emitted against its own
 tier-1 profile (:mod:`repro.vm.translate`: deferred sync at loop heads,
-hot-block trees where the per-block entry counts say so, the same-line
-memo).  The tier belongs to the program's
+hot-block trees where the per-block entry counts say so).  The tier
+belongs to the program's
 :class:`~repro.vm.translate.Translation`, so every machine and every
 caller sharing a cached plan shares its tier; what is per execution
 context — a ``Database`` or a ``QueryService`` — is only the policy

@@ -58,10 +58,9 @@ tier-2 emit settings.  Tier-2 loop heads use *deferred sync*: counters,
 predictor state and the PMU countdown live in Python locals across
 iterations, and the exact interpreter-visible state is flushed at real
 exits and when the edge check fails (a sampling window or the budget
-about to end).  *Same-line memoization* skips the L1 set lookup for a
-repeat access to the previous memory op's line, and *hot-block trees*
-grow where ``entries`` marks a block entered hundreds of times per run
-without a closed loop.  Nothing speculates, so nothing ever demotes.
+about to end), and *hot-block trees* grow where ``entries`` marks a
+block entered hundreds of times per run without a closed loop.  Nothing
+speculates, so nothing ever demotes.
 
 A block's source is made in three steps over one trace tree — grow,
 measure, emit (:func:`_grow`, :func:`_measure`, :func:`_emit`) — and
@@ -77,7 +76,7 @@ from typing import NamedTuple
 from repro.errors import VMError
 from repro.vm import costs
 from repro.vm.isa import (
-    COND_BRANCH_OPS, Opcode, Program, TERMINATOR_OPS, block_leaders,
+    COND_BRANCH_OPS, Opcode, Program, REG_SP, TERMINATOR_OPS, block_leaders,
 )
 from repro.vm.pmu import Event
 
@@ -595,7 +594,6 @@ class _Treatment(NamedTuple):
     tree: bool  # side exits may inline their continuations
     deferred: bool  # tier-2 deferred sync: state in locals across iterations
     defer_cy: bool  # ... and ``cy`` accumulating across them too
-    memo: bool  # tier-2 same-line memoization at memory ops
     seg: int  # segment length of segmented admission (0: whole block)
     track_l1: bool  # an L1-miss accumulator ``_mi`` exists
     has_dyn: bool  # a dynamic-cycles accumulator ``cy`` exists
@@ -612,12 +610,15 @@ class _Trace:
     became; ``at``, filled in by :func:`_measure`, holds the path-static
     totals ``(instructions, cycles, loads, stores, branches)`` retired
     *before* an item (so ``at[i + 1]``: with item ``i``) — around fault
-    sites and ways out, at segment boundaries and under ``len(items)``."""
+    sites and ways out, at segment boundaries and under ``len(items)``;
+    ``known``, what the path had established at a memory access
+    (:meth:`_Facts.access`; no entry: nothing)."""
 
     def __init__(self, items, fall):
         self.items, self.fall = items, fall
         self.exits: dict[int, object] = {}
         self.at: dict[int, tuple] = {}
+        self.known: dict[int, tuple] = {}
 
 
 def _side_target(ip: int, ins: tuple):
@@ -724,7 +725,7 @@ def _grow(
         # countdown by each iteration's cost, ``l1`` by the per-iteration
         # miss count ``_mi``.
         defer_cy=deferred and mode in ("", "instr", "loads", "brmiss"),
-        memo=tier >= 2, seg=seg,
+        seg=seg,
         # armed trees can inline loads into a load-free root, so the
         # L1-miss accumulator must exist whenever an arm *could* bring one
         track_l1=mode == "l1" and (tree or any(r.loads for r in root_rows)),
@@ -785,13 +786,65 @@ def _grow(
     return grown
 
 
+# Two offsets off one base no farther apart than this (a way less a line)
+# are on one line or in different L1 sets: neither displaces the other.
+_L1_REACH = costs.L1_SIZE // costs.L1_WAYS - costs.CACHE_LINE
+
+
+class _Facts:
+    """What one path of a tree has established about addresses
+    (``docs/SIMULATOR.md``, "What a trace knows").  ``valid``: base
+    register -> an offset whose guard passed while the register stood
+    unwritten.  ``near``: offsets off ``base`` whose lines are first in
+    their L1 sets — ``CacheLevel.access`` leaves the touched line there.
+    ``moved``: the stack pointer was written."""
+
+    def __init__(self, valid=(), base=None, near=(), moved=False):
+        self.valid, self.base, self.near = dict(valid), base, set(near)
+        self.moved = moved
+
+    def copy(self) -> "_Facts":
+        return _Facts(self.valid, self.base, self.near, self.moved)
+
+    def access(self, base: int, offset: int) -> tuple:
+        """Note an access to ``[base + offset]``; what was known ahead
+        of it — ``validated``: its guard passes, ``resident``: an L1 MRU
+        hit — and its ``slot`` in the frame the function was entered
+        with (None: not one)."""
+        low = self.valid.get(base)
+        validated = low is not None and offset >= low and not offset - low & 7
+        if not validated:
+            self.valid[base] = offset
+        if base != self.base:
+            # lines reached through another register may share any set
+            self.base, self.near = base, set()
+        resident = offset in self.near
+        if not resident:
+            self.near = {
+                k for k in self.near if abs(k - offset) <= _L1_REACH
+            } | {offset}
+        stack = base == REG_SP and not self.moved and not offset & 7
+        return validated, resident, offset if stack else None
+
+    def kill(self, reg: int) -> None:
+        self.valid.pop(reg, None)
+        if reg == self.base:
+            self.base = None
+        if reg == REG_SP:
+            self.moved = True
+
+
 def _measure(tree: _Tree) -> _Tree:
     """One walk of a grown tree for what emit must know before it writes
     line 1 — registers ``used`` (read or written) and ``written``, the
     worst-case instructions ``max_k`` retired on any path, whether a path
     touches memory (``mem``), closes the ``loop``, has fault sites
     (``faults``), the ``branch_ips`` whose 2-bit counters a deferred loop
-    keeps in locals — and for the path-static totals (``_Trace.at``).
+    keeps in locals — for the path-static totals (``_Trace.at``) and the
+    address facts (``_Trace.known``: an inlined arm starts from a copy of
+    its branch's, nothing flows back to the fall-through).  ``slots``:
+    the frame offsets a loop function binds once, ahead of the loop —
+    none if a path writes the stack pointer and then takes the loop edge.
 
     Registers are cached in Python locals (``r5`` for ``regs[5]``) for
     the whole block: nothing outside the block can observe ``regs``
@@ -801,11 +854,12 @@ def _measure(tree: _Tree) -> _Tree:
     each exit.
     """
     deferred, seg = tree.treatment.deferred, tree.treatment.seg
-    used, written, branch_ips = set(), set(), set()
+    used, written, branch_ips, slots = set(), set(), set(), set()
     tree.max_k = 0
     tree.mem = tree.loop = tree.faults = False
+    moved_edges = []  # loop edges behind a write to the stack pointer
 
-    def walk(trace, k0, cycles, loads, stores, branches):
+    def walk(trace, facts, k0, cycles, loads, stores, branches):
         """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
         retired-count, statically-known cycles, memory-op and
         conditional-branch counts accumulated on the path into this
@@ -814,10 +868,15 @@ def _measure(tree: _Tree) -> _Tree:
         for index, (ip, ins) in enumerate(trace.items):
             op = ins[0]
             row = _OPS[op]
+            if row.loads or row.stores:
+                known = facts.access(ins[2 if row.loads else 1], ins[3])
+                trace.known[index] = known
+                slots.add(known[2])
             for slot in row.reads:
                 used.add(ins[slot])
             for slot in row.writes:
                 written.add(ins[slot])
+                facts.kill(ins[slot])
             if row.pair:
                 used.update(ins[3])
             if row.faults:
@@ -840,17 +899,21 @@ def _measure(tree: _Tree) -> _Tree:
             child = exits.get(index)
             if child is _LOOP:
                 tree.loop = True
+                if facts.moved:
+                    moved_edges.append(ip)
             elif child.__class__ is _Trace:
-                walk(child, *at[index + 1])
+                walk(child, facts.copy(), *at[index + 1])
         k_end = k0 + len(trace.items)
         at[len(trace.items)] = (k_end, cycles, loads, stores, branches)
         # every trace ends in a way out, so its last ``k`` is its largest
         tree.max_k = max(tree.max_k, k_end)
         tree.mem = tree.mem or loads + stores > 0
 
-    walk(tree.root, 0, 0, 0, 0, 0)
+    walk(tree.root, _Facts(), 0, 0, 0, 0, 0)
     tree.used, tree.written = used | written, written
     tree.branch_ips = branch_ips
+    held = tree.loop and not moved_edges
+    tree.slots = sorted(slots - {None}) if held else []
     return tree
 
 
@@ -886,43 +949,8 @@ class _Writer:
             "state.stores += _st",
             "caches.accesses += _ld + _st",
         ] + (["m._countdown = _cd"] if t.mode else [])
-        self.l1_check = [self._l1_check(load) for load in (False, True)]
-
-    def _l1_check(self, load: bool) -> list[str]:
-        """What follows a memory access: the L1 lookup.  The L1-hit
-        latency is folded into the path-static cycles, so a hit retires
-        without touching ``cy`` and only a true L1 miss calls out — a
-        load then charges the latency *difference* against the folded
-        constant."""
-        miss = ["_acc(_x)"]
-        if load:
-            miss = ["_c = _acc(_x)", f"cy += _c - {costs.LAT_L1}"]
-            if self.t.mode == "l1":
-                miss += [f"if _c > {costs.LAT_L1}:", "    _mi += 1"]
-        if self.t.memo:
-            # ``_mln`` memoizes the line of the *previous* memory op:
-            # that line is by construction the MRU entry of its set
-            # (every arm below ends with the accessed line at MRU
-            # position), so a repeat access to it is a guaranteed L1 MRU
-            # hit and skips the whole set lookup — one shift and one
-            # compare.  The hit-not-MRU arm inlines CacheLevel.access's
-            # LRU move-to-front.
-            return [
-                "if (_ln := _x >> _lb) != _mln:",
-                "    _mln = _ln",
-                "    if not (_tg := _l1s[_ln & _l1m]) or _tg[0] != _ln:",
-                "        if _ln in _tg:",
-                "            _tg.remove(_ln)",
-                "            _tg.insert(0, _ln)",
-                "        else:",
-                *(f"            {ln}" for ln in miss),
-            ]
-        return [
-            "_ln = _x >> _lb",
-            "_tg = _l1s[_ln & _l1m]",
-            "if not _tg or _tg[0] != _ln:",
-            *(f"    {ln}" for ln in miss),
-        ]
+        # a hoisted frame slot's locals are named after its offset
+        self.slots = {k: str(k).replace("-", "m") for k in tree.slots}
 
     def cy(self, const: int) -> str:
         if self.t.has_dyn:
@@ -1086,6 +1114,61 @@ class _Writer:
         self.side_exit(what, a, arm, path, "_bc")
         out.append(f"{ind}cy += _bc")
 
+    def site(self, offset: int, message: str, retired, ip, slot=None) -> None:
+        """An error site ``offset`` lines past the next one written: what
+        had ``retired`` there (and, in a function that hoists frame
+        slots, which one it was) is what the fault epilogue reads."""
+        self.table[self.line0 + len(self.out) + 1 + offset] = (
+            *retired, message, ip, *((slot,) if self.slots else ())
+        )
+
+    def access(self, known, ins: tuple, ind: str, retired, ip) -> None:
+        """A LOAD or STORE, less what the path had established.  The
+        address check is one guard, gone once the base is ``validated``;
+        the access runs bare — its IndexError is the out-of-bounds fault,
+        told apart from the guard's by the line it came from — and a
+        ``resident`` line is neither a site nor looked up in L1.  The
+        lookup inlines the MRU test; the L1-hit latency is in the static
+        cycles, so only a true miss calls out (a load then charges the
+        latency *difference*).  A hoisted ``slot`` reads its word, line
+        and set from the preamble's locals."""
+        validated, resident, slot = known
+        op, d, a, b = ins
+        load, out, hit = op == Opcode.LOAD, self.out, costs.LAT_L1
+        (_, unaligned), (_, outside) = _OPS[op].faults
+        addr = f"r{a if load else d}" + (f" + {b}" if b else "")
+        if not validated:
+            self.site(0, unaligned, retired, ip)
+            out.append(f"{ind}if (_x := {addr}) & 7 or _x < 8: raise _Fault")
+        if slot in self.slots:
+            word = f"_w + {slot >> 3}" if slot else "_w"
+            ln, tg = f"_n{self.slots[slot]}", f"_t{self.slots[slot]}"
+            touched = f"r{REG_SP} + {slot}"
+        else:
+            slot, ln, tg, touched = None, "_ln", "_tg", "_x"
+            word = (
+                "_x >> 3" if not validated
+                else f"({addr}) >> 3" if resident
+                else f"(_x := {addr}) >> 3"
+            )
+        if not resident:
+            self.site(0, outside, retired, ip, slot)
+        out.append(
+            f"{ind}r{d} = words[{word}]" if load
+            else f"{ind}words[{word}] = r{a}"
+        )
+        if resident:
+            return
+        if slot is None:
+            out += [f"{ind}_ln = _x >> _lb", f"{ind}_tg = _l1s[_ln & _l1m]"]
+        out.append(f"{ind}if not {tg} or {tg}[0] != {ln}:")
+        if not load:
+            out.append(f"{ind}    _acc({touched})")
+            return
+        out += [f"{ind}    _c = _acc({touched})", f"{ind}    cy += _c - {hit}"]
+        if self.t.mode == "l1":
+            out += [f"{ind}    if _c > {hit}:", f"{ind}        _mi += 1"]
+
     def trace(self, trace: _Trace, ind: str) -> None:
         """Write one trace of the tree at indent ``ind``; recursion
         happens at inlined exits, at the indent of their arm."""
@@ -1119,26 +1202,15 @@ class _Writer:
             # before it — go into the site table the fault epilogue
             # reads, keyed by the line about to be written.
             k, *before = at[index]
+            d, path, retired = ins[1], at[index + 1], (k + 1, *before)
+            if row.loads or row.stores:
+                known = trace.known.get(index, (False, False, None))
+                self.access(known, ins, ind, retired, ip)
+                continue
             for offset, message in row.faults:
-                self.table[self.line0 + len(out) + 1 + offset] = (
-                    k + 1, *before, message, ip
-                )
-            d, path = ins[1], at[index + 1]
+                self.site(offset, message, retired, ip)
             if row.lines:
                 out.extend([ind + line.format(*ins) for line in row.lines])
-            elif row.loads or row.stores:
-                # The address check is one guard and the access runs bare
-                # — its IndexError is the out-of-bounds fault, told apart
-                # from the guard's by the line it came from.
-                a, b = ins[2], ins[3]
-                base = f"r{a if row.loads else d}"
-                out += [
-                    f"{ind}if (_x := {f'{base} + {b}' if b else base})"
-                    " & 7 or _x < 8: raise _Fault",
-                    f"{ind}r{d} = words[_x >> 3]" if row.loads
-                    else f"{ind}words[_x >> 3] = r{a}",
-                    *[ind + ln for ln in self.l1_check[row.loads]],
-                ]
             elif op == Opcode.JMP:
                 # a folded forward jump stays inside the trace: only the
                 # branch cycle is charged
@@ -1203,12 +1275,16 @@ class _Writer:
             "    except (_Fault, IndexError) as _f:",
             "        if (_ft := _T.get(_f.__traceback__.tb_lineno)) is None:",
             "            raise",
-            "        _fk, _fc, _fl, _fs, _fb, _fm, _fi = _ft",
+            "        _fk, _fc, _fl, _fs, _fb, _fm, _fi"
+            f"{', _fo' if self.slots else ''} = _ft",
         ]
         if t.has_dyn:
             out.append("        _fc += cy")
         if self.tree.mem:
-            out += ['        if "%" in _fm:', "            _fm %= _x"]
+            # the address: ``_x``, or rebuilt for a hoisted slot's access
+            out += ['        if "%" in _fm:', "            _fm %= _x" + (
+                f" if _fo is None else r{REG_SP} + _fo" if self.slots else ""
+            )]
         self.write_back("    ", "_fb")
         self.add("    ", "state.cycles", "_cyt", "_fc")
         self.add("    ", "state.instructions", "_ins", "_fk")
@@ -1244,13 +1320,16 @@ def _emit(tree: _Tree, line0: int = 0) -> tuple[str, dict]:
         ]
     if tree.loop:
         out.append("    _maxi = state.max_instructions")
-    if t.memo and tree.mem:
-        # same-line memo: no real line index is negative, so -1 forces
-        # the first memory op down the full check
-        out.append("    _mln = -1")
     # load every used register up front: exits flush the full written set
     # unconditionally, so all the locals must be bound from the start
     out.extend(f"    r{i} = regs[{i}]" for i in sorted(tree.used))
+    if tree.slots:
+        # the frame stands still while the loop runs: its word index, and
+        # each slot's line and L1 set, are bound once
+        out.append(f"    _w = r{REG_SP} >> 3")
+    for slot, name in writer.slots.items():
+        out.append(f"    _n{name} = (r{REG_SP} + {slot}) >> _lb")
+        out.append(f"    _t{name} = _l1s[_n{name} & _l1m]")
     if t.deferred:
         if tree.branch_ips:
             out += ["    _pc = predictor.counters", "    _pg = _pc.get"]

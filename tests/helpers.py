@@ -74,3 +74,34 @@ def compiled_sources():
         yield sources
     finally:
         del translate.compile
+
+
+def traces_of(trace):
+    """``trace`` and every trace its side exits inlined, depth first."""
+    yield trace
+    for what in trace.exits.values():
+        if isinstance(what, translate._Trace):
+            yield from traces_of(what)
+
+
+@contextmanager
+def forgotten_address_facts():
+    """Translate as if no trace knew anything about an address: what
+    :func:`repro.vm.translate._measure` established at memory accesses
+    is wiped before ``_emit`` reads it, so every LOAD and STORE degrades
+    to its guarded, looked-up form — the ablation of the address facts,
+    as a value (nothing in ``src/`` switches them off)."""
+    measure = translate._measure
+
+    def forgetful(tree):
+        measure(tree)
+        for trace in traces_of(tree.root):
+            trace.known.clear()
+        tree.slots = []
+        return tree
+
+    translate._measure = forgetful
+    try:
+        yield
+    finally:
+        translate._measure = measure

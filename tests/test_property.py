@@ -10,8 +10,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import Column, Database, DataType, Schema
 from repro.catalog.strings import StringDictionary
-from repro.vm.cache import CacheLevel
+from repro.vm.cache import CacheHierarchy, CacheLevel
+from repro.vm.isa import REG_SP
 from repro.vm.memory import Memory
+from repro.vm.translate import _Facts, _L1_REACH
 
 from tests.conftest import rows_match
 
@@ -77,6 +79,76 @@ def test_cache_level_matches_reference_lru(lines):
         bucket.insert(0, line)
         del bucket[4:]
         assert got_hit == want_hit
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=1 << 20), min_size=1, max_size=200),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.integers(min_value=0, max_value=_L1_REACH),
+)
+@RELAXED
+def test_an_accessed_line_is_first_in_its_set_and_near_lines_do_not_share_one(
+    lines, address, apart
+):
+    # what the fast VM's resident-slot fact rests on: ``access`` leaves
+    # the line it touched at the head of its set, hit or miss ...
+    level = CacheHierarchy().l1
+    for line in lines:
+        level.access(line)
+        assert level.sets[line & level.set_mask][0] == line
+    # ... and two addresses no farther apart than a way less a line are
+    # on one line or in two sets, wherever the first one lies
+    near, far = address >> level.line_bits, (address + apart) >> level.line_bits
+    assert near == far or near & level.set_mask != far & level.set_mask
+    assert _L1_REACH == level.set_mask << level.line_bits
+
+
+_FACT_REGS = (4, 5, REG_SP)
+# register values and offsets that meet at the edges: null, a line, a way
+_FACT_VALUES = st.sampled_from([0, 8, 16, 4096, 4100, 65536]) | st.integers(
+    0, 1 << 14
+).map(lambda w: w * 8)
+_FACT_OFFSETS = st.sampled_from(
+    [-16, -8, 0, 4, 8, 12, 56, 64, 4032, 4040, 4096, 4104, 8192]
+) | st.integers(-8, 1200).map(lambda k: k * 8)
+# (register, offset to access it at or None: it is rewritten, new value)
+_FACT_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(_FACT_REGS), st.none() | _FACT_OFFSETS, _FACT_VALUES
+    ),
+    max_size=60,
+)
+
+
+@given(st.tuples(_FACT_VALUES, _FACT_VALUES, _FACT_VALUES), _FACT_STEPS)
+@settings(RELAXED, max_examples=300)
+def test_what_a_path_calls_known_holds_on_a_real_cache(values, steps):
+    # drive ``_Facts`` and a real hierarchy with the same accesses along
+    # one path: a validated access passes the guard, a resident one finds
+    # its line first in its set, a frame slot is the word the entry stack
+    # pointer indexes
+    regs = dict(zip(_FACT_REGS, values))
+    frame = regs[REG_SP]
+    facts, caches = _Facts(), CacheHierarchy()
+    level = caches.l1
+    for reg, offset, value in steps:
+        if offset is None:
+            regs[reg] = value
+            facts.kill(reg)
+            continue
+        address = regs[reg] + offset
+        faults = bool(address & 7 or address < 8)
+        validated, resident, slot = facts.access(reg, offset)
+        assert not (validated and faults)
+        if faults:
+            break  # the guard raises: the path ends here
+        line = address >> level.line_bits
+        if resident:
+            assert level.sets[line & level.set_mask][0] == line
+        if slot is not None:
+            assert (reg, slot) == (REG_SP, offset)
+            assert (frame >> 3) + (slot >> 3) == address >> 3
+        caches.access(address)
 
 
 # ---------------------------------------------------------------------------

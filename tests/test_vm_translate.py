@@ -32,8 +32,9 @@ from repro.vm import translate
 from repro.vm.tiering import TieringController
 from repro.vm.translate import (
     Translation, _OPS, _Trace, _emit_settings, _event_bound, _grow, _measure,
-    _side_target, _translatable,
+    _side_target, _translatable, translation_for,
 )
+from tests.helpers import forgotten_address_facts, traces_of
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -631,6 +632,14 @@ def site_program(kind, where):
     return program, offsets["deep"]
 
 
+def raising_function(exc):
+    """The name of the function whose frame raised ``exc``."""
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    return tb.tb_frame.f_code.co_name
+
+
 def run_site(program, kind, fault_at, prepare=None, **kwargs):
     machine = Machine(program, Memory(1 << 20), **kwargs)
     base = machine.memory.alloc(SITE_N * 8)
@@ -646,10 +655,7 @@ def run_site(program, kind, fault_at, prepare=None, **kwargs):
         outcome = ("ok", machine.call(SITE_ENTRY, (base, SITE_N)))
     except VMError as exc:
         outcome = ("error", str(exc), exc.ip)
-        tb = exc.__traceback__
-        while tb.tb_next is not None:
-            tb = tb.tb_next
-        raised_in = tb.tb_frame.f_code.co_name
+        raised_in = raising_function(exc)
     return machine, outcome, raised_in
 
 
@@ -883,13 +889,6 @@ def depth_of(trace):
     return 1 + max(map(depth_of, children), default=0)
 
 
-def traces_of(trace):
-    yield trace
-    for what in trace.exits.values():
-        if isinstance(what, _Trace):
-            yield from traces_of(what)
-
-
 def grown_roots(monkeypatch):
     """Record every tree the translator grows from here on, by root."""
     trees = {}
@@ -944,11 +943,11 @@ def test_the_treatment_of_a_root_is_decided_by_tier_and_shape():
         return _grow(code, ip, **settings).treatment
 
     def tier2_fields(t):
-        return (t.tree, t.deferred, t.defer_cy, t.memo)
+        return (t.tree, t.deferred, t.defer_cy)
 
-    # a loop head is deferred and memoized at tier 2, neither at tier 1
-    assert tier2_fields(treatment(2, 1)) == (True, False, False, False)
-    assert tier2_fields(treatment(2, 2)) == (True, True, True, True)
+    # a loop head is deferred at tier 2, not at tier 1
+    assert tier2_fields(treatment(2, 1)) == (True, False, False)
+    assert tier2_fields(treatment(2, 2)) == (True, True, True)
     # ... its ``cy`` rides across iterations unless the edge consumes a
     # per-iteration delta
     assert treatment(2, 2, "instr").defer_cy
@@ -956,7 +955,7 @@ def test_the_treatment_of_a_root_is_decided_by_tier_and_shape():
     assert not treatment(2, 2, "l1").defer_cy
     # a hot block that is no loop head grows a tree at tier 2, undeferred
     assert not treatment(0, 1).tree
-    assert tier2_fields(treatment(0, 2)) == (True, False, False, True)
+    assert tier2_fields(treatment(0, 2)) == (True, False, False)
     assert not treatment(14, 2).tree  # neither hot nor a loop head
     # the accumulators follow the tree flag, not what got inlined
     cold_exit, armed_loop = treatment(14, 1), treatment(2, 1, "l1")
@@ -1084,7 +1083,8 @@ def test_tier1_source_shrank():
     # q6's tier-1 source, every block force-materialised with every
     # leader hot (nothing pruned): 52,362 lines with the write-back
     # repeated at every error site, 24,283 with one ``raise _Fault(...)``
-    # per site and a ``try`` per access, 17,310 with the sites in a table
+    # per site and a ``try`` per access, 17,310 with the sites in a table,
+    # 15,668 with what a path already established left out
     db = Database.tpch(scale=0.001, seed=42)
     compiled = db._compile(ALL_QUERIES["q6"].sql, None)
     translation = Translation(compiled.program, None)
@@ -1098,16 +1098,17 @@ def test_tier1_source_shrank():
         pending = set(translation.blocks) - translation.compiled - pending
     stats = translation.stats()
     assert stats["pruned_exits"] == 0
-    assert stats["source_lines"] <= 18_000
+    assert stats["source_lines"] <= 16_500
 
 
 def test_translation_volume_of_a_first_pass():
     # what a never-seen query pays for is gated on counts, not clocks
     # (deterministic per seed): the first execution of six TPC-H queries
     # generated 87,306 source lines when every entered block compiled
-    # whole on its first entry, ~38,000 with compilation earned by heat
-    # and trees grown along executed paths; the blocks and arms that
-    # turn hot on a second execution add little
+    # whole on its first entry, 37,857 with compilation earned by heat
+    # and trees grown along executed paths, 32,019 without the guards
+    # and L1 lookups a path has made redundant; the blocks and arms
+    # that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
     first, second = (
@@ -1117,8 +1118,555 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 45_000
+    assert 0 < first <= 36_000
     assert first <= second < first * 1.15
+
+
+# -- what a trace knows: address facts ---------------------------------------
+
+FACT_N = 25  # odd: the last iteration takes no detour
+FACT_FRAME = 8192  # what the entry block takes off the stack pointer
+MEMORY_END = 1 << 20
+
+
+def fact_program(body=(), arm=(), rest=(), tail=(), frame=FACT_FRAME):
+    """r0 = &a (16-byte records), r1 = count, r8 = the iteration that goes
+    wrong, r9 = what goes wrong in it.  Every iteration: r10 = &a[i],
+    r11 = 1 in iteration r8 (else 0), r5 = r9 in iteration r8 (else
+    r10); ``body``; odd iterations detour through ``arm``; ``rest``.
+    ``tail`` runs once on the way out, r12 = 1 there if r8 >= 0.  The
+    entry block takes ``frame`` bytes off the stack pointer."""
+    items = [
+        (Op.ADDI, 15, 15, -frame),
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.SHLI, 10, 3, 4),
+        (Op.ADD, 10, 0, 10),
+        (Op.CMPEQ, 11, 3, 8),
+        (Op.SELECT, 5, 11, (9, 10)),
+        *body,
+        (Op.ANDI, 7, 3, 1),
+        (Op.BRNZ, 7, "odd", 0),
+        Label("back"),
+        *rest,
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("odd"),
+        *arm,
+        (Op.JMP, "back", 0, 0),
+        Label("done"),
+        (Op.CMPGEI, 12, 8, 0),
+        *tail,
+        (Op.ADDI, 15, 15, frame),
+        (Op.MOV, 0, 3, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets
+
+
+def known_of(trace):
+    """What the path knew at each memory access of ``trace``, in order."""
+    return [trace.known[index] for index in sorted(trace.known)]
+
+
+def measured_loop(sections):
+    """The loop of ``fact_program(**sections)`` as an unpruned, measured
+    tier-1 tree, its source, and the traces its side exits inlined."""
+    program, offsets = fact_program(**sections)
+    tree = _measure(_grow(
+        program.code, offsets["loop"], **_emit_settings("", 0, 1, {})
+    ))
+    inlined = {
+        _side_target(*tree.root.items[index]): what
+        for index, what in tree.root.exits.items()
+        if isinstance(what, _Trace)
+    }
+    return tree, translate._emit(tree)[0], inlined, offsets
+
+
+UNKNOWN, VALID, HIT = (False, False), (True, False), (True, True)
+
+# name: the program's sections
+FACT_SECTIONS = {
+    # one base, rising offsets: one guard, then bare accesses; the last
+    # load repeats an address nothing since could have displaced
+    "rising": dict(body=[
+        (Op.LOAD, 6, 5, 0), (Op.LOAD, 7, 5, 8), (Op.STORE, 5, 6, 16),
+        (Op.LOAD, 6, 5, 8),
+    ]),
+    # an offset under the validated one needs its own guard
+    "falling": dict(body=[
+        (Op.LOAD, 6, 5, 16), (Op.LOAD, 7, 5, 8), (Op.LOAD, 6, 5, 0),
+    ]),
+    # a higher offset that is not a multiple of 8 away, in iteration r8
+    "off-residue": dict(body=[
+        (Op.LOAD, 6, 5, 8), (Op.BRZ, 11, "skip", 0), (Op.LOAD, 7, 5, 12),
+        Label("skip"),
+    ]),
+    # the base moves by 4 in iteration r8 between two accesses
+    "rewritten": dict(body=[
+        (Op.LOAD, 6, 5, 0), (Op.SHLI, 12, 11, 2), (Op.ADD, 5, 5, 12),
+        (Op.LOAD, 7, 5, 0),
+    ]),
+    # a load through its own destination: the pointer it fetched (r9 in
+    # iteration r8) is a base nothing has validated
+    "chased": dict(body=[
+        (Op.STORE, 10, 5, 8), (Op.MOV, 4, 10, 0), (Op.LOAD, 4, 4, 8),
+        (Op.LOAD, 6, 4, 8),
+    ]),
+    # the stack pointer moves every iteration (by -12, not -16, in
+    # iteration r8): nothing of the frame is hoisted, and the slot read
+    # at the top is the one the iteration before wrote
+    "frame-moved": dict(
+        body=[
+            (Op.LOAD, 7, 15, 0), (Op.SHLI, 12, 11, 2), (Op.ADDI, 12, 12, -16),
+            (Op.ADD, 15, 15, 12), (Op.STORE, 15, 3, 0), (Op.LOAD, 6, 15, 0),
+        ],
+        tail=[(Op.SHLI, 13, 3, 4), (Op.ADD, 15, 15, 13)],
+    ),
+    # ... or only on the way out (by 20, not 16, if r8 >= 0): the loop's
+    # slots stay hoisted, the access behind the move is made by address
+    "frame-left": dict(
+        body=[(Op.STORE, 15, 3, 8), (Op.LOAD, 6, 15, 8)],
+        tail=[
+            (Op.SHLI, 12, 12, 2), (Op.ADDI, 12, 12, 16), (Op.ADD, 15, 15, 12),
+            (Op.LOAD, 6, 15, -8), (Op.SUB, 15, 15, 12),
+        ],
+    ),
+    # two registers, one L1 set: what one touched the other may displace,
+    # and a base that moved on is another base
+    "two-bases": dict(body=[
+        (Op.ADDI, 12, 5, 4096), (Op.LOAD, 6, 5, 0), (Op.LOAD, 7, 12, 0),
+        (Op.LOAD, 6, 5, 0), (Op.ADDI, 12, 12, 4096), (Op.LOAD, 7, 12, 0),
+        (Op.ADDI, 12, 12, -4096), (Op.LOAD, 6, 12, 0),
+    ]),
+    # a stack pointer 4 off a word boundary: [sp + 4] is a fine address
+    # but no slot of a frame indexed from sp >> 3
+    "odd-frame": dict(
+        body=[
+            (Op.STORE, 15, 3, 4), (Op.MOV, 13, 15, 0), (Op.LOAD, 6, 13, 4),
+            (Op.LOAD, 7, 15, 4),
+        ],
+        frame=FACT_FRAME + 4,
+    ),
+    # the arm validates a base; the fall-through does not inherit that
+    "arm-first": dict(
+        arm=[(Op.LOAD, 6, 5, 8)], rest=[(Op.LOAD, 7, 5, 8)],
+    ),
+    # a frame wider than an L1 way: [sp] and [sp + 4096] share a set, so
+    # the third access is no known hit; the arm reaches further still
+    "wide-frame": dict(
+        body=[
+            (Op.LOAD, 6, 15, 0), (Op.STORE, 15, 6, 8), (Op.LOAD, 7, 15, 4096),
+            (Op.LOAD, 6, 15, 0), (Op.LOAD, 7, 15, 4032), (Op.LOAD, 6, 15, 0),
+        ],
+        arm=[(Op.LOAD, 6, 15, 4104)],
+    ),
+}
+
+
+def test_what_each_access_of_a_trace_knows():
+    reach = translate._L1_REACH
+    l1 = Machine(build_program(LOOP_SUM), Memory(1 << 16)).caches.l1
+    assert reach == l1.set_mask << l1.line_bits == 4032
+
+    tree, source, _, _ = measured_loop(FACT_SECTIONS["rising"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN, VALID, VALID, HIT]
+    assert not tree.slots  # a loop, but nothing of it is in the frame
+    assert source.count("raise _Fault") == 1
+    assert "r7 = words[(_x := r5 + 8) >> 3]" in source
+    assert "words[(_x := r5 + 16) >> 3] = r6" in source
+    assert "r6 = words[(r5 + 8) >> 3]" in source
+    assert source.count("_tg[0] != _ln") == 3
+
+    tree, source, _, _ = measured_loop(FACT_SECTIONS["falling"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN] * 3
+    assert source.count("raise _Fault") == 3
+
+    tree, _, _, _ = measured_loop(FACT_SECTIONS["rewritten"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN, UNKNOWN]
+    tree, _, _, _ = measured_loop(FACT_SECTIONS["chased"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN] * 3
+
+    tree, source, _, _ = measured_loop(FACT_SECTIONS["frame-moved"])
+    assert known_of(tree.root) == [
+        (False, False, 0), (False, False, None), (True, True, None),
+    ]
+    assert tree.loop and tree.slots == [] and "_w" not in source
+
+    tree, source, inlined, offsets = measured_loop(FACT_SECTIONS["frame-left"])
+    assert tree.slots == [8]
+    assert known_of(tree.root) == [(False, False, 8), (True, True, 8)]
+    assert known_of(inlined[offsets["done"]]) == [(False, False, None)]
+    assert "_w = r15 >> 3" in source and "_n8 = (r15 + 8) >> _lb" in source
+    assert "words[_w + 1] = r3" in source and "r6 = words[_w + 1]" in source
+    assert "r6 = words[_x >> 3]" in source  # behind the move: by address
+    assert "if _fo is None else r15 + _fo" in source
+
+    tree, _, _, _ = measured_loop(FACT_SECTIONS["two-bases"])
+    assert [k[:2] for k in known_of(tree.root)] == [
+        UNKNOWN, UNKNOWN, VALID, UNKNOWN, UNKNOWN,
+    ]
+
+    tree, _, _, _ = measured_loop(FACT_SECTIONS["odd-frame"])
+    assert known_of(tree.root) == [
+        (False, False, None), (False, False, None), (True, False, None),
+    ]
+    tree, _, _, _ = measured_loop(FACT_SECTIONS["off-residue"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN, UNKNOWN]
+
+    tree, _, inlined, offsets = measured_loop(FACT_SECTIONS["arm-first"])
+    assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN]
+    arm = inlined[offsets["odd"]]
+    assert [k[:2] for k in known_of(arm)] == [UNKNOWN]
+    (back,) = (w for w in arm.exits.values() if isinstance(w, _Trace))
+    assert [k[:2] for k in known_of(back)] == [HIT]
+
+    tree, source, inlined, offsets = measured_loop(FACT_SECTIONS["wide-frame"])
+    assert tree.slots == [0, 8, 4032, 4096, 4104]
+    assert 4096 - 0 > reach >= 4032 - 0
+    assert known_of(tree.root) == [
+        (False, False, 0), (True, False, 8), (True, False, 4096),
+        (True, False, 0),  # [sp + 4096] may have displaced it
+        (True, False, 4032), (True, True, 0),  # [sp + 4032] cannot have
+    ]
+    assert known_of(inlined[offsets["odd"]]) == [(True, False, 4104)]
+    assert "if not _t4096 or _t4096[0] != _n4096:" in source
+    assert source.count("raise _Fault") == 1
+
+    # what a path knows is no tier matter: the deferred loop has the
+    # same slots and the same lookups
+    program, offsets = fact_program(**FACT_SECTIONS["wide-frame"])
+    tier2 = _measure(_grow(
+        program.code, offsets["loop"], **_emit_settings("", 0, 2, {})
+    ))
+    assert tier2.treatment.deferred and tier2.slots == tree.slots
+    assert known_of(tier2.root) == known_of(tree.root)
+    assert "if not _t4096 or _t4096[0] != _n4096:" in translate._emit(tier2)[0]
+
+
+# name: (sections, r9, r15 or None, the iteration, the error or None)
+FACT_CASES = {
+    "rising/unaligned": (
+        "rising", lambda a: a + 4, None, 13,
+        "unaligned or null load at",
+    ),
+    "rising/null": (
+        "rising", lambda a: 0, None, 12,
+        "unaligned or null load at 0x0",
+    ),
+    "rising/outside": (
+        "rising", lambda a: 1 << 40, None, 13,
+        "load out of bounds at 0x10000000000",
+    ),
+    "rising/load-past-the-end": (
+        "rising", lambda a: MEMORY_END - 8, None, 12,
+        "load out of bounds at 0x100000",
+    ),
+    "rising/store-past-the-end": (
+        "rising", lambda a: MEMORY_END - 16, None, 13,
+        "store out of bounds at 0x100000",
+    ),
+    "falling/null-below": (
+        "falling", lambda a: -8, None, 13,
+        "unaligned or null load at 0x0",
+    ),
+    "falling/null-at-the-base": (
+        "falling", lambda a: 0, None, 12,
+        "unaligned or null load at 0x0",
+    ),
+    "off-residue/unaligned": (
+        "off-residue", lambda a: a, None, 12,
+        "unaligned or null load at",
+    ),
+    "rewritten/unaligned": (
+        "rewritten", lambda a: a, None, 13,
+        "unaligned or null load at",
+    ),
+    "chased/unaligned": (
+        "chased", lambda a: 4, None, 12,
+        "unaligned or null load at 0xc",
+    ),
+    "chased/null": (
+        "chased", lambda a: -8, None, 13,
+        "unaligned or null load at 0x0",
+    ),
+    "frame-moved/unaligned": (
+        "frame-moved", lambda a: a, None, 13,
+        "unaligned or null store at",
+    ),
+    "frame-left/unaligned": (
+        "frame-left", lambda a: a, None, 12,
+        "unaligned or null load at",
+    ),
+    "two-bases/clean": (
+        "two-bases", lambda a: a, None, 13,
+        None,
+    ),
+    "two-bases/unaligned": (
+        "two-bases", lambda a: a + 4, None, 13,
+        "unaligned or null load at",
+    ),
+    "odd-frame/clean": (
+        "odd-frame", lambda a: a, None, 12,
+        None,
+    ),
+    "arm-first/fall-through": (
+        "arm-first", lambda a: -8, None, 12,
+        "unaligned or null load at 0x0",
+    ),
+    "arm-first/arm": (
+        "arm-first", lambda a: -8, None, 13,
+        "unaligned or null load at 0x0",
+    ),
+    "wide-frame/clean": (
+        "wide-frame", lambda a: a, None, 13,
+        None,
+    ),
+    "wide-frame/unaligned": (
+        "wide-frame", lambda a: a, lambda sp: sp - 4, 0,
+        "unaligned or null load at",
+    ),
+    "wide-frame/null": (
+        "wide-frame", lambda a: a, lambda sp: FACT_FRAME, 0,
+        "unaligned or null load at 0x0",
+    ),
+    "wide-frame/outside": (
+        "wide-frame", lambda a: a, lambda sp: (1 << 40) + FACT_FRAME, 0,
+        "load out of bounds at 0x10000000000",
+    ),
+    "wide-frame/store-past-the-end": (
+        "wide-frame", lambda a: a, lambda sp: MEMORY_END - 8 + FACT_FRAME, 0,
+        "store out of bounds at 0x100000",
+    ),
+    "wide-frame/load-past-the-end": (
+        "wide-frame", lambda a: a, lambda sp: MEMORY_END - 4096 + FACT_FRAME, 0,
+        "load out of bounds at 0x100000",
+    ),
+    "wide-frame/arm-past-the-end": (
+        "wide-frame", lambda a: a, lambda sp: MEMORY_END - 4104 + FACT_FRAME, 0,
+        "load out of bounds at 0x100000",
+    ),
+}
+
+
+def run_fact_case(program, bad, stack, fault_at, pmu, tier):
+    """Two clean runs — at ``hot_entries`` 1 the first compiles what it
+    enters, the second runs the loop regrown with arms and way out
+    inlined — then the run that goes wrong, twice (an arm only it
+    takes is inlined the second time); ``tier`` 0 is the interpreter.
+    Everything observable of all four."""
+    observed = []
+    for at in (-1, -1, fault_at, fault_at):
+        machine = Machine(
+            program, Memory(MEMORY_END), pmu_config=pmu, fast_vm=tier > 0
+        )
+        if tier:
+            machine.translation.hot_entries = 1
+            if machine.translation.tier < tier:
+                machine.translation.promote()
+        base = machine.memory.alloc(FACT_N * 16 + 2 * FACT_FRAME)
+        assert machine.memory.size == MEMORY_END
+        machine.regs[8], machine.regs[9] = at, bad(base)
+        if stack is not None and at >= 0:
+            machine.regs[15] = stack(machine.regs[15])
+        raised_in = None
+        try:
+            outcome = ("ok", machine.call(0, (base, FACT_N)))
+        except VMError as exc:
+            outcome = ("error", str(exc), exc.ip)
+            raised_in = raising_function(exc)
+        caches = machine.caches
+        observed.append((
+            outcome, full_state(machine), caches.l1.sets, caches.l2.sets,
+            caches.l2_misses,
+        ))
+    return observed, raised_in, machine
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize("case", list(FACT_CASES))
+def test_fault_paths_through_what_a_trace_knows(case, tier):
+    # wherever a guard or a lookup went because the path had already
+    # established what it checks — and wherever one had to come back —
+    # the machine left behind is the interpreter's: message, ip, every
+    # counter, both cache levels, the predictor, the countdown, the
+    # samples; unarmed and under every sampled event
+    sections, bad, stack, fault_at, error = FACT_CASES[case]
+    for event in [None] + ALL_EVENTS:
+        pmu = (
+            PmuConfig(event=event, period=512, record_memaddr=True)
+            if event is not None else None
+        )
+        sides = []
+        for engine in (tier, 0):
+            program, _ = fact_program(**FACT_SECTIONS[sections])
+            sides.append(run_fact_case(program, bad, stack, fault_at, pmu, engine))
+        (fast, raised_in, machine), (slow, _, _) = sides
+        assert fast == slow, event
+        clean, again, wrong, wrong_again = (outcome for outcome, *_ in fast)
+        assert clean == again == ("ok", FACT_N) and wrong == wrong_again
+        if error is None:
+            assert wrong == clean
+        else:
+            assert wrong[0] == "error" and error in wrong[1], wrong
+        assert machine.tier == tier
+        if event is None and error is not None:
+            assert raised_in.startswith("_b")  # compiled code raised it
+
+
+_PARENT_DIGESTS = """
+from tests.helpers import compiled_sources, forgotten_address_facts
+import hashlib
+from repro.data.queries import ALL_QUERIES
+from repro.engine import Database, ProfilerConfig
+from repro.serve import QueryService, ServiceConfig
+from repro.vm.pmu import Event
+
+
+def show(sources):
+    digest = hashlib.sha256("\\0".join(sources).encode()).hexdigest()[:16]
+    print(digest, len(sources), sum(s.count("\\n") for s in sources))
+
+
+with forgotten_address_facts():
+    for name in ("q1", "q3", "q6"):
+        sql = ALL_QUERIES[name].sql
+        db = Database.tpch(0.001, 42)
+        with compiled_sources() as sources:  # A: a first execute
+            db.execute(sql)
+        show(sources)
+        with compiled_sources() as sources:  # B: executions 2-3
+            db.execute(sql)
+            db.execute(sql)
+        show(sources)
+        db = Database.tpch(0.001, 42)
+        with compiled_sources() as sources:  # C: armed
+            db.profile(sql, ProfilerConfig(event=Event.CYCLES))
+        show(sources)
+        db = Database.tpch(0.001, 42)
+        db.enable_tiering(hot_instructions=1)
+        db.execute(sql)
+        with compiled_sources() as sources:  # D: tier 2
+            db.execute(sql)
+            db.execute(sql)
+        show(sources)
+    db = Database.tpch(0.001, 42)
+    service = QueryService(
+        db, ServiceConfig(workers=2, tiering_hot_instructions=1)
+    )
+    with compiled_sources() as sources:  # E: serve, armed, tier 1 then 2
+        for _ in range(3):
+            service.submit(ALL_QUERIES["q6"].sql)
+            service.drain()
+    show(sources)
+"""
+
+# sha256[:16] over what translation handed to ``compile``, calls, lines —
+# at 2ddfe78, the commit before any trace knew anything (recipes A-D per
+# query, then E; ``.claude/skills/verify/SKILL.md``).  A-C are tier 1: the
+# digests of ROADMAP item 3a.  D and E reach tier 2, whose same-line memo
+# went with this change: those four are 2ddfe78 with the memo off its
+# treatment (``_replace(memo=False)``; on: a02560679e01bae5
+# 9c2ffe1717fa10b3 e2885bbe2e9d2b0d 626e5b5067d07206, which this tree
+# reproduced too while it still had the memo).
+PARENT_DIGESTS = """
+b0f840c3a9889175 5 2565
+df0ee632fda75d64 7 4390
+13e271b171d8dcbf 17 5273
+5f23b26e6e5fe8be 5 4358
+26f7851e0c9fcfe9 21 13502
+b8361dce67f1d151 13 7221
+95020251679d7857 50 15987
+2ed361f89c719d33 17 22593
+80a1156363c2ed9f 7 4732
+7a6ec39676f5e779 3 348
+64dfeb562b3bed32 17 2615
+d6284674a1b901b4 5 2718
+fabfca9083ca8471 24 13855
+"""
+
+
+def test_forgetting_the_facts_emits_the_text_of_the_commit_before_them():
+    # the ablation is a value, not a flag: wipe what ``_measure`` noted at
+    # the memory accesses and ``_emit`` writes, byte for byte, what the
+    # parent commit wrote — the guarded, looked-up form is what an access
+    # degrades to when nothing is known, not a second emitter
+    root = Path(__file__).parent.parent
+    run = subprocess.run(
+        [sys.executable, "-c", _PARENT_DIGESTS], cwd=root, text=True,
+        stdout=subprocess.PIPE, timeout=600,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)]),
+        },
+    )
+    assert run.returncode == 0
+    assert run.stdout.split() == PARENT_DIGESTS.split()
+
+
+FACT_QUERIES = (
+    "q1", "q3", "q4", "q5", "q6", "q10", "q12", "q13", "q14", "q18", "q19",
+)
+
+
+@pytest.fixture(scope="module")
+def facts_db():
+    return Database.tpch(scale=0.0002, seed=42)
+
+
+def everything_simulated(db, compiled, config, tier):
+    """Run ``compiled`` on a translation of its own at ``tier`` —
+    unarmed with every entered block compiled, armed with what heat
+    picks (the loops: where trees grow and frames are hoisted); what the
+    machine is left holding."""
+    vars(compiled.program).pop("_vm_translations", None)
+    pmu = config.pmu_config() if config is not None else None
+    translation = translation_for(compiled.program, pmu)
+    if config is None:
+        translation.hot_entries = 1
+    if tier == 2:
+        translation.promote()
+    run = db._run_compiled(compiled, config)
+    (machine,) = run.machines.values()
+    assert machine.tier == tier and translation.stats()["compiled"] > 0
+    caches = machine.caches
+    return {
+        **full_state(machine), "rows": run.rows,
+        "l1": caches.l1.sets, "l2": caches.l2.sets,
+        "l2_misses": caches.l2_misses,
+        "samples": [
+            (s.ip, s.tsc, s.branch_taken, s.memaddr, s.registers)
+            for s in machine.samples.samples
+        ],
+    }, translation.source_lines
+
+
+@pytest.mark.parametrize("name", FACT_QUERIES)
+def test_address_facts_move_no_simulated_number(facts_db, name):
+    # with the facts and with them forgotten: the same machine state,
+    # both cache levels set by set, predictor and samples, at both tiers,
+    # unarmed and under every sampled event — from less source
+    sql = ALL_QUERIES[name].sql
+    for event in [None] + ALL_EVENTS:
+        config = (
+            ProfilerConfig(event=event, record_memaddr=True, period=1009)
+            if event is not None else None
+        )
+        compiled = facts_db._compile(sql, config)
+        for tier in (1, 2):
+            known, lines = everything_simulated(facts_db, compiled, config, tier)
+            with forgotten_address_facts():
+                forgotten, more = everything_simulated(
+                    facts_db, compiled, config, tier
+                )
+            assert known == forgotten, (event, tier)
+            assert lines < more
 
 
 # -- engine-level parity (TPC-H) -------------------------------------------
