@@ -1184,7 +1184,7 @@ class _Writer:
                 # remaining stretch of the sampling window)
                 nxt = _event_bound(trace.items[index:index + seg], t.mode)
                 out.append(
-                    f"{ind}if m._countdown - {self.cy(at[index][1])} <= {nxt}:"
+                    f"{ind}if m._countdown - ({self.cy(at[index][1])}) <= {nxt}:"
                 )
                 self.sync(ind + "    ", at[index])
                 out.append(f"{ind}    return {ip}")

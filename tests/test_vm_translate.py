@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.engine import Database, ProfilerConfig
+from repro.engine import Database, ProfilerConfig, ProfilingMode
 from repro.errors import VMError
 from repro.data.queries import ALL_QUERIES
 from repro.fuzz import load_case, replay_case
@@ -1038,7 +1038,7 @@ def test_every_opcode_is_one_row_of_the_table():
 _Q6_SOURCES = """
 import hashlib
 from repro.data.queries import ALL_QUERIES
-from repro.engine import Database, ProfilerConfig
+from repro.engine import Database, ProfilerConfig, ProfilingMode
 from repro.vm.pmu import Event
 from tests.helpers import compiled_sources
 
@@ -1524,7 +1524,7 @@ _PARENT_DIGESTS = """
 from tests.helpers import compiled_sources, forgotten_address_facts
 import hashlib
 from repro.data.queries import ALL_QUERIES
-from repro.engine import Database, ProfilerConfig
+from repro.engine import Database, ProfilerConfig, ProfilingMode
 from repro.serve import QueryService, ServiceConfig
 from repro.vm.pmu import Event
 
@@ -1574,21 +1574,22 @@ with forgotten_address_facts():
 # went with this change: those four are 2ddfe78 with the memo off its
 # treatment (``_replace(memo=False)``; on: a02560679e01bae5
 # 9c2ffe1717fa10b3 e2885bbe2e9d2b0d 626e5b5067d07206, which this tree
-# reproduced too while it still had the memo).
+# reproduced too while it still had the memo).  The armed ones (C, E) are
+# 2ddfe78's with the segmented re-check of the linear variant parenthesised.
 PARENT_DIGESTS = """
 b0f840c3a9889175 5 2565
 df0ee632fda75d64 7 4390
-13e271b171d8dcbf 17 5273
+555447193a66e1d5 17 5273
 5f23b26e6e5fe8be 5 4358
 26f7851e0c9fcfe9 21 13502
 b8361dce67f1d151 13 7221
-95020251679d7857 50 15987
+02b81c5dabc98718 50 15987
 2ed361f89c719d33 17 22593
 80a1156363c2ed9f 7 4732
 7a6ec39676f5e779 3 348
-64dfeb562b3bed32 17 2615
+75ad8bc9203f9432 17 2615
 d6284674a1b901b4 5 2718
-fabfca9083ca8471 24 13855
+69113dcbb613214f 24 13855
 """
 
 
@@ -1709,6 +1710,40 @@ def test_tpch_sample_stream_parity(event):
     slow = _query_observables(db, sql, event, False, period=200)
     assert fast == slow
     assert fast[1]["samples"], "expected a non-empty sample stream"
+
+
+SHORT_PERIOD_REPROS = {
+    # scale, seed, profiling mode, memaddr, CYCLES period: two streams the
+    # fast VM got wrong while the segmented re-check of its armed linear
+    # variant read ``m._countdown - cy + 15`` for ``- (cy + 15)`` (23 of
+    # 7,601 samples from #5906 on, ip 447 for 445; 1 of 1,762) — the
+    # worst-case slack of a default-period window hid it
+    "tagging-700": (0.002, 42, ProfilingMode.REGISTER_TAGGING, True, 700),
+    "callstack-1500": (0.001, 7, ProfilingMode.CALLSTACK, False, 1500),
+}
+
+
+@pytest.mark.parametrize("repro", list(SHORT_PERIOD_REPROS))
+def test_short_period_sample_streams_are_the_interpreters(repro):
+    # one compiled plan on both engines (component tags differ between two
+    # compiles in one process, so r14 compares only within a plan)
+    scale, seed, mode, memaddr, period = SHORT_PERIOD_REPROS[repro]
+    db = Database.tpch(scale=scale, seed=seed)
+    config = ProfilerConfig(
+        mode=mode, event=Event.CYCLES, period=period, record_memaddr=memaddr
+    )
+    compiled = db._compile(ALL_QUERIES["q1"].sql, config)
+    fast, slow = (
+        [
+            (s.ip, s.tsc, s.registers, s.callstack, s.memaddr, s.branch_taken)
+            for _, s in db._run_compiled(
+                compiled, config, fast_vm=fast_vm
+            ).samples
+        ]
+        for fast_vm in (True, False)
+    )
+    assert len(fast) == len(slow) > 1000
+    assert fast == slow
 
 
 def test_tpch_parallel_parity():
