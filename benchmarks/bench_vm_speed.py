@@ -8,7 +8,9 @@ benchmarked queries.  Both CI gates use deliberately lower floors so
 scheduler noise on shared runners cannot flake the build; the measured
 trajectory is what ``BENCH_vm.json`` tracks run over run.  Those
 speedups are warm; a third gate bounds what the *first* run of a query
-costs against interpreting it (``cold_vs_interp``).
+costs against interpreting it (``cold_vs_interp``).  The report also
+carries, ungated, what leaving the sampler on costs a warm plan
+(``armed_s``, ``armed_vs_plain``: default period, REGISTER_TAGGING).
 """
 
 from pathlib import Path

@@ -32,13 +32,15 @@ it — and a signed run that did not report tier 2 is itself a
 disagreement.  Each tier signs twice: heat threshold 1 (``[fast]``,
 ``[tiered]``: every template the run reaches compiles) and the default
 (``[mixed]``, ``[tiered-mixed]``: loops hand over mid-run, trees
-regrow).  Any divergence is a disagreement.
+regrow), under an event and a period drawn from the query text
+(:func:`vm_parity_profiler`).  Any divergence is a disagreement.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import CatalogError, PlanError, ReproError, SqlError
@@ -523,11 +525,10 @@ class DifferentialOracle:
         then execute tier-2 traces, and not doing so is an error outcome
         (which the interpreter's rows turn into a disagreement).
         ``hot_entries`` replaces the translation's heat threshold."""
-        from repro.engine import ProfilerConfig
         from repro.vm.translate import translation_for
 
         db = self.db
-        profiler = ProfilerConfig(record_memaddr=True)
+        profiler = vm_parity_profiler(sql)
         try:
             compiled = db._compile(sql, profiler)
             if hot_entries is not None:
@@ -661,6 +662,26 @@ class DifferentialOracle:
             disagreements, result.tier2_signed = self._vm_parity(sql)
             result.disagreements.extend(disagreements)
         return result
+
+
+VM_PARITY_PERIODS = (128, 300, 700, 1_500, 5_000)
+
+
+def vm_parity_profiler(sql: str):
+    """The armed configuration ``vm-parity[*]`` runs ``sql`` under: one
+    of five periods x the five sampled events, picked by a checksum of
+    the text, so a corpus case replays under the one that found it.
+    (The default period leaves every sampling window thousands of events
+    of slack: an error in how a window *ends* shows at the short ones.)"""
+    from repro.engine import ProfilerConfig
+    from repro.vm.pmu import Event
+
+    events, periods = list(Event), VM_PARITY_PERIODS
+    draw = zlib.crc32(sql.encode()) % (len(events) * len(periods))
+    return ProfilerConfig(
+        event=events[draw % len(events)],
+        period=periods[draw // len(events)], record_memaddr=True,
+    )
 
 
 def check_query(db, query, **kwargs) -> CheckResult:

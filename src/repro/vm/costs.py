@@ -68,13 +68,13 @@ KERNEL_OUTPUT_PER_VALUE = 5  # copying a result value to the client
 #
 # The translated engine retires whole basic blocks at a time and pays the
 # PMU countdown in block-sized chunks; a block only runs fast when the
-# countdown exceeds the block's worst-case event bound, otherwise the
+# countdown exceeds the static events of its longest path, otherwise the
 # interpreter finishes the sampling window exactly.  Below this period the
 # bounds reject nearly every block and the per-block checks are pure
 # overhead, so the fast engine disarms itself entirely.
 
 FAST_VM_MIN_PERIOD = 128
-FAST_VM_MAX_BLOCK = 48  # cap so worst-case block bounds stay << period
+FAST_VM_MAX_BLOCK = 48  # armed traces stay short (docs/TIERING.md)
 # With the PMU unarmed there is no countdown to protect, so unarmed
 # translations may grow much longer traces — fewer driver transitions on
 # hot loops (the instruction-budget check stays conservative either way)

@@ -107,10 +107,9 @@ class Machine:
         self._jitter = 0x5DEECE66D  # deterministic LCG state
         self._external_ip_rotor = 0
         # Fast mode runs template-translated basic blocks (repro.vm.translate)
-        # and falls back to the interpreter whenever a block-sized countdown
-        # step could cross a sample boundary.  Below FAST_VM_MIN_PERIOD the
-        # fallback would dominate, so the fast engine disarms itself and
-        # every instruction runs interpreted.
+        # and hands over to the interpreter whenever a block's static
+        # countdown step could cross a sample boundary.  Below
+        # FAST_VM_MIN_PERIOD that would dominate: the fast engine disarms.
         self.translation = None
         # the promotion policy watching this machine's program, if any
         # (repro.vm.tiering); while it watches a tier-1 translation the
@@ -275,14 +274,15 @@ class Machine:
         self._interp(entry_ip, None)
 
     def _run_fast(self, entry_ip: int) -> None:
-        """Dual-mode driver: translated blocks plus interpreter fallback.
+        """Dual-mode driver: translated blocks, else the interpreter.
 
         A translated block only runs when neither a PMU sample nor an
-        instruction-budget fault could fall due inside it: the live
-        countdown must strictly exceed the block's worst-case event bound
-        (``b[2]``), and the budget must cover the whole block.  When the
-        check fails, ``_interp`` takes over instruction-by-instruction for
-        the rest of the sampling window and suspends at the next block
+        instruction-budget fault could fall due on its static path: the
+        live countdown must strictly exceed the block's event bound
+        (``b[2]``; a miss or a mispredict settles inside the block, see
+        ``repro.vm.translate``) and the budget must cover the whole
+        block.  When the check fails, ``_interp`` takes over for the
+        rest of the sampling window and suspends at the next block
         leader that passes the same check — so sample streams, counters,
         and VMError behavior are bit-identical to pure interpretation.
 
@@ -315,48 +315,21 @@ class Machine:
         caches = self.caches
         predictor = self.predictor
         get = blocks.get
-        config = self.pmu_config
+        armed = self.pmu_config is not None
         interp = self._interp
+        max_instructions = state.max_instructions
         ip = entry_ip
-        if config is None:
-            max_instructions = state.max_instructions
-            while ip >= 0:
-                b = get(ip)
-                if b is not None and state.instructions + b[1] <= max_instructions:
-                    if counting:
-                        entries[ip] = entries.get(ip, 0) + 1
-                    ip = b[0](self, regs, words, state, caches, predictor)
-                else:
-                    ip = interp(ip, blocks)
-        else:
-            while ip >= 0:
-                b = get(ip)
-                if b is not None:
-                    if (
-                        self._countdown > b[2]
-                        and state.instructions + b[1]
-                        <= state.max_instructions
-                    ):
-                        if counting:
-                            entries[ip] = entries.get(ip, 0) + 1
-                        ip = b[0](self, regs, words, state, caches, predictor)
-                        continue
-                    fb = b[3]
-                    if (
-                        fb is not None
-                        and self._countdown > fb[2]
-                        and state.instructions + fb[1]
-                        <= state.max_instructions
-                    ):
-                        # fallback dispatches are sampling-window tail
-                        # artifacts, not workload structure — counting
-                        # them would inflate the entry profile of every
-                        # loop the window happens to cut (the interpreter
-                        # handoff they replace was never counted either)
-                        ip = fb[0](
-                            self, regs, words, state, caches, predictor
-                        )
-                        continue
+        while ip >= 0:
+            b = get(ip)
+            if (
+                b is not None
+                and state.instructions + b[1] <= max_instructions
+                and (not armed or self._countdown > b[2])
+            ):
+                if counting:
+                    entries[ip] = entries.get(ip, 0) + 1
+                ip = b[0](self, regs, words, state, caches, predictor)
+            else:
                 ip = interp(ip, blocks)
 
     def _interp(self, entry_ip: int, blocks) -> int:  # noqa: C901 - interpreter core
@@ -418,27 +391,14 @@ class Machine:
                 blk = blocks_get(ip)
                 # a cold stub counts the entry and is no block yet; the
                 # entry that makes it hot suspends for the driver's dispatch
-                if blk is not None and not (
-                    blk[2] < 0 and translation.cold_entry(ip, self)
+                if (
+                    blk is not None
+                    and not (blk[2] < 0 and translation.cold_entry(ip, self))
+                    and instructions + blk[1] <= max_instructions
+                    and (config is None or self._countdown > blk[2])
                 ):
-                    if (
-                        instructions + blk[1] <= max_instructions
-                        and (config is None or self._countdown > blk[2])
-                    ):
-                        state.cycles, state.instructions = (
-                            cycles, instructions
-                        )
-                        return ip
-                    fb = blk[3]
-                    if (
-                        fb is not None
-                        and instructions + fb[1] <= max_instructions
-                        and self._countdown > fb[2]
-                    ):
-                        state.cycles, state.instructions = (
-                            cycles, instructions
-                        )
-                        return ip
+                    state.cycles, state.instructions = cycles, instructions
+                    return ip
             try:
                 op, f1, f2, f3 = code[ip]
             except IndexError:

@@ -26,13 +26,19 @@ ip, same counter values, same PMU countdown).  An error site is a bare
 guard or a bare access; what had retired there is data — a table keyed
 by source line, read by the function's one fault epilogue.
 
-Sampling exactness is preserved by a conservative *event bound* computed
-per block and per PMU event: the worst-case number of countdown events
-the block can generate.  The driver only enters a block when the live
-countdown strictly exceeds that bound, so a sample can never fall due
-mid-block; when the check fails, the interpreter finishes the sampling
-window (see ``Machine._run_fast``), which keeps sample streams
-bit-identical to pure interpretation.
+Sampling exactness is *admit on the static path, settle at the site*
+(``docs/SIMULATOR.md``).  A block's *event bound* counts what is static
+on its longest path in the sampled event's terms — an instruction, a
+load, an L1-hit latency, a branch's one cycle — and the driver only
+enters a block while the live countdown strictly exceeds it; otherwise
+the interpreter finishes the sampling window (``Machine._run_fast``).
+What is *dynamic* — a miss's extra latency, a mispredict's penalty, the
+L1-miss and branch-miss events themselves — settles where it lands: the
+arm that discovers it checks that the countdown still exceeds the static
+events ahead, and otherwise leaves through the function's epilogue,
+which syncs the interpreter's state with that instruction retired, takes
+the sample if it is due, and hands the next ip back.  So a sample can
+fall due only *at* a settle site, on exactly the interpreter's state.
 
 Translation gets more aggressive where the countdown allows it: traces
 rooted at loop heads inline their side-exit continuations into superblock
@@ -41,8 +47,7 @@ back to the trace's own head closes the loop inside the compiled function
 — after re-checking the instruction budget (and, armed, the countdown)
 exactly as the driver would — so hot loops run without returning to the
 dispatch loop at all.  Armed, tree growth is additionally capped by
-``bound_cap`` — a worst-case-event allowance of ``period // 8`` — so the
-admission check still passes for almost the whole sampling window.
+``bound_cap``: ``period // 8`` static events for the whole tree.
 
 Translations are cached on the Program object, keyed by the sampled event
 and the armed bound cap (the countdown bookkeeping is specialized per
@@ -95,19 +100,10 @@ _MODES = {
 
 # Superblock-tree growth limits: total emitted instructions per block
 # function and inlining depth of side-exit continuations.  Armed
-# translations additionally cap the tree's worst-case event bound at
-# ``bound_cap`` so it stays small against the sampling countdown.
+# translations additionally cap the tree's static events at ``bound_cap``
+# so every path stays small against the sampling countdown.
 _TREE_BUDGET = 1536
 _TREE_DEPTH = 8
-
-# Segment length of the armed cycles-mode linear fallback: the driver
-# admits the block on the *first* segment's worst-case bound only, and
-# the block re-checks the live countdown before every further segment.
-# Cycles is the one event whose worst-case bound (every load misses to
-# memory) towers over the typical cost, so whole-block admission would
-# hand the last ~worst-case-bound stretch of every sampling window to
-# the interpreter; segmentation shrinks that tail to one segment.
-_FALLBACK_SEG = 8
 
 # what may stand in an immediate slot, by slot kind (see ``_Op``)
 _VALID = {
@@ -132,17 +128,19 @@ class _Op:
     ``lines`` is the source of a straight-line opcode, slots numbered as
     in the instruction tuple (``r{1}``: the register slot 1 names,
     ``{3!r}``: slot 3 as a literal); memory ops and the ways out of a
-    trace are written by ``_Writer``.  ``cycles`` is the static cost,
-    ``worst`` what the CYCLES event bound assumes instead; ``loads``,
-    ``stores``, ``branches`` count dynamic events; ``faults`` are the
-    error sites among the instruction's lines, ``(offset, message)``."""
+    trace are written by ``_Writer``.  ``cycles`` is the static cost;
+    ``loads``, ``stores``, ``branches`` count what retires; ``faults``
+    are the error sites among the instruction's lines, ``(offset,
+    message)``; ``settles`` names the countdown modes in which it can
+    cost more than its static ``events``: a miss, a mispredict."""
 
     def __init__(
-        self, kinds, *lines, cycles=1, worst=None, loads=0, stores=0,
-        branches=0, faults=(),
+        self, kinds, *lines, cycles=1, loads=0, stores=0, branches=0,
+        faults=(), settles=(),
     ):
         self.lines, self.cycles, self.faults = lines, cycles, faults
         self.loads, self.stores, self.branches = loads, stores, branches
+        self.settles = settles
         slots = list(enumerate(kinds, 1))
         self.reads = tuple(slot for slot, kind in slots if kind == "r")
         self.writes = tuple(slot for slot, kind in slots if kind == "w")
@@ -150,10 +148,10 @@ class _Op:
         self.checks = tuple(
             (slot, _VALID[kind]) for slot, kind in slots if kind in _VALID
         )
-        # worst-case countdown events, by countdown mode
+        # static countdown events by mode: no miss or mispredict is one
         self.events = {
-            "": 0, "instr": 1, "loads": loads, "l1": loads,
-            "brmiss": branches, "cycles": cycles if worst is None else worst,
+            "": 0, "instr": 1, "loads": loads, "l1": 0, "brmiss": 0,
+            "cycles": cycles,
         }
 
 
@@ -244,7 +242,8 @@ _OPS = {
     # LOAD is (op, dst, base, imm), STORE (op, base, src, imm); the L1-hit
     # latency is the static cost; the sites are the guard and the access
     Opcode.LOAD: _Op(
-        "wrn", cycles=costs.LAT_L1, worst=costs.LAT_MEM, loads=1, faults=(
+        "wrn", cycles=costs.LAT_L1, loads=1, settles=("cycles", "l1"),
+        faults=(
             (0, "unaligned or null load at %#x"),
             (1, "load out of bounds at %#x"),
         ),
@@ -258,8 +257,7 @@ _OPS = {
     Opcode.JMP: _Op("t--", cycles=costs.CYCLES_BRANCH),
     **_family(
         "rt-", {Opcode.BRZ: "==", Opcode.BRNZ: "!="}, branches=1,
-        cycles=costs.CYCLES_BRANCH,
-        worst=costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
+        cycles=costs.CYCLES_BRANCH, settles=("cycles", "brmiss"),
     ),
     Opcode.CALL: _Op(
         "t--", cycles=costs.CYCLES_CALL, faults=((3, "call stack overflow"),),
@@ -272,9 +270,9 @@ _OPS = {
 
 
 class _Fault(Exception):
-    """Raised bare by a compiled block's guard; the raising line says
-    which error site it was to the same function's fault epilogue — it
-    never leaves a block function."""
+    """Raised bare by a compiled block's guard or settle check; the
+    raising line says which site it was to the same function's epilogue
+    — it never leaves a block function."""
 
 
 # A stub admits unconditionally: it retires zero instructions, and its
@@ -286,14 +284,9 @@ _STUB_BOUND = -1
 class Translation:
     """The block map of one program for one PMU event mode.
 
-    ``blocks`` maps a leader ip to ``(fn, n_instructions, event_bound,
-    fallback)``; ``fn(machine, regs, words, state, caches, predictor)``
-    executes the block and returns the next ip (negative = the run is
-    complete).  ``fallback`` is ``None``, or a linear
-    ``(fn, n_instructions, event_bound)`` variant of the same leader with
-    a much smaller bound, which the driver runs when the live countdown
-    is too low to admit an armed superblock tree — so only the last few
-    hundred events before each sample interpret.
+    ``blocks`` maps a leader ip to ``(fn, n_instructions, event_bound)``;
+    ``fn(machine, regs, words, state, caches, predictor)`` executes the
+    block and returns the next ip (negative = the run is complete).
 
     Blocks compile by heat.  Every leader starts as a *stub* entry, and
     ``heat`` counts its entries while it is one — dispatched by the
@@ -417,7 +410,7 @@ class Translation:
         return True
 
     def _stub(self, ip: int) -> tuple:
-        return (partial(self._enter, ip), 0, _STUB_BOUND, None)
+        return (partial(self._enter, ip), 0, _STUB_BOUND)
 
     def _enter(self, ip, machine, *_):
         if machine._counting_entries:
@@ -440,7 +433,6 @@ class Translation:
 
     def _compile(self, ip: int) -> tuple | None:
         emit = self._emit
-        mode = emit["mode"]
         heat = self.heat
         if self.regrown.get(ip, 0) >= costs.FAST_VM_REGROW_LIMIT:
             heat = None  # regrown to the limit: compile whole
@@ -448,43 +440,20 @@ class Translation:
         if tree is None:
             del self.blocks[ip]
             return None
-        trees = [tree]
-        if mode and emit["bound_cap"]:
-            # the armed tree's bound keeps it out of the last stretch of
-            # every sampling window; give the driver a linear variant
-            # with a tight bound to run there instead of interpreting
-            # (always at the short tier-1 cap); both compile as one
-            # source, so its fault lines number on from the tree's
-            linear = _grow(
-                self.code, ip, costs.FAST_VM_MAX_BLOCK, mode, linear=True,
-                heat=heat,
-            )
-            if linear is not None and linear.bound < tree.bound:
-                trees.append(linear)
-        source, sites = "", {}
-        for grown in trees:
-            text, table = _emit(_measure(grown), line0=source.count("\n"))
-            source += text
-            sites.update(table)
-        # the functions bind ``_T``, their fault sites, as they are defined
-        namespace = self._namespace
-        namespace["_T"] = sites
-        exec(compile(source, f"<fastvm:{mode or 'plain'}>", "exec"), namespace)
-        entry = (
-            namespace.pop(f"_b{ip}"), tree.max_k, tree.bound,
-            (namespace.pop(f"_b{ip}f"), linear.max_k, linear.bound)
-            if len(trees) > 1 else None,
-        )
+        # the function binds ``_T``, its sites, as it is defined
+        source, self._namespace["_T"] = _emit(_measure(tree))
+        name = f"<fastvm:{emit['mode'] or 'plain'}>"
+        exec(compile(source, name, "exec"), self._namespace)
+        entry = (self._namespace.pop(f"_b{ip}"), tree.max_k, tree.bound)
         self.blocks[ip] = entry
-        for grown in trees:
-            # a path that hands control back mid-straight-line-code (size
-            # cap, untranslatable instruction, a cold cut) continues in a
-            # block of its own, so long arithmetic runs never drop to the
-            # interpreter
-            for fall in grown.fallthroughs:
-                if fall not in self.blocks:
-                    self.blocks[fall] = self._stub(fall)
-        self.pruned[ip] = {t for grown in trees for t in grown.pruned}
+        # a path that hands control back mid-straight-line-code (size
+        # cap, untranslatable instruction, a cold cut) continues in a
+        # block of its own, so long arithmetic runs never drop to the
+        # interpreter
+        for fall in tree.fallthroughs:
+            if fall not in self.blocks:
+                self.blocks[fall] = self._stub(fall)
+        self.pruned[ip] = set(tree.pruned)
         self.compiled.add(ip)
         self.source_lines += source.count("\n")
         return entry
@@ -492,16 +461,15 @@ class Translation:
 
 def _emit_settings(mode: str, bound_cap: int, tier: int, entries) -> dict:
     """The :func:`_grow` arguments of one translation at ``tier``."""
-    # armed translations cap trace length so worst-case event bounds stay
-    # well under the countdown; unarmed ones have no countdown to protect
+    # armed traces stay short so event bounds stay well under the
+    # countdown; unarmed ones have no countdown to protect
     cap = costs.FAST_VM_MAX_BLOCK if mode else costs.FAST_VM_MAX_BLOCK_PLAIN
     if tier >= 2 and mode and bound_cap:
-        # What admission actually protects is the worst-case *event*
-        # bound, not the instruction count — tier-2 armed roots therefore
-        # decode at the plain cap and _grow trims them back by
-        # event bound.  A loop body longer than the tier-1 cap can then
-        # still close into an in-function loop instead of paying a driver
-        # dispatch per iteration.
+        # What admission protects is the *event* bound, not the
+        # instruction count: tier-2 armed roots decode at the plain cap
+        # and _grow trims them back by events, so a loop body longer than
+        # the tier-1 cap still closes into an in-function loop instead of
+        # paying a driver dispatch per iteration.
         cap = costs.FAST_VM_MAX_BLOCK_PLAIN
     # tier-2 trees may grow much larger: their compile time is only paid
     # for blocks the profile already proved hot *and* the run re-enters
@@ -516,10 +484,8 @@ def translation_for(program: Program, pmu_config=None) -> Translation:
     """Return the one (cached) translation of ``program`` for machines
     armed with ``pmu_config`` (None: unarmed).  Nothing compiles here.
 
-    Armed translations may grow superblock trees up to a worst-case
-    event bound of 1/8 of the period: that keeps the driver's admission
-    check passing for ~7/8 of every sampling window (larger caps inflate
-    the per-pass bound that gates loop re-entry and measure slower)."""
+    Armed trees may grow to 1/8 of the period in static events, all arms
+    summed: no path then costs admission more than 1/8 of a window."""
     cache = getattr(program, "_vm_translations", None)
     if cache is None:
         cache = {}
@@ -594,8 +560,6 @@ class _Treatment(NamedTuple):
     tree: bool  # side exits may inline their continuations
     deferred: bool  # tier-2 deferred sync: state in locals across iterations
     defer_cy: bool  # ... and ``cy`` accumulating across them too
-    seg: int  # segment length of segmented admission (0: whole block)
-    track_l1: bool  # an L1-miss accumulator ``_mi`` exists
     has_dyn: bool  # a dynamic-cycles accumulator ``cy`` exists
 
 
@@ -610,15 +574,17 @@ class _Trace:
     became; ``at``, filled in by :func:`_measure`, holds the path-static
     totals ``(instructions, cycles, loads, stores, branches)`` retired
     *before* an item (so ``at[i + 1]``: with item ``i``) — around fault
-    sites and ways out, at segment boundaries and under ``len(items)``;
+    and settle sites and ways out, and under ``len(items)``;
     ``known``, what the path had established at a memory access
-    (:meth:`_Facts.access`; no entry: nothing)."""
+    (:meth:`_Facts.access`; no entry: nothing); ``spent``, the static
+    countdown events of the path up to and with an item that settles."""
 
     def __init__(self, items, fall):
         self.items, self.fall = items, fall
         self.exits: dict[int, object] = {}
         self.at: dict[int, tuple] = {}
         self.known: dict[int, tuple] = {}
+        self.spent: dict[int, int] = {}
 
 
 def _side_target(ip: int, ins: tuple):
@@ -631,22 +597,22 @@ def _side_target(ip: int, ins: tuple):
 
 class _Tree:
     """The trace tree of one root: :func:`_grow` decides ``treatment``,
-    ``root`` and what hangs off it, the worst-case event ``bound`` of a
-    pass, the exits ``pruned`` by heat and the ``fallthroughs`` (either
-    may repeat an ip); :func:`_measure` adds what its docstring lists."""
+    ``root`` and what hangs off it, the static ``events`` of all its
+    traces (what ``bound_cap`` limits), the exits ``pruned`` by heat and
+    the ``fallthroughs`` (either may repeat an ip); :func:`_measure`
+    adds what its docstring lists."""
 
-    def __init__(self, start, suffix, treatment, bound, pruned):
-        self.start, self.suffix, self.treatment = start, suffix, treatment
-        self.bound, self.pruned = bound, pruned
+    def __init__(self, start, treatment, events, pruned):
+        self.start, self.treatment = start, treatment
+        self.events, self.pruned = events, pruned
         self.fallthroughs: list[int] = []
         self.size = 0  # instructions in the tree (the growth budget)
         self.root: _Trace | None = None
 
 
 def _grow(
-    code, start, cap, mode, bound_cap=0, linear=False, tier=1,
-    tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH, entries=None,
-    heat=None,
+    code, start, cap, mode, bound_cap=0, tier=1, tree_budget=_TREE_BUDGET,
+    tree_depth=_TREE_DEPTH, entries=None, heat=None,
 ):
     """Decode the root at ``start``, decide its treatment, and grow its
     trace tree; None if nothing there is translatable.  No text.
@@ -656,8 +622,7 @@ def _grow(
     into the taken arm, so hot paths that zig-zag through taken branches
     — and loop cycles that cross several trace heads before branching
     back to this block's start — run inside one Python function.
-    ``heat`` (None prunes nothing) keeps out what no entry has reached;
-    ``linear`` asks for the armed linear variant (the ``f`` function).
+    ``heat`` (None prunes nothing) keeps out what no entry has reached.
     """
     root_items, root_fall, cut = _decode_trace(code, start, cap, heat)
     if not root_items:
@@ -666,9 +631,9 @@ def _grow(
     whole_root = _decode_trace(code, start, cap)[0] if cut else root_items
     if mode and bound_cap and len(root_items) > costs.FAST_VM_MAX_BLOCK:
         # Tier-2 armed roots decode past the tier-1 instruction cap (see
-        # _emit_settings); keep the longest prefix whose worst-case
-        # event bound still leaves tree headroom under ``bound_cap``, but
-        # never trim below the tier-1 cap.  The cut point's ip is where
+        # _emit_settings); keep the longest prefix whose static events
+        # still leave tree headroom under ``bound_cap``, but never trim
+        # below the tier-1 cap.  The cut point's ip is where
         # control would continue, so it becomes the fall-through leader.
         allowance = bound_cap // 2
         kept = costs.FAST_VM_MAX_BLOCK
@@ -691,7 +656,7 @@ def _grow(
     is_loop_head = any(
         _side_target(ip, ins) == start for ip, ins in whole_root
     )
-    bound = _event_bound(root_items, mode)
+    events = _event_bound(root_items, mode)
     # Tier 2 additionally grows trees at profile-hot non-loop blocks: a
     # block entered hundreds of times per run without a closed loop is a
     # link of a per-row dispatch chain (join probe, EXISTS check), and
@@ -701,49 +666,32 @@ def _grow(
         tier >= 2
         and entries.get(start, 0) >= costs.TIER2_HOT_BLOCK_ENTRIES
     )
-    tree = (is_loop_head or hot_block) and (mode == "" or bound < bound_cap)
+    tree = (is_loop_head or hot_block) and (mode == "" or events < bound_cap)
     # Tier-2 deferred sync: a loop head keeps its counters, predictor
     # state and countdown in locals until a real exit or a failed edge
     # check.
     deferred = tier >= 2 and is_loop_head
-    # segmented admission for the cycles-mode linear fallback ("f"
-    # variant): see _FALLBACK_SEG
-    seg = _FALLBACK_SEG if (linear and mode == "cycles") else 0
-    if seg and len(root_items) > seg:
-        # the driver (and the loop edge, when the fallback closes a
-        # short loop) only needs to cover the first segment — the block
-        # re-checks before every later one
-        bound = _event_bound(root_items[:seg], mode)
     root_rows = [_OPS[ins[0]] for _, ins in root_items]
     treatment = _Treatment(
         mode=mode, tree=tree, deferred=deferred,
         # Deferred loops let ``cy`` (dynamic cycles: cache misses,
         # mispredicts) accumulate *across* iterations instead of folding
         # it into ``_cyt`` and resetting at every back edge — exits and
-        # flushes add ``cy`` once.  Not for the two modes whose loop
-        # edges consume a per-iteration delta: ``cycles`` decrements the
-        # countdown by each iteration's cost, ``l1`` by the per-iteration
-        # miss count ``_mi``.
-        defer_cy=deferred and mode in ("", "instr", "loads", "brmiss"),
-        seg=seg,
-        # armed trees can inline loads into a load-free root, so the
-        # L1-miss accumulator must exist whenever an arm *could* bring one
-        track_l1=mode == "l1" and (tree or any(r.loads for r in root_rows)),
-        # likewise loads/branches and the dynamic-cycles accumulator
+        # flushes add ``cy`` once.  Not in ``cycles``, whose loop edge
+        # decrements the countdown by each iteration's cost.
+        defer_cy=deferred and mode != "cycles",
+        # a tree may inline loads and branches into a root that has none
         has_dyn=tree or any(r.loads or r.branches for r in root_rows),
     )
-    grown = _Tree(
-        start, "f" if linear else "", treatment, bound,
-        [root_fall] if cut else [],
-    )
+    grown = _Tree(start, treatment, events, [root_fall] if cut else [])
 
     def side_exit(target, path, depth):
         """What the side exit to ``target`` becomes: the loop edge, the
         inlined continuation, or an exit when trees are disabled, the
         target closes a non-root cycle, the growth budget/depth is
         exhausted, or (armed) the continuation would push the tree's
-        worst-case event bound past ``bound_cap``, or (last: the exit is
-        pruned) no entry has reached ``target`` yet."""
+        static events past ``bound_cap``, or (last: the exit is pruned)
+        no entry has reached ``target`` yet."""
         if target == start:
             return _LOOP
         if (
@@ -758,13 +706,13 @@ def _grow(
         )
         if not items:
             return _EXIT
-        sub_bound = _event_bound(items, mode)
-        if mode and grown.bound + sub_bound > bound_cap:
+        sub_events = _event_bound(items, mode)
+        if mode and grown.events + sub_events > bound_cap:
             return _EXIT
         if heat is not None and not heat.get(target):
             grown.pruned.append(target)
             return _PRUNED
-        grown.bound += sub_bound
+        grown.events += sub_events
         if sub_cut:
             grown.pruned.append(fall)
         return trace(items, fall, path | {target}, depth + 1)
@@ -837,12 +785,14 @@ class _Facts:
 def _measure(tree: _Tree) -> _Tree:
     """One walk of a grown tree for what emit must know before it writes
     line 1 — registers ``used`` (read or written) and ``written``, the
-    worst-case instructions ``max_k`` retired on any path, whether a path
-    touches memory (``mem``), closes the ``loop``, has fault sites
-    (``faults``), the ``branch_ips`` whose 2-bit counters a deferred loop
-    keeps in locals — for the path-static totals (``_Trace.at``) and the
-    address facts (``_Trace.known``: an inlined arm starts from a copy of
-    its branch's, nothing flows back to the fall-through).  ``slots``:
+    most instructions (``max_k``) and static countdown events (``bound``:
+    what admission compares the countdown with) any one path retires,
+    whether a path touches memory (``mem``), closes the ``loop``, has
+    fault or settle sites (``faults``), the ``branch_ips`` whose 2-bit
+    counters a deferred loop keeps in locals — for the path-static totals
+    (``_Trace.at``, ``spent``) and the address facts (``_Trace.known``:
+    an inlined arm starts from a copy of its branch's, nothing flows
+    back to the fall-through).  ``slots``:
     the frame offsets a loop function binds once, ahead of the loop —
     none if a path writes the stack pointer and then takes the loop edge.
 
@@ -853,21 +803,23 @@ def _measure(tree: _Tree) -> _Tree:
     back unconditionally) and every *written* register is flushed at
     each exit.
     """
-    deferred, seg = tree.treatment.deferred, tree.treatment.seg
+    deferred, mode = tree.treatment.deferred, tree.treatment.mode
     used, written, branch_ips, slots = set(), set(), set(), set()
-    tree.max_k = 0
+    tree.max_k = tree.bound = 0
     tree.mem = tree.loop = tree.faults = False
     moved_edges = []  # loop edges behind a write to the stack pointer
 
-    def walk(trace, facts, k0, cycles, loads, stores, branches):
+    def walk(trace, facts, events, k0, cycles, loads, stores, branches):
         """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
         retired-count, statically-known cycles, memory-op and
         conditional-branch counts accumulated on the path into this
-        trace, so sync points flush absolute totals."""
+        trace, so sync points flush absolute totals; ``events``, its
+        static countdown events."""
         at, exits = trace.at, trace.exits
         for index, (ip, ins) in enumerate(trace.items):
             op = ins[0]
             row = _OPS[op]
+            events += row.events[mode]
             if row.loads or row.stores:
                 known = facts.access(ins[2 if row.loads else 1], ins[3])
                 trace.known[index] = known
@@ -879,9 +831,12 @@ def _measure(tree: _Tree) -> _Tree:
                 facts.kill(ins[slot])
             if row.pair:
                 used.update(ins[3])
-            if row.faults:
+            settles = mode in row.settles
+            if settles:
+                trace.spent[index] = events
+            if row.faults or settles:
                 tree.faults = True
-            elif op not in TERMINATOR_OPS and not (seg and index % seg == 0):
+            elif op not in TERMINATOR_OPS:
                 cycles += row.cycles
                 continue
             at[index] = (k0 + index, cycles, loads, stores, branches)
@@ -902,14 +857,15 @@ def _measure(tree: _Tree) -> _Tree:
                 if facts.moved:
                     moved_edges.append(ip)
             elif child.__class__ is _Trace:
-                walk(child, facts.copy(), *at[index + 1])
+                walk(child, facts.copy(), events, *at[index + 1])
         k_end = k0 + len(trace.items)
         at[len(trace.items)] = (k_end, cycles, loads, stores, branches)
-        # every trace ends in a way out, so its last ``k`` is its largest
+        # every trace ends in a way out, so its last totals are its largest
         tree.max_k = max(tree.max_k, k_end)
+        tree.bound = max(tree.bound, events)
         tree.mem = tree.mem or loads + stores > 0
 
-    walk(tree.root, _Facts(), 0, 0, 0, 0, 0)
+    walk(tree.root, _Facts(), 0, 0, 0, 0, 0, 0)
     tree.used, tree.written = used | written, written
     tree.branch_ips = branch_ips
     held = tree.loop and not moved_edges
@@ -920,13 +876,14 @@ def _measure(tree: _Tree) -> _Tree:
 class _Writer:
     """The pen of :func:`_emit`: final lines, written front to back at a
     known indent — a line's number is the length of ``out`` as it is
-    written, so a fault site goes straight into ``table``."""
+    written, so a site goes straight into ``table``."""
 
-    def __init__(self, tree: _Tree, line0: int):
+    def __init__(self, tree: _Tree):
         t = tree.treatment
-        self.tree, self.t, self.line0 = tree, t, line0
+        self.tree, self.t = tree, t
         self.out: list[str] = []
         self.table: dict[int, tuple] = {}
+        self.settled = False  # a settle site was written
         self.wb_regs = [f"regs[{i}] = r{i}" for i in sorted(tree.written)]
         self.wb_predictor = ["predictor.mispredicts += _pm"] + [
             f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
@@ -935,9 +892,10 @@ class _Writer:
         # the loop edge's admission check, as the driver would make it
         retired = "_ib + _ins" if t.deferred else "state.instructions"
         check = f"{retired} + {tree.max_k} > _maxi"
+        # where the countdown lives while the function runs
+        self.countdown = "_cd" if t.deferred else "m._countdown"
         if t.mode:
-            countdown = "_cd" if t.deferred else "m._countdown"
-            check = f"{countdown} <= {tree.bound} or {check}"
+            check = f"{self.countdown} <= {tree.bound} or {check}"
         self.edge_check = check
         # the uniform edge flush: everything the accumulators deferred
         # goes back to machine state before the driver regains control
@@ -961,10 +919,9 @@ class _Writer:
         """What a path costs the countdown in this block's mode, as
         source text ("0": nothing); the arguments are the path's
         instruction, cycle and load totals."""
-        return str({
-            "instr": instr, "cycles": cycles, "loads": loads,
-            "l1": "_mi" if self.t.track_l1 else 0,
-        }.get(self.t.mode, 0))
+        by_mode = {"instr": instr, "cycles": cycles, "loads": loads}
+        # (an L1 miss and a mispredict are paid as they happen)
+        return str(by_mode.get(self.t.mode, 0))
 
     def write_back(self, ind: str, branches=0) -> None:
         """What every way out of the function — exit, edge flush, fault
@@ -1060,13 +1017,15 @@ class _Writer:
             self.sync(ind, path, dyn)
             out.append(f"{ind}return {target}")
 
-    def branch(self, what, ip: int, ins: tuple, ind: str, path) -> None:
+    def branch(self, what, ip: int, ins: tuple, ind: str, path, spent) -> None:
         """A conditional branch is a side exit: the taken arm leaves the
         trace (or inlines its continuation), the fall-through arm keeps
         executing."""
         op, d, a, _ = ins
         t, out, arm = self.t, self.out, ind + "    "
         cond = "==" if op == Opcode.BRZ else "!="
+        # what a sample says of the branch when taken: its register != 0
+        taken = op == Opcode.BRNZ
         if t.deferred:
             # Tier-2: the 2-bit counter lives in a local (_h{ip}, loaded
             # once at entry, written back only on change at exits),
@@ -1088,10 +1047,12 @@ class _Writer:
             # taken arm: mispredict iff the pre-update counter < 2;
             # update saturates upward at 3
             out += [f"{ind}if r{d} {cond} 0:", *counter("+ 1", "< 3", "< 2")]
+            self.settle(arm + "    ", path, spent, (a, taken), ip)
             self.side_exit(what, a, arm, path)
             # not-taken arm: mispredict iff the pre-update counter
             # >= 2; update saturates downward at 0
             out += [f"{ind}else:", *counter("- 1", "> 0", ">= 2")]
+            self.settle(arm + "    ", path, spent, (ip + 1, not taken), ip)
             return
         out += [
             f"{ind}_tk = r{d} {cond} 0",
@@ -1107,6 +1068,13 @@ class _Writer:
             f"{ind}    predictor.mispredicts += 1",
             f"{ind}    _bc = {costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS}",
             *([f"{ind}    m._countdown -= 1"] if t.mode == "brmiss" else []),
+        ]
+        # one site for both arms (``_tk``), the cycles still in ``_bc``
+        self.settle(
+            arm, path, spent, ((ip + 1, not taken), (a, taken)), ip,
+            dyn=costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
+        )
+        out += [
             f"{ind}else:",
             f"{ind}    _bc = {costs.CYCLES_BRANCH}",
             f"{ind}if _tk:",
@@ -1114,15 +1082,39 @@ class _Writer:
         self.side_exit(what, a, arm, path, "_bc")
         out.append(f"{ind}cy += _bc")
 
-    def site(self, offset: int, message: str, retired, ip, slot=None) -> None:
-        """An error site ``offset`` lines past the next one written: what
-        had ``retired`` there (and, in a function that hoists frame
-        slots, which one it was) is what the fault epilogue reads."""
-        self.table[self.line0 + len(self.out) + 1 + offset] = (
+    def site(self, offset: int, message, retired, ip, slot=None) -> None:
+        """A site ``offset`` lines past the next one written: what had
+        ``retired`` there (and, in a function that hoists frame slots,
+        which one it was) is what the epilogue reads."""
+        self.table[len(self.out) + 1 + offset] = (
             *retired, message, ip, *((slot,) if self.slots else ())
         )
 
-    def access(self, known, ins: tuple, ind: str, retired, ip) -> None:
+    def settle(self, ind: str, path, spent, after, ip, slot=None, dyn=0) -> None:
+        """A settle site, in the arm where a dynamic cost just landed:
+        unless the countdown still exceeds the static events left on the
+        longest way on — the bound less those ``spent`` (None: nothing
+        settles in this mode) — leave through the epilogue.  ``path`` is
+        what has retired *with* the instruction, ``dyn`` the cycles of it
+        not in ``cy`` yet; ``after`` stands in the table where a fault's
+        message does: ``(next ip, what a sample says of the branch)``, or
+        a pair of them by ``_tk``."""
+        if spent is None:
+            return
+        k, cycles, *counts = path
+        if self.t.mode == "cycles":
+            # the pass's cycles reach the countdown at its next sync
+            left = self.tree.bound - spent
+            due = f"{self.countdown} - cy <= {left + cycles + dyn}"
+        else:  # the miss, the mispredict: the event itself, already paid
+            due = f"{self.countdown} <= 0"
+        self.settled = True
+        self.site(0, after, (k, cycles + dyn, *counts), ip, slot)
+        self.out.append(f"{ind}if {due}: raise _Fault")
+
+    def access(
+        self, known, ins: tuple, ind: str, retired, path, spent, ip
+    ) -> None:
         """A LOAD or STORE, less what the path had established.  The
         address check is one guard, gone once the base is ``validated``;
         the access runs bare — its IndexError is the out-of-bounds fault,
@@ -1130,8 +1122,8 @@ class _Writer:
         ``resident`` line is neither a site nor looked up in L1.  The
         lookup inlines the MRU test; the L1-hit latency is in the static
         cycles, so only a true miss calls out (a load then charges the
-        latency *difference*).  A hoisted ``slot`` reads its word, line
-        and set from the preamble's locals."""
+        latency *difference*) — and is where a load settles.  A hoisted
+        ``slot`` reads its word, line and set from the preamble's locals."""
         validated, resident, slot = known
         op, d, a, b = ins
         load, out, hit = op == Opcode.LOAD, self.out, costs.LAT_L1
@@ -1166,28 +1158,17 @@ class _Writer:
             out.append(f"{ind}    _acc({touched})")
             return
         out += [f"{ind}    _c = _acc({touched})", f"{ind}    cy += _c - {hit}"]
+        ind += "    "
         if self.t.mode == "l1":
-            out += [f"{ind}    if _c > {hit}:", f"{ind}        _mi += 1"]
+            out += [f"{ind}if _c > {hit}:", f"{ind}    {self.countdown} -= 1"]
+            ind += "    "
+        self.settle(ind, path, spent, (ip + 1, None), ip, slot)
 
     def trace(self, trace: _Trace, ind: str) -> None:
         """Write one trace of the tree at indent ``ind``; recursion
         happens at inlined exits, at the indent of their arm."""
-        t, out, at = self.t, self.out, trace.at
-        seg = t.seg if trace is self.tree.root else 0
+        out, at = self.out, trace.at
         for index, (ip, ins) in enumerate(trace.items):
-            if seg and index and index % seg == 0:
-                # segmented admission re-check: the driver only covered
-                # the first segment's worst-case bound, so before each
-                # further segment compare the live countdown against the
-                # next segment; on failure sync exactly and hand the
-                # mid-trace ip back (the interpreter finishes the short
-                # remaining stretch of the sampling window)
-                nxt = _event_bound(trace.items[index:index + seg], t.mode)
-                out.append(
-                    f"{ind}if m._countdown - ({self.cy(at[index][1])}) <= {nxt}:"
-                )
-                self.sync(ind + "    ", at[index])
-                out.append(f"{ind}    return {ip}")
             op = ins[0]
             row = _OPS[op]
             if not (row.faults or op in TERMINATOR_OPS):
@@ -1203,9 +1184,10 @@ class _Writer:
             # reads, keyed by the line about to be written.
             k, *before = at[index]
             d, path, retired = ins[1], at[index + 1], (k + 1, *before)
+            spent = trace.spent.get(index)
             if row.loads or row.stores:
                 known = trace.known.get(index, (False, False, None))
-                self.access(known, ins, ind, retired, ip)
+                self.access(known, ins, ind, retired, path, spent, ip)
                 continue
             for offset, message in row.faults:
                 self.site(offset, message, retired, ip)
@@ -1217,7 +1199,7 @@ class _Writer:
                 if d <= ip:
                     self.side_exit(trace.exits[index], d, ind, path)
             elif op == Opcode.BRZ or op == Opcode.BRNZ:
-                self.branch(trace.exits[index], ip, ins, ind, path)
+                self.branch(trace.exits[index], ip, ins, ind, path, spent)
             elif op == Opcode.CALL:
                 # the interpreter charges the call's cycles before it
                 # checks the depth, but ticks the countdown only after
@@ -1260,16 +1242,18 @@ class _Writer:
             out.append(f"{ind}return {trace.fall}")
 
     def epilogue(self) -> None:
-        """The one fault epilogue: ``_T`` — a default the Translation
-        supplies, never parsed — says by source line what had retired
-        at an error site, and the write-back plus counter sync the
-        interpreter would have performed by then is emitted once, here
-        (a ``try`` costs nothing until it catches).  An exception from
-        any other line (an empty call stack's ``pop``, a kernel call)
-        goes on untouched.  Every path through the body returns, so the
-        code after the handler is reached only by a fault.  The
-        countdown pays for what retired *before* the faulting
-        instruction, as the interpreter does."""
+        """The one epilogue: ``_T`` — a default the Translation supplies,
+        never parsed — says by source line what had retired at a site,
+        and the write-back plus counter sync the interpreter would have
+        performed by then is emitted once, here (a ``try`` costs nothing
+        until it catches).  An exception from any other line (an empty
+        call stack's ``pop``, a kernel call) goes on untouched.  Every
+        path through the body returns, so the code after the handler is
+        reached only from a site.  At an error site the countdown pays
+        for what retired *before* the faulting instruction, as the
+        interpreter does.  At a settle site the instruction has retired,
+        cost included: the sample is taken here if it is due, and the
+        driver carries on from the next ip."""
         t, out = self.t, self.out
         out += [
             "    except (_Fault, IndexError) as _f:",
@@ -1280,11 +1264,13 @@ class _Writer:
         ]
         if t.has_dyn:
             out.append("        _fc += cy")
+        # the address: ``_x``, or rebuilt for a hoisted slot's access
+        addr = "_x"
+        if self.slots:
+            addr += f" if _fo is None else r{REG_SP} + _fo"
         if self.tree.mem:
-            # the address: ``_x``, or rebuilt for a hoisted slot's access
-            out += ['        if "%" in _fm:', "            _fm %= _x" + (
-                f" if _fo is None else r{REG_SP} + _fo" if self.slots else ""
-            )]
+            # (no settle site's ``_fm``, a tuple, holds a "%")
+            out += ['        if "%" in _fm:', f"            _fm %= {addr}"]
         self.write_back("    ", "_fb")
         self.add("    ", "state.cycles", "_cyt", "_fc")
         self.add("    ", "state.instructions", "_ins", "_fk")
@@ -1293,19 +1279,29 @@ class _Writer:
         self.add("    ", "caches.accesses", "_ld + _st", "_fl + _fs")
         paid = self.paid("_fk - 1", "_fc", "_fl")
         self.pay("    ", paid, f"({paid})")
+        if self.settled:
+            # a load's sample carries its address, a branch's which way
+            by_tk = "        if _fm[0].__class__ is tuple: _fm = _fm[_tk]"
+            out += [
+                "    if _fm.__class__ is tuple:",
+                *([] if t.deferred else [by_tk]),
+                "        if m._countdown <= 0:",
+                f"            m._take_sample(_fi, ({addr}) if _fm[1] is None"
+                " else None, branch=_fm[1])",
+                "        return _fm[0]",
+            ]
         out.append("    raise VMError(_fm, _fi)")
 
 
-def _emit(tree: _Tree, line0: int = 0) -> tuple[str, dict]:
+def _emit(tree: _Tree) -> tuple[str, dict]:
     """Write a measured tree as one block function, in one forward pass;
-    returns the source and its fault sites: a source line — numbered from
-    ``line0``, the lines ahead in the same source — to the error there."""
+    returns the source and its sites: a source line to what had retired
+    there, and the error (or, at a settle site, the way on)."""
     t = tree.treatment
-    writer = _Writer(tree, line0)
+    writer = _Writer(tree)
     out = writer.out
     out.append(
-        f"def _b{tree.start}{tree.suffix}"
-        "(m, regs, words, state, caches, predictor, _T=_T):"
+        f"def _b{tree.start}(m, regs, words, state, caches, predictor, _T=_T):"
     )
     if tree.mem:
         # The L1 MRU-hit test is inlined at every memory op; anything else
@@ -1356,8 +1352,6 @@ def _emit(tree: _Tree, line0: int = 0) -> tuple[str, dict]:
         # (``defer_cy`` loops instead initialize ``cy`` once in the head
         # and let it accumulate across iterations)
         out.append(f"{ind}cy = 0")
-    if t.track_l1:
-        out.append(f"{ind}_mi = 0")
     writer.trace(tree.root, ind)
     if tree.faults:
         writer.epilogue()
@@ -1365,5 +1359,5 @@ def _emit(tree: _Tree, line0: int = 0) -> tuple[str, dict]:
 
 
 def _event_bound(instrs, mode) -> int:
-    """Worst-case countdown events one execution of the block can cost."""
+    """The static countdown events of one execution of ``instrs``."""
     return sum(_OPS[ins[0]].events[mode] for _, ins in instrs)

@@ -17,6 +17,10 @@ compiled program, translation inside the stopwatch — ``cold_vs_interp``,
 that run as a multiple of the interpreter's time, and ``source_lines``,
 the source that run generated.  A warm ``speedup`` says what a cached
 plan gains per run, the cold ratio what the first answer costs.
+``armed_s`` is the warm fast-VM run of a third copy, compiled for and
+run under the default :class:`~repro.engine.ProfilerConfig` (CYCLES,
+REGISTER_TAGGING), ``armed_vs_plain`` that time as a multiple of
+``fast_s``: what leaving the sampler on costs a cached plan.
 
 Every run also asserts parity: a compiled plan owns no simulated memory,
 so the two copies run at identical addresses, and both must produce the
@@ -39,7 +43,7 @@ import math
 import time
 from pathlib import Path
 
-from repro.engine import Database
+from repro.engine import Database, ProfilerConfig
 
 #: queries spanning the interesting regimes: tight aggregation loops (q1,
 #: q6), join-heavy plans (q9, q18), EXISTS/anti-join control flow (q4,
@@ -63,10 +67,12 @@ def _median(values):
     return (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _timed_run(db, compiled, fast_vm: bool, tiering=None):
+def _timed_run(db, compiled, fast_vm: bool, tiering=None, profiler=None):
     """One run: ``(seconds, rows, counters, translation stats)``."""
     started = time.perf_counter()
-    run = db._run_compiled(compiled, fast_vm=fast_vm, tiering=tiering)
+    run = db._run_compiled(
+        compiled, profiler, fast_vm=fast_vm, tiering=tiering
+    )
     elapsed = time.perf_counter() - started
     result = run.result()
     return (
@@ -144,6 +150,17 @@ def run_vm_bench(
                 db, compiled, False
             )
             slow_s = min(slow_s, elapsed)
+        # the sampler left on: a copy compiled for the default profiler;
+        # the loops compile in the first of two untimed runs
+        profiler = ProfilerConfig()
+        armed = db._compile(sql, profiler)
+        armed_runs = [
+            _timed_run(db, armed, True, profiler=profiler)
+            for _ in range(2 + repeats)
+        ]
+        armed_s = min(elapsed for elapsed, *_ in armed_runs[2:])
+        if armed_runs[-1][1] != slow_rows:
+            raise AssertionError(f"{name}: armed fast VM rows differ")
         if fast_rows != slow_rows or tiered_rows != slow_rows:
             raise AssertionError(f"{name}: fast VM rows differ")
         if not fast_counters == tiered_counters == slow_counters:
@@ -163,6 +180,8 @@ def run_vm_bench(
             "cold_vs_interp": round(cold_s / slow_s, 3),
             "source_lines": cold["source_lines"],
             "tiered_speedup": round(tiered_speedup, 3),
+            "armed_s": round(armed_s, 4),
+            "armed_vs_plain": round(armed_s / fast_s, 3),
         }
         emit(
             f"{name}: interp {slow_s * 1000:7.1f} ms   "
@@ -170,7 +189,8 @@ def run_vm_bench(
             f"fast {fast_s * 1000:7.1f} ms   "
             f"tiered {tiered_s * 1000:7.1f} ms   "
             f"{speedup:5.2f}x   cold {cold_s / slow_s:5.2f}x interp "
-            f"({cold['source_lines']} lines)   t2 {tiered_speedup:5.2f}x"
+            f"({cold['source_lines']} lines)   t2 {tiered_speedup:5.2f}x   "
+            f"armed {armed_s * 1000:7.1f} ms ({armed_s / fast_s:4.2f}x plain)"
         )
     geomean = math.exp(
         sum(math.log(q["speedup"]) for q in per_query.values())
@@ -197,7 +217,8 @@ def format_table(record: dict) -> str:
     lines = [
         f"{'query':<6} {'interp (ms)':>12} {'cold (ms)':>12} "
         f"{'fast (ms)':>12} {'tiered (ms)':>12} {'speedup':>9} "
-        f"{'cold/interp':>12} {'cold lines':>11} {'t2/t1':>8}"
+        f"{'cold/interp':>12} {'cold lines':>11} {'t2/t1':>8} "
+        f"{'armed (ms)':>11} {'armed/plain':>12}"
     ]
 
     def ms(seconds):
@@ -214,7 +235,9 @@ def format_table(record: dict) -> str:
             f"{ratio(q['speedup']):>9} "
             f"{ratio(q.get('cold_vs_interp')):>12} "
             f"{q.get('source_lines', '-'):>11} "
-            f"{ratio(q.get('tiered_speedup')):>8}"
+            f"{ratio(q.get('tiered_speedup')):>8} "
+            f"{ms(q.get('armed_s')):>11} "
+            f"{ratio(q.get('armed_vs_plain')):>12}"
         )
     lines.append(f"geomean speedup: {record['geomean_speedup']:.3f}x")
     if "tiered_geomean_speedup" in record:

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.engine import Database, ProfilerConfig, ProfilingMode
 from repro.errors import VMError
@@ -243,12 +244,11 @@ def test_translation_covers_loop_and_caches():
     translation = Translation(program, None)
     assert 0 in translation.blocks
     assert translation.stats()["compiled"] == 0  # nothing compiles up front
-    # per-block metadata: worst-case instruction count, event bound, and
-    # the (armed-only) linear fallback variant
-    fn, max_k, bound, fallback = translation.block(0)
-    assert translation.blocks[0] == (fn, max_k, bound, fallback)
-    assert callable(fn) and max_k >= 1 and bound >= 0
-    assert fallback is None  # unarmed translations have no fallback
+    # per-block metadata: the most instructions and static countdown
+    # events a path through it retires
+    fn, max_k, bound = translation.block(0)
+    assert translation.blocks[0] == (fn, max_k, bound)
+    assert callable(fn) and max_k >= 1 and bound == 0  # unarmed: no events
     # translations are cached per (program, event)
     m1 = Machine(program, Memory(1 << 20))
     m2 = Machine(program, Memory(1 << 20))
@@ -389,7 +389,9 @@ def test_first_run_matches_materialised_run(event):
     second, args = fresh_machine(program, pmu)
     assert second.translation is translation
     assert second.call(0, args) == first_result
-    assert translation.compiled == compiled  # nothing new to compile
+    # the loop stays compiled (a block the interpreter walks into after
+    # a settle may only turn hot now)
+    assert translation.compiled >= compiled
     assert machine_observables(first) == machine_observables(second)
     assert first._countdown == second._countdown
 
@@ -575,7 +577,7 @@ SITE_CONTEXTS = {
     "root": ("root", f"_b{SITE_LOOP}"),
     "inlined": ("deep", f"_b{SITE_LOOP}"),
     "tier2": ("root", f"_b{SITE_LOOP}"),
-    "linear": ("root", f"_b{SITE_LOOP}f"),
+    "linear": ("root", f"_b{SITE_LOOP}"),
 }
 
 
@@ -665,11 +667,10 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     # A fault site is a bare guard or a bare access; the function's one
     # handler finds out which by the raising line.  Whatever raised it —
     # the interpreter on a cold block, a compiled root, a sub-trace
-    # inlined two arms deep, a tier-2 deferred loop, the armed linear
-    # variant whose table starts below the tree's lines — message, ip,
-    # registers, counters, predictor and countdown are the interpreter's.
-    if (kind, context) == ("call", "linear"):
-        pytest.skip("a CALL ends the root trace: no tree, so no variant")
+    # inlined two arms deep, a tier-2 deferred loop, an armed root whose
+    # own events reach its allowance and that therefore stays linear —
+    # message, ip, registers, counters, predictor and countdown are the
+    # interpreter's.
     where, function = SITE_CONTEXTS[context]
     if (kind, context) == ("call", "tier2"):
         where = "deep"  # keep the root a loop head, so tier 2 defers it
@@ -679,7 +680,10 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
         TieringController(hot_instructions=100) if context == "tier2"
         else None
     )
-    fault_at, countdown = SITE_FAULT_AT, pmu.period
+    if context == "linear":
+        program._vm_translations = {
+            (pmu.event, pmu.period >> 3): Translation(program, pmu.event, 1)
+        }
     if context != "cold":
         # compile what the faulting run will execute, on a clean input
         warm, outcome, _ = run_site(
@@ -693,22 +697,21 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
             code = translation.blocks[SITE_LOOP][0].__code__
             assert "_ins" in code.co_varnames  # a deferred loop
         if context == "linear":
-            # start on a countdown the tree's bound rejects and the
-            # variant's admits: the variant runs iteration 0
-            countdown, fallback = translation.blocks[SITE_LOOP][2:]
-            assert fallback[2] < countdown
-            fault_at = 0
+            root = _grow(program.code, SITE_LOOP, **translation._emit)
+            assert not root.treatment.tree
+            # (a CALL ends the root before its back edge)
+            assert _measure(root).loop == (kind != "call")
 
     def prepare(machine):
-        machine._countdown = countdown
         if context == "cold" and machine.translation is not None:
             machine.translation.hot_entries = 10**9
 
     fast, fast_outcome, raised_in = run_site(
-        program, kind, fault_at, prepare, pmu_config=pmu, tiering=controller
+        program, kind, SITE_FAULT_AT, prepare, pmu_config=pmu,
+        tiering=controller,
     )
     slow, slow_outcome, _ = run_site(
-        program, kind, fault_at, prepare, pmu_config=pmu, fast_vm=False
+        program, kind, SITE_FAULT_AT, prepare, pmu_config=pmu, fast_vm=False
     )
     assert fast_outcome == slow_outcome
     assert fast_outcome[0] == "error" and SITE_KINDS[kind][1] in fast_outcome[1]
@@ -952,21 +955,13 @@ def test_the_treatment_of_a_root_is_decided_by_tier_and_shape():
     # per-iteration delta
     assert treatment(2, 2, "instr").defer_cy
     assert not treatment(2, 2, "cycles").defer_cy
-    assert not treatment(2, 2, "l1").defer_cy
+    assert treatment(2, 2, "l1").defer_cy  # a miss is paid as it happens
     # a hot block that is no loop head grows a tree at tier 2, undeferred
     assert not treatment(0, 1).tree
     assert tier2_fields(treatment(0, 2)) == (True, False, False)
     assert not treatment(14, 2).tree  # neither hot nor a loop head
-    # the accumulators follow the tree flag, not what got inlined
-    cold_exit, armed_loop = treatment(14, 1), treatment(2, 1, "l1")
-    assert not cold_exit.has_dyn and not cold_exit.track_l1
-    assert armed_loop.has_dyn and armed_loop.track_l1
-    # the armed linear variant: no tree, admitted a segment at a time
-    linear = _grow(code, 2, costs.FAST_VM_MAX_BLOCK, "cycles", linear=True)
-    seg = linear.treatment.seg
-    assert linear.suffix == "f" and not linear.treatment.tree
-    assert seg == translate._FALLBACK_SEG < len(linear.root.items)
-    assert linear.bound == _event_bound(linear.root.items[:seg], "cycles")
+    # the accumulator follows the tree flag, not what got inlined
+    assert not treatment(14, 1).has_dyn and treatment(2, 1, "l1").has_dyn
 
 
 def test_growth_respects_bound_cap_budget_and_depth():
@@ -978,10 +973,12 @@ def test_growth_respects_bound_cap_budget_and_depth():
     for bound_cap in (root_bound, root_bound + 1, 30, 60, 10_000):
         tree = _grow(code, loop, **_emit_settings("instr", bound_cap, 1, {}))
         assert tree.treatment.tree == (root_bound < bound_cap)
-        # armed, the tree's worst-case events stay within the allowance
-        # (a root alone may exceed it: it then stays linear)
-        assert tree.bound <= max(bound_cap, root_bound)
-        assert tree.bound == tree.size  # instr: one event an instruction
+        # armed, the tree's static events, all arms summed, stay within
+        # the allowance (a root alone may exceed it: it then stays linear)
+        assert tree.events <= max(bound_cap, root_bound)
+        assert tree.events == tree.size  # instr: one event an instruction
+        # what admission compares the countdown with is the longest path
+        assert _measure(tree).bound == tree.max_k <= tree.events
     assert tree.size == whole.size
     assert side_exits(tree.root) == side_exits(whole.root)
     settings = _emit_settings("instr", root_bound + 1, 1, {})
@@ -1003,24 +1000,24 @@ def test_every_opcode_is_one_row_of_the_table():
     untranslatable = set()  # today every opcode has a row
     assert set(_OPS) | untranslatable == opcodes
     assert not set(_OPS) & untranslatable
-    branches = {Op.BRZ, Op.BRNZ}
+    settles = {
+        Op.LOAD: ("cycles", "l1"),
+        Op.BRZ: ("cycles", "brmiss"), Op.BRNZ: ("cycles", "brmiss"),
+    }
     for op, row in _OPS.items():
-        worst = {
-            "instr": 1,
-            "cycles": {
-                Op.LOAD: costs.LAT_MEM,
-                Op.BRZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
-                Op.BRNZ: costs.CYCLES_BRANCH + costs.CYCLES_BRANCH_MISS,
-            }.get(op, row.cycles),
-            "loads": int(op == Op.LOAD), "l1": int(op == Op.LOAD),
-            "brmiss": int(op in branches),
+        # an event bound counts what is static: the L1-hit latency, the
+        # branch's one cycle; the miss and the mispredict settle
+        static = {
+            "instr": 1, "cycles": row.cycles, "loads": int(op == Op.LOAD),
+            "l1": 0, "brmiss": 0,
         }
-        assert set(worst) | {""} == set(row.events)
+        assert set(static) | {""} == set(row.events)
         assert set(row.events) == set(translate._MODES.values())
-        for mode, events in worst.items():
+        for mode, events in static.items():
             assert _event_bound([(0, (op, 1, 2, 3))], mode) == events
             assert row.events[mode] == events
         assert _event_bound([(0, (op, 1, 2, 3))], "") == 0
+        assert row.settles == settles.get(op, ())
         # a fault site is a line of the instruction; straight-line rows
         # mark theirs in the template
         for offset, _ in row.faults:
@@ -1038,7 +1035,7 @@ def test_every_opcode_is_one_row_of_the_table():
 _Q6_SOURCES = """
 import hashlib
 from repro.data.queries import ALL_QUERIES
-from repro.engine import Database, ProfilerConfig, ProfilingMode
+from repro.engine import Database, ProfilerConfig
 from repro.vm.pmu import Event
 from tests.helpers import compiled_sources
 
@@ -1120,6 +1117,28 @@ def test_translation_volume_of_a_first_pass():
     )
     assert 0 < first <= 36_000
     assert first <= second < first * 1.15
+
+
+def test_armed_translation_volume_of_a_profile_session():
+    # the armed twin of the gate above: the four sessions the benchmark's
+    # ``profile_session`` workload profiles cold generated 21,695 lines
+    # while every armed tree came with a linear variant for the tail of
+    # the sampling window, 15,867 since admission counts the static path
+    # and a miss settles where it lands
+    db = Database.tpch(scale=0.002, seed=42)
+    lines = sum(
+        db.profile(
+            ALL_QUERIES[name].sql,
+            ProfilerConfig(mode=mode, record_memaddr=True),
+        ).result.translation["source_lines"]
+        for name, mode in (
+            ("q1", ProfilingMode.REGISTER_TAGGING),
+            ("q6", ProfilingMode.REGISTER_TAGGING),
+            ("q19", ProfilingMode.REGISTER_TAGGING),
+            ("q19", ProfilingMode.CALLSTACK),
+        )
+    )
+    assert 0 < lines <= 17_000
 
 
 # -- what a trace knows: address facts ---------------------------------------
@@ -1524,7 +1543,7 @@ _PARENT_DIGESTS = """
 from tests.helpers import compiled_sources, forgotten_address_facts
 import hashlib
 from repro.data.queries import ALL_QUERIES
-from repro.engine import Database, ProfilerConfig, ProfilingMode
+from repro.engine import Database, ProfilerConfig
 from repro.serve import QueryService, ServiceConfig
 from repro.vm.pmu import Event
 
@@ -1574,22 +1593,25 @@ with forgotten_address_facts():
 # went with this change: those four are 2ddfe78 with the memo off its
 # treatment (``_replace(memo=False)``; on: a02560679e01bae5
 # 9c2ffe1717fa10b3 e2885bbe2e9d2b0d 626e5b5067d07206, which this tree
-# reproduced too while it still had the memo).  The armed ones (C, E) are
-# 2ddfe78's with the segmented re-check of the linear variant parenthesised.
+# reproduced too while it still had the memo).  Armed text (C, E) has
+# changed on purpose since — admission on the static path, settle sites, no
+# linear variant: those four pin what this tree writes with the facts
+# forgotten, so a change to how an access is written still must not move
+# them.
 PARENT_DIGESTS = """
 b0f840c3a9889175 5 2565
 df0ee632fda75d64 7 4390
-555447193a66e1d5 17 5273
+ec19522c747afc50 17 3450
 5f23b26e6e5fe8be 5 4358
 26f7851e0c9fcfe9 21 13502
 b8361dce67f1d151 13 7221
-02b81c5dabc98718 50 15987
+8d44e522ae0381d3 43 13366
 2ed361f89c719d33 17 22593
 80a1156363c2ed9f 7 4732
 7a6ec39676f5e779 3 348
-75ad8bc9203f9432 17 2615
+adf5885d46081756 12 3719
 d6284674a1b901b4 5 2718
-69113dcbb613214f 24 13855
+916995c11bc9454c 19 8834
 """
 
 
@@ -1621,21 +1643,23 @@ def facts_db():
     return Database.tpch(scale=0.0002, seed=42)
 
 
-def everything_simulated(db, compiled, config, tier):
-    """Run ``compiled`` on a translation of its own at ``tier`` —
-    unarmed with every entered block compiled, armed with what heat
-    picks (the loops: where trees grow and frames are hoisted); what the
-    machine is left holding."""
+def everything_simulated(db, compiled, config, tier, hot_entries=None):
+    """Run ``compiled`` on a translation of its own at ``tier`` (0: on
+    the interpreter) — unarmed with every entered block compiled, armed
+    with what heat picks (the loops: where trees grow and frames are
+    hoisted) unless ``hot_entries`` says otherwise; what the machine is
+    left holding."""
     vars(compiled.program).pop("_vm_translations", None)
     pmu = config.pmu_config() if config is not None else None
     translation = translation_for(compiled.program, pmu)
-    if config is None:
-        translation.hot_entries = 1
+    if config is None or hot_entries is not None:
+        translation.hot_entries = hot_entries or 1
     if tier == 2:
         translation.promote()
-    run = db._run_compiled(compiled, config)
+    run = db._run_compiled(compiled, config, fast_vm=tier > 0)
     (machine,) = run.machines.values()
-    assert machine.tier == tier and translation.stats()["compiled"] > 0
+    assert machine.tier == tier
+    assert (translation.stats()["compiled"] > 0) == (tier > 0)
     caches = machine.caches
     return {
         **full_state(machine), "rows": run.rows,
@@ -1668,6 +1692,212 @@ def test_address_facts_move_no_simulated_number(facts_db, name):
                 )
             assert known == forgotten, (event, tier)
             assert lines < more
+
+
+# -- admit on the static path, settle at the site ----------------------------
+
+SETTLE_N = 48
+SETTLE_FRAME = 64
+SETTLE_SET = 4096  # lines this far apart share an L1 set
+
+
+def settle_program():
+    """r0 = &a (a 64-byte record per iteration), r1 = count, r9 = a line
+    in the L1 set of frame slot [sp + 8].  Every iteration loads eight
+    lines of the slot's set (``thrash``), a[i] (``stream``: a line never
+    seen) and, last, the frame slot (``slot``: hoisted) — nine lines in
+    eight ways, so all nine miss L1 for good and, once seen, hit L2; in
+    between a BRZ and a BRNZ on bits of a[i], and two BRNZ deep an arm
+    with a load of its own (``deep``).  Returns the program and its ips."""
+    items = [
+        (Op.ADDI, 15, 15, -SETTLE_FRAME),
+        (Op.MOVI, 3, 0, 0),
+        (Op.MOVI, 2, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.SHLI, 10, 3, 6),
+        (Op.ADD, 10, 0, 10),
+        Label("thrash"),
+        *[(Op.LOAD, 12, 9, way * SETTLE_SET) for way in range(8)],
+        Label("stream"),
+        (Op.LOAD, 6, 10, 0),
+        (Op.ANDI, 7, 6, 1),
+        Label("brz"),
+        (Op.BRZ, 7, "even", 0),
+        (Op.ADD, 2, 2, 6),
+        Label("even"),
+        (Op.ANDI, 7, 6, 2),
+        Label("brnz"),
+        (Op.BRNZ, 7, "arm", 0),
+        Label("back"),
+        (Op.LOAD, 11, 15, 8),
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("arm"),
+        (Op.ANDI, 7, 6, 4),
+        (Op.BRNZ, 7, "deep", 0),
+        (Op.JMP, "back", 0, 0),
+        Label("deep"),
+        (Op.LOAD, 8, 10, 8 * SETTLE_SET),
+        (Op.JMP, "back", 0, 0),
+        Label("done"),
+        (Op.ADDI, 15, 15, SETTLE_FRAME),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets
+
+
+def run_settle(program, pmu, countdown, tier):
+    """One run from ``countdown``; ``tier`` 0 is the interpreter.
+    Everything observable, and per sample the function that took it."""
+    machine = Machine(
+        program, Memory(1 << 20), pmu_config=pmu, fast_vm=tier > 0
+    )
+    memory = machine.memory
+    base = memory.alloc(SETTLE_N * 64 + 9 * SETTLE_SET, align=SETTLE_SET)
+    for i in range(SETTLE_N):
+        memory.words[(base + 64 * i) >> 3] = (i * 2654435761 >> 5) & 0xFFFF
+    thrash = memory.alloc(9 * SETTLE_SET, align=SETTLE_SET)
+    slot = machine.regs[15] - SETTLE_FRAME + 8
+    machine.regs[9] = thrash + (slot - thrash) % SETTLE_SET
+    machine._countdown = countdown
+    took, handed = [], []
+    take_sample, interp = machine._take_sample, machine._interp
+
+    def recording_sample(*args, **kwargs):
+        took.append(sys._getframe(1).f_code.co_name)
+        take_sample(*args, **kwargs)
+
+    def recording_interp(ip, blocks):
+        handed.append((ip, machine._countdown))
+        return interp(ip, blocks)
+
+    machine._take_sample, machine._interp = recording_sample, recording_interp
+    result = machine.call(0, (base, SETTLE_N))
+    caches = machine.caches
+    observed = (
+        result, full_state(machine), caches.l1.sets, caches.l2.sets,
+        caches.l2_misses,
+        [(s.registers, s.callstack) for s in machine.samples.samples],
+    )
+    return observed, took, handed, machine
+
+
+SETTLE_SWEEPS = {
+    # event: (period, the countdowns a run starts on).  In cycles an
+    # iteration costs ~250: the sweep moves the sample across a whole one
+    # cycle by cycle, so it falls due on every instruction of it in turn.
+    # The other two count the settled event itself.
+    Event.CYCLES: (1000, range(300, 560)),
+    Event.L1_MISS: (128, range(1, 40)),
+    Event.BRANCH_MISS: (128, range(1, 30)),
+}
+
+
+@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize(
+    "event", list(SETTLE_SWEEPS), ids=[e.name for e in SETTLE_SWEEPS]
+)
+def test_a_sample_due_at_a_settle_site_is_taken_there(event, tier):
+    # Admission covers the static path; what a miss or a mispredict costs
+    # on top settles in the arm that finds it out.  Wherever the sample
+    # falls due — on a load that missed to L2 or to memory, on a hoisted
+    # frame slot, on either way of a mispredicted BRZ or BRNZ, two arms
+    # deep, after an earlier miss of the same pass, mid-iteration of a
+    # deferred loop — the compiled function takes it itself, on the
+    # interpreter's state; and where it is not due but the rest of the
+    # pass is no longer covered, it hands the next ip over.
+    period, countdowns = SETTLE_SWEEPS[event]
+    pmu = PmuConfig(
+        event=event, period=period, record_registers=True,
+        record_memaddr=True,
+    )
+    program, at = settle_program()
+    translation = translation_for(program, pmu)
+    translation.hot_entries = 1
+    if tier == 2:
+        translation.promote()
+    for _ in range(3):  # compile, then regrow with the arms inlined
+        run_settle(program, pmu, period, tier)
+    loop = translation.blocks[at["loop"]]
+    code = loop[0].__code__
+    assert ("_ins" in code.co_varnames) == (tier == 2)  # deferred or not
+    assert "_w" in code.co_varnames  # the frame slot is hoisted
+    in_loop, compiled, not_due = set(), set(), 0
+    for countdown in countdowns:
+        fast, took, handed, machine = run_settle(program, pmu, countdown, tier)
+        slow, _, _, _ = run_settle(program, pmu, countdown, 0)
+        assert fast == slow, countdown
+        assert machine.tier == tier
+        samples = machine.samples.samples
+        assert len(took) == len(samples) > 0
+        for sample, name in zip(samples, took):
+            site = (sample.ip, sample.branch_taken)
+            if name == code.co_name:
+                in_loop.add(site)
+            if name.startswith("_b"):
+                compiled.add(site)
+        # handed a mid-trace ip (no block of its own) on a live countdown
+        # the loop's bound no longer admits: a settle that was not due
+        not_due += sum(
+            ip not in translation.blocks and 0 < left <= loop[2]
+            for ip, left in handed
+        )
+    thrash = {(at["thrash"] + way, None) for way in range(8)}
+    stream, slot, deep = (
+        (at[name], None) for name in ("stream", "back", "deep")
+    )
+    mispredicts = {
+        (at[name], taken)
+        for name in ("brz", "brnz") for taken in (True, False)
+    }
+    if event is Event.CYCLES:
+        # a miss to memory, the second of its pass two arms deep, an L2
+        # hit on the hoisted slot; a mispredict costs less than the
+        # loop's static tail, so it settles due only in a shorter block
+        assert {stream, deep, slot} <= in_loop
+        assert compiled & mispredicts
+        assert not_due > 0
+    elif event is Event.L1_MISS:
+        # the settle is the event: every load, and nothing else, sampled
+        # by the loop — the ninth miss of a pass as well as the first
+        assert thrash | {stream, deep, slot} == in_loop
+    else:
+        # either way of a BRZ and of a BRNZ
+        assert mispredicts <= in_loop
+        assert {ip for ip, _ in in_loop} <= {
+            at["loop"] + 1, at["brz"], at["brnz"], at["arm"] + 1,
+        }
+
+
+_SETTLE_CASES = st.tuples(
+    st.sampled_from(FACT_QUERIES), st.sampled_from(ALL_EVENTS),
+    st.integers(128, 2000), st.sampled_from([1, 2]),
+)
+
+
+@given(_SETTLE_CASES)
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[
+        HealthCheck.too_slow, HealthCheck.function_scoped_fixture,
+    ],
+)
+def test_any_period_samples_what_the_interpreter_samples(facts_db, case):
+    # whatever the period makes of the windows — a settle at every other
+    # miss, blocks barely admitted — state, both cache levels, predictor
+    # and the sample stream are the interpreter's
+    name, event, period, tier = case
+    config = ProfilerConfig(event=event, record_memaddr=True, period=period)
+    compiled = facts_db._compile(ALL_QUERIES[name].sql, config)
+    fast, _ = everything_simulated(facts_db, compiled, config, tier, 1)
+    slow, _ = everything_simulated(facts_db, compiled, config, 0)
+    assert fast == slow
 
 
 # -- engine-level parity (TPC-H) -------------------------------------------
