@@ -211,7 +211,14 @@ class ViewService:
         initial = {
             table: self._table_zset(table).copy() for table in circuit.tables
         }
-        self._maintain(view, initial, force=True)
+        try:
+            self._maintain(view, initial, force=True)
+        except (ValueError, ArithmeticError) as exc:
+            del self.views[name]
+            raise ViewError(
+                f"view {name!r} fails on the current table contents "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
         return view
 
     def view(self, name: str) -> MaterializedView:
@@ -272,6 +279,11 @@ class ViewService:
 
         Validation is atomic: if any row of any table would end up with
         negative weight, the whole batch is rejected and no view moves.
+
+        A view whose own expressions fail on a row (a zero divisor) fails
+        alone: every other view and subscriber gets the batch, the
+        failing view is unregistered, and one ``ViewError`` naming it is
+        raised once the rest have moved.
         """
         encoded: dict[str, ZSet] = {}
         for table_name, changes in deltas.items():
@@ -298,8 +310,20 @@ class ViewService:
         for table_name, zset in encoded.items():
             self._table_zset(table_name).merge(zset)
         self.batches += 1
-        for view in self.views.values():
-            self._maintain(view, encoded)
+        failed = []
+        for view in list(self.views.values()):
+            try:
+                self._maintain(view, encoded)
+            except (ValueError, ArithmeticError) as exc:
+                # the circuit stopped mid-batch, so its state is behind
+                # the table's for good: this view fails, not the batch
+                self.unregister(view.name)
+                failed.append(f"{view.name!r} ({type(exc).__name__}: {exc})")
+        if failed:
+            raise ViewError(
+                f"batch {self.batches} is applied; unregistered the views "
+                f"that failed on it: {', '.join(failed)}"
+            )
         return self.batches
 
     def _maintain(self, view: MaterializedView,

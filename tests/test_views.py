@@ -294,6 +294,44 @@ def test_apply_validates_weights_and_atomicity(db):
     assert view.materialize() == [(len(sales_rows(db)),)]
 
 
+def test_a_failing_view_fails_itself_not_the_batch():
+    db = Database.example(n_sales=50, n_products=5)
+    _, views = make_views(db)
+
+    def grouped(aggregate, modulus):
+        return (f"select id % {modulus} as b, {aggregate} as n from sales "
+                f"group by id % {modulus}")
+
+    views.register("a", grouped("count(*)", 3))
+    views.register("bad", grouped("sum(price / (id - 1000))", 3))
+    views.register("c", grouped("count(*)", 5))
+    watchers = {name: views.subscribe(name, f"on-{name}") for name in views.views}
+    for watcher in watchers.values():
+        watcher.pull()  # the snapshots
+
+    with pytest.raises(ViewError, match="'bad'.*ZeroDivisionError"):
+        views.apply({"sales": [(fresh_sale(1000), 1)]})
+    # the batch is applied: every other view and subscriber has it
+    assert views.batches == 1
+    assert sorted(views.views) == ["a", "c"]
+    assert not watchers["bad"].active and watchers["bad"].pull() == []
+    for name in ("a", "c"):
+        assert views.view(name).version == 2
+        (update,) = watchers[name].pull()
+        assert (update.version, update.kind) == (2, "delta")
+        assert sum(weight * n for (_, n), weight in update.rows) == 1
+    # and the next batch runs first time, nobody a batch behind
+    assert views.apply({"sales": [(fresh_sale(1001), 1)]}) == 2
+    assert sum(n for _, n in views.view("c").materialize()) == 52
+    assert watchers["c"].pull()[0].version == 3
+
+    # a view that fails on what the table already holds is not registered
+    with pytest.raises(ViewError, match="'late'.*ZeroDivisionError"):
+        views.register("late", grouped("sum(price / (id - 1000))", 3))
+    assert "late" not in views.views
+    assert views.apply({"sales": [(fresh_sale(1002), 1)]}) == 3
+
+
 def test_apply_rejects_unknown_dictionary_string(db):
     _, views = make_views(db)
     views.register("c", "select count(*) as n from products")
