@@ -24,9 +24,8 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import partial
 
-from repro.catalog.schema import decode_value
+from repro.catalog.schema import decoder
 from repro.data.dataset import Dataset, TableData
 from repro.errors import ReproError
 
@@ -190,7 +189,7 @@ class PartitionSpec:
             )
         column_index = meta.schema.index_of(column)
         dtype = meta.schema.columns[column_index].dtype
-        decode = partial(decode_value, db.catalog.dictionary, dtype=dtype)
+        decode = decoder(db.catalog.dictionary, dtype)
         if scheme == "range":
             bounds = _spine_bounds(db, table, column, shards, decode)
             if bounds is not None:

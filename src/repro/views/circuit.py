@@ -30,10 +30,10 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 
-from repro.catalog.schema import DataType
 from repro.errors import ViewError
-from repro.plan.expr import AggCall, Expr, IU
-from repro.plan.interpret import evaluate
+from repro.catalog.schema import DataType
+from repro.plan.expr import AggCall, ConstExpr, Expr, IU, IURef
+from repro.plan.interpret import compile_expr, compile_exprs, compile_sort_key
 from repro.plan.logical import (
     LogicalFilter,
     LogicalGroupBy,
@@ -85,10 +85,6 @@ class CostMeter:
             self.loads[node.node_id] = self.loads.get(node.node_id, 0) + loads
 
 
-def _env(layout_ids: list[int], row: tuple) -> dict[int, object]:
-    return dict(zip(layout_ids, row))
-
-
 class DeltaOperator:
     """One node of a delta circuit."""
 
@@ -113,21 +109,21 @@ class DeltaInput(DeltaOperator):
         super().__init__(node_id, label, scan.output_ius())
         self.table = scan.table.name
         schema = scan.table.schema
-        self.positions = [
-            schema.index_of(scan.column_of(iu)) for iu in scan.output_ius()
-        ]
+        position = {
+            iu.id: schema.index_of(scan.column_of(iu)) for iu in self.layout
+        }
+        self.project = compile_exprs(
+            [IURef(iu) for iu in self.layout], position.__getitem__
+        )
         self.pending = ZSet()
 
     def process(self, meter: CostMeter) -> ZSet:
-        delta = ZSet()
-        if not self.pending:
-            return delta
-        positions = self.positions
-        n = 0
-        for row, weight in self.pending.items():
-            delta.add(tuple(row[i] for i in positions), weight)
-            n += 1
-        self.pending = ZSet()
+        pending, self.pending = self.pending, ZSet()
+        if not pending:
+            return pending
+        n = len(pending)
+        project = self.project
+        delta = ZSet((project(row), weight) for row, weight in pending.items())
         meter.charge(self, COST_BATCH + n * COST_INPUT_ROW, loads=n)
         return delta
 
@@ -139,18 +135,15 @@ class DeltaFilter(DeltaOperator):
                  condition: Expr):
         super().__init__(node_id, label, child.layout)
         self.child = child
-        self.condition = condition
+        self.condition = compile_expr(condition, self.layout_ids.index)
 
     def process(self, meter: CostMeter) -> ZSet:
         delta = self.child.process(meter)
-        out = ZSet()
         if not delta:
-            return out
-        n = 0
-        for row, weight in delta.items():
-            n += 1
-            if evaluate(self.condition, _env(self.layout_ids, row)):
-                out.add(row, weight)
+            return delta
+        n = len(delta)
+        condition = self.condition
+        out = ZSet(item for item in delta.items() if condition(item[0]))
         meter.charge(self, COST_BATCH + n * COST_FILTER_ROW, loads=n)
         return out
 
@@ -164,60 +157,73 @@ class DeltaMap(DeltaOperator):
                          child.layout + [iu for iu, _ in computed])
         self.child = child
         self.computed = computed
+        self.compute = compile_exprs(
+            [expr for _, expr in computed], child.layout_ids.index
+        )
 
     def process(self, meter: CostMeter) -> ZSet:
         delta = self.child.process(meter)
-        out = ZSet()
         if not delta:
-            return out
-        child_ids = self.child.layout_ids
-        n = 0
-        for row, weight in delta.items():
-            env = _env(child_ids, row)
-            extra = tuple(evaluate(expr, env) for _, expr in self.computed)
-            out.add(row + extra, weight)
-            n += 1
+            return delta
+        n = len(delta)
+        compute = self.compute
+        out = ZSet(
+            (row + compute(row), weight) for row, weight in delta.items()
+        )
         per_row = COST_MAP_ROW + COST_MAP_EXPR * len(self.computed)
         meter.charge(self, COST_BATCH + n * per_row, loads=n)
         return out
 
 
-class DeltaJoin(DeltaOperator):
+def _fold_index(index: dict, key: tuple, row: tuple, weight: int) -> None:
+    """Add ``weight`` to ``row`` in a ``key -> {row: weight}`` index."""
+    bucket = index.setdefault(key, {})
+    total = bucket.get(row, 0) + weight
+    if total == 0:
+        del bucket[row]
+        if not bucket:
+            del index[key]
+    else:
+        bucket[row] = total
+
+
+class _DeltaBinary(DeltaOperator):
+    """What the joins share: two children, the key functions over each
+    child's rows, the residual (``None``, or a test of a left row followed
+    by a right row) and the index of the right side."""
+
+    def __init__(self, node_id: int, label: str, layout: list[IU],
+                 left: DeltaOperator, right: DeltaOperator,
+                 node: LogicalJoin | LogicalSemiJoin):
+        super().__init__(node_id, label, layout)
+        self.left = left
+        self.right = right
+        self.left_key = compile_exprs(node.left_keys, left.layout_ids.index)
+        self.right_key = compile_exprs(node.right_keys,
+                                       right.layout_ids.index)
+        both = left.layout_ids + right.layout_ids
+        self.residual = (None if node.residual is None
+                         else compile_expr(node.residual, both.index))
+        # key -> {row: weight}; rows are stored in child layout
+        self.right_index: dict[tuple, dict[tuple, int]] = {}
+
+
+class DeltaJoin(_DeltaBinary):
     """Inner equi-join maintained by the bilinear chain rule."""
 
     kind = "join"
 
     def __init__(self, node_id: int, label: str, left: DeltaOperator,
                  right: DeltaOperator, node: LogicalJoin):
-        super().__init__(node_id, label, left.layout + right.layout)
-        self.left = left
-        self.right = right
-        self.left_keys = node.left_keys
-        self.right_keys = node.right_keys
-        self.residual = node.residual
-        # key -> {row: weight}; rows are stored in child layout
+        super().__init__(node_id, label, left.layout + right.layout,
+                         left, right, node)
         self.left_index: dict[tuple, dict[tuple, int]] = {}
-        self.right_index: dict[tuple, dict[tuple, int]] = {}
-
-    def _update(self, index: dict, key: tuple, row: tuple,
-                weight: int) -> None:
-        bucket = index.setdefault(key, {})
-        total = bucket.get(row, 0) + weight
-        if total == 0:
-            del bucket[row]
-            if not bucket:
-                del index[key]
-        else:
-            bucket[row] = total
 
     def _emit(self, out: ZSet, left_row: tuple, right_row: tuple,
-              weight: int) -> bool:
+              weight: int) -> None:
         row = left_row + right_row
-        if self.residual is not None:
-            if not evaluate(self.residual, _env(self.layout_ids, row)):
-                return False
-        out.add(row, weight)
-        return True
+        if self.residual is None or self.residual(row):
+            out.add(row, weight)
 
     def process(self, meter: CostMeter) -> ZSet:
         dl = self.left.process(meter)
@@ -225,30 +231,24 @@ class DeltaJoin(DeltaOperator):
         out = ZSet()
         if not dl and not dr:
             return out
-        left_ids = self.left.layout_ids
-        right_ids = self.right.layout_ids
         probes = emits = 0
         # Δ(A⋈B) = A_old⋈ΔB, then ΔA⋈B_new — together they cover
-        # ΔA⋈B + A⋈ΔB + ΔA⋈ΔB exactly once.
+        # ΔA⋈B + A⋈ΔB + ΔA⋈ΔB exactly once.  (A_old is read before any
+        # left row is folded in, so ΔB can join and be indexed in one go.)
         for rrow, rweight in dr.items():
-            renv = _env(right_ids, rrow)
-            key = tuple(evaluate(k, renv) for k in self.right_keys)
+            key = self.right_key(rrow)
             probes += 1
             for lrow, lweight in self.left_index.get(key, {}).items():
                 emits += 1
                 self._emit(out, lrow, rrow, lweight * rweight)
-        for rrow, rweight in dr.items():
-            renv = _env(right_ids, rrow)
-            key = tuple(evaluate(k, renv) for k in self.right_keys)
-            self._update(self.right_index, key, rrow, rweight)
+            _fold_index(self.right_index, key, rrow, rweight)
         for lrow, lweight in dl.items():
-            lenv = _env(left_ids, lrow)
-            key = tuple(evaluate(k, lenv) for k in self.left_keys)
+            key = self.left_key(lrow)
             probes += 1
             for rrow, rweight in self.right_index.get(key, {}).items():
                 emits += 1
                 self._emit(out, lrow, rrow, lweight * rweight)
-            self._update(self.left_index, key, lrow, lweight)
+            _fold_index(self.left_index, key, lrow, lweight)
         meter.charge(
             self,
             COST_BATCH + probes * COST_JOIN_PROBE + emits * COST_JOIN_EMIT,
@@ -257,7 +257,7 @@ class DeltaJoin(DeltaOperator):
         return out
 
 
-class DeltaSemiJoin(DeltaOperator):
+class DeltaSemiJoin(_DeltaBinary):
     """Semi/anti join maintained via per-left-row match counts.
 
     The right side of a semi-join stays a non-negative Z-set (it derives
@@ -269,28 +269,19 @@ class DeltaSemiJoin(DeltaOperator):
 
     def __init__(self, node_id: int, label: str, left: DeltaOperator,
                  right: DeltaOperator, node: LogicalSemiJoin):
-        super().__init__(node_id, label, left.layout)
-        self.left = left
-        self.right = right
-        self.left_keys = node.left_keys
-        self.right_keys = node.right_keys
+        super().__init__(node_id, label, left.layout, left, right, node)
         self.anti = node.anti
-        self.residual = node.residual
         self.left_weights: dict[tuple, int] = {}
         self.left_matches: dict[tuple, int] = {}
         self.left_by_key: dict[tuple, set[tuple]] = {}
-        self.right_index: dict[tuple, dict[tuple, int]] = {}
 
     def _matches(self, left_row: tuple, right_row: tuple) -> bool:
         if self.residual is None:
             return True
-        env = _env(self.left.layout_ids, left_row)
-        env.update(_env(self.right.layout_ids, right_row))
-        return bool(evaluate(self.residual, env))
+        return bool(self.residual(left_row + right_row))
 
     def _emitted(self, matched_weight: int) -> bool:
-        alive = matched_weight > 0
-        return alive != self.anti
+        return (matched_weight > 0) != self.anti
 
     def process(self, meter: CostMeter) -> ZSet:
         dl = self.left.process(meter)
@@ -298,23 +289,13 @@ class DeltaSemiJoin(DeltaOperator):
         out = ZSet()
         if not dl and not dr:
             return out
-        left_ids = self.left.layout_ids
-        right_ids = self.right.layout_ids
         probes = 0
         # 1. fold the right delta into the index and flip existing left
         #    rows whose match count crosses zero
         for rrow, rweight in dr.items():
-            renv = _env(right_ids, rrow)
-            key = tuple(evaluate(k, renv) for k in self.right_keys)
+            key = self.right_key(rrow)
             probes += 1
-            bucket = self.right_index.setdefault(key, {})
-            total = bucket.get(rrow, 0) + rweight
-            if total == 0:
-                del bucket[rrow]
-                if not bucket:
-                    del self.right_index[key]
-            else:
-                bucket[rrow] = total
+            _fold_index(self.right_index, key, rrow, rweight)
             for lrow in self.left_by_key.get(key, ()):  # existing left rows
                 if not self._matches(lrow, rrow):
                     continue
@@ -329,8 +310,7 @@ class DeltaSemiJoin(DeltaOperator):
                     out.add(lrow, weight if now else -weight)
         # 2. fold the left delta against the *new* right state
         for lrow, lweight in dl.items():
-            lenv = _env(left_ids, lrow)
-            key = tuple(evaluate(k, lenv) for k in self.left_keys)
+            key = self.left_key(lrow)
             probes += 1
             known = lrow in self.left_weights
             if not known:
@@ -387,30 +367,33 @@ class DeltaGroupBy(DeltaOperator):
         self.child = child
         self.keys = node.keys
         self.aggregates = node.aggregates
+        slot = child.layout_ids.index
+        self.key_of = compile_exprs([expr for _, expr in node.keys], slot)
+        # one value per aggregate per row; COUNT is a SUM of ones
+        one = ConstExpr(1, DataType.INT)
+        self.arguments_of = compile_exprs(
+            [one if agg.kind == "count" else agg.arg
+             for agg in node.aggregates], slot,
+        )
         self.groups: dict[tuple, _GroupState] = {}
         self.emitted: dict[tuple, tuple] = {}
         self._primed = bool(self.keys)  # keyless views emit zeros up front
-
-    def _zeros_row(self) -> tuple:
-        return tuple(0 for _ in self.aggregates)
+        self._zeros_row = (0,) * len(node.aggregates)
 
     def _output_row(self, key: tuple, state: _GroupState) -> tuple | None:
         if state.weight <= 0:
             # a dead group vanishes — except the keyless aggregate, which
             # degenerates to one all-zeros row (interpreter semantics)
-            return self._zeros_row() if not self.keys else None
+            return self._zeros_row if not self.keys else None
         values = []
         for agg, slot in zip(self.aggregates, state.slots):
             if agg.kind in ("count", "sum"):
                 values.append(slot)
             else:
-                live = [v for v, w in slot.items() if w > 0]
-                if not live:
-                    values.append(0)
-                elif agg.kind == "min":
-                    values.append(min(live))
-                else:
-                    values.append(max(live))
+                best = min if agg.kind == "min" else max
+                values.append(
+                    best((v for v, w in slot.items() if w > 0), default=0)
+                )
         return key + tuple(values)
 
     def process(self, meter: CostMeter) -> ZSet:
@@ -421,29 +404,24 @@ class DeltaGroupBy(DeltaOperator):
             # subscriber's initial snapshot matches an empty re-execution
             self._primed = True
             self.groups[()] = _GroupState(self.aggregates)
-            row = self._zeros_row()
+            row = self._zeros_row
             self.emitted[()] = row
             out.add(row, 1)
         if not delta:
             return out
-        child_ids = self.child.layout_ids
+        key_of, arguments_of = self.key_of, self.arguments_of
+        summed = [agg.kind in ("count", "sum") for agg in self.aggregates]
         touched: set[tuple] = set()
-        n = 0
+        n = len(delta)
         for row, weight in delta.items():
-            n += 1
-            env = _env(child_ids, row)
-            key = tuple(evaluate(expr, env) for _, expr in self.keys)
+            key = key_of(row)
             state = self.groups.get(key)
             if state is None:
                 state = self.groups[key] = _GroupState(self.aggregates)
             touched.add(key)
             state.weight += weight
-            for i, agg in enumerate(self.aggregates):
-                if agg.kind == "count":
-                    state.slots[i] += weight
-                    continue
-                value = evaluate(agg.arg, env)
-                if agg.kind == "sum":
+            for i, value in enumerate(arguments_of(row)):
+                if summed[i]:
                     state.slots[i] += weight * value
                 else:
                     counts = state.slots[i]
@@ -490,23 +468,12 @@ class TopKState(DeltaOperator):
     kind = "topk"
 
     def __init__(self, node_id: int, label: str, layout: list[IU],
-                 sort_keys: list[tuple[Expr, bool]], limit: int):
+                 sort_key, limit: int):
         super().__init__(node_id, label, layout)
-        self.sort_keys = sort_keys
+        self.sort_key = sort_key  # row -> tuple, descending keys negated
         self.limit = limit
         self.entries: list[tuple[tuple, tuple]] = []
         self.refills = 0
-
-    def sort_key(self, row: tuple) -> tuple:
-        env = _env(self.layout_ids, row)
-        # all encoded values are numeric, so descending is negation —
-        # the same trick PhysicalSort uses
-        return tuple(
-            value if ascending else -value
-            for value, ascending in (
-                (evaluate(expr, env), asc) for expr, asc in self.sort_keys
-            )
-        )
 
     def visible(self) -> list[tuple]:
         return [row for _, row in self.entries]
@@ -517,11 +484,8 @@ class TopKState(DeltaOperator):
         if not delta:
             return
         need_refill = False
-        n = 0
+        n = len(delta)
         for row, weight in delta.items():
-            n += 1
-            if need_refill:
-                continue
             key = self.sort_key(row)
             if weight > 0:
                 for _ in range(min(weight, self.limit)):
@@ -532,11 +496,11 @@ class TopKState(DeltaOperator):
                 del self.entries[self.limit:]
             else:
                 was_full = len(self.entries) >= self.limit
-                removed = self._remove(key, row, -weight)
                 # losing a visible row while rows beyond the boundary may
                 # exist means the runner-up must be rediscovered
-                if removed and was_full:
+                if self._remove(key, row, -weight) and was_full:
                     need_refill = True
+                    break
         meter.charge(self, COST_BATCH + n * COST_TOPK_ROW, loads=n)
         if need_refill:
             self.refill(state, meter)
@@ -565,30 +529,23 @@ class Circuit:
     """A compiled delta circuit plus its read-side ordering spec."""
 
     def __init__(self, root: DeltaOperator, inputs: list[DeltaInput],
-                 nodes: list[DeltaOperator],
-                 sort_keys: list[tuple[Expr, bool]] | None,
+                 nodes: list[DeltaOperator], sort_key,
                  limit: int | None, output_columns: list[tuple[str, IU]],
                  topk: TopKState | None = None):
         self.root = root
         self.inputs = inputs
         self.nodes = nodes
-        self.sort_keys = sort_keys
+        self.sort_key = sort_key  # root row -> ORDER BY tuple, or None
         self.limit = limit
         self.topk = topk
         self.output_columns = output_columns
-        layout_ids = root.layout_ids
-        self.projection = [layout_ids.index(iu.id) for _, iu in output_columns]
         self.tables = sorted({inp.table for inp in inputs})
 
-    def feed(self, table: str, delta: ZSet) -> bool:
-        """Stage a base-table delta (full schema layout) for the next
-        ``process`` call; returns whether the circuit reads the table."""
-        fed = False
+    def feed(self, deltas: dict[str, ZSet]) -> None:
+        """Hand every input its table's delta (full schema layout), if the
+        batch has one, for the next ``process`` call to read."""
         for inp in self.inputs:
-            if inp.table == table:
-                inp.pending.merge(delta)
-                fed = True
-        return fed
+            inp.pending = deltas.get(inp.table, inp.pending)
 
     def process(self, meter: CostMeter) -> ZSet:
         return self.root.process(meter)
@@ -662,10 +619,13 @@ def build_circuit(root: LogicalOutput,
             "would be nondeterministic under incremental updates"
         )
     circuit_root = build(node)
+    sort_key = None
+    if sort_keys:
+        sort_key = compile_sort_key(sort_keys, circuit_root.layout_ids.index)
     topk = None
     if limit is not None:
         topk = TopKState(next(counter), f"top-{limit}", circuit_root.layout,
-                         sort_keys, limit)
+                         sort_key, limit)
         nodes.append(topk)
-    return Circuit(circuit_root, inputs, nodes, sort_keys, limit,
+    return Circuit(circuit_root, inputs, nodes, sort_key, limit,
                    root.columns, topk=topk)

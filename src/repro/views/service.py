@@ -28,12 +28,11 @@ from dataclasses import dataclass, field
 
 from repro.catalog.schema import (
     DataType,
-    decode_value,
+    decoder,
     encode_date,
     encode_decimal,
 )
 from repro.errors import CatalogError, ReproError, ViewError
-from repro.plan.interpret import evaluate
 from repro.profiling.tagging import TaggingDictionary
 from repro.sql import ast
 from repro.sql.binder import Binder
@@ -89,12 +88,11 @@ class MaterializedView:
     """One registered standing query and its maintained state."""
 
     def __init__(self, name: str, query_id: int, sql: str | None,
-                 circuit: Circuit, owner: "ViewService"):
+                 circuit: Circuit, dictionary):
         self.name = name
         self.query_id = query_id
         self.sql = sql
         self.circuit = circuit
-        self._owner = owner
         self.state = ZSet()  # full result in the circuit root's layout
         self.version = 0
         self.visible: Counter = Counter()  # decoded projected bag
@@ -104,37 +102,25 @@ class MaterializedView:
         self.cycles = 0
         self.loads = 0
         self.samples = 0
+        position = circuit.root.layout_ids.index
+        self._decoders = [  # (position in a root row, value -> decoded)
+            (position(iu.id), decoder(dictionary, iu.dtype))
+            for _, iu in circuit.output_columns
+        ]
 
     # -- read side -----------------------------------------------------------
 
     def _project_decode(self, row: tuple) -> tuple:
-        dictionary = self._owner.db.catalog.dictionary
-        projection = self.circuit.projection
-        columns = self.circuit.output_columns
-        return tuple(
-            decode_value(dictionary, row[index], iu.dtype)
-            for index, (_, iu) in zip(projection, columns)
-        )
+        return tuple([decode(row[index]) for index, decode in self._decoders])
 
     def _ordered_rows(self) -> list[tuple]:
         topk = self.circuit.topk
         if topk is not None:
             return topk.visible()
         rows = list(self.state.rows())
-        sort_keys = self.circuit.sort_keys
-        if sort_keys:
-            ids = self.circuit.root.layout_ids
-
-            def key(row: tuple) -> tuple:
-                env = dict(zip(ids, row))
-                return tuple(
-                    value if ascending else -value
-                    for value, ascending in (
-                        (evaluate(expr, env), asc) for expr, asc in sort_keys
-                    )
-                )
-
-            rows.sort(key=lambda row: (key(row), row))
+        sort_key = self.circuit.sort_key
+        if sort_key is not None:
+            rows.sort(key=lambda row: (sort_key(row), row))
         return rows
 
     def materialize(self) -> list[tuple]:
@@ -200,7 +186,8 @@ class ViewService:
         circuit = build_circuit(root, labels)
         self._next_view += 1
         view = MaterializedView(
-            name, VIEW_QUERY_ID_BASE + self._next_view, sql, circuit, self
+            name, VIEW_QUERY_ID_BASE + self._next_view, sql, circuit,
+            self.db.catalog.dictionary,
         )
         self.views[name] = view
         self.tags.register_view(
@@ -208,11 +195,9 @@ class ViewService:
             {node.node_id: node.label for node in circuit.nodes},
         )
         # initial load: current table contents as the first delta
-        initial = {
-            table: self._table_zset(table).copy() for table in circuit.tables
-        }
+        initial = {table: self._table_zset(table) for table in circuit.tables}
         try:
-            self._maintain(view, initial, force=True)
+            self._maintain(view, initial)
         except (ValueError, ArithmeticError) as exc:
             del self.views[name]
             raise ViewError(
@@ -281,9 +266,8 @@ class ViewService:
         negative weight, the whole batch is rejected and no view moves.
 
         A view whose own expressions fail on a row (a zero divisor) fails
-        alone: every other view and subscriber gets the batch, the
-        failing view is unregistered, and one ``ViewError`` naming it is
-        raised once the rest have moved.
+        alone: every other view and subscriber gets the batch, the failing
+        view is unregistered, and one ``ViewError`` names it afterwards.
         """
         encoded: dict[str, ZSet] = {}
         for table_name, changes in deltas.items():
@@ -292,12 +276,13 @@ class ViewService:
             except CatalogError as exc:
                 raise ViewError(str(exc)) from exc
             zset = ZSet()
+            encode_row = self._row_encoder(table)
             for row, weight in changes:
                 if not isinstance(weight, int) or weight == 0:
                     raise ViewError(
                         f"delta weight must be a non-zero int, got {weight!r}"
                     )
-                zset.add(self._encode_row(table, row), weight)
+                zset.add(encode_row(row), weight)
             encoded[table_name] = zset
         for table_name, zset in encoded.items():
             base = self._table_zset(table_name)
@@ -327,38 +312,27 @@ class ViewService:
         return self.batches
 
     def _maintain(self, view: MaterializedView,
-                  encoded: dict[str, ZSet], force: bool = False) -> None:
-        fed = False
-        for table_name, zset in encoded.items():
-            if view.circuit.feed(table_name, zset):
-                fed = True
+                  encoded: dict[str, ZSet]) -> None:
+        view.circuit.feed(encoded)
         meter = CostMeter()
-        delta_out = view.circuit.process(meter) if (fed or force) else ZSet()
+        # an operator no delta reaches returns at once and charges nothing
+        delta_out = view.circuit.process(meter)
         view.state.merge(delta_out)
         topk = view.circuit.topk
         if topk is not None:
-            old_bag = Counter(
-                view._project_decode(row) for row in topk.visible()
-            )
+            # view.visible is the window's decoded bag as of the last batch
             topk.update(delta_out, view.state, meter)
-            new_bag = Counter(
-                view._project_decode(row) for row in topk.visible()
-            )
+            new_bag = Counter(map(view._project_decode, topk.visible()))
             change = Counter(new_bag)
-            change.subtract(old_bag)
-            sub_delta = [
-                (row, weight) for row, weight in change.items() if weight
-            ]
+            change.subtract(view.visible)
             view.visible = new_bag
         else:
             change = Counter()
             for row, weight in delta_out.items():
                 change[view._project_decode(row)] += weight
-            sub_delta = [
-                (row, weight) for row, weight in change.items() if weight
-            ]
             view.visible.update(change)
             view.visible = +view.visible
+        sub_delta = [(row, weight) for row, weight in change.items() if weight]
         view.version += 1
         view.batches += 1
         self._charge(view, meter)
@@ -440,50 +414,43 @@ class ViewService:
         zset = self._tables.get(name)
         if zset is None:
             table = self.db.catalog.table(name)
-            zset = ZSet()
-            for row in zip(*table.columns):
-                zset.add(row, 1)
-            self._tables[name] = zset
+            zset = self._tables[name] = ZSet.from_rows(zip(*table.columns))
         return zset
 
-    def _encode_row(self, table, row) -> tuple:
-        schema = table.schema
-        if len(row) != len(schema):
-            raise ViewError(
-                f"{table.name}: delta row has {len(row)} values, "
-                f"schema has {len(schema)}"
-            )
-        out = []
-        for value, column in zip(row, schema.columns):
-            dtype = column.dtype
-            try:
-                if dtype is DataType.STRING:
-                    # the dictionary is frozen at finalize; deltas may only
-                    # use strings the database has seen
-                    out.append(self.db.catalog.dictionary.id_of(value))
-                elif dtype is DataType.DATE:
-                    out.append(
-                        value if isinstance(value, int) else encode_date(value)
-                    )
-                elif dtype is DataType.DECIMAL:
-                    out.append(encode_decimal(value))
-                elif dtype is DataType.BOOL:
-                    out.append(int(bool(value)))
-                else:
-                    if not isinstance(value, int) or isinstance(value, bool):
-                        raise ViewError(
-                            f"{table.name}.{column.name} expects an int, "
-                            f"got {value!r}"
-                        )
-                    out.append(value)
-            except (CatalogError, ReproError) as exc:
-                if isinstance(exc, ViewError):
-                    raise
+    def _row_encoder(self, table):
+        """``decoded row -> encoded row`` for ``table``: what encodes each
+        column is decided here, once, not per value."""
+        by_dtype = {
+            # the dictionary is frozen at finalize; deltas may only use
+            # strings the database has seen
+            DataType.STRING: self.db.catalog.dictionary.id_of,
+            DataType.DATE: lambda value: (
+                value if isinstance(value, int) else encode_date(value)
+            ),
+            DataType.DECIMAL: encode_decimal,
+            DataType.BOOL: lambda value: int(bool(value)),
+        }
+        columns = table.schema.columns
+        encoders = [by_dtype.get(column.dtype, _whole) for column in columns]
+
+        def encode_row(row) -> tuple:
+            if len(row) != len(columns):
                 raise ViewError(
-                    f"cannot encode {table.name}.{column.name}={value!r}: "
-                    f"{exc}"
-                ) from exc
-        return tuple(out)
+                    f"{table.name}: delta row has {len(row)} values, "
+                    f"schema has {len(columns)}"
+                )
+            out = []
+            for encode, value in zip(encoders, row):
+                try:
+                    out.append(encode(value))
+                except ReproError as exc:
+                    raise ViewError(
+                        f"cannot encode {table.name}."
+                        f"{columns[len(out)].name}={value!r}: {exc}"
+                    ) from exc
+            return tuple(out)
+
+        return encode_row
 
     # -- reporting -----------------------------------------------------------
 
@@ -517,6 +484,12 @@ class ViewService:
                 for node_id, label in sorted(operators.items()):
                     lines.append(f"    node {node_id:3d}  {label}")
         return "\n".join(lines)
+
+
+def _whole(value) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ViewError("expects an int")
+    return value
 
 
 def _has_scalar_subquery(node) -> bool:

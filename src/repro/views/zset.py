@@ -88,8 +88,3 @@ class ZSet:
     @property
     def positive(self) -> bool:
         return all(weight > 0 for weight in self._weights.values())
-
-    def copy(self) -> "ZSet":
-        zset = ZSet()
-        zset._weights = dict(self._weights)
-        return zset

@@ -537,3 +537,58 @@ def test_having_stage_ordering_errors(db):
         flow.having("price > 0")  # per-event columns are out of scope
     with pytest.raises(SqlError):
         flow.having("n + 1")  # not boolean
+
+
+# -- the simulated charges, pinned --------------------------------------------
+
+#: name -> (instructions, loads, rows of state, top-K refills or None) after
+#: the schedule below, recorded at 24852d3 (before expressions were compiled).
+#: Every charge is a COST_* constant times a count of rows that reached an
+#: operator, so a host-side change that moves a consolidation point — two
+#: operators fused, a delta merged earlier or later — moves these numbers.
+PINNED_CHARGES = {
+    "by_bucket": (133580, 3984, 11, None),
+    "margin_watch": (184846, 6047, 7, None),
+    "by_category": (140344, 5356, 5, None),
+    "top_tickets": (88934, 7906, 919, 6),
+}
+
+
+def test_maintenance_charges_are_pinned(db):
+    from random import Random
+
+    from benchmarks.bench_views import STANDING_QUERIES
+
+    _, views = make_views(db)
+    for name, sql in STANDING_QUERIES.items():
+        views.register(name, sql)
+    rng = Random(0)
+    live = sales_rows(db)
+    next_id = max(row[0] for row in live) + 1
+    for batch in range(40):
+        changes = []
+        for _ in range(24):
+            row = (next_id, round(rng.uniform(1.0, 700.0), 2),
+                   round(rng.uniform(1.0, 1.4), 2),
+                   round(rng.uniform(1.0, 300.0), 2))
+            next_id += 1
+            live.append(row)
+            changes.append((row, 1))
+        victims = [live.pop(rng.randrange(len(live))) for _ in range(11)]
+        if batch == 20:  # the scheduled retraction of the best row
+            victims.append(max(live, key=lambda row: (row[1], -row[0])))
+            live.remove(victims[-1])
+        changes.extend((victim, -1) for victim in victims)
+        views.apply({"sales": changes})
+
+    charges = {}
+    for name in STANDING_QUERIES:
+        view = views.view(name)
+        topk = view.circuit.topk
+        charges[name] = (view.instructions, view.loads, len(view.state),
+                         topk and topk.refills)
+    assert charges == PINNED_CHARGES
+    assert views.view("top_tickets").materialize() == [
+        (row[0], row[1])
+        for row in sorted(live, key=lambda row: (-row[1], row[0]))[:10]
+    ]
