@@ -109,9 +109,6 @@ class CodegenContext:
     tagging: TaggingDictionary
     task_tracker: AbstractionTracker
     state: StateLayout = field(default_factory=StateLayout)
-    hashtables: list[HashTableSpec] = field(default_factory=list)
-    buffers: list[BufferSpec] = field(default_factory=list)
-    sort_calls: list = field(default_factory=list)  # filled by querygen
 
     def install_tagging_listener(self, builder: IRBuilder) -> None:
         """Wire the emission funnel: every IR instruction links to the

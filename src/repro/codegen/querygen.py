@@ -205,7 +205,6 @@ def generate_query_ir(
                 key_count=len(op.build_keys),
             )
             meta.hashtable_of[op.op_id] = spec
-            ctx.hashtables.append(spec)
             meta.setup_tasks.append((task_of[(op.op_id, "build")], op))
         elif isinstance(op, PhysicalSemiJoin):
             payload = list(op.build_payload)
@@ -220,7 +219,6 @@ def generate_query_ir(
                 key_count=len(op.build_keys),
             )
             meta.hashtable_of[op.op_id] = spec
-            ctx.hashtables.append(spec)
             meta.setup_tasks.append((task_of[(op.op_id, "semi-build")], op))
         elif isinstance(op, PhysicalGroupJoin):
             key_ius = {k.iu for k in op.build_keys if isinstance(k, IURef)}
@@ -241,7 +239,6 @@ def generate_query_ir(
                 key_count=len(op.build_keys),
             )
             meta.hashtable_of[op.op_id] = spec
-            ctx.hashtables.append(spec)
             meta.setup_tasks.append(
                 (task_of[(op.op_id, "groupjoin-join build")], op)
             )
@@ -256,7 +253,6 @@ def generate_query_ir(
                 key_count=len(op.keys),
             )
             meta.hashtable_of[op.op_id] = spec
-            ctx.hashtables.append(spec)
             meta.setup_tasks.append((task_of[(op.op_id, "materialize")], op))
         elif isinstance(op, PhysicalSort):
             key_ius: list[IU] = []
@@ -283,7 +279,6 @@ def generate_query_ir(
                 initial_rows=max(16, int(rows * 0.25)),
             )
             meta.buffer_of[op.op_id] = spec
-            ctx.buffers.append(spec)
             descriptor = SortDescriptor(
                 row_words=len(needed),
                 keys=tuple(
@@ -341,15 +336,13 @@ def _generate_setup(ctx: CodegenContext, meta: QueryPlanMeta) -> None:
     b.set_block(b.block("entry"))
     state = fn.params[0]
 
-    setup_by_op = {op.op_id: task for task, op in meta.setup_tasks}
-
-    for spec in ctx.hashtables:
-        op_id = int(spec.name.rsplit("_", 1)[1])
-        task = setup_by_op.get(op_id)
-        tracker_ctx = (
-            ctx.task_tracker.active(task) if task is not None else _null_ctx()
-        )
-        with tracker_ctx:
+    # every hash table, then every sort buffer, under its operator's
+    # setup task
+    for task, op in meta.setup_tasks:
+        spec = meta.hashtable_of.get(op.op_id)
+        if spec is None:
+            continue
+        with ctx.task_tracker.active(task):
             base = b.gep(state, None, offset=spec.state_offset)
             directory = b.kcall(
                 K_ALLOC, [b.const(spec.directory_slots * 8)], Type.PTR
@@ -366,13 +359,11 @@ def _generate_setup(ctx: CodegenContext, meta: QueryPlanMeta) -> None:
             b.store(b.gep(base, None, offset=HT_END),
                     b.add(chunk, b.const(chunk_bytes)))
 
-    for spec in ctx.buffers:
-        op_id = int(spec.name.rsplit("_", 1)[1])
-        task = setup_by_op.get(op_id)
-        tracker_ctx = (
-            ctx.task_tracker.active(task) if task is not None else _null_ctx()
-        )
-        with tracker_ctx:
+    for task, op in meta.setup_tasks:
+        spec = meta.buffer_of.get(op.op_id)
+        if spec is None:
+            continue
+        with ctx.task_tracker.active(task):
             base = b.gep(state, None, offset=spec.state_offset)
             data_bytes = spec.initial_rows * spec.row_words * 8
             data = b.kcall(K_ALLOC, [b.const(data_bytes)], Type.PTR)
@@ -420,9 +411,3 @@ def _generate_prepare_functions(ctx: CodegenContext, meta: QueryPlanMeta) -> Non
             descriptor_id = meta.sort_descriptor_of[op.op_id]
             b.kcall(K_SORT, [data, count, b.const(descriptor_id)])
             b.ret()
-
-
-def _null_ctx():
-    from contextlib import nullcontext
-
-    return nullcontext()

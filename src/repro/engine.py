@@ -26,6 +26,7 @@ from repro.codegen import (
 )
 from repro.data import generate_example, generate_tpch
 from repro.errors import ReproError
+from repro.numbering import lowering
 from repro.pipeline import decompose
 from repro.pipeline.run import MORSEL, WHOLE_DOMAIN, PlanRun
 from repro.plan.cardinality import CardinalityModel
@@ -267,6 +268,7 @@ class Database:
 
     # -- planning helpers ------------------------------------------------------
 
+    @lowering()
     def _plan(
         self,
         sql: str,
@@ -327,9 +329,8 @@ class Database:
         for order in stmt.order_by:
             object.__setattr__(order, "expr", rewrite(order.expr))
 
+    @lowering()
     def _evaluate_scalar(self, substmt, depth: int):
-        from repro.sql.binder import Binder
-
         self._inline_scalar_subqueries(substmt, depth + 1)
         bound = Binder(self.catalog).bind(substmt)
         physical = plan_physical(bound.plan, bound.model)
@@ -343,19 +344,22 @@ class Database:
             )
         return rows[0][0]
 
-    def _physical_estimates(
-        self, bound, physical: PhysicalOutput
-    ) -> dict[int, float]:
+    @staticmethod
+    def _physical_estimates(bound, physical, *models) -> dict[int, float]:
+        """Row estimates by physical op id: the largest of ``bound.model``'s
+        and ``models``'."""
         logical_by_id = {node.op_id: node for node in bound.plan.walk()}
-        estimates: dict[int, float] = {}
-        for op in physical.walk():
-            logical = logical_by_id.get(op.logical_id)
-            if logical is not None:
-                estimates[op.op_id] = bound.model.estimate(logical)
-        return estimates
+        return {
+            op.op_id: max(
+                model.estimate(logical_by_id[op.logical_id])
+                for model in (bound.model, *models)
+            )
+            for op in physical.walk() if op.logical_id in logical_by_id
+        }
 
     # -- compilation + execution ------------------------------------------------
 
+    @lowering()
     def _compile(
         self,
         sql: str,
@@ -412,21 +416,12 @@ class Database:
         kernel = Kernel(self.memory, install_kernel_stubs(program))
         env = _QueryEnvironment(self, kernel)
 
-        estimates = self._physical_estimates(bound, physical)
-        if cardinality_feedback:
-            # observed cardinalities steer join *ordering*, but hash tables
-            # are never sized below the model's a-priori guess: shrinking
-            # the directory makes probe-heavy joins scan fuller buckets,
-            # while growing it (under-estimate corrected upward) is the
-            # direction that actually pays off
-            base_model = CardinalityModel()
-            logical_by_id = {n.op_id: n for n in bound.plan.walk()}
-            for op in physical.walk():
-                logical = logical_by_id.get(op.logical_id)
-                if logical is not None:
-                    estimates[op.op_id] = max(
-                        estimates[op.op_id], base_model.estimate(logical)
-                    )
+        # observed cardinalities steer join *ordering*, but hash tables are
+        # never sized below the model's a-priori guess: shrinking the
+        # directory makes probe-heavy joins scan fuller buckets, while
+        # growing it (under-estimate corrected upward) is what pays off
+        floor = (CardinalityModel(),) if cardinality_feedback else ()
+        estimates = self._physical_estimates(bound, physical, *floor)
         query_ir = generate_query_ir(
             physical, pipelines, env, tagging, estimates,
             count_tuples=count_tuples,

@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 from repro.catalog import Catalog, Column, Schema
 from repro.catalog.schema import decode_row
 from repro.errors import ReproError
+from repro.numbering import lowering
 from repro.plan.interpret import Interpreter
 from repro.plan.physical import plan_physical
 from repro.sql import Binder, ast, parse, unparse
@@ -274,6 +275,7 @@ def _plan_aggregation(stmt: ast.SelectStmt, aggregates: list[ast.FuncCall]):
 # -- gathering ---------------------------------------------------------------
 
 
+@lowering()
 def gather_rows(plan: RoutePlan, dtypes, shard_rows, dictionary) -> list:
     """Run ``plan.gather_sql`` over the shards' result rows.
 

@@ -24,6 +24,7 @@ from repro.ir.nodes import (
     Type,
     Value,
 )
+from repro.numbering import draw
 
 
 class IRBuilder:
@@ -31,7 +32,6 @@ class IRBuilder:
 
     def __init__(self, function: Function):
         self.function = function
-        self.module = function.module
         self._block: Block | None = None
         self.listeners: list[Callable[[Instr], None]] = []
 
@@ -82,7 +82,7 @@ class IRBuilder:
         if block.terminator is not None:
             raise IRError(f"block {block.name} already terminated")
         instr = Instr(
-            id=self.module.next_id(),
+            id=draw("instr"),
             op=op,
             args=args,
             type=type,

@@ -3,7 +3,7 @@
 The IR is deliberately LLVM-shaped (compare the paper's Listing 1): SSA
 values ``%n``, basic blocks with explicit terminators, ``phi`` nodes,
 ``getelementptr``-style address arithmetic, and calls into a pre-compiled
-runtime.  Instruction ids are unique per :class:`Module`, which is what the
+runtime.  Instruction ids are unique per lowering, which is what the
 Tagging Dictionary and the backend's debug information key on.
 """
 
@@ -187,19 +187,15 @@ class Function:
         return sum(len(b.instructions) for b in self.blocks)
 
 
-import itertools
-
-_global_instr_ids = itertools.count(1)
-
-
 @dataclass
 class Module:
     """A compilation unit: the functions generated for one query, plus
 
-    (separately compiled) the runtime library.  Instruction ids are globally
-    unique — several modules (query, runtime, syslib) are linked into one
-    program image and share the debug-info and Tagging-Dictionary key
-    spaces."""
+    (separately compiled) the runtime library.  Instruction ids are unique
+    per lowering, not per module — the query, runtime and syslib modules
+    of one compile draw from its one numbering (:mod:`repro.numbering`),
+    because they are linked into one program image and share the
+    debug-info and Tagging-Dictionary key spaces."""
 
     name: str
     functions: list[Function] = field(default_factory=list)
@@ -223,9 +219,6 @@ class Module:
             if fn.name == name:
                 return fn
         raise IRError(f"no function named {name!r} in module {self.name}")
-
-    def next_id(self) -> int:
-        return next(_global_instr_ids)
 
     def instruction_count(self) -> int:
         return sum(f.instruction_count() for f in self.functions)

@@ -1,8 +1,9 @@
 """Stable keys for profile-guided feedback.
 
-Operator ids, IU ids, task ids, and IR instruction ids all come from global
-counters — none survives a recompile.  Feedback therefore uses *structural*
-keys only:
+Operator, IU, task and IR instruction ids are plan-local
+(:mod:`repro.numbering`): a recompile of the same plan numbers it alike,
+but feedback exists to change the plan, and a reordered plan numbers its
+subplans differently.  Feedback therefore keys on *structure*:
 
 * the **query fingerprint** hashes the normalized SQL text, so profiles of
   the same query merge across runs (and across join-order hints: the hint
@@ -10,7 +11,7 @@ keys only:
   Fig. 10/11 workflow — feed the same feedback pool);
 * the **cardinality key** names a subplan by its logical kind plus the
   multiset of scanned aliases, which is invariant under join reordering of
-  the surrounding plan;
+  the surrounding plan, where an op id is not;
 * the **plan signature** hashes the physical tree shape, guarding
   plan-shape-dependent feedback (branch layout, hotness) against reuse
   after the planner flips to a different plan.

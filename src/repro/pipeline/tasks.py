@@ -10,12 +10,10 @@ IR instructions to tasks.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
+from repro.numbering import draw
 from repro.plan.physical import PhysicalOperator
-
-_task_counter = itertools.count(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,7 +22,7 @@ class Task:
 
     operator: PhysicalOperator
     role: str
-    id: int = field(default_factory=lambda: next(_task_counter))
+    id: int = field(default_factory=lambda: draw("task"))
 
     @property
     def label(self) -> str:

@@ -15,13 +15,11 @@ DATE - DATE is INT days.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.catalog.schema import DataType
 from repro.errors import PlanError
-
-_iu_counter = itertools.count(1)
+from repro.numbering import draw
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,7 +28,7 @@ class IU:
 
     name: str
     dtype: DataType
-    id: int = field(default_factory=lambda: next(_iu_counter))
+    id: int = field(default_factory=lambda: draw("iu"))
 
     def __repr__(self) -> str:
         return f"IU({self.name}:{self.dtype.value}#{self.id})"

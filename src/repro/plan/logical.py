@@ -1,31 +1,25 @@
 """Logical plan operators (the dataflow graph).
 
-Every operator carries a stable ``op_id`` and knows its output IUs; the
+Every operator carries a plan-local ``op_id`` and knows its output IUs; the
 optimizer rewrites the tree, and physical planning turns it into the
 executable form.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.catalog.table import Table
 from repro.errors import PlanError
+from repro.numbering import draw
 from repro.plan.expr import IU, AggCall, Expr
-
-_op_counter = itertools.count(1)
-
-
-def _next_op_id() -> int:
-    return next(_op_counter)
 
 
 @dataclass(eq=False)
 class LogicalOperator:
     """Base class; subclasses define ``children`` and ``output_ius``."""
 
-    op_id: int = field(default_factory=_next_op_id, init=False)
+    op_id: int = field(default_factory=lambda: draw("logical"), init=False)
 
     def children(self) -> list["LogicalOperator"]:
         return []
@@ -203,51 +197,3 @@ class LogicalOutput(LogicalOperator):
     def output_ius(self):
         return [iu for _, iu in self.columns]
 
-
-def explain(op: LogicalOperator, annotations: dict[int, str] | None = None) -> str:
-    """Render a plan tree as indented text; optional per-op annotations."""
-    lines: list[str] = []
-
-    def describe(node: LogicalOperator) -> str:
-        if isinstance(node, LogicalScan):
-            detail = f"{node.table.name} as {node.alias}"
-        elif isinstance(node, LogicalFilter):
-            detail = str(node.condition)
-        elif isinstance(node, LogicalJoin):
-            pairs = ", ".join(
-                f"{l} = {r}" for l, r in zip(node.left_keys, node.right_keys)
-            )
-            detail = pairs
-        elif isinstance(node, LogicalSemiJoin):
-            pairs = ", ".join(
-                f"{l} = {r}" for l, r in zip(node.left_keys, node.right_keys)
-            )
-            detail = ("anti: " if node.anti else "semi: ") + pairs
-        elif isinstance(node, LogicalGroupBy):
-            keys = ", ".join(str(e) for _, e in node.keys)
-            aggs = ", ".join(str(a) for a in node.aggregates)
-            detail = f"keys=[{keys}] aggs=[{aggs}]"
-        elif isinstance(node, LogicalMap):
-            detail = ", ".join(f"{iu.name}={e}" for iu, e in node.computed)
-        elif isinstance(node, LogicalSort):
-            detail = ", ".join(
-                f"{e}{'' if asc else ' desc'}" for e, asc in node.keys
-            )
-        elif isinstance(node, LogicalLimit):
-            detail = str(node.count)
-        elif isinstance(node, LogicalOutput):
-            detail = ", ".join(name for name, _ in node.columns)
-        else:
-            detail = ""
-        text = f"{node.kind}({detail})"
-        if annotations and node.op_id in annotations:
-            text += f"  [{annotations[node.op_id]}]"
-        return text
-
-    def walk(node: LogicalOperator, depth: int) -> None:
-        lines.append("  " * depth + describe(node))
-        for child in node.children():
-            walk(child, depth + 1)
-
-    walk(op, 0)
-    return "\n".join(lines)

@@ -10,11 +10,11 @@ groupjoin-groupby).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from repro.catalog.table import Table
 from repro.errors import PlanError
+from repro.numbering import draw
 from repro.plan.cardinality import CardinalityModel
 from repro.plan.expr import IU, AggCall, Expr, IURef
 from repro.plan.logical import (
@@ -30,15 +30,13 @@ from repro.plan.logical import (
     LogicalSort,
 )
 
-_phys_counter = itertools.count(1)
-
 
 @dataclass(eq=False)
 class PhysicalOperator:
     """Base physical operator; these are the Tagging Dictionary's
     dataflow-graph-level components."""
 
-    op_id: int = field(default_factory=lambda: next(_phys_counter), init=False)
+    op_id: int = field(default_factory=lambda: draw("physical"), init=False)
     logical_id: int | None = field(default=None, init=False)
     # frontends with their own operator vocabulary (the streaming DSL) set
     # this so every profiling report speaks their language
@@ -162,10 +160,6 @@ class PhysicalGroupJoin(PhysicalOperator):
 
     def children(self):
         return [self.build, self.probe]
-
-    @property
-    def label(self) -> str:
-        return self.label_override or f"groupjoin#{self.op_id}"
 
 
 @dataclass(eq=False)

@@ -21,8 +21,11 @@ Example::
 
 from __future__ import annotations
 
+import functools
+
 from repro.catalog.schema import DataType
 from repro.errors import SqlError
+from repro.numbering import Numbering, draw, lowering
 from repro.plan.cardinality import CardinalityModel
 from repro.plan.expr import IU, AggCall, BinaryExpr, ConstExpr, Expr, IURef
 from repro.plan.logical import (
@@ -88,6 +91,18 @@ class _ScopeBinder(Binder):
         )
 
 
+def _numbered(stage):
+    """Run a flow method in the flow's own numbering: its stages build
+    one plan over many calls."""
+
+    @functools.wraps(stage)
+    def numbered(self, *args, **kwargs):
+        with lowering(self._numbering):
+            return stage(self, *args, **kwargs)
+
+    return numbered
+
+
 class EventFlow:
     """A chainable dataflow over one event table.
 
@@ -98,23 +113,20 @@ class EventFlow:
 
     def __init__(self, database, table: str, label: str | None = None):
         self._db = database
-        self._scan = LogicalScan(database.catalog.table(table), table)
+        self._numbering = Numbering()
+        with lowering(self._numbering):
+            self._scan = LogicalScan(database.catalog.table(table), table)
         self._plan: LogicalOperator = self._scan
         self._derived: dict[str, IU] = {}
         self._binder = _FlowBinder(database.catalog, self._scan, self._derived)
         self._labels: dict[int, str] = {
             self._scan.op_id: f"source {label or table}"
         }
-        self._stage_counter = 0
         self._agg_scope: dict[str, IU] | None = None
         self._output_columns: list[tuple[str, IU]] | None = None
         self._sealed_root: LogicalOutput | None = None
 
     # -- internals -----------------------------------------------------------
-
-    def _next_stage(self) -> int:
-        self._stage_counter += 1
-        return self._stage_counter
 
     def _bind(self, text: str) -> Expr:
         return self._binder.bind_scalar(parse_expression(text))
@@ -138,6 +150,7 @@ class EventFlow:
 
     # -- stages ---------------------------------------------------------------
 
+    @_numbered
     def where(self, condition: str) -> "EventFlow":
         """Filter events by a boolean expression."""
         self._require_streaming_side()
@@ -147,9 +160,10 @@ class EventFlow:
         if bound.dtype is not DataType.BOOL:
             raise SqlError("where() needs a boolean expression")
         self._plan = LogicalFilter(self._plan, bound)
-        self._labels[self._plan.op_id] = f"where#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"where#{draw('stage')}"
         return self
 
+    @_numbered
     def derive(self, **columns: str) -> "EventFlow":
         """Compute new per-event columns from expressions."""
         self._require_streaming_side()
@@ -164,9 +178,10 @@ class EventFlow:
             computed.append((iu, bound))
             self._derived[name] = iu
         self._plan = LogicalMap(self._plan, computed)
-        self._labels[self._plan.op_id] = f"derive#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"derive#{draw('stage')}"
         return self
 
+    @_numbered
     def tumbling_window(self, time_column: str, days: int) -> "EventFlow":
         """Assign each event to a tumbling event-time window.
 
@@ -186,9 +201,10 @@ class EventFlow:
         iu = IU("window_start", DataType.DATE)
         self._plan = LogicalMap(self._plan, [(iu, window)])
         self._derived["window_start"] = iu
-        self._labels[self._plan.op_id] = f"window[{days}d]#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"window[{days}d]#{draw('stage')}"
         return self
 
+    @_numbered
     def aggregate(self, by: list[str], totals: dict[str, str]) -> "EventFlow":
         """Windowed/keyed aggregation; ends the per-event part of the flow."""
         self._require_streaming_side()
@@ -244,13 +260,14 @@ class EventFlow:
             scope[name] = call.output
 
         self._plan = LogicalGroupBy(self._plan, keys, aggregates)
-        self._labels[self._plan.op_id] = f"window-agg#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"window-agg#{draw('stage')}"
         if post_map:
             self._plan = LogicalMap(self._plan, post_map)
-            self._labels[self._plan.op_id] = f"finalize#{self._next_stage()}"
+            self._labels[self._plan.op_id] = f"finalize#{draw('stage')}"
         self._agg_scope = scope
         return self
 
+    @_numbered
     def having(self, condition: str) -> "EventFlow":
         """Filter aggregated groups by a boolean expression.
 
@@ -265,22 +282,25 @@ class EventFlow:
         if bound.dtype is not DataType.BOOL:
             raise SqlError("having() needs a boolean expression")
         self._plan = LogicalFilter(self._plan, bound)
-        self._labels[self._plan.op_id] = f"having#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"having#{draw('stage')}"
         return self
 
+    @_numbered
     def order_by(self, *names: str, descending: bool = False) -> "EventFlow":
         self._require_streaming_side()
         keys = [(IURef(self._resolve_name(n)), not descending) for n in names]
         self._plan = LogicalSort(self._plan, keys)
-        self._labels[self._plan.op_id] = f"order#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"order#{draw('stage')}"
         return self
 
+    @_numbered
     def limit(self, count: int) -> "EventFlow":
         self._require_streaming_side()
         self._plan = LogicalLimit(self._plan, count)
-        self._labels[self._plan.op_id] = f"take[{count}]#{self._next_stage()}"
+        self._labels[self._plan.op_id] = f"take[{count}]#{draw('stage')}"
         return self
 
+    @_numbered
     def select(self, *names: str) -> "EventFlow":
         """Choose the sink's columns (defaults to the whole current scope)."""
         self._require_streaming_side()
@@ -289,6 +309,7 @@ class EventFlow:
 
     # -- execution ------------------------------------------------------------
 
+    @_numbered
     def _seal(self) -> LogicalOutput:
         if self._sealed_root is not None:
             return self._sealed_root
@@ -303,6 +324,7 @@ class EventFlow:
         self._sealed_root = root
         return root
 
+    @_numbered
     def _lower(self):
         root = self._seal()
         model = CardinalityModel()

@@ -33,6 +33,7 @@ from repro.catalog.schema import (
     encode_decimal,
 )
 from repro.errors import CatalogError, ReproError, ViewError
+from repro.numbering import lowering
 from repro.profiling.tagging import TaggingDictionary
 from repro.sql import ast
 from repro.sql.binder import Binder
@@ -178,8 +179,8 @@ class ViewService:
                     "scalar subqueries freeze a point-in-time value and "
                     "cannot be maintained incrementally"
                 )
-            bound = Binder(self.db.catalog).bind(stmt)
-            root = bound.plan
+            with lowering():
+                root = Binder(self.db.catalog).bind(stmt).plan
         else:
             root = query._seal()
             labels = query._labels

@@ -75,6 +75,7 @@ everything known about an opcode is one row of one table, ``_OPS``.
 from __future__ import annotations
 
 from functools import partial
+from hashlib import sha256
 from time import perf_counter
 from typing import NamedTuple
 
@@ -280,6 +281,22 @@ class _Fault(Exception):
 # every instruction boundary — a sample re-arms it the moment it hits 0).
 _STUB_BOUND = -1
 
+# sha256 of generated text -> its code object, for the whole process: a
+# plan lowered again (another database, the next shard, a fresh profile)
+# emits the same text and skips ``compile``.  ``exec`` runs the code in
+# each translation's own namespace, so ``_T`` and ``_b{ip}`` stay per
+# translation.  Least recently used first; 2,048 hold the 22 TPC-H
+# queries' plain and armed texts (1,167) with room to spare.
+_CODES: dict[bytes, object] = {}
+
+
+def _code(source: str):
+    key = sha256(source.encode()).digest()
+    _CODES[key] = _CODES.pop(key, None) or compile(source, "<fastvm>", "exec")
+    if len(_CODES) > 2048:
+        del _CODES[next(iter(_CODES))]
+    return _CODES[key]
+
 
 class Translation:
     """The block map of one program for one PMU event mode.
@@ -442,8 +459,7 @@ class Translation:
             return None
         # the function binds ``_T``, its sites, as it is defined
         source, self._namespace["_T"] = _emit(_measure(tree))
-        name = f"<fastvm:{emit['mode'] or 'plain'}>"
-        exec(compile(source, name, "exec"), self._namespace)
+        exec(_code(source), self._namespace)
         entry = (self._namespace.pop(f"_b{ip}"), tree.max_k, tree.bound)
         self.blocks[ip] = entry
         # a path that hands control back mid-straight-line-code (size

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database
+from repro.numbering import lowering
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +16,14 @@ def tpch_db():
 def example_db():
     """The paper's Figure 3 example database."""
     return Database.example(n_sales=3000, n_products=150)
+
+
+@pytest.fixture
+def numbering():
+    """A lowering of the test's own, for tests that build plan or IR
+    pieces by hand (drawing an id outside a lowering raises)."""
+    with lowering():
+        yield
 
 
 def rows_match(got, want, rel=1e-9):

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import repro.vm.translate as translate
 from repro.catalog import Catalog, Column, DataType, Schema
 from repro.errors import PlanError
+from repro.numbering import lowering
 from repro.plan.expr import (
     BinaryExpr,
     CaseExpr,
@@ -57,6 +58,7 @@ def small_catalog() -> Catalog:
     return catalog
 
 
+@lowering()
 def run_interpreted(catalog: Catalog, sql: str, hint=None, options=None):
     """parse -> bind -> physical plan -> reference interpreter."""
     bound = Binder(catalog).bind(parse(sql), join_order_hint=hint)
@@ -153,14 +155,31 @@ def walk_expr(expr, env: dict[int, object]):  # noqa: C901
 
 @contextmanager
 def compiled_sources():
-    """Record every source string ``repro.vm.translate`` hands to
-    ``compile``, in call order; yields the list they land in.
+    """Record every source string ``repro.vm.translate`` emits — what it
+    hands to its code memo, compiled or found — in call order; yields the
+    list they land in.
 
     The generated text is a function of program, heat and emit settings
     only, so a digest over this list is an exact oracle for "translation
-    emits the same code" (one process per side: task ids, which profiled
-    programs load into the tag register, come from process-wide
-    counters)."""
+    emits the same code"."""
+    sources: list[str] = []
+    code = translate._code
+
+    def recording(source):
+        sources.append(source)
+        return code(source)
+
+    translate._code = recording
+    try:
+        yield sources
+    finally:
+        translate._code = code
+
+
+@contextmanager
+def compile_calls():
+    """Record every source string ``repro.vm.translate`` hands to
+    ``compile`` itself: the texts its code memo did not hold."""
     sources: list[str] = []
 
     def recording(source, *args, **kwargs):

@@ -7,6 +7,8 @@ from repro.ir import IRBuilder, Module, Type, verify_function
 from repro.vm import CodeRegion, Machine, Memory, Program
 from repro.vm.isa import REG_TAG, Opcode
 
+pytestmark = pytest.mark.usefixtures("numbering")
+
 
 def compile_and_run(module, fn_name, args=(), options=None, memory=None, setup=None):
     program = Program()

@@ -18,11 +18,14 @@ from repro.codegen.runtime import (
 from repro.errors import CodegenError
 from repro.ir import IRBuilder, Module, Type, verify_module
 from repro.ir.nodes import Const
+from repro.numbering import draw
 from repro.plan.expr import IU
 from repro.catalog.schema import DataType
 from repro.pipeline.tasks import Task
 from repro.profiling.tagging import TaggingDictionary
 from repro.profiling.trackers import AbstractionTracker
+
+pytestmark = pytest.mark.usefixtures("numbering")
 
 
 def make_ctx():
@@ -39,9 +42,7 @@ def make_task(ctx):
     from repro.plan.physical import PhysicalScan
 
     op = PhysicalScan.__new__(PhysicalScan)
-    import repro.plan.physical as phys_mod
-
-    op.op_id = next(phys_mod._phys_counter)
+    op.op_id = draw("physical")
     op.logical_id = None
     op.table = None
     op.alias = "t"

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.catalog.schema import DataType
 from repro.errors import PlanError
+from repro.numbering import lowering
 from repro.plan.expr import (
     IU,
     BinaryExpr,
@@ -76,7 +77,7 @@ def test_comparisons_and_logic():
     assert evaluate(NotExpr(CompareExpr("=", c(1), c(1))), {}) == 0
 
 
-def test_in_set_and_case():
+def test_in_set_and_case(numbering):
     iu = IU("x", I)
     member = InSetExpr(IURef(iu), frozenset({1, 5, 9}))
     assert evaluate(member, {iu.id: 5}) == 1
@@ -101,8 +102,9 @@ def test_functions():
 # -- the builder against the tree walk -----------------------------------------
 
 #: the columns a generated tree reads, and what a row holds for each
-COLUMNS = [IU("i", I), IU("j", I), IU("p", D), IU("q", D), IU("f", F),
-           IU("d", T), IU("e", T)]
+with lowering():
+    COLUMNS = [IU("i", I), IU("j", I), IU("p", D), IU("q", D), IU("f", F),
+               IU("d", T), IU("e", T)]
 IDS = [iu.id for iu in COLUMNS]
 VALUES = {
     I: st.integers(-40, 40),
@@ -230,7 +232,7 @@ def test_src_evaluates_nothing_by_walking_a_tree():
     assert not offenders, "\n".join(offenders)
 
 
-def test_groupjoin_rejects_duplicate_build_keys():
+def test_groupjoin_rejects_duplicate_build_keys(numbering):
     from repro.plan.interpret import Interpreter
     from repro.plan.physical import PlannerOptions, plan_physical
     from repro.sql import parse

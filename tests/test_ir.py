@@ -5,6 +5,8 @@ import pytest
 from repro.errors import IRError
 from repro.ir import IRBuilder, Module, Type, print_function, verify_function
 
+pytestmark = pytest.mark.usefixtures("numbering")
+
 
 def make_fn(name="f", params=None, ret=Type.VOID):
     module = Module("test")

@@ -18,6 +18,8 @@ from repro.sql.binder import Binder
 
 from tests.helpers import small_catalog
 
+pytestmark = pytest.mark.usefixtures("numbering")
+
 
 def bind(catalog, sql, hint=None):
     return Binder(catalog).bind(parse(sql), join_order_hint=hint)

@@ -11,6 +11,7 @@ from repro.backend.regalloc import _vreg_weights, allocate_function
 from repro.data.queries import ALL_QUERIES
 from repro.errors import ReproError
 from repro.ir import IRBuilder, Module, Type
+from repro.numbering import lowering
 from repro.pgo import (
     FeedbackCardinalityModel,
     ProfileStore,
@@ -222,6 +223,7 @@ def test_pgo_picks_cheaper_plan_from_bad_hints_observations(db):
 # -- the backend consumers (layout, spilling) ----------------------------
 
 
+@lowering()
 def _branchy_function():
     module = Module("m")
     fn = module.new_function("f", [("n", Type.I64)], Type.I64)

@@ -1,5 +1,6 @@
 """Tests for pipeline decomposition (lowering step 1)."""
 
+from repro.numbering import lowering
 from repro.pipeline import decompose
 from repro.plan.physical import PlannerOptions, plan_physical
 from repro.sql import parse
@@ -7,7 +8,7 @@ from repro.sql.binder import Binder
 
 from tests.helpers import small_catalog
 
-
+@lowering()
 def pipelines_for(sql, options=None):
     catalog = small_catalog()
     bound = Binder(catalog).bind(parse(sql))

@@ -4,6 +4,7 @@ import pytest
 
 from repro.backend.opts import OptimizationResult
 from repro.errors import ProfilingError
+from repro.numbering import draw
 from repro.pipeline.tasks import Task
 from repro.plan.physical import PhysicalScan
 from repro.profiling import AbstractionTracker, SampleProcessor, TaggingDictionary
@@ -15,15 +16,13 @@ from repro.profiling.postprocess import (
 from repro.vm.isa import REG_TAG, CodeRegion, Opcode, Program
 from repro.vm.pmu import Sample
 
+pytestmark = pytest.mark.usefixtures("numbering")
+
 
 def make_task(label="t"):
     op = PhysicalScan.__new__(PhysicalScan)
     # minimal operator stand-in: only label/op_id are used by these tests
-    import itertools
-
-    from repro.plan import physical as phys_mod
-
-    op.op_id = next(phys_mod._phys_counter)
+    op.op_id = draw("physical")
     op.logical_id = None
     op.table = None
     op.alias = label

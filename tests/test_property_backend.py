@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.backend import BackendOptions, compile_module
 from repro.ir import IRBuilder, Module, Type
+from repro.numbering import lowering
 from repro.vm import CodeRegion, Machine, Memory, Program
 from repro.vm.machine import _sdiv, crc32_mix
 
@@ -52,6 +53,7 @@ _STEP = st.tuples(
 )
 
 
+@lowering()
 def _build_and_run(steps, args, options):
     module = Module("fuzz")
     fn = module.new_function("f", [("x", Type.I64), ("y", Type.I64)], Type.I64)
@@ -124,6 +126,7 @@ def test_optimized_equals_unoptimized(steps, x, y):
     take_left=st.booleans(),
 )
 @RELAXED
+@lowering()
 def test_diamond_control_flow(x, y, take_left):
     """Random diamond: condbr + phi merge, with division on one arm."""
     module = Module("fuzz")

@@ -105,7 +105,7 @@ def test_semi_join_dedup_semantics(db):
     assert rows == [(1,), (2,), (3,), (4,), (5,)]  # self-match, no duplicates
 
 
-def test_plan_shape(db):
+def test_plan_shape(db, numbering):
     bound = Binder(db.catalog).bind(parse(
         "select id from items where exists "
         "(select name from kinds where name = kind)"

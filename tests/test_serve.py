@@ -383,8 +383,9 @@ def test_served_cardinalities_match_profile_under_spine_pruning():
     service.drain()
     result = service.result(ticket)
     assert result.ok
-    # task ids are per-compilation; the cardinalities are what must agree
-    assert sorted(result.task_counts.values()) == sorted(expected.values())
+    # task ids are plan-local: the served compile numbers its tasks as
+    # the profiled one does
+    assert result.task_counts == expected
     assert max(expected.values()) == tpch.catalog.table("lineitem").row_count
     # ... and the serve tier feeds the loader's pruning statistics too
     assert tpch.storage.prune_stats

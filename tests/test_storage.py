@@ -8,8 +8,6 @@ segments, all-equal RLE columns, predicates straddling a segment
 boundary, and dictionary strings at the inline-prefix boundary.
 """
 
-import re
-
 import pytest
 
 from repro import Database
@@ -274,10 +272,7 @@ def test_cardinality_estimates_unchanged_by_storage():
         for cfg in (StorageConfig(), StorageConfig.plain(),
                     StorageConfig.pruned())
     ]
-    plans = [
-        re.sub(r"#\d+", "#n", db.explain(ALL_QUERIES["q3"].sql))
-        for db in dbs
-    ]
+    plans = [db.explain(ALL_QUERIES["q3"].sql) for db in dbs]
     assert plans[0] == plans[1] == plans[2]
 
 

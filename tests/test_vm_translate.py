@@ -1052,11 +1052,11 @@ print(len(sources), lines, digest)
 def test_generated_source_is_deterministic():
     # the generated text is a function of program, heat and settings — not
     # of hash order or anything else a process picks up — so a digest over
-    # what translation hands to ``compile`` is an exact oracle for "emits
-    # the same code" (how ISSUE 21's restructuring was held byte-identical).
-    # Two fresh databases run q6 cold and CYCLES-armed, each in a process
-    # of its own (profiled programs carry process-wide task ids) under a
-    # different hash seed.
+    # what translation emits is an exact oracle for "emits the same code"
+    # (how the grow/measure/emit restructuring was held byte-identical).
+    # Two fresh databases run q6 cold and CYCLES-armed under two hash
+    # seeds, which only two processes can have; what else a process ran
+    # before is test_a_second_database_compiles_nothing_new's half.
     root = Path(__file__).parent.parent
     runs = [
         subprocess.Popen(
@@ -1586,7 +1586,7 @@ with forgotten_address_facts():
     show(sources)
 """
 
-# sha256[:16] over what translation handed to ``compile``, calls, lines —
+# sha256[:16] over what translation emitted, sources, lines —
 # at 2ddfe78, the commit before any trace knew anything (recipes A-D per
 # query, then E; ``.claude/skills/verify/SKILL.md``).  A-C are tier 1: the
 # digests of ROADMAP item 3a.  D and E reach tier 2, whose same-line memo
@@ -1597,21 +1597,23 @@ with forgotten_address_facts():
 # changed on purpose since — admission on the static path, settle sites, no
 # linear variant: those four pin what this tree writes with the facts
 # forgotten, so a change to how an access is written still must not move
-# them.
+# them.  Since ids became plan-local they differ from the commit before
+# only in the task ids written to r14 (ec19522c747afc50 8d44e522ae0381d3
+# adf5885d46081756 916995c11bc9454c), and no longer on what ran before.
 PARENT_DIGESTS = """
 b0f840c3a9889175 5 2565
 df0ee632fda75d64 7 4390
-ec19522c747afc50 17 3450
+0e1bd419ba0639f4 17 3450
 5f23b26e6e5fe8be 5 4358
 26f7851e0c9fcfe9 21 13502
 b8361dce67f1d151 13 7221
-8d44e522ae0381d3 43 13366
+94f52dd47d055842 43 13366
 2ed361f89c719d33 17 22593
 80a1156363c2ed9f 7 4732
 7a6ec39676f5e779 3 348
-adf5885d46081756 12 3719
+446563557bb7ea48 12 3719
 d6284674a1b901b4 5 2718
-916995c11bc9454c 19 8834
+ece40b7b3cc57674 19 8834
 """
 
 
