@@ -11,10 +11,9 @@ The drift-cancelled estimator here interleaves the two configurations
 within every round and reduces the per-round ratios with the *median*:
 each ratio compares timings taken back to back (drift hits both sides
 of one division equally), and the median discards rounds where a spike
-hit one side.  ``bench_serve`` gates profiling overhead on it and
-``repro.vmbench`` applies the same scheme to the tier-2/tier-1 ratio;
-this module is the benchmark-side home for the primitives so every
-bench script reports ratios and geomean rows the same way.
+hit one side.  ``bench_serve`` gates profiling overhead on it; this
+module is the benchmark-side home for the primitives so every bench
+script reports ratios and geomean rows the same way.
 """
 
 from __future__ import annotations

@@ -51,12 +51,11 @@ def _build(profiling: bool):
     items = synthetic_workload(service, queries=QUERIES, clients=CLIENTS)
     service.warm(dict.fromkeys(item.sql for item in items))
     # Two untimed warm-up rounds reach steady state before measurement:
-    # the first runs of each plan compile its fast-VM translation and
-    # cross the tiering controller's hotness threshold, and the tier-2
-    # blocks translate as the next runs enter them.  Armed translations cost
-    # roughly twice the unarmed ones to compile (tree + linear-fallback
-    # variants per block), so timing the warm-up would charge a one-time
-    # compile asymmetry to the steady-state overhead gate.
+    # the first runs of each plan compile the blocks its fast-VM
+    # translation finds hot, and the next ones the arms and blocks that
+    # turn hot later.  Armed translations cost more than the unarmed ones
+    # to compile, so timing the warm-up would charge a one-time compile
+    # asymmetry to the steady-state overhead gate.
     run_workload(service, items, warm=False)
     run_workload(service, items, warm=False)
     return service, items

@@ -84,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rows", type=int, default=20, help="result rows to print"
     )
     _add_fast_vm_flag(parser)
-    parser.add_argument(
-        "--tiering", action=argparse.BooleanOptionalAction, default=False,
-        help="warm the query past the tier-2 promotion threshold and "
-             "execute it on profile-specialized traces (docs/TIERING.md); "
-             "results and counters are identical to every other tier.  "
-             "Not with --profile, which compiles its own program for "
-             "every run and so has no warm plan to promote",
-    )
     return parser
 
 
@@ -135,8 +127,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _views_main(argv[1:], out)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tiering and args.profile:
-        parser.error("--tiering needs a cached plan; --profile has none")
     sql = resolve_sql(args)
     try:
         return _run(args, sql, out)
@@ -158,32 +148,8 @@ def _run(args, sql: str, out) -> int:
 
     fast_vm = args.fast_vm
     if not args.profile:
-        tiering = None
-        if args.tiering:
-            from repro.vm.tiering import TieringController
-
-            # a one-shot run would finish before the default threshold
-            # ever trips, so the CLI warms with a floor-level controller:
-            # the warm run promotes, the reported run executes specialized
-            tiering = TieringController(hot_instructions=1)
-            database.execute(
-                sql, workers=args.workers, fast_vm=fast_vm, tiering=tiering
-            )
-        result = database.execute(
-            sql, workers=args.workers, fast_vm=fast_vm, tiering=tiering
-        )
+        result = database.execute(sql, workers=args.workers, fast_vm=fast_vm)
         _print_result(result, args.max_rows, out)
-        if tiering is not None:
-            cost = result.translation
-            print(
-                f"executed at tier {result.tier}" + (
-                    f" (translated {cost['compiled']} of {cost['leaders']} "
-                    f"blocks, {cost['source_lines']} lines, "
-                    f"{cost['compile_s']:.3f} s)"
-                    if cost else ""
-                ),
-                file=out,
-            )
         return 0
 
     config = ProfilerConfig(mode=ProfilingMode(args.mode), period=args.period)
@@ -403,8 +369,7 @@ def _fuzz_main(argv: list[str], out) -> int:
     print(
         f"fuzz seed={report.seed}: ran {report.queries} queries "
         f"({report.executions} executor runs, {report.datasets} datasets, "
-        f"{report.rejected} rejected, {report.tier2_signed} signed at "
-        f"tier 2) in {report.elapsed:.1f}s — "
+        f"{report.rejected} rejected) in {report.elapsed:.1f}s — "
         f"{len(report.failures)} disagreement(s)",
         file=out,
     )
@@ -568,11 +533,6 @@ def _serve_main(argv: list[str], out) -> int:
         help="exit non-zero when any query failed or was shed",
     )
     _add_fast_vm_flag(parser)
-    parser.add_argument(
-        "--tiering", action=argparse.BooleanOptionalAction, default=True,
-        help="promote hot programs to tier-2 profile-specialized traces "
-             "at morsel boundaries (default; see docs/TIERING.md)",
-    )
     args = parser.parse_args(argv)
     if args.tpch and args.synthetic:
         parser.error(
@@ -600,7 +560,6 @@ def _serve_main(argv: list[str], out) -> int:
         period=args.period,
         fast_vm=args.fast_vm,
         seed=args.seed,
-        tiering=args.tiering,
     )
     service = QueryService(database, config, pgo_store=store)
     try:
@@ -631,13 +590,6 @@ def _serve_main(argv: list[str], out) -> int:
         f"{stats['context_switches']} context switches",
         file=out,
     )
-    if "tiering" in stats:
-        tiering = stats["tiering"]
-        print(
-            f"tiering: {tiering['promotions']} promotion(s), "
-            f"{tiering['hot_programs']} hot program(s)",
-            file=out,
-        )
     if service.profiler is not None:
         print(
             f"profiling: {stats['samples']} samples, "

@@ -98,14 +98,13 @@ class QueryResult:
 
     ``tier`` is the execution tier the run executed at: 0 the pure
     interpreter (fast VM off or auto-disabled), 1 the template-
-    translated fast VM, 2 its profile-specialized re-emission.
-    Benchmarks check it so an auto-disable can never silently measure
-    the wrong engine.  ``translation`` is the record ``tier`` is read
-    from: the plan's :meth:`repro.vm.translate.Translation.stats` as the
-    run left them, before the run's own instructions could promote it
-    (tier, instructions observed toward promotion, hot blocks; leaders,
-    blocks compiled, generated lines, host seconds — shared by every run
-    of the cached plan); ``None`` at tier 0."""
+    translated fast VM, 2 once a compiled root of the plan closed a
+    deferred loop.  Benchmarks check it so an auto-disable can never
+    silently measure the wrong engine.  ``translation`` is the record
+    ``tier`` is read from: the plan's
+    :meth:`repro.vm.translate.Translation.stats` as the run left them
+    (tier, leaders, blocks compiled, generated lines, host seconds —
+    shared by every run of the cached plan); ``None`` at tier 0."""
 
     columns: list[str]
     rows: list[tuple]
@@ -183,23 +182,6 @@ class Database:
         # PGO path, and every serve session (repro.plancache)
         self.pgo_store = None
         self.plan_cache = PlanCache()
-        # the tier-2 promotion controller (see enable_tiering)
-        self.tiering = None
-
-    def enable_tiering(self, hot_instructions: int | None = None):
-        """Turn on tiered adaptive execution for this database.
-
-        Repeated executions of the same (cached) plan accumulate a
-        hotness profile on the plan's translation; past
-        ``hot_instructions`` the translation promotes itself to tier-2
-        specialized traces for every caller of that plan (see
-        :mod:`repro.vm.tiering` and docs/TIERING.md).  Returns the
-        controller."""
-        from repro.vm.tiering import TieringController
-
-        if self.tiering is None:
-            self.tiering = TieringController(hot_instructions)
-        return self.tiering
 
     @property
     def plan_cache_hits(self) -> int:
@@ -557,7 +539,7 @@ class Database:
         repeats: int = 1,
         instruction_limit: int | None = None,
         fast_vm: bool = True,
-        tiering=None,
+        long_armed_roots: bool = True,
     ) -> PlanRun:
         """Run a compiled query on ``workers`` private cores; returns the
         finished :class:`~repro.pipeline.run.PlanRun`.
@@ -570,12 +552,9 @@ class Database:
 
         All run-time memory (worker stacks, query state, kernel
         allocations) is released afterwards, so a cached plan can run any
-        number of times without growing the bump allocator.  ``tiering``
-        is an optional :class:`~repro.vm.tiering.TieringController`: the
-        run's retired instructions feed the program's hotness profile
-        afterwards and may promote it for the next run.  (The machines
-        start at whatever tier the program already has, controller or
-        not.)"""
+        number of times without growing the bump allocator.
+        ``long_armed_roots=False`` runs the armed translation fleet shards
+        use (:class:`~repro.vm.machine.Machine`)."""
         if workers < 1:
             raise ReproError("workers must be >= 1")
         if repeats < 1:
@@ -589,7 +568,7 @@ class Database:
                 Machine(
                     compiled.program, self.memory, pmu_config=pmu,
                     kernel=compiled.kernel, fast_vm=fast_vm,
-                    tiering=tiering,
+                    long_armed_roots=long_armed_roots,
                 )
                 for _ in range(workers)
             ]
@@ -616,11 +595,6 @@ class Database:
                 run.step(unit, core, machines[core])
                 if run.unit_finished(machines[core].state.cycles):
                     self._barrier(machines)
-            if tiering is not None:
-                # after ``run.ran`` was last written: the result reports
-                # the tier the run executed at, not one it earned
-                for machine in machines:
-                    tiering.observe(machine, machine.state.instructions)
             return run
         finally:
             self.memory.release(mark)
@@ -692,7 +666,6 @@ class Database:
         inject_fault: str | None = None,
         instruction_limit: int | None = None,
         fast_vm: bool = True,
-        tiering=None,
     ) -> QueryResult:
         """Compile and run a query; returns decoded rows.
 
@@ -710,11 +683,7 @@ class Database:
         both are testing knobs, never set in normal operation.
         ``fast_vm=False`` forces the block interpreter; faults are always
         executed interpreted so the injected miscompile is observed
-        instruction-by-instruction.  ``tiering`` overrides the database's
-        promotion controller for this call (``None`` uses
-        ``self.tiering``, i.e. whatever :meth:`enable_tiering` set up)."""
-        if tiering is None:
-            tiering = self.tiering
+        instruction-by-instruction."""
         if inject_fault is not None:
             if pgo:
                 raise ReproError("inject_fault is not supported with pgo=True")
@@ -740,7 +709,6 @@ class Database:
         return self._run_compiled(
             compiled, None, workers=workers, morsel_size=morsel_size,
             instruction_limit=instruction_limit, fast_vm=fast_vm,
-            tiering=tiering,
         ).result()
 
     # -- profile-guided optimization (repro.pgo) -----------------------------
@@ -812,9 +780,7 @@ class Database:
         **compile_options,
     ) -> Profile:
         """Compile past the plan cache (``compile_options`` are
-        :meth:`_compile`'s) with the PMU armed, run, build the Profile.
-        The program is this call's alone, so there is nothing for a
-        tiering controller to promote."""
+        :meth:`_compile`'s) with the PMU armed, run, build the Profile."""
         compiled = self._compile(
             sql, config, count_tuples=config.count_tuples, **compile_options
         )

@@ -81,14 +81,13 @@ class FleetConfig:
             profiling=self.profiling,
             fast_vm=self.fast_vm,
             seed=self.seed,
-            # Shard plans stay at tier 1.  They live across drains now, so
-            # with tiering on every repeated statement is promoted on
-            # every shard: 0.3-0.9 s of re-translation and ~13 MB of peak
-            # compile memory per plan, for ~1.1x on a 1/N slice of the
-            # data (fleet_scatter: wall 0.28 -> 0.31 s without it, peak
-            # RSS 64 -> 54 MB).  Revisit when one translation serves all
-            # shards (ROADMAP item 3).
-            tiering=False,
+            # Shard armed roots stop at FAST_VM_MAX_BLOCK.  Long ones make
+            # the largest text CPython compiles 2,615 lines instead of 962,
+            # and compile's transient memory (8.0 MB at its peak on that
+            # text, 0.09 MB kept) took fleet_scatter's peak RSS from 53.7
+            # to 62.1 MB, over the benchmark's 10% bound.  Revisit when one
+            # lowering serves every shard (ROADMAP item 5a).
+            long_armed_roots=False,
         )
 
 

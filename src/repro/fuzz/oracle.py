@@ -4,12 +4,9 @@ One query, many executors: the compiled backend single- and multi-worker
 (on the template-translated fast VM), the same program on the block
 interpreter (``fast_vm=False``), the reference interpreter, the
 unoptimized backend, groupjoin fusion, join-order-hint permutations, the
-PGO path (profile, cold execute, warm plan-cache execute), tiered
-execution (warmed past the promotion threshold so the query runs on
-tier-2 profile-specialized traces), and the concurrent query service
-(8 in-flight copies sharing 4 workers, checked for per-query counter
-isolation against a single-query run — once with the default tiering
-threshold and once with promotion forced mid-workload).  All of
+PGO path (profile, cold execute, warm plan-cache execute), and the
+concurrent query service (8 in-flight copies sharing 4 workers, checked
+for per-query counter isolation against a single-query run).  All of
 them must agree on the result bag —
 with ordered-prefix semantics when the query carries ORDER BY, and
 relative float tolerance for aggregate arithmetic whose evaluation order
@@ -20,20 +17,18 @@ query is uninteresting, not wrong; consistent *runtime* errors across all
 executors count as agreement.  A config whose plan is impossible (a
 disconnected join-order hint) is skipped, never compared.
 
-Beyond result bags, the oracle holds the fast VM to a stronger contract:
-with the PMU armed, the translated engine must reproduce the interpreter's
-machine state bit-for-bit — instruction/cycle/load/store counters, cache
-and branch-predictor statistics, and the full PMU sample stream (ip, tsc,
-branch_taken, memaddr per sample).  Tier-2 traces are held to the same
-bit-exact contract, on a run that provably executed them: a tier
-belongs to the compiled program, so the parity configs compile once,
-warm that program past the promotion threshold and sign a second run of
-it — and a signed run that did not report tier 2 is itself a
-disagreement.  Each tier signs twice: heat threshold 1 (``[fast]``,
-``[tiered]``: every template the run reaches compiles) and the default
-(``[mixed]``, ``[tiered-mixed]``: loops hand over mid-run, trees
-regrow), under an event and a period drawn from the query text
-(:func:`vm_parity_profiler`).  Any divergence is a disagreement.
+Beyond result bags, the oracle holds the fast VM to a stronger contract,
+translation-schedule invariance (``vm-parity``): with the PMU armed, the
+translated engine must reproduce the interpreter's machine state
+bit-for-bit — instruction/cycle/load/store counters, cache and
+branch-predictor statistics, and the full PMU sample stream (ip, tsc,
+branch_taken, memaddr per sample) — whatever schedule translation
+follows.  A schedule is a heat threshold, 1 (``[fast]``: every block the
+run reaches compiles on its first entry) or the default (``[mixed]``:
+loops hand over mid-run, trees regrow), times armed roots that decode
+long or stop short as fleet shards' do (``[fast-short]``,
+``[mixed-short]``), under an event and a period drawn from the query
+text (:func:`vm_parity_profiler`).  Any divergence is a disagreement.
 """
 
 from __future__ import annotations
@@ -80,8 +75,6 @@ class CheckResult:
     reject_reason: str | None = None
     outcomes: list[Outcome] = field(default_factory=list)
     disagreements: list[Disagreement] = field(default_factory=list)
-    # vm-parity[tiered] signed a run that executed at tier 2
-    tier2_signed: bool = False
 
     @property
     def agreed(self) -> bool:
@@ -250,8 +243,6 @@ class DifferentialOracle:
                 ),
             ),
         ]
-        if fault is None:
-            runs.append(("tiered", lambda: self._tiered_execute(sql)))
         if len(aliases) > 1:
             hints = list(itertools.permutations(aliases))[: self.max_hints]
             for i, hint in enumerate(hints):
@@ -272,12 +263,6 @@ class DifferentialOracle:
             outcomes.extend(self._pgo_outcomes(sql))
         if self.check_serve and fault is None:
             outcomes.append(self._serve_outcome(sql, "serve-concurrent"))
-            # same isolation contract, but with tier-2 promotion forced
-            # mid-workload: some of the 8 in-flight copies run tier 1,
-            # later ones tier 2, and the counters must not notice
-            outcomes.append(self._serve_outcome(
-                sql, "serve-tiered", tiering_hot_instructions=1,
-            ))
         return outcomes
 
     def _storage_outcomes(self, sql: str) -> list[Outcome]:
@@ -385,21 +370,6 @@ class DifferentialOracle:
                     ))
         return outcomes
 
-    def _tiered_execute(self, sql: str):
-        """Execute on tier-2 traces: warm the cached plan past the
-        promotion threshold, then run it again specialized."""
-        from repro.vm.tiering import TieringController
-
-        tiering = TieringController(hot_instructions=1)
-        limit = self.instruction_limit
-        self.db.execute(sql, instruction_limit=limit, tiering=tiering)
-        result = self.db.execute(
-            sql, instruction_limit=limit, tiering=tiering
-        )
-        if result.tier != 2:
-            raise ReproError(f"warmed plan ran at tier {result.tier}, not 2")
-        return result
-
     def _pgo_outcomes(self, sql: str) -> list[Outcome]:
         """Profile-feedback compiles: sampled run, cold plan, warm cache."""
         db = self.db
@@ -416,26 +386,19 @@ class DifferentialOracle:
             db.pgo_store = saved_store
             db.plan_cache.clear()
 
-    def _serve_outcome(
-        self, sql: str, config: str,
-        tiering_hot_instructions: int | None = None,
-    ) -> Outcome:
+    def _serve_outcome(self, sql: str, config: str) -> Outcome:
         """The concurrent query service: 8 in-flight copies on 4 workers.
 
         The service's per-query counters (instructions, loads, stores,
         tuple counters) and rows must be *interleaving-invariant*: all 8
         concurrent instances must report bit-identical values, and those
         values must match a single-query run of the same service config.
-        With ``tiering_hot_instructions`` at the floor the copies promote
-        to tier 2 mid-workload at different points, which must also be
-        invisible in the signatures — tier choice is wall-clock only.
         Any isolation breach is folded into an "error" outcome so the
         generic kind comparison flags it against the rows reference."""
         from repro.serve import QueryService, ServiceConfig
 
         service_config = ServiceConfig(
             workers=4, max_inflight=8, morsel_size=97, profiling=True,
-            tiering_hot_instructions=tiering_hot_instructions,
         )
         limit = self.instruction_limit
 
@@ -511,20 +474,16 @@ class DifferentialOracle:
         return Outcome(config, "rows", rows=list(concurrent[0].rows))
 
     def _vm_signature(
-        self, sql: str, fast_vm: bool, config: str, tiering=None,
-        hot_entries: int | None = None,
+        self, sql: str, fast_vm: bool, config: str,
+        hot_entries: int | None = None, long_armed_roots: bool = True,
     ) -> Outcome:
         """Run once armed and fold the complete machine state into rows.
 
         The "rows" of this outcome are the counter tuple followed by every
         PMU sample, so the generic bag comparison would be useless — the
-        caller compares signatures for exact equality instead.  A tier is
-        a property of the compiled program, so with a ``tiering``
-        controller the *same* program runs twice: the first run drives it
-        past the promotion threshold, the second — the signed one — must
-        then execute tier-2 traces, and not doing so is an error outcome
-        (which the interpreter's rows turn into a disagreement).
-        ``hot_entries`` replaces the translation's heat threshold."""
+        caller compares signatures for exact equality instead.
+        ``hot_entries`` replaces the translation's heat threshold, and
+        ``long_armed_roots`` picks the translation it runs."""
         from repro.vm.translate import translation_for
 
         db = self.db
@@ -533,24 +492,17 @@ class DifferentialOracle:
             compiled = db._compile(sql, profiler)
             if hot_entries is not None:
                 translation_for(
-                    compiled.program, profiler.pmu_config()
+                    compiled.program, profiler.pmu_config(), long_armed_roots
                 ).hot_entries = hot_entries
-            for _ in range(1 if tiering is None else 2):
-                run = db._run_compiled(
-                    compiled, profiler, fast_vm=fast_vm, tiering=tiering
-                )
+            run = db._run_compiled(
+                compiled, profiler, fast_vm=fast_vm,
+                long_armed_roots=long_armed_roots,
+            )
         except PlanError as exc:
             return Outcome(config, "error", error=f"PlanError: {exc}")
         except Exception as exc:  # noqa: BLE001 - compared against twin
             return Outcome(config, "error", error=f"{type(exc).__name__}: {exc}")
-        # the pre-observation tier: the one the signed run executed at,
-        # not one its own instructions promoted it to
         result = run.result()
-        if tiering is not None and result.tier != 2:
-            return Outcome(
-                config, "error",
-                error=f"signed run executed at tier {result.tier}",
-            )
         machine = run.machines[0]
         signature = [(
             "counters", result.instructions, result.cycles,
@@ -563,25 +515,20 @@ class DifferentialOracle:
         )
         return Outcome(config, "rows", rows=signature)
 
-    def _vm_parity(self, sql: str) -> tuple[list[Disagreement], bool]:
-        """Every execution tier must be bit-identical to the interpreter
-        under an armed PMU: counters, cache/predictor state, and sample
-        streams, with every entered block compiled (heat threshold 1)
-        and handing over mid-loop (the default).  Also returns whether
-        the tier-2 signatures are of runs that executed at tier 2."""
-        from repro.vm.tiering import TieringController
-
+    def _vm_parity(self, sql: str) -> list[Disagreement]:
+        """Translation-schedule invariance: under an armed PMU, counters,
+        cache/predictor state and the sample stream are the interpreter's
+        whatever the heat threshold (1: every entered block compiles; the
+        default: loops hand over mid-run) and whichever armed roots run
+        (long, or short as on fleet shards)."""
         slow = self._vm_signature(sql, False, "vm-parity[interp]")
         signed = [
             self._vm_signature(
-                sql, True, f"vm-parity[{name}]", hot_entries=hot_entries,
-                tiering=TieringController(hot_instructions=1) if tiered
-                else None,
+                sql, True, f"vm-parity[{heat}{roots}]",
+                hot_entries=hot_entries, long_armed_roots=not roots,
             )
-            for name, hot_entries, tiered in (
-                ("fast", 1, False), ("mixed", None, False),
-                ("tiered", 1, True), ("tiered-mixed", None, True),
-            )
+            for heat, hot_entries in (("fast", 1), ("mixed", None))
+            for roots in ("", "-short")
         ]
         disagreements = []
         for fast in signed:
@@ -603,7 +550,7 @@ class DifferentialOracle:
                     fast.config, slow, fast,
                     reason="machine counters or PMU sample stream differ",
                 ))
-        return disagreements, all(fast.kind == "rows" for fast in signed[2:])
+        return disagreements
 
     # -- comparison ----------------------------------------------------------
 
@@ -659,8 +606,7 @@ class DifferentialOracle:
                     ))
 
         if self.check_vm_parity and self.inject_fault is None:
-            disagreements, result.tier2_signed = self._vm_parity(sql)
-            result.disagreements.extend(disagreements)
+            result.disagreements.extend(self._vm_parity(sql))
         return result
 
 

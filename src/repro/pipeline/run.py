@@ -86,9 +86,8 @@ class PlanRun:
         self.ready_tsc = self._end_tsc = start_tsc
         # core index -> the machine that runs this plan on that core
         self.machines: dict[int, object] = {}
-        # the plan's Translation.stats() as the latest unit left them,
-        # before its own instructions could promote the plan; tiers only
-        # rise, so it names the run's highest.  None at tier 0
+        # the plan's Translation.stats() as the latest unit left them;
+        # tiers only rise, so it names the run's highest.  None at tier 0
         self.ran: dict | None = None
         self.instructions = 0
         self.loads = 0

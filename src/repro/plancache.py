@@ -12,8 +12,8 @@ A cached plan is pure code — generated instructions, the Tagging
 Dictionary that explains them, and a state layout — and owns no simulated
 memory, so an entry lives until the LRU evicts it whatever memory epoch it
 was compiled in, and eviction gives back everything the plan held.  The
-cache knows nothing about execution tiers: a tier-2 translation lives on
-the cached plan's ``Program``, so a promotion touches no entry (see
+cache knows nothing about translation: it lives on the cached plan's
+``Program``, so compiling a block touches no entry (see
 docs/TIERING.md).
 """
 

@@ -63,15 +63,13 @@ class ServiceConfig:
     event: Event = Event.CYCLES
     fast_vm: bool = True
     seed: int = 0
-    # adaptive tiered execution (repro.vm.tiering): a hot plan's
-    # translation promotes itself to profile-specialized tier-2 traces
-    # between units, i.e. at morsel boundaries, for every query sharing
-    # the plan.  Pure wall-clock: tier choice never changes rows,
-    # counters, or sample streams.
-    tiering: bool = True
-    # hotness threshold override for the controller; None keeps the
-    # default (costs.TIER2_HOT_INSTRUCTIONS).  Tests and the fuzz oracle
-    # set a floor-level value so promotion happens inside short workloads.
+    # armed roots decode long and are trimmed by events; False keeps
+    # them at FAST_VM_MAX_BLOCK (repro.vm.translate._emit_settings), which
+    # fleet shards choose for the memory of compiling less source at a
+    # time.  Pure wall-clock: never changes rows, counters or samples.
+    long_armed_roots: bool = True
+    # selects nothing: every root gets its one treatment at its first
+    # compile.  Kept because benchmark workloads still pass it.
     tiering_hot_instructions: int | None = None
 
 
@@ -98,8 +96,9 @@ class ServiceResult:
     busy_cycles: int = 0
     samples: int = 0
     # the tier the query's last unit ran at (its highest: tiers only
-    # rise) and the record it is read from, the plan's Translation.stats
-    # as that unit left them (None at tier 0)
+    # rise; 2 once a root of the plan compiled a deferred loop) and the
+    # record it is read from, the plan's Translation.stats as that unit
+    # left them (None at tier 0)
     tier: int = 0
     translation: dict | None = None
 
@@ -138,14 +137,6 @@ class QueryService:
         else:
             self._profiler_config = None
             self.profiler = None
-        if self.config.tiering and self.config.fast_vm:
-            from repro.vm.tiering import TieringController
-
-            self.tiering = TieringController(
-                hot_instructions=self.config.tiering_hot_instructions
-            )
-        else:
-            self.tiering = None
         self.inflight: dict[int, QueryExecution] = {}
         self.results: dict[int, ServiceResult] = {}
         self._order: list[ServiceResult] = []
@@ -275,8 +266,6 @@ class QueryService:
         if self.profiler is not None:
             out["samples"] = self.profiler.total.samples
             out["tag_accuracy"] = self.profiler.total.accuracy
-        if self.tiering is not None:
-            out["tiering"] = self.tiering.stats()
         return out
 
     def profile_snapshot(self):
@@ -367,7 +356,7 @@ class QueryService:
                 pmu_config=pmu,
                 kernel=execution.compiled.kernel,
                 fast_vm=self.config.fast_vm,
-                tiering=self.tiering,
+                long_armed_roots=self.config.long_armed_roots,
             )
         worker.bind(machine)
         if self._profiler_config is not None:
@@ -400,8 +389,6 @@ class QueryService:
         worker.units_run += 1
 
         used = state.instructions - start_instructions
-        if self.tiering is not None:
-            self.tiering.observe(machine, used)
         if execution.budget_left is not None:
             execution.budget_left = max(0, execution.budget_left - used)
         # the run took its copy: what the shared buffer holds is exactly

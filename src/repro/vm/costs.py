@@ -74,10 +74,12 @@ KERNEL_OUTPUT_PER_VALUE = 5  # copying a result value to the client
 # overhead, so the fast engine disarms itself entirely.
 
 FAST_VM_MIN_PERIOD = 128
-FAST_VM_MAX_BLOCK = 48  # armed traces stay short (docs/TIERING.md)
-# With the PMU unarmed there is no countdown to protect, so unarmed
-# translations may grow much longer traces — fewer driver transitions on
-# hot loops (the instruction-budget check stays conservative either way)
+# Roots decode up to FAST_VM_MAX_BLOCK_PLAIN instructions — fewer driver
+# transitions on hot loops (the instruction-budget check stays
+# conservative either way); armed ones are then trimmed back by their
+# events.  Short armed roots (fleet shards) stop at FAST_VM_MAX_BLOCK:
+# less source per compile (docs/TIERING.md).
+FAST_VM_MAX_BLOCK = 48
 FAST_VM_MAX_BLOCK_PLAIN = 512
 # A leader runs interpreted until it has been entered FAST_VM_HOT_ENTRIES
 # times (compiling a guest instruction costs ~160 interpreted executions).
@@ -85,26 +87,6 @@ FAST_VM_MAX_BLOCK_PLAIN = 512
 # recompiles its root, at most FAST_VM_REGROW_LIMIT times, last unpruned.
 FAST_VM_HOT_ENTRIES = 16
 FAST_VM_REGROW_LIMIT = 3
-
-# --- tiered adaptive execution (repro.vm.tiering) ------------------------
-#
-# Tier 2 re-emits a hot program's blocks as profile-specialized traces:
-# deferred counter/register sync in loop heads (flushed at real exits
-# and whenever a sampling window or the instruction budget is about to
-# end), hot-block trees and larger superblock trees.  Promotion triggers
-# once a program has retired this many simulated instructions under
-# observation; the larger tree limits apply only at tier 2, where
-# compile time is paid exclusively for regions the profile already
-# proved hot.
-
-TIER2_HOT_INSTRUCTIONS = 200_000
-TIER2_TREE_BUDGET = 6144
-TIER2_TREE_DEPTH = 16
-# A block the profile saw entered at least this often is "hot" even when
-# it is not a loop head — typically one link of a per-row probe chain.
-# Tier 2 grows superblock trees at hot blocks too, inlining the chain's
-# continuations so one driver dispatch covers the whole per-row path.
-TIER2_HOT_BLOCK_ENTRIES = 128
 
 # --- sampling defaults (the paper's experimental setup) ------------------
 

@@ -90,7 +90,7 @@ class Machine:
         pmu_config: PmuConfig | None = None,
         kernel=None,
         fast_vm: bool = True,
-        tiering=None,
+        long_armed_roots: bool = True,
     ):
         self.program = program
         self.memory = memory
@@ -110,21 +110,19 @@ class Machine:
         # and hands over to the interpreter whenever a block's static
         # countdown step could cross a sample boundary.  Below
         # FAST_VM_MIN_PERIOD that would dominate: the fast engine disarms.
+        # Armed, ``long_armed_roots`` picks the translation whose roots
+        # decode long and are trimmed by events, or stop short (less
+        # source per compile: fleet shards).
         self.translation = None
-        # the promotion policy watching this machine's program, if any
-        # (repro.vm.tiering); while it watches a tier-1 translation the
-        # driver counts block entries, and the translation reads
-        # ``_counting_entries`` to keep that to one per entry (a stub
-        # takes its own dispatch back out, an interpreted entry counts)
-        self._tiering = tiering
-        self._counting_entries = False
         if fast_vm and (
             pmu_config is None or pmu_config.period >= costs.FAST_VM_MIN_PERIOD
         ):
             from repro.vm.translate import translation_for
 
             # nothing compiles here: blocks translate once they are hot
-            self.translation = translation_for(program, pmu_config)
+            self.translation = translation_for(
+                program, pmu_config, long_armed_roots
+            )
         elif fast_vm:
             # auto-disable used to be silent: benchmarks could think they
             # measured the fast VM while every instruction interpreted
@@ -142,12 +140,11 @@ class Machine:
 
     @property
     def tier(self) -> int:
-        """The tier this machine's next dispatch runs at: 0 the pure
-        interpreter, else its program's translation's (1 template
-        superblocks, 2 profile-specialized traces) — shared with every
-        machine on that translation."""
+        """0 the pure interpreter, else its program's translation's tier
+        (2 once a root compiled a deferred loop, else 1) — shared with
+        every machine on that translation."""
         translation = self.translation
-        return translation.tier if translation is not None else 0
+        return translation.stats()["tier"] if translation is not None else 0
 
     # ------------------------------------------------------------------
     # concurrent serving (repro.serve)
@@ -291,23 +288,10 @@ class Machine:
         Cold, it runs ``_interp`` from there; the call that makes it hot
         compiles the block, swaps the map entry and returns the same ip,
         so the next turn of this loop dispatches the real block under
-        the real check (see ``repro.vm.translate``).
-
-        While a tiering controller watches a translation still at tier 1,
-        every admitted dispatch also bumps the translation's
-        ``entries[ip]`` — the per-block execution counts tier 2 reads to
-        place hot-block trees.  A non-loop block entered once per row (a
-        link of a join-probe chain) looks like any cold leader
-        statically; the entry counts mark it.  Promotion consumes the
-        profile, so tier-2 runs count nothing.  The map itself changes
-        only between calls (promotion re-stubs it in place), which is
-        what lets this loop hoist it.
+        the real check (see ``repro.vm.translate``).  The map object
+        never changes, which is what lets this loop hoist it.
         """
-        translation = self.translation
-        blocks = translation.blocks
-        counting = self._tiering is not None and translation.tier < 2
-        self._counting_entries = counting
-        entries = translation.entries
+        blocks = self.translation.blocks
         self.call_stack.append(-1)
         regs = self.regs
         words = self.memory.words
@@ -326,8 +310,6 @@ class Machine:
                 and state.instructions + b[1] <= max_instructions
                 and (not armed or self._countdown > b[2])
             ):
-                if counting:
-                    entries[ip] = entries.get(ip, 0) + 1
                 ip = b[0](self, regs, words, state, caches, predictor)
             else:
                 ip = interp(ip, blocks)
@@ -393,7 +375,7 @@ class Machine:
                 # entry that makes it hot suspends for the driver's dispatch
                 if (
                     blk is not None
-                    and not (blk[2] < 0 and translation.cold_entry(ip, self))
+                    and not (blk[2] < 0 and translation.cold_entry(ip))
                     and instructions + blk[1] <= max_instructions
                     and (config is None or self._countdown > blk[2])
                 ):

@@ -49,23 +49,22 @@ exactly as the driver would — so hot loops run without returning to the
 dispatch loop at all.  Armed, tree growth is additionally capped by
 ``bound_cap``: ``period // 8`` static events for the whole tree.
 
-Translations are cached on the Program object, keyed by the sampled event
-and the armed bound cap (the countdown bookkeeping is specialized per
-event), so the morsel workers of one query share one translation — its
-heat, and a block one of them compiled is compiled for all.
+Translations are cached on the Program object, keyed by the sampled event,
+the armed bound cap (the countdown bookkeeping is specialized per event)
+and the armed root length, so the morsel workers of one query share one
+translation — its heat, and a block one of them compiled is compiled for
+all.
 
-Tier 2 is a state of that same translation, not a second map
-(``docs/TIERING.md``).  While a :class:`~repro.vm.tiering.TieringController`
-watches a tier-1 translation, block entries are counted into ``entries``
-and retired instructions into ``retired``; past the threshold
-:meth:`Translation.promote` re-stubs ``blocks`` *in place* with the
-tier-2 emit settings.  Tier-2 loop heads use *deferred sync*: counters,
-predictor state and the PMU countdown live in Python locals across
-iterations, and the exact interpreter-visible state is flushed at real
-exits and when the edge check fails (a sampling window or the budget
-about to end), and *hot-block trees* grow where ``entries`` marks a
-block entered hundreds of times per run without a closed loop.  Nothing
-speculates, so nothing ever demotes.
+Every root gets one treatment, at its first compile (``docs/TIERING.md``).
+A loop head uses *deferred sync*: counters, predictor state and the PMU
+countdown live in Python locals across iterations, and the exact
+interpreter-visible state is flushed at real exits and when the edge
+check fails (a sampling window or the budget about to end).  Armed roots
+decode at the plain instruction cap and are trimmed back by events —
+except for translations asked for short armed roots (fleet shards), which
+stop at ``FAST_VM_MAX_BLOCK``.  Nothing speculates, so nothing is ever
+undone; a run reports tier 2 once a root of its plan closed a deferred
+loop.
 
 A block's source is made in three steps over one trace tree — grow,
 measure, emit (:func:`_grow`, :func:`_measure`, :func:`_emit`) — and
@@ -320,35 +319,28 @@ class Translation:
     exits its current code leaves out).  When such an exit turns hot,
     the root goes back to a stub and its next entry compiles it with the
     arm in place; ``regrown`` counts that per root, and at
-    ``costs.FAST_VM_REGROW_LIMIT`` a root compiles unpruned.
-
-    The translation also owns the program's tier: ``retired`` and
-    ``entries`` are the tier-1 profile a tiering controller feeds, and
-    :meth:`promote` turns every entry of ``blocks`` back into a stub that
-    compiles with the tier-2 settings.  The dict object never changes,
-    so every machine built on this translation follows.
+    ``costs.FAST_VM_REGROW_LIMIT`` a root compiles unpruned.  ``loops``
+    holds the roots that compiled a deferred loop: the run's tier.
     """
 
     def __init__(
-        self, program: Program, event: Event | None, bound_cap: int = 0
+        self, program: Program, event: Event | None, bound_cap: int = 0,
+        long_armed_roots: bool = True,
     ):
         self.code = program.code
         self.code_len = len(self.code)
-        self.tier = 1
-        self.retired = 0  # instructions observed while at tier 1
-        # block entries at tier 1 under a controller; nothing counts once
-        # the tier is 2, so promotion freezes it as the hot-block profile
-        self.entries: dict[int, int] = {}
-        self.hot_blocks = 0  # entries at or over the hot mark, at promotion
         self.hot_entries = costs.FAST_VM_HOT_ENTRIES  # tests, oracle: 1
         self.heat: dict[int, int] = {}
         self.interpreted = 0  # cold entries the interpreter ran
         self.pruned: dict[int, set[int]] = {}
         self.regrown: dict[int, int] = {}
         self.compiled: set[int] = set()  # leaders compiled in the current map
+        self.loops: set[int] = set()
         self.source_lines = 0
         self.compile_s = 0.0
-        self._emit = _emit_settings(_MODES[event], bound_cap, 1, self.entries)
+        self._emit = _emit_settings(
+            _MODES[event], bound_cap, long_armed_roots
+        )
         # machine.py imports this module lazily, so the reverse import
         # here cannot form a cycle at module-load time
         from repro.vm.machine import crc32_mix
@@ -356,8 +348,7 @@ class Translation:
         self._namespace = {
             "VMError": VMError, "crc32_mix": crc32_mix, "_Fault": _Fault,
         }
-        self._leaders = block_leaders(program)
-        self.blocks = {ip: self._stub(ip) for ip in self._leaders}
+        self.blocks = {ip: self._stub(ip) for ip in block_leaders(program)}
         self.leaders = len(self.blocks)
 
     def stale_for(self, program: Program) -> bool:
@@ -365,24 +356,6 @@ class Translation:
             self.code is not program.code
             or self.code_len != len(program.code)
         )
-
-    def promote(self) -> None:
-        """Tier 1 -> tier 2, in place.  Only between machine calls: no
-        block function is on the host stack, so no caller can be left
-        holding an entry of the old map.  Heat stays; what the tier-1
-        trees left out goes with them (a stale pruned exit would re-stub
-        a tier-2 root for an arm it never pruned)."""
-        self.tier = 2
-        self.hot_blocks = sum(
-            1 for n in self.entries.values()
-            if n >= costs.TIER2_HOT_BLOCK_ENTRIES
-        )
-        self._emit = _emit_settings(
-            self._emit["mode"], self._emit["bound_cap"], 2, self.entries
-        )
-        for book in (self.compiled, self.pruned, self.regrown, self.blocks):
-            book.clear()
-        self.blocks.update((ip, self._stub(ip)) for ip in self._leaders)
 
     def block(self, ip: int) -> tuple | None:
         """The compiled entry of leader ``ip`` (compiling it now, hot or
@@ -396,15 +369,13 @@ class Translation:
         return entry
 
     def stats(self) -> dict:
-        """The tier decision and what translation cost so far: the tier,
-        instructions observed toward it, hot blocks its profile marked;
-        static leaders, blocks compiled in the current map, cold entries
-        run interpreted, exits its trees leave out and times a root was
-        compiled again; source lines and host seconds over both tiers."""
+        """What translation made of the program so far: the tier (2 once
+        a root compiled a deferred loop, else 1), static leaders, blocks
+        compiled in the current map, cold entries run interpreted, exits
+        its trees leave out and times a root was compiled again; source
+        lines and host seconds."""
         return {
-            "tier": self.tier,
-            "retired": self.retired,
-            "hot_blocks": self.hot_blocks,
+            "tier": 2 if self.loops else 1,
             "leaders": self.leaders,
             "compiled": len(self.compiled),
             "interpreted": self.interpreted,
@@ -414,7 +385,7 @@ class Translation:
             "compile_s": round(self.compile_s, 6),
         }
 
-    def cold_entry(self, ip: int, machine) -> bool:
+    def cold_entry(self, ip: int) -> bool:
         """Count one interpreted entry of the stub at ``ip``; False, and
         nothing counted, for the entry that makes it hot (the stub's)."""
         heat = self.heat.get(ip, 0) + 1
@@ -422,18 +393,12 @@ class Translation:
             return False
         self.heat[ip] = heat
         self.interpreted += 1
-        if machine._counting_entries:
-            self.entries[ip] = self.entries.get(ip, 0) + 1
         return True
 
     def _stub(self, ip: int) -> tuple:
         return (partial(self._enter, ip), 0, _STUB_BOUND)
 
     def _enter(self, ip, machine, *_):
-        if machine._counting_entries:
-            # the driver counted this dispatch; whoever runs the block —
-            # the interpreter, or the driver's re-dispatch — counts again
-            self.entries[ip] -= 1
         heat = self.heat.get(ip, 0) + 1
         if heat < self.hot_entries:
             return machine._interp(ip, self.blocks)
@@ -471,34 +436,34 @@ class Translation:
                 self.blocks[fall] = self._stub(fall)
         self.pruned[ip] = set(tree.pruned)
         self.compiled.add(ip)
+        if tree.loop:
+            self.loops.add(ip)
         self.source_lines += source.count("\n")
         return entry
 
 
-def _emit_settings(mode: str, bound_cap: int, tier: int, entries) -> dict:
-    """The :func:`_grow` arguments of one translation at ``tier``."""
-    # armed traces stay short so event bounds stay well under the
-    # countdown; unarmed ones have no countdown to protect
-    cap = costs.FAST_VM_MAX_BLOCK if mode else costs.FAST_VM_MAX_BLOCK_PLAIN
-    if tier >= 2 and mode and bound_cap:
-        # What admission protects is the *event* bound, not the
-        # instruction count: tier-2 armed roots decode at the plain cap
-        # and _grow trims them back by events, so a loop body longer than
-        # the tier-1 cap still closes into an in-function loop instead of
-        # paying a driver dispatch per iteration.
-        cap = costs.FAST_VM_MAX_BLOCK_PLAIN
-    # tier-2 trees may grow much larger: their compile time is only paid
-    # for blocks the profile already proved hot *and* the run re-enters
-    return dict(
-        cap=cap, mode=mode, bound_cap=bound_cap, tier=tier, entries=entries,
-        tree_budget=costs.TIER2_TREE_BUDGET if tier >= 2 else _TREE_BUDGET,
-        tree_depth=costs.TIER2_TREE_DEPTH if tier >= 2 else _TREE_DEPTH,
-    )
+def _emit_settings(mode: str, bound_cap: int, long_armed_roots=True) -> dict:
+    """The :func:`_grow` arguments of one translation.
+
+    What admission protects is the *event* bound, not the instruction
+    count: armed roots decode at the plain cap and :func:`_grow` trims
+    them back by events, so a loop body longer than
+    ``FAST_VM_MAX_BLOCK`` still closes into an in-function loop instead
+    of paying a driver dispatch per iteration.  Without
+    ``long_armed_roots`` (or a ``bound_cap``) armed roots stop at
+    ``FAST_VM_MAX_BLOCK``: less source per compile, which is what fleet
+    shards keep."""
+    short = mode and not (bound_cap and long_armed_roots)
+    cap = costs.FAST_VM_MAX_BLOCK if short else costs.FAST_VM_MAX_BLOCK_PLAIN
+    return dict(cap=cap, mode=mode, bound_cap=bound_cap)
 
 
-def translation_for(program: Program, pmu_config=None) -> Translation:
+def translation_for(
+    program: Program, pmu_config=None, long_armed_roots: bool = True
+) -> Translation:
     """Return the one (cached) translation of ``program`` for machines
-    armed with ``pmu_config`` (None: unarmed).  Nothing compiles here.
+    armed with ``pmu_config`` (None: unarmed) whose armed roots are long
+    or short (:func:`_emit_settings`).  Nothing compiles here.
 
     Armed trees may grow to 1/8 of the period in static events, all arms
     summed: no path then costs admission more than 1/8 of a window."""
@@ -507,8 +472,8 @@ def translation_for(program: Program, pmu_config=None) -> Translation:
         cache = {}
         program._vm_translations = cache
     key = (
-        (pmu_config.event, pmu_config.period >> 3)
-        if pmu_config is not None else (None, 0)
+        (pmu_config.event, pmu_config.period >> 3, long_armed_roots)
+        if pmu_config is not None else (None, 0, True)
     )
     entry = cache.get(key)
     if entry is None or entry.stale_for(program):
@@ -574,7 +539,7 @@ class _Treatment(NamedTuple):
 
     mode: str  # countdown bookkeeping, one of ``_MODES``' values
     tree: bool  # side exits may inline their continuations
-    deferred: bool  # tier-2 deferred sync: state in locals across iterations
+    deferred: bool  # a loop head: state in locals across iterations
     defer_cy: bool  # ... and ``cy`` accumulating across them too
     has_dyn: bool  # a dynamic-cycles accumulator ``cy`` exists
 
@@ -627,8 +592,8 @@ class _Tree:
 
 
 def _grow(
-    code, start, cap, mode, bound_cap=0, tier=1, tree_budget=_TREE_BUDGET,
-    tree_depth=_TREE_DEPTH, entries=None, heat=None,
+    code, start, cap, mode, bound_cap=0, tree_budget=_TREE_BUDGET,
+    tree_depth=_TREE_DEPTH, heat=None,
 ):
     """Decode the root at ``start``, decide its treatment, and grow its
     trace tree; None if nothing there is translatable.  No text.
@@ -646,10 +611,10 @@ def _grow(
     # what the root is does not depend on how much of it is warm yet
     whole_root = _decode_trace(code, start, cap)[0] if cut else root_items
     if mode and bound_cap and len(root_items) > costs.FAST_VM_MAX_BLOCK:
-        # Tier-2 armed roots decode past the tier-1 instruction cap (see
+        # Long armed roots decode past the short instruction cap (see
         # _emit_settings); keep the longest prefix whose static events
         # still leave tree headroom under ``bound_cap``, but never trim
-        # below the tier-1 cap.  The cut point's ip is where
+        # below the short cap.  The cut point's ip is where
         # control would continue, so it becomes the fall-through leader.
         allowance = bound_cap // 2
         kept = costs.FAST_VM_MAX_BLOCK
@@ -673,20 +638,10 @@ def _grow(
         _side_target(ip, ins) == start for ip, ins in whole_root
     )
     events = _event_bound(root_items, mode)
-    # Tier 2 additionally grows trees at profile-hot non-loop blocks: a
-    # block entered hundreds of times per run without a closed loop is a
-    # link of a per-row dispatch chain (join probe, EXISTS check), and
-    # inlining its continuations lets one driver dispatch cover the
-    # whole chain.
-    hot_block = (
-        tier >= 2
-        and entries.get(start, 0) >= costs.TIER2_HOT_BLOCK_ENTRIES
-    )
-    tree = (is_loop_head or hot_block) and (mode == "" or events < bound_cap)
-    # Tier-2 deferred sync: a loop head keeps its counters, predictor
-    # state and countdown in locals until a real exit or a failed edge
-    # check.
-    deferred = tier >= 2 and is_loop_head
+    tree = is_loop_head and (mode == "" or events < bound_cap)
+    # Deferred sync: a loop head keeps its counters, predictor state and
+    # countdown in locals until a real exit or a failed edge check.
+    deferred = is_loop_head
     root_rows = [_OPS[ins[0]] for _, ins in root_items]
     treatment = _Treatment(
         mode=mode, tree=tree, deferred=deferred,
@@ -857,8 +812,9 @@ def _measure(tree: _Tree) -> _Tree:
                 continue
             at[index] = (k0 + index, cycles, loads, stores, branches)
             if deferred or not row.branches:
-                # (a tier-1 branch pays its cycles dynamically, ``_bc``,
-                # and counts itself into the predictor as it retires)
+                # (a branch outside a deferred loop pays its cycles
+                # dynamically, ``_bc``, and counts itself into the
+                # predictor as it retires)
                 cycles += row.cycles
                 loads += row.loads
                 stores += row.stores
@@ -905,13 +861,13 @@ class _Writer:
             f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
             for bip in sorted(tree.branch_ips)
         ]
-        # the loop edge's admission check, as the driver would make it
-        retired = "_ib + _ins" if t.deferred else "state.instructions"
-        check = f"{retired} + {tree.max_k} > _maxi"
         # where the countdown lives while the function runs
         self.countdown = "_cd" if t.deferred else "m._countdown"
+        # the loop edge's admission check, as the driver would make it
+        # (only a loop head, which defers, has a loop edge)
+        check = f"_ib + _ins + {tree.max_k} > _maxi"
         if t.mode:
-            check = f"{self.countdown} <= {tree.bound} or {check}"
+            check = f"_cd <= {tree.bound} or {check}"
         self.edge_check = check
         # the uniform edge flush: everything the accumulators deferred
         # goes back to machine state before the driver regains control
@@ -1010,20 +966,16 @@ class _Writer:
             out.append(f"{ind}_cd -= {paid}")
 
     def side_exit(self, what, target: int, ind: str, path, dyn=None) -> None:
-        """Write what grow made of a side exit: the back edge — re-run
-        the driver's admission check, then ``continue`` to the block
-        start (counters were just synced or folded, ``cy`` resets at the
-        loop top) — the continuation, inlined, or a synced ``return``."""
-        t, out = self.t, self.out
+        """Write what grow made of a side exit: the back edge — fold the
+        path into the accumulators and re-run the driver's admission
+        check, flushing them when it fails, else ``continue`` to the
+        block start — the continuation, inlined, or a synced ``return``."""
+        out = self.out
         if what is _LOOP:
-            if t.deferred:
-                self.edge_acc(ind, path)
-            else:
-                self.sync(ind, path, dyn)
+            self.edge_acc(ind, path)
             out.append(f"{ind}if {self.edge_check}:")
-            if t.deferred:
-                self.write_back(ind + "    ")
-                out.extend([f"{ind}    {ln}" for ln in self.flush])
+            self.write_back(ind + "    ")
+            out.extend([f"{ind}    {ln}" for ln in self.flush])
             out += [f"{ind}    return {self.tree.start}", f"{ind}continue"]
         elif what.__class__ is _Trace:
             if dyn:
@@ -1043,7 +995,7 @@ class _Writer:
         # what a sample says of the branch when taken: its register != 0
         taken = op == Opcode.BRNZ
         if t.deferred:
-            # Tier-2: the 2-bit counter lives in a local (_h{ip}, loaded
+            # Deferred: the 2-bit counter lives in a local (_h{ip}, loaded
             # once at entry, written back only on change at exits),
             # mispredicts accumulate in _pm, and the retired branch
             # *count* is path-static — it folds into sync/edge constants

@@ -161,6 +161,19 @@ def test_cli_fuzz_clean_run():
     assert "fuzz seed=1" in last
     assert "ran 5 queries" in last
     assert "0 disagreement(s)" in last
+    assert "tier" not in last
+
+
+def test_the_tiering_flags_are_gone():
+    # every root gets its one treatment at its first compile: there is
+    # no promotion to ask for, on a query or on a service
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["--query", "q6", "--tiering"])
+    with pytest.raises(SystemExit):
+        run_cli(["serve", "--synthetic", "--tiering"])
+    code, text = run_cli(["serve", "--synthetic", "--queries", "6"])
+    assert code == 0
+    assert "served 6 queries" in text and "promotion" not in text
 
 
 def test_cli_fuzz_detects_injected_miscompile(tmp_path):

@@ -431,18 +431,6 @@ def test_pgo_execute_applies_the_instruction_budget():
     assert small.execute(sql, pgo=True).rows == small.execute(sql).rows
 
 
-def test_pgo_execute_consults_the_tiering_controller():
-    """Regression: same tail, same omission — pgo runs never fed the
-    hotness profile, so a hot pgo plan stayed at tier 1 forever."""
-    small = Database.example(n_sales=400, n_products=20)
-    small.enable_pgo()
-    small.enable_tiering(hot_instructions=1)
-    sql = "select count(*) from sales where price > 100.0"
-    plain = [small.execute(sql).tier for _ in range(2)]
-    pgo = [small.execute(sql, pgo=True).tier for _ in range(2)]
-    assert plain == pgo == [1, 2]
-
-
 # -- tuple counters ------------------------------------------------------
 
 

@@ -26,7 +26,6 @@ def assert_engine_matches_service(db, sql):
         engine = run.result()
         service = QueryService(db, ServiceConfig(
             workers=workers, morsel_size=morsel_size, profiling=False,
-            tiering=False,
         ))
         ticket = service.submit(sql)
         service.drain()

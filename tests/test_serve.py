@@ -464,10 +464,10 @@ def test_served_profile_reports_what_the_service_result_reports():
 
     recorder = Recorder()
     service = QueryService(database, ServiceConfig(
-        workers=2, morsel_size=256, tiering_hot_instructions=1,
+        workers=2, morsel_size=256,
     ), pgo_store=recorder)
     tickets = []
-    for _ in range(2):  # the first run promotes the plan for the second
+    for _ in range(2):  # the second run starts on the compiled loops
         tickets.append(service.submit(SQL_AGG))
         service.drain()
     result, profile = service.result(tickets[-1]), recorder.profiles[-1]

@@ -30,7 +30,6 @@ from repro.vm.machine import Machine
 from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig
 from repro.vm import translate
-from repro.vm.tiering import TieringController
 from repro.vm.translate import (
     Translation, _OPS, _Trace, _emit_settings, _event_bound, _grow, _measure,
     _side_target, _translatable, translation_for,
@@ -281,10 +280,7 @@ def test_only_entered_blocks_compile():
         ip for ip, ins in enumerate(program.code)
         if ins[0] == Op.MOVI and ins[2] == -1
     )
-    # under a controller every block entry lands in the translation's
-    # entry profile (this one never promotes)
-    controller = TieringController(hot_instructions=10**12)
-    machine, args = fresh_machine(program, tiering=controller)
+    machine, args = fresh_machine(program)
     translation = machine.translation
     hot = translation.hot_entries
     assert hot == costs.FAST_VM_HOT_ENTRIES
@@ -298,7 +294,6 @@ def test_only_entered_blocks_compile():
         ip for ip, n in translation.heat.items() if n >= hot
     }
     assert translation.heat[0] == 1 and 0 not in translation.compiled
-    assert set(translation.entries) == set(translation.heat)
     # ... and the dead one was never entered at all
     assert dead not in translation.heat and dead not in translation.compiled
     stats = translation.stats()
@@ -320,10 +315,10 @@ def test_only_entered_blocks_compile():
     # compile-on-first-entry is the same rule at threshold 1: every
     # entered block compiles (and is a stub again only where a pruned
     # exit turning hot sent its root back), nothing interprets
-    eager, args = fresh_machine(build_program(items), tiering=controller)
+    eager, args = fresh_machine(build_program(items))
     eager.translation.hot_entries = 1
     eager.call(0, args)
-    assert set(eager.translation.entries) == (
+    assert set(eager.translation.heat) == (
         eager.translation.compiled | set(eager.translation.regrown)
     )
     assert eager.translation.stats()["interpreted"] == 0
@@ -462,35 +457,32 @@ def full_state(machine):
     }
 
 
-@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("bad", list(BAD_ADDRESSES))
 @pytest.mark.parametrize("kind", ["load", "store"])
 @pytest.mark.parametrize(
     "event", [None] + ALL_EVENTS,
     ids=["unarmed"] + [e.name for e in ALL_EVENTS],
 )
-def test_memory_fault_parity(event, kind, bad, tier):
+def test_memory_fault_parity(event, kind, bad, runs):
     # every load/store error site funnels into the block function's one
-    # fault epilogue; whatever the tier (tier-2 loops are deferred) and
-    # the sampled event, the machine it leaves behind is the
-    # interpreter's — registers, counters, the countdown
+    # fault epilogue; whether the faulting run is the program's first
+    # (its loop compiles mid-run) or its second (a clean run compiled
+    # it), and whatever the sampled event, the machine the deferred loop
+    # leaves behind is the interpreter's — registers, counters, the
+    # countdown
     pmu = (
         PmuConfig(event=event, period=2048, record_memaddr=True)
         if event is not None else None
     )
     program = build_program(faulting_loop(kind))
-    controller = None
-    if tier == 2:
-        controller = TieringController(hot_instructions=100)
-        warm, outcome = run_faulting(
-            program, bad, fault_at=-1, pmu=pmu, tiering=controller
-        )
+    for _ in range(runs - 1):
+        _, outcome = run_faulting(program, bad, fault_at=-1, pmu=pmu)
         assert outcome[0] == "ok"
-        assert controller.observe(warm, warm.state.instructions)
     fast, fast_outcome = run_faulting(
-        program, bad, fault_at=FAULT_AT, pmu=pmu, tiering=controller
+        program, bad, fault_at=FAULT_AT, pmu=pmu
     )
-    assert fast.tier == tier
+    assert fast.tier == 2
     slow, slow_outcome = run_faulting(
         program, bad, fault_at=FAULT_AT, pmu=pmu, fast_vm=False
     )
@@ -571,7 +563,9 @@ SITE_KINDS = {
     "fdiv": (lambda base: 0, "fdiv by zero"),
     "call": (lambda base: 0, "call stack overflow"),
 }
-# where the fault is raised from: (site position, function it leaves)
+# where the fault is raised from: (site position, function it leaves);
+# "tier2" compiles every block on its first entry (heat 1), the others
+# compile by heat
 SITE_CONTEXTS = {
     "cold": ("root", "_interp"),
     "root": ("root", f"_b{SITE_LOOP}"),
@@ -667,33 +661,30 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     # A fault site is a bare guard or a bare access; the function's one
     # handler finds out which by the raising line.  Whatever raised it —
     # the interpreter on a cold block, a compiled root, a sub-trace
-    # inlined two arms deep, a tier-2 deferred loop, an armed root whose
-    # own events reach its allowance and that therefore stays linear —
-    # message, ip, registers, counters, predictor and countdown are the
-    # interpreter's.
+    # inlined two arms deep, a deferred loop compiled on its first
+    # entry, an armed root whose own events reach its allowance and that
+    # therefore stays linear — message, ip, registers, counters,
+    # predictor and countdown are the interpreter's.
     where, function = SITE_CONTEXTS[context]
     if (kind, context) == ("call", "tier2"):
-        where = "deep"  # keep the root a loop head, so tier 2 defers it
+        where = "deep"  # keep the root a loop head, so it defers
     pmu = PmuConfig(event=Event.CYCLES, period=8192, record_memaddr=True)
     program, deep = site_program(kind, where)
-    controller = (
-        TieringController(hot_instructions=100) if context == "tier2"
-        else None
-    )
     if context == "linear":
         program._vm_translations = {
-            (pmu.event, pmu.period >> 3): Translation(program, pmu.event, 1)
+            (pmu.event, pmu.period >> 3, True):
+                Translation(program, pmu.event, 1)
         }
+    if context == "tier2":
+        translation_for(program, pmu).hot_entries = 1
     if context != "cold":
         # compile what the faulting run will execute, on a clean input
-        warm, outcome, _ = run_site(
-            program, kind, -1, pmu_config=pmu, tiering=controller
-        )
+        warm, outcome, _ = run_site(program, kind, -1, pmu_config=pmu)
         assert outcome[0] == "ok"
         translation = warm.translation
         if context == "tier2":
-            assert controller.observe(warm, warm.state.instructions)
-            run_site(program, kind, -1, pmu_config=pmu, tiering=controller)
+            # the arms turned hot after the root compiled: it regrows
+            run_site(program, kind, -1, pmu_config=pmu)
             code = translation.blocks[SITE_LOOP][0].__code__
             assert "_ins" in code.co_varnames  # a deferred loop
         if context == "linear":
@@ -708,7 +699,6 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
 
     fast, fast_outcome, raised_in = run_site(
         program, kind, SITE_FAULT_AT, prepare, pmu_config=pmu,
-        tiering=controller,
     )
     slow, slow_outcome, _ = run_site(
         program, kind, SITE_FAULT_AT, prepare, pmu_config=pmu, fast_vm=False
@@ -717,7 +707,9 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     assert fast_outcome[0] == "error" and SITE_KINDS[kind][1] in fast_outcome[1]
     assert full_state(fast) == full_state(slow)
     assert raised_in == function
-    assert fast.tier == (2 if controller is not None else 1)
+    # a CALL ends the root before its back edge: no loop closes then
+    looped = context != "cold" and (kind, where) != ("call", "root")
+    assert fast.tier == (2 if looped else 1)
     if where == "deep":
         assert fast_outcome[2] >= deep  # the site sits in the inlined arm
 
@@ -806,8 +798,7 @@ def test_a_phase_change_regrows_the_tree(monkeypatch):
     loop, arm = offsets["loop"], offsets["arm0"]
     back, done = offsets["back0"], offsets["done"]
     trees = grown_roots(monkeypatch)
-    controller = TieringController(hot_instructions=10**12)
-    machine, observed = run_phases(program, 1200, 1000, tiering=controller)
+    machine, observed = run_phases(program, 1200, 1000)
     translation = machine.translation
     assert translation.regrown == {loop: 1}
     # the tree itself, before and after: the arm goes from pruned exit to
@@ -821,7 +812,7 @@ def test_a_phase_change_regrows_the_tree(monkeypatch):
         done: "pruned", arm: {back: {loop: "loop"}}, loop: "loop",
     }
     assert (before.pruned, after.pruned) == ([done, arm], [done])
-    assert after.size == before.size + 4 and not after.treatment.deferred
+    assert after.size == before.size + 4 and after.treatment.deferred
     assert arm not in translation.pruned.get(loop, ())
     assert 1 <= translation.stats()["regrown"] <= costs.FAST_VM_REGROW_LIMIT
     assert loop in translation.compiled
@@ -829,11 +820,17 @@ def test_a_phase_change_regrows_the_tree(monkeypatch):
     assert observed == expected
     # the same input again: the loop head is dispatched once, where the
     # pruned tree came back through the driver for every late iteration
-    entries = translation.entries[loop]
-    assert entries > translation.hot_entries
-    _, observed = run_phases(program, 1200, 1000, tiering=controller)
+    fn, *admission = translation.blocks[loop]
+    dispatches = []
+
+    def counted(*args):
+        dispatches.append(args[0])
+        return fn(*args)
+
+    translation.blocks[loop] = (counted, *admission)
+    _, observed = run_phases(program, 1200, 1000)
     assert observed == expected
-    assert translation.entries[loop] == entries + 1
+    assert len(dispatches) == 1
     assert translation.regrown == {loop: 1}
 
 
@@ -910,10 +907,10 @@ def grown_roots(monkeypatch):
 def test_the_loop_grows_into_a_tree_along_heat():
     code = build_program(LOOP_SUM).code
     loop, even, done = 2, 12, 14
-    tier1 = _emit_settings("", 0, 1, {})
+    plain = _emit_settings("", 0)
     # unpruned: the exit arm and the skip arm are inlined, and every way
     # round — the root's own jump, the skip arm's — is the loop edge
-    tree = _grow(code, loop, **tier1)
+    tree = _grow(code, loop, **plain)
     assert side_exits(tree.root) == {
         done: {}, even: {loop: "loop"}, loop: "loop",
     }
@@ -925,53 +922,56 @@ def test_the_loop_grows_into_a_tree_along_heat():
     assert tree.written <= tree.used == set(range(8))
     # while the loop runs nothing has reached the way out of it
     warm = dict.fromkeys((loop, 4, 11, even), 16)
-    tree = _grow(code, loop, heat=warm, **tier1)
+    tree = _grow(code, loop, heat=warm, **plain)
     assert side_exits(tree.root) == {
         done: "pruned", even: {loop: "loop"}, loop: "loop",
     }
     assert tree.pruned == [done]
     # a root that is no loop head grows nothing: exits to the driver,
     # its jump back to the loop included
-    tree = _grow(code, 0, **tier1)
+    tree = _grow(code, 0, **plain)
     assert set(side_exits(tree.root).values()) == {"exit"}
     assert not _measure(tree).loop
 
 
-def test_the_treatment_of_a_root_is_decided_by_tier_and_shape():
+def test_the_treatment_of_a_root_is_decided_by_its_shape():
     code = build_program(LOOP_SUM).code
-    entries = {0: costs.TIER2_HOT_BLOCK_ENTRIES}
 
-    def treatment(ip, tier, mode=""):
-        settings = _emit_settings(mode, 512 if mode else 0, tier, entries)
+    def treatment(ip, mode=""):
+        settings = _emit_settings(mode, 512 if mode else 0)
         return _grow(code, ip, **settings).treatment
 
-    def tier2_fields(t):
-        return (t.tree, t.deferred, t.defer_cy)
-
-    # a loop head is deferred at tier 2, not at tier 1
-    assert tier2_fields(treatment(2, 1)) == (True, False, False)
-    assert tier2_fields(treatment(2, 2)) == (True, True, True)
+    # a loop head grows a tree and defers, from its first compile
+    loop = treatment(2)
+    assert (loop.tree, loop.deferred, loop.defer_cy) == (True, True, True)
     # ... its ``cy`` rides across iterations unless the edge consumes a
     # per-iteration delta
-    assert treatment(2, 2, "instr").defer_cy
-    assert not treatment(2, 2, "cycles").defer_cy
-    assert treatment(2, 2, "l1").defer_cy  # a miss is paid as it happens
-    # a hot block that is no loop head grows a tree at tier 2, undeferred
-    assert not treatment(0, 1).tree
-    assert tier2_fields(treatment(0, 2)) == (True, False, False)
-    assert not treatment(14, 2).tree  # neither hot nor a loop head
+    assert treatment(2, "instr").defer_cy
+    assert not treatment(2, "cycles").defer_cy
+    assert treatment(2, "l1").defer_cy  # a miss is paid as it happens
+    # a root that is no loop head does neither
+    for ip in (0, 14):
+        assert not treatment(ip).tree and not treatment(ip).deferred
     # the accumulator follows the tree flag, not what got inlined
-    assert not treatment(14, 1).has_dyn and treatment(2, 1, "l1").has_dyn
+    assert not treatment(14).has_dyn and treatment(2, "l1").has_dyn
+    # unarmed and long armed roots decode to the plain cap, the short
+    # ones fleet shards ask for to FAST_VM_MAX_BLOCK
+    assert {
+        _emit_settings("", 0)["cap"], _emit_settings("cycles", 512)["cap"],
+    } == {costs.FAST_VM_MAX_BLOCK_PLAIN}
+    assert _emit_settings("cycles", 512, False)["cap"] == (
+        costs.FAST_VM_MAX_BLOCK
+    )
 
 
 def test_growth_respects_bound_cap_budget_and_depth():
     program, offsets = phase_program(4)
     code, loop = program.code, offsets["loop"]
-    whole = _grow(code, loop, **_emit_settings("", 0, 1, {}))
+    whole = _grow(code, loop, **_emit_settings("", 0))
     assert depth_of(whole.root) > 4  # arm0 > back0 > arm1 > back1 > ...
     root_bound = len(whole.root.items)
     for bound_cap in (root_bound, root_bound + 1, 30, 60, 10_000):
-        tree = _grow(code, loop, **_emit_settings("instr", bound_cap, 1, {}))
+        tree = _grow(code, loop, **_emit_settings("instr", bound_cap))
         assert tree.treatment.tree == (root_bound < bound_cap)
         # armed, the tree's static events, all arms summed, stay within
         # the allowance (a root alone may exceed it: it then stays linear)
@@ -981,16 +981,16 @@ def test_growth_respects_bound_cap_budget_and_depth():
         assert _measure(tree).bound == tree.max_k <= tree.events
     assert tree.size == whole.size
     assert side_exits(tree.root) == side_exits(whole.root)
-    settings = _emit_settings("instr", root_bound + 1, 1, {})
+    settings = _emit_settings("instr", root_bound + 1)
     cramped = _grow(code, loop, **settings)
     assert set(side_exits(cramped.root).values()) <= {"exit", "loop"}
     for budget in (root_bound, root_bound + 3, 40):
-        settings = dict(_emit_settings("", 0, 1, {}), tree_budget=budget)
+        settings = dict(_emit_settings("", 0), tree_budget=budget)
         tree = _grow(code, loop, **settings)
         assert tree.size <= budget
         assert "exit" in str(side_exits(tree.root))
     for depth in range(4):
-        settings = dict(_emit_settings("", 0, 1, {}), tree_depth=depth)
+        settings = dict(_emit_settings("", 0), tree_depth=depth)
         tree = _grow(code, loop, **settings)
         assert depth_of(tree.root) == depth + 1
 
@@ -1077,11 +1077,12 @@ def test_generated_source_is_deterministic():
 
 
 def test_tier1_source_shrank():
-    # q6's tier-1 source, every block force-materialised with every
-    # leader hot (nothing pruned): 52,362 lines with the write-back
-    # repeated at every error site, 24,283 with one ``raise _Fault(...)``
-    # per site and a ``try`` per access, 17,310 with the sites in a table,
-    # 15,668 with what a path already established left out
+    # q6's source, every block force-materialised with every leader hot
+    # (nothing pruned): 52,362 lines with the write-back repeated at every
+    # error site, 24,283 with one ``raise _Fault(...)`` per site and a
+    # ``try`` per access, 17,310 with the sites in a table, 15,668 with
+    # what a path already established left out; 16,520 since every loop
+    # head defers (its predictor counters and accumulators in locals)
     db = Database.tpch(scale=0.001, seed=42)
     compiled = db._compile(ALL_QUERIES["q6"].sql, None)
     translation = Translation(compiled.program, None)
@@ -1095,7 +1096,7 @@ def test_tier1_source_shrank():
         pending = set(translation.blocks) - translation.compiled - pending
     stats = translation.stats()
     assert stats["pruned_exits"] == 0
-    assert stats["source_lines"] <= 16_500
+    assert stats["source_lines"] <= 17_000
 
 
 def test_translation_volume_of_a_first_pass():
@@ -1104,8 +1105,9 @@ def test_translation_volume_of_a_first_pass():
     # generated 87,306 source lines when every entered block compiled
     # whole on its first entry, 37,857 with compilation earned by heat
     # and trees grown along executed paths, 32,019 without the guards
-    # and L1 lookups a path has made redundant; the blocks and arms
-    # that turn hot on a second execution add little
+    # and L1 lookups a path has made redundant, 35,905 since every loop
+    # head defers from its first compile; the blocks and arms that turn
+    # hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
     first, second = (
@@ -1124,7 +1126,9 @@ def test_armed_translation_volume_of_a_profile_session():
     # ``profile_session`` workload profiles cold generated 21,695 lines
     # while every armed tree came with a linear variant for the tail of
     # the sampling window, 15,867 since admission counts the static path
-    # and a miss settles where it lands
+    # and a miss settles where it lands, 23,246 since armed roots decode
+    # long and every loop head defers from its first compile — the trade
+    # for profile_session's wall_s going down by 12%
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1138,7 +1142,7 @@ def test_armed_translation_volume_of_a_profile_session():
             ("q19", ProfilingMode.CALLSTACK),
         )
     )
-    assert 0 < lines <= 17_000
+    assert 0 < lines <= 23_246 * 1.02
 
 
 # -- what a trace knows: address facts ---------------------------------------
@@ -1195,10 +1199,10 @@ def known_of(trace):
 
 def measured_loop(sections):
     """The loop of ``fact_program(**sections)`` as an unpruned, measured
-    tier-1 tree, its source, and the traces its side exits inlined."""
+    tree, its source, and the traces its side exits inlined."""
     program, offsets = fact_program(**sections)
     tree = _measure(_grow(
-        program.code, offsets["loop"], **_emit_settings("", 0, 1, {})
+        program.code, offsets["loop"], **_emit_settings("", 0)
     ))
     inlined = {
         _side_target(*tree.root.items[index]): what
@@ -1358,15 +1362,15 @@ def test_what_each_access_of_a_trace_knows():
     assert "if not _t4096 or _t4096[0] != _n4096:" in source
     assert source.count("raise _Fault") == 1
 
-    # what a path knows is no tier matter: the deferred loop has the
-    # same slots and the same lookups
+    # what a path knows is no matter of the sampled event: the armed
+    # loop has the same slots and the same lookups
     program, offsets = fact_program(**FACT_SECTIONS["wide-frame"])
-    tier2 = _measure(_grow(
-        program.code, offsets["loop"], **_emit_settings("", 0, 2, {})
+    armed = _measure(_grow(
+        program.code, offsets["loop"], **_emit_settings("cycles", 10**6)
     ))
-    assert tier2.treatment.deferred and tier2.slots == tree.slots
-    assert known_of(tier2.root) == known_of(tree.root)
-    assert "if not _t4096 or _t4096[0] != _n4096:" in translate._emit(tier2)[0]
+    assert armed.treatment.deferred and armed.slots == tree.slots
+    assert known_of(armed.root) == known_of(tree.root)
+    assert "if not _t4096 or _t4096[0] != _n4096:" in translate._emit(armed)[0]
 
 
 # name: (sections, r9, r15 or None, the iteration, the error or None)
@@ -1474,21 +1478,21 @@ FACT_CASES = {
 }
 
 
-def run_fact_case(program, bad, stack, fault_at, pmu, tier):
+def run_fact_case(program, bad, stack, fault_at, pmu, hot_entries):
     """Two clean runs — at ``hot_entries`` 1 the first compiles what it
     enters, the second runs the loop regrown with arms and way out
-    inlined — then the run that goes wrong, twice (an arm only it
-    takes is inlined the second time); ``tier`` 0 is the interpreter.
-    Everything observable of all four."""
+    inlined; at 2 what the first enters twice — then the run that goes
+    wrong, twice (an arm only it takes is inlined the second time);
+    ``hot_entries`` 0 is the interpreter.  Everything observable of all
+    four."""
     observed = []
     for at in (-1, -1, fault_at, fault_at):
         machine = Machine(
-            program, Memory(MEMORY_END), pmu_config=pmu, fast_vm=tier > 0
+            program, Memory(MEMORY_END), pmu_config=pmu,
+            fast_vm=hot_entries > 0,
         )
-        if tier:
-            machine.translation.hot_entries = 1
-            if machine.translation.tier < tier:
-                machine.translation.promote()
+        if hot_entries:
+            machine.translation.hot_entries = hot_entries
         base = machine.memory.alloc(FACT_N * 16 + 2 * FACT_FRAME)
         assert machine.memory.size == MEMORY_END
         machine.regs[8], machine.regs[9] = at, bad(base)
@@ -1508,9 +1512,9 @@ def run_fact_case(program, bad, stack, fault_at, pmu, tier):
     return observed, raised_in, machine
 
 
-@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize("hot_entries", [1, 2])
 @pytest.mark.parametrize("case", list(FACT_CASES))
-def test_fault_paths_through_what_a_trace_knows(case, tier):
+def test_fault_paths_through_what_a_trace_knows(case, hot_entries):
     # wherever a guard or a lookup went because the path had already
     # established what it checks — and wherever one had to come back —
     # the machine left behind is the interpreter's: message, ip, every
@@ -1523,7 +1527,7 @@ def test_fault_paths_through_what_a_trace_knows(case, tier):
             if event is not None else None
         )
         sides = []
-        for engine in (tier, 0):
+        for engine in (hot_entries, 0):
             program, _ = fact_program(**FACT_SECTIONS[sections])
             sides.append(run_fact_case(program, bad, stack, fault_at, pmu, engine))
         (fast, raised_in, machine), (slow, _, _) = sides
@@ -1534,7 +1538,7 @@ def test_fault_paths_through_what_a_trace_knows(case, tier):
             assert wrong == clean
         else:
             assert wrong[0] == "error" and error in wrong[1], wrong
-        assert machine.tier == tier
+        assert machine.tier == 2
         if event is None and error is not None:
             assert raised_in.startswith("_b")  # compiled code raised it
 
@@ -1546,6 +1550,7 @@ from repro.data.queries import ALL_QUERIES
 from repro.engine import Database, ProfilerConfig
 from repro.serve import QueryService, ServiceConfig
 from repro.vm.pmu import Event
+from repro.vm.translate import translation_for
 
 
 def show(sources):
@@ -1569,59 +1574,50 @@ with forgotten_address_facts():
             db.profile(sql, ProfilerConfig(event=Event.CYCLES))
         show(sources)
         db = Database.tpch(0.001, 42)
-        db.enable_tiering(hot_instructions=1)
-        db.execute(sql)
-        with compiled_sources() as sources:  # D: tier 2
-            db.execute(sql)
+        translation_for(db.compiled_for(sql).program).hot_entries = 1
+        with compiled_sources() as sources:  # D: compile on first entry
             db.execute(sql)
         show(sources)
     db = Database.tpch(0.001, 42)
-    service = QueryService(
-        db, ServiceConfig(workers=2, tiering_hot_instructions=1)
-    )
-    with compiled_sources() as sources:  # E: serve, armed, tier 1 then 2
+    service = QueryService(db, ServiceConfig(workers=2))
+    with compiled_sources() as sources:  # E: serve, armed
         for _ in range(3):
             service.submit(ALL_QUERIES["q6"].sql)
             service.drain()
     show(sources)
 """
 
-# sha256[:16] over what translation emitted, sources, lines —
-# at 2ddfe78, the commit before any trace knew anything (recipes A-D per
-# query, then E; ``.claude/skills/verify/SKILL.md``).  A-C are tier 1: the
-# digests of ROADMAP item 3a.  D and E reach tier 2, whose same-line memo
-# went with this change: those four are 2ddfe78 with the memo off its
-# treatment (``_replace(memo=False)``; on: a02560679e01bae5
-# 9c2ffe1717fa10b3 e2885bbe2e9d2b0d 626e5b5067d07206, which this tree
-# reproduced too while it still had the memo).  Armed text (C, E) has
-# changed on purpose since — admission on the static path, settle sites, no
-# linear variant: those four pin what this tree writes with the facts
-# forgotten, so a change to how an access is written still must not move
-# them.  Since ids became plan-local they differ from the commit before
-# only in the task ids written to r14 (ec19522c747afc50 8d44e522ae0381d3
-# adf5885d46081756 916995c11bc9454c), and no longer on what ran before.
+# sha256[:16] over what translation emitted, sources, lines, with the
+# address facts forgotten (recipes A-D per query, then E;
+# ``.claude/skills/verify/SKILL.md``).  Until every loop head deferred
+# from its first compile these were the digests of the commit before any
+# trace knew anything (2ddfe78; A-C at tier 1, D and E with tier 2's
+# same-line memo off its treatment); since then they pin what this tree
+# writes with the facts forgotten, so a change to how an access is
+# written still must not move them.  Row B of q6 kept its digest: its
+# three texts close no loop.
 PARENT_DIGESTS = """
-b0f840c3a9889175 5 2565
-df0ee632fda75d64 7 4390
-0e1bd419ba0639f4 17 3450
-5f23b26e6e5fe8be 5 4358
-26f7851e0c9fcfe9 21 13502
-b8361dce67f1d151 13 7221
-94f52dd47d055842 43 13366
-2ed361f89c719d33 17 22593
-80a1156363c2ed9f 7 4732
+1dc72c4aec48002c 5 2640
+2948cb2ecf7557e9 7 4573
+1fc20088115ca0a5 14 5743
+fe7c6f66781a365e 67 16775
+b84e9d514f02b7fe 21 14623
+ba13c33c38d7924a 13 7838
+f890401e5848a463 42 17286
+c7294d6fee89de4f 137 48660
+83359d3278f35245 7 5686
 7a6ec39676f5e779 3 348
-446563557bb7ea48 12 3719
-d6284674a1b901b4 5 2718
-ece40b7b3cc57674 19 8834
+544d3caf6c977356 13 6875
+1fa3d4a5dc6bf2f0 59 9827
+452f807103e6aa0c 19 8786
 """
 
 
 def test_forgetting_the_facts_emits_the_text_of_the_commit_before_them():
     # the ablation is a value, not a flag: wipe what ``_measure`` noted at
-    # the memory accesses and ``_emit`` writes, byte for byte, what the
-    # parent commit wrote — the guarded, looked-up form is what an access
-    # degrades to when nothing is known, not a second emitter
+    # the memory accesses and ``_emit`` writes, byte for byte, the pinned
+    # text — the guarded, looked-up form is what an access degrades to
+    # when nothing is known, not a second emitter
     root = Path(__file__).parent.parent
     run = subprocess.run(
         [sys.executable, "-c", _PARENT_DIGESTS], cwd=root, text=True,
@@ -1645,23 +1641,25 @@ def facts_db():
     return Database.tpch(scale=0.0002, seed=42)
 
 
-def everything_simulated(db, compiled, config, tier, hot_entries=None):
-    """Run ``compiled`` on a translation of its own at ``tier`` (0: on
-    the interpreter) — unarmed with every entered block compiled, armed
-    with what heat picks (the loops: where trees grow and frames are
-    hoisted) unless ``hot_entries`` says otherwise; what the machine is
-    left holding."""
+def everything_simulated(
+    db, compiled, config, fast_vm=True, hot_entries=None,
+    long_armed_roots=True,
+):
+    """Run ``compiled`` on a translation of its own (or the interpreter)
+    — unarmed with every entered block compiled, armed with what heat
+    picks (the loops: where trees grow and frames are hoisted) unless
+    ``hot_entries`` says otherwise; what the machine is left holding."""
     vars(compiled.program).pop("_vm_translations", None)
     pmu = config.pmu_config() if config is not None else None
-    translation = translation_for(compiled.program, pmu)
+    translation = translation_for(compiled.program, pmu, long_armed_roots)
     if config is None or hot_entries is not None:
         translation.hot_entries = hot_entries or 1
-    if tier == 2:
-        translation.promote()
-    run = db._run_compiled(compiled, config, fast_vm=tier > 0)
+    run = db._run_compiled(
+        compiled, config, fast_vm=fast_vm, long_armed_roots=long_armed_roots,
+    )
     (machine,) = run.machines.values()
-    assert machine.tier == tier
-    assert (translation.stats()["compiled"] > 0) == (tier > 0)
+    assert (machine.tier == 0) == (not fast_vm)
+    assert (translation.stats()["compiled"] > 0) == fast_vm
     caches = machine.caches
     return {
         **full_state(machine), "rows": run.rows,
@@ -1677,8 +1675,9 @@ def everything_simulated(db, compiled, config, tier, hot_entries=None):
 @pytest.mark.parametrize("name", FACT_QUERIES)
 def test_address_facts_move_no_simulated_number(facts_db, name):
     # with the facts and with them forgotten: the same machine state,
-    # both cache levels set by set, predictor and samples, at both tiers,
-    # unarmed and under every sampled event — from less source
+    # both cache levels set by set, predictor and samples, unarmed and
+    # under every sampled event, on long armed roots and on short ones —
+    # from less source
     sql = ALL_QUERIES[name].sql
     for event in [None] + ALL_EVENTS:
         config = (
@@ -1686,13 +1685,15 @@ def test_address_facts_move_no_simulated_number(facts_db, name):
             if event is not None else None
         )
         compiled = facts_db._compile(sql, config)
-        for tier in (1, 2):
-            known, lines = everything_simulated(facts_db, compiled, config, tier)
+        for long_roots in (True, False) if event else (True,):
+            known, lines = everything_simulated(
+                facts_db, compiled, config, long_armed_roots=long_roots
+            )
             with forgotten_address_facts():
                 forgotten, more = everything_simulated(
-                    facts_db, compiled, config, tier
+                    facts_db, compiled, config, long_armed_roots=long_roots
                 )
-            assert known == forgotten, (event, tier)
+            assert known == forgotten, (event, long_roots)
             assert lines < more
 
 
@@ -1754,11 +1755,11 @@ def settle_program():
     return program, offsets
 
 
-def run_settle(program, pmu, countdown, tier):
-    """One run from ``countdown``; ``tier`` 0 is the interpreter.
-    Everything observable, and per sample the function that took it."""
+def run_settle(program, pmu, countdown, fast_vm=True):
+    """One run from ``countdown``.  Everything observable, and per sample
+    the function that took it."""
     machine = Machine(
-        program, Memory(1 << 20), pmu_config=pmu, fast_vm=tier > 0
+        program, Memory(1 << 20), pmu_config=pmu, fast_vm=fast_vm
     )
     memory = machine.memory
     base = memory.alloc(SETTLE_N * 64 + 9 * SETTLE_SET, align=SETTLE_SET)
@@ -1801,11 +1802,11 @@ SETTLE_SWEEPS = {
 }
 
 
-@pytest.mark.parametrize("tier", [1, 2])
+@pytest.mark.parametrize("hot_entries", [1, 2])
 @pytest.mark.parametrize(
     "event", list(SETTLE_SWEEPS), ids=[e.name for e in SETTLE_SWEEPS]
 )
-def test_a_sample_due_at_a_settle_site_is_taken_there(event, tier):
+def test_a_sample_due_at_a_settle_site_is_taken_there(event, hot_entries):
     # Admission covers the static path; what a miss or a mispredict costs
     # on top settles in the arm that finds it out.  Wherever the sample
     # falls due — on a load that missed to L2 or to memory, on a hoisted
@@ -1821,21 +1822,19 @@ def test_a_sample_due_at_a_settle_site_is_taken_there(event, tier):
     )
     program, at = settle_program()
     translation = translation_for(program, pmu)
-    translation.hot_entries = 1
-    if tier == 2:
-        translation.promote()
+    translation.hot_entries = hot_entries
     for _ in range(3):  # compile, then regrow with the arms inlined
-        run_settle(program, pmu, period, tier)
+        run_settle(program, pmu, period)
     loop = translation.blocks[at["loop"]]
     code = loop[0].__code__
-    assert ("_ins" in code.co_varnames) == (tier == 2)  # deferred or not
+    assert "_ins" in code.co_varnames  # deferred
     assert "_w" in code.co_varnames  # the frame slot is hoisted
     in_loop, compiled, not_due = set(), set(), 0
     for countdown in countdowns:
-        fast, took, handed, machine = run_settle(program, pmu, countdown, tier)
-        slow, _, _, _ = run_settle(program, pmu, countdown, 0)
+        fast, took, handed, machine = run_settle(program, pmu, countdown)
+        slow, _, _, _ = run_settle(program, pmu, countdown, fast_vm=False)
         assert fast == slow, countdown
-        assert machine.tier == tier
+        assert machine.tier == 2
         samples = machine.samples.samples
         assert len(took) == len(samples) > 0
         for sample, name in zip(samples, took):
@@ -1879,7 +1878,7 @@ def test_a_sample_due_at_a_settle_site_is_taken_there(event, tier):
 
 _SETTLE_CASES = st.tuples(
     st.sampled_from(FACT_QUERIES), st.sampled_from(ALL_EVENTS),
-    st.integers(128, 2000), st.sampled_from([1, 2]),
+    st.integers(128, 2000), st.booleans(),
 )
 
 
@@ -1892,13 +1891,17 @@ _SETTLE_CASES = st.tuples(
 )
 def test_any_period_samples_what_the_interpreter_samples(facts_db, case):
     # whatever the period makes of the windows — a settle at every other
-    # miss, blocks barely admitted — state, both cache levels, predictor
-    # and the sample stream are the interpreter's
-    name, event, period, tier = case
+    # miss, blocks barely admitted — and whichever armed roots run, state,
+    # both cache levels, predictor and the sample stream are the
+    # interpreter's
+    name, event, period, long_roots = case
     config = ProfilerConfig(event=event, record_memaddr=True, period=period)
     compiled = facts_db._compile(ALL_QUERIES[name].sql, config)
-    fast, _ = everything_simulated(facts_db, compiled, config, tier, 1)
-    slow, _ = everything_simulated(facts_db, compiled, config, 0)
+    fast, _ = everything_simulated(
+        facts_db, compiled, config, hot_entries=1,
+        long_armed_roots=long_roots,
+    )
+    slow, _ = everything_simulated(facts_db, compiled, config, fast_vm=False)
     assert fast == slow
 
 
