@@ -4,7 +4,7 @@ DESIGN.md calls these design choices out; this measures what each buys.
 Not a paper figure — the paper takes Umbra's optimizer as given.
 """
 
-from repro import PlannerOptions
+from repro import ExecOptions, PlannerOptions
 from repro.data.queries import ALL_QUERIES
 
 from benchmarks.conftest import report
@@ -22,7 +22,7 @@ def test_backend_optimizations_ablation(tpch, benchmark):
 
     def measure():
         optimized = tpch.execute(sql)
-        unoptimized = tpch.execute(sql, optimize_backend=False)
+        unoptimized = tpch.execute(sql, ExecOptions(optimize_backend=False))
         return optimized, unoptimized
 
     optimized, unoptimized = benchmark.pedantic(measure, rounds=1, iterations=1)
@@ -31,9 +31,9 @@ def test_backend_optimizations_ablation(tpch, benchmark):
 
     # groupjoin fusion ablation
     plain = tpch.execute(GROUPJOIN_SQL)
-    fused = tpch.execute(
-        GROUPJOIN_SQL, planner_options=PlannerOptions(enable_groupjoin=True)
-    )
+    fused = tpch.execute(GROUPJOIN_SQL, ExecOptions(
+        planner_options=PlannerOptions(enable_groupjoin=True)
+    ))
     assert sorted(r[0] for r in plain.rows) == sorted(r[0] for r in fused.rows)
     fusion_gain = plain.cycles / fused.cycles - 1
 

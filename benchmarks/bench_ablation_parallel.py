@@ -7,6 +7,7 @@ clock, per-worker sample lanes, and attribution quality independent of the
 worker count.
 """
 
+from repro import ExecOptions
 from repro.data.queries import ALL_QUERIES
 from repro.profiling.reports import render_worker_timeline
 
@@ -19,11 +20,14 @@ def test_parallel_scaling_and_attribution(tpch, benchmark):
     sql = ALL_QUERIES["q1"].sql
 
     def measure():
-        return {w: tpch.execute(sql, workers=w).cycles for w in WORKER_COUNTS}
+        return {
+            w: tpch.execute(sql, ExecOptions(workers=w)).cycles
+            for w in WORKER_COUNTS
+        }
 
     times = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    profile = tpch.profile(sql, workers=4)
+    profile = tpch.profile(sql, options=ExecOptions(workers=4))
     summary = profile.attribution_summary()
 
     lines = [

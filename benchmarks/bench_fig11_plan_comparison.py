@@ -17,6 +17,7 @@ EXPERIMENTS.md.)
 """
 
 from benchmarks.conftest import report
+from repro import ExecOptions
 
 SQL = """
 select sum(l_extendedprice * (1 - l_discount)) as revenue
@@ -26,8 +27,10 @@ where l_orderkey = o_orderkey and l_partkey = ps_partkey
   and o_orderdate < date '1994-06-01'
 """
 
-ORDERS_FIRST = ["lineitem", "orders", "partsupp"]
-PARTSUPP_FIRST = ["lineitem", "partsupp", "orders"]
+ORDERS_FIRST = ExecOptions(join_order_hint=["lineitem", "orders", "partsupp"])
+PARTSUPP_FIRST = ExecOptions(
+    join_order_hint=["lineitem", "partsupp", "orders"]
+)
 
 
 def _join_activity(profile, key_marker: str):
@@ -46,15 +49,15 @@ def _join_activity(profile, key_marker: str):
 
 
 def test_fig11_two_plans_and_phase_change(tpch, benchmark):
-    result_a = tpch.execute(SQL, join_order_hint=ORDERS_FIRST)
-    result_b = tpch.execute(SQL, join_order_hint=PARTSUPP_FIRST)
+    result_a = tpch.execute(SQL, ORDERS_FIRST)
+    result_b = tpch.execute(SQL, PARTSUPP_FIRST)
     assert result_a.rows == result_b.rows
 
     profile_a = benchmark.pedantic(
-        lambda: tpch.profile(SQL, join_order_hint=ORDERS_FIRST),
+        lambda: tpch.profile(SQL, options=ORDERS_FIRST),
         rounds=1, iterations=1,
     )
-    profile_b = tpch.profile(SQL, join_order_hint=PARTSUPP_FIRST)
+    profile_b = tpch.profile(SQL, options=PARTSUPP_FIRST)
 
     # the Fig. 11 signature, in plan A: once the scan passes the orderkey
     # range selected by the date filter, the orders join eliminates every

@@ -23,7 +23,7 @@ the other benchmarks.
 
 from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, report
 
-from repro import Database
+from repro import Database, ExecOptions
 from repro.data.queries import ALL_QUERIES
 
 # the Fig. 10/11 pair: two join orders the cardinality model cannot tell
@@ -38,6 +38,7 @@ where l_orderkey = o_orderkey and l_partkey = ps_partkey
 
 ORDERS_FIRST = ["lineitem", "orders", "partsupp"]
 PARTSUPP_FIRST = ["lineitem", "partsupp", "orders"]
+PGO = ExecOptions(pgo=True)
 
 
 def _fresh_db():
@@ -46,18 +47,20 @@ def _fresh_db():
 
 def test_fig11_feedback_recovers_cheap_plan(benchmark):
     db = _fresh_db()
-    good = db.execute(PAIR_SQL, join_order_hint=ORDERS_FIRST)
-    bad = db.execute(PAIR_SQL, join_order_hint=PARTSUPP_FIRST)
+    good = db.execute(PAIR_SQL, ExecOptions(join_order_hint=ORDERS_FIRST))
+    bad = db.execute(PAIR_SQL, ExecOptions(join_order_hint=PARTSUPP_FIRST))
     assert good.rows == bad.rows
     cheap = min(good.cycles, bad.cycles)
 
     # feed back observations from ONLY the worse hinted plan — the
     # developer explored one wrong alternative and profiled it
     db.enable_pgo()
-    db.profile(PAIR_SQL, join_order_hint=PARTSUPP_FIRST, pgo=True)
+    db.profile(PAIR_SQL, options=ExecOptions(
+        join_order_hint=PARTSUPP_FIRST, pgo=True
+    ))
 
     informed = benchmark.pedantic(
-        lambda: db.execute(PAIR_SQL, pgo=True), rounds=1, iterations=1,
+        lambda: db.execute(PAIR_SQL, PGO), rounds=1, iterations=1,
     )
     assert informed.rows == good.rows
 
@@ -85,15 +88,15 @@ def test_pgo_improves_hint_sensitive_query(benchmark):
     baseline = db.execute(sql)
 
     db.enable_pgo()
-    db.profile(sql, pgo=True)
+    db.profile(sql, options=PGO)
     tuned = benchmark.pedantic(
-        lambda: db.execute(sql, pgo=True), rounds=1, iterations=1,
+        lambda: db.execute(sql, PGO), rounds=1, iterations=1,
     )
     assert tuned.rows == baseline.rows
     win = (baseline.cycles - tuned.cycles) / baseline.cycles
 
     # second run replays the cached compiled plan
-    again = db.execute(sql, pgo=True)
+    again = db.execute(sql, PGO)
     assert again.cycles == tuned.cycles
     assert db.plan_cache_hits >= 1
 
@@ -119,8 +122,8 @@ def test_pgo_profile_still_attributes():
     db = _fresh_db()
     sql = ALL_QUERIES["q5"].sql
     db.enable_pgo()
-    first = db.profile(sql, pgo=True)
-    second = db.profile(sql, pgo=True)  # compiled with feedback applied
+    first = db.profile(sql, options=PGO)
+    second = db.profile(sql, options=PGO)  # compiled with feedback applied
     for profile in (first, second):
         summary = profile.attribution_summary()
         assert summary.total_samples > 0

@@ -6,7 +6,7 @@ folding, common-subexpression elimination, dataflow-graph operator fusion
 still attributes every sample.
 """
 
-from repro import PlannerOptions, ProfilerConfig
+from repro import ExecOptions, PlannerOptions, ProfilerConfig
 from repro.data.queries import ALL_QUERIES
 
 from benchmarks.conftest import report
@@ -42,9 +42,9 @@ def test_tab1_optimizations_keep_attribution(tpch, benchmark):
         rows.append(("fusion+fold+CSE+DCE", opt_stats, summary.attributed_share))
 
         # dataflow-graph operator fusion: groupjoin
-        fused = tpch.profile(
-            GROUPJOIN_SQL, planner_options=PlannerOptions(enable_groupjoin=True)
-        )
+        fused = tpch.profile(GROUPJOIN_SQL, options=ExecOptions(
+            planner_options=PlannerOptions(enable_groupjoin=True)
+        ))
         fused_summary = fused.attribution_summary()
         task_kinds = {t.role for t in fused.task_costs()}
         rows.append((
@@ -71,8 +71,8 @@ def test_tab1_optimizations_keep_attribution(tpch, benchmark):
 
 
 def profile_opt_stats(db, sql):
-    """Compile once more to collect optimizer delta counters."""
-    compiled = db._compile(sql, None).query
+    """The optimizer delta counters of the plain plan."""
+    compiled = db.compiled_for(sql).query
     folded = sum(c.opt_result.folded for c in compiled.values())
     removed = sum(len(c.opt_result.removed) for c in compiled.values())
     merged = sum(len(c.opt_result.merged) for c in compiled.values())

@@ -12,7 +12,7 @@ single iteration.
 Run:  python examples/iterative_dataflow.py
 """
 
-from repro import Database
+from repro import Database, ExecOptions
 from repro.data.queries import FIG9_QUERY
 
 
@@ -20,7 +20,7 @@ def main() -> None:
     print("loading TPC-H (scale 0.002)...")
     db = Database.tpch(scale=0.002)
 
-    profile = db.profile(FIG9_QUERY.sql, repeats=4)
+    profile = db.profile(FIG9_QUERY.sql, options=ExecOptions(repeats=4))
     print(f"\none session, {len(profile.samples)} samples across 4 runs "
           "of the same compiled dataflow\n")
 

@@ -9,7 +9,7 @@ reports, plus a per-worker lane view.
 Run:  python examples/multicore.py
 """
 
-from repro import Database
+from repro import Database, ExecOptions
 from repro.data.queries import ALL_QUERIES
 from repro.profiling.reports import render_worker_timeline
 
@@ -22,14 +22,14 @@ def main() -> None:
     print("\nscaling (wall clock = slowest worker):")
     baseline = None
     for workers in (1, 2, 4, 8):
-        result = db.execute(sql, workers=workers)
+        result = db.execute(sql, ExecOptions(workers=workers))
         baseline = baseline or result.cycles
         print(
             f"  {workers} worker(s): {result.cycles:>12,} cycles "
             f"({baseline / result.cycles:.2f}x)"
         )
 
-    profile = db.profile(sql, workers=4)
+    profile = db.profile(sql, options=ExecOptions(workers=4))
     print("\nper-worker activity lanes (4 workers):")
     print(render_worker_timeline(profile, bins=50))
 

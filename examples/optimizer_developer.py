@@ -10,7 +10,7 @@ always-match to never-match, starving everything downstream.
 Run:  python examples/optimizer_developer.py
 """
 
-from repro import Database
+from repro import Database, ExecOptions
 
 QUERY = """
 select sum(l_extendedprice * (1 - l_discount)) as revenue
@@ -28,8 +28,8 @@ def main() -> None:
     print("loading TPC-H (scale 0.002)...")
     db = Database.tpch(scale=0.002)
 
-    result_a = db.execute(QUERY, join_order_hint=PLAN_A)
-    result_b = db.execute(QUERY, join_order_hint=PLAN_B)
+    result_a = db.execute(QUERY, ExecOptions(join_order_hint=PLAN_A))
+    result_b = db.execute(QUERY, ExecOptions(join_order_hint=PLAN_B))
     assert result_a.rows == result_b.rows
 
     print(f"\nplan A (probe orders first):   {result_a.cycles:>12,} cycles")
@@ -42,7 +42,9 @@ def main() -> None:
 
     profiles = {}
     for name, hint in (("A", PLAN_A), ("B", PLAN_B)):
-        profiles[name] = db.profile(QUERY, join_order_hint=hint)
+        profiles[name] = db.profile(
+            QUERY, options=ExecOptions(join_order_hint=hint)
+        )
         print(f"plan {name} operator activity over time:")
         print(profiles[name].render_timeline(bins=40))
         print()

@@ -9,16 +9,22 @@ CPU.
 
 Quickstart::
 
-    from repro import Database, ProfilerConfig
+    from repro import Database, ExecOptions, ProfilerConfig
 
     db = Database.tpch(scale=0.001)
     profile = db.profile("select l_returnflag, count(*) c from lineitem "
                          "group by l_returnflag order by l_returnflag")
     print(profile.annotated_plan())
+
+Every run knob (workers, join-order hints, PGO, ...) is a field of one
+frozen :class:`ExecOptions`: ``db.execute(sql, ExecOptions(workers=4))``,
+``db.profile(sql, config, ExecOptions(repeats=3))``.
 """
 
 from repro.catalog import Column, DataType, Schema
-from repro.engine import Database, ProfilerConfig, ProfilingMode, QueryResult
+from repro.engine import (
+    Database, ExecOptions, ProfilerConfig, ProfilingMode, QueryResult,
+)
 from repro.plan.physical import PlannerOptions
 from repro.vm.pmu import Event
 
@@ -29,6 +35,7 @@ __all__ = [
     "DataType",
     "Database",
     "Event",
+    "ExecOptions",
     "PlannerOptions",
     "ProfilerConfig",
     "ProfilingMode",

@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro import Database, ProfilerConfig, ProfilingMode
+from repro import Database, ExecOptions, ProfilerConfig, ProfilingMode
 from repro.data.queries import ALL_QUERIES, EXAMPLE_QUERY, FIG9_QUERY
-from repro.errors import SqlError, format_sql_error
+from repro.errors import ReproError, SqlError, format_sql_error
 from repro.profiling import export
 
 
@@ -129,14 +129,21 @@ def main(argv: list[str] | None = None, out=None) -> int:
     args = parser.parse_args(argv)
     sql = resolve_sql(args)
     try:
-        return _run(args, sql, out)
+        options = ExecOptions(workers=args.workers, fast_vm=args.fast_vm)
+        config = ProfilerConfig(
+            mode=ProfilingMode(args.mode), period=args.period
+        )
+    except ReproError as error:
+        print(f"error: {error}", file=out)
+        return 2
+    try:
+        return _run(args, sql, options, config, out)
     except SqlError as error:
         print(format_sql_error(sql, error), file=out)
         return 1
 
 
-def _run(args, sql: str, out) -> int:
-
+def _run(args, sql: str, options, config, out) -> int:
     if args.query == "example":
         database = Database.example()
     else:
@@ -146,16 +153,11 @@ def _run(args, sql: str, out) -> int:
         print(database.explain(sql), file=out)
         return 0
 
-    fast_vm = args.fast_vm
     if not args.profile:
-        result = database.execute(sql, workers=args.workers, fast_vm=fast_vm)
-        _print_result(result, args.max_rows, out)
+        _print_result(database.execute(sql, options), args.max_rows, out)
         return 0
 
-    config = ProfilerConfig(mode=ProfilingMode(args.mode), period=args.period)
-    profile = database.profile(
-        sql, config, workers=args.workers, fast_vm=fast_vm
-    )
+    profile = database.profile(sql, config, options)
     _print_result(profile.result, args.max_rows, out)
     print(file=out)
     print(profile.annotated_plan(), file=out)
@@ -211,7 +213,6 @@ def _pgo_main(argv: list[str], out) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.errors import ReproError
     from repro.pgo import ProfileStore
 
     try:
@@ -540,8 +541,6 @@ def _serve_main(argv: list[str], out) -> int:
             "use --workload with --tpch"
         )
 
-    from repro.errors import ReproError
-
     database = (
         Database.tpch(scale=args.scale, seed=42)
         if args.tpch else Database.example()
@@ -561,7 +560,11 @@ def _serve_main(argv: list[str], out) -> int:
         fast_vm=args.fast_vm,
         seed=args.seed,
     )
-    service = QueryService(database, config, pgo_store=store)
+    try:
+        service = QueryService(database, config, pgo_store=store)
+    except ReproError as error:
+        print(f"error: {error}", file=out)
+        return 2
     try:
         items = (
             load_workload(args.workload) if args.workload
@@ -618,7 +621,6 @@ def _fleet_main(argv: list[str], out) -> int:
     import zlib
     from random import Random
 
-    from repro.errors import ReproError
     from repro.fleet import Fleet, FleetConfig, fleet_profile, run_fleet_workload
     from repro.serve import SYNTHETIC_TEMPLATES
 
@@ -767,7 +769,6 @@ def _storage_main(argv: list[str], out) -> int:
     )
     args = parser.parse_args(argv)
 
-    from repro.errors import ReproError
     from repro.storage import StorageConfig
 
     kwargs = {}

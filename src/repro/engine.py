@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import enum
-import warnings
 from dataclasses import dataclass, field
 
 from repro.backend import BackendOptions, compile_module
@@ -80,6 +79,10 @@ class ProfilerConfig:
     # off by default so plain profiling runs are unperturbed
     count_tuples: bool = False
 
+    def __post_init__(self):
+        if self.period < 1:
+            raise ReproError("sampling period must be >= 1")
+
     def pmu_config(self) -> PmuConfig:
         register = self.mode is ProfilingMode.REGISTER_TAGGING or self.crosscheck
         callstack = self.mode is ProfilingMode.CALLSTACK or self.crosscheck
@@ -89,6 +92,68 @@ class ProfilerConfig:
             record_registers=register,
             record_callstack=callstack,
             record_memaddr=self.record_memaddr,
+        )
+
+
+def _instrumentation(profiler: ProfilerConfig | None) -> tuple[bool, bool]:
+    """What a profiler changes in the generated code: whether the tag
+    register is reserved (Register Tagging), and whether per-task tuple
+    counters are planted."""
+    if profiler is None:
+        return False, False
+    reserve = profiler.mode is ProfilingMode.REGISTER_TAGGING
+    return reserve, profiler.count_tuples
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How to compile and run a query: the one options value ``execute``,
+    ``profile``, the serve tier and the fuzz oracle pass.
+
+    The compile half changes the generated code and keys the plan cache
+    (:meth:`compile_key`); ``pgo=True`` lets the feedback store set up by
+    :meth:`Database.enable_pgo` steer it.  ``inject_fault`` deliberately
+    miscompiles the query region (fuzzer ground truth), so that compile
+    never enters the cache and runs on the block interpreter.  The run
+    half picks how a compiled plan runs: ``workers`` private cores,
+    ``morsel_size`` tuples per dispatch, ``repeats`` runs over one state
+    block (§4.2.6), ``instruction_limit`` per worker, the block
+    interpreter with ``fast_vm=False``, and the armed translation fleet
+    shards use with ``long_armed_roots=False``.  Bad values raise when the
+    options are built."""
+
+    # -- compile half
+    join_order_hint: tuple[str, ...] | None = None
+    planner_options: PlannerOptions | None = None
+    optimize_backend: bool = True
+    pgo: bool = False
+    qualify_tags: bool = False
+    inject_fault: str | None = None
+    # -- run half
+    workers: int = 1
+    morsel_size: int = 1024
+    repeats: int = 1
+    instruction_limit: int | None = None
+    fast_vm: bool = True
+    long_armed_roots: bool = True
+
+    def __post_init__(self):
+        if self.join_order_hint is not None:
+            object.__setattr__(
+                self, "join_order_hint", tuple(self.join_order_hint)
+            )
+        for name in ("workers", "repeats", "morsel_size"):
+            if getattr(self, name) < 1:
+                raise ReproError(f"{name} must be >= 1")
+        if self.inject_fault is not None and self.pgo:
+            raise ReproError("inject_fault is not supported with pgo=True")
+
+    def compile_key(self) -> tuple:
+        """The compile half that can reach the plan cache (a faulted
+        compile never does)."""
+        return (
+            self.join_order_hint, self.planner_options,
+            self.optimize_backend, self.pgo, self.qualify_tags,
         )
 
 
@@ -343,41 +408,34 @@ class Database:
 
     @lowering()
     def _compile(
-        self,
-        sql: str,
-        profiler: ProfilerConfig | None,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
-        optimize_backend: bool = True,
-        prebuilt=None,
-        model=None,
-        feedback=None,
-        count_tuples: bool = False,
-        inject_fault: str | None = None,
-        qualify_tags: bool = False,
+        self, sql: str, profiler: ProfilerConfig | None,
+        options: ExecOptions = ExecOptions(), prebuilt=None, feedback=None,
     ) -> CompiledQuery:
         """Lower a query through every step, down to placed native code.
 
-        ``model`` overrides the cardinality model; ``feedback`` is a
+        ``options``' compile half and what ``profiler`` instruments shape
+        the code; ``prebuilt`` is a ``(bound, physical)`` pair a frontend
+        other than SQL built.  ``feedback`` is a
         :class:`~repro.pgo.feedback.QueryFeedback` whose observed
-        cardinalities build such a model automatically and whose branch /
+        cardinalities build the cardinality model and whose branch /
         hotness statistics reach the backend when the planned shape matches
-        the profiled one.  ``inject_fault`` deliberately miscompiles the
-        query region (fuzzer ground truth; see repro.fuzz).  The result is
-        pure code: compiling allocates no simulated memory (the plan's
-        constants are part of its state layout, see :meth:`_zero_state`).
+        the profiled one.  The result is pure code: compiling allocates no
+        simulated memory (the plan's constants are part of its state
+        layout, see :meth:`_zero_state`).
         """
         from repro.pgo.fingerprint import plan_signature
 
         if self.storage is None:
             raise ReproError("database not finalized; call finalize() first")
+        reserve, count_tuples = _instrumentation(profiler)
         cardinality_feedback = False
         if prebuilt is not None:
             # a frontend other than SQL (e.g. the streaming DSL) built the
             # plan itself: (model, physical root)
             bound, physical = prebuilt
         else:
-            if model is None and feedback is not None and feedback.cardinalities:
+            model = None
+            if feedback is not None and feedback.cardinalities:
                 from repro.pgo.model import FeedbackCardinalityModel
 
                 model = FeedbackCardinalityModel(
@@ -385,7 +443,7 @@ class Database:
                 )
                 cardinality_feedback = True
             bound, physical = self._plan(
-                sql, join_order_hint, planner_options, model
+                sql, options.join_order_hint, options.planner_options, model
             )
 
         tagging = TaggingDictionary()
@@ -409,13 +467,9 @@ class Database:
             count_tuples=count_tuples,
         )
 
-        reserve = (
-            profiler is not None
-            and profiler.mode is ProfilingMode.REGISTER_TAGGING
-        )
-        options = BackendOptions(
-            reserve_tag_register=reserve, optimize=optimize_backend,
-            qualify_tags=qualify_tags and reserve,
+        backend_options = BackendOptions(
+            reserve_tag_register=reserve, optimize=options.optimize_backend,
+            qualify_tags=options.qualify_tags and reserve,
         )
 
         # backend feedback keys are post-optimization IR positions of the
@@ -425,7 +479,7 @@ class Database:
         backend_feedback = None
         if (
             feedback is not None
-            and optimize_backend
+            and options.optimize_backend
             and feedback.matches_plan(signature)
         ):
             probabilities = feedback.branch_probabilities()
@@ -434,27 +488,22 @@ class Database:
                     branch_probability=probabilities,
                     hotness=dict(feedback.hotness),
                 )
-        query_options = options
-        if backend_feedback is not None:
-            query_options = dataclasses.replace(
-                query_options, feedback=backend_feedback
-            )
-        if inject_fault is not None:
-            # only the query region is damaged; the runtime and syslib
-            # below still compile with the clean options
-            query_options = dataclasses.replace(
-                query_options, inject_fault=inject_fault
-            )
+        # only the query region is damaged by a fault; the runtime and
+        # syslib below always compile with the clean options
+        query_options = dataclasses.replace(
+            backend_options, feedback=backend_feedback,
+            inject_fault=options.inject_fault,
+        )
 
         syslib = compile_module(
-            build_syslib_module(), program, CodeRegion.SYSLIB, options
+            build_syslib_module(), program, CodeRegion.SYSLIB, backend_options
         )
         runtime_module = build_runtime_module()
         for fn in runtime_module.functions:
             for instr in fn.all_instructions():
                 tagging.link_runtime_instruction(instr.id, fn.name)
         runtime = compile_module(
-            runtime_module, program, CodeRegion.RUNTIME, options
+            runtime_module, program, CodeRegion.RUNTIME, backend_options
         )
         query = compile_module(
             query_ir.module, program, CodeRegion.QUERY, query_options
@@ -481,68 +530,50 @@ class Database:
         )
 
     def compiled_for(
-        self,
-        sql: str,
-        *,
-        profiler: ProfilerConfig | None = None,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
-        optimize_backend: bool = True,
-        count_tuples: bool = False,
-        qualify_tags: bool = False,
-        pgo: bool = False,
+        self, sql: str, profiler: ProfilerConfig | None = None,
+        options: ExecOptions = ExecOptions(),
     ) -> CompiledQuery:
         """A compiled plan for ``sql``, via the shared LRU plan cache.
 
         The key is exactly what changes the generated code: the
-        normalized SQL fingerprint, planner knobs, tag-register
-        reservation, query-qualified tags, tuple counters, and whether
-        the compile is steered by the PGO store — a ``pgo`` plan keys
-        beside the plain one, so a stale feedback version recompiles
-        without ping-ponging against the feedback-free entry."""
+        normalized SQL fingerprint, the options' compile half and what
+        ``profiler`` instruments (:func:`_instrumentation`).  A ``pgo``
+        plan keys beside the plain one, so a stale feedback version
+        recompiles without ping-ponging against the feedback-free entry;
+        an ``inject_fault`` compile never enters the cache."""
         from repro.pgo.fingerprint import fingerprint
 
+        if options.inject_fault is not None:
+            return self._compile(sql, profiler, options)
         feedback, feedback_version = None, 0
-        if pgo:
+        if options.pgo:
             store = self._require_pgo()
             feedback, feedback_version = store.feedback(sql), store.version(sql)
-        reserve = (
-            profiler is not None
-            and profiler.mode is ProfilingMode.REGISTER_TAGGING
-        )
         key = (
-            fingerprint(sql),
-            pgo,
-            tuple(join_order_hint) if join_order_hint else None,
-            planner_options,
-            optimize_backend,
-            reserve,
-            qualify_tags,
-            count_tuples,
+            fingerprint(sql), options.compile_key(),
+            _instrumentation(profiler),
         )
         compiled = self.plan_cache.get(key, feedback_version)
         if compiled is None:
-            compiled = self._compile(
-                sql, profiler, join_order_hint, planner_options,
-                optimize_backend=optimize_backend, feedback=feedback,
-                count_tuples=count_tuples, qualify_tags=qualify_tags,
-            )
+            compiled = self._compile(sql, profiler, options, feedback=feedback)
             self.plan_cache.put(key, compiled, feedback_version)
         return compiled
 
+    def _compiled(self, query, profiler, options) -> CompiledQuery:
+        """``query`` compiled: SQL text through the plan cache, a prebuilt
+        ``(bound, physical)`` pair past it."""
+        if isinstance(query, str):
+            return self.compiled_for(query, profiler, options)
+        if options.pgo:
+            raise ReproError("pgo needs SQL text, not a prebuilt plan")
+        return self._compile("", profiler, options, prebuilt=query)
+
     def _run_compiled(
-        self,
-        compiled: CompiledQuery,
-        profiler: ProfilerConfig | None = None,
-        workers: int = 1,
-        morsel_size: int = 1024,
-        repeats: int = 1,
-        instruction_limit: int | None = None,
-        fast_vm: bool = True,
-        long_armed_roots: bool = True,
+        self, compiled: CompiledQuery, profiler: ProfilerConfig | None = None,
+        options: ExecOptions = ExecOptions(),
     ) -> PlanRun:
-        """Run a compiled query on ``workers`` private cores; returns the
-        finished :class:`~repro.pipeline.run.PlanRun`.
+        """Run a compiled query on ``options.workers`` private cores;
+        returns the finished :class:`~repro.pipeline.run.PlanRun`.
 
         Every morsel goes to the core with the smallest simulated clock
         (greedy least-loaded scheduling), and the cores are this query's
@@ -552,36 +583,30 @@ class Database:
 
         All run-time memory (worker stacks, query state, kernel
         allocations) is released afterwards, so a cached plan can run any
-        number of times without growing the bump allocator.
-        ``long_armed_roots=False`` runs the armed translation fleet shards
-        use (:class:`~repro.vm.machine.Machine`)."""
-        if workers < 1:
-            raise ReproError("workers must be >= 1")
-        if repeats < 1:
-            raise ReproError("repeats must be >= 1")
-        if morsel_size < 1:
-            raise ReproError("morsel_size must be >= 1")
+        number of times without growing the bump allocator."""
+        workers = options.workers
         mark = self.memory.mark()
         try:
             pmu = profiler.pmu_config() if profiler is not None else None
             machines = [
                 Machine(
                     compiled.program, self.memory, pmu_config=pmu,
-                    kernel=compiled.kernel, fast_vm=fast_vm,
-                    long_armed_roots=long_armed_roots,
+                    kernel=compiled.kernel,
+                    fast_vm=options.fast_vm and options.inject_fault is None,
+                    long_armed_roots=options.long_armed_roots,
                 )
                 for _ in range(workers)
             ]
-            if instruction_limit is not None:
+            if options.instruction_limit is not None:
                 for machine in machines:
-                    machine.state.max_instructions = instruction_limit
+                    machine.state.max_instructions = options.instruction_limit
             run = PlanRun(
                 self, compiled,
                 self.memory.alloc(
                     compiled.query_ir.state.size_bytes, "query_state"
                 ),
-                morsel_size if workers > 1 else WHOLE_DOMAIN,
-                repeats=repeats,
+                options.morsel_size if workers > 1 else WHOLE_DOMAIN,
+                repeats=options.repeats,
             )
             run.machines.update(enumerate(machines))
             while run.pending:
@@ -655,61 +680,21 @@ class Database:
     # -- public API ----------------------------------------------------------
 
     def execute(
-        self,
-        sql: str,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
-        workers: int = 1,
-        optimize_backend: bool = True,
-        pgo: bool = False,
-        morsel_size: int = 1024,
-        inject_fault: str | None = None,
-        instruction_limit: int | None = None,
-        fast_vm: bool = True,
+        self, query, options: ExecOptions | None = None
     ) -> QueryResult:
-        """Compile and run a query; returns decoded rows.
+        """Compile (or take from the plan cache) and run a query; returns
+        decoded rows.
 
-        ``workers > 1`` runs the pipelines morsel-parallel on simulated
-        cores; ``cycles`` is then the slowest worker's clock (wall time),
-        and ``morsel_size`` sets the per-dispatch tuple count (small sizes
-        exercise the scheduler; the differential fuzzer sweeps this).
-        ``optimize_backend=False`` disables constant folding/CSE/DCE (for
-        ablation studies).  ``pgo=True`` consults the feedback store set up
-        by :meth:`enable_pgo`: recorded profiles steer join ordering, block
-        layout and spilling, and compiled plans are cached by query
-        fingerprint until fresher feedback arrives.  ``inject_fault``
-        deliberately miscompiles the query (fuzzer ground truth) and
-        ``instruction_limit`` bounds each worker's instruction count —
-        both are testing knobs, never set in normal operation.
-        ``fast_vm=False`` forces the block interpreter; faults are always
-        executed interpreted so the injected miscompile is observed
-        instruction-by-instruction."""
-        if inject_fault is not None:
-            if pgo:
-                raise ReproError("inject_fault is not supported with pgo=True")
-            # deliberately damaged compiles never enter the plan cache
-            if fast_vm:
-                warnings.warn(
-                    "inject_fault forces the tier-0 interpreter; "
-                    "fast_vm=True is ignored for this query",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            fast_vm = False
-            compiled = self._compile(
-                sql, None, join_order_hint, planner_options,
-                optimize_backend=optimize_backend, inject_fault=inject_fault,
-            )
-        else:
-            compiled = self.compiled_for(
-                sql, join_order_hint=join_order_hint,
-                planner_options=planner_options,
-                optimize_backend=optimize_backend, pgo=pgo,
-            )
-        return self._run_compiled(
-            compiled, None, workers=workers, morsel_size=morsel_size,
-            instruction_limit=instruction_limit, fast_vm=fast_vm,
-        ).result()
+        ``query`` is SQL text, or the ``(bound, physical)`` pair a non-SQL
+        frontend built (the streaming DSL): ``bound`` exposes ``.plan``
+        (the logical root) and ``.model`` (a CardinalityModel), and
+        ``physical`` is the physical root.  ``options`` is an
+        :class:`ExecOptions`; with ``workers > 1`` the pipelines run
+        morsel-parallel on simulated cores and ``cycles`` is the slowest
+        worker's clock (wall time)."""
+        options = options or ExecOptions()
+        compiled = self._compiled(query, None, options)
+        return self._run_compiled(compiled, None, options).result()
 
     # -- profile-guided optimization (repro.pgo) -----------------------------
 
@@ -740,8 +725,8 @@ class Database:
     def build_profile(self, config, run: PlanRun) -> Profile:
         """Attribute a run's samples and assemble its :class:`Profile`.
 
-        The one path from PMU samples to a profile: ``profile`` and
-        ``profile_plan`` feed it a finished run, the serve tier's
+        The one path from PMU samples to a profile: ``profile`` feeds
+        it a finished run, the serve tier's
         continuous profiler feeds it every completed query.  The run's
         ``(core, Sample)`` stream arrives in dispatch order and is merged
         by timestamp, equal timestamps by core."""
@@ -775,85 +760,35 @@ class Database:
             estimates=compiled.estimates,
         )
 
-    def _profiled_run(
-        self, sql, config: ProfilerConfig, workers, repeats, fast_vm,
-        **compile_options,
-    ) -> Profile:
-        """Compile past the plan cache (``compile_options`` are
-        :meth:`_compile`'s) with the PMU armed, run, build the Profile."""
-        compiled = self._compile(
-            sql, config, count_tuples=config.count_tuples, **compile_options
-        )
-        return self.build_profile(config, self._run_compiled(
-            compiled, config, workers, repeats=repeats, fast_vm=fast_vm,
-        ))
-
     def profile(
-        self,
-        sql: str,
-        config: ProfilerConfig | None = None,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
-        workers: int = 1,
-        repeats: int = 1,
-        pgo: bool = False,
-        fast_vm: bool = True,
+        self, query, config: ProfilerConfig | None = None,
+        options: ExecOptions | None = None,
     ) -> Profile:
         """Run a query with the PMU armed; returns a Profile for reports.
 
-        With ``workers > 1`` every simulated core has its own PMU and
-        sample buffer; attributions carry the worker index and the merged
-        sample stream feeds all reports.  ``repeats`` re-runs the compiled
-        pipelines in the same session — the iterative-dataflow case whose
-        iterations post-processing separates by timestamp (§4.2.6).
+        ``query`` and ``options`` are :meth:`execute`'s, and the plan comes
+        from the same cache: a profiled run is the normal compiled run
+        with the tag register reserved.  With ``workers > 1`` every
+        simulated core has its own PMU and sample buffer; attributions
+        carry the worker index and the merged sample stream feeds all
+        reports.  ``repeats`` re-runs the compiled pipelines in the same
+        session — the iterative-dataflow case whose iterations
+        post-processing separates by timestamp (§4.2.6).
 
         ``pgo=True`` closes the feedback loop: tuple counters are planted
         in the generated code, existing feedback steers this compile, and
         the run's own samples are recorded back into the store."""
         config = config or ProfilerConfig()
-        feedback = None
-        if pgo:
-            store = self._require_pgo()
-            feedback = store.feedback(sql)
-            if not config.count_tuples:
-                config = dataclasses.replace(config, count_tuples=True)
-        profile = self._profiled_run(
-            sql, config, join_order_hint=join_order_hint,
-            planner_options=planner_options, workers=workers,
-            repeats=repeats, feedback=feedback, fast_vm=fast_vm,
+        options = options or ExecOptions()
+        if options.pgo and not config.count_tuples:
+            config = dataclasses.replace(config, count_tuples=True)
+        run = self._run_compiled(
+            self._compiled(query, config, options), config, options
         )
-        if pgo:
+        profile = self.build_profile(config, run)
+        if options.pgo:
             self.pgo_store.record(profile)
         return profile
-
-    # -- prebuilt-plan entry points (for non-SQL frontends) -----------------
-
-    def execute_plan(
-        self, bound, physical, workers: int = 1, fast_vm: bool = True
-    ) -> QueryResult:
-        """Run a plan built by a non-SQL frontend (e.g. the streaming DSL).
-
-        ``bound`` must expose ``.plan`` (the logical root) and ``.model``
-        (a CardinalityModel); ``physical`` is the physical root."""
-        return self._run_compiled(
-            self._compile("", None, prebuilt=(bound, physical)),
-            workers=workers, fast_vm=fast_vm,
-        ).result()
-
-    def profile_plan(
-        self,
-        bound,
-        physical,
-        config: ProfilerConfig | None = None,
-        workers: int = 1,
-        repeats: int = 1,
-        fast_vm: bool = True,
-    ) -> Profile:
-        """Profile a plan built by a non-SQL frontend."""
-        return self._profiled_run(
-            "", config or ProfilerConfig(), prebuilt=(bound, physical),
-            workers=workers, repeats=repeats, fast_vm=fast_vm,
-        )
 
     def execute_interpreted(
         self,

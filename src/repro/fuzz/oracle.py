@@ -33,11 +33,14 @@ text (:func:`vm_parity_profiler`).  Any divergence is a disagreement.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 import math
 import zlib
 from dataclasses import dataclass, field
 
+from repro.engine import ExecOptions
 from repro.errors import CatalogError, PlanError, ReproError, SqlError
 from repro.plan.physical import PlannerOptions
 
@@ -204,57 +207,34 @@ class DifferentialOracle:
     def outcomes_for(self, sql: str, aliases: list[str]) -> list[Outcome]:
         db = self.db
         fault = self.inject_fault
-        limit = self.instruction_limit
-        runs: list[tuple[str, object]] = [
-            (
-                "compiled-w1",
-                lambda: db.execute(
-                    sql, inject_fault=fault, instruction_limit=limit
-                ),
-            ),
-            (
-                "compiled-w4-m7",
-                lambda: db.execute(
-                    sql, workers=4, morsel_size=7,
-                    inject_fault=fault, instruction_limit=limit,
-                ),
-            ),
-            ("interpreted", lambda: db.execute_interpreted(sql)),
-            (
-                "compiled-novm",
-                lambda: db.execute(
-                    sql, fast_vm=False,
-                    inject_fault=fault, instruction_limit=limit,
-                ),
-            ),
-            (
-                "unoptimized",
-                lambda: db.execute(
-                    sql, optimize_backend=False,
-                    inject_fault=fault, instruction_limit=limit,
-                ),
-            ),
-            (
-                "groupjoin",
-                lambda: db.execute(
-                    sql,
-                    planner_options=PlannerOptions(enable_groupjoin=True),
-                    inject_fault=fault, instruction_limit=limit,
-                ),
-            ),
+        executors = [
+            ("compiled-w1", ExecOptions()),
+            ("compiled-w4-m7", ExecOptions(workers=4, morsel_size=7)),
+            ("interpreted", None),
+            ("compiled-novm", ExecOptions(fast_vm=False)),
+            ("unoptimized", ExecOptions(optimize_backend=False)),
+            ("groupjoin", ExecOptions(
+                planner_options=PlannerOptions(enable_groupjoin=True)
+            )),
         ]
         if len(aliases) > 1:
             hints = list(itertools.permutations(aliases))[: self.max_hints]
-            for i, hint in enumerate(hints):
-                order = list(hint)
-                runs.append((
-                    f"hint[{','.join(order)}]",
-                    lambda order=order: db.execute(
-                        sql, join_order_hint=order,
-                        inject_fault=fault, instruction_limit=limit,
-                    ),
-                ))
-        outcomes = [self._run(config, thunk) for config, thunk in runs]
+            executors.extend(
+                (f"hint[{','.join(hint)}]", ExecOptions(join_order_hint=hint))
+                for hint in hints
+            )
+        outcomes = []
+        for config, options in executors:
+            if options is None:
+                thunk = functools.partial(db.execute_interpreted, sql)
+            else:
+                # the fault and the budget reach every compiled executor
+                options = dataclasses.replace(
+                    options, inject_fault=fault,
+                    instruction_limit=self.instruction_limit,
+                )
+                thunk = functools.partial(db.execute, sql, options)
+            outcomes.append(self._run(config, thunk))
         if self.storage_twins and fault is None:
             outcomes.extend(self._storage_outcomes(sql))
         if self.fleet_twins and fault is None:
@@ -277,9 +257,9 @@ class DifferentialOracle:
         for name, twin in self.storage_twins.items():
 
             def thunk(name=name, twin=twin):
-                result = twin.execute(
-                    sql, instruction_limit=self.instruction_limit
-                )
+                result = twin.execute(sql, ExecOptions(
+                    instruction_limit=self.instruction_limit
+                ))
                 results[name] = result
                 return result
 
@@ -376,11 +356,12 @@ class DifferentialOracle:
         saved_store = db.pgo_store
         db.enable_pgo()
         try:
+            pgo = ExecOptions(pgo=True)
             profiled = self._run(
-                "pgo-profile", lambda: db.profile(sql, pgo=True).result
+                "pgo-profile", lambda: db.profile(sql, None, pgo).result
             )
-            cold = self._run("pgo-cold", lambda: db.execute(sql, pgo=True))
-            warm = self._run("pgo-warm", lambda: db.execute(sql, pgo=True))
+            cold = self._run("pgo-cold", lambda: db.execute(sql, pgo))
+            warm = self._run("pgo-warm", lambda: db.execute(sql, pgo))
             return [profiled, cold, warm]
         finally:
             db.pgo_store = saved_store
@@ -474,30 +455,31 @@ class DifferentialOracle:
         return Outcome(config, "rows", rows=list(concurrent[0].rows))
 
     def _vm_signature(
-        self, sql: str, fast_vm: bool, config: str,
-        hot_entries: int | None = None, long_armed_roots: bool = True,
+        self, sql: str, options: ExecOptions, config: str,
+        hot_entries: int | None = None,
     ) -> Outcome:
         """Run once armed and fold the complete machine state into rows.
 
         The "rows" of this outcome are the counter tuple followed by every
         PMU sample, so the generic bag comparison would be useless — the
-        caller compares signatures for exact equality instead.
-        ``hot_entries`` replaces the translation's heat threshold, and
-        ``long_armed_roots`` picks the translation it runs."""
+        caller compares signatures for exact equality instead.  Each
+        signature runs a plan of its own (compiled from the prebuilt
+        pair, past the plan cache), so every schedule starts from an
+        untranslated program: ``hot_entries`` replaces its heat
+        threshold, and ``options.long_armed_roots`` picks the translation
+        it runs."""
         from repro.vm.translate import translation_for
 
         db = self.db
         profiler = vm_parity_profiler(sql)
         try:
-            compiled = db._compile(sql, profiler)
+            compiled = db._compiled(db._plan(sql), profiler, options)
             if hot_entries is not None:
                 translation_for(
-                    compiled.program, profiler.pmu_config(), long_armed_roots
+                    compiled.program, profiler.pmu_config(),
+                    options.long_armed_roots,
                 ).hot_entries = hot_entries
-            run = db._run_compiled(
-                compiled, profiler, fast_vm=fast_vm,
-                long_armed_roots=long_armed_roots,
-            )
+            run = db._run_compiled(compiled, profiler, options)
         except PlanError as exc:
             return Outcome(config, "error", error=f"PlanError: {exc}")
         except Exception as exc:  # noqa: BLE001 - compared against twin
@@ -521,11 +503,13 @@ class DifferentialOracle:
         whatever the heat threshold (1: every entered block compiles; the
         default: loops hand over mid-run) and whichever armed roots run
         (long, or short as on fleet shards)."""
-        slow = self._vm_signature(sql, False, "vm-parity[interp]")
+        slow = self._vm_signature(
+            sql, ExecOptions(fast_vm=False), "vm-parity[interp]"
+        )
         signed = [
             self._vm_signature(
-                sql, True, f"vm-parity[{heat}{roots}]",
-                hot_entries=hot_entries, long_armed_roots=not roots,
+                sql, ExecOptions(long_armed_roots=not roots),
+                f"vm-parity[{heat}{roots}]", hot_entries=hot_entries,
             )
             for heat, hot_entries in (("fast", 1), ("mixed", None))
             for roots in ("", "-short")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.catalog import DataType
-from repro.engine import ProfilerConfig, ProfilingMode
+from repro.engine import ExecOptions, ProfilerConfig, ProfilingMode
 from repro.errors import InstructionBudgetExceeded, ReproError, VMError
 from repro.pipeline.run import Unit
 from repro.serve.admission import AdmissionController, QueryRequest
@@ -120,6 +120,14 @@ class QueryService:
         self.config = config or ServiceConfig()
         if self.config.workers < 1:
             raise ReproError("service needs at least one worker")
+        # how every query of this service compiles and runs (one query
+        # runs on shared workers, so ``ExecOptions.workers`` stays 1)
+        self.options = ExecOptions(
+            qualify_tags=self.config.profiling,
+            morsel_size=self.config.morsel_size,
+            fast_vm=self.config.fast_vm,
+            long_armed_roots=self.config.long_armed_roots,
+        )
         self.workers = [Worker(i) for i in range(self.config.workers)]
         self.sessions = SessionManager(self, seed=self.config.seed)
         self.admission = AdmissionController(max_queue=self.config.max_queue)
@@ -281,16 +289,7 @@ class QueryService:
     # -- scheduling internals ------------------------------------------------
 
     def _compile(self, sql: str):
-        return self.db.compiled_for(
-            sql,
-            profiler=self._profiler_config,
-            qualify_tags=self._profiler_config is not None,
-            count_tuples=(
-                self._profiler_config.count_tuples
-                if self._profiler_config is not None
-                else False
-            ),
-        )
+        return self.db.compiled_for(sql, self._profiler_config, self.options)
 
     def _ensure_epoch(self) -> None:
         if self._epoch_mark is None:
@@ -322,7 +321,7 @@ class QueryService:
                     compiled.query_ir.state.size_bytes, "serve_state"
                 ),
                 admit_tsc=min(w.state.cycles for w in self.workers),
-                morsel_size=self.config.morsel_size,
+                morsel_size=self.options.morsel_size,
             )
             self.inflight[execution.query_id] = execution
 
@@ -355,8 +354,8 @@ class QueryService:
                 self.db.memory,
                 pmu_config=pmu,
                 kernel=execution.compiled.kernel,
-                fast_vm=self.config.fast_vm,
-                long_armed_roots=self.config.long_armed_roots,
+                fast_vm=self.options.fast_vm,
+                long_armed_roots=self.options.long_armed_roots,
             )
         worker.bind(machine)
         if self._profiler_config is not None:

@@ -1,10 +1,11 @@
 """The EventFlow DSL: chainable dataflow stages over one event table.
 
 Stages build a logical plan (the dataflow graph); ``run``/``profile`` lower
-it through the shared stack.  Every physical operator gets a DSL-flavoured
-label so all profiling reports — annotated plan, pipelines, timelines,
-exports — speak the DSL's vocabulary (the whole point of abstraction-
-appropriate profiling).
+it through the shared stack: they hand the ``(bound, physical)`` pair to
+``Database.execute``/``profile``, with the same ``ExecOptions`` SQL takes.
+Every physical operator gets a DSL-flavoured label so all profiling
+reports — annotated plan, pipelines, timelines, exports — speak the DSL's
+vocabulary (the whole point of abstraction-appropriate profiling).
 
 Example::
 
@@ -16,7 +17,7 @@ Example::
                        totals={"revenue": "sum(revenue)", "n": "count(*)"})
             .order_by("window_start", "l_returnflag"))
     result = flow.run()
-    profile = flow.profile()
+    profile = flow.profile(options=ExecOptions(repeats=2))
 """
 
 from __future__ import annotations
@@ -342,9 +343,8 @@ class EventFlow:
         _, physical = self._lower()
         return explain_physical(physical)
 
-    def run(self, workers: int = 1):
-        bound, physical = self._lower()
-        return self._db.execute_plan(bound, physical, workers=workers)
+    def run(self, options=None):
+        return self._db.execute(self._lower(), options)
 
     def run_interpreted(self):
         """Reference-interpreter execution (the testing oracle)."""
@@ -354,11 +354,8 @@ class EventFlow:
         raw = Interpreter().run(physical)
         return self._db.decode_rows(raw, physical.columns)
 
-    def profile(self, config=None, workers: int = 1, repeats: int = 1):
-        bound, physical = self._lower()
-        return self._db.profile_plan(
-            bound, physical, config=config, workers=workers, repeats=repeats
-        )
+    def profile(self, config=None, options=None):
+        return self._db.profile(self._lower(), config, options)
 
 
 class _FlowPlan:

@@ -35,7 +35,7 @@ import math
 import time
 from pathlib import Path
 
-from repro.engine import Database, ProfilerConfig
+from repro.engine import Database, ExecOptions, ProfilerConfig
 
 #: queries spanning the interesting regimes: tight aggregation loops (q1,
 #: q6), join-heavy plans (q9, q18), EXISTS/anti-join control flow (q4,
@@ -52,8 +52,9 @@ WARM_RUNS = 7
 
 def _timed_run(db, compiled, fast_vm: bool, profiler=None):
     """One run: ``(seconds, rows, counters, translation stats)``."""
+    options = ExecOptions(fast_vm=fast_vm)
     started = time.perf_counter()
-    run = db._run_compiled(compiled, profiler, fast_vm=fast_vm)
+    run = db._run_compiled(compiled, profiler, options)
     elapsed = time.perf_counter() - started
     result = run.result()
     return (
@@ -83,7 +84,7 @@ def run_vm_bench(
         sql = ALL_QUERIES[name].sql
         db = Database.tpch(scale=scale, seed=seed)
         started = time.perf_counter()
-        compiled = db._compile(sql, None)
+        compiled = db.compiled_for(sql)
         compile_s = time.perf_counter() - started
 
         # first run of a fresh Program: what it translates, it
@@ -103,7 +104,7 @@ def run_vm_bench(
         # the sampler left on: a copy compiled for the default profiler;
         # the loops compile in the first of two untimed runs
         profiler = ProfilerConfig()
-        armed = db._compile(sql, profiler)
+        armed = db.compiled_for(sql, profiler)
         armed_runs = [
             _timed_run(db, armed, True, profiler=profiler)
             for _ in range(2 + repeats)

@@ -73,6 +73,19 @@ def test_parallel_execution_via_cli():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["--query", "q6", "--workers", "0"],
+    ["--query", "q6", "--profile", "--period", "0"],
+    ["serve", "--synthetic", "--workers", "0"],
+    ["serve", "--synthetic", "--morsel-size", "0"],
+    ["serve", "--synthetic", "--period", "0"],
+])
+def test_an_invalid_knob_is_one_line_and_exit_2(argv):
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
 def test_parser_rejects_missing_source():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
@@ -106,12 +119,12 @@ def test_cli_save_session(tmp_path):
 
 
 def test_cli_pgo_report(tmp_path):
-    from repro import Database
+    from repro import Database, ExecOptions
 
     store_dir = tmp_path / "pgo"
     db = Database.tpch(scale=0.0005, seed=42)
     db.enable_pgo(str(store_dir))
-    db.profile("select count(*) n from nation", pgo=True)
+    db.profile("select count(*) n from nation", options=ExecOptions(pgo=True))
     code, text = run_cli(["pgo", str(store_dir)])
     assert code == 0
     assert "1 profiled run(s)" in text
@@ -138,12 +151,12 @@ def test_cli_dot_export(tmp_path):
 
 
 def test_cli_pgo_fingerprint_filter(tmp_path):
-    from repro import Database
+    from repro import Database, ExecOptions
 
     store_dir = tmp_path / "pgo"
     db = Database.tpch(scale=0.0005, seed=42)
     db.enable_pgo(str(store_dir))
-    db.profile("select count(*) n from nation", pgo=True)
+    db.profile("select count(*) n from nation", options=ExecOptions(pgo=True))
     code, text = run_cli([
         "pgo", str(store_dir), "--fingerprint", "not-a-real-fingerprint",
     ])

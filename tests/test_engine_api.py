@@ -126,8 +126,8 @@ def test_single_row_aggregates():
 
 
 def test_profiler_config_validation():
-    with pytest.raises(ValueError):
-        ProfilerConfig(period=0).pmu_config()
+    with pytest.raises(ReproError, match="sampling period"):
+        ProfilerConfig(period=0)
 
 
 def test_repeated_profiles_are_deterministic():
@@ -135,6 +135,7 @@ def test_repeated_profiles_are_deterministic():
     sql = "select s, sum(m) v from t group by s order by s"
     first = db.profile(sql)
     second = db.profile(sql)
+    assert second.program is first.program  # the cached plan, run again
     assert first.result.rows == second.result.rows
     assert len(first.samples) == len(second.samples)
     assert [s.tsc for s in first.samples] == [s.tsc for s in second.samples]

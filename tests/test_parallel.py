@@ -7,7 +7,7 @@ least-loaded worker; pipelines end in barriers.
 
 import pytest
 
-from repro import Database, ProfilerConfig
+from repro import Database, ExecOptions, ProfilerConfig
 from repro.data.queries import ALL_QUERIES, FIG9_QUERY
 
 from tests.conftest import rows_match
@@ -18,27 +18,27 @@ def test_parallel_results_match_serial(tpch_db, workers):
     for name in ("q1", "q6", "q12", "q14"):
         sql = ALL_QUERIES[name].sql
         serial = tpch_db.execute(sql)
-        parallel = tpch_db.execute(sql, workers=workers)
+        parallel = tpch_db.execute(sql, ExecOptions(workers=workers))
         assert rows_match(parallel.rows, serial.rows), name
 
 
 def test_tiny_morsels_share_one_membership_bitmap(tpch_db):
     """q14's LIKE bitmap sits in the state block all workers share."""
     sql = ALL_QUERIES["q14"].sql
-    parallel = tpch_db.execute(sql, workers=4, morsel_size=7)
+    parallel = tpch_db.execute(sql, ExecOptions(workers=4, morsel_size=7))
     assert rows_match(parallel.rows, tpch_db.execute_interpreted(sql).rows)
 
 
 def test_parallel_join_query_matches(tpch_db):
     serial = tpch_db.execute(FIG9_QUERY.sql)
-    parallel = tpch_db.execute(FIG9_QUERY.sql, workers=3)
+    parallel = tpch_db.execute(FIG9_QUERY.sql, ExecOptions(workers=3))
     assert rows_match(parallel.rows, serial.rows)
 
 
 def test_parallel_is_faster_in_wall_clock(tpch_db):
     sql = ALL_QUERIES["q1"].sql
     serial = tpch_db.execute(sql)
-    parallel = tpch_db.execute(sql, workers=4)
+    parallel = tpch_db.execute(sql, ExecOptions(workers=4))
     # wall time (slowest worker) drops; total instructions stay comparable
     assert parallel.cycles < serial.cycles * 0.6
     assert parallel.instructions == pytest.approx(serial.instructions, rel=0.05)
@@ -46,22 +46,25 @@ def test_parallel_is_faster_in_wall_clock(tpch_db):
 
 def test_parallel_speedup_scales(tpch_db):
     sql = ALL_QUERIES["q1"].sql
-    times = {w: tpch_db.execute(sql, workers=w).cycles for w in (1, 2, 4)}
+    times = {
+        w: tpch_db.execute(sql, ExecOptions(workers=w)).cycles
+        for w in (1, 2, 4)
+    }
     assert times[2] < times[1]
     assert times[4] < times[2]
     speedup4 = times[1] / times[4]
     assert 2.0 < speedup4 <= 4.5
 
 
-def test_workers_validation(tpch_db):
+def test_workers_validation():
     from repro.errors import ReproError
 
     with pytest.raises(ReproError):
-        tpch_db.execute("select count(*) c from nation", workers=0)
+        ExecOptions(workers=0)
 
 
 def test_parallel_profile_merges_worker_samples(tpch_db):
-    profile = tpch_db.profile(FIG9_QUERY.sql, workers=3)
+    profile = tpch_db.profile(FIG9_QUERY.sql, options=ExecOptions(workers=3))
     assert profile.workers == 3
     worker_ids = {a.worker for a in profile.attributions}
     assert len(worker_ids) >= 2, "several workers must have taken samples"
@@ -76,7 +79,7 @@ def test_parallel_profile_merges_worker_samples(tpch_db):
 
 def test_parallel_profile_attribution_matches_serial_shape(tpch_db):
     serial = tpch_db.profile(FIG9_QUERY.sql)
-    parallel = tpch_db.profile(FIG9_QUERY.sql, workers=4)
+    parallel = tpch_db.profile(FIG9_QUERY.sql, options=ExecOptions(workers=4))
     serial_costs = {op.kind: s for op, s in serial.operator_costs().items()}
     parallel_costs = {op.kind: s for op, s in parallel.operator_costs().items()}
     for kind in ("hashjoin", "groupby"):
@@ -91,14 +94,16 @@ def test_parallel_ordered_output_preserved(tpch_db):
         "group by l_orderkey order by q desc, l_orderkey limit 25"
     )
     serial = tpch_db.execute(sql)
-    parallel = tpch_db.execute(sql, workers=4)
+    parallel = tpch_db.execute(sql, ExecOptions(workers=4))
     assert parallel.rows == serial.rows  # sorted output stays ordered
 
 
 def test_worker_timeline_render(tpch_db):
     from repro.profiling.reports import render_worker_timeline
 
-    profile = tpch_db.profile(ALL_QUERIES["q1"].sql, workers=3)
+    profile = tpch_db.profile(
+        ALL_QUERIES["q1"].sql, options=ExecOptions(workers=3)
+    )
     text = render_worker_timeline(profile, bins=20)
     assert text.count("worker") >= 2
     lanes = [line for line in text.splitlines() if line.startswith("worker")]
@@ -114,14 +119,18 @@ def test_parallel_groupjoin(tpch_db):
         "where o_orderkey = l_orderkey group by o_orderkey"
     )
     options = PlannerOptions(enable_groupjoin=True)
-    serial = tpch_db.execute(sql, planner_options=options)
-    parallel = tpch_db.execute(sql, planner_options=options, workers=3)
+    serial = tpch_db.execute(sql, ExecOptions(planner_options=options))
+    parallel = tpch_db.execute(
+        sql, ExecOptions(planner_options=options, workers=3)
+    )
     assert rows_match(parallel.rows, serial.rows)
 
 
 def test_parallel_with_repeats(tpch_db):
     """Morsel parallelism and iterative execution compose."""
-    profile = tpch_db.profile(ALL_QUERIES["q1"].sql, workers=3, repeats=2)
+    profile = tpch_db.profile(
+        ALL_QUERIES["q1"].sql, options=ExecOptions(workers=3, repeats=2)
+    )
     assert profile.workers == 3
     iterations = profile.iterations()
     assert len(iterations) == 2

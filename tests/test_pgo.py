@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro import Database
+from repro import Database, ExecOptions
 from repro.backend.feedback import BackendFeedback
 from repro.backend.isel import select_function
 from repro.backend.regalloc import _vreg_weights, allocate_function
@@ -35,6 +35,7 @@ where l_orderkey = o_orderkey and l_partkey = ps_partkey
 """
 ORDERS_FIRST = ["lineitem", "orders", "partsupp"]
 PARTSUPP_FIRST = ["lineitem", "partsupp", "orders"]
+PGO = ExecOptions(pgo=True)
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +98,7 @@ def test_plan_signature_distinguishes_plans(db):
 def test_extracted_cardinalities_match_interpreter(db):
     sql = ALL_QUERIES["q5"].sql
     store = db.enable_pgo()
-    profile = db.profile(sql, pgo=True)
+    profile = db.profile(sql, options=PGO)
     feedback = store.feedback(sql)
     assert feedback is not None and feedback.cardinalities
 
@@ -193,7 +194,7 @@ def test_feedback_model_overrides_estimates(db):
 def test_cardinality_feedback_flips_join_order(db):
     sql = ALL_QUERIES["q8"].sql
     store = db.enable_pgo()
-    db.profile(sql, pgo=True)
+    db.profile(sql, options=PGO)
     feedback = store.feedback(sql)
     _, default_plan = db._plan(sql)
     _, informed_plan = db._plan(
@@ -203,17 +204,19 @@ def test_cardinality_feedback_flips_join_order(db):
     # the observed count moves the part join to the bottom of the tree
     assert plan_signature(default_plan) != plan_signature(informed_plan)
     r_off = db.execute(sql)
-    r_on = db.execute(sql, pgo=True)
+    r_on = db.execute(sql, PGO)
     assert r_off.rows == r_on.rows
 
 
 def test_pgo_picks_cheaper_plan_from_bad_hints_observations(db):
     store = db.enable_pgo()  # fresh store
     # profile ONLY the losing hinted plan of the Fig. 10/11 pair
-    db.profile(PAIR_SQL, join_order_hint=PARTSUPP_FIRST, pgo=True)
-    bad = db.execute(PAIR_SQL, join_order_hint=PARTSUPP_FIRST)
-    good = db.execute(PAIR_SQL, join_order_hint=ORDERS_FIRST)
-    informed = db.execute(PAIR_SQL, pgo=True)
+    db.profile(PAIR_SQL, options=ExecOptions(
+        join_order_hint=PARTSUPP_FIRST, pgo=True
+    ))
+    bad = db.execute(PAIR_SQL, ExecOptions(join_order_hint=PARTSUPP_FIRST))
+    good = db.execute(PAIR_SQL, ExecOptions(join_order_hint=ORDERS_FIRST))
+    informed = db.execute(PAIR_SQL, PGO)
     assert informed.rows == good.rows == bad.rows
     # observed cardinalities are plan-independent, so even the bad plan's
     # profile steers the planner to the cheaper join order
@@ -353,7 +356,7 @@ def test_store_roundtrip_on_disk(db, tmp_path):
     store_dir = tmp_path / "pgo"
     store = db.enable_pgo(str(store_dir))
     sql = ALL_QUERIES["q5"].sql
-    db.profile(sql, pgo=True)
+    db.profile(sql, options=PGO)
     assert len(store) == 1
     key = fingerprint(sql)
     assert (store_dir / key / "feedback.json").exists()
@@ -364,7 +367,7 @@ def test_store_roundtrip_on_disk(db, tmp_path):
     assert reloaded.feedback(sql) == store.feedback(sql)
     assert reloaded.version(sql) == 1
 
-    db.profile(sql, pgo=True)
+    db.profile(sql, options=PGO)
     assert store.version(sql) == 2
     assert (store_dir / key / "runs" / "run_2").exists()
 
@@ -372,7 +375,7 @@ def test_store_roundtrip_on_disk(db, tmp_path):
 def test_store_lookup_by_sql_or_fingerprint(db):
     store = db.enable_pgo()
     sql = ALL_QUERIES["q5"].sql
-    db.profile(sql, pgo=True)
+    db.profile(sql, options=PGO)
     assert store.feedback(sql) is store.feedback(fingerprint(sql))
     assert store.feedback("select nothing_recorded from lineitem") is None
 
@@ -384,17 +387,20 @@ def test_plan_cache_hits_and_feedback_invalidation(db):
     db.enable_pgo()  # fresh store also clears the cache
     sql = "select count(*) c from lineitem where l_quantity > 25"
     hits, misses = db.plan_cache_hits, db.plan_cache_misses
-    first = db.execute(sql, pgo=True)
+    first = db.execute(sql, PGO)
     assert db.plan_cache_misses == misses + 1
-    second = db.execute(sql, pgo=True)
+    second = db.execute(sql, PGO)
     assert db.plan_cache_hits == hits + 1
     assert first.rows == second.rows
-    # recording fresh feedback bumps the store version -> recompile
-    db.profile(sql, pgo=True)
-    third = db.execute(sql, pgo=True)
+    # the profile compiles through the cache too (its own entry: the tag
+    # register is reserved and tuple counters are planted), and recording
+    # its feedback bumps the store version -> the next execute recompiles
+    db.profile(sql, options=PGO)
     assert db.plan_cache_misses == misses + 2
+    third = db.execute(sql, PGO)
+    assert db.plan_cache_misses == misses + 3
     assert third.rows == first.rows
-    fourth = db.execute(sql, pgo=True)
+    fourth = db.execute(sql, PGO)
     assert db.plan_cache_hits == hits + 2
     assert fourth.cycles == third.cycles  # cached plan replays identically
 
@@ -402,18 +408,18 @@ def test_plan_cache_hits_and_feedback_invalidation(db):
 def test_cache_key_separates_hints_and_options(db):
     db.enable_pgo()
     misses = db.plan_cache_misses
-    db.execute(PAIR_SQL, pgo=True)
-    db.execute(PAIR_SQL, join_order_hint=PARTSUPP_FIRST, pgo=True)
-    db.execute(PAIR_SQL, optimize_backend=False, pgo=True)
+    db.execute(PAIR_SQL, PGO)
+    db.execute(PAIR_SQL, ExecOptions(join_order_hint=PARTSUPP_FIRST, pgo=True))
+    db.execute(PAIR_SQL, ExecOptions(optimize_backend=False, pgo=True))
     assert db.plan_cache_misses == misses + 3
 
 
 def test_pgo_requires_enable():
     bare = Database()
     with pytest.raises(ReproError, match="enable_pgo"):
-        bare.execute("select 1", pgo=True)
+        bare.execute("select 1", PGO)
     with pytest.raises(ReproError, match="enable_pgo"):
-        bare.profile("select 1", pgo=True)
+        bare.profile("select 1", options=PGO)
 
 
 def test_pgo_execute_applies_the_instruction_budget():
@@ -425,10 +431,10 @@ def test_pgo_execute_applies_the_instruction_budget():
     small.enable_pgo()
     sql = "select count(*) from sales where price > 100.0"
     with pytest.raises(VMError, match="instruction budget"):
-        small.execute(sql, instruction_limit=100)
+        small.execute(sql, ExecOptions(instruction_limit=100))
     with pytest.raises(VMError, match="instruction budget"):
-        small.execute(sql, pgo=True, instruction_limit=100)
-    assert small.execute(sql, pgo=True).rows == small.execute(sql).rows
+        small.execute(sql, ExecOptions(pgo=True, instruction_limit=100))
+    assert small.execute(sql, PGO).rows == small.execute(sql).rows
 
 
 # -- tuple counters ------------------------------------------------------
@@ -439,7 +445,7 @@ def test_tuple_counters_only_when_requested(db):
     plain = db.profile(sql)
     assert plain.task_counts == {}
     db.enable_pgo()
-    counted = db.profile(sql, pgo=True)
+    counted = db.profile(sql, options=PGO)
     assert counted.task_counts
     # counters do not change the result
     assert plain.result.rows == counted.result.rows

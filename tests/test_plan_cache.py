@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import Database
+from repro import (
+    Database,
+    ExecOptions,
+    PlannerOptions,
+    ProfilerConfig,
+    ProfilingMode,
+)
 from repro.data.queries import ALL_QUERIES
 from repro.errors import ReproError
 from repro.fuzz import load_directory
@@ -80,7 +86,7 @@ def test_flavors_key_separately(db):
     plain_entries = len(db.plan_cache)
     store = db.enable_pgo()  # clears the cache
     try:
-        db.execute(OTHER, pgo=True)
+        db.execute(OTHER, ExecOptions(pgo=True))
         db.execute(OTHER)
         # the pgo compile sits in its own entry next to the plain one
         assert len(db.plan_cache) == plain_entries + 1
@@ -94,10 +100,78 @@ def test_knob_changes_are_cache_misses(db):
     db.plan_cache.clear()
     db.execute(SQL)
     misses = db.plan_cache.misses
-    db.execute(SQL, optimize_backend=False)
+    db.execute(SQL, ExecOptions(optimize_backend=False))
     assert db.plan_cache.misses == misses + 1
-    db.execute(SQL, optimize_backend=False)
+    db.execute(SQL, ExecOptions(optimize_backend=False))
     assert db.plan_cache.misses == misses + 1  # second unoptimized run hits
+
+
+@pytest.fixture
+def compiles(db, monkeypatch):
+    """Every plan :meth:`Database._compile` lowers, in order."""
+    lowered = []
+    compile_ = Database._compile
+
+    def counting(self, *args, **kwargs):
+        lowered.append(compile_(self, *args, **kwargs))
+        return lowered[-1]
+
+    monkeypatch.setattr(Database, "_compile", counting)
+    db.plan_cache.clear()
+    return lowered
+
+
+def test_run_half_shares_the_plan_compile_half_does_not(db, compiles):
+    run_half = [
+        ExecOptions(), ExecOptions(workers=3, morsel_size=7),
+        ExecOptions(repeats=2, instruction_limit=10**9),
+        ExecOptions(fast_vm=False, long_armed_roots=False),
+    ]
+    for options in run_half:
+        db.execute(SQL, options)
+    assert len(compiles) == 1
+    compile_half = [
+        ExecOptions(join_order_hint=["sales"]),
+        ExecOptions(planner_options=PlannerOptions(enable_groupjoin=True)),
+        ExecOptions(optimize_backend=False),
+        ExecOptions(qualify_tags=True),
+    ]
+    for options in compile_half:
+        db.execute(SQL, options)
+        db.execute(SQL, options)
+    assert len(compiles) == 1 + len(compile_half)
+    assert len(db.plan_cache) == 1 + len(compile_half)
+
+
+def test_profile_compiles_once_through_the_cache(db, compiles):
+    first = db.profile(SQL)
+    second = db.profile(SQL, None, ExecOptions(workers=2))
+    assert len(compiles) == 1
+    assert second.program is first.program
+    # the key holds what the config changes in the code, nothing else:
+    # sampling knobs share the plan, and call-stack sampling reserves no
+    # tag register, so it runs the plain plan
+    db.profile(SQL, ProfilerConfig(period=777, record_memaddr=True))
+    assert len(compiles) == 1
+    db.profile(SQL, ProfilerConfig(mode=ProfilingMode.CALLSTACK))
+    db.execute(SQL)
+    assert len(compiles) == 2
+
+
+def test_prebuilt_and_faulted_compiles_bypass_the_cache(db, compiles):
+    lookups = db.plan_cache.hits + db.plan_cache.misses
+    prebuilt = db._plan(SQL)
+    db.execute(prebuilt)
+    db.profile(prebuilt)
+    faulted = ExecOptions(inject_fault="invert-first-cmpeq")
+    assert db.compiled_for(SQL, None, faulted) is not db.compiled_for(
+        SQL, None, faulted
+    )
+    assert len(compiles) == 4
+    assert len(db.plan_cache) == 0
+    assert db.plan_cache.hits + db.plan_cache.misses == lookups
+    with pytest.raises(ReproError, match="prebuilt"):
+        db.execute(prebuilt, ExecOptions(pgo=True))
 
 
 def test_string_literal_case_is_part_of_the_key(db):
@@ -157,4 +231,4 @@ def test_code_is_generated_only_over_built_storage():
     with pytest.raises(ReproError, match="not finalized"):
         db.execute("SELECT 1")
     with pytest.raises(ReproError, match="not finalized"):
-        db.execute_plan(None, None)
+        db.execute((None, None))

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import ProfilerConfig
+from repro import ExecOptions, ProfilerConfig
 from repro.data.queries import ALL_QUERIES
 from repro.fuzz import build_database, load_case
 from repro.pipeline.run import WHOLE_DOMAIN
@@ -20,9 +20,9 @@ SHAPES = [(1, WHOLE_DOMAIN), (4, 97)]
 
 def assert_engine_matches_service(db, sql):
     for workers, morsel_size in SHAPES:
-        run = db._run_compiled(
-            db.compiled_for(sql), workers=workers, morsel_size=morsel_size
-        )
+        run = db._run_compiled(db.compiled_for(sql), None, ExecOptions(
+            workers=workers, morsel_size=morsel_size
+        ))
         engine = run.result()
         service = QueryService(db, ServiceConfig(
             workers=workers, morsel_size=morsel_size, profiling=False,
@@ -77,7 +77,7 @@ def test_repeats_read_counters_and_pruning_feedback_once(tpch_db):
 
     def observed(repeats):
         before = {k: (v.considered, v.skipped) for k, v in stats.items()}
-        profile = tpch_db.profile(sql, config, repeats=repeats)
+        profile = tpch_db.profile(sql, config, ExecOptions(repeats=repeats))
         delta = {
             key: (
                 value.considered - before.get(key, (0, 0))[0],

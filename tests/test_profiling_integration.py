@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro import Database, Event, PlannerOptions, ProfilerConfig, ProfilingMode
+from repro import (
+    Database,
+    Event,
+    ExecOptions,
+    PlannerOptions,
+    ProfilerConfig,
+    ProfilingMode,
+)
 from repro.data.queries import EXAMPLE_QUERY, FIG9_QUERY
 from repro.plan.physical import PhysicalGroupBy, PhysicalHashJoin, PhysicalScan
 from repro.profiling.postprocess import CATEGORY_OPERATOR
@@ -181,13 +188,15 @@ def test_groupjoin_profile_and_correctness(tpch_db):
         "where o_orderkey = l_orderkey group by o_orderkey"
     )
     options = PlannerOptions(enable_groupjoin=True)
-    fused = tpch_db.execute(sql, planner_options=options)
+    fused = tpch_db.execute(sql, ExecOptions(planner_options=options))
     oracle = tpch_db.execute_interpreted(sql, planner_options=options)
     plain = tpch_db.execute(sql)
     assert rows_match(fused.rows, oracle.rows)
     assert rows_match(sorted(fused.rows), sorted(plain.rows))
 
-    profile = tpch_db.profile(sql, planner_options=options)
+    profile = tpch_db.profile(
+        sql, options=ExecOptions(planner_options=options)
+    )
     task_labels = {t.role for t in profile.task_costs()}
     assert any("groupjoin" in role for role in task_labels)
 

@@ -11,7 +11,8 @@ empty partitions (a filter that leaves nothing).
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import Column, DataType, Database, Schema
+from repro import Column, DataType, Database, ExecOptions, Schema
+from repro.errors import ReproError
 
 from tests.conftest import rows_match
 
@@ -58,7 +59,8 @@ def test_grouped_aggregates_invariant_under_scheduling(rows, workers, morsel):
         "from t as t group by t.k"
     )
     reference = db.execute(sql).rows
-    parallel = db.execute(sql, workers=workers, morsel_size=morsel).rows
+    options = ExecOptions(workers=workers, morsel_size=morsel)
+    parallel = db.execute(sql, options).rows
     assert rows_match(parallel, reference, rel=1e-7)
 
 
@@ -73,7 +75,8 @@ def test_scalar_aggregates_over_empty_filter(rows, workers):
         "from t as t where t.v > 1000"
     )
     reference = db.execute(sql).rows
-    parallel = db.execute(sql, workers=workers, morsel_size=1).rows
+    options = ExecOptions(workers=workers, morsel_size=1)
+    parallel = db.execute(sql, options).rows
     assert parallel == reference
     assert reference[0][0] == 0
 
@@ -91,13 +94,14 @@ def test_single_hot_group_skew(rows):
     reference = db.execute(sql).rows
     for workers, morsel in [(2, 1), (4, 3), (4, 1024)]:
         assert rows_match(
-            db.execute(sql, workers=workers, morsel_size=morsel).rows,
+            db.execute(
+                sql, ExecOptions(workers=workers, morsel_size=morsel)
+            ).rows,
             reference,
             rel=1e-7,
         )
 
 
 def test_morsel_size_must_be_positive():
-    db = _database([(1, 1, 1.0)])
-    with pytest.raises(Exception):
-        db.execute("select count(*) as c from t as t", morsel_size=0)
+    with pytest.raises(ReproError, match="morsel_size"):
+        ExecOptions(morsel_size=0)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Event, ProfilerConfig
+from repro import Event, ExecOptions, ProfilerConfig
 from repro.data.queries import FIG9_QUERY
 from repro.profiling import reports
 
@@ -146,8 +146,12 @@ def test_compare_profiles_report(tpch_db):
         "where l_orderkey = o_orderkey and l_partkey = ps_partkey "
         "and l_suppkey = ps_suppkey and o_orderdate < date '1994-06-01'"
     )
-    a = tpch_db.profile(sql, join_order_hint=["lineitem", "orders", "partsupp"])
-    b = tpch_db.profile(sql, join_order_hint=["lineitem", "partsupp", "orders"])
+    a = tpch_db.profile(sql, options=ExecOptions(
+        join_order_hint=["lineitem", "orders", "partsupp"]
+    ))
+    b = tpch_db.profile(sql, options=ExecOptions(
+        join_order_hint=["lineitem", "partsupp", "orders"]
+    ))
     text = compare_profiles(a, b)
     assert "plan A" in text and "plan B" in text
     assert "cycles (wall)" in text

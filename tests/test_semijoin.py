@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Column, DataType, Database, Schema
+from repro import Column, DataType, Database, ExecOptions, Schema
 from repro.errors import SqlError
 from repro.plan.logical import LogicalSemiJoin
 from repro.plan.physical import PhysicalSemiJoin
@@ -152,7 +152,7 @@ def test_semi_join_parallel_execution(tpch_db):
 
     sql = ALL_QUERIES["q4"].sql
     serial = tpch_db.execute(sql)
-    parallel = tpch_db.execute(sql, workers=3)
+    parallel = tpch_db.execute(sql, ExecOptions(workers=3))
     assert rows_match(parallel.rows, serial.rows)
 
 

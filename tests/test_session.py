@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import ProfilerConfig, ProfilingMode
+from repro import ExecOptions, ProfilerConfig, ProfilingMode
 from repro.data.queries import FIG9_QUERY
 from repro.errors import ProfilingError
 from repro.profiling.session import load_session, save_session
@@ -86,7 +86,7 @@ def _walk(attribution):
     ProfilerConfig(mode=ProfilingMode.NONE),
 ], ids=["register-tagging", "callstack", "crosscheck", "plain"])
 def test_offline_attributions_equal_live_per_sample(tpch_db, tmp_path, config):
-    profile = tpch_db.profile(FIG9_QUERY.sql, config, workers=2)
+    profile = tpch_db.profile(FIG9_QUERY.sql, config, ExecOptions(workers=2))
     save_session(profile, tmp_path)
     session = load_session(tmp_path)
     assert len(session.attributions) == len(profile.attributions) > 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Column, DataType, Database, Schema
+from repro import Column, DataType, Database, ExecOptions, Schema
 from repro.errors import SqlError
 from repro.streaming import EventFlow
 
@@ -111,9 +111,9 @@ def test_reports_use_dsl_vocabulary(events_db):
 def test_flow_parallel_and_repeats(events_db):
     flow = basic_flow(events_db)
     serial = flow.run()
-    parallel = basic_flow(events_db).run(workers=3)
+    parallel = basic_flow(events_db).run(ExecOptions(workers=3))
     assert rows_match(parallel.rows, serial.rows)
-    profile = basic_flow(events_db).profile(repeats=2)
+    profile = basic_flow(events_db).profile(options=ExecOptions(repeats=2))
     assert len(profile.iterations()) == 2
 
 

@@ -15,7 +15,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro import Database
+from repro import Database, ExecOptions
 from repro.errors import VMError
 from repro.vm import costs, translate
 from repro.vm.isa import (
@@ -298,7 +298,7 @@ def test_query_results_carry_the_effective_tier(db):
     first = db.execute(SQL)
     second = db.execute(SQL)
     assert first.tier == second.tier == 2
-    interpreted = db.execute(SQL, fast_vm=False)
+    interpreted = db.execute(SQL, ExecOptions(fast_vm=False))
     assert interpreted.tier == 0 and interpreted.translation is None
     # the treatment is wall-clock only: simulated counters are identical
     for result in (cold, first, second):

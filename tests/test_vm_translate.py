@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.engine import Database, ProfilerConfig, ProfilingMode
+from repro.engine import Database, ExecOptions, ProfilerConfig, ProfilingMode
 from repro.errors import VMError
 from repro.data.queries import ALL_QUERIES
 from repro.fuzz import load_case, replay_case
@@ -1654,9 +1654,9 @@ def everything_simulated(
     translation = translation_for(compiled.program, pmu, long_armed_roots)
     if config is None or hot_entries is not None:
         translation.hot_entries = hot_entries or 1
-    run = db._run_compiled(
-        compiled, config, fast_vm=fast_vm, long_armed_roots=long_armed_roots,
-    )
+    run = db._run_compiled(compiled, config, ExecOptions(
+        fast_vm=fast_vm, long_armed_roots=long_armed_roots
+    ))
     (machine,) = run.machines.values()
     assert (machine.tier == 0) == (not fast_vm)
     assert (translation.stats()["compiled"] > 0) == fast_vm
@@ -1910,14 +1910,14 @@ def test_any_period_samples_what_the_interpreter_samples(facts_db, case):
 
 def _query_observables(db, sql, event, fast_vm, period=None):
     if event is None:
-        result = db.execute(sql, fast_vm=fast_vm)
+        result = db.execute(sql, ExecOptions(fast_vm=fast_vm))
         return (result.rows, result.cycles, result.instructions)
     config = (
         ProfilerConfig(event=event, record_memaddr=True)
         if period is None
         else ProfilerConfig(event=event, record_memaddr=True, period=period)
     )
-    profile = db.profile(sql, config=config, fast_vm=fast_vm)
+    profile = db.profile(sql, config, ExecOptions(fast_vm=fast_vm))
     return (profile.result.rows, machine_observables(profile.machine))
 
 
@@ -1972,7 +1972,7 @@ def test_short_period_sample_streams_are_the_interpreters(repro):
         [
             (s.ip, s.tsc, s.registers, s.callstack, s.memaddr, s.branch_taken)
             for _, s in db._run_compiled(
-                compiled, config, fast_vm=fast_vm
+                compiled, config, ExecOptions(fast_vm=fast_vm)
             ).samples
         ]
         for fast_vm in (True, False)
@@ -1984,8 +1984,10 @@ def test_short_period_sample_streams_are_the_interpreters(repro):
 def test_tpch_parallel_parity():
     db = Database.tpch(scale=0.001, seed=42)
     sql = ALL_QUERIES["q6"].sql
-    fast = db.execute(sql, workers=4, morsel_size=64)
-    slow = db.execute(sql, workers=4, morsel_size=64, fast_vm=False)
+    fast = db.execute(sql, ExecOptions(workers=4, morsel_size=64))
+    slow = db.execute(
+        sql, ExecOptions(workers=4, morsel_size=64, fast_vm=False)
+    )
     assert fast.rows == slow.rows
     assert (fast.cycles, fast.instructions) == (slow.cycles, slow.instructions)
 
