@@ -111,20 +111,8 @@ def main(argv: list[str] | None = None, out=None) -> int:
     out = out or sys.stdout
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "pgo":
-        return _pgo_main(argv[1:], out)
-    if argv and argv[0] == "fuzz":
-        return _fuzz_main(argv[1:], out)
-    if argv and argv[0] == "bench":
-        return _bench_main(argv[1:], out)
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:], out)
-    if argv and argv[0] == "fleet":
-        return _fleet_main(argv[1:], out)
-    if argv and argv[0] == "storage":
-        return _storage_main(argv[1:], out)
-    if argv and argv[0] == "views":
-        return _views_main(argv[1:], out)
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _SUBCOMMANDS[argv[0]](argv[1:], out)
     parser = build_parser()
     args = parser.parse_args(argv)
     sql = resolve_sql(args)
@@ -134,13 +122,27 @@ def main(argv: list[str] | None = None, out=None) -> int:
             mode=ProfilingMode(args.mode), period=args.period
         )
     except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 2
+        return _bad_value(out, error)
     try:
         return _run(args, sql, options, config, out)
     except SqlError as error:
         print(format_sql_error(sql, error), file=out)
         return 1
+
+
+def _bad_value(out, message) -> int:
+    """Every command's answer to a bad value: one ``error:`` line, exit
+    code 2."""
+    print(f"error: {message}", file=out)
+    return 2
+
+
+def _below_one(args, *names) -> str | None:
+    """The complaint about the first of the ``names`` flags set below 1."""
+    for name in names:
+        if getattr(args, name) < 1:
+            return f"--{name.replace('_', '-')} must be at least 1"
+    return None
 
 
 def _run(args, sql: str, options, config, out) -> int:
@@ -218,8 +220,7 @@ def _pgo_main(argv: list[str], out) -> int:
     try:
         store = ProfileStore(directory=args.store)
     except ReproError as error:
-        print(str(error), file=out)
-        return 1
+        return _bad_value(out, error)
     fingerprints = store.fingerprints()
     if args.fingerprint:
         fingerprints = [f for f in fingerprints if f == args.fingerprint]
@@ -346,9 +347,8 @@ def _fuzz_main(argv: list[str], out) -> int:
 
     from repro.fuzz import run_fuzz
 
-    if args.budget < 1:
-        print("--budget must be at least 1", file=out)
-        return 2
+    if bad := _below_one(args, "budget"):
+        return _bad_value(out, bad)
 
     emit = None if args.quiet else (lambda message: print(message, file=out))
     report = run_fuzz(
@@ -418,8 +418,7 @@ def _bench_main(argv: list[str], out) -> int:
     args = parser.parse_args(argv)
 
     if not args.vm:
-        print("nothing to benchmark: pass --vm", file=out)
-        return 2
+        return _bad_value(out, "nothing to benchmark: pass --vm")
 
     from repro.data.queries import ALL_QUERIES
     from repro.vmbench import append_trajectory, run_vm_bench
@@ -431,8 +430,7 @@ def _bench_main(argv: list[str], out) -> int:
         queries = [name.strip() for name in args.queries.split(",")]
         unknown = [name for name in queries if name not in ALL_QUERIES]
         if unknown:
-            print(f"unknown queries: {', '.join(unknown)}", file=out)
-            return 2
+            return _bad_value(out, f"unknown queries: {', '.join(unknown)}")
 
     record = run_vm_bench(
         queries=queries, scale=args.scale, seed=args.seed,
@@ -536,10 +534,12 @@ def _serve_main(argv: list[str], out) -> int:
     _add_fast_vm_flag(parser)
     args = parser.parse_args(argv)
     if args.tpch and args.synthetic:
-        parser.error(
-            "--synthetic generates queries over the example schema; "
-            "use --workload with --tpch"
+        return _bad_value(
+            out, "--synthetic generates queries over the example schema; "
+                 "use --workload with --tpch",
         )
+    if args.synthetic and (bad := _below_one(args, "queries", "clients")):
+        return _bad_value(out, bad)
 
     database = (
         Database.tpch(scale=args.scale, seed=42)
@@ -563,16 +563,14 @@ def _serve_main(argv: list[str], out) -> int:
     try:
         service = QueryService(database, config, pgo_store=store)
     except ReproError as error:
-        print(f"error: {error}", file=out)
-        return 2
+        return _bad_value(out, error)
     try:
         items = (
             load_workload(args.workload) if args.workload
             else synthetic_workload(service, args.queries, args.clients)
         )
         if not items:
-            print("workload is empty", file=out)
-            return 2
+            return _bad_value(out, "workload is empty")
         summary = run_workload(service, items)
     except ReproError as error:
         print(str(error), file=out)
@@ -672,8 +670,8 @@ def _fleet_main(argv: list[str], out) -> int:
     )
     _add_fast_vm_flag(parser)
     args = parser.parse_args(argv)
-    if args.shards < 1:
-        parser.error("--shards must be at least 1")
+    if bad := _below_one(args, "shards", "tenants"):
+        return _bad_value(out, bad)
 
     try:
         fleet = Fleet(
@@ -685,8 +683,7 @@ def _fleet_main(argv: list[str], out) -> int:
             ),
         )
     except ReproError as error:
-        print(str(error), file=out)
-        return 1
+        return _bad_value(out, error)
 
     # deterministic per-tenant query streams, seeded like service sessions
     names = [f"tenant-{i}" for i in range(args.tenants)]
@@ -779,6 +776,9 @@ def _storage_main(argv: list[str], out) -> int:
             StorageConfig.pruned(**kwargs) if args.plain
             else StorageConfig(**kwargs)
         )
+    except ReproError as error:
+        return _bad_value(out, error)
+    try:
         database = Database.tpch(
             scale=args.scale, seed=args.seed, storage=config
         )
@@ -839,9 +839,8 @@ def _views_main(argv: list[str], out) -> int:
     if args.fuzz:
         from repro.fuzz.views import run_views_fuzz
 
-        if args.queries < 1:
-            print("--queries must be at least 1", file=out)
-            return 2
+        if bad := _below_one(args, "queries"):
+            return _bad_value(out, bad)
         emit = (
             None if args.quiet
             else (lambda message: print(message, file=out))
@@ -965,6 +964,13 @@ def _print_result(result, max_rows: int, out) -> None:
         f"[{result.instructions:,} instructions, {result.cycles:,} cycles]",
         file=out,
     )
+
+
+_SUBCOMMANDS = {
+    "pgo": _pgo_main, "fuzz": _fuzz_main, "bench": _bench_main,
+    "serve": _serve_main, "fleet": _fleet_main, "storage": _storage_main,
+    "views": _views_main,
+}
 
 
 if __name__ == "__main__":

@@ -101,8 +101,7 @@ class Dataset:
 
 
 def build_database(
-    dataset: Dataset, memory_bytes: int = 1 << 22, storage=None,
-    dictionary=None,
+    dataset: Dataset, storage=None, dictionary=None
 ) -> Database:
     """Materialize a dataset as a ready-to-query database.
 
@@ -111,9 +110,7 @@ def build_database(
     different physical layouts (plain / zone-mapped / compressed).
     ``dictionary`` is a frozen string dictionary covering the dataset,
     shared by every shard of a fleet."""
-    db = Database(
-        memory_bytes=memory_bytes, storage=storage, dictionary=dictionary
-    )
+    db = Database(storage=storage, dictionary=dictionary)
     for table in dataset.tables.values():
         created = db.catalog.create_table(
             table.name,

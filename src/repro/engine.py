@@ -117,10 +117,9 @@ class ExecOptions:
     never enters the cache and runs on the block interpreter.  The run
     half picks how a compiled plan runs: ``workers`` private cores,
     ``morsel_size`` tuples per dispatch, ``repeats`` runs over one state
-    block (§4.2.6), ``instruction_limit`` per worker, the block
-    interpreter with ``fast_vm=False``, and the armed translation fleet
-    shards use with ``long_armed_roots=False``.  Bad values raise when the
-    options are built."""
+    block (§4.2.6), ``instruction_limit`` per worker, and the block
+    interpreter with ``fast_vm=False``.  Bad values raise when the options
+    are built."""
 
     # -- compile half
     join_order_hint: tuple[str, ...] | None = None
@@ -135,7 +134,6 @@ class ExecOptions:
     repeats: int = 1
     instruction_limit: int | None = None
     fast_vm: bool = True
-    long_armed_roots: bool = True
 
     def __post_init__(self):
         if self.join_order_hint is not None:
@@ -232,13 +230,10 @@ class Database:
     """A single-node, in-memory, compiling relational database."""
 
     def __init__(
-        self,
-        memory_bytes: int = 1 << 22,
-        storage: StorageConfig | None = None,
-        dictionary=None,
+        self, storage: StorageConfig | None = None, dictionary=None
     ):
         self.catalog = Catalog(dictionary)  # shared by a fleet's shards
-        self.memory = Memory(memory_bytes)
+        self.memory = Memory()
         self.storage_config = storage or StorageConfig()
         self.storage: StorageEngine | None = None  # built by finalize()
         self._year_table_addr = 0
@@ -265,7 +260,7 @@ class Database:
         seed: int = 42,
         storage: StorageConfig | None = None,
     ) -> "Database":
-        db = cls(memory_bytes=1 << 24, storage=storage)
+        db = cls(storage=storage)
         generate_tpch(db.catalog, scale=scale, seed=seed)
         db.finalize()
         return db
@@ -317,16 +312,19 @@ class Database:
 
     @lowering()
     def _plan(
-        self,
-        sql: str,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
-        model=None,
+        self, sql: str, options: ExecOptions | None = None, model=None
     ):
+        """``sql`` bound and planned under ``options``' join-order hint
+        and planner options: the ``(bound, physical)`` pair."""
+        options = options or ExecOptions()
         stmt = parse(sql)
         self._inline_scalar_subqueries(stmt)
-        bound = Binder(self.catalog).bind(stmt, join_order_hint, model=model)
-        physical = plan_physical(bound.plan, bound.model, planner_options)
+        bound = Binder(self.catalog).bind(
+            stmt, options.join_order_hint, model=model
+        )
+        physical = plan_physical(
+            bound.plan, bound.model, options.planner_options
+        )
         return bound, physical
 
     def _inline_scalar_subqueries(self, stmt, depth: int = 0) -> None:
@@ -442,9 +440,7 @@ class Database:
                     feedback.cardinality_overrides()
                 )
                 cardinality_feedback = True
-            bound, physical = self._plan(
-                sql, options.join_order_hint, options.planner_options, model
-            )
+            bound, physical = self._plan(sql, options, model)
 
         tagging = TaggingDictionary()
         # the storage dimension: sampled memory addresses resolve to
@@ -593,7 +589,6 @@ class Database:
                     compiled.program, self.memory, pmu_config=pmu,
                     kernel=compiled.kernel,
                     fast_vm=options.fast_vm and options.inject_fault is None,
-                    long_armed_roots=options.long_armed_roots,
                 )
                 for _ in range(workers)
             ]
@@ -791,13 +786,11 @@ class Database:
         return profile
 
     def execute_interpreted(
-        self,
-        sql: str,
-        join_order_hint: list[str] | None = None,
-        planner_options: PlannerOptions | None = None,
+        self, sql: str, options: ExecOptions | None = None
     ) -> QueryResult:
-        """Run a query on the reference interpreter (the testing oracle)."""
-        bound, physical = self._plan(sql, join_order_hint, planner_options)
+        """Run a query on the reference interpreter (the testing oracle),
+        planned under ``options``' join-order hint and planner options."""
+        bound, physical = self._plan(sql, options)
         interpreter = Interpreter()
         raw_rows = interpreter.run(physical)
         rows = self.decode_rows(raw_rows, physical.columns)
@@ -808,17 +801,16 @@ class Database:
             instructions=0,
         )
 
-    def explain(self, sql: str, join_order_hint: list[str] | None = None) -> str:
-        bound, physical = self._plan(sql, join_order_hint)
+    def explain(self, sql: str, options: ExecOptions | None = None) -> str:
+        bound, physical = self._plan(sql, options)
         return explain_physical(physical)
 
     def explain_analyze(
-        self, sql: str, join_order_hint: list[str] | None = None
+        self, sql: str, options: ExecOptions | None = None
     ) -> str:
         """Tuple counts per operator — the feature §6.1 contrasts with
-
         sample-based costs."""
-        bound, physical = self._plan(sql, join_order_hint)
+        bound, physical = self._plan(sql, options)
         interpreter = Interpreter()
         interpreter.run(physical)
         annotations = {

@@ -81,13 +81,6 @@ class FleetConfig:
             profiling=self.profiling,
             fast_vm=self.fast_vm,
             seed=self.seed,
-            # Shard armed roots stop at FAST_VM_MAX_BLOCK.  Long ones make
-            # the largest text CPython compiles 2,615 lines instead of 962,
-            # and compile's transient memory (8.0 MB at its peak on that
-            # text, 0.09 MB kept) took fleet_scatter's peak RSS from 53.7
-            # to 62.1 MB, over the benchmark's 10% bound.  Revisit when one
-            # lowering serves every shard (ROADMAP item 5a).
-            long_armed_roots=False,
         )
 
 

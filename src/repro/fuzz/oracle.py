@@ -25,10 +25,9 @@ branch-predictor statistics, and the full PMU sample stream (ip, tsc,
 branch_taken, memaddr per sample) — whatever schedule translation
 follows.  A schedule is a heat threshold, 1 (``[fast]``: every block the
 run reaches compiles on its first entry) or the default (``[mixed]``:
-loops hand over mid-run, trees regrow), times armed roots that decode
-long or stop short as fleet shards' do (``[fast-short]``,
-``[mixed-short]``), under an event and a period drawn from the query
-text (:func:`vm_parity_profiler`).  Any divergence is a disagreement.
+loops hand over mid-run, trees regrow), under an event and a period
+drawn from the query text (:func:`vm_parity_profiler`).  Any divergence
+is a disagreement.
 """
 
 from __future__ import annotations
@@ -466,8 +465,7 @@ class DifferentialOracle:
         signature runs a plan of its own (compiled from the prebuilt
         pair, past the plan cache), so every schedule starts from an
         untranslated program: ``hot_entries`` replaces its heat
-        threshold, and ``options.long_armed_roots`` picks the translation
-        it runs."""
+        threshold."""
         from repro.vm.translate import translation_for
 
         db = self.db
@@ -476,8 +474,7 @@ class DifferentialOracle:
             compiled = db._compiled(db._plan(sql), profiler, options)
             if hot_entries is not None:
                 translation_for(
-                    compiled.program, profiler.pmu_config(),
-                    options.long_armed_roots,
+                    compiled.program, profiler.pmu_config()
                 ).hot_entries = hot_entries
             run = db._run_compiled(compiled, profiler, options)
         except PlanError as exc:
@@ -501,18 +498,16 @@ class DifferentialOracle:
         """Translation-schedule invariance: under an armed PMU, counters,
         cache/predictor state and the sample stream are the interpreter's
         whatever the heat threshold (1: every entered block compiles; the
-        default: loops hand over mid-run) and whichever armed roots run
-        (long, or short as on fleet shards)."""
+        default: loops hand over mid-run)."""
         slow = self._vm_signature(
             sql, ExecOptions(fast_vm=False), "vm-parity[interp]"
         )
         signed = [
             self._vm_signature(
-                sql, ExecOptions(long_armed_roots=not roots),
-                f"vm-parity[{heat}{roots}]", hot_entries=hot_entries,
+                sql, ExecOptions(), f"vm-parity[{heat}]",
+                hot_entries=hot_entries,
             )
             for heat, hot_entries in (("fast", 1), ("mixed", None))
-            for roots in ("", "-short")
         ]
         disagreements = []
         for fast in signed:

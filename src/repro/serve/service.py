@@ -63,11 +63,6 @@ class ServiceConfig:
     event: Event = Event.CYCLES
     fast_vm: bool = True
     seed: int = 0
-    # armed roots decode long and are trimmed by events; False keeps
-    # them at FAST_VM_MAX_BLOCK (repro.vm.translate._emit_settings), which
-    # fleet shards choose for the memory of compiling less source at a
-    # time.  Pure wall-clock: never changes rows, counters or samples.
-    long_armed_roots: bool = True
     # selects nothing: every root gets its one treatment at its first
     # compile.  Kept because benchmark workloads still pass it.
     tiering_hot_instructions: int | None = None
@@ -120,13 +115,15 @@ class QueryService:
         self.config = config or ServiceConfig()
         if self.config.workers < 1:
             raise ReproError("service needs at least one worker")
+        if self.config.max_inflight < 1:
+            # nothing would ever be admitted: drain() would spin forever
+            raise ReproError("max_inflight must be >= 1")
         # how every query of this service compiles and runs (one query
         # runs on shared workers, so ``ExecOptions.workers`` stays 1)
         self.options = ExecOptions(
             qualify_tags=self.config.profiling,
             morsel_size=self.config.morsel_size,
             fast_vm=self.config.fast_vm,
-            long_armed_roots=self.config.long_armed_roots,
         )
         self.workers = [Worker(i) for i in range(self.config.workers)]
         self.sessions = SessionManager(self, seed=self.config.seed)
@@ -355,7 +352,6 @@ class QueryService:
                 pmu_config=pmu,
                 kernel=execution.compiled.kernel,
                 fast_vm=self.options.fast_vm,
-                long_armed_roots=self.options.long_armed_roots,
             )
         worker.bind(machine)
         if self._profiler_config is not None:

@@ -150,7 +150,7 @@ class ViewService:
         # stacks in a private arena so the service's execution epochs
         # (mark/release over db.memory) never see maintenance allocations
         self._machines: dict[int, Machine] = {}
-        self._memory = Memory(1 << 18)
+        self._memory = Memory()
         self._program = Program()
         self._functions: dict[str, object] = {}
         self._next_view = 0

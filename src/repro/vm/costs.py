@@ -77,8 +77,7 @@ FAST_VM_MIN_PERIOD = 128
 # Roots decode up to FAST_VM_MAX_BLOCK_PLAIN instructions — fewer driver
 # transitions on hot loops (the instruction-budget check stays
 # conservative either way); armed ones are then trimmed back by their
-# events.  Short armed roots (fleet shards) stop at FAST_VM_MAX_BLOCK:
-# less source per compile (docs/TIERING.md).
+# events, never below FAST_VM_MAX_BLOCK (docs/TIERING.md).
 FAST_VM_MAX_BLOCK = 48
 FAST_VM_MAX_BLOCK_PLAIN = 512
 # A leader runs interpreted until it has been entered FAST_VM_HOT_ENTRIES

@@ -90,7 +90,6 @@ class Machine:
         pmu_config: PmuConfig | None = None,
         kernel=None,
         fast_vm: bool = True,
-        long_armed_roots: bool = True,
     ):
         self.program = program
         self.memory = memory
@@ -110,9 +109,6 @@ class Machine:
         # and hands over to the interpreter whenever a block's static
         # countdown step could cross a sample boundary.  Below
         # FAST_VM_MIN_PERIOD that would dominate: the fast engine disarms.
-        # Armed, ``long_armed_roots`` picks the translation whose roots
-        # decode long and are trimmed by events, or stop short (less
-        # source per compile: fleet shards).
         self.translation = None
         if fast_vm and (
             pmu_config is None or pmu_config.period >= costs.FAST_VM_MIN_PERIOD
@@ -120,9 +116,7 @@ class Machine:
             from repro.vm.translate import translation_for
 
             # nothing compiles here: blocks translate once they are hot
-            self.translation = translation_for(
-                program, pmu_config, long_armed_roots
-            )
+            self.translation = translation_for(program, pmu_config)
         elif fast_vm:
             # auto-disable used to be silent: benchmarks could think they
             # measured the fast VM while every instruction interpreted

@@ -41,13 +41,16 @@ class Memory:
     Address 0 is reserved as the null pointer: allocation starts at one word
     past zero so generated code can use ``0`` for "no entry" (e.g. empty hash
     chain slots) and any dereference of it faults.
+
+    ``words`` holds what was allocated: it starts as the null word and
+    :meth:`alloc` extends it to the new break.  :meth:`release` only
+    rewinds the break, so the list is the high-water mark of allocations
+    (growing it again for every query would cost host time), and an
+    access past it faults out of bounds.
     """
 
-    def __init__(self, size_bytes: int = 1 << 24):
-        if size_bytes % WORD:
-            raise ValueError("memory size must be word aligned")
-        self.words: list = [0] * (size_bytes // WORD)
-        self.size = size_bytes
+    def __init__(self):
+        self.words: list = [0]
         self._brk = WORD  # keep address 0 unmapped (null)
         self.regions: list[Region] = []
 
@@ -66,15 +69,13 @@ class Memory:
         nbytes = (nbytes + WORD - 1) & ~(WORD - 1)
         base = (self._brk + align - 1) & ~(align - 1)
         new_brk = base + nbytes
-        if new_brk > self.size:
-            self._grow(new_brk)
-        # Freshly bumped memory may contain stale data from a released arena;
-        # zero the alignment gap as well so no stale word stays readable.
-        zero_from = self._brk // WORD
+        # Below the high-water mark memory may hold stale data from a
+        # released arena; zero the alignment gap as well so no stale word
+        # stays readable.  The slice runs past the end of ``words`` when the
+        # break rises above the mark, and then extends it.
+        low, high = self._brk // WORD, new_brk // WORD
+        self.words[low:high] = [0] * (high - low)
         self._brk = new_brk
-        zero_to = new_brk // WORD
-        for i in range(zero_from, zero_to):
-            self.words[i] = 0
         self.regions.append(Region(name, base, nbytes))
         return base
 
@@ -88,13 +89,6 @@ class Memory:
             raise VMError(f"bad release mark {mark}")
         self._brk = mark
         self.regions = [r for r in self.regions if r.base < mark]
-
-    def _grow(self, needed: int) -> None:
-        new_size = self.size
-        while new_size < needed:
-            new_size *= 2
-        self.words.extend([0] * ((new_size - self.size) // WORD))
-        self.size = new_size
 
     # -- access (checked; the interpreter fast path bypasses these) -------
 

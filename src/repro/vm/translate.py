@@ -49,22 +49,19 @@ exactly as the driver would — so hot loops run without returning to the
 dispatch loop at all.  Armed, tree growth is additionally capped by
 ``bound_cap``: ``period // 8`` static events for the whole tree.
 
-Translations are cached on the Program object, keyed by the sampled event,
-the armed bound cap (the countdown bookkeeping is specialized per event)
-and the armed root length, so the morsel workers of one query share one
-translation — its heat, and a block one of them compiled is compiled for
-all.
+Translations are cached on the Program object, keyed by the sampled event
+and the armed bound cap (the countdown bookkeeping is specialized per
+event), so the morsel workers of one query share one translation — its
+heat, and a block one of them compiled is compiled for all.
 
 Every root gets one treatment, at its first compile (``docs/TIERING.md``).
 A loop head uses *deferred sync*: counters, predictor state and the PMU
 countdown live in Python locals across iterations, and the exact
 interpreter-visible state is flushed at real exits and when the edge
 check fails (a sampling window or the budget about to end).  Armed roots
-decode at the plain instruction cap and are trimmed back by events —
-except for translations asked for short armed roots (fleet shards), which
-stop at ``FAST_VM_MAX_BLOCK``.  Nothing speculates, so nothing is ever
-undone; a run reports tier 2 once a root of its plan closed a deferred
-loop.
+decode at the plain instruction cap and are trimmed back by events.
+Nothing speculates, so nothing is ever undone; a run reports tier 2 once
+a root of its plan closed a deferred loop.
 
 A block's source is made in three steps over one trace tree — grow,
 measure, emit (:func:`_grow`, :func:`_measure`, :func:`_emit`) — and
@@ -324,8 +321,7 @@ class Translation:
     """
 
     def __init__(
-        self, program: Program, event: Event | None, bound_cap: int = 0,
-        long_armed_roots: bool = True,
+        self, program: Program, event: Event | None, bound_cap: int = 0
     ):
         self.code = program.code
         self.code_len = len(self.code)
@@ -338,9 +334,7 @@ class Translation:
         self.loops: set[int] = set()
         self.source_lines = 0
         self.compile_s = 0.0
-        self._emit = _emit_settings(
-            _MODES[event], bound_cap, long_armed_roots
-        )
+        self._emit = _emit_settings(_MODES[event], bound_cap)
         # machine.py imports this module lazily, so the reverse import
         # here cannot form a cycle at module-load time
         from repro.vm.machine import crc32_mix
@@ -442,28 +436,22 @@ class Translation:
         return entry
 
 
-def _emit_settings(mode: str, bound_cap: int, long_armed_roots=True) -> dict:
+def _emit_settings(mode: str, bound_cap: int) -> dict:
     """The :func:`_grow` arguments of one translation.
 
     What admission protects is the *event* bound, not the instruction
     count: armed roots decode at the plain cap and :func:`_grow` trims
     them back by events, so a loop body longer than
     ``FAST_VM_MAX_BLOCK`` still closes into an in-function loop instead
-    of paying a driver dispatch per iteration.  Without
-    ``long_armed_roots`` (or a ``bound_cap``) armed roots stop at
-    ``FAST_VM_MAX_BLOCK``: less source per compile, which is what fleet
-    shards keep."""
-    short = mode and not (bound_cap and long_armed_roots)
-    cap = costs.FAST_VM_MAX_BLOCK if short else costs.FAST_VM_MAX_BLOCK_PLAIN
-    return dict(cap=cap, mode=mode, bound_cap=bound_cap)
+    of paying a driver dispatch per iteration."""
+    return dict(
+        cap=costs.FAST_VM_MAX_BLOCK_PLAIN, mode=mode, bound_cap=bound_cap
+    )
 
 
-def translation_for(
-    program: Program, pmu_config=None, long_armed_roots: bool = True
-) -> Translation:
+def translation_for(program: Program, pmu_config=None) -> Translation:
     """Return the one (cached) translation of ``program`` for machines
-    armed with ``pmu_config`` (None: unarmed) whose armed roots are long
-    or short (:func:`_emit_settings`).  Nothing compiles here.
+    armed with ``pmu_config`` (None: unarmed).  Nothing compiles here.
 
     Armed trees may grow to 1/8 of the period in static events, all arms
     summed: no path then costs admission more than 1/8 of a window."""
@@ -472,8 +460,8 @@ def translation_for(
         cache = {}
         program._vm_translations = cache
     key = (
-        (pmu_config.event, pmu_config.period >> 3, long_armed_roots)
-        if pmu_config is not None else (None, 0, True)
+        (pmu_config.event, pmu_config.period >> 3)
+        if pmu_config is not None else (None, 0)
     )
     entry = cache.get(key)
     if entry is None or entry.stale_for(program):

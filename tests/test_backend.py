@@ -13,7 +13,7 @@ pytestmark = pytest.mark.usefixtures("numbering")
 def compile_and_run(module, fn_name, args=(), options=None, memory=None, setup=None):
     program = Program()
     compiled = compile_module(module, program, CodeRegion.QUERY, options)
-    memory = memory or Memory(1 << 20)
+    memory = memory or Memory()
     machine = Machine(program, memory)
     if setup:
         setup(machine)
@@ -71,7 +71,7 @@ def test_loop_sum_with_phi():
     b.set_block(done)
     b.ret(acc)
 
-    memory = Memory(1 << 20)
+    memory = Memory()
     base_addr = memory.alloc(100 * 8)
     for k in range(100):
         memory.write(base_addr + 8 * k, k)
@@ -148,7 +148,7 @@ def test_call_against_prelinked_runtime():
     qb.set_block(qb.block("entry"))
     qb.ret(qb.call("double_it", [qfn.params[0]]))
     compiled = compile_module(query_module, program, CodeRegion.QUERY)
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     assert machine.call(compiled["q"].info.start, (21,)) == 42
 
 
@@ -232,7 +232,7 @@ def test_settag_lowers_to_tag_register_writes():
     compiled = compile_module(
         module, program, CodeRegion.QUERY, BackendOptions(reserve_tag_register=True)
     )
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     machine.regs[REG_TAG] = 99
     machine.call(compiled["f"].info.start)
     assert machine.regs[REG_TAG] == 99  # restored
@@ -300,7 +300,7 @@ def test_cse_merges_duplicates_and_records_parents():
     program = Program()
     compiled = compile_module(module, program, CodeRegion.QUERY,
                               BackendOptions(optimize=False))
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     assert machine.call(compiled["f"].info.start, (5,)) == 30
 
 
@@ -313,7 +313,7 @@ def test_fold_keeps_divide_by_zero_fault():
     b.ret(v)
     program = Program()
     compiled = compile_module(module, program, CodeRegion.QUERY)
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     from repro.errors import VMError
     with pytest.raises(VMError):
         machine.call(compiled["f"].info.start)

@@ -79,6 +79,14 @@ def test_parallel_execution_via_cli():
     ["serve", "--synthetic", "--workers", "0"],
     ["serve", "--synthetic", "--morsel-size", "0"],
     ["serve", "--synthetic", "--period", "0"],
+    ["serve", "--synthetic", "--clients", "0"],
+    ["fleet", "--tenants", "0"],
+    ["fleet", "--workers", "0"],
+    ["storage", "--segment-rows", "3"],
+    ["fuzz", "--budget", "0"],
+    ["views", "--fuzz", "--queries", "0"],
+    ["bench", "--vm", "--queries", "q99"],
+    ["pgo", __file__],
 ])
 def test_an_invalid_knob_is_one_line_and_exit_2(argv):
     code, text = run_cli(argv)

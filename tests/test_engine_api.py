@@ -152,3 +152,26 @@ def test_division_by_zero_query_faults():
 
     with pytest.raises(VMError):
         db.execute("select a / b r from z")
+
+
+def test_simulated_memory_is_what_was_allocated(monkeypatch):
+    # a fresh database holds exactly its tables and year table; a run
+    # raises the words to its own high-water and its release keeps them
+    from repro.data.queries import ALL_QUERIES
+
+    db = Database.tpch(0.001, 42)
+    memory = db.memory
+    loaded = memory.used_bytes()
+    assert len(memory.words) * 8 == loaded
+    breaks = [loaded]
+    alloc = memory.alloc
+
+    def recording(*args, **kwargs):
+        base = alloc(*args, **kwargs)
+        breaks.append(memory.used_bytes())
+        return base
+
+    monkeypatch.setattr(memory, "alloc", recording)
+    db.execute(ALL_QUERIES["q1"].sql)
+    assert memory.used_bytes() == loaded
+    assert len(memory.words) * 8 <= max(breaks)

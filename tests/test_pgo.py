@@ -70,8 +70,8 @@ def test_cardinality_keys_stable_across_recompiles(db):
 
 
 def test_cardinality_key_invariant_under_join_order(db):
-    _, a = db._plan(PAIR_SQL, join_order_hint=ORDERS_FIRST)
-    _, b = db._plan(PAIR_SQL, join_order_hint=PARTSUPP_FIRST)
+    _, a = db._plan(PAIR_SQL, ExecOptions(join_order_hint=ORDERS_FIRST))
+    _, b = db._plan(PAIR_SQL, ExecOptions(join_order_hint=PARTSUPP_FIRST))
 
     def key_set(physical):
         return {
@@ -85,9 +85,9 @@ def test_cardinality_key_invariant_under_join_order(db):
 
 
 def test_plan_signature_distinguishes_plans(db):
-    _, a = db._plan(PAIR_SQL, join_order_hint=ORDERS_FIRST)
-    _, b = db._plan(PAIR_SQL, join_order_hint=PARTSUPP_FIRST)
-    _, a2 = db._plan(PAIR_SQL, join_order_hint=ORDERS_FIRST)
+    _, a = db._plan(PAIR_SQL, ExecOptions(join_order_hint=ORDERS_FIRST))
+    _, b = db._plan(PAIR_SQL, ExecOptions(join_order_hint=PARTSUPP_FIRST))
+    _, a2 = db._plan(PAIR_SQL, ExecOptions(join_order_hint=ORDERS_FIRST))
     assert plan_signature(a) != plan_signature(b)
     assert plan_signature(a) == plan_signature(a2)
 

@@ -125,7 +125,7 @@ def test_run_half_shares_the_plan_compile_half_does_not(db, compiles):
     run_half = [
         ExecOptions(), ExecOptions(workers=3, morsel_size=7),
         ExecOptions(repeats=2, instruction_limit=10**9),
-        ExecOptions(fast_vm=False, long_armed_roots=False),
+        ExecOptions(fast_vm=False),
     ]
     for options in run_half:
         db.execute(SQL, options)

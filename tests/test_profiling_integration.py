@@ -187,16 +187,16 @@ def test_groupjoin_profile_and_correctness(tpch_db):
         "select o_orderkey, sum(l_extendedprice) s from orders, lineitem "
         "where o_orderkey = l_orderkey group by o_orderkey"
     )
-    options = PlannerOptions(enable_groupjoin=True)
-    fused = tpch_db.execute(sql, ExecOptions(planner_options=options))
-    oracle = tpch_db.execute_interpreted(sql, planner_options=options)
+    options = ExecOptions(
+        planner_options=PlannerOptions(enable_groupjoin=True)
+    )
+    fused = tpch_db.execute(sql, options)
+    oracle = tpch_db.execute_interpreted(sql, options)
     plain = tpch_db.execute(sql)
     assert rows_match(fused.rows, oracle.rows)
     assert rows_match(sorted(fused.rows), sorted(plain.rows))
 
-    profile = tpch_db.profile(
-        sql, options=ExecOptions(planner_options=options)
-    )
+    profile = tpch_db.profile(sql, options=options)
     task_labels = {t.role for t in profile.task_costs()}
     assert any("groupjoin" in role for role in task_labels)
 

@@ -31,7 +31,7 @@ RELAXED = settings(
 @given(st.lists(st.integers(min_value=0, max_value=300), min_size=1, max_size=30))
 @RELAXED
 def test_allocations_disjoint_aligned_zeroed(sizes):
-    mem = Memory(1 << 12)
+    mem = Memory()
     regions = []
     for i, size in enumerate(sizes):
         addr = mem.alloc(size, f"r{i}")
@@ -51,7 +51,7 @@ def test_allocations_disjoint_aligned_zeroed(sizes):
 @RELAXED
 def test_release_rewinds_to_mark(sizes, split):
     split = min(split, len(sizes) - 1)
-    mem = Memory(1 << 12)
+    mem = Memory()
     for size in sizes[:split]:
         mem.alloc(size)
     mark = mem.mark()
@@ -195,7 +195,7 @@ _ROW = st.tuples(
 
 
 def _build_db(rows):
-    db = Database(memory_bytes=1 << 18)
+    db = Database()
     t = db.create_table("t", Schema([
         Column("a", DataType.INT),
         Column("g", DataType.INT),
@@ -294,7 +294,7 @@ def test_sort_limit_semantics_match(rows, descending, limit):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_join_semantics_match(rows):
-    db = Database(memory_bytes=1 << 18)
+    db = Database()
     t = db.create_table("t", Schema([
         Column("a", DataType.INT),
         Column("g", DataType.INT),
@@ -324,7 +324,7 @@ def test_join_semantics_match(rows):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 def test_semi_join_semantics_match(rows, negate):
-    db = Database(memory_bytes=1 << 18)
+    db = Database()
     t = db.create_table("t", Schema([
         Column("a", DataType.INT),
         Column("g", DataType.INT),

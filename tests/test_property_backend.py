@@ -89,7 +89,7 @@ def _build_and_run(steps, args, options):
     b.ret(values[-1])
     program = Program()
     compiled = compile_module(module, program, CodeRegion.QUERY, options)
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     got = machine.call(compiled["f"].info.start, tuple(args))
     return got, expected[-1]
 
@@ -154,7 +154,7 @@ def test_diamond_control_flow(x, y, take_left):
 
     program = Program()
     compiled = compile_module(module, program, CodeRegion.QUERY)
-    machine = Machine(program, Memory(1 << 16))
+    machine = Machine(program, Memory())
     got = machine.call(compiled["f"].info.start, (x, y))
     threshold = 0 if take_left else y
     want = _sdiv(x, y) if x < threshold else _wrap(x * 3)

@@ -108,6 +108,18 @@ def test_empty_group_by_does_not_hang(db):
     assert not service.inflight
 
 
+def test_a_service_that_admits_nothing_is_refused(db):
+    # with no in-flight slot nothing is ever admitted and drain() would
+    # spin forever: the service refuses to exist, on a fleet's shards too
+    from repro.errors import ReproError
+    from repro.fleet import Fleet, FleetConfig
+
+    with pytest.raises(ReproError, match="max_inflight"):
+        QueryService(db, ServiceConfig(max_inflight=0))
+    with pytest.raises(ReproError, match="max_inflight"):
+        Fleet(db, FleetConfig(max_inflight=0))
+
+
 def test_queue_full_sheds_with_stable_code(db):
     service = make_service(db, max_queue=2)
     service.submit(SQL_COUNT)

@@ -206,7 +206,7 @@ def test_segment_payloads_are_cache_line_aligned():
 
 def test_german_string_inline_boundary():
     # lengths 11, 12 (inline max), and 13 (spilled) sharing a prefix
-    memory = Memory(1 << 16)
+    memory = Memory()
     words = ["aaaaaaaaaab", "aaaaaaaaaabb", "aaaaaaaaaabbc", "zzz", ""]
     table = GermanStringTable.build(_FakeDictionary(words), memory)
     for i, w in enumerate(words):

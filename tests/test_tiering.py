@@ -1,7 +1,7 @@
 """The one treatment every root gets at its first compile.
 
 Deferred sync at loop heads, armed roots decoded long and trimmed by
-events (short on fleet shards), one tree budget — and the exactness
+events, one tree budget — and the exactness
 contract that keeps the treatment a pure wall-clock matter: a deferred
 loop reproduces the interpreter's machine state bit-for-bit, including
 when its edge check fails (a sampling window or an instruction budget
@@ -68,7 +68,7 @@ def build_program() -> Program:
 
 
 def run_machine(program, *, pmu=None, fast_vm=True, n=N):
-    machine = Machine(program, Memory(1 << 20), pmu_config=pmu, fast_vm=fast_vm)
+    machine = Machine(program, Memory(), pmu_config=pmu, fast_vm=fast_vm)
     base = machine.memory.alloc(n * 8)
     result = machine.call(0, (base, n))
     return machine, result
@@ -131,7 +131,7 @@ def test_stub_dispatches_are_not_block_entries(pmu):
     program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
 
     def run():
-        machine = Machine(program, Memory(1 << 20), pmu_config=pmu)
+        machine = Machine(program, Memory(), pmu_config=pmu)
         assert machine.call(0, (0, rows)) == 0
         return machine.translation
 
@@ -181,7 +181,7 @@ def test_memory_accesses_are_written_alike_at_both_tiers():
     code, _ = assemble(ONE_PASS)
     program = Program()
     program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
-    machine = Machine(program, Memory(1 << 20))
+    machine = Machine(program, Memory())
     machine.translation.hot_entries = 1
     base = machine.memory.alloc(8 * 8)
     machine.call(0, (base, 3))
@@ -247,7 +247,7 @@ def test_budget_stop_flushes_the_deferred_loop_exactly(mode):
     program = build_program()
 
     def stopped(limit, **kwargs):
-        machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
+        machine = Machine(program, Memory(), pmu_config=pmu, **kwargs)
         machine.state.max_instructions = limit
         base = machine.memory.alloc(SWEEP_N * 8)
         try:
@@ -320,13 +320,13 @@ def test_fast_vm_auto_disable_warns():
         event=Event.INSTRUCTIONS, period=costs.FAST_VM_MIN_PERIOD - 1
     )
     with pytest.warns(RuntimeWarning, match="fast VM disarmed"):
-        machine = Machine(program, Memory(1 << 20), pmu_config=low)
+        machine = Machine(program, Memory(), pmu_config=low)
     assert machine.tier == 0
     # explicit fast_vm=False is a choice, not an accident: no warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         quiet = Machine(
-            program, Memory(1 << 20), pmu_config=low, fast_vm=False
+            program, Memory(), pmu_config=low, fast_vm=False
         )
     assert quiet.tier == 0
 
@@ -368,12 +368,14 @@ def test_a_service_plan_compiles_each_leader_once_plus_its_regrowths(
     assert "tiering" not in service.stats()
 
 
-def test_fleet_shard_armed_roots_stay_short(monkeypatch):
-    # fleet shards keep armed roots at FAST_VM_MAX_BLOCK instructions (the
-    # memory of compiling long texts); a service on one node decodes the
-    # same statement's roots past it
+def test_a_fleet_shard_arms_the_translation_a_single_node_does(monkeypatch):
+    # a shard's service is an ordinary one: its statement, run again on a
+    # single-node service over the shard's own data, gets a translation
+    # of the same key that grows armed roots of the same lengths
     from repro.fleet import Fleet, FleetConfig
-    from repro.serve import QueryService, ServiceConfig, SYNTHETIC_TEMPLATES
+    from repro.serve import (
+        SERVE_PERIOD_CYCLES, QueryService, ServiceConfig, SYNTHETIC_TEMPLATES,
+    )
 
     roots = []
     grow = translate._grow
@@ -381,24 +383,32 @@ def test_fleet_shard_armed_roots_stay_short(monkeypatch):
     def recording(code, start, cap, mode, *args, **kwargs):
         tree = grow(code, start, cap, mode, *args, **kwargs)
         if tree is not None and mode:
-            roots.append(len(tree.root.items))
+            roots.append((code, start, len(tree.root.items)))
         return tree
 
+    def armed(service):
+        (entry,) = service.db.plan_cache._entries.values()
+        program = entry.compiled.program
+        grown = [(start, n) for code, start, n in roots if code is program.code]
+        return set(program._vm_translations), grown
+
     monkeypatch.setattr(translate, "_grow", recording)
-    database = Database.example(n_sales=1500, n_products=50)
-    sql = SYNTHETIC_TEMPLATES[1]
-    fleet = Fleet(database, FleetConfig(shards=2, workers=2))
-    ticket = fleet.submit(sql)
+    fleet = Fleet(
+        Database.example(n_sales=1500, n_products=50),
+        FleetConfig(shards=2, workers=2),
+    )
+    ticket = fleet.submit(SYNTHETIC_TEMPLATES[1])
     fleet.drain()
     assert fleet.result(ticket).status == "ok"
-    assert roots and max(roots) <= costs.FAST_VM_MAX_BLOCK
-    assert {
-        result.tier
-        for service in fleet.services for result in service.results.values()
-    } == {2}
-    roots.clear()
-    service = QueryService(database, ServiceConfig(workers=2))
-    ticket = service.submit(sql)
-    service.drain()
-    assert service.result(ticket).ok
-    assert max(roots) > costs.FAST_VM_MAX_BLOCK
+    shard = fleet.services[0]
+    (result,) = shard.results.values()
+    assert result.tier == 2
+    keys, grown = armed(shard)
+    assert keys == {(Event.CYCLES, SERVE_PERIOD_CYCLES >> 3)} and grown
+
+    shard.db.plan_cache.clear()
+    single = QueryService(shard.db, ServiceConfig(workers=2))
+    ticket = single.submit(result.sql)
+    single.drain()
+    assert single.result(ticket).ok
+    assert armed(single) == (keys, grown)

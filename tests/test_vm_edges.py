@@ -23,7 +23,7 @@ def build(items, with_kernel=False, pmu=None):
     code, _ = assemble(items)
     program = Program()
     program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
-    memory = Memory(1 << 18)
+    memory = Memory()
     kernel = Kernel(memory, install_kernel_stubs(program)) if with_kernel else None
     return Machine(program, memory, pmu_config=pmu, kernel=kernel)
 

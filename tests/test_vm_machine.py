@@ -20,7 +20,7 @@ def build_program(items, name="f"):
 
 def make_machine(items, pmu=None, with_kernel=False):
     program = build_program(items)
-    memory = Memory(1 << 20)
+    memory = Memory()
     kernel = None
     if with_kernel:
         kernel = Kernel(memory, install_kernel_stubs(program))
@@ -170,7 +170,7 @@ def test_call_and_ret_across_functions():
         if ins[0] == Op.CALL:
             patched[i] = (Op.CALL, callee_info.start, 0, 0)
     program.code = patched
-    m = Machine(program, Memory(1 << 16))
+    m = Machine(program, Memory())
     assert m.call(caller_info.start) == 106
     assert program.region_at(callee_info.start) is CodeRegion.RUNTIME
 

@@ -7,7 +7,7 @@ from repro.vm.memory import CACHE_LINE, WORD, Memory
 
 
 def test_alloc_is_word_aligned_and_zeroed():
-    mem = Memory(1 << 12)
+    mem = Memory()
     a = mem.alloc(12, "a")
     assert a % WORD == 0
     b = mem.alloc(8, "b")
@@ -17,7 +17,7 @@ def test_alloc_is_word_aligned_and_zeroed():
 
 
 def test_null_address_is_unmapped():
-    mem = Memory(1 << 12)
+    mem = Memory()
     with pytest.raises(VMError):
         mem.read(0)
     with pytest.raises(VMError):
@@ -25,7 +25,7 @@ def test_null_address_is_unmapped():
 
 
 def test_read_write_roundtrip():
-    mem = Memory(1 << 12)
+    mem = Memory()
     a = mem.alloc(32)
     mem.write(a + 8, -42)
     mem.write(a + 16, 3.5)
@@ -34,28 +34,36 @@ def test_read_write_roundtrip():
 
 
 def test_unaligned_access_rejected():
-    mem = Memory(1 << 12)
+    mem = Memory()
     a = mem.alloc(16)
     with pytest.raises(VMError):
         mem.read(a + 3)
 
 
 def test_out_of_bounds_rejected():
-    mem = Memory(1 << 12)
+    mem = Memory()
     mem.alloc(16)
     with pytest.raises(VMError):
         mem.read(1 << 20)
 
 
 def test_grow_on_demand():
-    mem = Memory(1 << 10)
-    a = mem.alloc(1 << 12)  # bigger than initial size
-    mem.write(a + (1 << 12) - 8, 7)
-    assert mem.read(a + (1 << 12) - 8) == 7
+    # the words are what was allocated: the null word, then up to each
+    # new break; a release rewinds the break and keeps the high-water
+    mem = Memory()
+    assert len(mem.words) * WORD == mem.used_bytes() == WORD
+    mark = mem.mark()
+    a = mem.alloc(1 << 12)
+    high = a + (1 << 12)
+    assert len(mem.words) * WORD == mem.used_bytes() == high
+    mem.write(high - 8, 7)
+    assert mem.read(high - 8) == 7
+    mem.release(mark)
+    assert mem.alloc(8) == a and len(mem.words) * WORD == high
 
 
 def test_arena_release_and_reuse_zeroes():
-    mem = Memory(1 << 12)
+    mem = Memory()
     mark = mem.mark()
     a = mem.alloc(16, "scratch")
     mem.write(a, 99)
@@ -66,7 +74,7 @@ def test_arena_release_and_reuse_zeroes():
 
 
 def test_aligned_alloc_cache_line():
-    mem = Memory(1 << 12)
+    mem = Memory()
     mem.alloc(12, "pad")  # misalign the bump pointer
     a = mem.alloc(40, "seg", align=CACHE_LINE)
     assert a % CACHE_LINE == 0
@@ -85,7 +93,7 @@ def test_aligned_alloc_cache_line():
 
 
 def test_aligned_alloc_rejects_bad_alignment():
-    mem = Memory(1 << 12)
+    mem = Memory()
     with pytest.raises(VMError):
         mem.alloc(8, align=48)  # not a power of two
     with pytest.raises(VMError):
@@ -93,13 +101,13 @@ def test_aligned_alloc_rejects_bad_alignment():
 
 
 def test_release_bad_mark_rejected():
-    mem = Memory(1 << 12)
+    mem = Memory()
     with pytest.raises(VMError):
         mem.release(3)
 
 
 def test_region_of_finds_named_allocation():
-    mem = Memory(1 << 12)
+    mem = Memory()
     a = mem.alloc(64, "col.x")
     region = mem.region_of(a + 8)
     assert region is not None and region.name == "col.x"

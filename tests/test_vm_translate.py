@@ -82,7 +82,7 @@ def run_pair(
     sides = []
     for fast_vm in (True, False):
         program = build_program(items)
-        memory = Memory(1 << 20)
+        memory = Memory()
         kernel = (
             Kernel(memory, install_kernel_stubs(program))
             if with_kernel else None
@@ -175,10 +175,10 @@ def test_fast_vm_disarms_below_minimum_period():
         event=Event.INSTRUCTIONS, period=costs.FAST_VM_MIN_PERIOD - 1
     )
     program = build_program(LOOP_SUM)
-    machine = Machine(program, Memory(1 << 20), pmu_config=pmu)
+    machine = Machine(program, Memory(), pmu_config=pmu)
     assert machine.translation is None
     armed = Machine(
-        program, Memory(1 << 20),
+        program, Memory(),
         pmu_config=PmuConfig(
             event=Event.INSTRUCTIONS, period=costs.FAST_VM_MIN_PERIOD
         ),
@@ -188,7 +188,7 @@ def test_fast_vm_disarms_below_minimum_period():
 
 def test_fast_vm_off_flag_disables_translation():
     program = build_program(LOOP_SUM)
-    machine = Machine(program, Memory(1 << 20), fast_vm=False)
+    machine = Machine(program, Memory(), fast_vm=False)
     assert machine.translation is None
 
 
@@ -249,8 +249,8 @@ def test_translation_covers_loop_and_caches():
     assert translation.blocks[0] == (fn, max_k, bound)
     assert callable(fn) and max_k >= 1 and bound == 0  # unarmed: no events
     # translations are cached per (program, event)
-    m1 = Machine(program, Memory(1 << 20))
-    m2 = Machine(program, Memory(1 << 20))
+    m1 = Machine(program, Memory())
+    m2 = Machine(program, Memory())
     assert m1.translation is m2.translation
 
 
@@ -258,7 +258,7 @@ def test_translation_covers_loop_and_caches():
 
 
 def fresh_machine(program, pmu=None, **kwargs):
-    machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
+    machine = Machine(program, Memory(), pmu_config=pmu, **kwargs)
     return machine, loop_setup(machine)
 
 
@@ -304,7 +304,7 @@ def test_only_entered_blocks_compile():
     assert stats["source_lines"] > 0 and stats["compile_s"] > 0
 
     # a run that enters no leader ``hot`` times compiles nothing
-    cold = Machine(build_program(items), Memory(1 << 20))
+    cold = Machine(build_program(items), Memory())
     base = cold.memory.alloc(LOOP_COUNT * 8)
     cold.call(0, (base, hot - 2))  # the loop head sees one entry more
     stats = cold.translation.stats()
@@ -433,7 +433,7 @@ BAD_ADDRESSES = {
 
 
 def run_faulting(program, bad, *, fault_at, pmu=None, **kwargs):
-    machine = Machine(program, Memory(1 << 20), pmu_config=pmu, **kwargs)
+    machine = Machine(program, Memory(), pmu_config=pmu, **kwargs)
     base = machine.memory.alloc(FAULT_N * 8)
     machine.regs[8] = fault_at
     machine.regs[9] = BAD_ADDRESSES[bad](base)
@@ -500,7 +500,7 @@ def handover_run(limit, pmu, hot_entries):
     """LOOP_SUM under an instruction limit; ``hot_entries`` None is the
     interpreter, else the fast VM compiling at that heat."""
     machine = Machine(
-        build_program(LOOP_SUM), Memory(1 << 20), pmu_config=pmu,
+        build_program(LOOP_SUM), Memory(), pmu_config=pmu,
         fast_vm=hot_entries is not None,
     )
     if hot_entries is not None:
@@ -637,7 +637,7 @@ def raising_function(exc):
 
 
 def run_site(program, kind, fault_at, prepare=None, **kwargs):
-    machine = Machine(program, Memory(1 << 20), **kwargs)
+    machine = Machine(program, Memory(), **kwargs)
     base = machine.memory.alloc(SITE_N * 8)
     machine.regs[8] = fault_at
     machine.regs[9] = SITE_KINDS[kind][0](base)
@@ -672,7 +672,7 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     program, deep = site_program(kind, where)
     if context == "linear":
         program._vm_translations = {
-            (pmu.event, pmu.period >> 3, True):
+            (pmu.event, pmu.period >> 3):
                 Translation(program, pmu.event, 1)
         }
     if context == "tier2":
@@ -730,7 +730,7 @@ def test_an_index_error_from_a_non_site_line_propagates_unchanged():
     states = []
     for fast_vm in (True, False):
         machine = Machine(
-            build_program(items), Memory(1 << 20), kernel=BrokenKernel(),
+            build_program(items), Memory(), kernel=BrokenKernel(),
             fast_vm=fast_vm,
         )
         if fast_vm:
@@ -783,7 +783,7 @@ def phase_program(arms):
 
 
 def run_phases(program, count, phase, **kwargs):
-    machine = Machine(program, Memory(1 << 20), **kwargs)
+    machine = Machine(program, Memory(), **kwargs)
     machine.regs[8] = phase
     result = machine.call(0, (0, count))
     return machine, (result, full_state(machine))
@@ -954,14 +954,10 @@ def test_the_treatment_of_a_root_is_decided_by_its_shape():
         assert not treatment(ip).tree and not treatment(ip).deferred
     # the accumulator follows the tree flag, not what got inlined
     assert not treatment(14).has_dyn and treatment(2, "l1").has_dyn
-    # unarmed and long armed roots decode to the plain cap, the short
-    # ones fleet shards ask for to FAST_VM_MAX_BLOCK
+    # unarmed and armed roots alike decode to the plain cap
     assert {
         _emit_settings("", 0)["cap"], _emit_settings("cycles", 512)["cap"],
     } == {costs.FAST_VM_MAX_BLOCK_PLAIN}
-    assert _emit_settings("cycles", 512, False)["cap"] == (
-        costs.FAST_VM_MAX_BLOCK
-    )
 
 
 def test_growth_respects_bound_cap_budget_and_depth():
@@ -1295,7 +1291,7 @@ FACT_SECTIONS = {
 
 def test_what_each_access_of_a_trace_knows():
     reach = translate._L1_REACH
-    l1 = Machine(build_program(LOOP_SUM), Memory(1 << 16)).caches.l1
+    l1 = Machine(build_program(LOOP_SUM), Memory()).caches.l1
     assert reach == l1.set_mask << l1.line_bits == 4032
 
     tree, source, _, _ = measured_loop(FACT_SECTIONS["rising"])
@@ -1488,13 +1484,15 @@ def run_fact_case(program, bad, stack, fault_at, pmu, hot_entries):
     observed = []
     for at in (-1, -1, fault_at, fault_at):
         machine = Machine(
-            program, Memory(MEMORY_END), pmu_config=pmu,
-            fast_vm=hot_entries > 0,
+            program, Memory(), pmu_config=pmu, fast_vm=hot_entries > 0,
         )
         if hot_entries:
             machine.translation.hot_entries = hot_entries
-        base = machine.memory.alloc(FACT_N * 16 + 2 * FACT_FRAME)
-        assert machine.memory.size == MEMORY_END
+        memory = machine.memory
+        base = memory.alloc(FACT_N * 16 + 2 * FACT_FRAME)
+        # what is allocated ends at MEMORY_END, and so does memory
+        memory.alloc(MEMORY_END - memory.used_bytes())
+        assert len(memory.words) * 8 == MEMORY_END
         machine.regs[8], machine.regs[9] = at, bad(base)
         if stack is not None and at >= 0:
             machine.regs[15] = stack(machine.regs[15])
@@ -1641,22 +1639,17 @@ def facts_db():
     return Database.tpch(scale=0.0002, seed=42)
 
 
-def everything_simulated(
-    db, compiled, config, fast_vm=True, hot_entries=None,
-    long_armed_roots=True,
-):
+def everything_simulated(db, compiled, config, fast_vm=True, hot_entries=None):
     """Run ``compiled`` on a translation of its own (or the interpreter)
     — unarmed with every entered block compiled, armed with what heat
     picks (the loops: where trees grow and frames are hoisted) unless
     ``hot_entries`` says otherwise; what the machine is left holding."""
     vars(compiled.program).pop("_vm_translations", None)
     pmu = config.pmu_config() if config is not None else None
-    translation = translation_for(compiled.program, pmu, long_armed_roots)
+    translation = translation_for(compiled.program, pmu)
     if config is None or hot_entries is not None:
         translation.hot_entries = hot_entries or 1
-    run = db._run_compiled(compiled, config, ExecOptions(
-        fast_vm=fast_vm, long_armed_roots=long_armed_roots
-    ))
+    run = db._run_compiled(compiled, config, ExecOptions(fast_vm=fast_vm))
     (machine,) = run.machines.values()
     assert (machine.tier == 0) == (not fast_vm)
     assert (translation.stats()["compiled"] > 0) == fast_vm
@@ -1676,8 +1669,7 @@ def everything_simulated(
 def test_address_facts_move_no_simulated_number(facts_db, name):
     # with the facts and with them forgotten: the same machine state,
     # both cache levels set by set, predictor and samples, unarmed and
-    # under every sampled event, on long armed roots and on short ones —
-    # from less source
+    # under every sampled event — from less source
     sql = ALL_QUERIES[name].sql
     for event in [None] + ALL_EVENTS:
         config = (
@@ -1685,16 +1677,11 @@ def test_address_facts_move_no_simulated_number(facts_db, name):
             if event is not None else None
         )
         compiled = facts_db._compile(sql, config)
-        for long_roots in (True, False) if event else (True,):
-            known, lines = everything_simulated(
-                facts_db, compiled, config, long_armed_roots=long_roots
-            )
-            with forgotten_address_facts():
-                forgotten, more = everything_simulated(
-                    facts_db, compiled, config, long_armed_roots=long_roots
-                )
-            assert known == forgotten, (event, long_roots)
-            assert lines < more
+        known, lines = everything_simulated(facts_db, compiled, config)
+        with forgotten_address_facts():
+            forgotten, more = everything_simulated(facts_db, compiled, config)
+        assert known == forgotten, event
+        assert lines < more
 
 
 # -- admit on the static path, settle at the site ----------------------------
@@ -1759,7 +1746,7 @@ def run_settle(program, pmu, countdown, fast_vm=True):
     """One run from ``countdown``.  Everything observable, and per sample
     the function that took it."""
     machine = Machine(
-        program, Memory(1 << 20), pmu_config=pmu, fast_vm=fast_vm
+        program, Memory(), pmu_config=pmu, fast_vm=fast_vm
     )
     memory = machine.memory
     base = memory.alloc(SETTLE_N * 64 + 9 * SETTLE_SET, align=SETTLE_SET)
@@ -1878,7 +1865,7 @@ def test_a_sample_due_at_a_settle_site_is_taken_there(event, hot_entries):
 
 _SETTLE_CASES = st.tuples(
     st.sampled_from(FACT_QUERIES), st.sampled_from(ALL_EVENTS),
-    st.integers(128, 2000), st.booleans(),
+    st.integers(128, 2000),
 )
 
 
@@ -1891,15 +1878,13 @@ _SETTLE_CASES = st.tuples(
 )
 def test_any_period_samples_what_the_interpreter_samples(facts_db, case):
     # whatever the period makes of the windows — a settle at every other
-    # miss, blocks barely admitted — and whichever armed roots run, state,
-    # both cache levels, predictor and the sample stream are the
-    # interpreter's
-    name, event, period, long_roots = case
+    # miss, blocks barely admitted — state, both cache levels, predictor
+    # and the sample stream are the interpreter's
+    name, event, period = case
     config = ProfilerConfig(event=event, record_memaddr=True, period=period)
     compiled = facts_db._compile(ALL_QUERIES[name].sql, config)
     fast, _ = everything_simulated(
-        facts_db, compiled, config, hot_entries=1,
-        long_armed_roots=long_roots,
+        facts_db, compiled, config, hot_entries=1
     )
     slow, _ = everything_simulated(facts_db, compiled, config, fast_vm=False)
     assert fast == slow
