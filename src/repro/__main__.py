@@ -32,10 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=sorted(ALL_QUERIES) + ["example", "fig9"],
         help="one of the adapted TPC-H queries (q1..q22), or a paper query",
     )
-    parser.add_argument(
-        "--scale", type=float, default=0.001,
-        help="TPC-H scale factor (default 0.001)",
-    )
+    _add_scale_flag(parser)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--workers", type=int, default=1,
@@ -87,6 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_scale_flag(parser, what="TPC-H scale factor") -> None:
+    parser.add_argument(
+        "--scale", type=float, default=0.001, help=f"{what} (default 0.001)"
+    )
+
+
 def _add_fast_vm_flag(parser: argparse.ArgumentParser) -> None:
     """The shared --fast-vm/--no-fast-vm knob (same help everywhere)."""
     parser.add_argument(
@@ -115,6 +118,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _SUBCOMMANDS[argv[0]](argv[1:], out)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if bad := _not_positive(args, "scale"):
+        return _bad_value(out, bad)
+    if args.max_rows < 0:
+        return _bad_value(out, "--max-rows must not be negative")
     sql = resolve_sql(args)
     try:
         options = ExecOptions(workers=args.workers, fast_vm=args.fast_vm)
@@ -137,11 +144,11 @@ def _bad_value(out, message) -> int:
     return 2
 
 
-def _below_one(args, *names) -> str | None:
-    """The complaint about the first of the ``names`` flags set below 1."""
+def _not_positive(args, *names) -> str | None:
+    """The complaint about the first of the ``names`` flags not above 0."""
     for name in names:
-        if getattr(args, name) < 1:
-            return f"--{name.replace('_', '-')} must be at least 1"
+        if not getattr(args, name) > 0:
+            return f"--{name.replace('_', '-')} must be positive"
     return None
 
 
@@ -347,7 +354,7 @@ def _fuzz_main(argv: list[str], out) -> int:
 
     from repro.fuzz import run_fuzz
 
-    if bad := _below_one(args, "budget"):
+    if bad := _not_positive(args, "budget"):
         return _bad_value(out, bad)
 
     emit = None if args.quiet else (lambda message: print(message, file=out))
@@ -401,10 +408,7 @@ def _bench_main(argv: list[str], out) -> int:
         help="comma-separated TPC-H query names (default: the "
              "representative vmbench subset; 'all' for q1..q22)",
     )
-    parser.add_argument(
-        "--scale", type=float, default=0.001,
-        help="TPC-H scale factor (default 0.001)",
-    )
+    _add_scale_flag(parser)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--repeats", type=int, default=3,
@@ -419,6 +423,8 @@ def _bench_main(argv: list[str], out) -> int:
 
     if not args.vm:
         return _bad_value(out, "nothing to benchmark: pass --vm")
+    if bad := _not_positive(args, "scale"):
+        return _bad_value(out, bad)
 
     from repro.data.queries import ALL_QUERIES
     from repro.vmbench import append_trajectory, run_vm_bench
@@ -519,10 +525,7 @@ def _serve_main(argv: list[str], out) -> int:
              "(requires --workload: the synthetic templates are written "
              "against the example schema)",
     )
-    parser.add_argument(
-        "--scale", type=float, default=0.001,
-        help="TPC-H scale factor for --tpch (default 0.001)",
-    )
+    _add_scale_flag(parser, "TPC-H scale factor for --tpch")
     parser.add_argument(
         "--report", action="store_true",
         help="print the rolling workload profile after the run",
@@ -538,7 +541,9 @@ def _serve_main(argv: list[str], out) -> int:
             out, "--synthetic generates queries over the example schema; "
                  "use --workload with --tpch",
         )
-    if args.synthetic and (bad := _below_one(args, "queries", "clients")):
+    if args.synthetic and (bad := _not_positive(args, "queries", "clients")):
+        return _bad_value(out, bad)
+    if args.tpch and (bad := _not_positive(args, "scale")):
         return _bad_value(out, bad)
 
     database = (
@@ -670,7 +675,7 @@ def _fleet_main(argv: list[str], out) -> int:
     )
     _add_fast_vm_flag(parser)
     args = parser.parse_args(argv)
-    if bad := _below_one(args, "shards", "tenants"):
+    if bad := _not_positive(args, "shards", "tenants"):
         return _bad_value(out, bad)
 
     try:
@@ -746,10 +751,7 @@ def _storage_main(argv: list[str], out) -> int:
                     "--query, run that query first so the summary also "
                     "shows observed zone-map pruning and loader advice.",
     )
-    parser.add_argument(
-        "--scale", type=float, default=0.001,
-        help="TPC-H scale factor (default 0.001)",
-    )
+    _add_scale_flag(parser)
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument(
         "--segment-rows", type=int, default=None,
@@ -765,6 +767,8 @@ def _storage_main(argv: list[str], out) -> int:
              "observed zone-map pruning counters",
     )
     args = parser.parse_args(argv)
+    if bad := _not_positive(args, "scale"):
+        return _bad_value(out, bad)
 
     from repro.storage import StorageConfig
 
@@ -839,7 +843,7 @@ def _views_main(argv: list[str], out) -> int:
     if args.fuzz:
         from repro.fuzz.views import run_views_fuzz
 
-        if bad := _below_one(args, "queries"):
+        if bad := _not_positive(args, "queries"):
             return _bad_value(out, bad)
         emit = (
             None if args.quiet

@@ -18,6 +18,7 @@ import random
 
 from repro.catalog import Catalog, Column, DataType, Schema
 from repro.catalog.schema import encode_date
+from repro.errors import ReproError
 
 TPCH_TABLE_NAMES = (
     "region", "nation", "supplier", "customer",
@@ -128,6 +129,8 @@ def _schemas() -> dict[str, Schema]:
 
 def generate_tpch(catalog: Catalog, scale: float = 0.001, seed: int = 42) -> None:
     """Populate ``catalog`` with all eight tables at scale factor ``scale``."""
+    if not scale > 0:
+        raise ReproError(f"TPC-H scale must be positive, not {scale}")
     rng = random.Random(seed)
     schemas = _schemas()
     n_supplier = max(5, round(10_000 * scale))

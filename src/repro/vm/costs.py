@@ -74,10 +74,10 @@ KERNEL_OUTPUT_PER_VALUE = 5  # copying a result value to the client
 # overhead, so the fast engine disarms itself entirely.
 
 FAST_VM_MIN_PERIOD = 128
-# Roots decode up to FAST_VM_MAX_BLOCK_PLAIN instructions — fewer driver
-# transitions on hot loops (the instruction-budget check stays
-# conservative either way); armed ones are then trimmed back by their
-# events, never below FAST_VM_MAX_BLOCK (docs/TIERING.md).
+# Roots decode up to FAST_VM_MAX_BLOCK_PLAIN instructions, armed or not;
+# armed, a check site stands wherever a path would pass FAST_VM_MAX_BLOCK
+# static countdown events since the last one, so no event bound exceeds
+# it (docs/SIMULATOR.md).
 FAST_VM_MAX_BLOCK = 48
 FAST_VM_MAX_BLOCK_PLAIN = 512
 # A leader runs interpreted until it has been entered FAST_VM_HOT_ENTRIES

@@ -27,41 +27,40 @@ guard or a bare access; what had retired there is data — a table keyed
 by source line, read by the function's one fault epilogue.
 
 Sampling exactness is *admit on the static path, settle at the site*
-(``docs/SIMULATOR.md``).  A block's *event bound* counts what is static
-on its longest path in the sampled event's terms — an instruction, a
-load, an L1-hit latency, a branch's one cycle — and the driver only
-enters a block while the live countdown strictly exceeds it; otherwise
-the interpreter finishes the sampling window (``Machine._run_fast``).
-What is *dynamic* — a miss's extra latency, a mispredict's penalty, the
-L1-miss and branch-miss events themselves — settles where it lands: the
-arm that discovers it checks that the countdown still exceeds the static
-events ahead, and otherwise leaves through the function's epilogue,
-which syncs the interpreter's state with that instruction retired, takes
-the sample if it is due, and hands the next ip back.  So a sample can
-fall due only *at* a settle site, on exactly the interpreter's state.
+(``docs/SIMULATOR.md``).  What is static on a path — an instruction, a
+load, an L1-hit latency, a branch's one cycle — counts in the sampled
+event's terms, and a *check site* stands wherever a path would pass
+``FAST_VM_MAX_BLOCK`` such events since the last one.  The driver enters
+a block only while the live countdown exceeds its *event bound* (what
+is static up to the first check), a check leaves unless the countdown
+still exceeds ``FAST_VM_MAX_BLOCK``, and the interpreter finishes the
+sampling window (``Machine._run_fast``).  What is *dynamic* — a miss's
+extra latency, a mispredict's penalty, the L1-miss and branch-miss
+events themselves — settles where it lands: unless the countdown still
+exceeds the static events ahead, the arm leaves through the epilogue,
+which syncs the interpreter's state with that instruction retired,
+takes the sample if it is due and hands the next ip back.  So a sample
+can fall due only *at* a settle site, on the interpreter's state.
 
-Translation gets more aggressive where the countdown allows it: traces
-rooted at loop heads inline their side-exit continuations into superblock
-*trees* (bounded by ``_TREE_BUDGET`` and ``_TREE_DEPTH``), and a branch
-back to the trace's own head closes the loop inside the compiled function
-— after re-checking the instruction budget (and, armed, the countdown)
-exactly as the driver would — so hot loops run without returning to the
-dispatch loop at all.  Armed, tree growth is additionally capped by
-``bound_cap``: ``period // 8`` static events for the whole tree.
+Traces rooted at loop heads, armed or not, inline their side-exit
+continuations into superblock *trees* (bounded by ``_TREE_BUDGET`` and
+``_TREE_DEPTH``), and a branch back to the trace's own head closes the
+loop inside the compiled function — after re-checking the instruction
+budget (and, armed, the countdown) exactly as the driver would.  A root
+that is no loop head ends where a compiled loop begins.
 
 Translations are cached on the Program object, keyed by the sampled event
-and the armed bound cap (the countdown bookkeeping is specialized per
-event), so the morsel workers of one query share one translation — its
-heat, and a block one of them compiled is compiled for all.
+(the countdown bookkeeping is specialized per event), so the morsel
+workers of one query share one translation — its heat, and a block one
+of them compiled is compiled for all.
 
 Every root gets one treatment, at its first compile (``docs/TIERING.md``).
 A loop head uses *deferred sync*: counters, predictor state and the PMU
 countdown live in Python locals across iterations, and the exact
 interpreter-visible state is flushed at real exits and when the edge
-check fails (a sampling window or the budget about to end).  Armed roots
-decode at the plain instruction cap and are trimmed back by events.
-Nothing speculates, so nothing is ever undone; a run reports tier 2 once
-a root of its plan closed a deferred loop.
+check fails (a sampling window or the budget about to end).  Nothing
+speculates, so nothing is ever undone; a run reports tier 2 once a root
+of its plan closed a deferred loop.
 
 A block's source is made in three steps over one trace tree — grow,
 measure, emit (:func:`_grow`, :func:`_measure`, :func:`_emit`) — and
@@ -96,9 +95,7 @@ _MODES = {
 }
 
 # Superblock-tree growth limits: total emitted instructions per block
-# function and inlining depth of side-exit continuations.  Armed
-# translations additionally cap the tree's static events at ``bound_cap``
-# so every path stays small against the sampling countdown.
+# function and inlining depth of side-exit continuations.
 _TREE_BUDGET = 1536
 _TREE_DEPTH = 8
 
@@ -317,12 +314,11 @@ class Translation:
     the root goes back to a stub and its next entry compiles it with the
     arm in place; ``regrown`` counts that per root, and at
     ``costs.FAST_VM_REGROW_LIMIT`` a root compiles unpruned.  ``loops``
-    holds the roots that compiled a deferred loop: the run's tier.
+    holds the roots that compiled a deferred loop: the run's tier, and
+    where a root compiled later that is no loop head ends.
     """
 
-    def __init__(
-        self, program: Program, event: Event | None, bound_cap: int = 0
-    ):
+    def __init__(self, program: Program, event: Event | None):
         self.code = program.code
         self.code_len = len(self.code)
         self.hot_entries = costs.FAST_VM_HOT_ENTRIES  # tests, oracle: 1
@@ -334,7 +330,7 @@ class Translation:
         self.loops: set[int] = set()
         self.source_lines = 0
         self.compile_s = 0.0
-        self._emit = _emit_settings(_MODES[event], bound_cap)
+        self._emit = _emit_settings(_MODES[event])
         # machine.py imports this module lazily, so the reverse import
         # here cannot form a cycle at module-load time
         from repro.vm.machine import crc32_mix
@@ -408,11 +404,10 @@ class Translation:
         return ip
 
     def _compile(self, ip: int) -> tuple | None:
-        emit = self._emit
         heat = self.heat
         if self.regrown.get(ip, 0) >= costs.FAST_VM_REGROW_LIMIT:
             heat = None  # regrown to the limit: compile whole
-        tree = _grow(self.code, ip, heat=heat, **emit)
+        tree = _grow(self.code, ip, heat=heat, loops=self.loops, **self._emit)
         if tree is None:
             del self.blocks[ip]
             return None
@@ -436,37 +431,26 @@ class Translation:
         return entry
 
 
-def _emit_settings(mode: str, bound_cap: int) -> dict:
-    """The :func:`_grow` arguments of one translation.
-
-    What admission protects is the *event* bound, not the instruction
-    count: armed roots decode at the plain cap and :func:`_grow` trims
-    them back by events, so a loop body longer than
-    ``FAST_VM_MAX_BLOCK`` still closes into an in-function loop instead
-    of paying a driver dispatch per iteration."""
-    return dict(
-        cap=costs.FAST_VM_MAX_BLOCK_PLAIN, mode=mode, bound_cap=bound_cap
-    )
+def _emit_settings(mode: str) -> dict:
+    """The :func:`_grow` arguments of one translation: armed or not, a
+    root decodes up to the plain cap (check sites keep its bound small)."""
+    return dict(cap=costs.FAST_VM_MAX_BLOCK_PLAIN, mode=mode)
 
 
 def translation_for(program: Program, pmu_config=None) -> Translation:
     """Return the one (cached) translation of ``program`` for machines
     armed with ``pmu_config`` (None: unarmed).  Nothing compiles here.
 
-    Armed trees may grow to 1/8 of the period in static events, all arms
-    summed: no path then costs admission more than 1/8 of a window."""
+    The key is the event alone: no translation depends on the period."""
     cache = getattr(program, "_vm_translations", None)
     if cache is None:
         cache = {}
         program._vm_translations = cache
-    key = (
-        (pmu_config.event, pmu_config.period >> 3)
-        if pmu_config is not None else (None, 0)
-    )
-    entry = cache.get(key)
+    event = pmu_config.event if pmu_config is not None else None
+    entry = cache.get(event)
     if entry is None or entry.stale_for(program):
-        entry = Translation(program, *key)
-        cache[key] = entry
+        entry = Translation(program, event)
+        cache[event] = entry
     return entry
 
 
@@ -481,7 +465,7 @@ def _translatable(ins: tuple) -> bool:
     return True
 
 
-def _decode_trace(code: list[tuple], start: int, cap: int, heat=None):
+def _decode_trace(code, start: int, cap: int, heat=None, stop=()):
     """Follow the expected-hot path from ``start`` (superblock decoding).
 
     Returns ``(items, fallthrough, cut)`` with items in retire order.  A
@@ -491,15 +475,15 @@ def _decode_trace(code: list[tuple], start: int, cap: int, heat=None):
     therefore translate into a single block per iteration.  A strictly
     forward JMP is folded into the trace (it only costs cycles).  The
     trace ends at CALL/RET/KCALL/HALT, a backward jump, an untranslatable
-    instruction, or the size cap; for the latter three, ``fallthrough``
-    is the next ip to execute (the caller chains a continuation there).
-    Given ``heat``, the trace is also ``cut`` where a branch's
-    fall-through or a folded jump leads into a leader never entered.
+    instruction, the size cap or an ip in ``stop``; for the latter four,
+    ``fallthrough`` is the next ip to execute (the caller chains a
+    continuation there).  Given ``heat``, the trace is also ``cut`` where a
+    branch's fall-through or a folded jump leads into a leader never entered.
     """
     items: list[tuple[int, tuple]] = []
     ip = start
     limit = len(code)
-    while 0 <= ip < limit and len(items) < cap:
+    while 0 <= ip < limit and len(items) < cap and ip not in stop:
         ins = code[ip]
         op = ins[0]
         if not _translatable(ins):
@@ -526,8 +510,9 @@ class _Treatment(NamedTuple):
     starts.  A plain value: ``_replace`` builds the variant a test wants."""
 
     mode: str  # countdown bookkeeping, one of ``_MODES``' values
-    tree: bool  # side exits may inline their continuations
-    deferred: bool  # a loop head: state in locals across iterations
+    # a loop head: side exits may inline their continuations, and state
+    # lives in locals across iterations
+    deferred: bool
     defer_cy: bool  # ... and ``cy`` accumulating across them too
     has_dyn: bool  # a dynamic-cycles accumulator ``cy`` exists
 
@@ -542,18 +527,20 @@ class _Trace:
     each side exit (a branch's taken arm, a jump that is not folded)
     became; ``at``, filled in by :func:`_measure`, holds the path-static
     totals ``(instructions, cycles, loads, stores, branches)`` retired
-    *before* an item (so ``at[i + 1]``: with item ``i``) — around fault
-    and settle sites and ways out, and under ``len(items)``;
+    *before* an item (so ``at[i + 1]``: with item ``i``) — around check,
+    fault and settle sites and ways out, and under ``len(items)``;
     ``known``, what the path had established at a memory access
-    (:meth:`_Facts.access`; no entry: nothing); ``spent``, the static
-    countdown events of the path up to and with an item that settles."""
+    (:meth:`_Facts.access`; no entry: nothing); ``checks``, the items a
+    check site precedes; ``spent``, at an item that settles, its segment
+    and the static countdown events spent in it, the item's included."""
 
     def __init__(self, items, fall):
         self.items, self.fall = items, fall
         self.exits: dict[int, object] = {}
         self.at: dict[int, tuple] = {}
         self.known: dict[int, tuple] = {}
-        self.spent: dict[int, int] = {}
+        self.checks: set[int] = set()
+        self.spent: dict[int, tuple] = {}
 
 
 def _side_target(ip: int, ins: tuple):
@@ -566,22 +553,20 @@ def _side_target(ip: int, ins: tuple):
 
 class _Tree:
     """The trace tree of one root: :func:`_grow` decides ``treatment``,
-    ``root`` and what hangs off it, the static ``events`` of all its
-    traces (what ``bound_cap`` limits), the exits ``pruned`` by heat and
-    the ``fallthroughs`` (either may repeat an ip); :func:`_measure`
-    adds what its docstring lists."""
+    ``root`` and what hangs off it, the exits ``pruned`` by heat and the
+    ``fallthroughs`` (either may repeat an ip); :func:`_measure` adds
+    what its docstring lists."""
 
-    def __init__(self, start, treatment, events, pruned):
-        self.start, self.treatment = start, treatment
-        self.events, self.pruned = events, pruned
+    def __init__(self, start, treatment, pruned):
+        self.start, self.treatment, self.pruned = start, treatment, pruned
         self.fallthroughs: list[int] = []
         self.size = 0  # instructions in the tree (the growth budget)
         self.root: _Trace | None = None
 
 
 def _grow(
-    code, start, cap, mode, bound_cap=0, tree_budget=_TREE_BUDGET,
-    tree_depth=_TREE_DEPTH, heat=None,
+    code, start, cap, mode, tree_budget=_TREE_BUDGET, tree_depth=_TREE_DEPTH,
+    heat=None, loops=(),
 ):
     """Decode the root at ``start``, decide its treatment, and grow its
     trace tree; None if nothing there is translatable.  No text.
@@ -592,47 +577,28 @@ def _grow(
     — and loop cycles that cross several trace heads before branching
     back to this block's start — run inside one Python function.
     ``heat`` (None prunes nothing) keeps out what no entry has reached.
+    A root that is no loop head stops at the first ip in ``loops`` (the
+    heads of compiled loops) and falls through to it.
     """
-    root_items, root_fall, cut = _decode_trace(code, start, cap, heat)
-    if not root_items:
-        return None
     # what the root is does not depend on how much of it is warm yet
-    whole_root = _decode_trace(code, start, cap)[0] if cut else root_items
-    if mode and bound_cap and len(root_items) > costs.FAST_VM_MAX_BLOCK:
-        # Long armed roots decode past the short instruction cap (see
-        # _emit_settings); keep the longest prefix whose static events
-        # still leave tree headroom under ``bound_cap``, but never trim
-        # below the short cap.  The cut point's ip is where
-        # control would continue, so it becomes the fall-through leader.
-        allowance = bound_cap // 2
-        kept = costs.FAST_VM_MAX_BLOCK
-        acc = _event_bound(root_items[:kept], mode)
-        while kept < len(root_items):
-            step = _event_bound(root_items[kept:kept + 1], mode)
-            if acc + step > allowance:
-                break
-            acc += step
-            kept += 1
-        if kept < len(root_items):
-            root_fall = root_items[kept][0]
-            root_items = root_items[:kept]
-            cut = False
-
+    whole_root = _decode_trace(code, start, cap)[0]
+    if not whole_root:
+        return None
     # Trees are grown only at *loop heads* — roots whose own trace
     # branches back to start.  Hot cycles always contain a loop head, so
     # the closed loop forms there, while cold leaders stay linear and the
-    # generated source stays compact enough to compile quickly.
-    is_loop_head = any(
-        _side_target(ip, ins) == start for ip, ins in whole_root
+    # generated source stays compact enough to compile quickly.  Deferred
+    # sync: a loop head keeps its counters, predictor state and countdown
+    # in locals until a real exit or a failed edge check.
+    deferred = any(_side_target(ip, ins) == start for ip, ins in whole_root)
+    # a linear root ends where a compiled loop begins, instead of running
+    # one iteration of its body and leaving at its back edge
+    root_items, root_fall, cut = _decode_trace(
+        code, start, cap, heat, () if deferred else loops
     )
-    events = _event_bound(root_items, mode)
-    tree = is_loop_head and (mode == "" or events < bound_cap)
-    # Deferred sync: a loop head keeps its counters, predictor state and
-    # countdown in locals until a real exit or a failed edge check.
-    deferred = is_loop_head
     root_rows = [_OPS[ins[0]] for _, ins in root_items]
     treatment = _Treatment(
-        mode=mode, tree=tree, deferred=deferred,
+        mode=mode, deferred=deferred,
         # Deferred loops let ``cy`` (dynamic cycles: cache misses,
         # mispredicts) accumulate *across* iterations instead of folding
         # it into ``_cyt`` and resetting at every back edge — exits and
@@ -640,21 +606,20 @@ def _grow(
         # decrements the countdown by each iteration's cost.
         defer_cy=deferred and mode != "cycles",
         # a tree may inline loads and branches into a root that has none
-        has_dyn=tree or any(r.loads or r.branches for r in root_rows),
+        has_dyn=deferred or any(r.loads or r.branches for r in root_rows),
     )
-    grown = _Tree(start, treatment, events, [root_fall] if cut else [])
+    grown = _Tree(start, treatment, [root_fall] if cut else [])
 
     def side_exit(target, path, depth):
         """What the side exit to ``target`` becomes: the loop edge, the
-        inlined continuation, or an exit when trees are disabled, the
+        inlined continuation, or an exit when the root is no loop head, the
         target closes a non-root cycle, the growth budget/depth is
-        exhausted, or (armed) the continuation would push the tree's
-        static events past ``bound_cap``, or (last: the exit is pruned)
-        no entry has reached ``target`` yet."""
+        exhausted, or (last: the exit is pruned) no entry has reached
+        ``target`` yet."""
         if target == start:
             return _LOOP
         if (
-            not tree
+            not deferred
             or depth >= tree_depth
             or target in path
             or grown.size >= tree_budget
@@ -665,13 +630,9 @@ def _grow(
         )
         if not items:
             return _EXIT
-        sub_events = _event_bound(items, mode)
-        if mode and grown.events + sub_events > bound_cap:
-            return _EXIT
         if heat is not None and not heat.get(target):
             grown.pruned.append(target)
             return _PRUNED
-        grown.events += sub_events
         if sub_cut:
             grown.pruned.append(fall)
         return trace(items, fall, path | {target}, depth + 1)
@@ -744,16 +705,20 @@ class _Facts:
 def _measure(tree: _Tree) -> _Tree:
     """One walk of a grown tree for what emit must know before it writes
     line 1 — registers ``used`` (read or written) and ``written``, the
-    most instructions (``max_k``) and static countdown events (``bound``:
-    what admission compares the countdown with) any one path retires,
-    whether a path touches memory (``mem``), closes the ``loop``, has
-    fault or settle sites (``faults``), the ``branch_ips`` whose 2-bit
-    counters a deferred loop keeps in locals — for the path-static totals
+    most instructions any one path retires (``max_k``), whether a path
+    touches memory (``mem``), closes the ``loop``, has check, fault or
+    settle sites (``faults``), the ``branch_ips`` whose 2-bit counters a
+    deferred loop keeps in locals — for the path-static totals
     (``_Trace.at``, ``spent``) and the address facts (``_Trace.known``:
     an inlined arm starts from a copy of its branch's, nothing flows
     back to the fall-through).  ``slots``:
     the frame offsets a loop function binds once, ahead of the loop —
     none if a path writes the stack pointer and then takes the loop edge.
+
+    Check sites (``_Trace.checks``) cut paths into *segments* of at
+    most ``FAST_VM_MAX_BLOCK`` static countdown events; ``bounds`` holds
+    each one's most, and ``bound``, the first's, is what admission and
+    the loop edge compare the countdown with.
 
     Registers are cached in Python locals (``r5`` for ``regs[5]``) for
     the whole block: nothing outside the block can observe ``regs``
@@ -764,20 +729,28 @@ def _measure(tree: _Tree) -> _Tree:
     """
     deferred, mode = tree.treatment.deferred, tree.treatment.mode
     used, written, branch_ips, slots = set(), set(), set(), set()
-    tree.max_k = tree.bound = 0
+    bounds = tree.bounds = [0]
+    tree.max_k = 0
     tree.mem = tree.loop = tree.faults = False
     moved_edges = []  # loop edges behind a write to the stack pointer
 
-    def walk(trace, facts, events, k0, cycles, loads, stores, branches):
+    def walk(trace, facts, seg, events, k0, cycles, loads, stores, branches):
         """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
         retired-count, statically-known cycles, memory-op and
         conditional-branch counts accumulated on the path into this
-        trace, so sync points flush absolute totals; ``events``, its
-        static countdown events."""
+        trace, so sync points flush absolute totals; ``events``, the
+        static countdown events spent in segment ``seg``."""
         at, exits = trace.at, trace.exits
         for index, (ip, ins) in enumerate(trace.items):
             op = ins[0]
             row = _OPS[op]
+            if events + row.events[mode] > costs.FAST_VM_MAX_BLOCK:
+                at[index] = (k0 + index, cycles, loads, stores, branches)
+                trace.checks.add(index)
+                tree.faults = True
+                bounds[seg] = max(bounds[seg], events)
+                seg, events = len(bounds), 0
+                bounds.append(0)
             events += row.events[mode]
             if row.loads or row.stores:
                 known = facts.access(ins[2 if row.loads else 1], ins[3])
@@ -792,7 +765,7 @@ def _measure(tree: _Tree) -> _Tree:
                 used.update(ins[3])
             settles = mode in row.settles
             if settles:
-                trace.spent[index] = events
+                trace.spent[index] = (seg, events)
             if row.faults or settles:
                 tree.faults = True
             elif op not in TERMINATOR_OPS:
@@ -817,15 +790,16 @@ def _measure(tree: _Tree) -> _Tree:
                 if facts.moved:
                     moved_edges.append(ip)
             elif child.__class__ is _Trace:
-                walk(child, facts.copy(), events, *at[index + 1])
+                walk(child, facts.copy(), seg, events, *at[index + 1])
         k_end = k0 + len(trace.items)
         at[len(trace.items)] = (k_end, cycles, loads, stores, branches)
         # every trace ends in a way out, so its last totals are its largest
         tree.max_k = max(tree.max_k, k_end)
-        tree.bound = max(tree.bound, events)
+        bounds[seg] = max(bounds[seg], events)
         tree.mem = tree.mem or loads + stores > 0
 
-    walk(tree.root, _Facts(), 0, 0, 0, 0, 0, 0)
+    walk(tree.root, _Facts(), 0, 0, 0, 0, 0, 0, 0)
+    tree.bound = bounds[0]
     tree.used, tree.written = used | written, written
     tree.branch_ips = branch_ips
     held = tree.loop and not moved_edges
@@ -843,7 +817,7 @@ class _Writer:
         self.tree, self.t = tree, t
         self.out: list[str] = []
         self.table: dict[int, tuple] = {}
-        self.settled = False  # a settle site was written
+        self.settled = False  # a settle or check site was written
         self.wb_regs = [f"regs[{i}] = r{i}" for i in sorted(tree.written)]
         self.wb_predictor = ["predictor.mispredicts += _pm"] + [
             f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
@@ -1046,21 +1020,36 @@ class _Writer:
             *retired, message, ip, *((slot,) if self.slots else ())
         )
 
+    def check(self, ind: str, path, ip) -> None:
+        """A check site ahead of the item at ``ip``: unless the countdown,
+        less what ``path`` (the totals before the item) has paid, still
+        exceeds ``FAST_VM_MAX_BLOCK``, hand ``ip`` over untouched."""
+        paid = int(self.paid(*path[:3]))
+        dyn = " - cy" if self.t.mode == "cycles" and self.t.has_dyn else ""
+        self.settled = True
+        self.site(0, (ip, None), path, ip)
+        self.out.append(
+            f"{ind}if {self.countdown}{dyn} <= "
+            f"{costs.FAST_VM_MAX_BLOCK + paid}: raise _Fault"
+        )
+
     def settle(self, ind: str, path, spent, after, ip, slot=None, dyn=0) -> None:
         """A settle site, in the arm where a dynamic cost just landed:
         unless the countdown still exceeds the static events left on the
-        longest way on — the bound less those ``spent`` (None: nothing
-        settles in this mode) — leave through the epilogue.  ``path`` is
-        what has retired *with* the instruction, ``dyn`` the cycles of it
-        not in ``cy`` yet; ``after`` stands in the table where a fault's
-        message does: ``(next ip, what a sample says of the branch)``, or
-        a pair of them by ``_tk``."""
+        longest way on to the next check — its segment's bound less those
+        ``spent``, a pair ``(segment, spent)`` (None: nothing settles in
+        this mode) — leave through the epilogue.  ``path`` is what has
+        retired *with* the instruction, ``dyn`` the cycles of it not in
+        ``cy`` yet; ``after`` stands in the table where a fault's message
+        does: ``(next ip, what a sample says of the branch)``, or a pair
+        of them by ``_tk``."""
         if spent is None:
             return
         k, cycles, *counts = path
         if self.t.mode == "cycles":
             # the pass's cycles reach the countdown at its next sync
-            left = self.tree.bound - spent
+            seg, spent = spent
+            left = self.tree.bounds[seg] - spent
             due = f"{self.countdown} - cy <= {left + cycles + dyn}"
         else:  # the miss, the mispredict: the event itself, already paid
             due = f"{self.countdown} <= 0"
@@ -1091,7 +1080,7 @@ class _Writer:
         if slot in self.slots:
             word = f"_w + {slot >> 3}" if slot else "_w"
             ln, tg = f"_n{self.slots[slot]}", f"_t{self.slots[slot]}"
-            touched = f"r{REG_SP} + {slot}"
+            touched = f"r{REG_SP} + {slot}" if slot else f"r{REG_SP}"
         else:
             slot, ln, tg, touched = None, "_ln", "_tg", "_x"
             word = (
@@ -1127,6 +1116,8 @@ class _Writer:
         for index, (ip, ins) in enumerate(trace.items):
             op = ins[0]
             row = _OPS[op]
+            if index in trace.checks:
+                self.check(ind, at[index], ip)
             if not (row.faults or op in TERMINATOR_OPS):
                 if row.shift:
                     ins = ins[:3] + (ins[3] & 63,)
@@ -1209,7 +1200,9 @@ class _Writer:
         for what retired *before* the faulting instruction, as the
         interpreter does.  At a settle site the instruction has retired,
         cost included: the sample is taken here if it is due, and the
-        driver carries on from the next ip."""
+        driver carries on from the next ip.  At a check site nothing of
+        the instruction has retired, nor is a sample due: the driver
+        carries on from its ip."""
         t, out = self.t, self.out
         out += [
             "    except (_Fault, IndexError) as _f:",
@@ -1233,10 +1226,14 @@ class _Writer:
         self.add("    ", "state.loads", "_ld", "_fl")
         self.add("    ", "state.stores", "_st", "_fs")
         self.add("    ", "caches.accesses", "_ld + _st", "_fl + _fs")
-        paid = self.paid("_fk - 1", "_fc", "_fl")
+        # a fault's instruction counts but ticks no instruction event; a
+        # check (in ``instr`` mode, the only other site) ran nothing
+        retired = "_fk - 1 if _fm.__class__ is str else _fk"
+        paid = self.paid(retired if self.settled else "_fk - 1", "_fc", "_fl")
         self.pay("    ", paid, f"({paid})")
         if self.settled:
-            # a load's sample carries its address, a branch's which way
+            # a load's sample carries its address, a branch's which way (a
+            # check's is never due)
             by_tk = "        if _fm[0].__class__ is tuple: _fm = _fm[_tk]"
             out += [
                 "    if _fm.__class__ is tuple:",
@@ -1280,7 +1277,8 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
         # each slot's line and L1 set, are bound once
         out.append(f"    _w = r{REG_SP} >> 3")
     for slot, name in writer.slots.items():
-        out.append(f"    _n{name} = (r{REG_SP} + {slot}) >> _lb")
+        addr = f"(r{REG_SP} + {slot})" if slot else f"r{REG_SP}"
+        out.append(f"    _n{name} = {addr} >> _lb")
         out.append(f"    _t{name} = _l1s[_n{name} & _l1m]")
     if t.deferred:
         if tree.branch_ips:
@@ -1312,8 +1310,3 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
     if tree.faults:
         writer.epilogue()
     return "\n".join(out) + "\n", writer.table
-
-
-def _event_bound(instrs, mode) -> int:
-    """The static countdown events of one execution of ``instrs``."""
-    return sum(_OPS[ins[0]].events[mode] for _, ins in instrs)

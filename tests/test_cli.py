@@ -87,11 +87,29 @@ def test_parallel_execution_via_cli():
     ["views", "--fuzz", "--queries", "0"],
     ["bench", "--vm", "--queries", "q99"],
     ["pgo", __file__],
+    ["--query", "q1", "--max-rows", "-2"],
 ])
 def test_an_invalid_knob_is_one_line_and_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2
     assert text.startswith("error: ") and text.count("\n") == 1, text
+
+
+@pytest.mark.parametrize("command", [
+    ["--query", "q6"],
+    ["bench", "--vm", "--queries", "q6", "--repeats", "1"],
+    ["serve", "--tpch", "--workload"],
+    ["storage"],
+], ids=["main", "bench", "serve", "storage"])
+def test_a_scale_that_is_not_positive_is_one_line_and_exit_2(command, tmp_path):
+    if command[0] == "serve":
+        workload = tmp_path / "workload.jsonl"
+        workload.write_text('{"sql": "select count(*) from nation"}\n')
+        command = command + [str(workload)]
+    for scale in ("-1", "0"):
+        code, text = run_cli(command + ["--scale", scale])
+        assert code == 2
+        assert text == "error: --scale must be positive\n", text
 
 
 def test_parser_rejects_missing_source():

@@ -6,6 +6,7 @@ from repro.catalog import Catalog
 from repro.catalog.schema import encode_date
 from repro.data import generate_example, generate_tpch
 from repro.data.queries import ALL_QUERIES
+from repro.errors import ReproError
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +34,12 @@ def test_scaled_sizes(catalog):
     assert catalog.table("partsupp").row_count == 4 * catalog.table("part").row_count
     lineitem = catalog.table("lineitem").row_count
     assert 1500 * 1 <= lineitem <= 1500 * 7
+
+
+@pytest.mark.parametrize("scale", [0, -3, float("nan")])
+def test_a_scale_that_is_not_positive_is_refused(scale):
+    with pytest.raises(ReproError, match="scale must be positive"):
+        generate_tpch(Catalog(), scale=scale)
 
 
 def test_foreign_keys_valid(catalog):

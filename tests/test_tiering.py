@@ -1,7 +1,7 @@
 """The one treatment every root gets at its first compile.
 
-Deferred sync at loop heads, armed roots decoded long and trimmed by
-events, one tree budget — and the exactness
+Deferred sync at loop heads, armed trees of the plain shape with check
+sites, one tree budget — and the exactness
 contract that keeps the treatment a pure wall-clock matter: a deferred
 loop reproduces the interpreter's machine state bit-for-bit, including
 when its edge check fails (a sampling window or an instruction budget
@@ -374,7 +374,7 @@ def test_a_fleet_shard_arms_the_translation_a_single_node_does(monkeypatch):
     # of the same key that grows armed roots of the same lengths
     from repro.fleet import Fleet, FleetConfig
     from repro.serve import (
-        SERVE_PERIOD_CYCLES, QueryService, ServiceConfig, SYNTHETIC_TEMPLATES,
+        QueryService, ServiceConfig, SYNTHETIC_TEMPLATES,
     )
 
     roots = []
@@ -404,7 +404,7 @@ def test_a_fleet_shard_arms_the_translation_a_single_node_does(monkeypatch):
     (result,) = shard.results.values()
     assert result.tier == 2
     keys, grown = armed(shard)
-    assert keys == {(Event.CYCLES, SERVE_PERIOD_CYCLES >> 3)} and grown
+    assert keys == {Event.CYCLES} and grown
 
     shard.db.plan_cache.clear()
     single = QueryService(shard.db, ServiceConfig(workers=2))

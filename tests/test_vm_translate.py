@@ -31,7 +31,7 @@ from repro.vm.memory import Memory
 from repro.vm.pmu import Event, PmuConfig
 from repro.vm import translate
 from repro.vm.translate import (
-    Translation, _OPS, _Trace, _emit_settings, _event_bound, _grow, _measure,
+    Translation, _OPS, _Trace, _emit_settings, _grow, _measure,
     _side_target, _translatable, translation_for,
 )
 from tests.helpers import forgotten_address_facts, traces_of
@@ -565,13 +565,14 @@ SITE_KINDS = {
 }
 # where the fault is raised from: (site position, function it leaves);
 # "tier2" compiles every block on its first entry (heat 1), the others
-# compile by heat
+# compile by heat; "checked" puts the site past a check site, behind a
+# straight-line stretch of the loop body longer than FAST_VM_MAX_BLOCK
 SITE_CONTEXTS = {
     "cold": ("root", "_interp"),
     "root": ("root", f"_b{SITE_LOOP}"),
     "inlined": ("deep", f"_b{SITE_LOOP}"),
     "tier2": ("root", f"_b{SITE_LOOP}"),
-    "linear": ("root", f"_b{SITE_LOOP}"),
+    "checked": ("long", f"_b{SITE_LOOP}"),
 }
 
 
@@ -579,9 +580,10 @@ def site_program(kind, where):
     """r0 = base, r1 = count, r8 = the faulting iteration, r9 = the bad
     operand.  The site runs on a good operand (&a[i]: a valid address, a
     non-zero divisor) except in iteration r8.  ``where`` puts it in the
-    loop's root trace, or ("deep") in an arm two taken branches away
-    from it that iterations with i % 4 == 3 run.  The "call" kind calls
-    a helper, and overflows when the test deepened the call stack."""
+    loop's root trace — ("long") behind FAST_VM_MAX_BLOCK NOPs — or
+    ("deep") in an arm two taken branches away from it that iterations
+    with i % 4 == 3 run.  The "call" kind calls a helper, and overflows
+    when the test deepened the call stack."""
     good, picked = 10, 5
     site = {
         "load": [(Op.STORE, good, 3, 0), (Op.LOAD, 6, picked, 0)],
@@ -603,7 +605,9 @@ def site_program(kind, where):
         (Op.ADD, good, 0, good),           # &a[i]
         (Op.CMPEQ, 7, 3, 8),
         (Op.SELECT, picked, 7, (9, good)),
-        *(site if where == "root" else []),
+        *([(Op.NOP, 0, 0, 0)] * costs.FAST_VM_MAX_BLOCK if where == "long"
+          else []),
+        *(site if where in ("root", "long") else []),
         (Op.ANDI, 7, 3, 1),
         (Op.BRNZ, 7, "odd", 0),
         Label("back"),
@@ -655,26 +659,26 @@ def run_site(program, kind, fault_at, prepare=None, **kwargs):
     return machine, outcome, raised_in
 
 
-@pytest.mark.parametrize("context", list(SITE_CONTEXTS))
+@pytest.mark.parametrize("context", [
+    # (the checked context runs under the id "linear": its site sits in
+    # a long straight-line stretch)
+    pytest.param(context, id="linear" if context == "checked" else context)
+    for context in SITE_CONTEXTS
+])
 @pytest.mark.parametrize("kind", list(SITE_KINDS))
 def test_every_fault_kind_from_every_kind_of_site(kind, context):
     # A fault site is a bare guard or a bare access; the function's one
     # handler finds out which by the raising line.  Whatever raised it —
     # the interpreter on a cold block, a compiled root, a sub-trace
     # inlined two arms deep, a deferred loop compiled on its first
-    # entry, an armed root whose own events reach its allowance and that
-    # therefore stays linear — message, ip, registers, counters,
-    # predictor and countdown are the interpreter's.
+    # entry, a loop whose body passes a check site before it — message,
+    # ip, registers, counters, predictor and countdown are the
+    # interpreter's.
     where, function = SITE_CONTEXTS[context]
     if (kind, context) == ("call", "tier2"):
         where = "deep"  # keep the root a loop head, so it defers
     pmu = PmuConfig(event=Event.CYCLES, period=8192, record_memaddr=True)
     program, deep = site_program(kind, where)
-    if context == "linear":
-        program._vm_translations = {
-            (pmu.event, pmu.period >> 3):
-                Translation(program, pmu.event, 1)
-        }
     if context == "tier2":
         translation_for(program, pmu).hot_entries = 1
     if context != "cold":
@@ -687,11 +691,16 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
             run_site(program, kind, -1, pmu_config=pmu)
             code = translation.blocks[SITE_LOOP][0].__code__
             assert "_ins" in code.co_varnames  # a deferred loop
-        if context == "linear":
-            root = _grow(program.code, SITE_LOOP, **translation._emit)
-            assert not root.treatment.tree
+        if context == "checked":
+            root = _measure(_grow(program.code, SITE_LOOP, **translation._emit))
             # (a CALL ends the root before its back edge)
-            assert _measure(root).loop == (kind != "call")
+            assert root.loop == (kind != "call")
+            (check,) = root.root.checks
+            site = next(
+                index for index, (_, ins) in enumerate(root.root.items)
+                if _OPS[ins[0]].faults
+            )
+            assert check < site
 
     def prepare(machine):
         if context == "cold" and machine.translation is not None:
@@ -708,7 +717,9 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     assert full_state(fast) == full_state(slow)
     assert raised_in == function
     # a CALL ends the root before its back edge: no loop closes then
-    looped = context != "cold" and (kind, where) != ("call", "root")
+    looped = context != "cold" and (kind, where) not in (
+        ("call", "root"), ("call", "long"),
+    )
     assert fast.tier == (2 if looped else 1)
     if where == "deep":
         assert fast_outcome[2] >= deep  # the site sits in the inlined arm
@@ -907,7 +918,7 @@ def grown_roots(monkeypatch):
 def test_the_loop_grows_into_a_tree_along_heat():
     code = build_program(LOOP_SUM).code
     loop, even, done = 2, 12, 14
-    plain = _emit_settings("", 0)
+    plain = _emit_settings("")
     # unpruned: the exit arm and the skip arm are inlined, and every way
     # round — the root's own jump, the skip arm's — is the loop edge
     tree = _grow(code, loop, **plain)
@@ -938,12 +949,12 @@ def test_the_treatment_of_a_root_is_decided_by_its_shape():
     code = build_program(LOOP_SUM).code
 
     def treatment(ip, mode=""):
-        settings = _emit_settings(mode, 512 if mode else 0)
+        settings = _emit_settings(mode)
         return _grow(code, ip, **settings).treatment
 
     # a loop head grows a tree and defers, from its first compile
     loop = treatment(2)
-    assert (loop.tree, loop.deferred, loop.defer_cy) == (True, True, True)
+    assert (loop.deferred, loop.defer_cy) == (True, True)
     # ... its ``cy`` rides across iterations unless the edge consumes a
     # per-iteration delta
     assert treatment(2, "instr").defer_cy
@@ -951,42 +962,77 @@ def test_the_treatment_of_a_root_is_decided_by_its_shape():
     assert treatment(2, "l1").defer_cy  # a miss is paid as it happens
     # a root that is no loop head does neither
     for ip in (0, 14):
-        assert not treatment(ip).tree and not treatment(ip).deferred
-    # the accumulator follows the tree flag, not what got inlined
+        assert not treatment(ip).deferred
+    # the accumulator follows the loop head, not what got inlined
     assert not treatment(14).has_dyn and treatment(2, "l1").has_dyn
     # unarmed and armed roots alike decode to the plain cap
     assert {
-        _emit_settings("", 0)["cap"], _emit_settings("cycles", 512)["cap"],
+        _emit_settings("")["cap"], _emit_settings("cycles")["cap"],
     } == {costs.FAST_VM_MAX_BLOCK_PLAIN}
 
 
-def test_growth_respects_bound_cap_budget_and_depth():
-    program, offsets = phase_program(4)
-    code, loop = program.code, offsets["loop"]
-    whole = _grow(code, loop, **_emit_settings("", 0))
+def most_events_between_checks(trace, mode, since=0):
+    """The most static ``mode`` events any path of ``trace`` spends since
+    the last check site (or ``since`` on the way in), and the most before
+    its first one; asserts that every check stands where the item it
+    precedes would pass ``FAST_VM_MAX_BLOCK``."""
+    worst, first, checked = since, since, False
+    for index, (ip, ins) in enumerate(trace.items):
+        events = _OPS[ins[0]].events[mode]
+        if index in trace.checks:
+            assert since + events > costs.FAST_VM_MAX_BLOCK
+            since, checked = 0, True
+        since += events
+        worst = max(worst, since)
+        first = first if checked else max(first, since)
+        child = trace.exits.get(index)
+        if isinstance(child, _Trace):
+            arm_worst, arm_first = most_events_between_checks(
+                child, mode, since
+            )
+            worst = max(worst, arm_worst)
+            first = first if checked else max(first, arm_first)
+    return worst, first
+
+
+def test_armed_trees_take_the_plain_shape_with_checks_every_k_events():
+    # no tree's size depends on the sampled event or the period: an
+    # armed tree is the plain one, and check sites keep every stretch of
+    # a path between them to ``FAST_VM_MAX_BLOCK`` static events — the
+    # first of them is what admission compares the countdown with
+    for arms in (4, 16):  # a loop body under K static events, one over
+        program, offsets = phase_program(arms)
+        code, loop = program.code, offsets["loop"]
+        heat = dict.fromkeys(range(len(code)), 16)
+        heat[offsets["arm1"]] = 0  # one arm pruned
+        for warm in (None, heat):
+            plain = _measure(_grow(code, loop, heat=warm, **_emit_settings("")))
+            assert plain.bound == 0
+            assert not any(t.checks for t in traces_of(plain.root))
+            for mode in ("instr", "cycles", "loads", "l1", "brmiss"):
+                tree = _grow(code, loop, heat=warm, **_emit_settings(mode))
+                assert side_exits(tree.root) == side_exits(plain.root)
+                assert (tree.size, tree.pruned, tree.fallthroughs) == (
+                    plain.size, plain.pruned, plain.fallthroughs
+                )
+                _measure(tree)
+                worst, first = most_events_between_checks(tree.root, mode)
+                assert worst <= costs.FAST_VM_MAX_BLOCK
+                assert tree.bound == first <= costs.FAST_VM_MAX_BLOCK
+                assert tree.bounds[0] == tree.bound
+                checks = sum(len(t.checks) for t in traces_of(tree.root))
+                # an instruction is an event, a cycle at least one
+                assert (checks > 0) == (arms == 16 and mode in ("instr", "cycles"))
+    whole = _grow(code, loop, **_emit_settings(""))
     assert depth_of(whole.root) > 4  # arm0 > back0 > arm1 > back1 > ...
-    root_bound = len(whole.root.items)
-    for bound_cap in (root_bound, root_bound + 1, 30, 60, 10_000):
-        tree = _grow(code, loop, **_emit_settings("instr", bound_cap))
-        assert tree.treatment.tree == (root_bound < bound_cap)
-        # armed, the tree's static events, all arms summed, stay within
-        # the allowance (a root alone may exceed it: it then stays linear)
-        assert tree.events <= max(bound_cap, root_bound)
-        assert tree.events == tree.size  # instr: one event an instruction
-        # what admission compares the countdown with is the longest path
-        assert _measure(tree).bound == tree.max_k <= tree.events
-    assert tree.size == whole.size
-    assert side_exits(tree.root) == side_exits(whole.root)
-    settings = _emit_settings("instr", root_bound + 1)
-    cramped = _grow(code, loop, **settings)
-    assert set(side_exits(cramped.root).values()) <= {"exit", "loop"}
-    for budget in (root_bound, root_bound + 3, 40):
-        settings = dict(_emit_settings("", 0), tree_budget=budget)
+    root_size = len(whole.root.items)
+    for budget in (root_size, root_size + 3, 80):
+        settings = dict(_emit_settings(""), tree_budget=budget)
         tree = _grow(code, loop, **settings)
         assert tree.size <= budget
         assert "exit" in str(side_exits(tree.root))
     for depth in range(4):
-        settings = dict(_emit_settings("", 0), tree_depth=depth)
+        settings = dict(_emit_settings(""), tree_depth=depth)
         tree = _grow(code, loop, **settings)
         assert depth_of(tree.root) == depth + 1
 
@@ -1010,9 +1056,8 @@ def test_every_opcode_is_one_row_of_the_table():
         assert set(static) | {""} == set(row.events)
         assert set(row.events) == set(translate._MODES.values())
         for mode, events in static.items():
-            assert _event_bound([(0, (op, 1, 2, 3))], mode) == events
             assert row.events[mode] == events
-        assert _event_bound([(0, (op, 1, 2, 3))], "") == 0
+        assert row.events[""] == 0
         assert row.settles == settles.get(op, ())
         # a fault site is a line of the instruction; straight-line rows
         # mark theirs in the template
@@ -1102,8 +1147,9 @@ def test_translation_volume_of_a_first_pass():
     # whole on its first entry, 37,857 with compilation earned by heat
     # and trees grown along executed paths, 32,019 without the guards
     # and L1 lookups a path has made redundant, 35,905 since every loop
-    # head defers from its first compile; the blocks and arms that turn
-    # hot on a second execution add little
+    # head defers from its first compile, 32,841 since a root that is no
+    # loop head ends where a compiled loop begins; the blocks and arms
+    # that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
     first, second = (
@@ -1113,7 +1159,7 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 36_000
+    assert 0 < first <= 33_500
     assert first <= second < first * 1.15
 
 
@@ -1124,7 +1170,9 @@ def test_armed_translation_volume_of_a_profile_session():
     # the sampling window, 15,867 since admission counts the static path
     # and a miss settles where it lands, 23,246 since armed roots decode
     # long and every loop head defers from its first compile — the trade
-    # for profile_session's wall_s going down by 12%
+    # for profile_session's wall_s going down by 12% — and 23,411 since
+    # armed trees take the plain shape, check sites keeping the countdown
+    # exact, and a linear root ends where a compiled loop begins
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1139,6 +1187,34 @@ def test_armed_translation_volume_of_a_profile_session():
         )
     )
     assert 0 < lines <= 23_246 * 1.02
+
+
+def test_a_warm_armed_loop_closes_inside_its_function():
+    # One warm armed q1 (default profile, ``tpch(0.002, 42)``), counted
+    # at the block map's functions: a driver dispatch per sampling window
+    # or so.  57,889 while armed roots were trimmed back to an allowance
+    # of the period: the scan loop's root no longer reached its back edge
+    # and every lineitem row ran a chain of six dispatches.
+    db = Database.tpch(scale=0.002, seed=42)
+    sql, config = ALL_QUERIES["q1"].sql, ProfilerConfig()
+    for _ in range(4):  # until no root compiles again
+        db.profile(sql, config)
+    translation = translation_for(
+        db.compiled_for(sql, config).program, config.pmu_config()
+    )
+    dispatches = [0]
+
+    def counted(fn):
+        def dispatched(*args):
+            dispatches[0] += 1
+            return fn(*args)
+        return dispatched
+
+    for ip, (fn, k, bound) in list(translation.blocks.items()):
+        translation.blocks[ip] = (counted(fn), k, bound)
+    profile = db.profile(sql, config)
+    assert len(profile.samples) == 1_066
+    assert dispatches[0] == 5_177
 
 
 # -- what a trace knows: address facts ---------------------------------------
@@ -1198,7 +1274,7 @@ def measured_loop(sections):
     tree, its source, and the traces its side exits inlined."""
     program, offsets = fact_program(**sections)
     tree = _measure(_grow(
-        program.code, offsets["loop"], **_emit_settings("", 0)
+        program.code, offsets["loop"], **_emit_settings("")
     ))
     inlined = {
         _side_target(*tree.root.items[index]): what
@@ -1362,7 +1438,7 @@ def test_what_each_access_of_a_trace_knows():
     # loop has the same slots and the same lookups
     program, offsets = fact_program(**FACT_SECTIONS["wide-frame"])
     armed = _measure(_grow(
-        program.code, offsets["loop"], **_emit_settings("cycles", 10**6)
+        program.code, offsets["loop"], **_emit_settings("cycles")
     ))
     assert armed.treatment.deferred and armed.slots == tree.slots
     assert known_of(armed.root) == known_of(tree.root)
@@ -1592,22 +1668,24 @@ with forgotten_address_facts():
 # trace knew anything (2ddfe78; A-C at tier 1, D and E with tier 2's
 # same-line memo off its treatment); since then they pin what this tree
 # writes with the facts forgotten, so a change to how an access is
-# written still must not move them.  Row B of q6 kept its digest: its
-# three texts close no loop.
+# written still must not move them.  Re-recorded when armed trees took the
+# plain shape with check sites and linear roots began to end where a
+# compiled loop begins; the rows of q1 A, q3 B and q6 A-B kept their
+# digests: no text of theirs had a check site or ran into a compiled loop.
 PARENT_DIGESTS = """
 1dc72c4aec48002c 5 2640
-2948cb2ecf7557e9 7 4573
-1fc20088115ca0a5 14 5743
-fe7c6f66781a365e 67 16775
-b84e9d514f02b7fe 21 14623
+e1a2adf245356fbe 3 3476
+9dd1255c44e5b1a0 14 5938
+3540db41d7d04989 66 16128
+eb3ccb7450ecf723 21 14511
 ba13c33c38d7924a 13 7838
-f890401e5848a463 42 17286
-c7294d6fee89de4f 137 48660
+8b58a1c39df48ba8 34 19204
+e49f2f1b5fae4f67 137 48287
 83359d3278f35245 7 5686
 7a6ec39676f5e779 3 348
-544d3caf6c977356 13 6875
-1fa3d4a5dc6bf2f0 59 9827
-452f807103e6aa0c 19 8786
+1025002810422b2f 12 6790
+811d989668b4fc70 59 9690
+6b06b3df4b805e73 18 8457
 """
 
 
@@ -1861,6 +1939,116 @@ def test_a_sample_due_at_a_settle_site_is_taken_there(event, hot_entries):
         assert {ip for ip, _ in in_loop} <= {
             at["loop"] + 1, at["brz"], at["brnz"], at["arm"] + 1,
         }
+
+
+# loads in a row: more static events than FAST_VM_MAX_BLOCK in
+# instructions, loads and cycles alike
+CHECK_RUN = costs.FAST_VM_MAX_BLOCK + 2
+CHECK_SWEEPS = {
+    # event: (period, the countdowns a run starts on).  The sweep moves
+    # the first sample cycle by cycle (load by load, instruction by
+    # instruction) across the linear root and two iterations of the
+    # loop, so it falls due on every instruction around each check site.
+    Event.CYCLES: (1000, range(1, 600)),
+    Event.INSTRUCTIONS: (400, range(1, 330)),
+    Event.LOADS: (128, range(1, 160)),
+}
+
+
+def check_program():
+    """r0 = &a (eight words), r1 = count.  A linear root and the body of
+    a loop each add up CHECK_RUN words of ``a``; the loop's words are
+    the root's, so nothing but the first pass misses L1."""
+    run = [
+        item for i in range(CHECK_RUN)
+        for item in ((Op.LOAD, 5, 0, 8 * (i % 8)), (Op.ADD, 2, 2, 5))
+    ]
+    items = [
+        (Op.MOVI, 2, 0, 0),
+        *run,
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        *run,
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("done"),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets
+
+
+def run_checked(program, pmu, countdown, fast_vm=True):
+    """One run from ``countdown``: everything observable, and the ips
+    handed to the interpreter."""
+    machine = Machine(program, Memory(), pmu_config=pmu, fast_vm=fast_vm)
+    base = machine.memory.alloc(64)
+    for i in range(8):
+        machine.memory.words[(base >> 3) + i] = i * 7 + 1
+    machine._countdown = countdown
+    handed, interp = [], machine._interp
+
+    def recording_interp(ip, blocks):
+        handed.append(ip)
+        return interp(ip, blocks)
+
+    machine._interp = recording_interp
+    result = machine.call(0, (base, 3))
+    observed = (
+        result, full_state(machine), machine.caches.l1.sets,
+        [
+            (s.ip, s.tsc, s.memaddr, s.registers, s.callstack)
+            for s in machine.samples.samples
+        ],
+    )
+    return observed, handed
+
+
+@pytest.mark.parametrize(
+    "event", list(CHECK_SWEEPS), ids=[e.name for e in CHECK_SWEEPS]
+)
+def test_a_sample_due_at_a_check_site_is_taken_there(event, monkeypatch):
+    # A check site stands where a path would pass FAST_VM_MAX_BLOCK
+    # static events; unless the countdown still exceeds that many it
+    # hands the item's ip over with nothing of it retired, and the
+    # interpreter takes the sample where it falls due.  Wherever that is
+    # — just before a check, on the checked item, just after it, in a
+    # linear root or mid-iteration of a deferred loop — state, cache and
+    # sample stream are the interpreter's.
+    period, countdowns = CHECK_SWEEPS[event]
+    pmu = PmuConfig(
+        event=event, period=period, record_registers=True,
+        record_memaddr=True,
+    )
+    program, at = check_program()
+    trees = grown_roots(monkeypatch)
+    translation_for(program, pmu).hot_entries = 1  # the root compiles too
+    run_checked(program, pmu, period)
+    checks = {
+        start: {
+            trace.items[index][0]
+            for tree in grown for trace in traces_of(tree.root)
+            for index in trace.checks
+        }
+        for start, grown in trees.items()
+    }
+    assert checks[0] and checks[at["loop"]]
+    assert translation_for(program, pmu).blocks[at["loop"]][2] <= (
+        costs.FAST_VM_MAX_BLOCK
+    )
+    handed = set()
+    for countdown in countdowns:
+        fast, fast_handed = run_checked(program, pmu, countdown)
+        slow, _ = run_checked(program, pmu, countdown, fast_vm=False)
+        assert fast == slow, countdown
+        handed.update(fast_handed)
+    # every check site handed its item over in some run
+    assert checks[0] | checks[at["loop"]] <= handed
 
 
 _SETTLE_CASES = st.tuples(
