@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro import Database, ExecOptions, ProfilerConfig, ProfilingMode
 from repro.data.queries import ALL_QUERIES, EXAMPLE_QUERY, FIG9_QUERY
 from repro.errors import ReproError, SqlError, format_sql_error
 from repro.profiling import export
+from repro.profiling.session import save_session
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -122,6 +124,15 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return _bad_value(out, bad)
     if args.max_rows < 0:
         return _bad_value(out, "--max-rows must not be negative")
+    # a profile-only flag is refused before the database is built
+    for name in ("timeline", "pipelines", "ir", *_OUTPUTS):
+        if not (value := getattr(args, name)):
+            continue
+        if not args.profile:
+            flag = "--" + name.replace("_", "-")
+            return _bad_value(out, f"{flag} needs --profile")
+        if name in _OUTPUTS and not Path(value).absolute().parent.is_dir():
+            return _bad_value(out, f"no directory for {value}")
     sql = resolve_sql(args)
     try:
         options = ExecOptions(workers=args.workers, fast_vm=args.fast_vm)
@@ -142,6 +153,19 @@ def _bad_value(out, message) -> int:
     code 2."""
     print(f"error: {message}", file=out)
     return 2
+
+
+def _text(render):
+    return lambda profile, path: Path(path).write_text(render(profile))
+
+
+# what each output flag writes of a profile: its name, and the writer
+_OUTPUTS = {
+    "json": ("profile", _text(export.to_json)),
+    "folded": ("folded stacks", _text(export.folded_stacks)),
+    "save_session": ("session", save_session),
+    "dot": ("plan graph", _text(lambda profile: profile.plan_dot())),
+}
 
 
 def _not_positive(args, *names) -> str | None:
@@ -187,23 +211,10 @@ def _run(args, sql: str, options, config, out) -> int:
     if args.ir:
         print(file=out)
         print(profile.annotated_ir(), file=out)
-    if args.json:
-        with open(args.json, "w") as handle:
-            handle.write(export.to_json(profile))
-        print(f"\nprofile written to {args.json}", file=out)
-    if args.folded:
-        with open(args.folded, "w") as handle:
-            handle.write(export.folded_stacks(profile))
-        print(f"folded stacks written to {args.folded}", file=out)
-    if args.save_session:
-        from repro.profiling.session import save_session
-
-        save_session(profile, args.save_session)
-        print(f"session saved to {args.save_session}", file=out)
-    if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(profile.plan_dot())
-        print(f"plan graph written to {args.dot}", file=out)
+    for name, (what, write) in _OUTPUTS.items():
+        if path := getattr(args, name):
+            write(profile, path)
+            print(f"{what} written to {path}", file=out)
     return 0
 
 
@@ -427,7 +438,13 @@ def _bench_main(argv: list[str], out) -> int:
         return _bad_value(out, bad)
 
     from repro.data.queries import ALL_QUERIES
-    from repro.vmbench import append_trajectory, run_vm_bench
+    from repro.vmbench import append_trajectory, read_trajectory, run_vm_bench
+
+    if args.json:
+        try:  # before the benchmark, not minutes after it
+            read_trajectory(args.json)
+        except ReproError as error:
+            return _bad_value(out, error)
 
     queries = None
     if args.queries == "all":

@@ -15,8 +15,9 @@ leave out continuations no entry has reached.  Inside a block
 
 - opcode dispatch is gone (each instruction became a dedicated statement),
 - register/array accesses are inlined with constant indices,
-- the static cycle cost and instruction count are folded into per-block
-  constants applied once at block exit,
+- the static cycle cost and instruction count are folded into per-exit
+  constants, data handed to the function's one tail, which writes the
+  registers back, syncs the counters and pays the countdown once,
 
 while everything *dynamic* keeps exact per-access accounting: loads and
 stores still walk the cache hierarchy, conditional branches still train
@@ -24,7 +25,7 @@ the 2-bit predictor, and error paths re-materialize the precise
 ``MachineState`` the interpreter would have produced (same message, same
 ip, same counter values, same PMU countdown).  An error site is a bare
 guard or a bare access; what had retired there is data — a table keyed
-by source line, read by the function's one fault epilogue.
+by source line, read by the ``except`` that joins the same tail.
 
 Sampling exactness is *admit on the static path, settle at the site*
 (``docs/SIMULATOR.md``).  What is static on a path — an instruction, a
@@ -37,7 +38,7 @@ still exceeds ``FAST_VM_MAX_BLOCK``, and the interpreter finishes the
 sampling window (``Machine._run_fast``).  What is *dynamic* — a miss's
 extra latency, a mispredict's penalty, the L1-miss and branch-miss
 events themselves — settles where it lands: unless the countdown still
-exceeds the static events ahead, the arm leaves through the epilogue,
+exceeds the static events ahead, the arm leaves through the tail,
 which syncs the interpreter's state with that instruction retired,
 takes the sample if it is due and hands the next ip back.  So a sample
 can fall due only *at* a settle site, on the interpreter's state.
@@ -56,8 +57,8 @@ of them compiled is compiled for all.
 
 Every root gets one treatment, at its first compile (``docs/TIERING.md``).
 A loop head uses *deferred sync*: counters, predictor state and the PMU
-countdown live in Python locals across iterations, and the exact
-interpreter-visible state is flushed at real exits and when the edge
+countdown live in Python locals across iterations, and the tail syncs
+the exact interpreter-visible state at real exits and when the edge
 check fails (a sampling window or the budget about to end).  Nothing
 speculates, so nothing is ever undone; a run reports tier 2 once a root
 of its plan closed a deferred loop.
@@ -265,7 +266,7 @@ _OPS = {
 
 class _Fault(Exception):
     """Raised bare by a compiled block's guard or settle check; the
-    raising line says which site it was to the same function's epilogue
+    raising line says which site it was to the same function's tail
     — it never leaves a block function."""
 
 
@@ -602,7 +603,7 @@ def _grow(
         # Deferred loops let ``cy`` (dynamic cycles: cache misses,
         # mispredicts) accumulate *across* iterations instead of folding
         # it into ``_cyt`` and resetting at every back edge — exits and
-        # flushes add ``cy`` once.  Not in ``cycles``, whose loop edge
+        # the tail adds ``cy`` once.  Not in ``cycles``, whose loop edge
         # decrements the countdown by each iteration's cost.
         defer_cy=deferred and mode != "cycles",
         # a tree may inline loads and branches into a root that has none
@@ -724,8 +725,8 @@ def _measure(tree: _Tree) -> _Tree:
     the whole block: nothing outside the block can observe ``regs``
     while it runs, so reads/writes stay private until an exit.  Every
     used register is loaded up front (so early error exits can write
-    back unconditionally) and every *written* register is flushed at
-    each exit.
+    back unconditionally) and every *written* register is written back
+    by the one tail.
     """
     deferred, mode = tree.treatment.deferred, tree.treatment.mode
     used, written, branch_ips, slots = set(), set(), set(), set()
@@ -738,7 +739,7 @@ def _measure(tree: _Tree) -> _Tree:
         """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
         retired-count, statically-known cycles, memory-op and
         conditional-branch counts accumulated on the path into this
-        trace, so sync points flush absolute totals; ``events``, the
+        trace, so ways out hand the tail absolute totals; ``events``, the
         static countdown events spent in segment ``seg``."""
         at, exits = trace.at, trace.exits
         for index, (ip, ins) in enumerate(trace.items):
@@ -817,7 +818,6 @@ class _Writer:
         self.tree, self.t = tree, t
         self.out: list[str] = []
         self.table: dict[int, tuple] = {}
-        self.settled = False  # a settle or check site was written
         self.wb_regs = [f"regs[{i}] = r{i}" for i in sorted(tree.written)]
         self.wb_predictor = ["predictor.mispredicts += _pm"] + [
             f"if _h{bip} != _hs{bip}: _pc[{bip}] = _h{bip}"
@@ -831,23 +831,8 @@ class _Writer:
         if t.mode:
             check = f"_cd <= {tree.bound} or {check}"
         self.edge_check = check
-        # the uniform edge flush: everything the accumulators deferred
-        # goes back to machine state before the driver regains control
-        self.flush = [
-            "state.instructions += _ins",
-            "state.cycles += _cyt + cy" if t.defer_cy and t.has_dyn
-            else "state.cycles += _cyt",
-            "state.loads += _ld",
-            "state.stores += _st",
-            "caches.accesses += _ld + _st",
-        ] + (["m._countdown = _cd"] if t.mode else [])
         # a hoisted frame slot's locals are named after its offset
         self.slots = {k: str(k).replace("-", "m") for k in tree.slots}
-
-    def cy(self, const: int) -> str:
-        if self.t.has_dyn:
-            return f"cy + {const}" if const else "cy"
-        return str(const)
 
     def paid(self, instr, cycles, loads) -> str:
         """What a path costs the countdown in this block's mode, as
@@ -857,72 +842,74 @@ class _Writer:
         # (an L1 miss and a mispredict are paid as they happen)
         return str(by_mode.get(self.t.mode, 0))
 
-    def write_back(self, ind: str, branches=0) -> None:
-        """What every way out of the function — exit, edge flush, fault
-        epilogue — starts with: the cached registers, and in a deferred
-        loop the predictor state (``branches`` is the path's static
-        count on top of ``_pb``)."""
-        out = self.out
-        out.extend([ind + ln for ln in self.wb_regs])
-        if self.t.deferred:
-            static = f" + {branches}" if branches else ""
-            out.append(f"{ind}predictor.branches += _pb{static}")
-            out.extend([ind + ln for ln in self.wb_predictor])
-
     def add(self, ind: str, target: str, accumulator: str, amount) -> None:
-        # a deferred loop folds its accumulator in with the path's
-        # constant; a zero amount adds nothing
-        terms = [accumulator] if self.t.deferred else []
-        if str(amount) != "0":
-            terms.append(str(amount))
-        if terms:
-            self.out.append(f"{ind}{target} += {' + '.join(terms)}")
+        # a deferred loop folds its accumulator in too
+        terms = f"{accumulator} + {amount}" if self.t.deferred else amount
+        self.out.append(f"{ind}{target} += {terms}")
 
-    def sync(self, ind: str, path, dyn=None, events=None) -> None:
-        """Sync counters and pay the countdown at an exit; ``path`` is
-        what has retired there, ``dyn`` the name of a local holding the
-        exit's dynamic cost, ``events`` what ticks when not all of ``k``."""
-        k, cycles, loads, stores, branches = path
+    def sync(self, ind: str, events="_fk") -> None:
+        """Sync what a way out retired (``_fk``, ``_fc`` less ``cy``, ...)
+        as the interpreter would have: registers and predictor state back,
+        counters added, the countdown paid — ``events`` instructions in
+        ``instr`` mode.  Once in the tail; in line ahead of a kernel call
+        or a halt, whose one instruction ticks no event."""
         t, out = self.t, self.out
-        self.write_back(ind, branches)
-        expr = self.cy(cycles) if dyn is None else f"{self.cy(cycles)} + {dyn}"
-        self.add(ind, "state.loads", "_ld", loads)
-        self.add(ind, "state.stores", "_st", stores)
-        self.add(ind, "caches.accesses", "_ld + _st", loads + stores)
-        if t.mode == "cycles":
-            out.append(f"{ind}_t = {expr}")
-            expr = "_t"
-        self.add(ind, "state.cycles", "_cyt", expr)
-        self.add(ind, "state.instructions", "_ins", k)
-        self.pay(ind, self.paid(k if events is None else events, "_t", loads))
+        if t.has_dyn:
+            out.append(f"{ind}_fc += cy")
+        out.extend([ind + ln for ln in self.wb_regs])
+        if t.deferred:
+            out.append(f"{ind}predictor.branches += _pb + _fb")
+            out.extend([ind + ln for ln in self.wb_predictor])
+        self.add(ind, "state.cycles", "_cyt", "_fc")
+        self.add(ind, "state.instructions", "_ins", "_fk")
+        if self.tree.mem:
+            self.add(ind, "state.loads", "_ld", "_fl")
+            self.add(ind, "state.stores", "_st", "_fs")
+            self.add(ind, "caches.accesses", "_ld + _st", "_fl + _fs")
+        self.pay(ind, self.paid(events, "_fc", "_fl"))
 
-    def pay(self, ind: str, paid: str, minus=None) -> None:
+    def exit(self, ind: str, path, to, dyn=None) -> None:
+        """A way out to ``to`` (an ip, or an expression giving one): what
+        ``path`` has retired — plus ``dyn``, a local holding cycles not
+        in ``cy`` — goes to the tail as data, and the tail syncs it."""
+        k, cycles, loads, stores, branches = path
+        if dyn:
+            cycles = f"{cycles} + {dyn}" if cycles else dyn
+        self.out += [
+            f"{ind}_fk, _fc, _fl, _fs, _fb, _fm = "
+            f"{k}, {cycles}, {loads}, {stores}, {branches}, {to}",
+            f"{ind}break",
+        ]
+
+    def pay(self, ind: str, paid: str) -> None:
         if self.t.deferred and self.t.mode:
             # the countdown lives in ``_cd`` while the loop runs
-            tail = f" - {minus or paid}" if paid != "0" else ""
+            tail = f" - {paid}" if paid != "0" else ""
             self.out.append(f"{ind}m._countdown = _cd{tail}")
         elif paid != "0":
             self.out.append(f"{ind}m._countdown -= {paid}")
 
     def edge_acc(self, ind: str, path) -> None:
         """Deferred loop edge: fold the path's static totals into the
-        function-local accumulators instead of flushing — the flush
-        happens only if the admission re-check fails."""
+        function-local accumulators instead of syncing — the tail syncs
+        them only if the admission re-check fails."""
         k, static, loads, stores, branches = path
         t, out = self.t, self.out
         out.append(f"{ind}_ins += {k}")
         for acc, amount in ("_ld", loads), ("_st", stores), ("_pb", branches):
             if amount:
                 out.append(f"{ind}{acc} += {amount}")
-        if t.mode == "cycles":
-            out += [f"{ind}_t = {self.cy(static)}", f"{ind}_cyt += _t"]
-        elif t.defer_cy:
+        if not t.defer_cy:
+            # (``cycles``) the iteration's cost, ``cy`` included, is paid
+            # here, so ``cy`` starts again from 0
+            out += [
+                f"{ind}_t = cy + {static}", f"{ind}_cyt += _t",
+                f"{ind}cy = 0",
+            ]
+        elif static:
             # ``cy`` rides across iterations; only the path's static
             # cycles fold into the accumulator here
-            if static:
-                out.append(f"{ind}_cyt += {static}")
-        elif self.cy(static) != "0":
-            out.append(f"{ind}_cyt += {self.cy(static)}")
+            out.append(f"{ind}_cyt += {static}")
         paid = self.paid(k, "_t", loads)
         if paid != "0":
             out.append(f"{ind}_cd -= {paid}")
@@ -930,22 +917,21 @@ class _Writer:
     def side_exit(self, what, target: int, ind: str, path, dyn=None) -> None:
         """Write what grow made of a side exit: the back edge — fold the
         path into the accumulators and re-run the driver's admission
-        check, flushing them when it fails, else ``continue`` to the
-        block start — the continuation, inlined, or a synced ``return``."""
+        check, leaving for the tail with nothing more retired when it
+        fails, else ``continue`` to the block start — the continuation,
+        inlined, or an exit."""
         out = self.out
         if what is _LOOP:
             self.edge_acc(ind, path)
             out.append(f"{ind}if {self.edge_check}:")
-            self.write_back(ind + "    ")
-            out.extend([f"{ind}    {ln}" for ln in self.flush])
-            out += [f"{ind}    return {self.tree.start}", f"{ind}continue"]
+            self.exit(ind + "    ", (0, 0, 0, 0, 0), self.tree.start)
+            out.append(f"{ind}continue")
         elif what.__class__ is _Trace:
             if dyn:
                 out.append(f"{ind}cy += {dyn}")
             self.trace(what, ind)
         else:
-            self.sync(ind, path, dyn)
-            out.append(f"{ind}return {target}")
+            self.exit(ind, path, target, dyn)
 
     def branch(self, what, ip: int, ins: tuple, ind: str, path, spent) -> None:
         """A conditional branch is a side exit: the taken arm leaves the
@@ -1015,7 +1001,7 @@ class _Writer:
     def site(self, offset: int, message, retired, ip, slot=None) -> None:
         """A site ``offset`` lines past the next one written: what had
         ``retired`` there (and, in a function that hoists frame slots,
-        which one it was) is what the epilogue reads."""
+        which one it was) is what the tail reads."""
         self.table[len(self.out) + 1 + offset] = (
             *retired, message, ip, *((slot,) if self.slots else ())
         )
@@ -1026,7 +1012,6 @@ class _Writer:
         exceeds ``FAST_VM_MAX_BLOCK``, hand ``ip`` over untouched."""
         paid = int(self.paid(*path[:3]))
         dyn = " - cy" if self.t.mode == "cycles" and self.t.has_dyn else ""
-        self.settled = True
         self.site(0, (ip, None), path, ip)
         self.out.append(
             f"{ind}if {self.countdown}{dyn} <= "
@@ -1038,7 +1023,7 @@ class _Writer:
         unless the countdown still exceeds the static events left on the
         longest way on to the next check — its segment's bound less those
         ``spent``, a pair ``(segment, spent)`` (None: nothing settles in
-        this mode) — leave through the epilogue.  ``path`` is what has
+        this mode) — leave through the tail.  ``path`` is what has
         retired *with* the instruction, ``dyn`` the cycles of it not in
         ``cy`` yet; ``after`` stands in the table where a fault's message
         does: ``(next ip, what a sample says of the branch)``, or a pair
@@ -1053,7 +1038,6 @@ class _Writer:
             due = f"{self.countdown} - cy <= {left + cycles + dyn}"
         else:  # the miss, the mispredict: the event itself, already paid
             due = f"{self.countdown} <= 0"
-        self.settled = True
         self.site(0, after, (k, cycles + dyn, *counts), ip, slot)
         self.out.append(f"{ind}if {due}: raise _Fault")
 
@@ -1127,8 +1111,8 @@ class _Writer:
             # An error site (a guard's ``raise _Fault``, or an access
             # whose ``IndexError`` is the error): the path-static totals
             # — ``k`` instructions including the faulting one, the cycles
-            # before it — go into the site table the fault epilogue
-            # reads, keyed by the line about to be written.
+            # before it — go into the site table the tail reads, keyed
+            # by the line about to be written.
             k, *before = at[index]
             d, path, retired = ins[1], at[index + 1], (k + 1, *before)
             spent = trace.spent.get(index)
@@ -1156,82 +1140,72 @@ class _Writer:
                     f"{ind}    state.cycles += {costs.CYCLES_CALL}",
                     f"{ind}    raise _Fault",
                 ]
-                self.sync(ind, path)
-                out.append(f"{ind}return {d}")
+                self.exit(ind, path, d)
             elif op == Opcode.RET:
-                out.append(f"{ind}_rt = m.call_stack.pop()")
-                self.sync(ind, path)
-                out.append(f"{ind}return _rt")
-            elif op == Opcode.KCALL:
-                # the kernel instruction itself is free and does not tick
-                # the instruction-event countdown (it `continue`s past
-                # that code in the interpreter); the kernel accounts for
-                # its own work
-                self.sync(ind, path, events=k)
+                self.exit(ind, path, "m.call_stack.pop()")
+            else:
+                # KCALL and HALT retire without charging cycles or ticking
+                # the instruction-event countdown (the interpreter
+                # `continue`s past that code), and sync in line: the
+                # kernel runs on the synced machine and accounts for its
+                # own work
+                totals = ", ".join(map(str, path))
+                out.append(f"{ind}_fk, _fc, _fl, _fs, _fb = {totals}")
+                self.sync(ind, path[0] - 1)
                 out += [
                     f"{ind}if m.kernel is None:",
                     f"{ind}    raise VMError('kernel call"
                     f" without a kernel', {ip})",
                     f"{ind}m.kernel.call(m, {d})",
                     f"{ind}return {ip + 1}",
+                ] if op == Opcode.KCALL else [
+                    f"{ind}m.call_stack.pop()", f"{ind}return -1",
                 ]
-            elif op == Opcode.HALT:
-                # like KCALL, HALT retires without charging cycles or
-                # ticking the countdown
-                self.sync(ind, path, events=k)
-                out += [f"{ind}m.call_stack.pop()", f"{ind}return -1"]
         if trace.fall is not None:
             # trace ended at the size cap, an untranslatable instruction,
             # a cold cut or the end of the code image: hand the
             # continuation ip back to the driver (a chained continuation
             # block, or the interpreter)
-            self.sync(ind, at[len(trace.items)])
-            out.append(f"{ind}return {trace.fall}")
+            self.exit(ind, at[len(trace.items)], trace.fall)
 
     def epilogue(self) -> None:
-        """The one epilogue: ``_T`` — a default the Translation supplies,
-        never parsed — says by source line what had retired at a site,
-        and the write-back plus counter sync the interpreter would have
-        performed by then is emitted once, here (a ``try`` costs nothing
-        until it catches).  An exception from any other line (an empty
-        call stack's ``pop``, a kernel call) goes on untouched.  Every
-        path through the body returns, so the code after the handler is
-        reached only from a site.  At an error site the countdown pays
-        for what retired *before* the faulting instruction, as the
-        interpreter does.  At a settle site the instruction has retired,
-        cost included: the sample is taken here if it is due, and the
-        driver carries on from the next ip.  At a check site nothing of
-        the instruction has retired, nor is a sample due: the driver
-        carries on from its ip."""
+        """The one tail of every way out of the body: an exit ``break``s
+        out of the body's ``while True:`` with its totals as data, a site
+        raises and ``_T`` — a default the Translation supplies, never
+        parsed — has them by source line (an exception from any other
+        line, an empty call stack's ``pop``, goes on untouched).  After
+        the sync, ``_fm`` says where to go: an exit's next ip; at a
+        settle site the instruction has retired, the sample is taken if
+        it is due and the driver carries on from the next ip; at a check
+        site nothing has retired nor is a sample due, and the driver
+        carries on from its ip; a fault's message is raised, the
+        countdown paid for what retired *before* it, as the interpreter
+        does."""
         t, out = self.t, self.out
-        out += [
-            "    except (_Fault, IndexError) as _f:",
-            "        if (_ft := _T.get(_f.__traceback__.tb_lineno)) is None:",
-            "            raise",
-            "        _fk, _fc, _fl, _fs, _fb, _fm, _fi"
-            f"{', _fo' if self.slots else ''} = _ft",
-        ]
-        if t.has_dyn:
-            out.append("        _fc += cy")
+        kinds = {entry[5].__class__ for entry in self.table.values()}
         # the address: ``_x``, or rebuilt for a hoisted slot's access
         addr = "_x"
         if self.slots:
             addr += f" if _fo is None else r{REG_SP} + _fo"
-        if self.tree.mem:
-            # (no settle site's ``_fm``, a tuple, holds a "%")
-            out += ['        if "%" in _fm:', f"            _fm %= {addr}"]
-        self.write_back("    ", "_fb")
-        self.add("    ", "state.cycles", "_cyt", "_fc")
-        self.add("    ", "state.instructions", "_ins", "_fk")
-        self.add("    ", "state.loads", "_ld", "_fl")
-        self.add("    ", "state.stores", "_st", "_fs")
-        self.add("    ", "caches.accesses", "_ld + _st", "_fl + _fs")
-        # a fault's instruction counts but ticks no instruction event; a
-        # check (in ``instr`` mode, the only other site) ran nothing
-        retired = "_fk - 1 if _fm.__class__ is str else _fk"
-        paid = self.paid(retired if self.settled else "_fk - 1", "_fc", "_fl")
-        self.pay("    ", paid, f"({paid})")
-        if self.settled:
+        if self.tree.faults:
+            out += [
+                "    except (_Fault, IndexError) as _f:",
+                "        if (_ft := _T.get(_f.__traceback__.tb_lineno))"
+                " is None:",
+                "            raise",
+                "        _fk, _fc, _fl, _fs, _fb, _fm, _fi"
+                f"{', _fo' if self.slots else ''} = _ft",
+            ]
+            if str in kinds and self.tree.mem:
+                # (no settle site's ``_fm``, a tuple, holds a "%")
+                out += [
+                    '        if "%" in _fm:', f"            _fm %= {addr}",
+                ]
+        self.sync("    ")
+        # (with no site, every way out is an exit)
+        test = "if _fm.__class__ is int: " if kinds else ""
+        out.append(f"    {test}return _fm")
+        if tuple in kinds:
             # a load's sample carries its address, a branch's which way (a
             # check's is never due)
             by_tk = "        if _fm[0].__class__ is tuple: _fm = _fm[_tk]"
@@ -1243,7 +1217,11 @@ class _Writer:
                 " else None, branch=_fm[1])",
                 "        return _fm[0]",
             ]
-        out.append("    raise VMError(_fm, _fi)")
+        if str in kinds:
+            if t.mode == "instr":
+                # a fault's instruction counts but ticks no event
+                out.append("    m._countdown += 1")
+            out.append("    raise VMError(_fm, _fi)")
 
 
 def _emit(tree: _Tree) -> tuple[str, dict]:
@@ -1269,8 +1247,9 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
         ]
     if tree.loop:
         out.append("    _maxi = state.max_instructions")
-    # load every used register up front: exits flush the full written set
-    # unconditionally, so all the locals must be bound from the start
+    # load every used register up front: the tail writes the full written
+    # set back unconditionally, so all the locals must be bound from the
+    # start
     out.extend(f"    r{i} = regs[{i}]" for i in sorted(tree.used))
     if tree.slots:
         # the frame stands still while the loop runs: its word index, and
@@ -1289,24 +1268,19 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
             *(f"    {acc} = 0" for acc in "_pm _pb _ins _cyt _ld _st".split()),
             "    _ib = state.instructions",
         ]
-        if t.defer_cy and t.has_dyn:
-            out.append("    cy = 0")
         if t.mode:
             out.append("    _cd = m._countdown")
+    if t.has_dyn:
+        # (a ``cycles`` loop pays its iteration's ``cy`` at the edge and
+        # starts it again from 0; others let it ride across iterations)
+        out.append("    cy = 0")
     ind = "    "
     if tree.faults:
         out.append(f"{ind}try:")
         ind += "    "
-    if tree.loop:
-        out.append(f"{ind}while True:")
-        ind += "    "
-    if t.has_dyn and not t.defer_cy:
-        # inside the function-level loop when one exists, so a back edge
-        # resets the dynamic accumulators for the next iteration
-        # (``defer_cy`` loops instead initialize ``cy`` once in the head
-        # and let it accumulate across iterations)
-        out.append(f"{ind}cy = 0")
-    writer.trace(tree.root, ind)
-    if tree.faults:
-        writer.epilogue()
+    # every way out ``break``s from here to the tail (a loop head's edge
+    # ``continue``s)
+    out.append(f"{ind}while True:")
+    writer.trace(tree.root, ind + "    ")
+    writer.epilogue()
     return "\n".join(out) + "\n", writer.table

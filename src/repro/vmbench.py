@@ -36,6 +36,7 @@ import time
 from pathlib import Path
 
 from repro.engine import Database, ExecOptions, ProfilerConfig
+from repro.errors import ReproError
 
 #: queries spanning the interesting regimes: tight aggregation loops (q1,
 #: q6), join-heavy plans (q9, q18), EXISTS/anti-join control flow (q4,
@@ -181,18 +182,23 @@ def format_table(record: dict) -> str:
     return "\n".join(lines)
 
 
+def read_trajectory(path: str | Path) -> list[dict]:
+    """The run records of a trajectory file ([] before the first run);
+    ``ReproError`` when it holds no list of them, left as it is."""
+    path = Path(path)
+    try:
+        history = json.loads(path.read_text()) if path.exists() else []
+    except (OSError, ValueError) as error:
+        raise ReproError(f"{path} is no trajectory: {error}") from None
+    if not isinstance(history, list):
+        raise ReproError(f"{path} holds no list of run records")
+    return history
+
+
 def append_trajectory(record: dict, path: str | Path) -> list[dict]:
     """Append one run record to the ``BENCH_vm.json`` trajectory file."""
-    path = Path(path)
-    history: list[dict] = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, list):
-                history = loaded
-        except (OSError, ValueError):
-            history = []
+    history = read_trajectory(path)
     record = dict(record, run=len(history))
     history.append(record)
-    path.write_text(json.dumps(history, indent=1) + "\n")
+    Path(path).write_text(json.dumps(history, indent=1) + "\n")
     return history

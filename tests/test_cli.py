@@ -267,3 +267,48 @@ def test_cli_views_fuzz_rejects_bad_budget():
     code, text = run_cli(["views", "--fuzz", "--queries", "0"])
     assert code == 2
     assert "--queries" in text
+
+
+@pytest.mark.parametrize("flag", [
+    "--timeline", "--pipelines", "--ir",
+    "--json", "--folded", "--save-session", "--dot",
+])
+def test_a_profile_only_flag_needs_profile(flag, tmp_path):
+    # refused before the database is built, not silently ignored
+    value = [] if flag in ("--timeline", "--pipelines", "--ir") else [
+        str(tmp_path / "out")
+    ]
+    code, text = run_cli(["--query", "q6", flag, *value])
+    assert code == 2
+    assert text == f"error: {flag} needs --profile\n", text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--json", "--save-session"])
+def test_an_output_path_in_a_missing_directory_is_refused_before_the_run(
+    flag, tmp_path,
+):
+    path = tmp_path / "missing" / "out"
+    code, text = run_cli(["--query", "q6", "--profile", flag, str(path)])
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1, text
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("history", ['[{"run": 0},', '{"run": 0}'])
+def test_an_unreadable_trajectory_is_refused_and_left_alone(history, tmp_path):
+    from repro.errors import ReproError
+    from repro.vmbench import append_trajectory
+
+    path = tmp_path / "BENCH_vm.json"
+    path.write_text(history)
+    with pytest.raises(ReproError):
+        append_trajectory({"x": 1}, path)
+    # the CLI answers before it spends minutes benchmarking
+    code, text = run_cli([
+        "bench", "--vm", "--queries", "q6", "--repeats", "1",
+        "--json", str(path),
+    ])
+    assert code == 2
+    assert text.startswith("error: ") and text.count("\n") == 1, text
+    assert path.read_bytes() == history.encode()

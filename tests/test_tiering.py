@@ -81,6 +81,7 @@ def observed_state(machine) -> dict:
         "regs": list(machine.regs),
         "cache_accesses": machine.caches.accesses,
         "l1_misses": machine.caches.l1_misses,
+        "cache_sets": (machine.caches.l1.sets, machine.caches.l2.sets),
         "branches": machine.predictor.branches,
         "mispredicts": machine.predictor.mispredicts,
         "predictor_counters": machine.predictor.state(),

@@ -10,6 +10,7 @@ engines and compare everything observable.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,7 +35,9 @@ from repro.vm.translate import (
     Translation, _OPS, _Trace, _emit_settings, _grow, _measure,
     _side_target, _translatable, translation_for,
 )
-from tests.helpers import forgotten_address_facts, traces_of
+from tests.helpers import (
+    compiled_sources, forgotten_address_facts, traces_of,
+)
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -1148,8 +1151,9 @@ def test_translation_volume_of_a_first_pass():
     # and trees grown along executed paths, 32,019 without the guards
     # and L1 lookups a path has made redundant, 35,905 since every loop
     # head defers from its first compile, 32,841 since a root that is no
-    # loop head ends where a compiled loop begins; the blocks and arms
-    # that turn hot on a second execution add little
+    # loop head ends where a compiled loop begins, 25,120 since every way
+    # out of a block is one line of data and a ``break`` to the one tail;
+    # the blocks and arms that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
     first, second = (
@@ -1159,7 +1163,7 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 33_500
+    assert 0 < first <= 25_120 * 1.02
     assert first <= second < first * 1.15
 
 
@@ -1170,9 +1174,10 @@ def test_armed_translation_volume_of_a_profile_session():
     # the sampling window, 15,867 since admission counts the static path
     # and a miss settles where it lands, 23,246 since armed roots decode
     # long and every loop head defers from its first compile — the trade
-    # for profile_session's wall_s going down by 12% — and 23,411 since
-    # armed trees take the plain shape, check sites keeping the countdown
-    # exact, and a linear root ends where a compiled loop begins
+    # for profile_session's wall_s going down by 12% — 23,411 since armed
+    # trees take the plain shape, check sites keeping the countdown exact,
+    # and a linear root ends where a compiled loop begins, and 19,006
+    # since every way out of a block shares the one tail
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1186,7 +1191,29 @@ def test_armed_translation_volume_of_a_profile_session():
             ("q19", ProfilingMode.CALLSTACK),
         )
     )
-    assert 0 < lines <= 23_246 * 1.02
+    assert 0 < lines <= 19_006 * 1.02
+
+
+def test_every_way_out_writes_back_once():
+    # An exit is data — what it retired and where it goes — and every way
+    # out of a block function shares the one tail that writes the cached
+    # registers back; only a kernel call and a halt sync in line (the
+    # kernel runs on the synced machine).  Until exits joined the fault
+    # epilogue's tail, q1's plain scan loop wrote each register back once
+    # per exit and once more in the epilogue: 8 copies in its first pass.
+    db = Database.tpch(scale=0.001, seed=42)
+    sql = ALL_QUERIES["q1"].sql
+    with compiled_sources() as plain:
+        db.execute(sql)
+    with compiled_sources() as armed:
+        db.profile(sql, ProfilerConfig())
+    loops = [s for s in plain + armed if "continue" in s]
+    assert len(loops) >= 2  # the scan loop, plain and armed
+    for source in plain + armed:
+        inline = source.count("m.kernel.call(") + source.count("return -1")
+        written = re.findall(r"^ *regs\[(\d+)\] = r\1$", source, re.M)
+        assert written
+        assert {written.count(reg) for reg in written} == {1 + inline}
 
 
 def test_a_warm_armed_loop_closes_inside_its_function():
@@ -1672,20 +1699,22 @@ with forgotten_address_facts():
 # plain shape with check sites and linear roots began to end where a
 # compiled loop begins; the rows of q1 A, q3 B and q6 A-B kept their
 # digests: no text of theirs had a check site or ran into a compiled loop.
+# Re-recorded when every way out of a block began to share the one tail:
+# every row moved, and every row kept its count of sources.
 PARENT_DIGESTS = """
-1dc72c4aec48002c 5 2640
-e1a2adf245356fbe 3 3476
-9dd1255c44e5b1a0 14 5938
-3540db41d7d04989 66 16128
-eb3ccb7450ecf723 21 14511
-ba13c33c38d7924a 13 7838
-8b58a1c39df48ba8 34 19204
-e49f2f1b5fae4f67 137 48287
-83359d3278f35245 7 5686
-7a6ec39676f5e779 3 348
-1025002810422b2f 12 6790
-811d989668b4fc70 59 9690
-6b06b3df4b805e73 18 8457
+269d37316b274095 5 2418
+8e681c834e099441 3 2971
+35ea8ebfead0718d 14 5315
+3e8e43a3f99ecb12 66 14237
+8f2f39485a29207d 21 11975
+151c6ed0502ec6cd 13 6341
+73492f460530660c 34 16111
+d1339205ad31488f 137 39627
+daea3a420928cd65 7 3999
+afc0fc4cd8cc742f 3 325
+024c295e079b8cd4 12 4900
+0b7304dc02d34f12 59 7648
+3c16624b185411a3 18 6264
 """
 
 
