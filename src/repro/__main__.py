@@ -434,7 +434,7 @@ def _bench_main(argv: list[str], out) -> int:
 
     if not args.vm:
         return _bad_value(out, "nothing to benchmark: pass --vm")
-    if bad := _not_positive(args, "scale"):
+    if bad := _not_positive(args, "scale", "repeats"):
         return _bad_value(out, bad)
 
     from repro.data.queries import ALL_QUERIES
@@ -451,6 +451,8 @@ def _bench_main(argv: list[str], out) -> int:
         queries = sorted(ALL_QUERIES, key=lambda n: int(n[1:]))
     elif args.queries:
         queries = [name.strip() for name in args.queries.split(",")]
+        if "" in queries:
+            return _bad_value(out, "--queries names an empty query")
         unknown = [name for name in queries if name not in ALL_QUERIES]
         if unknown:
             return _bad_value(out, f"unknown queries: {', '.join(unknown)}")

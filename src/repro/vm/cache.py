@@ -11,7 +11,9 @@ from repro.vm import costs
 
 
 class CacheLevel:
-    """One set-associative, LRU cache level tracking tags only."""
+    """One set-associative, LRU cache level tracking tags only.  ``mru``
+    holds each set's most recently used line (-1: the set is empty), so
+    an MRU hit is one list read."""
 
     def __init__(self, size_bytes: int, ways: int, line_bytes: int = costs.CACHE_LINE):
         self.line_bits = line_bytes.bit_length() - 1
@@ -21,23 +23,23 @@ class CacheLevel:
         self.set_mask = nsets - 1
         self.ways = ways
         self.sets: list[list[int]] = [[] for _ in range(nsets)]
+        self.mru: list[int] = [-1] * nsets
 
     def access(self, line: int) -> bool:
         """Touch ``line``; return True on hit.  Misses allocate the line."""
-        tags = self.sets[line & self.set_mask]
+        index = line & self.set_mask
+        tags = self.sets[index]
         if line in tags:
             if tags[0] != line:
                 tags.remove(line)
                 tags.insert(0, line)
+                self.mru[index] = line
             return True
         tags.insert(0, line)
+        self.mru[index] = line
         if len(tags) > self.ways:
             tags.pop()
         return False
-
-    def flush(self) -> None:
-        for tags in self.sets:
-            tags.clear()
 
 
 class CacheHierarchy:
@@ -49,36 +51,33 @@ class CacheHierarchy:
         self.accesses = 0
         self.l1_misses = 0
         self.l2_misses = 0
-        self._line_bits = self.l1.line_bits
 
     def access(self, addr: int) -> int:
         """Access byte address ``addr``; return latency in cycles."""
         self.accesses += 1
-        line = addr >> self._line_bits
-        if self.l1.access(line):
-            return costs.LAT_L1
-        self.l1_misses += 1
-        if self.l2.access(line):
-            return costs.LAT_L2
-        self.l2_misses += 1
-        return costs.LAT_MEM
+        return self.access_uncounted(addr)
 
     def access_uncounted(self, addr: int) -> int:
-        """:meth:`access` without the ``accesses`` bump.
-
-        The fast VM inlines the L1 MRU-hit path into translated blocks and
-        batches the ``accesses`` counter per block; only non-MRU accesses
-        come through here, so the bump must not be repeated.
-        """
-        line = addr >> self._line_bits
-        if self.l1.access(line):
+        """:meth:`access` without the ``accesses`` bump: the fast VM
+        tests the L1 MRU line in line and batches ``accesses`` per block,
+        so only its other accesses come through here.  The L1 half of
+        :meth:`CacheLevel.access` is inlined; L2 is called on a miss."""
+        l1 = self.l1
+        line = addr >> l1.line_bits
+        index = line & l1.set_mask
+        tags = l1.sets[index]
+        if line in tags:
+            if tags[0] != line:
+                tags.remove(line)
+                tags.insert(0, line)
+                l1.mru[index] = line
             return costs.LAT_L1
+        tags.insert(0, line)
+        l1.mru[index] = line
+        if len(tags) > l1.ways:
+            tags.pop()
         self.l1_misses += 1
         if self.l2.access(line):
             return costs.LAT_L2
         self.l2_misses += 1
         return costs.LAT_MEM
-
-    def flush(self) -> None:
-        self.l1.flush()
-        self.l2.flush()

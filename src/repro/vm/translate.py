@@ -45,10 +45,11 @@ can fall due only *at* a settle site, on the interpreter's state.
 
 Traces rooted at loop heads, armed or not, inline their side-exit
 continuations into superblock *trees* (bounded by ``_TREE_BUDGET`` and
-``_TREE_DEPTH``), and a branch back to the trace's own head closes the
-loop inside the compiled function — after re-checking the instruction
-budget (and, armed, the countdown) exactly as the driver would.  A root
-that is no loop head ends where a compiled loop begins.
+``_TREE_DEPTH``) that follow calls into the callee and back, and a
+branch back to the head closes the loop inside the compiled function —
+after re-checking the instruction budget (and, armed, the countdown)
+exactly as the driver would.  A root that is no loop head follows no
+call and ends where a compiled loop begins.
 
 Translations are cached on the Program object, keyed by the sampled event
 (the countdown bookkeeping is specialized per event), so the morsel
@@ -70,6 +71,7 @@ everything known about an opcode is one row of one table, ``_OPS``.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from hashlib import sha256
 from time import perf_counter
@@ -96,9 +98,10 @@ _MODES = {
 }
 
 # Superblock-tree growth limits: total emitted instructions per block
-# function and inlining depth of side-exit continuations.
+# function, and how deep side-exit continuations and followed calls nest.
 _TREE_BUDGET = 1536
 _TREE_DEPTH = 8
+_CALL_DEPTH = 4
 
 # what may stand in an immediate slot, by slot kind (see ``_Op``)
 _VALID = {
@@ -466,22 +469,26 @@ def _translatable(ins: tuple) -> bool:
     return True
 
 
-def _decode_trace(code, start: int, cap: int, heat=None, stop=()):
+def _decode_trace(code, start, cap, heat=None, stop=(), rets=(), calls=None):
     """Follow the expected-hot path from ``start`` (superblock decoding).
 
-    Returns ``(items, fallthrough, cut)`` with items in retire order.  A
-    conditional branch does not end the trace: decoding continues on the
-    not-taken (fall-through) arm and the taken arm becomes a *side exit*
-    in the emitted code — loop bodies laid out with backward taken edges
-    therefore translate into a single block per iteration.  A strictly
-    forward JMP is folded into the trace (it only costs cycles).  The
-    trace ends at CALL/RET/KCALL/HALT, a backward jump, an untranslatable
-    instruction, the size cap or an ip in ``stop``; for the latter four,
-    ``fallthrough`` is the next ip to execute (the caller chains a
-    continuation there).  Given ``heat``, the trace is also ``cut`` where a
-    branch's fall-through or a folded jump leads into a leader never entered.
+    Returns ``(items, frames, fallthrough, cut)`` with items in retire
+    order.  A conditional branch does not end the trace: decoding
+    continues on the not-taken (fall-through) arm and the taken arm
+    becomes a *side exit* in the emitted code — loop bodies laid out with
+    backward taken edges therefore translate into a single block per
+    iteration.  A strictly forward JMP is folded into the trace (it only
+    costs cycles).  Given ``calls`` (a loop tree's followed sites, ``(ip,
+    return stack)``), a CALL at a new site less than ``_CALL_DEPTH`` deep
+    pushes its return on a static stack and goes on in the callee, and a
+    RET pops one the trace pushed; ``frames``: the stack (``rets`` at
+    ``start``) each item runs under.  The trace ends at any other
+    CALL/RET, KCALL/HALT, a backward jump, an untranslatable instruction,
+    the size cap or an ip in ``stop``; for the latter four, ``fallthrough``
+    is the next ip to execute (the caller chains a continuation there);
+    given ``heat``, it is ``cut`` where it reaches a leader never entered.
     """
-    items: list[tuple[int, tuple]] = []
+    items, frames = [], []
     ip = start
     limit = len(code)
     while 0 <= ip < limit and len(items) < cap and ip not in stop:
@@ -492,6 +499,7 @@ def _decode_trace(code, start: int, cap: int, heat=None, stop=()):
             # the exact "illegal opcode" error if it must
             break
         items.append((ip, ins))
+        frames.append(rets)
         if op not in TERMINATOR_OPS:
             ip += 1
             continue
@@ -499,11 +507,19 @@ def _decode_trace(code, start: int, cap: int, heat=None, stop=()):
             ip = ins[1]
         elif op == Opcode.BRZ or op == Opcode.BRNZ:
             ip += 1
+        elif (
+            op == Opcode.CALL and calls is not None
+            and len(rets) < _CALL_DEPTH and (ip, rets) not in calls
+        ):
+            calls.add((ip, rets))
+            ip, rets = ins[1], rets + (ip + 1,)
+        elif op == Opcode.RET and rets:
+            ip, rets = rets[-1], rets[:-1]
         else:  # CALL, RET, KCALL, HALT, a backward JMP
-            return items, None, False
+            return items, frames, None, False
         if heat is not None and not heat.get(ip):
-            return items, ip, True
-    return items, ip, False
+            return items, frames, ip, True
+    return items, frames, ip, False
 
 
 class _Treatment(NamedTuple):
@@ -535,8 +551,8 @@ class _Trace:
     check site precedes; ``spent``, at an item that settles, its segment
     and the static countdown events spent in it, the item's included."""
 
-    def __init__(self, items, fall):
-        self.items, self.fall = items, fall
+    def __init__(self, items, frames, fall):
+        self.items, self.frames, self.fall = items, frames, fall
         self.exits: dict[int, object] = {}
         self.at: dict[int, tuple] = {}
         self.known: dict[int, tuple] = {}
@@ -582,20 +598,24 @@ def _grow(
     heads of compiled loops) and falls through to it.
     """
     # what the root is does not depend on how much of it is warm yet
-    whole_root = _decode_trace(code, start, cap)[0]
+    whole_root, frames, _, _ = _decode_trace(code, start, cap, calls=set())
     if not whole_root:
         return None
-    # Trees are grown only at *loop heads* — roots whose own trace
-    # branches back to start.  Hot cycles always contain a loop head, so
-    # the closed loop forms there, while cold leaders stay linear and the
-    # generated source stays compact enough to compile quickly.  Deferred
-    # sync: a loop head keeps its counters, predictor state and countdown
-    # in locals until a real exit or a failed edge check.
-    deferred = any(_side_target(ip, ins) == start for ip, ins in whole_root)
+    # Trees are grown only at *loop heads* — roots whose own trace, calls
+    # followed, branches back to start.  Hot cycles always contain a loop
+    # head, so the closed loop forms there, while cold leaders stay linear
+    # and follow no call (no helper is copied into every caller).
+    # Deferred sync: a loop head keeps its counters, predictor state and
+    # countdown in locals until a real exit or a failed edge check.
+    deferred = any(
+        _side_target(ip, ins) == start and not rets
+        for (ip, ins), rets in zip(whole_root, frames)
+    )
+    calls = set() if deferred else None
     # a linear root ends where a compiled loop begins, instead of running
     # one iteration of its body and leaving at its back edge
-    root_items, root_fall, cut = _decode_trace(
-        code, start, cap, heat, () if deferred else loops
+    root_items, root_frames, root_fall, cut = _decode_trace(
+        code, start, cap, heat, () if deferred else loops, calls=calls
     )
     root_rows = [_OPS[ins[0]] for _, ins in root_items]
     treatment = _Treatment(
@@ -611,53 +631,66 @@ def _grow(
     )
     grown = _Tree(start, treatment, [root_fall] if cut else [])
 
-    def side_exit(target, path, depth):
-        """What the side exit to ``target`` becomes: the loop edge, the
-        inlined continuation, or an exit when the root is no loop head, the
-        target closes a non-root cycle, the growth budget/depth is
-        exhausted, or (last: the exit is pruned) no entry has reached
-        ``target`` yet."""
-        if target == start:
+    def side_exit(rets, target, path, depth, called):
+        """What the side exit to ``target``, under return stack ``rets``,
+        becomes: the loop edge, the inlined continuation, or an exit when
+        the root is no loop head, the target closes a non-root cycle or,
+        on a path that ``called`` into a followed call, heads a compiled
+        loop (no copy of its body), the growth budget/depth is exhausted,
+        nothing translates there, or (last: pruned) no entry reached it."""
+        if target == start and not rets:
             return _LOOP
         if (
             not deferred
             or depth >= tree_depth
-            or target in path
+            or (target, rets) in path
+            or (called and target in loops)
             or grown.size >= tree_budget
+            or not (0 <= target < len(code) and _translatable(code[target]))
         ):
-            return _EXIT
-        items, fall, sub_cut = _decode_trace(
-            code, target, min(cap, tree_budget - grown.size), heat
-        )
-        if not items:
             return _EXIT
         if heat is not None and not heat.get(target):
             grown.pruned.append(target)
             return _PRUNED
+        items, frames, fall, sub_cut = _decode_trace(
+            code, target, min(cap, tree_budget - grown.size), heat,
+            rets=rets, calls=calls,
+        )
         if sub_cut:
             grown.pruned.append(fall)
-        return trace(items, fall, path | {target}, depth + 1)
+        path = path | {(target, rets)}
+        return trace(items, frames, fall, path, depth + 1, called)
 
-    def trace(items, fall, path, depth):
-        # depth-first, in emission order: an arm is grown whole, and
-        # charged to the budget, before this trace's next side exit is seen
+    pending = deque()
+
+    def trace(items, frames, fall, path, depth, called=False):
+        # breadth-first: an arm is grown, and charged to the budget, before
+        # any deeper one, so the shallowest path to a call site follows it
         grown.size += len(items)
-        node = _Trace(items, fall)
+        node = _Trace(items, frames, fall)
         for index, (ip, ins) in enumerate(items):
+            called = called or bool(frames[index])
             target = _side_target(ip, ins)
             if target is not None:
-                node.exits[index] = side_exit(target, path, depth)
+                pending.append((node, index, target, path, depth, called))
         if fall is not None:
             grown.fallthroughs.append(fall)
         return node
 
-    grown.root = trace(root_items, root_fall, {start}, 0)
+    grown.root = trace(root_items, root_frames, root_fall, {(start, ())}, 0)
+    while pending:
+        node, index, *arm = pending.popleft()
+        node.exits[index] = side_exit(node.frames[index], *arm)
     return grown
 
 
-# Two offsets off one base no farther apart than this (a way less a line)
-# are on one line or in different L1 sets: neither displaces the other.
-_L1_REACH = costs.L1_SIZE // costs.L1_WAYS - costs.CACHE_LINE
+# The L1 geometry an inlined MRU test folds in: an address's line, and
+# the mask of its set.  Two offsets off one base no farther apart than
+# _L1_REACH (a way less a line) are on one line or in different L1 sets:
+# neither displaces the other.
+_LINE_BITS = costs.CACHE_LINE.bit_length() - 1
+_L1_SETS = costs.L1_SIZE // (costs.CACHE_LINE * costs.L1_WAYS) - 1
+_L1_REACH = _L1_SETS << _LINE_BITS
 
 
 class _Facts:
@@ -666,20 +699,25 @@ class _Facts:
     register -> an offset whose guard passed while the register stood
     unwritten.  ``near``: offsets off ``base`` whose lines are first in
     their L1 sets — ``CacheLevel.access`` leaves the touched line there.
-    ``moved``: the stack pointer was written."""
+    ``disp``: the stack pointer less its value at entry (None once written
+    other than by ``addi sp, sp, k``); while it is known, offsets off it
+    are noted from the entry frame, so facts survive a balanced call."""
 
-    def __init__(self, valid=(), base=None, near=(), moved=False):
+    def __init__(self, valid=(), base=None, near=(), disp=0):
         self.valid, self.base, self.near = dict(valid), base, set(near)
-        self.moved = moved
+        self.disp = disp
 
     def copy(self) -> "_Facts":
-        return _Facts(self.valid, self.base, self.near, self.moved)
+        return _Facts(self.valid, self.base, self.near, self.disp)
 
     def access(self, base: int, offset: int) -> tuple:
         """Note an access to ``[base + offset]``; what was known ahead
         of it — ``validated``: its guard passes, ``resident``: an L1 MRU
-        hit — and its ``slot`` in the frame the function was entered
-        with (None: not one)."""
+        hit — and its ``slot``, its offset (maybe negative) in the frame
+        the function was entered with (None: not one)."""
+        framed = base == REG_SP and self.disp is not None
+        if framed:
+            offset += self.disp
         low = self.valid.get(base)
         validated = low is not None and offset >= low and not offset - low & 7
         if not validated:
@@ -692,15 +730,21 @@ class _Facts:
             self.near = {
                 k for k in self.near if abs(k - offset) <= _L1_REACH
             } | {offset}
-        stack = base == REG_SP and not self.moved and not offset & 7
-        return validated, resident, offset if stack else None
+        slot = offset if framed and not offset & 7 else None
+        return validated, resident, slot
+
+    def move(self, k: int) -> None:  # addi sp, sp, k
+        if self.disp is None:
+            self.kill(REG_SP)
+        else:
+            self.disp += k
 
     def kill(self, reg: int) -> None:
         self.valid.pop(reg, None)
         if reg == self.base:
             self.base = None
         if reg == REG_SP:
-            self.moved = True
+            self.disp = None
 
 
 def _measure(tree: _Tree) -> _Tree:
@@ -714,7 +758,8 @@ def _measure(tree: _Tree) -> _Tree:
     an inlined arm starts from a copy of its branch's, nothing flows
     back to the fall-through).  ``slots``:
     the frame offsets a loop function binds once, ahead of the loop —
-    none if a path writes the stack pointer and then takes the loop edge.
+    none if a path takes the loop edge with the stack pointer moved
+    (``_Facts.disp`` not 0).
 
     Check sites (``_Trace.checks``) cut paths into *segments* of at
     most ``FAST_VM_MAX_BLOCK`` static countdown events; ``bounds`` holds
@@ -733,7 +778,7 @@ def _measure(tree: _Tree) -> _Tree:
     bounds = tree.bounds = [0]
     tree.max_k = 0
     tree.mem = tree.loop = tree.faults = False
-    moved_edges = []  # loop edges behind a write to the stack pointer
+    moved_edges = []  # loop edges taken with the stack pointer moved
 
     def walk(trace, facts, seg, events, k0, cycles, loads, stores, branches):
         """``k0``/``cycles``/``loads``/``stores``/``branches`` carry the
@@ -759,9 +804,13 @@ def _measure(tree: _Tree) -> _Tree:
                 slots.add(known[2])
             for slot in row.reads:
                 used.add(ins[slot])
-            for slot in row.writes:
-                written.add(ins[slot])
-                facts.kill(ins[slot])
+            if op == Opcode.ADDI and ins[1] == ins[2] == REG_SP:
+                written.add(REG_SP)
+                facts.move(ins[3])
+            else:
+                for slot in row.writes:
+                    written.add(ins[slot])
+                    facts.kill(ins[slot])
             if row.pair:
                 used.update(ins[3])
             settles = mode in row.settles
@@ -788,7 +837,7 @@ def _measure(tree: _Tree) -> _Tree:
             child = exits.get(index)
             if child is _LOOP:
                 tree.loop = True
-                if facts.moved:
+                if facts.disp != 0:
                     moved_edges.append(ip)
             elif child.__class__ is _Trace:
                 walk(child, facts.copy(), seg, events, *at[index + 1])
@@ -998,12 +1047,12 @@ class _Writer:
         self.side_exit(what, a, arm, path, "_bc")
         out.append(f"{ind}cy += _bc")
 
-    def site(self, offset: int, message, retired, ip, slot=None) -> None:
+    def site(self, offset: int, message, retired, ip, fo=None) -> None:
         """A site ``offset`` lines past the next one written: what had
         ``retired`` there (and, in a function that hoists frame slots,
-        which one it was) is what the tail reads."""
+        the offset ``fo`` off r15 a slot's access used) the tail reads."""
         self.table[len(self.out) + 1 + offset] = (
-            *retired, message, ip, *((slot,) if self.slots else ())
+            *retired, message, ip, *((fo,) if self.slots else ())
         )
 
     def check(self, ind: str, path, ip) -> None:
@@ -1018,7 +1067,7 @@ class _Writer:
             f"{costs.FAST_VM_MAX_BLOCK + paid}: raise _Fault"
         )
 
-    def settle(self, ind: str, path, spent, after, ip, slot=None, dyn=0) -> None:
+    def settle(self, ind: str, path, spent, after, ip, fo=None, dyn=0) -> None:
         """A settle site, in the arm where a dynamic cost just landed:
         unless the countdown still exceeds the static events left on the
         longest way on to the next check — its segment's bound less those
@@ -1038,7 +1087,7 @@ class _Writer:
             due = f"{self.countdown} - cy <= {left + cycles + dyn}"
         else:  # the miss, the mispredict: the event itself, already paid
             due = f"{self.countdown} <= 0"
-        self.site(0, after, (k, cycles + dyn, *counts), ip, slot)
+        self.site(0, after, (k, cycles + dyn, *counts), ip, fo)
         self.out.append(f"{ind}if {due}: raise _Fault")
 
     def access(
@@ -1052,7 +1101,9 @@ class _Writer:
         lookup inlines the MRU test; the L1-hit latency is in the static
         cycles, so only a true miss calls out (a load then charges the
         latency *difference*) — and is where a load settles.  A hoisted
-        ``slot`` reads its word, line and set from the preamble's locals."""
+        ``slot`` reads its word, line and set from the preamble's locals
+        (the slot is counted from the entry frame, the access's offset
+        from the stack pointer as it stands)."""
         validated, resident, slot = known
         op, d, a, b = ins
         load, out, hit = op == Opcode.LOAD, self.out, costs.LAT_L1
@@ -1063,40 +1114,44 @@ class _Writer:
             out.append(f"{ind}if (_x := {addr}) & 7 or _x < 8: raise _Fault")
         if slot in self.slots:
             word = f"_w + {slot >> 3}" if slot else "_w"
-            ln, tg = f"_n{self.slots[slot]}", f"_t{self.slots[slot]}"
-            touched = f"r{REG_SP} + {slot}" if slot else f"r{REG_SP}"
+            name = self.slots[slot]
+            mru = f"_mru[_s{name}] != _n{name}"
+            fo, touched = b, addr  # (off r15 as it stands, for the tail)
         else:
-            slot, ln, tg, touched = None, "_ln", "_tg", "_x"
+            fo, touched = None, "_x"
+            mru = f"_mru[(_ln := _x >> {_LINE_BITS}) & {_L1_SETS}] != _ln"
             word = (
                 "_x >> 3" if not validated
                 else f"({addr}) >> 3" if resident
                 else f"(_x := {addr}) >> 3"
             )
         if not resident:
-            self.site(0, outside, retired, ip, slot)
+            self.site(0, outside, retired, ip, fo)
         out.append(
             f"{ind}r{d} = words[{word}]" if load
             else f"{ind}words[{word}] = r{a}"
         )
         if resident:
             return
-        if slot is None:
-            out += [f"{ind}_ln = _x >> _lb", f"{ind}_tg = _l1s[_ln & _l1m]"]
-        out.append(f"{ind}if not {tg} or {tg}[0] != {ln}:")
+        out.append(f"{ind}if {mru}:")
         if not load:
             out.append(f"{ind}    _acc({touched})")
             return
-        out += [f"{ind}    _c = _acc({touched})", f"{ind}    cy += _c - {hit}"]
         ind += "    "
-        if self.t.mode == "l1":
+        if self.t.mode != "l1":
+            out.append(f"{ind}cy += _acc({touched}) - {hit}")
+        else:  # (the miss is the event)
+            out += [f"{ind}_c = _acc({touched})", f"{ind}cy += _c - {hit}"]
             out += [f"{ind}if _c > {hit}:", f"{ind}    {self.countdown} -= 1"]
             ind += "    "
-        self.settle(ind, path, spent, (ip + 1, None), ip, slot)
+        self.settle(ind, path, spent, (ip + 1, None), ip, fo)
 
     def trace(self, trace: _Trace, ind: str) -> None:
         """Write one trace of the tree at indent ``ind``; recursion
         happens at inlined exits, at the indent of their arm."""
         out, at = self.out, trace.at
+        # a CALL or RET that does not end the trace was followed
+        last = len(trace.items) - 1 if trace.fall is None else None
         for index, (ip, ins) in enumerate(trace.items):
             op = ins[0]
             row = _OPS[op]
@@ -1133,16 +1188,22 @@ class _Writer:
                 self.branch(trace.exits[index], ip, ins, ind, path, spent)
             elif op == Opcode.CALL:
                 # the interpreter charges the call's cycles before it
-                # checks the depth, but ticks the countdown only after
+                # checks the depth, but ticks the countdown only after;
+                # followed, the machine's call stack stays live for a
+                # sample or a fault in the callee to see
                 out += [
                     f"{ind}m.call_stack.append({ip + 1})",
                     f"{ind}if len(m.call_stack) > 256:",
                     f"{ind}    state.cycles += {costs.CYCLES_CALL}",
                     f"{ind}    raise _Fault",
                 ]
-                self.exit(ind, path, d)
+                if index == last:
+                    self.exit(ind, path, d)
             elif op == Opcode.RET:
-                self.exit(ind, path, "m.call_stack.pop()")
+                if index == last:
+                    self.exit(ind, path, "m.call_stack.pop()")
+                else:
+                    out.append(f"{ind}m.call_stack.pop()")
             else:
                 # KCALL and HALT retire without charging cycles or ticking
                 # the instruction-event countdown (the interpreter
@@ -1239,11 +1300,7 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
         # (LRU move, miss, allocation) calls back into the hierarchy so
         # cache state stays bit-identical to the interpreter's.
         out += [
-            "    _l1 = caches.l1",
-            "    _l1s = _l1.sets",
-            "    _l1m = _l1.set_mask",
-            "    _lb = _l1.line_bits",
-            "    _acc = caches.access_uncounted",
+            "    _mru = caches.l1.mru", "    _acc = caches.access_uncounted",
         ]
     if tree.loop:
         out.append("    _maxi = state.max_instructions")
@@ -1257,8 +1314,8 @@ def _emit(tree: _Tree) -> tuple[str, dict]:
         out.append(f"    _w = r{REG_SP} >> 3")
     for slot, name in writer.slots.items():
         addr = f"(r{REG_SP} + {slot})" if slot else f"r{REG_SP}"
-        out.append(f"    _n{name} = {addr} >> _lb")
-        out.append(f"    _t{name} = _l1s[_n{name} & _l1m]")
+        out.append(f"    _n{name} = {addr} >> {_LINE_BITS}")
+        out.append(f"    _s{name} = _n{name} & {_L1_SETS}")
     if t.deferred:
         if tree.branch_ips:
             out += ["    _pc = predictor.counters", "    _pg = _pc.get"]

@@ -78,6 +78,8 @@ def run_vm_bench(
     """
     from repro.data.queries import ALL_QUERIES
 
+    if repeats < 1:
+        raise ReproError(f"repeats must be positive, not {repeats}")
     emit = log or (lambda message: None)
     names = list(queries) if queries else list(DEFAULT_QUERIES)
     per_query = {}

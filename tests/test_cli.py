@@ -86,6 +86,10 @@ def test_parallel_execution_via_cli():
     ["fuzz", "--budget", "0"],
     ["views", "--fuzz", "--queries", "0"],
     ["bench", "--vm", "--queries", "q99"],
+    ["bench", "--vm", "--queries", "q6", "--repeats", "0"],
+    ["bench", "--vm", "--queries", "q6", "--repeats", "-2"],
+    ["bench", "--vm", "--queries", ","],
+    ["bench", "--vm", "--queries", "q6,"],
     ["pgo", __file__],
     ["--query", "q1", "--max-rows", "-2"],
 ])
@@ -110,6 +114,27 @@ def test_a_scale_that_is_not_positive_is_one_line_and_exit_2(command, tmp_path):
         code, text = run_cli(command + ["--scale", scale])
         assert code == 2
         assert text == "error: --scale must be positive\n", text
+
+
+@pytest.mark.parametrize("queries", [",", "q6,", " ,q6"])
+def test_an_empty_query_name_is_named_as_such(queries):
+    # not "unknown queries: , " with nothing between the commas
+    code, text = run_cli(["bench", "--vm", "--queries", queries])
+    assert code == 2
+    assert text == "error: --queries names an empty query\n"
+
+
+def test_a_vm_bench_without_repeats_is_refused_before_any_run(monkeypatch):
+    from repro import vmbench
+    from repro.errors import ReproError
+
+    ran = []
+    monkeypatch.setattr(vmbench, "_timed_run", lambda *args: ran.append(args))
+    with pytest.raises(ReproError, match="repeats must be positive"):
+        vmbench.run_vm_bench(queries=["q6"], repeats=0)
+    assert not ran
+    code, text = run_cli(["bench", "--vm", "--queries", "q6", "--repeats", "0"])
+    assert (code, text) == (2, "error: --repeats must be positive\n")
 
 
 def test_parser_rejects_missing_source():

@@ -111,10 +111,13 @@ _FACT_VALUES = st.sampled_from([0, 8, 16, 4096, 4100, 65536]) | st.integers(
 _FACT_OFFSETS = st.sampled_from(
     [-16, -8, 0, 4, 8, 12, 56, 64, 4032, 4040, 4096, 4104, 8192]
 ) | st.integers(-8, 1200).map(lambda k: k * 8)
-# (register, offset to access it at or None: it is rewritten, new value)
+# (register, offset to access it at or None: it is rewritten, new value),
+# or (None, None, k): ``addi sp, sp, k``, a frame pushed or popped
 _FACT_STEPS = st.lists(
     st.tuples(
         st.sampled_from(_FACT_REGS), st.none() | _FACT_OFFSETS, _FACT_VALUES
+    ) | st.tuples(
+        st.none(), st.none(), st.sampled_from([-64, -32, -8, 4, 8, 32, 64])
     ),
     max_size=60,
 )
@@ -126,12 +129,16 @@ def test_what_a_path_calls_known_holds_on_a_real_cache(values, steps):
     # drive ``_Facts`` and a real hierarchy with the same accesses along
     # one path: a validated access passes the guard, a resident one finds
     # its line first in its set, a frame slot is the word the entry stack
-    # pointer indexes
+    # pointer indexes, however far the stack pointer has moved since
     regs = dict(zip(_FACT_REGS, values))
     frame = regs[REG_SP]
     facts, caches = _Facts(), CacheHierarchy()
     level = caches.l1
     for reg, offset, value in steps:
+        if reg is None:
+            regs[REG_SP] += value
+            facts.move(value)
+            continue
         if offset is None:
             regs[reg] = value
             facts.kill(reg)
@@ -146,7 +153,7 @@ def test_what_a_path_calls_known_holds_on_a_real_cache(values, steps):
         if resident:
             assert level.sets[line & level.set_mask][0] == line
         if slot is not None:
-            assert (reg, slot) == (REG_SP, offset)
+            assert reg == REG_SP and slot == address - frame
             assert (frame >> 3) + (slot >> 3) == address >> 3
         caches.access(address)
 

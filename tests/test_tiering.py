@@ -76,17 +76,21 @@ def run_machine(program, *, pmu=None, fast_vm=True, n=N):
 
 def observed_state(machine) -> dict:
     """Every machine-state dimension the exactness contract covers."""
+    l1 = machine.caches.l1
+    # the MRU line a translated access tests is each set's first
+    assert l1.mru == [tags[0] if tags else -1 for tags in l1.sets]
     return {
         "state": asdict(machine.state),
         "regs": list(machine.regs),
+        "call_stack": list(machine.call_stack),
         "cache_accesses": machine.caches.accesses,
         "l1_misses": machine.caches.l1_misses,
-        "cache_sets": (machine.caches.l1.sets, machine.caches.l2.sets),
+        "cache_sets": (l1.sets, l1.mru, machine.caches.l2.sets),
         "branches": machine.predictor.branches,
         "mispredicts": machine.predictor.mispredicts,
         "predictor_counters": machine.predictor.state(),
         "samples": [
-            (s.ip, s.tsc, s.branch_taken, s.memaddr)
+            (s.ip, s.tsc, s.branch_taken, s.memaddr, s.callstack, s.registers)
             for s in machine.samples.samples
         ],
         "countdown": machine._countdown,
@@ -95,9 +99,8 @@ def observed_state(machine) -> dict:
 
 
 
-# every block of this program is one leader-to-leader stretch (calls and
-# returns end a trace, and no side arm is ever inlined), so a run enters
-# each leader the same number of times whichever engine runs the block
+# a loop through two calls: its tree follows both and both returns back
+# to its head, so once it compiles no callee leader is entered from it
 CALL_CHAIN = [
     (Op.MOVI, 3, 0, 0),
     Label("loop"),
@@ -137,21 +140,23 @@ def test_stub_dispatches_are_not_block_entries(pmu):
         return machine.translation
 
     # the first run interprets 15 entries of every per-row leader, then
-    # compiles it; the entry and exit blocks stay cold
+    # the loop head compiles, the calls inside its function; unarmed,
+    # nothing enters a callee leader again, armed, the tail of a sampling
+    # window interprets them once more and they compile
     translation = run()
-    hot = translation.hot_entries
-    per_row = {offsets["loop"] + 1, offsets["a"], offsets["a"] + 1,
-               offsets["b"]}
-    assert per_row <= translation.compiled
+    hot, loop = translation.hot_entries, offsets["loop"]
+    callees = {loop + 1, offsets["a"], offsets["a"] + 1, offsets["b"]}
     first = dict(translation.heat)
-    assert {first[ip] for ip in translation.compiled} == {hot}
-    assert first[0] == 1 and 0 not in translation.compiled
-    # same program, same translation, the per-row blocks now compiled
-    # from the start: only the cold leaders count their entries again
+    assert first[loop] == hot and loop in translation.compiled
+    assert {first[ip] for ip in callees} == {hot if pmu else hot - 1}
+    assert (callees <= translation.compiled) == (pmu is not None)
+    cold = set(first) - callees - {loop}
+    assert cold == {0, 5} and not cold & translation.compiled
+    # same program, same translation, the loop compiled from the start:
+    # only the entry and exit leaders count their entries again
     assert run() is translation
     assert translation.heat == {
-        ip: n if ip in translation.compiled else 2 * n
-        for ip, n in first.items()
+        ip: 2 * n if ip in cold else n for ip, n in first.items()
     }
 
 
@@ -192,7 +197,7 @@ def test_memory_accesses_are_written_alike_at_both_tiers():
     # and in the deferred loop alike (the static facts of a path are no
     # matter of its treatment), and no same-line memo beside them
     for code in (straight, loop_head_code()):
-        assert {"_acc", "_ln", "_tg"} <= set(code.co_varnames)
+        assert {"_acc", "_ln", "_mru"} <= set(code.co_varnames)
         assert "_mln" not in code.co_varnames
 
 
@@ -209,7 +214,10 @@ def test_loop_head_defers_with_one_edge_shape_armed_or_not():
 
 # -- exactness: the deferred loop and its mid-run flush vs the interpreter ----
 
-ARMED = PmuConfig(event=Event.CYCLES, period=2048, record_memaddr=True)
+ARMED = PmuConfig(
+    event=Event.CYCLES, period=2048, record_memaddr=True,
+    record_callstack=True, record_registers=True,
+)
 
 
 def test_tier2_matches_interpreter_bit_for_bit():

@@ -678,8 +678,6 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     # ip, registers, counters, predictor and countdown are the
     # interpreter's.
     where, function = SITE_CONTEXTS[context]
-    if (kind, context) == ("call", "tier2"):
-        where = "deep"  # keep the root a loop head, so it defers
     pmu = PmuConfig(event=Event.CYCLES, period=8192, record_memaddr=True)
     program, deep = site_program(kind, where)
     if context == "tier2":
@@ -696,8 +694,8 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
             assert "_ins" in code.co_varnames  # a deferred loop
         if context == "checked":
             root = _measure(_grow(program.code, SITE_LOOP, **translation._emit))
-            # (a CALL ends the root before its back edge)
-            assert root.loop == (kind != "call")
+            # (the loop closes through a CALL: its tree follows it)
+            assert root.loop
             (check,) = root.root.checks
             site = next(
                 index for index, (_, ins) in enumerate(root.root.items)
@@ -719,11 +717,9 @@ def test_every_fault_kind_from_every_kind_of_site(kind, context):
     assert fast_outcome[0] == "error" and SITE_KINDS[kind][1] in fast_outcome[1]
     assert full_state(fast) == full_state(slow)
     assert raised_in == function
-    # a CALL ends the root before its back edge: no loop closes then
-    looped = context != "cold" and (kind, where) not in (
-        ("call", "root"), ("call", "long"),
-    )
-    assert fast.tier == (2 if looped else 1)
+    # a loop closes through a CALL as through anything else: its tree
+    # follows the call into the helper and back
+    assert fast.tier == (1 if context == "cold" else 2)
     if where == "deep":
         assert fast_outcome[2] >= deep  # the site sits in the inlined arm
 
@@ -1152,7 +1148,9 @@ def test_translation_volume_of_a_first_pass():
     # and L1 lookups a path has made redundant, 35,905 since every loop
     # head defers from its first compile, 32,841 since a root that is no
     # loop head ends where a compiled loop begins, 25,120 since every way
-    # out of a block is one line of data and a ``break`` to the one tail;
+    # out of a block is one line of data and a ``break`` to the one tail,
+    # 23,285 since the L1 keeps each set's MRU line (22,799) and a loop's
+    # tree follows the calls its rows make;
     # the blocks and arms that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
@@ -1163,7 +1161,7 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 25_120 * 1.02
+    assert 0 < first <= 23_285 * 1.02
     assert first <= second < first * 1.15
 
 
@@ -1176,8 +1174,10 @@ def test_armed_translation_volume_of_a_profile_session():
     # long and every loop head defers from its first compile — the trade
     # for profile_session's wall_s going down by 12% — 23,411 since armed
     # trees take the plain shape, check sites keeping the countdown exact,
-    # and a linear root ends where a compiled loop begins, and 19,006
-    # since every way out of a block shares the one tail
+    # and a linear root ends where a compiled loop begins, 19,006
+    # since every way out of a block shares the one tail, and 17,767
+    # since the L1 keeps each set's MRU line (17,014) and a loop's tree
+    # follows the calls its rows make
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1191,7 +1191,7 @@ def test_armed_translation_volume_of_a_profile_session():
             ("q19", ProfilingMode.CALLSTACK),
         )
     )
-    assert 0 < lines <= 19_006 * 1.02
+    assert 0 < lines <= 17_767 * 1.02
 
 
 def test_every_way_out_writes_back_once():
@@ -1216,19 +1216,9 @@ def test_every_way_out_writes_back_once():
         assert {written.count(reg) for reg in written} == {1 + inline}
 
 
-def test_a_warm_armed_loop_closes_inside_its_function():
-    # One warm armed q1 (default profile, ``tpch(0.002, 42)``), counted
-    # at the block map's functions: a driver dispatch per sampling window
-    # or so.  57,889 while armed roots were trimmed back to an allowance
-    # of the period: the scan loop's root no longer reached its back edge
-    # and every lineitem row ran a chain of six dispatches.
-    db = Database.tpch(scale=0.002, seed=42)
-    sql, config = ALL_QUERIES["q1"].sql, ProfilerConfig()
-    for _ in range(4):  # until no root compiles again
-        db.profile(sql, config)
-    translation = translation_for(
-        db.compiled_for(sql, config).program, config.pmu_config()
-    )
+def counted_dispatches(translation) -> list:
+    """Wrap every block-map function of ``translation`` in a counter of
+    driver dispatches; returns the one-element list it counts in."""
     dispatches = [0]
 
     def counted(fn):
@@ -1239,9 +1229,43 @@ def test_a_warm_armed_loop_closes_inside_its_function():
 
     for ip, (fn, k, bound) in list(translation.blocks.items()):
         translation.blocks[ip] = (counted(fn), k, bound)
+    return dispatches
+
+
+def test_a_warm_armed_loop_closes_inside_its_function():
+    # One warm armed q1 (default profile, ``tpch(0.002, 42)``), counted
+    # at the block map's functions: a driver dispatch per sampling window
+    # or so.  57,889 while armed roots were trimmed back to an allowance
+    # of the period: the scan loop's root no longer reached its back edge
+    # and every lineitem row ran a chain of six dispatches.
+    db = Database.tpch(scale=0.002, seed=42)
+    sql, config = ALL_QUERIES["q1"].sql, ProfilerConfig()
+    for _ in range(4):  # until no root compiles again
+        db.profile(sql, config)
+    dispatches = counted_dispatches(translation_for(
+        db.compiled_for(sql, config).program, config.pmu_config()
+    ))
     profile = db.profile(sql, config)
     assert len(profile.samples) == 1_066
-    assert dispatches[0] == 5_177
+    assert dispatches[0] == 5_161  # 5,177 before loops followed calls
+
+
+def test_a_warm_loop_closes_through_its_per_row_call():
+    # One warm q4 (``tpch(0.002, 42)``), counted at the block map's
+    # functions.  Its lineitem scan calls ``ht_insert`` for the ~63% of
+    # rows that reach the hash build: 38,078 dispatches while a CALL
+    # ended the loop's trace and each such row came back through five
+    # block functions (the callee's prologue and insert, the return
+    # address, the loop's join block, the head again).
+    db = Database.tpch(scale=0.002, seed=42)
+    sql = ALL_QUERIES["q4"].sql
+    for _ in range(4):  # until no root compiles again
+        db.execute(sql)
+    dispatches = counted_dispatches(
+        translation_for(db.compiled_for(sql).program)
+    )
+    db.execute(sql)
+    assert dispatches[0] == 270
 
 
 # -- what a trace knows: address facts ---------------------------------------
@@ -1404,7 +1428,7 @@ def test_what_each_access_of_a_trace_knows():
     assert "r7 = words[(_x := r5 + 8) >> 3]" in source
     assert "words[(_x := r5 + 16) >> 3] = r6" in source
     assert "r6 = words[(r5 + 8) >> 3]" in source
-    assert source.count("_tg[0] != _ln") == 3
+    assert source.count("_mru[(_ln := _x >> 6) & 63] != _ln") == 3
 
     tree, source, _, _ = measured_loop(FACT_SECTIONS["falling"])
     assert [k[:2] for k in known_of(tree.root)] == [UNKNOWN] * 3
@@ -1425,7 +1449,8 @@ def test_what_each_access_of_a_trace_knows():
     assert tree.slots == [8]
     assert known_of(tree.root) == [(False, False, 8), (True, True, 8)]
     assert known_of(inlined[offsets["done"]]) == [(False, False, None)]
-    assert "_w = r15 >> 3" in source and "_n8 = (r15 + 8) >> _lb" in source
+    assert "_w = r15 >> 3" in source and "_n8 = (r15 + 8) >> 6" in source
+    assert "_s8 = _n8 & 63" in source and "if _mru[_s8] != _n8:" in source
     assert "words[_w + 1] = r3" in source and "r6 = words[_w + 1]" in source
     assert "r6 = words[_x >> 3]" in source  # behind the move: by address
     assert "if _fo is None else r15 + _fo" in source
@@ -1458,7 +1483,7 @@ def test_what_each_access_of_a_trace_knows():
         (True, False, 4032), (True, True, 0),  # [sp + 4032] cannot have
     ]
     assert known_of(inlined[offsets["odd"]]) == [(True, False, 4104)]
-    assert "if not _t4096 or _t4096[0] != _n4096:" in source
+    assert "if _mru[_s4096] != _n4096:" in source
     assert source.count("raise _Fault") == 1
 
     # what a path knows is no matter of the sampled event: the armed
@@ -1469,7 +1494,7 @@ def test_what_each_access_of_a_trace_knows():
     ))
     assert armed.treatment.deferred and armed.slots == tree.slots
     assert known_of(armed.root) == known_of(tree.root)
-    assert "if not _t4096 or _t4096[0] != _n4096:" in translate._emit(armed)[0]
+    assert "if _mru[_s4096] != _n4096:" in translate._emit(armed)[0]
 
 
 # name: (sections, r9, r15 or None, the iteration, the error or None)
@@ -1644,6 +1669,209 @@ def test_fault_paths_through_what_a_trace_knows(case, hot_entries):
             assert raised_in.startswith("_b")  # compiled code raised it
 
 
+# -- calls a loop's tree follows ---------------------------------------------
+
+CALL_N = 40
+CALL_FRAME = 64
+# the shapes of ``call_program``: the sites its loop tree follows, and
+# the frame slots it hoists (from the entry frame; the helper's is 16
+# bytes under it)
+CALL_SHAPES = {
+    "balanced": (1, [-16, 8]),
+    "twice": (2, [-16, 8]),
+    "nested": (2, [-16, 8]),
+    "moved": (1, []),
+    "unbalanced": (1, []),
+}
+
+
+def call_program(shape):
+    """A loop over r1 words at r0 that spills its counter to a frame slot
+    and calls ``helper`` with r5 = &a[i] — r9 instead in iteration r8 —
+    which adds the word there to r2 through a frame of its own.  The
+    helper moves the stack pointer by ADDI and back (``balanced``, and
+    ``twice``: two call sites; ``nested``: it calls a leaf to load the
+    word), restores it from a register (``moved``: the trace loses the
+    frame), or returns 8 bytes under where it was called (``unbalanced``:
+    the loop reads its counter back from a register, not the slot)."""
+    enter, leave = [(Op.ADDI, 15, 15, -16)], [(Op.ADDI, 15, 15, 16)]
+    if shape == "moved":
+        enter = [(Op.MOV, 13, 15, 0)] + enter
+        leave = [(Op.MOV, 15, 13, 0)]
+    elif shape == "unbalanced":
+        leave = [(Op.ADDI, 15, 15, 8)]
+    load = [(Op.LOAD, 6, 12, 0)]
+    items = [
+        (Op.ADDI, 15, 15, -CALL_FRAME),
+        (Op.MOVI, 3, 0, 0),
+        Label("loop"),
+        (Op.CMPGE, 4, 3, 1),
+        (Op.BRNZ, 4, "done", 0),
+        (Op.STORE, 15, 3, 8),
+        (Op.SHLI, 10, 3, 3),
+        (Op.ADD, 10, 0, 10),
+        (Op.CMPEQ, 11, 3, 8),
+        (Op.SELECT, 5, 11, (9, 10)),
+        *[(Op.CALL, "helper", 0, 0)] * (2 if shape == "twice" else 1),
+        *([] if shape == "unbalanced" else [(Op.LOAD, 3, 15, 8)]),
+        (Op.ADDI, 3, 3, 1),
+        (Op.JMP, "loop", 0, 0),
+        Label("done"),
+        (Op.ADDI, 15, 15, CALL_FRAME),
+        (Op.MOV, 0, 2, 0),
+        (Op.RET, 0, 0, 0),
+        Label("helper"),
+        *enter,
+        (Op.STORE, 15, 5, 0),
+        (Op.LOAD, 12, 15, 0),
+        *([(Op.CALL, "leaf", 0, 0)] if shape == "nested" else load),
+        (Op.ADD, 2, 2, 6),
+        *leave,
+        (Op.RET, 0, 0, 0),
+        Label("leaf"),
+        *load,
+        (Op.RET, 0, 0, 0),
+    ]
+    code, offsets = assemble(items)
+    code = [  # (the assembler resolves branch labels only)
+        (op, offsets[a], b, c) if op == Op.CALL else (op, a, b, c)
+        for op, a, b, c in code
+    ]
+    program = Program()
+    program.append_function("f", rebase(code, 0), CodeRegion.QUERY)
+    return program, offsets
+
+
+def test_a_loop_closes_through_the_calls_its_tree_follows():
+    for shape, (sites, slots) in CALL_SHAPES.items():
+        program, offsets = call_program(shape)
+        tree = _measure(_grow(
+            program.code, offsets["loop"], **_emit_settings("")
+        ))
+        assert tree.treatment.deferred and tree.loop, shape
+        assert tree.slots == slots, shape
+        source = translate._emit(tree)[0]
+        # the call stack stays live: a push per followed call and a pop
+        # per return it pushed
+        pushed = re.findall(r"m\.call_stack\.append\((\d+)\)", source)
+        assert len(pushed) == sites
+        assert source.count("    m.call_stack.pop()\n") == sites
+        if shape == "twice":
+            # the same callee from two sites of one tree: a copy per site
+            assert {int(ret) for ret in pushed} == {
+                ip + 1 for ip, ins in tree.root.items if ins[0] == Op.CALL
+            }
+        # a root that is no loop head follows no call: the helper is
+        # not copied into every caller
+        helper = _grow(program.code, offsets["helper"], **_emit_settings(""))
+        assert not helper.treatment.deferred
+        assert not any(helper.root.frames)
+
+
+CALL_FAULT_AT = 27
+CALL_BAD = {
+    "clean": (lambda base: base + 8 * CALL_FAULT_AT, None),
+    "unaligned": (lambda base: base + 4, "unaligned or null load at"),
+    "oob": (lambda base: 1 << 40, "load out of bounds at"),
+}
+
+
+def run_call_case(shape, pmu, hot_entries, bad, depth=0):
+    """Two clean runs of ``call_program(shape)`` — the first compiles what
+    it enters — then the run that goes wrong in iteration CALL_FAULT_AT
+    (``bad``: what r9 is made of the base), ``depth`` frames already on
+    the call stack; ``hot_entries`` 0 is the interpreter.  Everything
+    observable of all three, and the function the last error left."""
+    program, _ = call_program(shape)
+    observed, raised_in = [], None
+    for wrong in (False, False, True):
+        machine = Machine(
+            program, Memory(), pmu_config=pmu, fast_vm=hot_entries > 0,
+        )
+        if hot_entries:
+            machine.translation.hot_entries = hot_entries
+        base = machine.memory.alloc(CALL_N * 8)
+        machine.memory.words[base >> 3:(base >> 3) + CALL_N] = range(CALL_N)
+        machine.regs[8] = CALL_FAULT_AT if wrong else -1
+        machine.regs[9] = CALL_BAD[bad][0](base)
+        if wrong:
+            machine.call_stack.extend([0] * depth)
+        try:
+            outcome = ("ok", machine.call(0, (base, CALL_N)))
+        except VMError as exc:
+            outcome = ("error", str(exc), exc.ip)
+            raised_in = raising_function(exc)
+        caches = machine.caches
+        observed.append((
+            outcome, full_state(machine), list(machine.samples.samples),
+            caches.l1.sets, caches.l1.mru, caches.l2.sets,
+        ))
+    return observed, raised_in
+
+
+@pytest.mark.parametrize("hot_entries", [1, costs.FAST_VM_HOT_ENTRIES])
+@pytest.mark.parametrize("bad", list(CALL_BAD))
+@pytest.mark.parametrize("shape", list(CALL_SHAPES))
+def test_a_followed_call_is_the_interpreters(shape, bad, hot_entries):
+    # a fault in the callee, a sample in it, a frame the trace keeps or
+    # loses across it: the machine left behind is the interpreter's —
+    # call stack, every counter, both cache levels, every sample field
+    _, error = CALL_BAD[bad]
+    for event in [None] + ALL_EVENTS:
+        pmu = event and PmuConfig(
+            event=event, period=300, record_memaddr=True,
+            record_callstack=True, record_registers=True,
+        )
+        (fast, raised_in), (slow, _) = (
+            run_call_case(shape, pmu, engine, bad)
+            for engine in (hot_entries, 0)
+        )
+        assert fast == slow, event
+        clean, again, wrong = (outcome for outcome, *_ in fast)
+        total = sum(range(CALL_N)) * (2 if shape == "twice" else 1)
+        assert clean == again == ("ok", total)
+        if error is None:
+            assert wrong == clean
+            continue
+        assert wrong[0] == "error" and error in wrong[1], wrong
+        if event is None:
+            # the loop's function raised it, from inside the callee
+            assert raised_in.startswith("_b") and raised_in != "_interp"
+            assert len(fast[2][1]["call_stack"]) >= 2
+
+
+@pytest.mark.parametrize("hot_entries", [1, costs.FAST_VM_HOT_ENTRIES])
+def test_call_stack_overflow_through_followed_calls(hot_entries):
+    # 254 frames and the run's sentinel: the followed call reaches 256,
+    # the nested one it follows next overflows, inside the loop's function
+    (fast, raised_in), (slow, _) = (
+        run_call_case("nested", None, engine, "clean", depth=254)
+        for engine in (hot_entries, 0)
+    )
+    assert fast == slow
+    outcome = fast[2][0]
+    assert outcome[0] == "error" and "call stack overflow" in outcome[1]
+    assert len(fast[2][1]["call_stack"]) == 257
+    assert raised_in.startswith("_b")
+
+
+@pytest.mark.parametrize("period", [128, 131, 200])
+@pytest.mark.parametrize("event", [Event.INSTRUCTIONS, Event.CYCLES])
+def test_callstack_samples_inside_a_followed_call(event, period):
+    # samples that land in the helper and in its leaf carry the call
+    # stack the interpreter's would: the machine's, live all along
+    pmu = PmuConfig(
+        event=event, period=period, record_callstack=True,
+        record_registers=True, record_memaddr=True,
+    )
+    (fast, _), (slow, _) = (
+        run_call_case("nested", pmu, engine, "clean") for engine in (1, 0)
+    )
+    assert fast == slow
+    depths = {len(sample.callstack) for run in fast for sample in run[2]}
+    assert depths & {1, 2}
+
+
 _PARENT_DIGESTS = """
 from tests.helpers import compiled_sources, forgotten_address_facts
 import hashlib
@@ -1701,20 +1929,23 @@ with forgotten_address_facts():
 # digests: no text of theirs had a check site or ran into a compiled loop.
 # Re-recorded when every way out of a block began to share the one tail:
 # every row moved, and every row kept its count of sources.
+# Re-recorded when the L1 MRU test became one list read and loop trees
+# began to follow calls: every row moved; q1 A and D, q3 A-C and q6 D
+# compile fewer sources (return blocks the loops now run inside).
 PARENT_DIGESTS = """
-269d37316b274095 5 2418
-8e681c834e099441 3 2971
-35ea8ebfead0718d 14 5315
-3e8e43a3f99ecb12 66 14237
-8f2f39485a29207d 21 11975
-151c6ed0502ec6cd 13 6341
-73492f460530660c 34 16111
-d1339205ad31488f 137 39627
-daea3a420928cd65 7 3999
-afc0fc4cd8cc742f 3 325
-024c295e079b8cd4 12 4900
-0b7304dc02d34f12 59 7648
-3c16624b185411a3 18 6264
+8986f22403ed1416 4 1935
+b79459728f68af8c 3 2427
+341e10ce5d1c94e2 14 4693
+55822cb583eb8958 65 11289
+df75ab80f429f2a4 19 10178
+bb8a16a9018cbb2a 12 5109
+0ee9c50cf68366c4 33 13925
+0c6565bd1d0f68bf 137 31716
+c8497ce6b42c686e 7 3517
+d50c0dca6e01ea3f 3 266
+b1b54278cbf357c9 12 4430
+38f314a585c59838 55 6049
+a72ae0a9a747bf65 18 5524
 """
 
 
