@@ -1,26 +1,69 @@
-"""Shared measurement harness for the benchmark suite.
+"""What the ``bench_*.py`` scripts share: the scale and seed they measure
+at, their report tables, timing and ratio primitives, and the
+``BENCH_*.json`` trajectory files (append-only lists of run records that
+CI uploads for trend inspection).
 
-Shared-runner noise has two shapes: slow *drift* (a CI neighbour spins
-up, the CPU thermally throttles) and transient *spikes* (one round hits
-a scheduler stall).  Comparing best-of-N timings taken on independent
-sides misaligns both: drift lands asymmetrically on whichever side ran
-later, and min-of-N silently picks two rounds that never shared machine
-conditions.
-
-The drift-cancelled estimator here interleaves the two configurations
-within every round and reduces the per-round ratios with the *median*:
-each ratio compares timings taken back to back (drift hits both sides
-of one division equally), and the median discards rounds where a spike
-hit one side.  ``bench_serve`` gates profiling overhead on it; this
-module is the benchmark-side home for the primitives so every bench
-script reports ratios and geomean rows the same way.
+Shared-runner noise has two shapes: slow *drift* (a neighbour spins up,
+the CPU throttles) and transient *spikes* (a scheduler stall).  Best-of-N
+timings taken on independent sides misalign both, so
+:func:`interleaved_ratio` alternates the two configurations within every
+round and reduces the per-round ratios with the *median*: drift hits both
+sides of one division equally, and the median discards rounds where a
+spike hit one side.  ``bench_serve`` gates profiling overhead on it.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 from time import perf_counter
+
+# Scale factors chosen so the whole harness runs in a few minutes on a
+# laptop while still giving every query non-trivial work.
+BENCH_SCALE = 0.001
+BENCH_SEED = 42
+
+RESULTS_DIR = Path(__file__).parent / "results"
+#: (title, table) of every ``report`` call; the conftest prints them
+REPORTS: list[tuple[str, str]] = []
+
+
+def report(title: str, text: str) -> None:
+    """Register one experiment's output table (also written under
+    ``benchmarks/results/``)."""
+    REPORTS.append((title, text))
+    RESULTS_DIR.mkdir(exist_ok=True)
+    slug = title.lower().replace(" ", "_").replace("/", "-")[:60]
+    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
+
+
+def trajectory_path(name: str) -> Path:
+    """Where the ``name`` trajectory (``BENCH_<name>.json``) lives: the
+    repository root."""
+    return Path(__file__).resolve().parent.parent / f"BENCH_{name}.json"
+
+
+def read_trajectory(path: str | Path) -> list[dict]:
+    """The run records of a trajectory file ([] before the first run);
+    ``ValueError`` when it holds no list of them, left as it is."""
+    path = Path(path)
+    try:
+        history = json.loads(path.read_text()) if path.exists() else []
+    except (OSError, ValueError) as error:
+        raise ValueError(f"{path} is no trajectory: {error}") from None
+    if not isinstance(history, list):
+        raise ValueError(f"{path} holds no list of run records")
+    return history
+
+
+def append_trajectory(record: dict, path: str | Path) -> list[dict]:
+    """Append one run record, numbered ``run``, to a trajectory file."""
+    history = read_trajectory(path)
+    history.append(dict(record, run=len(history)))
+    Path(path).write_text(json.dumps(history, indent=1) + "\n")
+    return history
 
 
 def timed(fn):
@@ -28,6 +71,11 @@ def timed(fn):
     started = perf_counter()
     payload = fn()
     return perf_counter() - started, payload
+
+
+def best_of(fn, repeats: int):
+    """The fastest of ``repeats`` :func:`timed` calls of ``fn``."""
+    return min((timed(fn) for _ in range(repeats)), key=lambda run: run[0])
 
 
 def median(values):

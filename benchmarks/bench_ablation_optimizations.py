@@ -7,7 +7,7 @@ Not a paper figure — the paper takes Umbra's optimizer as given.
 from repro import ExecOptions, PlannerOptions
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 GROUPJOIN_SQL = """
 select o_orderkey, sum(l_extendedprice * (1 - l_discount)) as revenue

@@ -11,7 +11,7 @@ from repro import ExecOptions
 from repro.data.queries import ALL_QUERIES
 from repro.profiling.reports import render_worker_timeline
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 WORKER_COUNTS = (1, 2, 4, 8)
 

@@ -12,7 +12,7 @@ from repro import Event, ProfilerConfig
 from repro.data.queries import ALL_QUERIES
 from repro.vm.isa import REG_TAG, CodeRegion, Opcode
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 CHECK_QUERIES = ["q2", "q16", "q18"]  # the paper cross-checks these three
 

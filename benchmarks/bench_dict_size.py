@@ -8,7 +8,7 @@ stacks), i.e. ~77 MB/s at 0.7 MHz.
 from repro import ProfilerConfig
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_dictionary_and_sample_storage(tpch, benchmark):

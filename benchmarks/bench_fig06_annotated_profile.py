@@ -8,7 +8,7 @@ instructions are attributed to operators.
 
 from repro.data.queries import EXAMPLE_QUERY
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_fig06_annotated_profile(example_db, benchmark):

@@ -8,7 +8,7 @@ any aggregate profile.
 
 from repro.data.queries import EXAMPLE_QUERY
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_fig07_operator_activity(example_db, benchmark):

@@ -8,7 +8,7 @@ scans, which must hold here too.
 
 from repro.data.queries import FIG9_QUERY
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_fig09_domain_expert_costs(tpch, benchmark):

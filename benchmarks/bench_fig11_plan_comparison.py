@@ -16,7 +16,7 @@ transition and the data-clustering cause — is what this reproduces; see
 EXPERIMENTS.md.)
 """
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 from repro import ExecOptions
 
 SQL = """

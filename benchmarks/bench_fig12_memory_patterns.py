@@ -10,7 +10,7 @@ from repro import Event, ProfilerConfig
 from repro.data.queries import FIG9_QUERY
 from repro.plan.physical import PhysicalGroupBy, PhysicalHashJoin, PhysicalScan
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_fig12_memory_access_patterns(tpch, benchmark):

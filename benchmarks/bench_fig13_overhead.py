@@ -11,7 +11,7 @@ import pytest
 from repro import ProfilerConfig, ProfilingMode
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 SQL = ALL_QUERIES["q16"].sql  # the paper uses TPC-H Q16 for this figure
 

@@ -21,7 +21,7 @@ PGO mutates engine state (plan cache, profile store) and must not perturb
 the other benchmarks.
 """
 
-from benchmarks.conftest import BENCH_SCALE, BENCH_SEED, report
+from benchmarks._harness import BENCH_SCALE, BENCH_SEED, report
 
 from repro import Database, ExecOptions
 from repro.data.queries import ALL_QUERIES

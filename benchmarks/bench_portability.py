@@ -9,7 +9,7 @@ reports required zero changes for the second system.
 
 from repro.streaming import EventFlow
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 SQL = """
 select l_shipdate - (l_shipdate % 30) as window_start, l_returnflag,

@@ -10,7 +10,7 @@ reservation at a sampling period high enough that no sample ever fires
 from repro import ProfilerConfig, ProfilingMode
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 NO_SAMPLES = 1 << 40  # period so large the PMU never fires
 

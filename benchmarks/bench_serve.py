@@ -9,12 +9,16 @@ cancels instead of flaking the build; the measured trajectory is what
 ``BENCH_serve.json`` tracks run over run.
 """
 
-from pathlib import Path
 from random import Random
-from time import perf_counter
 
-from benchmarks.conftest import report
-from benchmarks._harness import geomean, interleaved_ratio
+from benchmarks._harness import (
+    append_trajectory,
+    geomean,
+    interleaved_ratio,
+    report,
+    timed,
+    trajectory_path,
+)
 
 from repro import Database
 from repro.fleet import Fleet, FleetConfig, run_fleet_workload
@@ -26,13 +30,12 @@ from repro.serve import (
     synthetic_workload,
 )
 from repro.serve.profiler import percentile
-from repro.vmbench import append_trajectory
 
 # locally measured steady-state overhead is ~11% at the serve period;
 # the gate enforces the paper-style 15% budget on the drift-cancelled
 # median, catching a real regression of the always-on sampling path
 OVERHEAD_CEILING_PCT = 15.0
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+TRAJECTORY_PATH = trajectory_path("serve")
 
 QUERIES = 32
 CLIENTS = 4
@@ -62,9 +65,7 @@ def _build(profiling: bool):
 
 
 def _run_once(service, items):
-    started = perf_counter()
-    summary = run_workload(service, items, warm=False)
-    elapsed = perf_counter() - started
+    elapsed, summary = timed(lambda: run_workload(service, items, warm=False))
     assert summary.clean, "benchmark workload must run clean"
     return elapsed, summary
 

@@ -12,17 +12,18 @@ trajectory lands in ``BENCH_storage.json`` run over run, and the gate
 enforces the committed ≥2x working-set reduction on Q6.
 """
 
-from pathlib import Path
-from time import perf_counter
-
-from benchmarks.conftest import report
+from benchmarks._harness import (
+    append_trajectory,
+    best_of,
+    report,
+    trajectory_path,
+)
 
 from repro import Database
 from repro.data.queries import ALL_QUERIES
 from repro.storage import DIR_STRIDE, StorageConfig
-from repro.vmbench import append_trajectory
 
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_storage.json"
+TRAJECTORY_PATH = trajectory_path("storage")
 
 # committed floor: a selective scan over the encoded layout must touch
 # at most half the bytes of the plain layout (locally ~4.3x at both
@@ -66,17 +67,6 @@ def _bytes_touched(db, columns_by_table: dict) -> int:
     return total
 
 
-def _best_of(db, sql: str):
-    best = None
-    result = None
-    for _ in range(REPEATS):
-        started = perf_counter()
-        result = db.execute(sql)
-        elapsed = perf_counter() - started
-        best = elapsed if best is None else min(best, elapsed)
-    return best, result
-
-
 def _rows_close(a, b) -> bool:
     if len(a) != len(b):
         return False
@@ -106,8 +96,10 @@ def run_storage_bench() -> dict:
                  "queries": {}}
         for name, columns in SCAN_COLUMNS.items():
             sql = ALL_QUERIES[name].sql
-            enc_s, enc_result = _best_of(encoded, sql)
-            plain_s, plain_result = _best_of(plain, sql)
+            (enc_s, enc_result), (plain_s, plain_result) = (
+                best_of(lambda: db.execute(sql), REPEATS)
+                for db in (encoded, plain)
+            )
             assert _rows_close(enc_result.rows, plain_result.rows), (
                 f"{name}: encoded and plain layouts disagree at {scale}"
             )

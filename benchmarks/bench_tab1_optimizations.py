@@ -9,7 +9,7 @@ still attributes every sample.
 from repro import ExecOptions, PlannerOptions, ProfilerConfig
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 GROUPJOIN_SQL = """
 select o_orderkey, sum(l_extendedprice * (1 - l_discount)) as revenue

@@ -8,7 +8,7 @@ residue from the SYSLIB region.
 
 from repro.data.queries import ALL_QUERIES
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 
 def test_tab2_attribution_all_queries(tpch, benchmark):

@@ -8,7 +8,7 @@ same categories in this repository.
 
 import pathlib
 
-from benchmarks.conftest import report
+from benchmarks._harness import report
 
 SRC = pathlib.Path(__file__).parent.parent / "src" / "repro"
 

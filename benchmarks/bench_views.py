@@ -19,19 +19,21 @@ that view alone registered (encode and validate included), best of
 gate: the host drifts by tens of percent between processes.
 """
 
-from pathlib import Path
 from random import Random
-from time import perf_counter
 
-from benchmarks._harness import geomean
-from benchmarks.conftest import report
+from benchmarks._harness import (
+    append_trajectory,
+    geomean,
+    report,
+    timed,
+    trajectory_path,
+)
 
 from repro import Database
 from repro.serve import QueryService, ServiceConfig
 from repro.views import ViewService
-from repro.vmbench import append_trajectory
 
-TRAJECTORY_PATH = Path(__file__).resolve().parent.parent / "BENCH_views.json"
+TRAJECTORY_PATH = trajectory_path("views")
 
 # committed floor: maintaining the standing-query suite across the
 # delta schedule must cost at least 3x fewer simulated instructions
@@ -109,10 +111,8 @@ def _host_apply_ms_per_batch(service, sql, schedule):
     for _ in range(HOST_REPEATS):
         views = ViewService(service)  # its own table state: same schedule
         views.register("only", sql)
-        started = perf_counter()
-        for batch in schedule:
-            views.apply(batch)
-        best = min(best, perf_counter() - started)
+        elapsed, _ = timed(lambda: [views.apply(b) for b in schedule])
+        best = min(best, elapsed)
     return round(best / len(schedule) * 1000, 3)
 
 

@@ -2,38 +2,22 @@
 
 Every benchmark reproduces one table or figure of the paper's evaluation.
 Beyond pytest-benchmark's timing, each registers a formatted result table
-via ``report()``; the tables are printed in the terminal summary (and land
-in ``bench_output.txt`` when tee'd), and also written under
-``benchmarks/results/``.
+via ``benchmarks._harness.report``; the tables are printed in the terminal
+summary (and land in ``bench_output.txt`` when tee'd), and also written
+under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
-import pathlib
-
 import pytest
+
+from benchmarks._harness import BENCH_SCALE, BENCH_SEED, REPORTS
 
 from repro import Database
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
-_REPORTS: list[tuple[str, str]] = []
-
-# Scale factors chosen so the whole harness runs in a few minutes on a
-# laptop while still giving every query non-trivial work.
-BENCH_SCALE = 0.001
-BENCH_SEED = 42
-
-
-def report(title: str, text: str) -> None:
-    """Register one experiment's output table."""
-    _REPORTS.append((title, text))
-    RESULTS_DIR.mkdir(exist_ok=True)
-    slug = title.lower().replace(" ", "_").replace("/", "-")[:60]
-    (RESULTS_DIR / f"{slug}.txt").write_text(text + "\n")
-
 
 def pytest_terminal_summary(terminalreporter):
-    for title, text in _REPORTS:
+    for title, text in REPORTS:
         terminalreporter.write_line("")
         terminalreporter.write_line("=" * 78)
         terminalreporter.write_line(f"== {title}")

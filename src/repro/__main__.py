@@ -400,73 +400,6 @@ def _fuzz_main(argv: list[str], out) -> int:
     return 0 if report.ok else 1
 
 
-def _bench_main(argv: list[str], out) -> int:
-    """``python -m repro bench --vm``: engine micro-benchmarks."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro bench",
-        description="Benchmark the execution engine.  --vm times every "
-                    "selected TPC-H query on the template-translated fast "
-                    "VM and on the block interpreter (same compiled "
-                    "program, best-of-N wall time, parity asserted) and "
-                    "reports per-query and geometric-mean speedups.",
-    )
-    parser.add_argument(
-        "--vm", action="store_true",
-        help="fast-VM vs interpreter speed comparison",
-    )
-    parser.add_argument(
-        "--queries", default=None,
-        help="comma-separated TPC-H query names (default: the "
-             "representative vmbench subset; 'all' for q1..q22)",
-    )
-    _add_scale_flag(parser)
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument(
-        "--repeats", type=int, default=3,
-        help="best-of-N timing runs per engine (default 3)",
-    )
-    parser.add_argument(
-        "--json", metavar="PATH", default=None,
-        help="append the run record to this trajectory file "
-             "(e.g. BENCH_vm.json)",
-    )
-    args = parser.parse_args(argv)
-
-    if not args.vm:
-        return _bad_value(out, "nothing to benchmark: pass --vm")
-    if bad := _not_positive(args, "scale", "repeats"):
-        return _bad_value(out, bad)
-
-    from repro.data.queries import ALL_QUERIES
-    from repro.vmbench import append_trajectory, read_trajectory, run_vm_bench
-
-    if args.json:
-        try:  # before the benchmark, not minutes after it
-            read_trajectory(args.json)
-        except ReproError as error:
-            return _bad_value(out, error)
-
-    queries = None
-    if args.queries == "all":
-        queries = sorted(ALL_QUERIES, key=lambda n: int(n[1:]))
-    elif args.queries:
-        queries = [name.strip() for name in args.queries.split(",")]
-        if "" in queries:
-            return _bad_value(out, "--queries names an empty query")
-        unknown = [name for name in queries if name not in ALL_QUERIES]
-        if unknown:
-            return _bad_value(out, f"unknown queries: {', '.join(unknown)}")
-
-    record = run_vm_bench(
-        queries=queries, scale=args.scale, seed=args.seed,
-        repeats=args.repeats, log=lambda message: print(message, file=out),
-    )
-    if args.json:
-        append_trajectory(record, args.json)
-        print(f"trajectory appended to {args.json}", file=out)
-    return 0
-
-
 def _serve_main(argv: list[str], out) -> int:
     """``python -m repro serve``: run a workload through the query service."""
     from repro.serve import (
@@ -644,7 +577,7 @@ def _fleet_main(argv: list[str], out) -> int:
     from random import Random
 
     from repro.fleet import Fleet, FleetConfig, fleet_profile, run_fleet_workload
-    from repro.serve import SYNTHETIC_TEMPLATES
+    from repro.serve import SYNTHETIC_TEMPLATES, ServiceError
 
     parser = argparse.ArgumentParser(
         prog="python -m repro fleet",
@@ -690,11 +623,11 @@ def _fleet_main(argv: list[str], out) -> int:
     )
     parser.add_argument(
         "--strict", action="store_true",
-        help="exit non-zero when any query failed",
+        help="exit non-zero when any query failed or was refused",
     )
     _add_fast_vm_flag(parser)
     args = parser.parse_args(argv)
-    if bad := _not_positive(args, "shards", "tenants"):
+    if bad := _not_positive(args, "shards", "queries", "tenants"):
         return _bad_value(out, bad)
 
     try:
@@ -726,24 +659,32 @@ def _fleet_main(argv: list[str], out) -> int:
         items.append((name, sql))
 
     results = run_fleet_workload(fleet, items)
+    # a refused submission comes back as its ServiceError: it never got
+    # a ticket, so it is named by its place in the workload
+    refused = [
+        (position, tenant, result)
+        for position, ((tenant, _), result) in enumerate(
+            zip(items, results), start=1
+        )
+        if isinstance(result, ServiceError)
+    ]
     stats = fleet.stats()
     print(
         f"fleet of {stats['shards']} shard(s) "
         f"[{stats['partition']}]: served {stats['submitted']} queries — "
         f"{stats['completed']} ok ({stats['degraded']} degraded), "
-        f"{stats['failed']} failed, {stats['cancelled']} cancelled; "
+        f"{stats['failed']} failed, {stats['cancelled']} cancelled, "
+        f"{len(refused)} refused; "
         f"makespan {stats['makespan_cycles']:,} cycles",
         file=out,
     )
-    failed = 0
-    for result in results:
-        status = getattr(result, "status", "failed")
-        if status in ("ok", "degraded"):
-            continue
-        failed += 1
-        detail = getattr(result, "error", result)
-        ticket = getattr(result, "ticket", "-")
-        print(f"  ticket {ticket}: {detail}", file=out)
+    failed = [result for result in results
+              if not isinstance(result, ServiceError) and not result.ok]
+    for result in failed:
+        detail = result.error or result.status
+        print(f"  ticket {result.ticket}: {detail}", file=out)
+    for position, tenant, error in refused:
+        print(f"  query {position} [{tenant}]: {error}", file=out)
     snapshot = fleet.profile_snapshot()
     if snapshot is not None:
         print(
@@ -755,7 +696,7 @@ def _fleet_main(argv: list[str], out) -> int:
     if args.report:
         print(file=out)
         print(fleet_profile(fleet).render(), file=out)
-    if args.strict and failed:
+    if args.strict and (failed or refused):
         return 1
     return 0
 
@@ -858,6 +799,8 @@ def _views_main(argv: list[str], out) -> int:
         "--quiet", action="store_true", help="suppress per-dataset progress"
     )
     args = parser.parse_args(argv)
+    if args.batches < 0:
+        return _bad_value(out, "--batches must not be negative")
 
     if args.fuzz:
         from repro.fuzz.views import run_views_fuzz
@@ -928,7 +871,7 @@ def _views_main(argv: list[str], out) -> int:
         for raw in zip(*table.columns)
     ]
     next_id = max(row[0] for row in live) + 1
-    for _ in range(max(1, args.batches)):
+    for _ in range(args.batches):
         changes = []
         for _ in range(4):
             row = (
@@ -990,9 +933,8 @@ def _print_result(result, max_rows: int, out) -> None:
 
 
 _SUBCOMMANDS = {
-    "pgo": _pgo_main, "fuzz": _fuzz_main, "bench": _bench_main,
-    "serve": _serve_main, "fleet": _fleet_main, "storage": _storage_main,
-    "views": _views_main,
+    "pgo": _pgo_main, "fuzz": _fuzz_main, "serve": _serve_main,
+    "fleet": _fleet_main, "storage": _storage_main, "views": _views_main,
 }
 
 

@@ -151,6 +151,9 @@ class Fleet:
 
     def _init(self, dataset: Dataset, config: FleetConfig,
               spec: PartitionSpec, pgo_store) -> None:
+        if config.tenant_quota is not None and config.tenant_quota < 1:
+            # every submit would be refused
+            raise ReproError("tenant_quota must be >= 1")
         if spec.shards != config.shards:
             raise ReproError(
                 f"partition spec has {spec.shards} shards, "

@@ -118,6 +118,9 @@ class QueryService:
         if self.config.max_inflight < 1:
             # nothing would ever be admitted: drain() would spin forever
             raise ReproError("max_inflight must be >= 1")
+        if self.config.max_queue < 1:
+            # every submit would be shed
+            raise ReproError("max_queue must be >= 1")
         # how every query of this service compiles and runs (one query
         # runs on shared workers, so ``ExecOptions.workers`` stays 1)
         self.options = ExecOptions(

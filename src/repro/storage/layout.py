@@ -43,6 +43,11 @@ DIR_PARAM = 8
 DIR_MIN = 16
 DIR_MAX = 24
 
+#: the encoding choice: RLE once runs average this many rows, DICT for
+#: strings with at most this many distinct values per segment
+RLE_MIN_RUN = 4.0
+DICT_MAX_DISTINCT = 4096
+
 
 @dataclass(frozen=True)
 class StorageConfig:
@@ -53,8 +58,6 @@ class StorageConfig:
     shard_segments: int = 32  # spine granularity
     compress: bool = True  # choose FOR/DICT/RLE where profitable
     prune: bool = True  # emit zone-map skip branches in scans
-    rle_min_run: float = 4.0
-    dict_max_distinct: int = 4096
     # (table, column) -> Encoding, overriding the heuristics (tests)
     force: tuple = ()
 
@@ -298,11 +301,11 @@ class StorageEngine:
 
         if forced is not None:
             kind = forced
-        elif rows / runs >= config.rle_min_run:
+        elif rows / runs >= RLE_MIN_RUN:
             kind = Encoding.RLE
         elif (
             column_def.dtype is DataType.STRING
-            and max_distinct <= config.dict_max_distinct
+            and max_distinct <= DICT_MAX_DISTINCT
             and dict_bits is not None
             and dict_bits <= 16
             and (for_bits is None or dict_bits < for_bits)

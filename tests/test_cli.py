@@ -85,13 +85,14 @@ def test_parallel_execution_via_cli():
     ["storage", "--segment-rows", "3"],
     ["fuzz", "--budget", "0"],
     ["views", "--fuzz", "--queries", "0"],
-    ["bench", "--vm", "--queries", "q99"],
-    ["bench", "--vm", "--queries", "q6", "--repeats", "0"],
-    ["bench", "--vm", "--queries", "q6", "--repeats", "-2"],
-    ["bench", "--vm", "--queries", ","],
-    ["bench", "--vm", "--queries", "q6,"],
     ["pgo", __file__],
     ["--query", "q1", "--max-rows", "-2"],
+    ["serve", "--synthetic", "--queue", "0"],
+    ["serve", "--synthetic", "--queue", "-1"],
+    ["fleet", "--tenant-quota", "0", "--queries", "3"],
+    ["fleet", "--tenant-quota", "-2", "--queries", "3"],
+    ["fleet", "--queries", "0"],
+    ["views", "--batches", "-3"],
 ])
 def test_an_invalid_knob_is_one_line_and_exit_2(argv):
     code, text = run_cli(argv)
@@ -101,10 +102,9 @@ def test_an_invalid_knob_is_one_line_and_exit_2(argv):
 
 @pytest.mark.parametrize("command", [
     ["--query", "q6"],
-    ["bench", "--vm", "--queries", "q6", "--repeats", "1"],
     ["serve", "--tpch", "--workload"],
     ["storage"],
-], ids=["main", "bench", "serve", "storage"])
+], ids=["main", "serve", "storage"])
 def test_a_scale_that_is_not_positive_is_one_line_and_exit_2(command, tmp_path):
     if command[0] == "serve":
         workload = tmp_path / "workload.jsonl"
@@ -116,25 +116,25 @@ def test_a_scale_that_is_not_positive_is_one_line_and_exit_2(command, tmp_path):
         assert text == "error: --scale must be positive\n", text
 
 
+def run_vm_bench_cli(argv):
+    from benchmarks.bench_vm_speed import main as bench_main
+
+    out = io.StringIO()
+    code = bench_main(argv, out=out)
+    return code, out.getvalue()
+
+
 @pytest.mark.parametrize("queries", [",", "q6,", " ,q6"])
 def test_an_empty_query_name_is_named_as_such(queries):
     # not "unknown queries: , " with nothing between the commas
-    code, text = run_cli(["bench", "--vm", "--queries", queries])
+    code, text = run_vm_bench_cli(["--queries", queries])
     assert code == 2
     assert text == "error: --queries names an empty query\n"
 
 
-def test_a_vm_bench_without_repeats_is_refused_before_any_run(monkeypatch):
-    from repro import vmbench
-    from repro.errors import ReproError
-
-    ran = []
-    monkeypatch.setattr(vmbench, "_timed_run", lambda *args: ran.append(args))
-    with pytest.raises(ReproError, match="repeats must be positive"):
-        vmbench.run_vm_bench(queries=["q6"], repeats=0)
-    assert not ran
-    code, text = run_cli(["bench", "--vm", "--queries", "q6", "--repeats", "0"])
-    assert (code, text) == (2, "error: --repeats must be positive\n")
+def test_an_unknown_query_name_is_refused_before_any_run():
+    code, text = run_vm_bench_cli(["--queries", "q6,q99"])
+    assert (code, text) == (2, "error: unknown queries: q99\n")
 
 
 def test_parser_rejects_missing_source():
@@ -181,6 +181,20 @@ def test_cli_pgo_report(tmp_path):
     assert "1 profiled run(s)" in text
     assert "cardinalities" in text
     assert "scan|nation" in text
+
+
+def test_a_fleet_counts_its_quota_refusals_and_names_them_by_place():
+    code, text = run_cli([
+        "fleet", "--tenant-quota", "1", "--queries", "6", "--tenants", "2",
+    ])
+    assert code == 0
+    summary, *refusals = text.splitlines()[:5]
+    assert "served 2 queries" in summary and ", 4 refused;" in summary
+    assert [line.split(":")[0] for line in refusals] == [
+        "  query 3 [tenant-0]", "  query 4 [tenant-1]",
+        "  query 5 [tenant-0]", "  query 6 [tenant-1]",
+    ]
+    assert all("[TENANT_QUOTA]" in line for line in refusals)
 
 
 def test_cli_pgo_empty_store(tmp_path):
@@ -322,18 +336,14 @@ def test_an_output_path_in_a_missing_directory_is_refused_before_the_run(
 
 @pytest.mark.parametrize("history", ['[{"run": 0},', '{"run": 0}'])
 def test_an_unreadable_trajectory_is_refused_and_left_alone(history, tmp_path):
-    from repro.errors import ReproError
-    from repro.vmbench import append_trajectory
+    from benchmarks._harness import append_trajectory
 
     path = tmp_path / "BENCH_vm.json"
     path.write_text(history)
-    with pytest.raises(ReproError):
+    with pytest.raises(ValueError):
         append_trajectory({"x": 1}, path)
-    # the CLI answers before it spends minutes benchmarking
-    code, text = run_cli([
-        "bench", "--vm", "--queries", "q6", "--repeats", "1",
-        "--json", str(path),
-    ])
+    # the bench answers before it spends minutes benchmarking
+    code, text = run_vm_bench_cli(["--queries", "q6", "--json", str(path)])
     assert code == 2
     assert text.startswith("error: ") and text.count("\n") == 1, text
     assert path.read_bytes() == history.encode()
