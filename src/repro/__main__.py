@@ -365,8 +365,10 @@ def _fuzz_main(argv: list[str], out) -> int:
 
     from repro.fuzz import run_fuzz
 
-    if bad := _not_positive(args, "budget"):
+    if bad := _not_positive(args, "budget", "rotate_every"):
         return _bad_value(out, bad)
+    if args.max_hints < 0:
+        return _bad_value(out, "--max-hints must not be negative")
 
     emit = None if args.quiet else (lambda message: print(message, file=out))
     report = run_fuzz(

@@ -2,10 +2,12 @@
 
 One IR block becomes one labelled region; phis are destructed into parallel
 copies at predecessor block ends; constants are folded into immediate
-instruction forms where the ISA has them.  Every emitted machine instruction
-records the id of the IR instruction it implements — this is the debug
-information (the DWARF analogue) the profiler uses for the final
-native->IR mapping step.
+instruction forms where the ISA has them, and the constant part of a
+``gep`` whose only users are load and store addresses in its own block into
+their ``[base+imm]`` operand; no jump goes to the next block.  Every emitted
+machine instruction records the id of the IR instruction it implements —
+this is the debug information (the DWARF analogue) the profiler uses for
+the final native->IR mapping step.
 """
 
 from __future__ import annotations
@@ -84,6 +86,7 @@ class _Isel:
         self.value_vreg: dict[int, int] = {}
         self.param_vreg: dict[int, int] = {}
         self.phi_vreg: dict[int, int] = {}
+        self.folded = _folded_geps(function)
 
     def fresh(self) -> int:
         v = self.next_vreg
@@ -114,6 +117,12 @@ class _Isel:
                 ) from None
         raise BackendError(f"cannot select operand {value!r}")
 
+    def address(self, ptr: Value, ir_id: int) -> tuple[int, int]:
+        """``(vreg, immediate)`` of a load or store address."""
+        if isinstance(ptr, Instr) and ptr.id in self.folded:
+            return self.folded[ptr.id]
+        return self.vreg_of(ptr, ir_id), 0
+
     # -- main walk ----------------------------------------------------------
 
     def run(self) -> IselResult:
@@ -135,9 +144,8 @@ class _Isel:
                 if instr.op == "phi":
                     self.phi_vreg[instr.id] = self.fresh()
 
-        if fn.blocks:
-            self.emit_jump_to(fn.entry)
-        for block in fn.blocks:
+        # (the entry block is first: the parameter copies fall into it)
+        for block, self.next_block in zip(fn.blocks, [*fn.blocks[1:], None]):
             self.items.append(MLabel(block.name))
             for instr in block.instructions:
                 self.select(block, instr)
@@ -148,8 +156,10 @@ class _Isel:
             next_vreg=self.next_vreg,
         )
 
-    def emit_jump_to(self, block: Block) -> None:
-        self.items.append(MInst(Opcode.JMP, block.name))
+    def jump(self, target: Block, ir_id: int) -> None:
+        """A jump to ``target``; none to the next block: control falls through."""
+        if target is not self.next_block:
+            self.emit(Opcode.JMP, target.name, ir_id=ir_id)
 
     def emit_phi_copies(self, pred: Block, ir_id: int) -> None:
         """Parallel copies for all phis of all successors of ``pred``."""
@@ -215,51 +225,50 @@ class _Isel:
 
         if op == "gep":
             base = self.vreg_of(instr.args[0], iid)
+            index = instr.args[1] if len(instr.args) > 1 else Const(0)
             dst = self.fresh()
-            if len(instr.args) > 1:
-                index = instr.args[1]
-                if isinstance(index, Const):
-                    self.emit(
-                        Opcode.ADDI, dst, base,
-                        index.value * instr.scale + instr.offset, ir_id=iid,
-                    )
-                    self.value_vreg[iid] = dst
+            if isinstance(index, Const):
+                offset = index.value * instr.scale + instr.offset
+                if iid in self.folded:  # each user's immediate
+                    self.folded[iid] = (base, offset)
                     return
-                vi = self.vreg_of(index, iid)
-                scale = instr.scale
-                if scale == 1:
-                    scaled = vi
-                elif scale & (scale - 1) == 0:
-                    scaled = self.fresh()
-                    self.emit(Opcode.SHLI, scaled, vi, scale.bit_length() - 1, ir_id=iid)
-                else:
-                    scaled = self.fresh()
-                    self.emit(Opcode.MULI, scaled, vi, scale, ir_id=iid)
-                if instr.offset:
-                    summed = self.fresh()
-                    self.emit(Opcode.ADD, summed, base, scaled, ir_id=iid)
-                    self.emit(Opcode.ADDI, dst, summed, instr.offset, ir_id=iid)
-                else:
-                    self.emit(Opcode.ADD, dst, base, scaled, ir_id=iid)
+                self.emit(Opcode.ADDI, dst, base, offset, ir_id=iid)
+                self.value_vreg[iid] = dst
+                return
+            vi = self.vreg_of(index, iid)
+            scale = instr.scale
+            if scale == 1:
+                scaled = vi
+            elif scale & (scale - 1) == 0:
+                scaled = self.fresh()
+                self.emit(Opcode.SHLI, scaled, vi, scale.bit_length() - 1, ir_id=iid)
             else:
-                self.emit(Opcode.ADDI, dst, base, instr.offset, ir_id=iid)
+                scaled = self.fresh()
+                self.emit(Opcode.MULI, scaled, vi, scale, ir_id=iid)
+            if iid in self.folded:
+                self.emit(Opcode.ADD, dst, base, scaled, ir_id=iid)
+                self.folded[iid] = (dst, instr.offset)
+            elif instr.offset:
+                summed = self.fresh()
+                self.emit(Opcode.ADD, summed, base, scaled, ir_id=iid)
+                self.emit(Opcode.ADDI, dst, summed, instr.offset, ir_id=iid)
+            else:
+                self.emit(Opcode.ADD, dst, base, scaled, ir_id=iid)
             self.value_vreg[iid] = dst
             return
 
         if op == "load":
             dst = self.fresh()
-            self.emit(Opcode.LOAD, dst, self.vreg_of(instr.args[0], iid), 0, ir_id=iid)
+            base, imm = self.address(instr.args[0], iid)
+            self.emit(Opcode.LOAD, dst, base, imm, ir_id=iid)
             self.value_vreg[iid] = dst
             return
 
         if op == "store":
             ptr, value = instr.args
+            base, imm = self.address(ptr, iid)
             self.emit(
-                Opcode.STORE,
-                self.vreg_of(ptr, iid),
-                self.vreg_of(value, iid),
-                0,
-                ir_id=iid,
+                Opcode.STORE, base, self.vreg_of(value, iid), imm, ir_id=iid
             )
             return
 
@@ -338,7 +347,7 @@ class _Isel:
 
         if op == "br":
             self.emit_phi_copies(block, iid)
-            self.emit(Opcode.JMP, instr.targets[0].name, ir_id=iid)
+            self.jump(instr.targets[0], iid)
             return
 
         if op == "condbr":
@@ -350,10 +359,10 @@ class _Isel:
                 # through to the cheaper JMP (1 vs 2 branch instructions
                 # retired on the common path)
                 self.emit(Opcode.BRZ, cond, instr.targets[1].name, ir_id=iid)
-                self.emit(Opcode.JMP, instr.targets[0].name, ir_id=iid)
+                self.jump(instr.targets[0], iid)
             else:
                 self.emit(Opcode.BRNZ, cond, instr.targets[0].name, ir_id=iid)
-                self.emit(Opcode.JMP, instr.targets[1].name, ir_id=iid)
+                self.jump(instr.targets[1], iid)
             return
 
         if op == "ret":
@@ -367,6 +376,24 @@ class _Isel:
             return
 
         raise BackendError(f"no selection rule for IR op {op!r}")
+
+
+def _folded_geps(function: Function) -> dict:
+    """The geps whose only users are load and store addresses in their own
+    block, by id (selection fills in their base and offset)."""
+    users: dict[int, tuple] = {}
+    for instr in function.all_instructions():
+        for operand in instr.operands():
+            if isinstance(operand, Instr) and operand.op == "gep":
+                users.setdefault(operand.id, (operand, []))[1].append(instr)
+    return {
+        gep.id: None for gep, found in users.values()
+        if all(
+            user.op in ("load", "store") and user.block is gep.block
+            and user.args[0] is gep and gep not in user.args[1:]
+            for user in found
+        )
+    }
 
 
 def select_function(

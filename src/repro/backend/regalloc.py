@@ -2,11 +2,11 @@
 
 The allocatable pool is r7..r14; Register Tagging *reserves* r14, shrinking
 the pool — which is exactly how the paper's 2.8 % reservation overhead
-arises: fewer registers, more spill traffic.  All registers are caller-saved,
-so any value live across a call is spilled to the stack frame (a
-simplification relative to LLVM's callee-saved set, biased toward *more*
-realistic pressure around the pre-compiled runtime calls the paper's
-Register Tagging guards).
+arises: fewer registers, more spill traffic.  All registers are caller-saved:
+a value live across a call keeps its register, and the call site stores it
+to a save slot of the frame before the argument moves and reloads it after
+the result move, so a call on a cold arm costs the hot path nothing.  A
+kernel call writes only r0 and saves nothing.
 
 Spilled values are accessed through the scratch registers r4/r5, which is
 safe because argument registers are only written inside expanded call
@@ -150,23 +150,18 @@ def allocate_function(
     live_in, live_out = _liveness(items)
     intervals = _intervals(items, live_in, live_out)
     weights = _vreg_weights(items, hotness) if hotness else None
-    call_positions = [
-        i for i, item in enumerate(items) if isinstance(item, MCallSeq)
-    ]
+    # the values each call site saves: live across it, exactly
+    across = {
+        i: live_out[i] - set(item.defs())
+        for i, item in enumerate(items)
+        if isinstance(item, MCallSeq) and not item.is_kernel
+    }
 
     stats = AllocationStats(vregs=len(intervals))
+    stats.call_crossings = len(set().union(*across.values()))
 
-    # values live across a call are spilled (everything is caller-saved)
     spilled: set[int] = set()
-    for vreg, (start, end) in intervals.items():
-        if any(start < pos < end for pos in call_positions):
-            spilled.add(vreg)
-            stats.call_crossings += 1
-
-    # linear scan over the remaining intervals
-    order = sorted(
-        (v for v in intervals if v not in spilled), key=lambda v: intervals[v][0]
-    )
+    order = sorted(intervals, key=lambda v: intervals[v][0])
     assignment: dict[int, tuple[str, int]] = {}
     active: list[int] = []  # vregs currently holding a register
     free = list(pool)
@@ -214,6 +209,14 @@ def allocate_function(
         slot_of[vreg] = len(slot_of)
     stats.spilled = len(spilled)
     stats.spill_slots = len(slot_of)
+    # a call site saves its live registers to the slots past the spills
+    saves_at = {
+        i: [
+            (assignment[v][1], (len(slot_of) + k) * 8)
+            for k, v in enumerate(sorted(live - spilled))
+        ]
+        for i, live in across.items()
+    }
 
     def location(vreg):
         if vreg in slot_of:
@@ -223,7 +226,7 @@ def allocate_function(
             raise BackendError(f"vreg {vreg} has no location")
         return ("reg", reg)
 
-    frame = len(slot_of) * 8
+    frame = (len(slot_of) + max(map(len, saves_at.values()), default=0)) * 8
 
     # -- rewrite ----------------------------------------------------------
 
@@ -241,12 +244,15 @@ def allocate_function(
         out.append(((Opcode.LOAD, scratch, REG_SP, value), current_ir))
         return scratch
 
-    for item in items:
+    for index, item in enumerate(items):
         if isinstance(item, MLabel):
             out.append(item)
             continue
         if isinstance(item, MCallSeq):
             current_ir = item.ir_id
+            saves = saves_at.get(index, ())
+            for reg, offset in saves:
+                out.append(((Opcode.STORE, REG_SP, reg, offset), current_ir))
             for i, arg in enumerate(item.args):
                 if isinstance(arg, tuple) and arg[0] == "imm":
                     out.append(((Opcode.MOVI, i, arg[1], 0), current_ir))
@@ -266,6 +272,8 @@ def allocate_function(
                     out.append(((Opcode.MOV, value, 0, 0), current_ir))
                 else:
                     out.append(((Opcode.STORE, REG_SP, 0, value), current_ir))
+            for reg, offset in saves:
+                out.append(((Opcode.LOAD, reg, REG_SP, offset), current_ir))
             continue
 
         ins = item

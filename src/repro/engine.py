@@ -584,6 +584,10 @@ class Database:
         mark = self.memory.mark()
         try:
             pmu = profiler.pmu_config() if profiler is not None else None
+            # the state block below the stacks, as a query service has it
+            state_addr = self.memory.alloc(
+                compiled.query_ir.state.size_bytes, "query_state"
+            )
             machines = [
                 Machine(
                     compiled.program, self.memory, pmu_config=pmu,
@@ -596,10 +600,7 @@ class Database:
                 for machine in machines:
                     machine.state.max_instructions = options.instruction_limit
             run = PlanRun(
-                self, compiled,
-                self.memory.alloc(
-                    compiled.query_ir.state.size_bytes, "query_state"
-                ),
+                self, compiled, state_addr,
                 options.morsel_size if workers > 1 else WHOLE_DOMAIN,
                 repeats=options.repeats,
             )
@@ -753,6 +754,7 @@ class Database:
             sql=compiled.sql,
             task_counts=run.task_counts,
             estimates=compiled.estimates,
+            iteration_starts=run.iteration_starts,
         )
 
     def profile(

@@ -95,6 +95,8 @@ class PlanRun:
         # busy (not invariant under shared cores) — reporting only
         self.busy_cycles = 0
         self.samples: list[tuple[int, Sample]] = []
+        # the clock each iteration's setup started at (§4.2.6)
+        self.iteration_starts: list[int] = []
         self.raw_morsels: list[tuple[int, int, list]] = []
         # decoded output and PGO tuple counters of the last iteration
         self.rows: list[tuple] | None = None
@@ -161,6 +163,8 @@ class PlanRun:
         buffered = len(machine.samples.samples)
         emitted = len(machine.output)
         self.machines[core] = machine
+        if unit.kind == SETUP:
+            self.iteration_starts.append(cycles)
         try:
             machine.call(unit.entry, unit.args)
         finally:

@@ -43,6 +43,8 @@ class Profile:
     sql: str = ""
     task_counts: dict[int, int] = field(default_factory=dict)
     estimates: dict[int, float] = field(default_factory=dict)
+    # the clock each iteration of the run started at (§4.2.6)
+    iteration_starts: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.machines:

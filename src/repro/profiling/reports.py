@@ -10,6 +10,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from repro.ir.printer import format_instr
@@ -116,15 +117,23 @@ def render_query_breakdown(profile) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ir_sample_counts(profile) -> tuple[dict[int, float], float]:
-    counts: dict[int, float] = {}
+def _ir_sample_counts(profile) -> tuple[dict[tuple, float], dict, float]:
+    """Samples per IR line, keyed ``(runtime function, ir_id)`` — None for
+    a query line: the runtime library numbers its IR apart — and the
+    operators each line's samples resolved to."""
+    counts: dict[tuple, float] = {}
+    owners: dict[tuple, dict] = {}
     total = 0.0
     for attribution in profile.attributions:
         if attribution.ir_id is None:
             continue
-        counts[attribution.ir_id] = counts.get(attribution.ir_id, 0.0) + 1.0
+        key = (attribution.runtime_function, attribution.ir_id)
+        counts[key] = counts.get(key, 0.0) + 1.0
         total += 1.0
-    return counts, total
+        owners.setdefault(key, {}).update(
+            dict.fromkeys(op.label for op in attribution.operators)
+        )
+    return counts, owners, total
 
 
 def hot_instructions(profile, n: int = 10) -> list[tuple]:
@@ -132,8 +141,9 @@ def hot_instructions(profile, n: int = 10) -> list[tuple]:
 
     The Listing 1 view — which single lines absorb the most samples —
     usable programmatically (the annotated-IR report shows the same data
-    in context)."""
-    counts, total = _ir_sample_counts(profile)
+    in context).  A runtime line reads ``@function %id`` and is owned by
+    the operators its samples' tags (or call stacks) resolved to."""
+    counts, line_owners, total = _ir_sample_counts(profile)
     if not total:
         return []
     instr_by_id = {}
@@ -142,19 +152,21 @@ def hot_instructions(profile, n: int = 10) -> list[tuple]:
             instr_by_id[instr.id] = instr
     ranked = sorted(counts.items(), key=lambda kv: -kv[1])[:n]
     out = []
-    for ir_id, count in ranked:
+    for (runtime_function, ir_id), count in ranked:
         instr = instr_by_id.get(ir_id)
-        text = format_instr(instr) if instr is not None else f"%{ir_id}"
-        owners = tuple(
-            t.operator.label for t in profile.tagging.tasks_of_instruction(ir_id)
-        )
+        if runtime_function is not None:
+            text = f"@{runtime_function} %{ir_id}"
+        else:
+            text = format_instr(instr) if instr is not None else f"%{ir_id}"
+        owners = tuple(line_owners[runtime_function, ir_id])
         out.append((count / total, ir_id, text, owners))
     return out
 
 
 def annotated_ir(profile, pipeline_index: int | None = None) -> str:
     """IR listing with per-instruction shares and operator labels (Fig. 6b)."""
-    counts, total = _ir_sample_counts(profile)
+    counts, _, total = _ir_sample_counts(profile)
+    counts = {ir_id: n for (fn, ir_id), n in counts.items() if fn is None}
     lines: list[str] = []
     for function in profile.ir_module.functions:
         if pipeline_index is not None and function.name != f"pipeline_{pipeline_index}":
@@ -315,40 +327,26 @@ def detect_iterations(profile) -> list[Iteration]:
     """Split the sample stream into dataflow iterations (§4.2.6).
 
     The Tagging Dictionary cannot distinguish iterations — the same
-    generated code runs again — so post-processing uses the samples'
-    *timestamps*: pipelines execute in ascending order within one
-    iteration, so a sample from an earlier pipeline than its predecessor
-    marks the start of the next iteration.
+    generated code runs again — so post-processing splits the samples by
+    timestamp at the clock each iteration started at, which the run
+    records: every phase ends at a barrier, so no sample of an iteration
+    is later than the next one's start.
     """
-    pipeline_of_task = {
-        task.id: pipeline.index
-        for pipeline in profile.pipelines
-        for task in pipeline.tasks
-    }
-    ordered = [
-        a for a in sorted(profile.attributions, key=lambda a: a.sample.tsc)
+    tscs = sorted(
+        a.sample.tsc for a in profile.attributions
         if a.category == CATEGORY_OPERATOR and a.tasks
-    ]
-    if not ordered:
+    )
+    if not tscs:
         return []
-    iterations: list[Iteration] = []
-    start = ordered[0].sample.tsc
-    count = 0
-    previous_pipeline = -1
-    for attribution in ordered:
-        pipeline = min(pipeline_of_task[t.id] for t in attribution.tasks)
-        if pipeline < previous_pipeline:
-            iterations.append(Iteration(
-                len(iterations), start, attribution.sample.tsc, count
-            ))
-            start = attribution.sample.tsc
-            count = 0
-        previous_pipeline = pipeline
-        count += 1
-    iterations.append(Iteration(
-        len(iterations), start, ordered[-1].sample.tsc + 1, count
-    ))
-    return iterations
+    bounds = [
+        tscs[0],
+        *(t for t in profile.iteration_starts if tscs[0] < t <= tscs[-1]),
+        tscs[-1] + 1,
+    ]
+    return [
+        Iteration(index, lo, hi, bisect_left(tscs, hi) - bisect_left(tscs, lo))
+        for index, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
 
 
 def iteration_report(profile) -> str:

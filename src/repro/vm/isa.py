@@ -8,13 +8,14 @@ labelled form, function/region bookkeeping, and a disassembler.
 
 Register convention (enforced by the backend, not the hardware):
 
-====  =======================================================
-r0    first argument / return value
-r1-5  further arguments
-r13   spill/reload scratch
-r14   **tag register** when Register Tagging reserves it
-r15   stack pointer (spill slots grow downward)
-====  =======================================================
+======  =====================================================
+r0      first argument / return value
+r1-5    further arguments; r3-r5 are also the spill scratch
+r7-14   allocated, caller-saved: a call site stores the values
+        live across it and reloads them after (r6 is unused)
+r14     **tag register** when Register Tagging reserves it
+r15     stack pointer (spill and save slots grow downward)
+======  =====================================================
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.errors import BackendError
 NUM_REGS = 16
 REG_ARG0 = 0
 REG_RET = 0
-REG_SCRATCH = 13
 REG_TAG = 14
 REG_SP = 15
 

@@ -759,7 +759,9 @@ def _measure(tree: _Tree) -> _Tree:
     back to the fall-through).  ``slots``:
     the frame offsets a loop function binds once, ahead of the loop —
     none if a path takes the loop edge with the stack pointer moved
-    (``_Facts.disp`` not 0).
+    (``_Facts.disp`` not 0), or if no slot is accessed twice (binding
+    spares a once-touched slot's access a shift and a mask, and costs
+    two lines).
 
     Check sites (``_Trace.checks``) cut paths into *segments* of at
     most ``FAST_VM_MAX_BLOCK`` static countdown events; ``bounds`` holds
@@ -774,7 +776,7 @@ def _measure(tree: _Tree) -> _Tree:
     by the one tail.
     """
     deferred, mode = tree.treatment.deferred, tree.treatment.mode
-    used, written, branch_ips, slots = set(), set(), set(), set()
+    used, written, branch_ips, slots = set(), set(), set(), []
     bounds = tree.bounds = [0]
     tree.max_k = 0
     tree.mem = tree.loop = tree.faults = False
@@ -801,7 +803,8 @@ def _measure(tree: _Tree) -> _Tree:
             if row.loads or row.stores:
                 known = facts.access(ins[2 if row.loads else 1], ins[3])
                 trace.known[index] = known
-                slots.add(known[2])
+                if known[2] is not None:
+                    slots.append(known[2])
             for slot in row.reads:
                 used.add(ins[slot])
             if op == Opcode.ADDI and ins[1] == ins[2] == REG_SP:
@@ -852,8 +855,8 @@ def _measure(tree: _Tree) -> _Tree:
     tree.bound = bounds[0]
     tree.used, tree.written = used | written, written
     tree.branch_ips = branch_ips
-    held = tree.loop and not moved_edges
-    tree.slots = sorted(slots - {None}) if held else []
+    held = tree.loop and not moved_edges and len(set(slots)) < len(slots)
+    tree.slots = sorted(set(slots)) if held else []
     return tree
 
 

@@ -1,11 +1,17 @@
 """End-to-end backend tests: IR functions compiled and executed on the VM."""
 
+from collections import Counter
+
 import pytest
 
 from repro.backend import BackendOptions, compile_module, optimize_function
+from repro.backend.isel import select_function
+from repro.backend.minst import MCallSeq, MInst
+from repro.codegen.runtime import build_runtime_module, build_syslib_module
+from repro.data.queries import ALL_QUERIES
 from repro.ir import IRBuilder, Module, Type, verify_function
 from repro.vm import CodeRegion, Machine, Memory, Program
-from repro.vm.isa import REG_TAG, Opcode
+from repro.vm.isa import REG_SP, REG_TAG, Opcode
 
 pytestmark = pytest.mark.usefixtures("numbering")
 
@@ -402,3 +408,168 @@ def test_select_with_spilled_operands():
     picked_py = live_py[2] if live_py[0] > live_py[1] else live_py[3]
     assert result == picked_py + sum(live_py)
     assert compiled["f"].alloc_stats.spilled > 0
+
+
+# -- registers across calls, folded offsets, fall-through ---------------------
+
+
+def cold_call_loop():
+    """``f(base, n)`` sums ``n`` words at ``base``; a word equal to 7 goes
+    through ``cold`` on an arm of its own, which takes every register of
+    the pool.  Live across that call: ``base``, ``n``, ``i`` and ``acc``."""
+    module = Module("m")
+    cold = module.new_function("cold", [("x", Type.I64)], Type.I64)
+    cb = IRBuilder(cold)
+    cb.set_block(cb.block("entry"))
+    x = cold.params[0]
+    values = [cb.mul(x, cb.const(k + 2)) for k in range(10)]
+    total = values[0]
+    for value in values[1:]:
+        total = cb.add(total, value)
+    cb.ret(total)
+
+    fn = module.new_function("f", [("base", Type.PTR), ("n", Type.I64)], Type.I64)
+    b = IRBuilder(fn)
+    entry, loop, body, call, join, done = (
+        b.block(name) for name in ("entry", "loop", "body", "call", "join", "done")
+    )
+    base, n = fn.params
+    b.set_block(entry)
+    b.br(loop)
+    b.set_block(loop)
+    i, acc = b.phi(Type.I64), b.phi(Type.I64)
+    b.add_incoming(i, b.const(0), entry)
+    b.add_incoming(acc, b.const(0), entry)
+    b.condbr(b.cmp("cmplt", i, n), body, done)
+    b.set_block(body)
+    word = b.load(b.gep(base, i, scale=8))
+    b.condbr(b.cmp("cmpeq", word, b.const(7)), call, join)
+    b.set_block(call)
+    called = b.call("cold", [word])
+    b.br(join)
+    b.set_block(join)
+    term = b.phi(Type.I64)
+    b.add_incoming(term, word, body)
+    b.add_incoming(term, called, call)
+    next_acc, next_i = b.add(acc, term), b.add(i, b.const(1))
+    b.add_incoming(i, next_i, join)
+    b.add_incoming(acc, next_acc, join)
+    b.br(loop)
+    b.set_block(done)
+    b.ret(acc)
+    return module
+
+
+def test_a_cold_call_saves_at_its_site_and_the_hot_path_keeps_its_registers():
+    for words in ([1, 2, 3, 4, 5, 6] * 5, [1, 7, 3, 7, 7, 2]):
+        memory = Memory()
+        base = memory.alloc(8 * len(words))
+        for k, word in enumerate(words):
+            memory.write(base + 8 * k, word)
+        result, machine, compiled = compile_and_run(
+            cold_call_loop(), "f", (base, len(words)), memory=memory
+        )
+        assert result == sum(w if w != 7 else 65 * w for w in words)
+        if 7 not in words:
+            # the hot path loads its words and nothing of the frame
+            assert machine.state.loads == len(words)
+    program = machine.program
+    info = compiled["f"].info
+    code = program.code[info.start:info.end]
+    (call,) = [k for k, ins in enumerate(code) if ins[0] == Opcode.CALL]
+    framed = [
+        k for k, ins in enumerate(code)
+        if ins[0] == Opcode.LOAD and ins[2] == REG_SP
+        or ins[0] == Opcode.STORE and ins[1] == REG_SP
+    ]
+    # the call site: four saves, the argument move, the call, the result
+    # move, four reloads — and nothing else of the frame in the function
+    assert framed == [*range(call - 5, call - 1), *range(call + 2, call + 6)]
+    saves = {(ins[2], ins[3]) for ins in code[call - 5:call - 1]}
+    reloads = {(ins[1], ins[3]) for ins in code[call + 2:call + 6]}
+    assert saves == reloads and len({reg for reg, _ in saves}) == 4
+    assert compiled["f"].alloc_stats.call_crossings == 4
+    assert compiled["f"].alloc_stats.spilled == 0
+
+
+def test_a_kernel_call_saves_nothing():
+    # the kernel writes only r0: values live across a KCALL keep their
+    # registers with no store or reload around it
+    module = Module("m")
+    fn = module.new_function("f", [("x", Type.I64)], Type.I64)
+    b = IRBuilder(fn)
+    b.set_block(b.block("entry"))
+    x = fn.params[0]
+    doubled = b.add(x, x)
+    pointer = b.kcall(0, [b.const(64)], Type.PTR)
+    b.store(pointer, doubled)
+    b.ret(b.add(b.load(pointer), doubled))
+    program = Program()
+    compiled = compile_module(module, program, CodeRegion.QUERY)
+    info = compiled["f"].info
+    code = program.code[info.start:info.end]
+    assert not any(
+        ins[0] == Opcode.STORE and ins[1] == REG_SP
+        or ins[0] in (Opcode.LOAD, Opcode.ADDI) and ins[2] == REG_SP
+        for ins in code
+    )
+    assert compiled["f"].alloc_stats.call_crossings == 0
+
+
+@pytest.fixture(scope="module")
+def tpch_compiled(tpch_db):
+    """Every TPC-H query compiled: its program (which holds the runtime
+    and syslib too) and the IR functions behind it."""
+    return [tpch_db.compiled_for(q.sql) for q in ALL_QUERIES.values()]
+
+
+def test_no_function_jumps_to_its_next_instruction(tpch_compiled):
+    # a jump's target laid out next is reached by falling through
+    regions = {CodeRegion.QUERY, CodeRegion.RUNTIME, CodeRegion.SYSLIB}
+    seen = Counter()
+    for compiled in tpch_compiled:
+        program = compiled.program
+        for info in program.functions:
+            if info.region not in regions:
+                continue
+            seen[info.region] += 1
+            for ip in range(info.start, info.end):
+                op, target = program.code[ip][:2]
+                assert not (op == Opcode.JMP and target == ip + 1), info.name
+    assert min(seen.values()) >= len(ALL_QUERIES)
+
+
+def _addis_feeding_only_a_bare_access(function) -> list:
+    """The ADDIs of ``function``'s selected code whose value's one use is
+    the address of a load or store at offset 0."""
+    items = [
+        item for item in select_function(function).items
+        if isinstance(item, (MInst, MCallSeq))
+    ]
+    uses = Counter(v for item in items for v in item.uses())
+    addis = {
+        item.a: item for item in items
+        if isinstance(item, MInst) and item.op == Opcode.ADDI
+    }
+    found = []
+    for item in items:
+        if isinstance(item, MInst) and item.op in (Opcode.LOAD, Opcode.STORE):
+            base = item.b if item.op == Opcode.LOAD else item.a
+            if base in addis and uses[base] == 1 and item.c == 0:
+                found.append((function.name, addis[base].ir_id))
+    return found
+
+
+def test_no_addi_feeds_a_bare_access_as_its_only_use(tpch_compiled, numbering):
+    # a gep whose users are the addresses of its block's accesses is
+    # their immediate: ``load rD, [rB+k]``, no ``addi``
+    functions = [
+        fn for compiled in tpch_compiled
+        for fn in compiled.query_ir.module.functions
+    ]
+    for module in (build_runtime_module(), build_syslib_module()):
+        for fn in module.functions:
+            optimize_function(fn)
+            functions.append(fn)
+    found = [f for fn in functions for f in _addis_feeding_only_a_bare_access(fn)]
+    assert found == []

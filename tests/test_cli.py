@@ -84,6 +84,8 @@ def test_parallel_execution_via_cli():
     ["fleet", "--workers", "0"],
     ["storage", "--segment-rows", "3"],
     ["fuzz", "--budget", "0"],
+    ["fuzz", "--rotate-every", "0"],
+    ["fuzz", "--max-hints", "-1"],
     ["views", "--fuzz", "--queries", "0"],
     ["pgo", __file__],
     ["--query", "q1", "--max-rows", "-2"],

@@ -35,6 +35,23 @@ def test_iteration_detection_finds_all_repeats(tpch_db):
     assert max(counts) < 1.5 * min(counts), "iterations should be similar"
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_an_iteration_whose_last_pipeline_draws_no_sample_is_found(
+    tpch_db, workers
+):
+    # q1's last pipeline (sort and output of four groups) is shorter than
+    # a sampling period: the boundary is the clock the iteration started
+    # at, not a sample from an earlier pipeline than the one before it
+    profile = tpch_db.profile(
+        ALL_QUERIES["q1"].sql, options=ExecOptions(workers=workers, repeats=3)
+    )
+    iterations = profile.iterations()
+    assert len(iterations) == 3
+    assert sum(i.samples for i in iterations) == sum(
+        1 for a in profile.attributions if a.category == "operator"
+    )
+
+
 def test_single_run_is_one_iteration(tpch_db):
     profile = tpch_db.profile(FIG9_QUERY.sql)
     assert len(profile.iterations()) == 1

@@ -210,3 +210,20 @@ def test_hot_instructions():
     # arithmetic dilutes the shares, but a stall-biased load must still
     # rank among the hot instructions
     assert any("load" in h[2] for h in hot)
+
+
+def test_a_runtime_line_is_named_by_its_function_and_its_owners(profile):
+    # the runtime library numbers its IR apart from the query, so a
+    # runtime sample's line is no query line: it reads ``@function %id``
+    # and is owned by the operators its samples' tags resolved to
+    owners: dict = {}
+    for attribution in profile.attributions:
+        if None not in (attribution.runtime_function, attribution.ir_id):
+            key = f"@{attribution.runtime_function} %{attribution.ir_id}"
+            labels = owners.setdefault(key, {})
+            labels.update(dict.fromkeys(op.label for op in attribution.operators))
+    assert owners
+    hot = profile.hot_instructions(len(profile.attributions))
+    named = {text: found for _, _, text, found in hot if text.startswith("@")}
+    assert named == {key: tuple(labels) for key, labels in owners.items()}
+    assert all(named.values())
