@@ -127,7 +127,8 @@ class _Isel:
 
     def run(self) -> IselResult:
         fn = self.function
-        # params arrive in r0..r5; copy them into vregs up front
+        # params arrive in r0..r5; copy them into vregs up front, under the
+        # entry block's first instruction (a prologue has no IR of its own)
         param_vregs = []
         for param in fn.params:
             v = self.fresh()
@@ -136,7 +137,7 @@ class _Isel:
         for i, v in enumerate(self.param_vreg.values()):
             if i > 5:
                 raise BackendError("more than 6 parameters are not supported")
-            self.emit(Opcode.MOV, v, i)
+            self.emit(Opcode.MOV, v, i, ir_id=fn.blocks[0].instructions[0].id)
 
         # pre-assign vregs for all phis (referenced across blocks)
         for block in fn.blocks:

@@ -231,8 +231,9 @@ def allocate_function(
     # -- rewrite ----------------------------------------------------------
 
     out: list = []  # mix of MLabel markers and (tuple, ir_id)
-    if frame:
-        out.append(((Opcode.ADDI, REG_SP, REG_SP, -frame), None))
+    if frame:  # the prologue belongs to the entry block's first instruction
+        entry_ir = next(i.ir_id for i in items if not isinstance(i, MLabel))
+        out.append(((Opcode.ADDI, REG_SP, REG_SP, -frame), entry_ir))
 
     def read_operand(operand, scratch):
         """Return a physical register holding ``operand``."""

@@ -44,7 +44,7 @@ class CardinalityModel:
         self._iu_stats: dict[int, ColumnStats] = {}
         self._cache: dict[int, float] = {}
 
-    def _harvest_stats(self, op: LogicalOperator) -> None:
+    def harvest_stats(self, op: LogicalOperator) -> None:
         for node in op.walk():
             if isinstance(node, LogicalScan):
                 for column, iu in node.column_ius.items():
@@ -121,7 +121,7 @@ class CardinalityModel:
     def estimate(self, op: LogicalOperator) -> float:
         if op.op_id in self._cache:
             return self._cache[op.op_id]
-        self._harvest_stats(op)
+        self.harvest_stats(op)
         card = self._estimate(op)
         self._cache[op.op_id] = card
         return card

@@ -268,14 +268,15 @@ class AggCall:
         return f"{self.kind}({self.arg if self.arg is not None else '*'})"
 
 
-def conjuncts(expr: Expr | None) -> list[Expr]:
-    """Flatten a predicate into its top-level AND conjuncts."""
+def conjuncts(expr: Expr | None, op: str = "and") -> list[Expr]:
+    """Flatten a predicate into its top-level AND conjuncts (with ``op``
+    "or", into its OR branches)."""
     if expr is None:
         return []
-    if isinstance(expr, LogicalExpr) and expr.op == "and":
+    if isinstance(expr, LogicalExpr) and expr.op == op:
         out: list[Expr] = []
         for operand in expr.operands:
-            out.extend(conjuncts(operand))
+            out.extend(conjuncts(operand, op))
         return out
     return [expr]
 

@@ -351,6 +351,8 @@ def explain_physical(
                 f"{b} = {p}" for b, p in zip(node.build_keys, node.probe_keys)
             )
             text += f" [{pairs}]"
+            if getattr(node, "residual", None) is not None:
+                text += f" residual [{node.residual}]"
         elif isinstance(node, PhysicalGroupBy):
             text += f" [{', '.join(str(e) for _, e in node.keys)}]"
         if annotations and node.op_id in annotations:

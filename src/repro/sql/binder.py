@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from repro.catalog import Catalog
 from repro.catalog.schema import DataType, encode_date
 from repro.errors import SqlError
-from repro.plan.cardinality import CardinalityModel
+from repro.plan.cardinality import DEFAULT_SELECTIVITY, CardinalityModel
 from repro.plan.expr import (
     IU,
     AggCall,
@@ -44,6 +44,7 @@ from repro.plan.logical import (
 )
 from repro.plan.optimizer import JoinEdge, QueryGraph, Residual, optimize_join_order
 from repro.sql import ast
+from repro.sql.unparse import unparse_expression
 
 _AGG_FUNCS = {"sum", "avg", "min", "max", "count"}
 _COMPARISONS = ("=", "<>", "<", "<=", ">", ">=")
@@ -165,8 +166,8 @@ class Binder:
         self._inner_start = 0  # scope boundary for subquery resolution
 
         scalar_where, subquery_preds = _split_subquery_predicates(stmt.where)
-        graph = self._build_graph(stmt, relations, scalar_where)
         model = model or CardinalityModel()
+        graph = self._build_graph(relations, scalar_where, model)
         joined = optimize_join_order(graph, model, join_order_hint)
         for predicate in subquery_preds:
             joined = self._unnest_subquery(predicate, joined, model)
@@ -209,9 +210,9 @@ class Binder:
 
     def _build_graph(
         self,
-        stmt: ast.SelectStmt,
         from_relations: list[_Relation],
         where: ast.Node | None,
+        model: CardinalityModel,
     ) -> QueryGraph:
         edges: list[JoinEdge] = []
         residuals: list[Residual] = []
@@ -223,7 +224,7 @@ class Binder:
             condition = self.bind_scalar(where)
             if condition.dtype is not DataType.BOOL:
                 raise SqlError("WHERE condition is not boolean")
-            for conjunct in conjuncts(condition):
+            for conjunct in self._factor_disjunctions(conjuncts(condition), model):
                 rels = self._relations_of(conjunct)
                 edge = self._as_join_edge(conjunct)
                 if edge is not None:
@@ -248,6 +249,37 @@ class Binder:
             edges=edges,
             residuals=residuals,
         )
+
+    def _factor_disjunctions(self, predicates: list[Expr], model) -> list[Expr]:
+        """``predicates`` with what an OR's branches share pulled out of it
+        (the OR is dropped if a branch keeps nothing: X or (X and Y) is X),
+        and, per relation every branch left restricts, the OR of those
+        restrictions when the model rates it no weaker than an unknown
+        predicate.  The OR stays, so the result is exact; one sharing
+        nothing is kept as written."""
+        out: list[Expr] = []
+        for predicate in predicates:
+            branches = [conjuncts(b) for b in conjuncts(predicate, "or")]
+            shared = [c for c in branches[0] if all(c in b for b in branches)]
+            rests = [[c for c in b if c not in shared] for b in branches]
+            out.extend(shared)
+            if not all(rests):
+                continue  # not an OR, or one that what is shared implies
+            if shared:
+                predicate = LogicalExpr("or", tuple(map(conjunction, rests)))
+            out.append(predicate)
+            rels = self._relations_of(predicate)
+            for rel in sorted(rels) if len(rels) > 1 else ():
+                model.harvest_stats(self._scans[rel].plan)
+                restrictions = [
+                    conjunction([c for c in r if self._relations_of(c) == {rel}])
+                    for r in rests
+                ]
+                implied = LogicalExpr("or", tuple(restrictions))
+                if all(restrictions) and \
+                        model.selectivity(implied) <= DEFAULT_SELECTIVITY:
+                    out.append(implied)
+        return out
 
     def _relations_of(self, expr: Expr) -> set[int]:
         rels: set[int] = set()
@@ -284,7 +316,8 @@ class Binder:
         key_entries: list[tuple[ast.Node, IU, Expr]] = []
         for node in stmt.group_by:
             bound = self.bind_scalar(node)
-            name = str(node) if not isinstance(node, ast.Identifier) else node.name
+            name = node.name if isinstance(node, ast.Identifier) \
+                else unparse_expression(node)
             key_entries.append((node, IU(name, bound.dtype), bound))
 
         agg_entries: list[tuple[ast.Node, Expr]] = []  # (ast agg call, output expr)

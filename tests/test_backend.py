@@ -573,3 +573,20 @@ def test_no_addi_feeds_a_bare_access_as_its_only_use(tpch_compiled, numbering):
             functions.append(fn)
     found = [f for fn in functions for f in _addis_feeding_only_a_bare_access(fn)]
     assert found == []
+
+
+def test_every_query_and_runtime_instruction_has_an_ir_id(tpch_compiled):
+    # a sample on an instruction without an IR id is unattributed: the
+    # frame prologue and the parameter copies (and their spill stores)
+    # carry the id of the entry block's first instruction, as a DWARF
+    # prologue carries the function's first line
+    for compiled in tpch_compiled:
+        program = compiled.program
+        missing = [
+            (info.name, ip - info.start)
+            for info in program.functions
+            if info.region in (CodeRegion.QUERY, CodeRegion.RUNTIME)
+            for ip in range(info.start, info.end)
+            if ip not in program.debug
+        ]
+        assert missing == []

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SqlError
+from repro.plan.physical import explain_physical
 from repro.sql import parse, tokenize
 from repro.sql.lexer import TokenKind
 from repro.sql import ast
@@ -221,6 +222,16 @@ def test_year_function():
         "order by y"
     )
     assert rows == [(2020, 5), (2021, 1)]
+
+
+def test_a_computed_group_key_is_named_by_its_sql():
+    catalog = small_catalog()
+    _, plan, _ = run_interpreted(
+        catalog, "select count(*) n from items group by year(sold) "
+        "order by year(sold)"
+    )
+    text = explain_physical(plan)
+    assert "[year(sold)]" in text and "FuncCall" not in text
 
 
 def test_join_order_hint_is_respected():

@@ -1152,7 +1152,9 @@ def test_translation_volume_of_a_first_pass():
     # 23,285 since the L1 keeps each set's MRU line (22,799) and a loop's
     # tree follows the calls its rows make, 18,039 since values live across
     # a call keep their registers, geps fold into loads and stores and no
-    # jump goes to the next instruction (less guest code to translate);
+    # jump goes to the next instruction (less guest code to translate),
+    # 17,419 since an OR gives up what its branches share (q19's join
+    # probe stops running on every lineitem row);
     # the blocks and arms that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
@@ -1163,7 +1165,7 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 18_039 * 1.02
+    assert 0 < first <= 17_419 * 1.02
     assert first <= second < first * 1.15
 
 
@@ -1179,9 +1181,11 @@ def test_armed_translation_volume_of_a_profile_session():
     # and a linear root ends where a compiled loop begins, 19,006
     # since every way out of a block shares the one tail, 17,767 since
     # the L1 keeps each set's MRU line (17,014) and a loop's tree follows
-    # the calls its rows make, and 14,715 since values live across a call
+    # the calls its rows make, 14,715 since values live across a call
     # keep their registers (less guest code: fewer spills, folded offsets,
-    # no jump to the next instruction)
+    # no jump to the next instruction), and 14,453 since an OR gives up
+    # what its branches share and pushes its selective implied filters
+    # (pushing q19's weak l_quantity OR as well made 15,743)
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1195,7 +1199,7 @@ def test_armed_translation_volume_of_a_profile_session():
             ("q19", ProfilingMode.CALLSTACK),
         )
     )
-    assert 0 < lines <= 14_715 * 1.02
+    assert 0 < lines <= 14_453 * 1.02
 
 
 def test_every_way_out_writes_back_once():
