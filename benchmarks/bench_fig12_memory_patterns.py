@@ -33,6 +33,7 @@ def test_fig12_memory_access_patterns(tpch, benchmark):
             f"{op.label:<22} {len(points):>8} {mem.address_range(op):>12,}"
             f" {mem.band_linearity(op):>+10.2f}"
         )
+    lines += ["", mem.frame_line()]
     report("Fig 12 memory access patterns", "\n".join(lines))
 
     scans = [r for r in rows if isinstance(r[0], PhysicalScan) and r[1] >= 10]

@@ -10,6 +10,7 @@ allocator's spill statistics.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.errors import BackendError
@@ -66,6 +67,30 @@ def _inject_fault(function, kind: str) -> bool:
     return False
 
 
+def _loop_weights(function, dominators) -> dict[int, float]:
+    """``8 ** loop depth`` per instruction id, the static spill weights: a
+    back edge enters a block that dominates its source, and its natural
+    loop is every block reaching that source without passing the header."""
+    edges = [(b, t) for b in function.blocks for t in b.terminator.targets or ()]
+    preds = {id(block): [] for block in function.blocks}
+    for block, target in edges:
+        preds[id(target)].append(block)
+    loops: dict[int, set[int]] = {}
+    for block, header in edges:
+        if id(header) in dominators.get(id(block), ()):
+            body, stack = loops.setdefault(id(header), {id(header)}), [block]
+            while stack:
+                node = stack.pop()
+                if id(node) not in body:
+                    body.add(id(node))
+                    stack.extend(preds[id(node)])
+    depth = Counter(node for body in loops.values() for node in body)
+    return {
+        instr.id: 8.0 ** depth[id(block)]
+        for block in function.blocks for instr in block.instructions
+    }
+
+
 @dataclass
 class CompiledFunction:
     """Everything the profiler and the benchmarks need per function."""
@@ -106,10 +131,10 @@ def compile_module(
     units: list[LinkUnit] = []
     fault_pending = options.inject_fault is not None
     for function in module.functions:
-        verify_function(function)
+        dominators = verify_function(function)
         if options.optimize:
             opt_result = optimize_function(function)
-            verify_function(function)
+            dominators = verify_function(function)
         else:
             opt_result = OptimizationResult()
         if fault_pending and _inject_fault(function, options.inject_fault):
@@ -128,7 +153,7 @@ def compile_module(
         allocated = allocate_function(
             isel.items,
             reserve_tag_register=options.reserve_tag_register,
-            hotness=hotness,
+            weights=hotness or _loop_weights(function, dominators),
         )
         units.append(
             LinkUnit(

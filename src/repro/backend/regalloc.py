@@ -1,4 +1,13 @@
-"""Linear-scan register allocation and call-sequence expansion.
+"""Graph-colouring register allocation and call-sequence expansion.
+
+Chaitin–Briggs over the virtual registers of one function: liveness per
+basic block, an interference graph built in one backward walk per block,
+simplify (a node of degree < K leaves the graph; when none is left, the
+one with the least spill cost per degree is pushed optimistically) and
+select (each popped node takes a register no coloured neighbour holds,
+its ``MOV`` partner's when free, so the copy between them vanishes).  A
+value's spill cost sums the weights of the instructions touching it:
+``8 ** loop depth`` by default, sampled hotness with profile feedback.
 
 The allocatable pool is r7..r14; Register Tagging *reserves* r14, shrinking
 the pool — which is exactly how the paper's 2.8 % reservation overhead
@@ -17,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import BackendError
 from repro.vm.isa import REG_SP, REG_TAG, Opcode
 from repro.backend.minst import MCallSeq, MInst, MLabel, is_vreg
 
@@ -25,6 +33,8 @@ POOL_FULL = tuple(range(7, 15))  # r7..r14
 SCRATCH_A = 4
 SCRATCH_B = 5
 SCRATCH_C = 3  # only needed by SELECT, the one three-source instruction
+
+_BLOCK_ENDS = frozenset({Opcode.JMP, Opcode.BRZ, Opcode.BRNZ, Opcode.RET, Opcode.HALT})
 
 
 @dataclass
@@ -45,174 +55,165 @@ class AllocatedCode:
     debug: dict[int, int] = field(default_factory=dict)
     call_fixups: list[tuple[int, str]] = field(default_factory=list)
     stats: AllocationStats = field(default_factory=AllocationStats)
+    # vreg -> register, for every vreg that got one
+    registers: dict[int, int] = field(default_factory=dict)
 
 
-def _successors(items, index, label_pos):
-    item = items[index]
-    if isinstance(item, MInst):
-        if item.op == Opcode.JMP:
-            return [label_pos[item.a]]
-        if item.op in (Opcode.BRZ, Opcode.BRNZ):
-            return [label_pos[item.b], index + 1]
-        if item.op in (Opcode.RET, Opcode.HALT):
-            return []
-    return [index + 1] if index + 1 < len(items) else []
-
-
-def _liveness(items):
-    """Per-item live-out vreg sets via backward iterative dataflow."""
-    label_pos = {
-        item.name: i for i, item in enumerate(items) if isinstance(item, MLabel)
+def _blocks(items):
+    """Basic blocks as ``(start, end)`` item spans, and their successors."""
+    bounds = {0, len(items)}
+    for i, item in enumerate(items):
+        if isinstance(item, MLabel):
+            bounds.add(i)
+        elif isinstance(item, MInst) and item.op in _BLOCK_ENDS:
+            bounds.add(i + 1)
+    bounds = sorted(bounds)
+    spans = list(zip(bounds, bounds[1:]))
+    at_label = {
+        items[start].name: k
+        for k, (start, _) in enumerate(spans)
+        if isinstance(items[start], MLabel)
     }
-    n = len(items)
-    succs = [_successors(items, i, label_pos) for i in range(n)]
-    uses = []
-    defs = []
-    for item in items:
-        if isinstance(item, (MInst, MCallSeq)):
-            uses.append(set(item.uses()))
-            defs.append(set(item.defs()))
+    succs = []
+    for k, (_, end) in enumerate(spans):
+        last = items[end - 1]
+        op = last.op if isinstance(last, MInst) else None
+        if op == Opcode.JMP:
+            succs.append([at_label[last.a]])
+        elif op in (Opcode.RET, Opcode.HALT):
+            succs.append([])
         else:
-            uses.append(set())
-            defs.append(set())
+            taken = [at_label[last.b]] if op in (Opcode.BRZ, Opcode.BRNZ) else []
+            succs.append(taken + ([k + 1] if k + 1 < len(spans) else []))
+    return spans, succs
 
-    live_in = [set() for _ in range(n)]
-    live_out = [set() for _ in range(n)]
+
+def _live_out(touches, spans, succs):
+    """Live-out vreg set per block, by backward iterative dataflow."""
+    gen, kill = [], []
+    for start, end in spans:
+        used = set()
+        for uses, defs in reversed(touches[start:end]):
+            used = used.difference(defs).union(uses)
+        gen.append(used)
+        kill.append({d for _, defs in touches[start:end] for d in defs})
+    live_in = [set(g) for g in gen]
+    live_out = [set() for _ in spans]
     changed = True
     while changed:
         changed = False
-        for i in range(n - 1, -1, -1):
-            out = set()
-            for s in succs[i]:
-                out |= live_in[s]
-            new_in = uses[i] | (out - defs[i])
-            if out != live_out[i] or new_in != live_in[i]:
-                live_out[i] = out
-                live_in[i] = new_in
+        for k in range(len(spans) - 1, -1, -1):
+            out = set().union(*(live_in[s] for s in succs[k]))
+            if out != live_out[k]:
+                live_out[k] = out
+                live_in[k] = gen[k] | (out - kill[k])
                 changed = True
-    return live_in, live_out
+    return live_out
 
 
-def _intervals(items, live_in, live_out):
-    intervals: dict[int, list[int]] = {}
+def _interference(items):
+    """The interference graph, and the values live across each non-kernel
+    call (by item index): one backward walk per block; each definition
+    interferes with everything live after it but the source of a copy."""
+    touches = [
+        (item.uses(), item.defs()) if isinstance(item, (MInst, MCallSeq)) else ((), ())
+        for item in items
+    ]
+    spans, succs = _blocks(items)
+    live_out = _live_out(touches, spans, succs)
+    graph = {v: set() for uses, defs in touches for v in (*uses, *defs)}
+    across: dict[int, set[int]] = {}
+    for (start, end), live in zip(spans, live_out):
+        live = set(live)
+        for i in range(end - 1, start - 1, -1):
+            item = items[i]
+            uses, defs = touches[i]
+            if isinstance(item, MCallSeq) and not item.is_kernel:
+                across[i] = live.difference(defs)
+            copied = item.b if isinstance(item, MInst) and item.op == Opcode.MOV else None
+            for d in defs:
+                for v in live:
+                    if v != d and v != copied:
+                        graph[d].add(v)
+                        graph[v].add(d)
+            live.difference_update(defs)
+            live.update(uses)
+    return graph, across
 
-    def touch(vreg, pos):
-        interval = intervals.get(vreg)
-        if interval is None:
-            intervals[vreg] = [pos, pos]
-        else:
-            if pos < interval[0]:
-                interval[0] = pos
-            if pos > interval[1]:
-                interval[1] = pos
 
-    for i, item in enumerate(items):
-        if isinstance(item, (MInst, MCallSeq)):
-            for v in item.uses():
-                touch(v, i)
-            for v in item.defs():
-                touch(v, i)
-        for v in live_in[i]:
-            touch(v, i)
-        for v in live_out[i]:
-            touch(v, i)
-    return intervals
-
-
-def _vreg_weights(items, hotness: dict[int, float]) -> dict[int, float]:
-    """Spill cost per vreg: summed hotness of the instructions touching it."""
-    weights: dict[int, float] = {}
+def _vreg_weights(items, weights: dict[int, float]) -> dict[int, float]:
+    """Spill cost per vreg: the summed ``weights`` (by ir_id) of the
+    instructions touching it."""
+    costs: dict[int, float] = {}
     for item in items:
         if not isinstance(item, (MInst, MCallSeq)) or item.ir_id is None:
             continue
-        weight = hotness.get(item.ir_id)
+        weight = weights.get(item.ir_id)
         if not weight:
             continue
         for vreg in set(item.uses()) | set(item.defs()):
-            weights[vreg] = weights.get(vreg, 0.0) + weight
-    return weights
+            costs[vreg] = costs.get(vreg, 0.0) + weight
+    return costs
+
+
+def _colour(graph, pool, costs, partners) -> dict[int, int]:
+    """Simplify, then select; a node absent from the result is spilled."""
+    k = len(pool)
+    degree = {v: len(edges) for v, edges in graph.items()}
+    remaining = set(graph)
+    low = sorted(v for v in graph if degree[v] < k)
+    stack = []
+    while remaining:
+        if low:
+            node = low.pop()
+        else:  # every node is significant: push the cheapest, optimistically
+            node = min(remaining, key=lambda v: (costs.get(v, 0.0) / degree[v], v))
+        remaining.remove(node)
+        stack.append(node)
+        for v in graph[node]:
+            if v in remaining:
+                degree[v] -= 1
+                if degree[v] == k - 1:
+                    low.append(v)
+    colour: dict[int, int] = {}
+    for node in reversed(stack):
+        taken = {colour[v] for v in graph[node] if v in colour}
+        free = [r for r in pool if r not in taken]
+        if free:
+            preferred = [colour[p] for p in partners.get(node, ()) if colour.get(p) in free]
+            colour[node] = preferred[0] if preferred else free[0]
+    return colour
 
 
 def allocate_function(
-    items: list,
-    reserve_tag_register: bool = False,
-    hotness: dict[int, float] | None = None,
+    items: list, reserve_tag_register: bool, weights: dict[int, float]
 ) -> AllocatedCode:
     """Allocate registers and produce final function-relative code.
 
-    ``hotness`` (profile feedback, ir_id -> sample weight) switches the
-    spill heuristic from furthest-end to cheapest-to-spill: among the
-    candidates, the vreg touched by the coldest instructions is spilled —
-    keeping profiled-hot values in registers.
+    ``weights`` maps ir_id to what one touch by that instruction costs a
+    spilled value: ``8 ** loop depth``, or the sampled hotness of profile
+    feedback.
     """
     pool = tuple(r for r in POOL_FULL if not (reserve_tag_register and r == REG_TAG))
 
-    live_in, live_out = _liveness(items)
-    intervals = _intervals(items, live_in, live_out)
-    weights = _vreg_weights(items, hotness) if hotness else None
-    # the values each call site saves: live across it, exactly
-    across = {
-        i: live_out[i] - set(item.defs())
-        for i, item in enumerate(items)
-        if isinstance(item, MCallSeq) and not item.is_kernel
-    }
-
-    stats = AllocationStats(vregs=len(intervals))
-    stats.call_crossings = len(set().union(*across.values()))
-
-    spilled: set[int] = set()
-    order = sorted(intervals, key=lambda v: intervals[v][0])
-    assignment: dict[int, tuple[str, int]] = {}
-    active: list[int] = []  # vregs currently holding a register
-    free = list(pool)
-    for vreg in order:
-        start, end = intervals[vreg]
-        for other in list(active):
-            if intervals[other][1] < start:
-                active.remove(other)
-                free.append(assignment[other][1])
-        if free:
-            reg = free.pop()
-            assignment[vreg] = ("reg", reg)
-            active.append(vreg)
-        elif weights is not None:
-            # hotness-weighted choice: spill the coldest candidate
-            # (ties broken toward the furthest interval end, matching the
-            # default heuristic)
-            def spill_cost(v, v_end):
-                return (weights.get(v, 0.0), -v_end)
-
-            victim = min(active, key=lambda v: spill_cost(v, intervals[v][1]))
-            if spill_cost(victim, intervals[victim][1]) < spill_cost(vreg, end):
-                assignment[vreg] = assignment[victim]
-                assignment[victim] = ("spill", 0)
-                spilled.add(victim)
-                active.remove(victim)
-                active.append(vreg)
-            else:
-                assignment[vreg] = ("spill", 0)
-                spilled.add(vreg)
-        else:
-            victim = max(active, key=lambda v: intervals[v][1])
-            if intervals[victim][1] > end:
-                assignment[vreg] = assignment[victim]
-                assignment[victim] = ("spill", 0)
-                spilled.add(victim)
-                active.remove(victim)
-                active.append(vreg)
-            else:
-                assignment[vreg] = ("spill", 0)
-                spilled.add(vreg)
-
-    slot_of: dict[int, int] = {}
-    for vreg in sorted(spilled):
-        slot_of[vreg] = len(slot_of)
-    stats.spilled = len(spilled)
-    stats.spill_slots = len(slot_of)
+    graph, across = _interference(items)
+    partners: dict[int, list[int]] = {}
+    for item in items:
+        if isinstance(item, MInst) and item.op == Opcode.MOV:
+            if is_vreg(item.a) and is_vreg(item.b):
+                partners.setdefault(item.a, []).append(item.b)
+                partners.setdefault(item.b, []).append(item.a)
+    registers = _colour(graph, pool, _vreg_weights(items, weights), partners)
+    slot_of = {v: k for k, v in enumerate(sorted(set(graph) - set(registers)))}
+    spilled = set(slot_of)
+    stats = AllocationStats(
+        vregs=len(graph), spilled=len(spilled), spill_slots=len(slot_of),
+        call_crossings=len(set().union(*across.values())),
+    )
     # a call site saves its live registers to the slots past the spills
     saves_at = {
         i: [
-            (assignment[v][1], (len(slot_of) + k) * 8)
+            (registers[v], (len(slot_of) + k) * 8)
             for k, v in enumerate(sorted(live - spilled))
         ]
         for i, live in across.items()
@@ -221,10 +222,7 @@ def allocate_function(
     def location(vreg):
         if vreg in slot_of:
             return ("slot", slot_of[vreg] * 8)
-        kind, reg = assignment[vreg]
-        if kind != "reg":
-            raise BackendError(f"vreg {vreg} has no location")
-        return ("reg", reg)
+        return ("reg", registers[vreg])
 
     frame = (len(slot_of) + max(map(len, saves_at.values()), default=0)) * 8
 
@@ -340,6 +338,8 @@ def allocate_function(
             if op == Opcode.MOV and target == b:
                 continue  # coalesced copy
             out.append((rewritten, current_ir))
+        elif op == Opcode.MOV:  # a copy into a slot is a store
+            out.append(((Opcode.STORE, REG_SP, b, dst_value), current_ir))
         else:
             out.append(((op, SCRATCH_A, b, c), current_ir))
             out.append(((Opcode.STORE, REG_SP, SCRATCH_A, dst_value), current_ir))
@@ -354,7 +354,7 @@ def allocate_function(
         else:
             counter += 1
 
-    result = AllocatedCode(stats=stats)
+    result = AllocatedCode(stats=stats, registers=registers)
     for entry in out:
         if isinstance(entry, MLabel):
             continue

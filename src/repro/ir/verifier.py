@@ -55,8 +55,9 @@ def compute_dominators(function: Function) -> dict[int, set[int]]:
     return dom
 
 
-def verify_function(function: Function) -> None:
-    """Raise :class:`IRError` on the first structural problem found."""
+def verify_function(function: Function) -> dict[int, set[int]]:
+    """Raise :class:`IRError` on the first structural problem found;
+    returns the dominator sets (:func:`compute_dominators`)."""
     if not function.blocks:
         raise IRError(f"{function.name}: function has no blocks")
 
@@ -112,10 +113,10 @@ def verify_function(function: Function) -> None:
                     f"do not match predecessors"
                 )
 
-    _verify_ssa(function, reachable)
+    return _verify_ssa(function, reachable)
 
 
-def _verify_ssa(function: Function, reachable: set[int]) -> None:
+def _verify_ssa(function: Function, reachable: set[int]) -> dict[int, set[int]]:
     dom = compute_dominators(function)
     def_site: dict[int, Instr] = {}
     for block in function.blocks:
@@ -160,6 +161,7 @@ def _verify_ssa(function: Function, reachable: set[int]) -> None:
             else:
                 for value in instr.args:
                     check_use(block, i, value, where)
+    return dom
 
 
 def verify_module(module: Module) -> None:

@@ -381,6 +381,14 @@ class MemoryAccessProfile:
     # maps an address to the physical structure it belongs to (a storage
     # part, or a 32 KiB page of non-storage memory): the bands
     band_of: "object"
+    # operator samples with an address, and those of them on a stack
+    sampled: int = 0
+    frame_samples: int = 0
+
+    def frame_line(self) -> str:
+        share = self.frame_samples / self.sampled if self.sampled else 0.0
+        return (f"frame (spill slots and call saves): "
+                f"{self.frame_samples} samples, {share:.1%}")
 
     def address_range(self, op: PhysicalOperator) -> int:
         points = self.accesses.get(op, [])
@@ -516,8 +524,8 @@ def memory_profile(profile) -> MemoryAccessProfile:
     base-table column is credited to that table's scan (its rows are
     labelled "orders"/"lineitem"), everything else (hash tables, sort
     buffers) stays with the operator that executed the load.  Stack traffic
-    (register spill slots) is filtered out, as data-access profiling tools
-    do.
+    (spill slots and call saves) belongs to no operator's data: it is
+    counted apart, in ``frame_samples``.
     """
     # base-table column extents -> owning scan operator
     from repro.plan.physical import PhysicalScan
@@ -536,11 +544,14 @@ def memory_profile(profile) -> MemoryAccessProfile:
 
     accesses: dict[PhysicalOperator, list[tuple[int, int]]] = {}
     stacks = [(m.stack_base, m.stack_end) for m in profile.machines]
+    sampled = frame = 0
     for attribution in profile.attributions:
-        if attribution.category != CATEGORY_OPERATOR:
-            continue
         addr = attribution.sample.memaddr
-        if addr is None or any(lo <= addr < hi for lo, hi in stacks):
+        if attribution.category != CATEGORY_OPERATOR or addr is None:
+            continue
+        sampled += 1
+        if any(lo <= addr < hi for lo, hi in stacks):
+            frame += 1
             continue
         scan = owner_by_address(addr)
         if scan is not None:
@@ -557,7 +568,7 @@ def memory_profile(profile) -> MemoryAccessProfile:
             return (ref.table, ref.column, ref.part)
         return addr >> 15  # non-storage memory: 32 KiB pages
 
-    return MemoryAccessProfile(accesses, band_of)
+    return MemoryAccessProfile(accesses, band_of, sampled, frame)
 
 
 # ---------------------------------------------------------------------------
@@ -614,6 +625,8 @@ def render_storage_report(profile) -> str:
         if aux:
             aux_text = ", ".join(f"{p}: {n}" for p, n in sorted(aux.items()))
             lines.append(f"    auxiliary structures: {aux_text}")
+    if breakdown:
+        lines.append("  " + memory_profile(profile).frame_line())
     storage = getattr(profile.database, "storage", None)
     if storage is not None and storage.prune_stats:
         lines.append("zone-map effect (segments skipped / considered):")

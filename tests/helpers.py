@@ -6,7 +6,9 @@ import builtins
 import datetime
 from contextlib import contextmanager
 
+import repro.backend.compiler as backend_compiler
 import repro.vm.translate as translate
+from repro.backend.minst import MCallSeq, MInst, MLabel
 from repro.catalog import Catalog, Column, DataType, Schema
 from repro.errors import PlanError
 from repro.numbering import lowering
@@ -25,6 +27,7 @@ from repro.plan.interpret import Interpreter
 from repro.plan.physical import PlannerOptions, plan_physical
 from repro.sql import parse
 from repro.sql.binder import Binder
+from repro.vm.isa import REG_SP, Opcode
 
 
 def small_catalog() -> Catalog:
@@ -222,3 +225,102 @@ def forgotten_address_facts():
         yield
     finally:
         translate._measure = measure
+
+
+@contextmanager
+def allocations():
+    """Record ``(items, allocated)`` for every function the backend
+    allocates: its virtual-register code and what the allocator made."""
+    seen: list[tuple] = []
+    allocate = backend_compiler.allocate_function
+
+    def recording(items, *args, **kwargs):
+        allocated = allocate(items, *args, **kwargs)
+        seen.append((items, allocated))
+        return allocated
+
+    backend_compiler.allocate_function = recording
+    try:
+        yield seen
+    finally:
+        backend_compiler.allocate_function = allocate
+
+
+def _live_after(items) -> list[set]:
+    """Per-item live-out vregs, by plain iterative dataflow over items."""
+    at = {item.name: i for i, item in enumerate(items) if isinstance(item, MLabel)}
+    succs = []
+    for i, item in enumerate(items):
+        op = item.op if isinstance(item, MInst) else None
+        following = [i + 1] if i + 1 < len(items) else []
+        if op == Opcode.JMP:
+            succs.append([at[item.a]])
+        elif op in (Opcode.BRZ, Opcode.BRNZ):
+            succs.append([at[item.b], *following])
+        elif op in (Opcode.RET, Opcode.HALT):
+            succs.append([])
+        else:
+            succs.append(following)
+    live_in = [set() for _ in items]
+    live_out = [set() for _ in items]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(items) - 1, -1, -1):
+            out = set().union(*(live_in[s] for s in succs[i]))
+            item = items[i]
+            if isinstance(item, (MInst, MCallSeq)):
+                now = (out - set(item.defs())) | set(item.uses())
+            else:
+                now = out
+            if out != live_out[i] or now != live_in[i]:
+                live_out[i], live_in[i] = out, now
+                changed = True
+    return live_out
+
+
+def check_allocation(items, allocated) -> None:
+    """Assert that an allocation keeps every value where its uses read it.
+
+    Writing a register never destroys a live value: at each definition,
+    no other vreg live after it holds the same register, unless the
+    instruction copies that very vreg.  And each value live across a
+    non-kernel call has its register stored before the argument moves
+    and loaded back from the same slot after the result move."""
+    registers = allocated.registers
+    live_after = _live_after(items)
+    for i, item in enumerate(items):
+        if not isinstance(item, (MInst, MCallSeq)):
+            continue
+        copied = item.b if isinstance(item, MInst) and item.op == Opcode.MOV else None
+        for d in item.defs():
+            if d not in registers:
+                continue
+            clash = sorted(
+                v for v in live_after[i]
+                if v not in (d, copied) and registers.get(v) == registers[d]
+            )
+            assert not clash, f"item {i}: v{d} overwrites live {clash} in r{registers[d]}"
+    calls = [
+        i for i, item in enumerate(items)
+        if isinstance(item, MCallSeq) and not item.is_kernel
+    ]
+    assert len(calls) == len(allocated.call_fixups)
+    code = allocated.code
+    for i, (ip, _) in zip(calls, allocated.call_fixups):
+        item = items[i]
+        saved, restored = {}, {}
+        j = ip - len(item.args) - 1
+        while j >= 0 and code[j][0] == Opcode.STORE and code[j][1] == REG_SP:
+            saved.setdefault(code[j][2], code[j][3])
+            j -= 1
+        j = ip + 1 + (item.dst is not None)
+        while j < len(code) and code[j][0] == Opcode.LOAD and code[j][2] == REG_SP:
+            restored.setdefault(code[j][1], code[j][3])
+            j += 1
+        for v in live_after[i] - set(item.defs()):
+            if v in registers:
+                reg = registers[v]
+                assert reg in saved and saved[reg] == restored.get(reg), (
+                    f"item {i}: v{v} in r{reg} is not kept across the call"
+                )

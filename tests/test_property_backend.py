@@ -159,3 +159,73 @@ def test_diamond_control_flow(x, y, take_left):
     threshold = 0 if take_left else y
     want = _sdiv(x, y) if x < threshold else _wrap(x * 3)
     assert got == want
+
+
+_LOOP_OPS = ("add", "sub", "xor", "mul", "min", "max", "crc32")
+
+_LOOP_STEP = st.tuples(
+    st.sampled_from(_LOOP_OPS),
+    st.integers(min_value=0, max_value=13),  # the carried value updated
+    st.integers(min_value=0, max_value=13),  # the other operand
+)
+
+
+@given(
+    carried=st.integers(min_value=9, max_value=14),
+    steps=st.lists(_LOOP_STEP, min_size=1, max_size=20),
+    trips=st.integers(min_value=0, max_value=5),
+    x=st.integers(min_value=-1000, max_value=1000),
+    y=st.integers(min_value=-1000, max_value=1000),
+    reserve=st.booleans(),
+)
+@RELAXED
+@lowering()
+def test_counted_loop_carrying_more_values_than_registers(
+    carried, steps, trips, x, y, reserve
+):
+    """A counted loop whose phis carry more values than the pool holds:
+    some must spill, and the loop-scaled spill costs pick which."""
+    module = Module("fuzz")
+    fn = module.new_function("f", [("x", Type.I64), ("y", Type.I64)], Type.I64)
+    b = IRBuilder(fn)
+    entry, header, body, done = (
+        b.block(name) for name in ("entry", "header", "body", "done")
+    )
+    px, py = fn.params
+    b.set_block(entry)
+    inits = [b.add(px if j % 2 else py, b.const(j)) for j in range(carried)]
+    b.br(header)
+    b.set_block(header)
+    counter = b.phi(Type.I64)
+    phis = [b.phi(Type.I64) for _ in range(carried)]
+    b.condbr(b.cmp("cmplt", counter, b.const(trips)), body, done)
+    b.set_block(body)
+    values = list(phis)
+    for op_name, j, k in steps:
+        values[j % carried] = b.binary(op_name, values[j % carried], values[k % carried])
+    b.add_incoming(counter, b.const(0), entry)
+    b.add_incoming(counter, b.add(counter, b.const(1)), body)
+    for phi, init, value in zip(phis, inits, values):
+        b.add_incoming(phi, init, entry)
+        b.add_incoming(phi, value, body)
+    b.br(header)
+    b.set_block(done)
+    total = phis[0]
+    for phi in phis[1:]:
+        total = b.binary("xor", total, phi)
+    b.ret(total)
+
+    program = Program()
+    options = BackendOptions(reserve_tag_register=reserve)
+    compiled = compile_module(module, program, CodeRegion.QUERY, options)
+    got = Machine(program, Memory()).call(compiled["f"].info.start, (x, y))
+
+    state = [(x if j % 2 else y) + j for j in range(carried)]
+    for _ in range(trips):
+        for op_name, j, k in steps:
+            state[j % carried] = _OPS[op_name](state[j % carried], state[k % carried])
+    want = state[0]
+    for value in state[1:]:
+        want ^= value
+    assert compiled["f"].alloc_stats.spilled > 0
+    assert got == want

@@ -520,7 +520,9 @@ def test_long_lived_service_retains_results_only():
     # no sample was lost on the way out of the shared buffers: the totals
     # are the ones the service reported while its buffers kept everything
     taken = sum(w.state.samples_taken for w in service.workers)
-    assert taken == 1003  # 1,221 while values live across a call were spilled
+    # 1,221 while values live across a call were spilled, 1,003 while the
+    # linear scan spilled the value live furthest
+    assert taken == 871
     assert service.stats()["samples"] == taken
     assert service.profile_snapshot().samples == taken
     assert sum(r.samples for r in service.results.values()) == taken

@@ -1154,7 +1154,8 @@ def test_translation_volume_of_a_first_pass():
     # a call keep their registers, geps fold into loads and stores and no
     # jump goes to the next instruction (less guest code to translate),
     # 17,419 since an OR gives up what its branches share (q19's join
-    # probe stops running on every lineitem row);
+    # probe stops running on every lineitem row), 16,248 since the
+    # allocator spills by loop-scaled cost (fewer frame accesses);
     # the blocks and arms that turn hot on a second execution add little
     db = Database.tpch(scale=0.001, seed=42)
     names = ("q1", "q4", "q6", "q13", "q14", "q19")
@@ -1165,7 +1166,7 @@ def test_translation_volume_of_a_first_pass():
         )
         for _ in range(2)
     )
-    assert 0 < first <= 17_419 * 1.02
+    assert 0 < first <= 16_248 * 1.02
     assert first <= second < first * 1.15
 
 
@@ -1183,9 +1184,10 @@ def test_armed_translation_volume_of_a_profile_session():
     # the L1 keeps each set's MRU line (17,014) and a loop's tree follows
     # the calls its rows make, 14,715 since values live across a call
     # keep their registers (less guest code: fewer spills, folded offsets,
-    # no jump to the next instruction), and 14,453 since an OR gives up
+    # no jump to the next instruction), 14,453 since an OR gives up
     # what its branches share and pushes its selective implied filters
-    # (pushing q19's weak l_quantity OR as well made 15,743)
+    # (pushing q19's weak l_quantity OR as well made 15,743), and 13,278
+    # since the allocator spills by loop-scaled cost
     db = Database.tpch(scale=0.002, seed=42)
     lines = sum(
         db.profile(
@@ -1199,7 +1201,7 @@ def test_armed_translation_volume_of_a_profile_session():
             ("q19", ProfilingMode.CALLSTACK),
         )
     )
-    assert 0 < lines <= 14_453 * 1.02
+    assert 0 < lines <= 13_278 * 1.02
 
 
 def test_every_way_out_writes_back_once():
@@ -1255,9 +1257,10 @@ def test_a_warm_armed_loop_closes_inside_its_function():
     ))
     profile = db.profile(sql, config)
     # 1,066 samples and 5,161 dispatches while every value live across a
-    # call was spilled (5,177 before loops followed calls)
-    assert len(profile.samples) == 878
-    assert dispatches[0] == 4_689
+    # call was spilled (5,177 before loops followed calls), 878 and 4,689
+    # while the linear scan spilled the value live furthest
+    assert len(profile.samples) == 820
+    assert dispatches[0] == 4_497
 
 
 def test_a_warm_loop_closes_through_its_per_row_call():
@@ -1946,20 +1949,23 @@ with forgotten_address_facts():
 # registers, geps to fold into loads and stores and jumps to the next
 # instruction to go: the guest code moved, so every row moved, and every
 # query compiles fewer sources in C and D.
+# Re-recorded when the allocator began to colour a graph and spill by
+# loop-scaled cost: the guest code moved, so every row moved; q6 C
+# compiles one source fewer.
 PARENT_DIGESTS = """
-ac018e7427e8d497 4 1662
-3aa9b6ca792c5abe 3 2169
-df4c64d27c701761 12 4010
-8dde9a418c729cb5 48 7464
-e0ed0815be69e88c 17 7821
-846cbe7871dddf18 11 2840
-f492c8cbc63faaea 23 10243
-133ad0d052eb001e 100 21297
-51ead6e3f708fac4 7 3047
-56f59cc2ee363f95 3 194
-e128c7a26584a5e6 10 3726
-16c0d2764bf4ba59 48 5950
-687fd2dd89c6ade7 16 4698
+ca17d476b154e294 4 1465
+fb5c06c02c5bcd2c 3 2042
+29b1868dce50f78b 12 3611
+234b073e5c343f1e 48 6934
+8ddbb699cd995b73 17 7339
+4442da81e6b82f01 11 2643
+1d5eba370e9f5615 23 9457
+63c59ea4b8e0ab58 100 19996
+2cc9918a2c2c822b 7 2790
+6d554156cfcece69 3 191
+6fe3b38ed56f01db 9 3398
+0529c7f6d76879be 48 5404
+7588b9be296acf32 16 4343
 """
 
 
